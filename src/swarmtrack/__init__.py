@@ -19,8 +19,7 @@ from .stability import (MaskMatrix, check_stability_condition, compute_masks,
                         drift_bound, empirical_drift, stability_report)
 from .baselines import (DareConvergenceError, GareGain, PidGains,
                         TriggerConfig, default_trigger_config, periodic_trigger,
-                        pid_control, solve_dare, state_trigger, tune_gare,
-                        tune_pid)
+                        pid_control, solve_dare, state_trigger, tune_pid)
 from .sim import (CalibrationError, Metrics, SimConfig, calibrate_gamma,
                   run_episode, run_sweep)
 from .swarm import (SwarmState, SwarmTopology, TrackingError,
@@ -40,5 +39,5 @@ __all__ = [
     "receive_control", "run_episode", "run_sweep", "solve_agent", "solve_dare",
     "spectral_norm", "stability_report", "state_trigger", "step_swarm",
     "step_target", "svd", "topology_from_json", "topology_to_json",
-    "tracking_error", "tune_gare", "tune_pid",
+    "tracking_error", "tune_pid",
 ]

@@ -1,13 +1,16 @@
 """Comparison controllers: periodic/state-triggered PID and a static Riccati gain.
 
-All three baselines are channel-oblivious by construction: no operation in
-this module accepts an instantaneous channel argument, so their decisions
-are measurable with respect to state history only. Gains are tuned offline
+Baseline 1 is the periodic trigger with PID control, baseline 2 the state
+trigger with PID control, and baseline 3 the state trigger with the PID's
+proportional gain alone, which is the static-channel DARE (Riccati) gain.
+All three are channel-oblivious by construction: no operation in this
+module accepts an instantaneous channel argument, so their decisions are
+measurable with respect to state history only. Gains are tuned offline
 against the static all-ones channel.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,20 +150,6 @@ def tune_pid(topology: SwarmTopology, kappa_i: float = 0.05,
     k_p = -_split_rows(sol.gain, topology)
     return PidGains(k_p=k_p, k_i=kappa_i * k_p, k_d=kappa_d * k_p,
                     a_scale=a_scale)
-
-
-def tune_gare(topology: SwarmTopology, a_scale: float = 1.0,
-              max_iter: int = 10000, tol: float = 1e-8):
-    """Static per-agent Riccati gains under the all-ones channel.
-
-    Returns (gains, solution) where gains has shape (M, n_tx, dM) with the
-    negative feedback sign applied.
-    """
-    b_eff = static_channel_input(topology)
-    sol = solve_dare(a_scale * topology.a_global, b_eff,
-                     np.eye(topology.global_dim),
-                     np.eye(b_eff.shape[1]), max_iter=max_iter, tol=tol)
-    return -_split_rows(sol.gain, topology), sol
 
 
 def _split_rows(gain: np.ndarray, topology: SwarmTopology) -> np.ndarray:

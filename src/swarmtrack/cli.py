@@ -153,9 +153,9 @@ def cmd_check_stability(config: sim.SimConfig, n_draws: int, out_dir: Path) -> i
     topology = sim.build_topology(config)
     constants = policy.compute_drift_constants(topology.a_global,
                                                topology.g_target)
-    draws = [channel.draw_channels(sim._slot_rng(config.seed, 1, t),
-                                   topology.m_agents, topology.n_rx,
-                                   topology.n_tx)
+    draws = [channel.draw_channels(
+                 sim._slot_rng(config.seed, sim._STREAM_CHANNEL, t),
+                 topology.m_agents, topology.n_rx, topology.n_tx)
              for t in range(n_draws)]
     report = stability.stability_report(topology, constants, draws)
     report["config"] = config.to_dict()
@@ -179,13 +179,23 @@ def cmd_calibrate_gamma(config: sim.SimConfig, budget_dbw: float,
     return 0
 
 
+def _require_count(flag: str, value: int):
+    if value < 1:
+        raise UsageError(f"{flag} must be >= 1, got {value}")
+
+
 def _parse_values(axis: str, raw: str):
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise UsageError("--values must list at least one value")
-    if axis == "power_dbw":
-        return [float(p) for p in parts]
-    return [int(p) for p in parts]
+    parse = float if axis == "power_dbw" else int
+    try:
+        values = [parse(p) for p in parts]
+    except ValueError as err:
+        raise UsageError(f"--values for axis {axis}: {err}") from err
+    if axis != "power_dbw":
+        _require_count(f"--values for axis {axis}", min(values))
+    return values
 
 
 def build_parser() -> "_Parser":
@@ -242,10 +252,13 @@ def main(argv=None) -> int:
                 raise UsageError(f"unknown axis {args.axis!r}; "
                                  f"valid axes: {', '.join(sim.AXES)}")
             values = _parse_values(args.axis, args.values)
+            _require_count("--seeds", args.seeds)
             return cmd_sweep(config, args.axis, values, args.seeds, out_dir)
         if args.command == "check-stability":
+            _require_count("--draws", args.draws)
             return cmd_check_stability(config, args.draws, out_dir)
         if args.command == "calibrate-gamma":
+            _require_count("--probe-seeds", args.probe_seeds)
             return cmd_calibrate_gamma(config, args.budget_dbw,
                                        args.probe_seeds, out_dir)
         raise UsageError(f"unknown command {args.command!r}")

@@ -50,11 +50,10 @@ class DriftConstants:
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """Activation power, communication price, and pseudoinverse tolerance."""
+    """Activation power and communication price."""
 
     p_on: float = 1.0
     gamma: float = 1.0
-    pinv_rel_tol: float = DEFAULT_PINV_REL_TOL
 
     def __post_init__(self):
         if self.p_on < 0:
@@ -68,14 +67,12 @@ class AgentFactorization:
     """SVD-derived quantities of one agent's effective channel E = Bhat @ H.
 
     zeta carries inverse squared singular values on the range of E (zero on
-    its orthogonal complement); sigma_rot is the error-cost matrix
-    conjugated by the left singular basis.
+    its orthogonal complement).
     """
 
     effective: np.ndarray       # (dM, n_tx)
     factors: SvdFactors
     zeta: np.ndarray            # (dM, dM)
-    sigma_rot: np.ndarray       # (dM, dM)
 
 
 @dataclass
@@ -118,23 +115,19 @@ def compute_drift_constants(a_global, g_target,
     return DriftConstants(pi=pi, alpha=float(alpha), sv_a=sv_a, sv_g=sv_g)
 
 
-def factorize_agent(bhat_m, h_m, sigma,
-                    pinv_rel_tol: float = DEFAULT_PINV_REL_TOL) -> AgentFactorization:
-    """Factor the effective channel of one agent against the current error cost."""
+def factorize_agent(bhat_m, h_m) -> AgentFactorization:
+    """Factor the effective channel E = Bhat @ H of one agent."""
     e = np.asarray(bhat_m, dtype=float) @ np.asarray(h_m, dtype=float)
     f = svd(e)
     dm = e.shape[0]
     inv_sq = np.zeros(dm)
     if len(f.singulars):
-        cutoff = pinv_rel_tol * f.singulars[0]
+        cutoff = DEFAULT_PINV_REL_TOL * f.singulars[0]
         keep = f.singulars > cutoff
         inv_sq[:len(f.singulars)][keep] = f.singulars[keep] ** -2.0
     u = f.left_basis
     zeta = (u * inv_sq) @ u.T
-    sigma = np.asarray(sigma, dtype=float)
-    sigma_rot = u @ sigma @ u.T
-    return AgentFactorization(effective=e, factors=f, zeta=zeta,
-                              sigma_rot=sigma_rot)
+    return AgentFactorization(effective=e, factors=f, zeta=zeta)
 
 
 def objective(khat, sigma, pi, params: PolicyParams, m_count: int,
@@ -181,18 +174,18 @@ def solve_agent(sigma, bhat_m, h_m, constants: DriftConstants,
     the unconstrained optimum Khat* is transmitted.
     """
     sigma = np.asarray(sigma, dtype=float)
-    fact = factorize_agent(bhat_m, h_m, sigma, params.pinv_rel_tol)
+    fact = factorize_agent(bhat_m, h_m)
     dm = sigma.shape[0]
     n_tx = fact.effective.shape[1]
     quad = m_count * sigma + params.gamma * fact.zeta
-    quad_pinv = pseudo_inverse(quad, params.pinv_rel_tol)
+    quad_pinv = pseudo_inverse(quad)
     pi_sigma = constants.pi[:, None] * sigma
     theta = float(np.trace(pi_sigma @ quad_pinv @ pi_sigma.T))
     if params.p_on >= theta:
         return ControlDecision(delta=0, gain=np.zeros((n_tx, dm)),
                                khat=np.zeros((dm, dm)), objective=0.0)
     khat_star = pi_sigma @ quad_pinv
-    gain = pseudo_inverse(fact.effective, params.pinv_rel_tol) @ khat_star
+    gain = pseudo_inverse(fact.effective) @ khat_star
     khat = fact.effective @ gain
     return ControlDecision(delta=1, gain=gain, khat=khat,
                            objective=params.p_on - theta)

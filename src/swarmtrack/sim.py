@@ -158,28 +158,22 @@ def _regularization_scales(topology: swarm.SwarmTopology):
         yield base * _TUNE_SCALE_DECAY ** j
 
 
-def tuned_gains(topology: swarm.SwarmTopology, kind: str):
-    """PID or Riccati gains, regularizing A when the raw solve diverges.
+def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
+    """PID gains, regularizing A when the raw solve diverges.
 
     Random swarms are frequently unstabilizable under the static all-ones
     channel; the Riccati iteration then diverges and tuning retries with a
     progressively scaled-down plant matrix. The scale used is recorded on
     the returned gains.
     """
-    key = (_topology_fingerprint(topology), kind)
+    key = _topology_fingerprint(topology)
     hit = _TUNE_CACHE.get(key)
     if hit is not None:
         return hit
     last_err = None
     for scale in _regularization_scales(topology):
         try:
-            if kind == "pid":
-                result = baselines.tune_pid(topology, a_scale=scale)
-            elif kind == "gare":
-                gains, _ = baselines.tune_gare(topology, a_scale=scale)
-                result = (gains, scale)
-            else:
-                raise ValueError(f"unknown gain kind {kind!r}")
+            result = baselines.tune_pid(topology, a_scale=scale)
         except baselines.DareConvergenceError as err:
             last_err = err
             continue
@@ -188,6 +182,72 @@ def tuned_gains(topology: swarm.SwarmTopology, kind: str):
         _TUNE_CACHE[key] = result
         return result
     raise last_err
+
+
+def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
+    """Closed-form channel-aware decision of every agent."""
+    params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
+    constants = policy.compute_drift_constants(topology.a_global, topology.g_target)
+
+    def decide(t, err, channels, estimate):
+        h = estimate.h_est if config.use_estimated_csi else channels.h
+        decisions = [policy.solve_agent(err.sigma, topology.bhat(m), h[m],
+                                        constants, params, topology.m_agents)
+                     for m in range(topology.m_agents)]
+        deltas = np.array([dec.delta for dec in decisions], dtype=int)
+        return deltas, [policy.control_signal(dec, err.e) for dec in decisions]
+
+    return decide
+
+
+def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
+    """Channel-oblivious baseline: a trigger rule and a PID-tuned control law.
+
+    Baseline 1 fires periodically, baselines 2 and 3 on the state trigger
+    against the error each agent last transmitted; baselines 1 and 2 send
+    the PID control, baseline 3 the proportional term k_p @ e alone.
+    """
+    gains = tuned_gains(topology)
+    trig = baselines.default_trigger_config(topology.m_agents)
+    m_count = topology.m_agents
+    accumulator = np.zeros(topology.global_dim)
+    prev_e = last_sent = None
+
+    if config.scheme == "baseline1":
+        def fires(t, m, e, e_last):
+            return baselines.periodic_trigger(t, trig.period)
+    else:
+        def fires(t, m, e, e_last):
+            return baselines.state_trigger(e, e_last, trig.sigma[m], trig.inverted)
+
+    if config.scheme == "baseline3":
+        def control(m, e, accumulator, prev_e):
+            return gains.k_p[m] @ e
+    else:
+        def control(m, e, accumulator, prev_e):
+            return baselines.pid_control(gains.k_p[m], gains.k_i[m],
+                                         gains.k_d[m], e, accumulator, prev_e)
+
+    def decide(t, err, channels, estimate):
+        nonlocal accumulator, prev_e, last_sent
+        e = err.e
+        if prev_e is None:
+            prev_e = e
+            last_sent = [e] * m_count
+        accumulator = accumulator + e
+        deltas = np.zeros(m_count, dtype=int)
+        controls = []
+        for m in range(m_count):
+            if fires(t, m, e, last_sent[m]):
+                deltas[m] = 1
+                last_sent[m] = e
+                controls.append(control(m, e, accumulator, prev_e))
+            else:
+                controls.append(np.zeros(topology.n_tx))
+        prev_e = e
+        return deltas, controls
+
+    return decide
 
 
 def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = None,
@@ -206,25 +266,8 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     dm = topology.global_dim
     state = swarm.SwarmState(x=np.full(dm, float(config.x0_value)),
                              r=np.full(dm, float(config.r0_value)), t=0)
-
-    scheme = config.scheme
-    params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
-    constants = policy.compute_drift_constants(topology.a_global, topology.g_target)
-
-    pid_gains = None
-    gare_gains = None
-    trig = None
-    if scheme in ("baseline1", "baseline2"):
-        pid_gains = tuned_gains(topology, "pid")
-        trig = baselines.default_trigger_config(topology.m_agents)
-    elif scheme == "baseline3":
-        gare_gains, _ = tuned_gains(topology, "gare")
-        trig = baselines.default_trigger_config(topology.m_agents)
-
-    accumulator = np.zeros(dm)
-    prev_e = None
-    snap_x = [state.x.copy() for _ in range(topology.m_agents)]
-    snap_r = [state.r.copy() for _ in range(topology.m_agents)]
+    decide = (_semantic_step if config.scheme == "semantic"
+              else _triggered_step)(config, topology)
 
     costs = []
     powers = []
@@ -248,43 +291,7 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
         estimate = channel.estimate_channel(
             channels.h, config.pilot_power,
             _slot_rng(config.seed, _STREAM_PILOT, t))
-
-        if prev_e is None:
-            prev_e = err.e.copy()
-        accumulator = accumulator + err.e
-
-        deltas = np.zeros(topology.m_agents, dtype=int)
-        controls = []
-        if scheme == "semantic":
-            h_for_policy = estimate.h_est if config.use_estimated_csi else channels.h
-            for m in range(topology.m_agents):
-                dec = policy.solve_agent(err.sigma, topology.bhat(m),
-                                         h_for_policy[m], constants, params,
-                                         topology.m_agents)
-                deltas[m] = dec.delta
-                controls.append(policy.control_signal(dec, err.e))
-        else:
-            for m in range(topology.m_agents):
-                if scheme == "baseline1":
-                    fire = baselines.periodic_trigger(t, trig.period)
-                else:
-                    e_last = snap_x[m] - snap_r[m]
-                    fire = baselines.state_trigger(err.e, e_last,
-                                                   trig.sigma[m], trig.inverted)
-                if fire:
-                    deltas[m] = 1
-                    snap_x[m] = state.x.copy()
-                    snap_r[m] = state.r.copy()
-                    if scheme == "baseline3":
-                        u = gare_gains[m] @ err.e
-                    else:
-                        u = baselines.pid_control(pid_gains.k_p[m],
-                                                  pid_gains.k_i[m],
-                                                  pid_gains.k_d[m],
-                                                  err.e, accumulator, prev_e)
-                else:
-                    u = np.zeros(topology.n_tx)
-                controls.append(u)
+        deltas, controls = decide(t, err, channels, estimate)
 
         slot_power = 0.0
         for m in range(topology.m_agents):
@@ -302,16 +309,13 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
                     for m in range(topology.m_agents)]
         noise = swarm.draw_plant_noise(topology,
                                        _slot_rng(config.seed, _STREAM_PLANT, t))
-        stepped = swarm.step_swarm(topology, state, received, noise)
-        targeted = swarm.step_target(topology, state)
-        prev_e = err.e.copy()
-        state = swarm.SwarmState(x=stepped.x, r=targeted.r, t=state.t + 1)
+        state = swarm.step_swarm(topology, state, received, noise)
 
     n = len(costs)
     costs_arr = np.array(costs)
     powers_arr = np.array(powers)
     return Metrics(
-        scheme=scheme,
+        scheme=config.scheme,
         seed=config.seed,
         avg_cost=float(costs_arr.mean()) if n else float("inf"),
         avg_tx_power=float(powers_arr.mean()) if len(powers) else 0.0,
@@ -408,9 +412,7 @@ def run_sweep(base_config: SimConfig, axis: str, values, seeds,
                 cfg = replace(cfg, n_tx=int(value))
             else:
                 budget = float(value)
-            topology = swarm.build_ring_topology(
-                cfg.m_agents, cfg.state_dim, cfg.n_tx, cfg.n_rx,
-                cfg.noise_scale, cfg.seed)
+            topology = build_topology(cfg)
             gamma = calibrate_gamma(cfg, topology, budget,
                                     n_probe_seeds=n_probe_seeds,
                                     probe_horizon=probe_horizon,

@@ -140,11 +140,12 @@ def build_ring_topology(m_agents: int, state_dim: int = 9, n_tx: int = 4,
 
 def step_swarm(topology: SwarmTopology, state: SwarmState,
                received_controls, noise_draw) -> SwarmState:
-    """One plant step: x(t+1) = A x + sum_m Bhat_m uhat_m + noise.
+    """One slot of the whole system, returned as the next state.
 
-    received_controls is one n_rx vector per agent (already through the
-    channel); noise_draw is the stacked global plant-noise vector. The
-    target component is carried over unchanged (see step_target).
+    The plant steps as x(t+1) = A x + sum_m Bhat_m uhat_m + noise and the
+    target as r(t+1) = G r (step_target). received_controls is one n_rx
+    vector per agent (already through the channel); noise_draw is the
+    stacked global plant-noise vector.
     """
     if len(received_controls) != topology.m_agents:
         raise ValueError(f"expected {topology.m_agents} received controls, "
@@ -160,13 +161,12 @@ def step_swarm(topology: SwarmTopology, state: SwarmState,
             raise ValueError(f"received control {m} must have shape {(topology.n_rx,)}")
         x_next[m * d:(m + 1) * d] += topology.b_actuation[m] @ uhat
     x_next += noise
-    return SwarmState(x=x_next, r=state.r.copy(), t=state.t + 1)
+    return SwarmState(x=x_next, r=step_target(topology, state), t=state.t + 1)
 
 
-def step_target(topology: SwarmTopology, state: SwarmState) -> SwarmState:
-    """One target step: r(t+1) = G r(t); plant component carried over."""
-    return SwarmState(x=state.x.copy(), r=topology.g_target @ state.r,
-                      t=state.t + 1)
+def step_target(topology: SwarmTopology, state: SwarmState) -> np.ndarray:
+    """Next target state r(t+1) = G r(t) as a vector."""
+    return topology.g_target @ state.r
 
 
 def tracking_error(state: SwarmState) -> TrackingError:

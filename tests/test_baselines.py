@@ -103,7 +103,9 @@ def test_tune_pid_deterministic():
     assert np.array_equal(g1.k_p, g2.k_p)
 
 
-def test_tune_gare_splits_per_agent():
+def test_tune_pid_splits_dare_gain_per_agent():
+    # k_p is the static-channel DARE gain, negated and split into per-agent
+    # row blocks; baseline 3 sends k_p @ e alone
     topo = swarm.build_ring_topology(2, 2, 2, 2, seed=51)
     scaled = swarm.SwarmTopology(
         m_agents=2, state_dim=2, n_tx=2, n_rx=2,
@@ -111,11 +113,12 @@ def test_tune_gare_splits_per_agent():
         couplings={k: 0.1 * v for k, v in topo.couplings.items()},
         b_actuation=topo.b_actuation, w_noise=topo.w_noise,
         g_target=topo.g_target)
-    gains, sol = baselines.tune_gare(scaled)
-    assert gains.shape == (2, 2, 4)
+    gains = baselines.tune_pid(scaled)
+    assert gains.k_p.shape == (2, 2, 4)
     b_eff = baselines.static_channel_input(scaled)
-    assert np.allclose(np.vstack(gains), -sol.gain, atol=1e-12)
     assert b_eff.shape == (4, 4)
+    sol = baselines.solve_dare(scaled.a_global, b_eff, np.eye(4), np.eye(4))
+    assert np.allclose(np.vstack(gains.k_p), -sol.gain, atol=1e-12)
 
 
 def test_pid_control_zero_error_is_zero():
@@ -195,7 +198,7 @@ def test_default_trigger_config():
 def test_baselines_take_no_channel_argument():
     # channel-obliviousness is structural: no baseline operation accepts CSI
     import inspect
-    for fn in (baselines.tune_pid, baselines.tune_gare, baselines.pid_control,
+    for fn in (baselines.tune_pid, baselines.pid_control,
                baselines.periodic_trigger, baselines.state_trigger,
                baselines.solve_dare):
         params = inspect.signature(fn).parameters

@@ -215,3 +215,20 @@ def test_io_failure_exit_code(tmp_path):
 def test_missing_required_argument_exits_one(capsys):
     assert cli.main(["run"]) == 1
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--axis", "M", "--values", "1", "--seeds", "0"],
+    ["sweep", "--axis", "M", "--values", "1", "--seeds", "-1"],
+    ["sweep", "--axis", "M", "--values", "0"],
+    ["sweep", "--axis", "N_t", "--values", "2,x"],
+    ["check-stability", "--draws", "-3"],
+    ["check-stability", "--draws", "0"],
+    ["calibrate-gamma", "--probe-seeds", "0"],
+])
+def test_invalid_count_exits_one(tmp_path, capsys, argv):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert not out.exists()

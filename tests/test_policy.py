@@ -50,14 +50,12 @@ def test_policy_params_reject_negative_values():
 
 
 def test_factorize_identity_channel():
-    sigma = np.array([[2.0, 1.0], [1.0, 3.0]])
-    fact = policy.factorize_agent(np.eye(2), np.eye(2), sigma)
+    fact = policy.factorize_agent(np.eye(2), np.eye(2))
     assert np.allclose(fact.zeta, np.eye(2), atol=1e-12)
-    assert np.allclose(fact.sigma_rot, sigma, atol=1e-12)
 
 
 def test_factorize_scaled_identity():
-    fact = policy.factorize_agent(2.0 * np.eye(3), np.eye(3), np.eye(3))
+    fact = policy.factorize_agent(2.0 * np.eye(3), np.eye(3))
     assert np.allclose(fact.zeta, np.eye(3) / 4.0, atol=1e-12)
 
 
@@ -65,7 +63,7 @@ def test_factorize_rank_deficient_zeta_spectrum():
     rng = np.random.default_rng(8)
     bhat = rng.normal(size=(5, 2))
     h = rng.normal(size=(2, 2))
-    fact = policy.factorize_agent(bhat, h, np.eye(5))
+    fact = policy.factorize_agent(bhat, h)
     e = bhat @ h
     sv = np.sqrt(np.clip(np.sort(np.linalg.eigvalsh(e @ e.T))[::-1], 0.0, None))
     expected = np.sort(np.concatenate([sv[:2] ** -2.0, np.zeros(3)]))
@@ -225,7 +223,7 @@ def test_closed_form_beats_random_candidates(case):
     rng = np.random.default_rng(500 + case)
     topo, constants, e, sigma, params, agent, h = oracles.random_policy_instance(
         rng, d_choices=(1, 2, 3), n_choices=(2, 3))
-    fact = policy.factorize_agent(topo.bhat(agent), h, sigma)
+    fact = policy.factorize_agent(topo.bhat(agent), h)
     quad_pinv = linalg.pseudo_inverse(topo.m_agents * sigma
                                       + params.gamma * fact.zeta)
     khat_star = (constants.pi[:, None] * sigma) @ quad_pinv
@@ -243,7 +241,7 @@ def test_stationarity_of_closed_form():
     rng = np.random.default_rng(71)
     topo, constants, e, sigma, params, agent, h = oracles.random_policy_instance(
         rng, d_choices=(2, 3), n_choices=(2,))
-    fact = policy.factorize_agent(topo.bhat(agent), h, sigma)
+    fact = policy.factorize_agent(topo.bhat(agent), h)
     quad = topo.m_agents * sigma + params.gamma * fact.zeta
     quad_pinv = linalg.pseudo_inverse(quad)
     khat_star = (constants.pi[:, None] * sigma) @ quad_pinv
@@ -316,7 +314,7 @@ def test_transmit_power_identity_at_minimum_norm_gain(case):
                              topo.m_agents)
     if dec.delta == 0:
         pytest.skip("silent instance")
-    fact = policy.factorize_agent(topo.bhat(agent), h, sigma)
+    fact = policy.factorize_agent(topo.bhat(agent), h)
     lhs = float(np.trace(dec.gain @ dec.gain.T))
     rhs = float(np.trace(dec.khat.T @ fact.zeta @ dec.khat))
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)

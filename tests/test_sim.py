@@ -123,6 +123,34 @@ def test_scalar_reference_loop():
     assert np.max(np.abs(metrics.cost_trajectory - ref) / scale) <= 1e-9
 
 
+# (avg_cost, avg_tx_power, comm_rate, n_slots, diverged) of each scheme on
+# one stable topology; a rework of the slot pipeline must reproduce them
+PINNED_EPISODES = {
+    "semantic": (12.553443311827854, 1362.77864816783, 0.775, 40, False),
+    "baseline1": (13.898581008322878, 0.14678384115831022, 0.5, 40, False),
+    "baseline2": (13.517594930335656, 0.12352482138503343,
+                  0.38333333333333336, 40, False),
+    "baseline3": (13.47892741840345, 0.08796294750448874,
+                  0.38333333333333336, 40, False),
+}
+
+
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+def test_pinned_episode_metrics(scheme):
+    topo = oracles.scaled_stable_topology(3, 2, 2, seed=31, n_tx=3,
+                                          noise_scale=1e-2)
+    cfg = SimConfig(m_agents=3, state_dim=2, n_tx=3, n_rx=2, horizon=40,
+                    scheme=scheme, p_on=0.3, gamma=0.5, noise_scale=1e-2,
+                    seed=31, x0_value=1.0, r0_value=0.0)
+    metrics = sim.run_episode(cfg, topo)
+    avg_cost, avg_tx_power, comm_rate, n_slots, diverged = PINNED_EPISODES[scheme]
+    assert metrics.avg_cost == pytest.approx(avg_cost, rel=1e-9, abs=0.0)
+    assert metrics.avg_tx_power == pytest.approx(avg_tx_power, rel=1e-9, abs=0.0)
+    assert metrics.comm_rate == pytest.approx(comm_rate, rel=1e-9, abs=0.0)
+    assert metrics.n_slots == n_slots
+    assert metrics.diverged is diverged
+
+
 def test_divergence_guard_stops_early():
     cfg = SimConfig(m_agents=2, state_dim=3, n_tx=2, n_rx=2, horizon=5000,
                     seed=23)

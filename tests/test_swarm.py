@@ -113,7 +113,7 @@ def test_step_swarm_rejects_dimension_mismatch():
 def test_step_target_identity_keeps_target():
     topo = swarm.build_ring_topology(2, state_dim=2, n_tx=2, n_rx=2, seed=3)
     state = make_state(topo, r=[1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(swarm.step_target(topo, state).r, state.r)
+    assert np.array_equal(swarm.step_target(topo, state), state.r)
 
 
 def test_step_target_doubling():
@@ -124,7 +124,7 @@ def test_step_target_doubling():
         b_actuation=topo.b_actuation, w_noise=topo.w_noise,
         g_target=2.0 * np.eye(2))
     state = make_state(doubling, r=[1.0, 1.0])
-    assert np.array_equal(swarm.step_target(doubling, state).r, [2.0, 2.0])
+    assert np.array_equal(swarm.step_target(doubling, state), [2.0, 2.0])
 
 
 def test_step_target_matches_dense_oracle():
@@ -137,8 +137,24 @@ def test_step_target_matches_dense_oracle():
         b_actuation=topo.b_actuation, w_noise=topo.w_noise, g_target=g)
     r = rng.normal(size=4)
     state = make_state(custom, r=r)
-    assert np.max(np.abs(swarm.step_target(custom, state).r
+    assert np.max(np.abs(swarm.step_target(custom, state)
                          - dense_matvec(g, r))) <= 1e-12
+
+
+def test_step_swarm_steps_target():
+    # the next state carries both the plant step and r(t+1) = G r(t)
+    rng = np.random.default_rng(29)
+    g = rng.normal(size=(4, 4))
+    topo = swarm.build_ring_topology(2, state_dim=2, n_tx=2, n_rx=2, seed=29)
+    custom = swarm.SwarmTopology(
+        m_agents=2, state_dim=2, n_tx=2, n_rx=2,
+        a_internal=topo.a_internal, couplings=topo.couplings,
+        b_actuation=topo.b_actuation, w_noise=topo.w_noise, g_target=g)
+    state = make_state(custom, x=rng.normal(size=4), r=rng.normal(size=4))
+    nxt = swarm.step_swarm(custom, state, [np.zeros(2), np.zeros(2)],
+                           np.zeros(4))
+    assert np.array_equal(nxt.r, swarm.step_target(custom, state))
+    assert nxt.t == state.t + 1
 
 
 def test_tracking_error_zero():
