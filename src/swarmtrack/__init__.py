@@ -11,10 +11,10 @@ __version__ = "0.1.0"
 from .channel import (ChannelEstimate, ChannelRealization, draw_channels,
                       estimate_channel, receive_control)
 from .linalg import SvdFactors, pseudo_inverse, spectral_norm, svd
-from .policy import (AgentFactorization, ControlDecision, DriftConstants,
-                     PolicyParams, compute_drift_constants, control_signal,
-                     factorize_agent, objective, objective_gradient,
-                     solve_agent)
+from .policy import (ChannelFactors, ControlDecision, DriftConstants,
+                     PolicyParams, RankOneTerms, compute_drift_constants,
+                     control_signal, factorize_agent, objective,
+                     objective_gradient, rank_one_terms, solve_agent)
 from .stability import (MaskMatrix, check_stability_condition, compute_masks,
                         drift_bound, empirical_drift, stability_report)
 from .baselines import (DareConvergenceError, GareGain, PidGains,
@@ -27,17 +27,17 @@ from .swarm import (SwarmState, SwarmTopology, TrackingError,
                     topology_from_json, topology_to_json, tracking_error)
 
 __all__ = [
-    "AgentFactorization", "CalibrationError", "ChannelEstimate",
+    "CalibrationError", "ChannelEstimate", "ChannelFactors",
     "ChannelRealization", "ControlDecision", "DareConvergenceError",
     "DriftConstants", "GareGain", "MaskMatrix", "Metrics", "PidGains",
-    "PolicyParams", "SimConfig", "SvdFactors", "SwarmState", "SwarmTopology",
-    "TrackingError", "TriggerConfig", "build_ring_topology", "calibrate_gamma",
-    "check_stability_condition", "compute_drift_constants", "compute_masks",
-    "control_signal", "default_trigger_config", "draw_channels", "drift_bound",
-    "empirical_drift", "estimate_channel", "factorize_agent", "objective",
-    "objective_gradient", "periodic_trigger", "pid_control", "pseudo_inverse",
-    "receive_control", "run_episode", "run_sweep", "solve_agent", "solve_dare",
-    "spectral_norm", "stability_report", "state_trigger", "step_swarm",
-    "step_target", "svd", "topology_from_json", "topology_to_json",
-    "tracking_error", "tune_pid",
+    "PolicyParams", "RankOneTerms", "SimConfig", "SvdFactors", "SwarmState",
+    "SwarmTopology", "TrackingError", "TriggerConfig", "build_ring_topology",
+    "calibrate_gamma", "check_stability_condition", "compute_drift_constants",
+    "compute_masks", "control_signal", "default_trigger_config",
+    "draw_channels", "drift_bound", "empirical_drift", "estimate_channel",
+    "factorize_agent", "objective", "objective_gradient", "periodic_trigger",
+    "pid_control", "pseudo_inverse", "rank_one_terms", "receive_control",
+    "run_episode", "run_sweep", "solve_agent", "solve_dare", "spectral_norm",
+    "stability_report", "state_trigger", "step_swarm", "step_target", "svd",
+    "topology_from_json", "topology_to_json", "tracking_error", "tune_pid",
 ]

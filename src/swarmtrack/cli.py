@@ -195,6 +195,8 @@ def _parse_values(axis: str, raw: str):
         raise UsageError(f"--values for axis {axis}: {err}") from err
     if axis != "power_dbw":
         _require_count(f"--values for axis {axis}", min(values))
+    if len(set(values)) != len(values):
+        raise UsageError(f"--values for axis {axis} repeats a value: {raw}")
     return values
 
 

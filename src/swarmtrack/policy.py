@@ -11,10 +11,29 @@ cost surrogate
               + delta * (P_on + gamma Tr(Khat zeta Khat^T))
 
 is an unconstrained convex quadratic whose minimum has the closed form
-Khat* = Pi Sigma (M Sigma + gamma zeta)^+, attained value P_on - theta
-with threshold theta = Tr(Pi Sigma (M Sigma + gamma zeta)^+ Sigma Pi).
-Transmission happens exactly when P_on < theta; the physical gain is
-recovered as K = E^+ Khat* (minimum-norm left inversion).
+Khat* = Pi Sigma Q^+ with Q = M Sigma + gamma zeta, attained value
+P_on - theta. Transmission happens exactly when P_on < theta; the
+physical gain is K = E^+ Khat* (minimum-norm left inversion).
+
+Rank-one form. With c = e^T Q^+ e the threshold is theta = c ||pi o e||^2
+and the transmitted control is u = -K e = -c E^+ (pi o e), so neither the
+dM x dM lifted gain nor the N_t x dM gain is formed. E_m is zero outside
+block row m, so its thin SVD is that of the d x N_t block B_m H_m
+(factorize_agent, one stacked call for all agents), and Q only acts on
+range(E_m) plus the direction of w = (I - P_m) e, the part of the error
+E_m cannot actuate: c comes from a (rank + 1)-sized symmetric
+eigenproblem (rank_one_terms). Whenever w != 0, i.e. rank E_m < dM (every
+swarm with M >= 2, and M = 1 with N_t or N_r < d), c = 1/M exactly (rank-one
+update of a pseudoinverse; C. D. Meyer, SIAM J. Appl. Math. 1973), so
+theta = ||pi o e||^2 / M and u does not depend on gamma.
+
+Cutoff. Singular values of E_m and eigenvalues of Q at or below 1e-10 of
+the largest count as zero, the rule of linalg.pseudo_inverse that the
+dense dM x dM form applied. This is kept on purpose rather than exact
+arithmetic: when gamma s_min^-2 exceeds about 1e10 M ||e||^2 the error
+direction of Q falls under the cutoff and theta drops towards 0 (seen at
+gamma = 1e6 in calibration probes), and the decisions on that side stay
+those of the dense form.
 
 Pi and alpha come from the singular spectra of the plant and target
 transitions: pi_m keeps, per sorted position, the smaller-magnitude of the
@@ -22,11 +41,10 @@ two singular values and alpha = 2 max(||A||^2, ||G||^2).
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .linalg import DEFAULT_PINV_REL_TOL, SvdFactors, pseudo_inverse, svd
+from .linalg import DEFAULT_PINV_REL_TOL, svd
 
 
 @dataclass(frozen=True)
@@ -63,34 +81,60 @@ class PolicyParams:
 
 
 @dataclass(frozen=True)
-class AgentFactorization:
-    """SVD-derived quantities of one agent's effective channel E = Bhat @ H.
+class ChannelFactors:
+    """Thin SVD  F = left @ diag(singulars) @ right_t  of effective channels.
 
-    zeta carries inverse squared singular values on the range of E (zero on
-    its orthogonal complement).
+    Batched over leading axes. In the slot loop F[m] = B_m @ H_m is the
+    d x N_t block row m of E_m = Bhat_m @ H_m, its only non-zero block, so
+    E_m has the same singular values and its left vectors are left[m]
+    placed at block row m.
     """
 
-    effective: np.ndarray       # (dM, n_tx)
-    factors: SvdFactors
-    zeta: np.ndarray            # (dM, dM)
+    left: np.ndarray            # (..., rows, k), k = min(rows, n_tx)
+    singulars: np.ndarray       # (..., k), nonincreasing
+    right_t: np.ndarray         # (..., k, n_tx)
+
+    @property
+    def inverse_singulars(self) -> np.ndarray:
+        """1/s above the pseudo_inverse cutoff (1e-10 * s_max), 0 at or below it."""
+        s = self.singulars
+        keep = s > DEFAULT_PINV_REL_TOL * s[..., :1]
+        return np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+
+    @property
+    def zeta(self) -> np.ndarray:
+        """Power metric U diag(s^-2) U^T on the kept range of F, for analysis."""
+        scaled = self.left * self.inverse_singulars[..., None, :] ** 2
+        return scaled @ np.swapaxes(self.left, -1, -2)
 
 
-@dataclass
+@dataclass(frozen=True)
+class RankOneTerms:
+    """Decision terms of every agent for one error vector.
+
+    theta[m] is agent m's transmission threshold and u[m] the control
+    u = -K e it sends at the minimum-norm gain if it transmits.
+    """
+
+    theta: np.ndarray           # (M,)
+    u: np.ndarray               # (M, n_tx)
+
+
+@dataclass(frozen=True)
 class ControlDecision:
     """Per-agent outcome of one decision slot.
 
-    delta is the communication bit, gain the physical n_tx x dM feedback
-    gain (zero when silent), khat = delta * E @ gain the achieved lifted
-    gain and objective the minimized surrogate value (0 when silent). The
-    transmit vector u is attached by control_signal once the error vector
-    is known.
+    delta is the communication bit, theta the threshold P_on was compared
+    with, objective the minimized surrogate value (P_on - theta when
+    transmitting, 0 when silent) and u the transmit vector (zero when
+    silent). Gains are never formed: with Sigma = e e^T the achieved lifted
+    gain acts on the error as Khat e = -E u.
     """
 
     delta: int
-    gain: np.ndarray
-    khat: np.ndarray
+    theta: float
     objective: float
-    u: Optional[np.ndarray] = None
+    u: np.ndarray
 
 
 def compute_drift_constants(a_global, g_target,
@@ -115,19 +159,17 @@ def compute_drift_constants(a_global, g_target,
     return DriftConstants(pi=pi, alpha=float(alpha), sv_a=sv_a, sv_g=sv_g)
 
 
-def factorize_agent(bhat_m, h_m) -> AgentFactorization:
-    """Factor the effective channel E = Bhat @ H of one agent."""
-    e = np.asarray(bhat_m, dtype=float) @ np.asarray(h_m, dtype=float)
-    f = svd(e)
-    dm = e.shape[0]
-    inv_sq = np.zeros(dm)
-    if len(f.singulars):
-        cutoff = DEFAULT_PINV_REL_TOL * f.singulars[0]
-        keep = f.singulars > cutoff
-        inv_sq[:len(f.singulars)][keep] = f.singulars[keep] ** -2.0
-    u = f.left_basis
-    zeta = (u * inv_sq) @ u.T
-    return AgentFactorization(effective=e, factors=f, zeta=zeta)
+def factorize_agent(b_actuation, h) -> ChannelFactors:
+    """Thin SVD of the effective channels b_actuation @ h.
+
+    Leading axes are batch axes: with the stacked (M, d, N_r) actuation
+    blocks and (M, N_r, N_t) channels one LAPACK call factors every agent.
+    """
+    f = np.asarray(b_actuation, dtype=float) @ np.asarray(h, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("effective channel contains non-finite entries")
+    left, singulars, right_t = np.linalg.svd(f, full_matrices=False)
+    return ChannelFactors(left=left, singulars=singulars, right_t=right_t)
 
 
 def objective(khat, sigma, pi, params: PolicyParams, m_count: int,
@@ -165,35 +207,58 @@ def objective_gradient(khat, sigma, pi, params: PolicyParams, m_count: int,
     return -2.0 * (pi[:, None] * sigma) + 2.0 * khat @ (m_count * sigma + params.gamma * zeta)
 
 
-def solve_agent(sigma, bhat_m, h_m, constants: DriftConstants,
-                params: PolicyParams, m_count: int) -> ControlDecision:
-    """Closed-form communication bit and gain for one agent.
+def rank_one_terms(factors: ChannelFactors, e, constants: DriftConstants,
+                   params: PolicyParams) -> RankOneTerms:
+    """Thresholds and transmit vectors of all M agents from stacked factors.
 
-    Computes the transmission threshold theta; if P_on >= theta the agent
-    stays silent with zero gain, otherwise the minimum-norm gain realizing
-    the unconstrained optimum Khat* is transmitted.
+    factors holds the (M, d, N_t) blocks B_m @ H_m and e is the global
+    error. Q = M e e^T + gamma zeta_m is restricted to the orthonormal
+    basis [kept left vectors of E_m, w / ||w||], in which e has
+    coordinates a = (U^T e, ||w||); c = a^T Q_r^+ a with the 1e-10
+    relative cutoff on the eigenvalues of the (k+1) x (k+1) matrix Q_r.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    fact = factorize_agent(bhat_m, h_m)
-    dm = sigma.shape[0]
-    n_tx = fact.effective.shape[1]
-    quad = m_count * sigma + params.gamma * fact.zeta
-    quad_pinv = pseudo_inverse(quad)
-    pi_sigma = constants.pi[:, None] * sigma
-    theta = float(np.trace(pi_sigma @ quad_pinv @ pi_sigma.T))
+    left, right_t = factors.left, factors.right_t
+    inv_s = factors.inverse_singulars
+    m_count, d, k = left.shape
+    e = np.asarray(e, dtype=float)
+    if e.shape != (m_count * d,):
+        raise ValueError(f"e must have shape {(m_count * d,)}, got {e.shape}")
+    e_blocks = e.reshape(m_count, d)
+    alpha = (e_blocks[:, None, :] @ left)[:, 0] * (inv_s > 0)
+    # ||w||^2 = error outside block m plus the in-block residual, formed
+    # directly so a full-rank E_m leaves w at rounding level.
+    resid = e_blocks - (left @ alpha[:, :, None])[..., 0]
+    block_sq = (e_blocks * e_blocks).sum(axis=1)
+    w_sq = (block_sq.sum() - block_sq) + (resid * resid).sum(axis=1)
+    a = np.concatenate([alpha, np.sqrt(w_sq)[:, None]], axis=1)
+    quad = m_count * (a[:, :, None] * a[:, None, :])
+    # Flattened stride k + 2 walks the first k diagonal entries of each Q_r.
+    quad.reshape(m_count, -1)[:, :k * (k + 2):k + 2] += params.gamma * inv_s ** 2
+    lam, vec = np.linalg.eigh(quad)
+    mag = np.abs(lam)      # the singular values pseudo_inverse would cut
+    keep = mag > DEFAULT_PINV_REL_TOL * mag.max(axis=1, keepdims=True)
+    proj = (a[:, None, :] @ vec)[:, 0]
+    c = np.divide(proj ** 2, lam, out=np.zeros_like(lam), where=keep).sum(axis=1)
+    pe = constants.pi * e
+    coeff = (pe.reshape(m_count, 1, d) @ left)[:, 0] * inv_s
+    u = -c[:, None] * (coeff[:, None, :] @ right_t)[:, 0]
+    return RankOneTerms(theta=c * float(pe @ pe), u=u)
+
+
+def solve_agent(terms: RankOneTerms, m: int, params: PolicyParams) -> ControlDecision:
+    """Communication bit and transmit vector of agent m: transmit iff P_on < theta_m."""
+    theta = float(terms.theta[m])
     if params.p_on >= theta:
-        return ControlDecision(delta=0, gain=np.zeros((n_tx, dm)),
-                               khat=np.zeros((dm, dm)), objective=0.0)
-    khat_star = pi_sigma @ quad_pinv
-    gain = pseudo_inverse(fact.effective) @ khat_star
-    khat = fact.effective @ gain
-    return ControlDecision(delta=1, gain=gain, khat=khat,
-                           objective=params.p_on - theta)
+        return ControlDecision(delta=0, theta=theta, objective=0.0,
+                               u=np.zeros(terms.u.shape[1]))
+    return ControlDecision(delta=1, theta=theta, objective=params.p_on - theta,
+                           u=terms.u[m])
 
 
 def control_signal(decision: ControlDecision, e) -> np.ndarray:
-    """Transmit vector u = -K e; the zero vector when the agent is silent."""
-    e = np.asarray(e, dtype=float)
-    if not decision.delta:
-        return np.zeros(decision.gain.shape[0])
-    return -decision.gain @ e
+    """Transmit vector u = -K e; the zero vector when the agent is silent.
+
+    solve_agent has already applied the gain to the error, so e only
+    names the vector u acts on.
+    """
+    return decision.u

@@ -75,6 +75,9 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
+        for name in ("p_on", "gamma"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
@@ -185,14 +188,19 @@ def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
 
 
 def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
-    """Closed-form channel-aware decision of every agent."""
+    """Closed-form channel-aware decision of every agent.
+
+    One stacked factorization and one batched rank-one solve per slot;
+    solve_agent then applies each agent's rule to its slice.
+    """
     params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
     constants = policy.compute_drift_constants(topology.a_global, topology.g_target)
 
     def decide(t, err, channels, estimate):
         h = estimate.h_est if config.use_estimated_csi else channels.h
-        decisions = [policy.solve_agent(err.sigma, topology.bhat(m), h[m],
-                                        constants, params, topology.m_agents)
+        factors = policy.factorize_agent(topology.b_actuation, h)
+        terms = policy.rank_one_terms(factors, err.e, constants, params)
+        decisions = [policy.solve_agent(terms, m, params)
                      for m in range(topology.m_agents)]
         deltas = np.array([dec.delta for dec in decisions], dtype=int)
         return deltas, [policy.control_signal(dec, err.e) for dec in decisions]

@@ -6,7 +6,8 @@ error and a channel draw, is bounded by
     Tr(W) + sum_m Tr(B_m B_m^T) + (alpha - 1) Tr(Sigma)
       - 2 sum_m Tr(Khat_m Sigma Pi) + M sum_m Tr(Sigma Khat_m^T Khat_m)
 
-with Khat_m = delta_m E_m K_m the achieved lifted gain. The quadratic term
+with Khat_m = delta_m E_m K_m the achieved lifted gain; with Sigma = e e^T
+the decisions enter only through Khat_m e = -E_m u_m. The quadratic term
 enters with a positive sign: expanding ||e(t+1)||^2 directly puts it there,
 and a subtracted quadratic would let arbitrarily large gains break the
 bound.
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .linalg import svd
-from .policy import DriftConstants
+from .policy import DriftConstants, factorize_agent
 from .swarm import SwarmState, SwarmTopology, _cov_sqrt, tracking_error
 
 DEFAULT_MASK_REL_TOL = 1e-10
@@ -39,44 +39,54 @@ class MaskMatrix:
     support: int
 
 
-def drift_bound(sigma, decisions, topology: SwarmTopology,
+def _lifted_actions(decisions, h, topology: SwarmTopology):
+    """(agent, Khat_m e) of every transmitting agent; Khat_m e = -E_m u_m.
+
+    Only block row m of E_m = Bhat_m H_m is non-zero, so each action is
+    returned as that d-block.
+    """
+    h = np.asarray(h, dtype=float)
+    return [(m, -(topology.b_actuation[m] @ (h[m] @ dec.u)))
+            for m, dec in enumerate(decisions) if dec.delta]
+
+
+def drift_bound(e, decisions, h, topology: SwarmTopology,
                 constants: DriftConstants) -> float:
     """Analytic one-step drift bound conditioned on the given decisions.
 
-    The channel enters only through each decision's achieved khat, so the
-    caller averages this value over channel draws to estimate the
-    expectation form of the bound.
+    e is the error the decisions were taken for (Sigma = e e^T) and h the
+    (M, N_r, N_t) channels they were taken on. The channel enters only
+    through each decision's achieved Khat_m e = -E_m u_m, so the caller
+    averages this value over channel draws to estimate the expectation
+    form of the bound.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    pi = constants.pi
+    e = np.asarray(e, dtype=float)
+    pe = constants.pi * e
+    d = topology.state_dim
     total = topology.w_global_trace()
     total += sum(float(np.trace(topology.b_actuation[m] @ topology.b_actuation[m].T))
                  for m in range(topology.m_agents))
-    total += (constants.alpha - 1.0) * float(np.trace(sigma))
-    for dec in decisions:
-        if not dec.delta:
-            continue
-        ks = dec.khat @ sigma
-        total -= 2.0 * float(pi @ np.diagonal(ks))
-        total += topology.m_agents * float(np.trace(ks @ dec.khat.T))
+    total += (constants.alpha - 1.0) * float(e @ e)
+    for m, action in _lifted_actions(decisions, h, topology):
+        total -= 2.0 * float(pe[m * d:(m + 1) * d] @ action)
+        total += topology.m_agents * float(action @ action)
     return total
 
 
-def empirical_drift(topology: SwarmTopology, state: SwarmState, decisions,
+def empirical_drift(topology: SwarmTopology, state: SwarmState, decisions, h,
                     n_draws: int, rng):
     """Monte Carlo estimate of E[||e(t+1)||^2 - ||e(t)||^2 | e(t)].
 
-    Decisions (and the channel realization baked into their khat) are held
+    Decisions and the (M, N_r, N_t) channels h they were taken on are held
     fixed; plant noise and channel reception noise are resampled n_draws
     times. Returns (mean, standard error). Sums are compensated (math.fsum)
     so the result does not depend on accumulation order.
     """
     err = tracking_error(state)
-    base = topology.a_global @ state.x - topology.g_target @ state.r
-    for dec in decisions:
-        if dec.delta:
-            base = base - dec.khat @ err.e
     d = topology.state_dim
+    base = topology.a_global @ state.x - topology.g_target @ state.r
+    for m, action in _lifted_actions(decisions, h, topology):
+        base[m * d:(m + 1) * d] -= action
     drifts = np.empty(n_draws)
     chunk = 4096
     done = 0
@@ -103,14 +113,17 @@ def empirical_drift(topology: SwarmTopology, state: SwarmState, decisions,
 
 def compute_masks(topology: SwarmTopology, channels: ChannelRealization,
                   tol: float = DEFAULT_MASK_REL_TOL):
-    """Per-agent actuation masks from the singular spectrum of E_m E_m^T."""
+    """Per-agent actuation masks from the singular spectrum of E_m E_m^T.
+
+    Its eigenvalues are the squared singular values of the d x N_t block
+    B_m H_m (zeros beyond), so one stacked thin SVD covers every agent.
+    """
     masks = []
     dm = topology.global_dim
-    for m in range(topology.m_agents):
-        e = topology.bhat(m) @ channels.h[m]
-        s = svd(e @ e.T).singulars
+    spectra = factorize_agent(topology.b_actuation, channels.h).singulars ** 2
+    for s in spectra:
         diag = np.zeros(dm)
-        if len(s) and s[0] > 0:
+        if s[0] > 0:
             diag[:len(s)][s > tol * s[0]] = 1.0
         masks.append(MaskMatrix(diagonal=diag, support=int(diag.sum())))
     return masks

@@ -104,7 +104,11 @@ class TrackingError:
 
     e: np.ndarray
     cost: float
-    sigma: np.ndarray
+
+    @property
+    def sigma(self) -> np.ndarray:
+        """Rank-one cost matrix e e^T, formed on demand."""
+        return np.outer(self.e, self.e)
 
 
 def build_ring_topology(m_agents: int, state_dim: int = 9, n_tx: int = 4,
@@ -170,9 +174,9 @@ def step_target(topology: SwarmTopology, state: SwarmState) -> np.ndarray:
 
 
 def tracking_error(state: SwarmState) -> TrackingError:
-    """Error e = x - r, cost ||e||^2 and the rank-one matrix e e^T."""
+    """Error e = x - r and cost ||e||^2 (sigma = e e^T on demand)."""
     e = state.x - state.r
-    return TrackingError(e=e, cost=float(e @ e), sigma=np.outer(e, e))
+    return TrackingError(e=e, cost=float(e @ e))
 
 
 def draw_plant_noise(topology: SwarmTopology, rng) -> np.ndarray:

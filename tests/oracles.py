@@ -5,10 +5,73 @@ the library (explicit scalar algebra, grids, finite differences, naive
 summation) so the tests stay meaningful.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from swarmtrack import policy, swarm
+from swarmtrack import linalg, policy, swarm
 from swarmtrack.policy import DriftConstants, PolicyParams
+
+
+@dataclass(frozen=True)
+class DenseDecision:
+    """Dense per-agent decision: bit, threshold, physical n_tx x dM gain,
+    achieved lifted gain khat = delta * E @ gain and minimized surrogate
+    value."""
+
+    delta: int
+    theta: float
+    gain: np.ndarray
+    khat: np.ndarray
+    objective: float
+
+    def control(self, e) -> np.ndarray:
+        """Transmit vector -gain @ e (zero when silent)."""
+        return -self.gain @ np.asarray(e, dtype=float)
+
+
+def dense_zeta(effective) -> np.ndarray:
+    """Full dM x dM power metric of E: inverse squared singular values on
+    its range (1e-10 relative cutoff), zero on the orthogonal complement."""
+    f = linalg.svd(effective)
+    inv_sq = np.zeros(effective.shape[0])
+    if len(f.singulars):
+        cutoff = linalg.DEFAULT_PINV_REL_TOL * f.singulars[0]
+        keep = f.singulars > cutoff
+        inv_sq[:len(f.singulars)][keep] = f.singulars[keep] ** -2.0
+    u = f.left_basis
+    return (u * inv_sq) @ u.T
+
+
+def solve_agent(sigma, bhat_m, h_m, constants: DriftConstants,
+                params: PolicyParams, m_count: int) -> DenseDecision:
+    """Dense closed form: theta = Tr(Pi Sigma Q^+ Sigma Pi) with
+    Q = M Sigma + gamma zeta and both pseudoinverses through the 1e-10
+    relative cutoff of linalg.pseudo_inverse."""
+    sigma = np.asarray(sigma, dtype=float)
+    effective = np.asarray(bhat_m, dtype=float) @ np.asarray(h_m, dtype=float)
+    dm = sigma.shape[0]
+    n_tx = effective.shape[1]
+    quad = m_count * sigma + params.gamma * dense_zeta(effective)
+    quad_pinv = linalg.pseudo_inverse(quad)
+    pi_sigma = constants.pi[:, None] * sigma
+    theta = float(np.trace(pi_sigma @ quad_pinv @ pi_sigma.T))
+    if params.p_on >= theta:
+        return DenseDecision(delta=0, theta=theta, gain=np.zeros((n_tx, dm)),
+                             khat=np.zeros((dm, dm)), objective=0.0)
+    khat_star = pi_sigma @ quad_pinv
+    gain = linalg.pseudo_inverse(effective) @ khat_star
+    khat = effective @ gain
+    return DenseDecision(delta=1, theta=theta, gain=gain, khat=khat,
+                         objective=params.p_on - theta)
+
+
+def library_decisions(e, b_actuation, h, constants, params):
+    """The library's decision of every agent: one stacked factorization,
+    one batched rank-one solve, then solve_agent per agent."""
+    terms = policy.rank_one_terms(policy.factorize_agent(b_actuation, h), e,
+                                  constants, params)
+    return [policy.solve_agent(terms, m, params) for m in range(len(terms.theta))]
 
 
 def scalar_objective(k, delta, pi, s, b, h, m_count, p_on, gamma):
@@ -114,20 +177,28 @@ def scaled_stable_topology(m_agents, d, n, seed, target_radius=0.5,
         g_target=topo.g_target)
 
 
-def naive_drift_bound(sigma, decisions, topology, constants):
-    """Term-by-term recomputation of the drift bound with explicit loops."""
+def naive_drift_bound(e, decisions, h, topology, constants):
+    """Term-by-term recomputation of the drift bound with explicit loops.
+
+    Khat_m e = -Bhat_m H_m u_m is summed entry by entry; with Sigma = e e^T
+    Tr(Khat Sigma Pi) = sum_i pi_i e_i (Khat e)_i and
+    Tr(Sigma Khat^T Khat) = ||Khat e||^2.
+    """
     total = 0.0
     for m in range(topology.m_agents):
         total += float(np.trace(topology.w_noise[m]))
         bm = topology.b_actuation[m]
         total += float(sum(bm[i, j] ** 2 for i in range(bm.shape[0])
                            for j in range(bm.shape[1])))
-    total += (constants.alpha - 1.0) * float(np.trace(sigma))
-    pi_mat = np.diag(constants.pi)
-    for dec in decisions:
+    total += (constants.alpha - 1.0) * float(sum(x * x for x in e))
+    for m, dec in enumerate(decisions):
         if not dec.delta:
             continue
-        total -= 2.0 * float(np.trace(dec.khat @ sigma @ pi_mat))
-        total += topology.m_agents * float(
-            np.trace(sigma @ dec.khat.T @ dec.khat))
+        bhat, hm = topology.bhat(m), np.asarray(h[m])
+        khat_e = [-sum(bhat[i, j] * hm[j, k] * dec.u[k]
+                       for j in range(hm.shape[0]) for k in range(hm.shape[1]))
+                  for i in range(bhat.shape[0])]
+        total -= 2.0 * sum(constants.pi[i] * e[i] * khat_e[i]
+                           for i in range(len(e)))
+        total += topology.m_agents * sum(x * x for x in khat_e)
     return total

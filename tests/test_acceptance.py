@@ -48,9 +48,15 @@ def test_criterion_1_optimizer_correctness():
         quad = m_count * sigma + params.gamma * fact.zeta
         quad_pinv = linalg.pseudo_inverse(quad)
         khat_star = (constants.pi[:, None] * sigma) @ quad_pinv
-        f_star = policy.objective(khat_star, sigma, constants.pi, params,
-                                  m_count, fact.zeta, 1)
+        # The library's optimum P_on - theta; the dense closed form is one
+        # more candidate it must not lose to.
+        dec = oracles.library_decisions(e, topo.b_actuation, [h] * m_count,
+                                        constants, params)[agent]
+        f_star = params.p_on - dec.theta
         tol = 1e-8 * abs(f_star)
+        f_dense = policy.objective(khat_star, sigma, constants.pi, params,
+                                   m_count, fact.zeta, 1)
+        worst_margin = min(worst_margin, (f_dense - f_star) + tol)
         dm = sigma.shape[0]
         scale_star = max(1.0, np.abs(khat_star).max())
         for _ in range(1000):
@@ -88,10 +94,10 @@ def test_criterion_2_scalar_brute_force_decision():
         s = e * e
         gamma = float(rng.uniform(0.0, 2.0))
         p_on = float(rng.uniform(0.0, 4.0))
-        dec = policy.solve_agent(np.array([[s]]), np.array([[b]]),
-                                 np.array([[h]]),
-                                 oracles.scalar_constants(pi),
-                                 PolicyParams(p_on=p_on, gamma=gamma), 1)
+        dec = oracles.library_decisions(np.array([e]), np.array([[[b]]]),
+                                        np.array([[[h]]]),
+                                        oracles.scalar_constants(pi),
+                                        PolicyParams(p_on=p_on, gamma=gamma))[0]
         delta_grid, _, f_grid = oracles.scalar_grid_optimum(
             pi, s, b, h, 1, p_on, gamma, n_points=1_000_000)
         if dec.delta != delta_grid:
@@ -119,16 +125,15 @@ def test_criterion_3_drift_bound_monte_carlo():
         r = rng.normal(size=topo.global_dim)
         x = r + 3.0 * rng.normal(size=topo.global_dim)
         state = swarm.SwarmState(x=x, r=r)
-        sigma = np.outer(x - r, x - r)
         params = PolicyParams(p_on=float(rng.uniform(0, 2)),
                               gamma=float(rng.uniform(0, 2)))
-        decisions = [policy.solve_agent(sigma, topo.bhat(m),
-                                        rng.normal(size=(n, n)), constants,
-                                        params, m_count)
-                     for m in range(m_count)]
-        bound = stability.drift_bound(sigma, decisions, topo, constants)
+        hs = [rng.normal(size=(n, n)) for _ in range(m_count)]
+        decisions = oracles.library_decisions(x - r, topo.b_actuation, hs,
+                                              constants, params)
+        bound = stability.drift_bound(x - r, decisions, hs, topo, constants)
         mean, stderr = stability.empirical_drift(
-            topo, state, decisions, 100000, np.random.default_rng(9000 + inst))
+            topo, state, decisions, hs, 100000,
+            np.random.default_rng(9000 + inst))
         held += mean <= bound + 3.0 * stderr
     elapsed = time.perf_counter() - t0
     ok = held >= 19 and elapsed < 120.0

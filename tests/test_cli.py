@@ -232,3 +232,25 @@ def test_invalid_count_exits_one(tmp_path, capsys, argv):
     assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 1
     assert "usage" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("override", ["p_on=-1", "gamma=-0.5", "p_on=NaN"])
+def test_negative_price_exits_one(tmp_path, capsys, override):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out),
+                     "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert "must be >= 0" in err and "usage" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis,values", [("N_t", "2,2"), ("M", "1,2,1"),
+                                         ("power_dbw", "8,8.0")])
+def test_repeated_axis_value_exits_one(tmp_path, capsys, axis, values):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--axis", axis, "--values", values, "--seeds", "1",
+                     "--config", str(path), "--out", str(out)]) == 1
+    assert "repeats a value" in capsys.readouterr().err
+    assert not out.exists()

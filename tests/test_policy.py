@@ -3,7 +3,15 @@ import pytest
 
 import oracles
 from swarmtrack import linalg, policy, swarm
-from swarmtrack.policy import PolicyParams
+from swarmtrack.policy import DriftConstants, PolicyParams
+
+
+def scalar_decision(pi, e, b, h, p_on, gamma):
+    """Library decision of the one-agent, one-state system (Sigma = e^2)."""
+    return oracles.library_decisions(np.array([e]), np.array([[[b]]]),
+                                     np.array([[[h]]]),
+                                     oracles.scalar_constants(pi),
+                                     PolicyParams(p_on=p_on, gamma=gamma))[0]
 
 
 def test_drift_constants_identity_tie():
@@ -140,10 +148,10 @@ def test_solve_agent_zero_error_stays_silent():
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
     params = PolicyParams(p_on=0.5, gamma=1.0)
     h = np.random.default_rng(5).normal(size=(2, 2))
-    dec = policy.solve_agent(np.zeros((6, 6)), topo.bhat(0), h, constants,
-                             params, 2)
+    dec = oracles.library_decisions(np.zeros(6), topo.b_actuation, [h, h],
+                                    constants, params)[0]
     assert dec.delta == 0
-    assert np.all(dec.gain == 0)
+    assert np.all(dec.u == 0)
     assert dec.objective == 0.0
 
 
@@ -153,8 +161,8 @@ def test_solve_agent_free_activation_transmits():
     params = PolicyParams(p_on=0.0, gamma=0.0)
     e = np.array([1.0, -2.0])
     h = np.random.default_rng(7).normal(size=(2, 2))
-    dec = policy.solve_agent(np.outer(e, e), topo.bhat(0), h, constants,
-                             params, 1)
+    dec = oracles.library_decisions(e, topo.b_actuation, [h], constants,
+                                    params)[0]
     assert dec.delta == 1
 
 
@@ -169,51 +177,61 @@ def test_solve_agent_scalar_closed_form():
         p_on = float(rng.uniform(0.0, 4.0))
         constants = oracles.scalar_constants(pi)
         params = PolicyParams(p_on=p_on, gamma=gamma)
-        dec = policy.solve_agent(np.array([[s]]), np.array([[1.0]]),
-                                 np.array([[h]]), constants, params, 1)
+        dec = scalar_decision(pi, e, 1.0, h, p_on, gamma)
         theta = pi ** 2 * s ** 2 / (s + gamma / h ** 2)
         if p_on < theta:
             assert dec.delta == 1
             khat_expected = pi * s / (s + gamma / h ** 2)
-            assert dec.gain[0, 0] == pytest.approx(khat_expected / h, rel=1e-9)
+            # u = -K e, so the scalar gain is -u / e
+            assert -dec.u[0] / e == pytest.approx(khat_expected / h, rel=1e-9)
             assert dec.objective == pytest.approx(p_on - theta, rel=1e-9)
         else:
             assert dec.delta == 0
 
 
 def test_solve_agent_khat_consistent_with_gain():
+    # The achieved lifted action Khat e = -E u of the rank-one decision
+    # matches the dense oracle's khat = delta * E @ gain applied to e.
     rng = np.random.default_rng(31)
     topo = swarm.build_ring_topology(3, 2, 2, 2, seed=31)
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
     params = PolicyParams(p_on=0.01, gamma=0.5)
     e = rng.normal(size=6)
     h = rng.normal(size=(2, 2))
-    dec = policy.solve_agent(np.outer(e, e), topo.bhat(1), h, constants,
-                             params, 3)
+    dec = oracles.library_decisions(e, topo.b_actuation, [h] * 3, constants,
+                                    params)[1]
+    dense = oracles.solve_agent(np.outer(e, e), topo.bhat(1), h, constants,
+                                params, 3)
     effective = topo.bhat(1) @ h
-    assert np.max(np.abs(dec.khat - dec.delta * effective @ dec.gain)) <= 1e-10
+    assert dec.delta == dense.delta
+    assert np.max(np.abs(-effective @ dec.u - dense.khat @ e)) <= 1e-10
 
 
 def test_control_signal_silent_is_zero():
-    dec = policy.ControlDecision(delta=0, gain=np.zeros((2, 4)),
-                                 khat=np.zeros((4, 4)), objective=0.0)
+    dec = policy.ControlDecision(delta=0, theta=0.0, objective=0.0,
+                                 u=np.zeros(2))
     assert np.array_equal(policy.control_signal(dec, np.ones(4)), np.zeros(2))
 
 
 def test_control_signal_identity_gain():
-    dec = policy.ControlDecision(delta=1, gain=np.eye(3),
-                                 khat=np.eye(3), objective=-1.0)
+    # With an identity gain the transmit vector is u = -e.
     e = np.array([1.0, -2.0, 0.5])
+    dec = policy.ControlDecision(delta=1, theta=1.0, objective=-1.0, u=-e)
     assert np.array_equal(policy.control_signal(dec, e), -e)
 
 
 def test_control_signal_matches_dense_oracle():
     rng = np.random.default_rng(37)
-    gain = rng.normal(size=(2, 5))
+    topo = swarm.build_ring_topology(1, 5, 2, 2, seed=37)
+    constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
+    params = PolicyParams(p_on=0.0, gamma=0.5)
+    h = rng.normal(size=(2, 2))
     e = rng.normal(size=5)
-    dec = policy.ControlDecision(delta=1, gain=gain, khat=np.zeros((5, 5)),
-                                 objective=-1.0)
-    expected = np.array([-sum(gain[i, j] * e[j] for j in range(5))
+    dec = oracles.library_decisions(e, topo.b_actuation, [h], constants,
+                                    params)[0]
+    dense = oracles.solve_agent(np.outer(e, e), topo.bhat(0), h, constants,
+                                params, 1)
+    expected = np.array([-sum(dense.gain[i, j] * e[j] for j in range(5))
                          for i in range(2)])
     assert np.max(np.abs(policy.control_signal(dec, e) - expected)) <= 1e-12
 
@@ -262,9 +280,7 @@ def test_decision_consistency_scalar_brute_force(case):
     s = e * e
     gamma = float(rng.uniform(0.0, 1.5))
     p_on = float(rng.uniform(0.0, 3.0))
-    dec = policy.solve_agent(np.array([[s]]), np.array([[b]]), np.array([[h]]),
-                             oracles.scalar_constants(pi),
-                             PolicyParams(p_on=p_on, gamma=gamma), 1)
+    dec = scalar_decision(pi, e, b, h, p_on, gamma)
     delta_grid, _, f_grid = oracles.scalar_grid_optimum(
         pi, s, b, h, 1, p_on, gamma, n_points=200001)
     assert dec.delta == delta_grid
@@ -278,10 +294,11 @@ def test_semantic_monotonicity_error_scaling_flips_on():
     e = rng.normal(size=4)
     h = rng.normal(size=(2, 2))
     params = PolicyParams(p_on=50.0, gamma=1.0)
-    base = np.outer(e, e)
     deltas = []
     for c in [1.0, 10.0, 100.0, 1000.0, 10000.0]:
-        dec = policy.solve_agent(c * base, topo.bhat(0), h, constants, params, 2)
+        # error sqrt(c) e, i.e. Sigma = c e e^T
+        dec = oracles.library_decisions(np.sqrt(c) * e, topo.b_actuation,
+                                        [h, h], constants, params)[0]
         deltas.append(dec.delta)
     assert deltas[0] == 0
     assert deltas[-1] == 1
@@ -296,27 +313,28 @@ def test_semantic_monotonicity_gain_shrinks_with_channel_quality():
     h_min = np.sqrt(gamma / s)
     gains = []
     for h in np.linspace(h_min, 5.0 * h_min, 12):
-        dec = policy.solve_agent(np.array([[s]]), np.array([[1.0]]),
-                                 np.array([[h]]), constants, params, 1)
-        gains.append(abs(dec.gain[0, 0]))
+        dec = scalar_decision(pi, e, 1.0, h, params.p_on, params.gamma)
+        gains.append(abs(dec.u[0] / e))
     assert all(gains[i + 1] <= gains[i] + 1e-12 for i in range(len(gains) - 1))
 
 
 @pytest.mark.parametrize("case", range(10))
 def test_transmit_power_identity_at_minimum_norm_gain(case):
     # Tr(K K^T) == Tr(Khat^T zeta Khat): the exact power identity behind
-    # rewriting the gain penalty into the lifted variable.
+    # rewriting the gain penalty into the lifted variable, here applied to
+    # the error: ||K e||^2 == (Khat e)^T zeta (Khat e) with Khat e = -E u.
     rng = np.random.default_rng(700 + case)
     topo, constants, e, sigma, params, agent, h = oracles.random_policy_instance(
         rng, d_choices=(2, 3), n_choices=(2, 3), error_scale=1.0)
     params = PolicyParams(p_on=0.0, gamma=params.gamma)
-    dec = policy.solve_agent(sigma, topo.bhat(agent), h, constants, params,
-                             topo.m_agents)
+    dec = oracles.library_decisions(e, topo.b_actuation, [h] * topo.m_agents,
+                                    constants, params)[agent]
     if dec.delta == 0:
         pytest.skip("silent instance")
     fact = policy.factorize_agent(topo.bhat(agent), h)
-    lhs = float(np.trace(dec.gain @ dec.gain.T))
-    rhs = float(np.trace(dec.khat.T @ fact.zeta @ dec.khat))
+    khat_e = -(topo.bhat(agent) @ h) @ dec.u
+    lhs = float(dec.u @ dec.u)
+    rhs = float(khat_e @ fact.zeta @ khat_e)
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
 
@@ -324,12 +342,152 @@ def test_transmit_power_identity_scalar_both_orientations():
     # In the scalar case the lifted penalty commutes, so the identity also
     # holds with zeta on the right.
     pi, e, b, h, gamma = 1.2, 1.5, 0.8, 1.1, 0.4
-    s = e * e
-    dec = policy.solve_agent(np.array([[s]]), np.array([[b]]), np.array([[h]]),
-                             oracles.scalar_constants(pi),
-                             PolicyParams(p_on=0.0, gamma=gamma), 1)
+    dec = scalar_decision(pi, e, b, h, 0.0, gamma)
     assert dec.delta == 1
     zeta = 1.0 / (b * h) ** 2
-    k = dec.gain[0, 0]
-    khat = dec.khat[0, 0]
+    k = -dec.u[0] / e
+    khat = b * h * k
     assert k * k == pytest.approx(khat * zeta * khat, rel=1e-10)
+
+
+# Property tests of the rank-one decision against the dense oracle.
+
+def block_row(b, m_count, m):
+    """Bhat_m: the d x N_r block b at block row m of a dM x N_r matrix."""
+    d = b.shape[0]
+    out = np.zeros((m_count * d, b.shape[1]))
+    out[m * d:(m + 1) * d] = b
+    return out
+
+
+def rank_one_instance(rng, m_count, d, n_tx, n_rx, gamma):
+    """Random channels, error and positive pi (no zero-effect agents)."""
+    b = rng.normal(size=(m_count, d, n_rx))
+    h = rng.normal(size=(m_count, n_rx, n_tx))
+    pi = rng.uniform(0.1, 2.0, size=m_count * d)
+    constants = DriftConstants(pi=pi, alpha=2.0 * pi.max() ** 2, sv_a=pi,
+                               sv_g=pi)
+    e = rng.normal(size=m_count * d)
+    scale = float((pi * e) @ (pi * e)) / m_count
+    params = PolicyParams(p_on=float(rng.uniform(0.0, 1.5)) * scale,
+                          gamma=gamma)
+    return e, b, h, constants, params
+
+
+def assert_matches_dense(e, b, h, constants, params, rtol=1e-8):
+    m_count = b.shape[0]
+    pe = constants.pi * e
+    decisions = oracles.library_decisions(e, b, h, constants, params)
+    for m, dec in enumerate(decisions):
+        dense = oracles.solve_agent(np.outer(e, e), block_row(b[m], m_count, m),
+                                    h[m], constants, params, m_count)
+        assert dec.delta == dense.delta
+        assert dec.theta == pytest.approx(dense.theta, rel=rtol,
+                                          abs=1e-12 * float(pe @ pe))
+        assert dec.objective == pytest.approx(dense.objective, rel=rtol)
+        u_dense = dense.control(e)
+        assert np.linalg.norm(dec.u - u_dense) <= rtol * np.linalg.norm(u_dense)
+    return decisions
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_rank_one_matches_dense_oracle(case):
+    rng = np.random.default_rng(900 + case)
+    dims = [int(x) for x in rng.integers(1, 6, size=4)]
+    gamma = float(10.0 ** rng.uniform(-2, 2))
+    assert_matches_dense(*rank_one_instance(rng, *dims, gamma))
+
+
+@pytest.mark.parametrize("d,n_tx,n_rx", [(1, 1, 1), (1, 3, 2), (2, 2, 2),
+                                         (3, 4, 3), (3, 3, 5), (4, 6, 4)])
+def test_rank_one_full_rank_single_agent(d, n_tx, n_rx):
+    # M = 1 with N_t, N_r >= d: E is invertible on the whole error space,
+    # so c = e^T Q^-1 e < 1/M depends on gamma.
+    rng = np.random.default_rng(950 + 10 * d + n_tx)
+    e, b, h, constants, params = rank_one_instance(rng, 1, d, n_tx, n_rx, 0.7)
+    dec, = assert_matches_dense(e, b, h, constants, params)
+    pe = constants.pi * e
+    assert dec.theta < float(pe @ pe)
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_rank_one_scalar_case(case):
+    rng = np.random.default_rng(970 + case)
+    pi, e, b, h = rng.uniform(0.2, 2.0, size=4) * rng.choice([-1.0, 1.0], size=4)
+    pi = abs(pi)
+    gamma = float(rng.uniform(0.0, 2.0))
+    constants = oracles.scalar_constants(pi)
+    params = PolicyParams(p_on=float(rng.uniform(0.0, 2.0)), gamma=gamma)
+    dec, = assert_matches_dense(np.array([e]), np.array([[[b]]]),
+                                np.array([[[h]]]), constants, params)
+    s = e * e
+    assert dec.theta == pytest.approx(pi ** 2 * s ** 2 / (s + gamma / (b * h) ** 2),
+                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("case", range(20))
+def test_theta_is_pi_error_norm_over_m_when_rank_deficient(case):
+    rng = np.random.default_rng(1000 + case)
+    m_count = int(rng.integers(1, 5))
+    d = int(rng.integers(2, 6))
+    n_tx = int(rng.integers(1, 6))
+    n_rx = int(rng.integers(1, 6))
+    if m_count == 1 and min(n_tx, n_rx) >= d:
+        n_tx = d - 1      # keep rank E_m < dM
+    gamma = float(10.0 ** rng.uniform(-3, 3))
+    e, b, h, constants, params = rank_one_instance(rng, m_count, d, n_tx,
+                                                   n_rx, gamma)
+    terms = policy.rank_one_terms(policy.factorize_agent(b, h), e, constants,
+                                  params)
+    pe = constants.pi * e
+    assert np.allclose(terms.theta, float(pe @ pe) / m_count, rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_transmit_vector_does_not_depend_on_gamma_when_rank_deficient(case):
+    rng = np.random.default_rng(1100 + case)
+    m_count = int(rng.integers(2, 5))
+    e, b, h, constants, _ = rank_one_instance(rng, m_count, 3, 2, 4, 1.0)
+    factors = policy.factorize_agent(b, h)
+    us = [policy.rank_one_terms(factors, e, constants,
+                                PolicyParams(p_on=0.0, gamma=gamma)).u
+          for gamma in (0.0, 1e-3, 1.0, 1e3)]
+    for u in us[1:]:
+        assert np.allclose(u, us[0], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 2.0])
+@pytest.mark.parametrize("layout", ["other_agent", "outside_range"])
+def test_cutoff_boundary_matches_dense_oracle(ratio, layout):
+    # Agent 0's error direction has eigenvalue M ||e||^2 in Q and the power
+    # term gamma s_min^-2 is the largest one: above the 1e-10 relative
+    # cutoff theta is ||pi o e||^2 / M, below it theta drops to 0. The
+    # rank-one path keeps the dense cutoff on both sides. Q's condition
+    # number is about 1e10 here, so both paths carry ~1e10 * eps relative
+    # rounding and are compared to 1e-5.
+    rng = np.random.default_rng(1200)
+    if layout == "other_agent":
+        m_count, d, n = 2, 2, 2
+        e = np.concatenate([np.zeros(d), rng.normal(size=d)])
+    else:
+        m_count, d, n = 1, 3, 2
+        e = rng.normal(size=d)
+    b = rng.normal(size=(m_count, d, n))
+    h = rng.normal(size=(m_count, n, n))
+    factors = policy.factorize_agent(b, h)
+    if layout == "outside_range":
+        left = factors.left[0]
+        e = e - left @ (left.T @ e)
+    s_min = float(factors.singulars[0, -1])
+    gamma = ratio * 1e10 * m_count * float(e @ e) * s_min ** 2
+    pi = rng.uniform(0.5, 1.0, size=m_count * d)
+    constants = DriftConstants(pi=pi, alpha=2.0, sv_a=pi, sv_g=pi)
+    pe = constants.pi * e
+    params = PolicyParams(p_on=1e-12 * float(pe @ pe), gamma=gamma)
+    dec = assert_matches_dense(e, b, h, constants, params, rtol=1e-5)[0]
+    if ratio < 1.0:
+        assert dec.delta == 1
+        assert dec.theta == pytest.approx(float(pe @ pe) / m_count, rel=1e-5)
+    else:
+        assert dec.delta == 0
+        assert dec.theta <= 1e-5 * float(pe @ pe)

@@ -34,6 +34,13 @@ def test_config_rejects_bad_scheme_and_dims():
         SimConfig(m_agents=0)
 
 
+def test_config_rejects_negative_price():
+    for field in ("p_on", "gamma"):
+        with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+            SimConfig(**{field: -1e-9})
+    assert SimConfig(p_on=0.0, gamma=0.0).gamma == 0.0
+
+
 def test_episode_rejects_mismatched_topology():
     topo = identity_topology(2, 2, 2)
     cfg = SimConfig(m_agents=3, state_dim=2, n_tx=2, n_rx=2, horizon=5)

@@ -18,10 +18,15 @@ def constant_topology(m_agents, d, n_rx, a_blocks, b_blocks, noise_scale,
         g_target=np.eye(d * m_agents))
 
 
-def silent_decisions(m_agents, n_tx, dm):
-    return [policy.ControlDecision(delta=0, gain=np.zeros((n_tx, dm)),
-                                   khat=np.zeros((dm, dm)), objective=0.0)
+def silent_decisions(m_agents, n_tx):
+    return [policy.ControlDecision(delta=0, theta=0.0, objective=0.0,
+                                   u=np.zeros(n_tx))
             for _ in range(m_agents)]
+
+
+def no_channels(topo):
+    """Channels for silent decisions, which never read them."""
+    return np.zeros((topo.m_agents, topo.n_rx, topo.n_tx))
 
 
 def test_drift_bound_all_silent():
@@ -29,8 +34,8 @@ def test_drift_bound_all_silent():
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
     e = np.array([1.0, -1.0, 2.0, 0.5])
     sigma = np.outer(e, e)
-    got = stability.drift_bound(sigma, silent_decisions(2, 2, 4), topo,
-                                constants)
+    got = stability.drift_bound(e, silent_decisions(2, 2), no_channels(topo),
+                                topo, constants)
     expected = (topo.w_global_trace()
                 + sum(np.trace(topo.b_actuation[m] @ topo.b_actuation[m].T)
                       for m in range(2))
@@ -41,8 +46,8 @@ def test_drift_bound_all_silent():
 def test_drift_bound_zero_error_silent():
     topo = swarm.build_ring_topology(2, 2, 2, 2, noise_scale=1e-3, seed=9)
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
-    got = stability.drift_bound(np.zeros((4, 4)), silent_decisions(2, 2, 4),
-                                topo, constants)
+    got = stability.drift_bound(np.zeros(4), silent_decisions(2, 2),
+                                no_channels(topo), topo, constants)
     expected = topo.w_global_trace() + sum(
         np.trace(topo.b_actuation[m] @ topo.b_actuation[m].T) for m in range(2))
     assert got == pytest.approx(expected, rel=1e-12)
@@ -57,15 +62,13 @@ def test_drift_bound_matches_term_by_term_oracle(case):
                                      seed=int(rng.integers(0, 1000)))
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
     e = rng.normal(size=topo.global_dim)
-    sigma = np.outer(e, e)
     params = PolicyParams(p_on=float(rng.uniform(0, 2)),
                           gamma=float(rng.uniform(0, 2)))
-    decisions = [policy.solve_agent(sigma, topo.bhat(m),
-                                    rng.normal(size=(2, 2)), constants,
-                                    params, topo.m_agents)
-                 for m in range(topo.m_agents)]
-    got = stability.drift_bound(sigma, decisions, topo, constants)
-    expected = oracles.naive_drift_bound(sigma, decisions, topo, constants)
+    hs = [rng.normal(size=(2, 2)) for _ in range(topo.m_agents)]
+    decisions = oracles.library_decisions(e, topo.b_actuation, hs, constants,
+                                          params)
+    got = stability.drift_bound(e, decisions, hs, topo, constants)
+    expected = oracles.naive_drift_bound(e, decisions, hs, topo, constants)
     assert got == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
 
@@ -79,7 +82,8 @@ def test_empirical_drift_deterministic_frozen_system():
     state = swarm.SwarmState(x=np.array([1.0, 2.0, 3.0, 4.0]),
                              r=np.zeros(4))
     mean, stderr = stability.empirical_drift(
-        topo, state, silent_decisions(2, 2, 4), 500, np.random.default_rng(0))
+        topo, state, silent_decisions(2, 2), no_channels(topo), 500,
+        np.random.default_rng(0))
     assert mean == 0.0
     assert stderr == 0.0
 
@@ -92,7 +96,7 @@ def test_empirical_drift_noise_floor_matches_closed_form():
                              noise_scale=0.04)
     state = swarm.SwarmState(x=np.array([1.0, 2.0, 3.0, 4.0]), r=np.zeros(4))
     mean, stderr = stability.empirical_drift(
-        topo, state, silent_decisions(2, 2, 4), 60000,
+        topo, state, silent_decisions(2, 2), no_channels(topo), 60000,
         np.random.default_rng(1))
     expected = topo.w_global_trace() + sum(
         np.trace(topo.b_actuation[m] @ topo.b_actuation[m].T) for m in range(2))
@@ -106,25 +110,24 @@ def test_empirical_drift_within_analytic_bound():
     x, r = rng.normal(size=4), rng.normal(size=4)
     state = swarm.SwarmState(x=x, r=r)
     e = x - r
-    sigma = np.outer(e, e)
     params = PolicyParams(p_on=0.5, gamma=0.5)
-    decisions = [policy.solve_agent(sigma, topo.bhat(m),
-                                    rng.normal(size=(2, 2)), constants,
-                                    params, 2)
-                 for m in range(2)]
-    mean, stderr = stability.empirical_drift(topo, state, decisions, 40000,
+    hs = [rng.normal(size=(2, 2)) for _ in range(2)]
+    decisions = oracles.library_decisions(e, topo.b_actuation, hs, constants,
+                                          params)
+    mean, stderr = stability.empirical_drift(topo, state, decisions, hs, 40000,
                                              np.random.default_rng(6))
-    bound = stability.drift_bound(sigma, decisions, topo, constants)
+    bound = stability.drift_bound(e, decisions, hs, topo, constants)
     assert mean <= bound + 3.0 * stderr
 
 
 def test_empirical_drift_order_independent_mean():
     topo = swarm.build_ring_topology(1, 2, 2, 2, noise_scale=1e-2, seed=3)
     state = swarm.SwarmState(x=np.ones(2), r=np.zeros(2))
-    decisions = silent_decisions(1, 2, 2)
-    m1, s1 = stability.empirical_drift(topo, state, decisions, 5000,
+    decisions = silent_decisions(1, 2)
+    hs = no_channels(topo)
+    m1, s1 = stability.empirical_drift(topo, state, decisions, hs, 5000,
                                        np.random.default_rng(7))
-    m2, s2 = stability.empirical_drift(topo, state, decisions, 5000,
+    m2, s2 = stability.empirical_drift(topo, state, decisions, hs, 5000,
                                        np.random.default_rng(7))
     assert m1 == m2 and s1 == s2
 
@@ -207,25 +210,24 @@ def test_drift_bound_optimal_decision_is_smallest():
     topo = swarm.build_ring_topology(2, 2, 2, 2, noise_scale=1e-2, seed=12)
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
     e = rng.normal(size=4)
-    sigma = np.outer(e, e)
     params = PolicyParams(p_on=0.0, gamma=0.0)
     hs = [rng.normal(size=(2, 2)) for _ in range(2)]
-    optimal = [policy.solve_agent(sigma, topo.bhat(m), hs[m], constants,
-                                  params, 2) for m in range(2)]
-    best = stability.drift_bound(sigma, optimal, topo, constants)
+    optimal = oracles.library_decisions(e, topo.b_actuation, hs, constants,
+                                        params)
+    best = stability.drift_bound(e, optimal, hs, topo, constants)
     for _ in range(50):
         perturbed = []
         for m in range(2):
-            gain = optimal[m].gain + 0.3 * rng.normal(size=optimal[m].gain.shape)
-            khat = topo.bhat(m) @ hs[m] @ gain
+            # gain + 0.3 N sends u - 0.3 N e (the n_tx x dM gain perturbation)
+            u = optimal[m].u - 0.3 * rng.normal(size=(2, 4)) @ e
             perturbed.append(policy.ControlDecision(
-                delta=1, gain=gain, khat=khat, objective=0.0))
+                delta=1, theta=0.0, objective=0.0, u=u))
         # gamma = P_on = 0: the bound is exactly the summed objectives plus
         # decision-independent terms, so the optimizer minimizes it
-        assert best <= stability.drift_bound(sigma, perturbed, topo,
+        assert best <= stability.drift_bound(e, perturbed, hs, topo,
                                              constants) + 1e-9
-    silent = silent_decisions(2, 2, 4)
-    assert best <= stability.drift_bound(sigma, silent, topo, constants) + 1e-9
+    silent = silent_decisions(2, 2)
+    assert best <= stability.drift_bound(e, silent, hs, topo, constants) + 1e-9
 
 
 def test_stability_report_document():
