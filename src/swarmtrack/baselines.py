@@ -82,7 +82,10 @@ def state_trigger(e, e_last_trigger, sigma_m: float,
 
     The printed rule fires on *small* deviation from the last transmitted
     error; inverted=True gives the conventional event-triggering reading
-    with >= instead.
+    with >= instead. Both sides use the same np.sum((.)**2) reduction, so
+    the exact tie of e_last = 0 with sigma_m = 1 (met at t = 1 by episodes
+    that start with e(0) = 0) compares equal values and fires; a different
+    reduction on either side would leave its bit to rounding.
     """
     e = np.asarray(e, dtype=float)
     e_last = np.asarray(e_last_trigger, dtype=float)

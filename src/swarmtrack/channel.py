@@ -58,12 +58,17 @@ def estimate_channel(h, pilot_power: float, rng,
                            pilot_power=pilot_power)
 
 
-def receive_control(delta_m: int, h_m, u_m, rng,
-                    noise_scale: float = 1.0) -> np.ndarray:
-    """Control signal as seen by one agent: delta * H @ u + v, v ~ N(0, I)."""
-    h_m = np.asarray(h_m, dtype=float)
-    u_m = np.asarray(u_m, dtype=float)
-    v = noise_scale * rng.normal(size=h_m.shape[0])
-    if delta_m:
-        return h_m @ u_m + v
-    return v
+def receive_control(deltas, h, u, rng, noise_scale: float = 1.0) -> np.ndarray:
+    """Control signals as seen by the agents: delta * H @ u + v, v ~ N(0, I).
+
+    Leading axes are batch axes: deltas (M,), h (M, n_rx, n_tx) and
+    u (M, n_tx) give the (M, n_rx) received signals of a whole swarm, and a
+    scalar delta with one (n_rx, n_tx) channel gives one agent's. The noise
+    is one normal draw of shape (M, n_rx), the same values M single-agent
+    calls would take in agent order. A silent agent receives v alone.
+    """
+    h = np.asarray(h, dtype=float)
+    u = np.asarray(u, dtype=float)
+    v = noise_scale * rng.normal(size=h.shape[:-1])
+    sent = np.asarray(deltas, dtype=bool)[..., None]
+    return np.where(sent, np.matmul(h, u[..., None])[..., 0], 0.0) + v

@@ -172,6 +172,7 @@ def cmd_calibrate_gamma(config: sim.SimConfig, budget_dbw: float,
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "gamma.json", {
         "gamma": gamma,
+        "clamped": gamma in sim.GAMMA_BRACKET,
         "power_budget_dbw": budget_dbw,
         "n_probe_seeds": n_probe_seeds,
         "config": config.to_dict(),

@@ -35,6 +35,9 @@ _STREAM_RX = 3
 _STREAM_PLANT = 4
 _TAG_PROBE = 0xCA11
 
+# Default gamma bracket of calibrate_gamma; a result on an edge is clamped.
+GAMMA_BRACKET = (1e-6, 1e6)
+
 
 class CalibrationError(RuntimeError):
     """Power budget unreachable inside the gamma bracket."""
@@ -108,11 +111,29 @@ class Metrics:
     decision_log: Optional[list] = None
 
 
+_SLOT_GENERATORS: dict = {}
+_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
+
+
 def _slot_rng(seed: int, stream: int, slot: int):
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                    ((stream & 0xFFFF) << 48) | (slot & 0xFFFFFFFFFFFF)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator of one (seed, stream, slot) triple.
+
+    The draws are those of a fresh Generator(Philox(key=(seed,
+    stream << 48 | slot))). One generator per stream tag is re-keyed in
+    place (counter 0, empty output buffer) instead of built anew, so the
+    returned generator is valid until the next call for the same stream;
+    consume it before asking for the stream's next slot.
+    """
+    gen = _SLOT_GENERATORS.get(stream)
+    if gen is None:
+        gen = _SLOT_GENERATORS[stream] = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZERO_WORDS,
+                  "key": (seed & 0xFFFFFFFFFFFFFFFF,
+                          ((stream & 0xFFFF) << 48) | (slot & 0xFFFFFFFFFFFF))},
+        "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return gen
 
 
 def derive_seed(base_seed: int, tag: int, index: int) -> int:
@@ -203,7 +224,8 @@ def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
         decisions = [policy.solve_agent(terms, m, params)
                      for m in range(topology.m_agents)]
         deltas = np.array([dec.delta for dec in decisions], dtype=int)
-        return deltas, [policy.control_signal(dec, err.e) for dec in decisions]
+        return deltas, np.array([policy.control_signal(dec, err.e)
+                                 for dec in decisions])
 
     return decide
 
@@ -213,7 +235,8 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
 
     Baseline 1 fires periodically, baselines 2 and 3 on the state trigger
     against the error each agent last transmitted; baselines 1 and 2 send
-    the PID control, baseline 3 the proportional term k_p @ e alone.
+    the PID control, baseline 3 the proportional term k_p @ e alone. The
+    control law runs once per slot on the stacked (M, N_t, dM) gains.
     """
     gains = tuned_gains(topology)
     trig = baselines.default_trigger_config(topology.m_agents)
@@ -229,12 +252,12 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
             return baselines.state_trigger(e, e_last, trig.sigma[m], trig.inverted)
 
     if config.scheme == "baseline3":
-        def control(m, e, accumulator, prev_e):
-            return gains.k_p[m] @ e
+        def control(e, accumulator, prev_e):
+            return gains.k_p @ e
     else:
-        def control(m, e, accumulator, prev_e):
-            return baselines.pid_control(gains.k_p[m], gains.k_i[m],
-                                         gains.k_d[m], e, accumulator, prev_e)
+        def control(e, accumulator, prev_e):
+            return baselines.pid_control(gains.k_p, gains.k_i, gains.k_d,
+                                         e, accumulator, prev_e)
 
     def decide(t, err, channels, estimate):
         nonlocal accumulator, prev_e, last_sent
@@ -244,14 +267,14 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
             last_sent = [e] * m_count
         accumulator = accumulator + e
         deltas = np.zeros(m_count, dtype=int)
-        controls = []
         for m in range(m_count):
             if fires(t, m, e, last_sent[m]):
                 deltas[m] = 1
                 last_sent[m] = e
-                controls.append(control(m, e, accumulator, prev_e))
-            else:
-                controls.append(np.zeros(topology.n_tx))
+        controls = np.zeros((m_count, topology.n_tx))
+        fired = deltas == 1
+        if fired.any():
+            controls[fired] = control(e, accumulator, prev_e)[fired]
         prev_e = e
         return deltas, controls
 
@@ -301,20 +324,17 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
             _slot_rng(config.seed, _STREAM_PILOT, t))
         deltas, controls = decide(t, err, channels, estimate)
 
-        slot_power = 0.0
-        for m in range(topology.m_agents):
-            if deltas[m]:
-                slot_power += float(controls[m] @ controls[m])
-        powers.append(slot_power)
+        # u_m . u_m per agent (silent rows are zero), summed in agent order
+        agent_power = np.matmul(controls[:, None, :], controls[:, :, None]).ravel()
+        powers.append(float(np.add.accumulate(agent_power)[-1]))
         comm_count += int(deltas.sum())
         if record_decisions:
             decision_log.append([(int(deltas[m]), controls[m].copy())
                                  for m in range(topology.m_agents)])
 
-        rx_rng = _slot_rng(config.seed, _STREAM_RX, t)
-        received = [channel.receive_control(int(deltas[m]), channels.h[m],
-                                            controls[m], rx_rng)
-                    for m in range(topology.m_agents)]
+        received = channel.receive_control(
+            deltas, channels.h, controls,
+            _slot_rng(config.seed, _STREAM_RX, t))
         noise = swarm.draw_plant_noise(topology,
                                        _slot_rng(config.seed, _STREAM_PLANT, t))
         state = swarm.step_swarm(topology, state, received, noise)
@@ -340,8 +360,8 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
 def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
                     power_budget_dbw: float, n_probe_seeds: int = 3,
                     probe_horizon: Optional[int] = None, rel_tol: float = 0.05,
-                    lo: float = 1e-6, hi: float = 1e6, max_iter: int = 40,
-                    strict: bool = False) -> float:
+                    lo: float = GAMMA_BRACKET[0], hi: float = GAMMA_BRACKET[1],
+                    max_iter: int = 40, strict: bool = False) -> float:
     """Bisect the communication price until mean transmit power meets a budget.
 
     Probes run the semantic scheme on seeds derived from the config seed.

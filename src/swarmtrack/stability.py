@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import ChannelRealization
 from .policy import DriftConstants, factorize_agent
-from .swarm import SwarmState, SwarmTopology, _cov_sqrt, tracking_error
+from .swarm import SwarmState, SwarmTopology, tracking_error
 
 DEFAULT_MASK_REL_TOL = 1e-10
 
@@ -97,7 +97,7 @@ def empirical_drift(topology: SwarmTopology, state: SwarmState, decisions, h,
             v = rng.normal(size=(n, topology.n_rx))
             noise[:, m * d:(m + 1) * d] += v @ topology.b_actuation[m].T
         for m in range(topology.m_agents):
-            w = rng.normal(size=(n, d)) @ _cov_sqrt(topology.w_noise[m]).T
+            w = rng.normal(size=(n, d)) @ topology.noise_root[m].T
             noise[:, m * d:(m + 1) * d] += w
         e_next = base[None, :] + noise
         drifts[done:done + n] = np.einsum("ij,ij->i", e_next, e_next) - err.cost

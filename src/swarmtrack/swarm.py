@@ -37,6 +37,7 @@ class SwarmTopology:
     w_noise: np.ndarray             # (M, d, d)
     g_target: np.ndarray            # (dM, dM)
     a_global: np.ndarray = field(default=None)  # assembled in __post_init__
+    noise_root: np.ndarray = field(default=None)  # (M, d, d), __post_init__
 
     def __post_init__(self):
         d, m_count = self.state_dim, self.m_agents
@@ -50,6 +51,12 @@ class SwarmTopology:
             a[m * d:(m + 1) * d, n * d:(n + 1) * d] = block
         object.__setattr__(self, "a_global", a)
         self._validate()
+        # Symmetric square root of each W_m through its eigendecomposition,
+        # so singular covariances work.
+        vals, vecs = np.linalg.eigh(self.w_noise)
+        root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) \
+            @ vecs.transpose(0, 2, 1)
+        object.__setattr__(self, "noise_root", root)
 
     def _validate(self):
         for name, arr in (("a_internal", self.a_internal),
@@ -147,23 +154,19 @@ def step_swarm(topology: SwarmTopology, state: SwarmState,
     """One slot of the whole system, returned as the next state.
 
     The plant steps as x(t+1) = A x + sum_m Bhat_m uhat_m + noise and the
-    target as r(t+1) = G r (step_target). received_controls is one n_rx
-    vector per agent (already through the channel); noise_draw is the
-    stacked global plant-noise vector.
+    target as r(t+1) = G r (step_target). received_controls holds the
+    (M, n_rx) signals after the channel, one row per agent; noise_draw is
+    the stacked global plant-noise vector.
     """
-    if len(received_controls) != topology.m_agents:
-        raise ValueError(f"expected {topology.m_agents} received controls, "
-                         f"got {len(received_controls)}")
+    received = np.asarray(received_controls, dtype=float)
+    if received.shape != (topology.m_agents, topology.n_rx):
+        raise ValueError(f"received controls must have shape "
+                         f"{(topology.m_agents, topology.n_rx)}, got {received.shape}")
     noise = np.asarray(noise_draw, dtype=float)
     if noise.shape != (topology.global_dim,):
         raise ValueError(f"noise_draw must have shape {(topology.global_dim,)}")
     x_next = topology.a_global @ state.x
-    d = topology.state_dim
-    for m, uhat in enumerate(received_controls):
-        uhat = np.asarray(uhat, dtype=float)
-        if uhat.shape != (topology.n_rx,):
-            raise ValueError(f"received control {m} must have shape {(topology.n_rx,)}")
-        x_next[m * d:(m + 1) * d] += topology.b_actuation[m] @ uhat
+    x_next += np.matmul(topology.b_actuation, received[..., None]).reshape(-1)
     x_next += noise
     return SwarmState(x=x_next, r=step_target(topology, state), t=state.t + 1)
 
@@ -182,30 +185,11 @@ def tracking_error(state: SwarmState) -> TrackingError:
 def draw_plant_noise(topology: SwarmTopology, rng) -> np.ndarray:
     """Sample the stacked plant noise, per agent from N(0, W_m).
 
-    Uses the generator's ziggurat normal sampler; W_m is applied through a
-    symmetric eigendecomposition square root so singular covariances work.
+    One (M, d) draw from the generator's ziggurat normal sampler, agent by
+    agent, mapped through the stacked square roots topology.noise_root.
     """
-    d = topology.state_dim
-    out = np.empty(topology.global_dim)
-    for m in range(topology.m_agents):
-        out[m * d:(m + 1) * d] = _cov_sqrt(topology.w_noise[m]) @ rng.normal(size=d)
-    return out
-
-
-_COV_SQRT_CACHE: dict = {}
-
-
-def _cov_sqrt(w: np.ndarray) -> np.ndarray:
-    key = (w.shape, w.tobytes())
-    hit = _COV_SQRT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    vals, vecs = np.linalg.eigh(w)
-    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-    if len(_COV_SQRT_CACHE) > 256:
-        _COV_SQRT_CACHE.clear()
-    _COV_SQRT_CACHE[key] = root
-    return root
+    z = rng.normal(size=(topology.m_agents, topology.state_dim))
+    return np.matmul(topology.noise_root, z[..., None]).reshape(-1)
 
 
 def topology_to_json(topology: SwarmTopology) -> str:

@@ -177,6 +177,42 @@ def scaled_stable_topology(m_agents, d, n, seed, target_radius=0.5,
         g_target=topo.g_target)
 
 
+def receive_control_loop(deltas, h, u, rng, noise_scale=1.0):
+    """Per-agent reception: agent by agent, one size-n_rx noise draw and
+    delta_m H_m u_m + v_m, the noise alone for a silent agent."""
+    out = []
+    for m in range(len(deltas)):
+        v = noise_scale * rng.normal(size=np.shape(h[m])[0])
+        out.append(np.asarray(h[m]) @ np.asarray(u[m]) + v if deltas[m] else v)
+    return np.array(out)
+
+
+def cov_sqrt(w):
+    """Symmetric square root of one PSD matrix through eigh, negative
+    rounding-level eigenvalues clipped to zero."""
+    vals, vecs = np.linalg.eigh(w)
+    return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
+
+
+def draw_plant_noise_loop(topology, rng):
+    """Per-agent plant noise: agent by agent, a size-d draw mapped through
+    that agent's covariance root."""
+    d = topology.state_dim
+    out = np.empty(topology.global_dim)
+    for m in range(topology.m_agents):
+        out[m * d:(m + 1) * d] = cov_sqrt(topology.w_noise[m]) @ rng.normal(size=d)
+    return out
+
+
+def step_plant_loop(topology, x, received, noise):
+    """x(t+1) = A x + sum_m Bhat_m uhat_m + noise, one block row per agent."""
+    x_next = topology.a_global @ np.asarray(x, dtype=float)
+    d = topology.state_dim
+    for m, uhat in enumerate(received):
+        x_next[m * d:(m + 1) * d] += topology.b_actuation[m] @ np.asarray(uhat)
+    return x_next + noise
+
+
 def naive_drift_bound(e, decisions, h, topology, constants):
     """Term-by-term recomputation of the drift bound with explicit loops.
 

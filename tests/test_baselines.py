@@ -188,6 +188,17 @@ def test_state_trigger_matches_direct_inequality():
         assert baselines.state_trigger(e, e_last, sigma, inverted=True) == (lhs >= rhs)
 
 
+@pytest.mark.parametrize("dim", [1, 9, 72])
+def test_state_trigger_fires_on_exact_tie(dim):
+    # last transmitted error 0 and sigma = 1: both sides are the same sum of
+    # squares, so the tie is exact and the printed rule fires
+    rng = np.random.default_rng(59 + dim)
+    for _ in range(200):
+        e = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
+        assert baselines.state_trigger(e, np.zeros(dim), 1.0)
+        assert baselines.state_trigger(e, np.zeros(dim), 1.0, inverted=True)
+
+
 def test_default_trigger_config():
     cfg = baselines.default_trigger_config(5)
     assert cfg.period == 3

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from swarmtrack import channel
 
 
@@ -83,6 +84,25 @@ def test_receive_control_matches_dense_oracle():
                                   noise_scale=0.0)
     expected = np.array([sum(h[i, j] * u[j] for j in range(2)) for i in range(3)])
     assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", range(30))
+def test_batched_receive_control_matches_per_agent_loop(case):
+    rng = np.random.default_rng(7100 + case)
+    m_count = int(rng.integers(1, 10))
+    n_rx, n_tx = (int(n) for n in rng.integers(1, 6, size=2))
+    h = rng.normal(size=(m_count, n_rx, n_tx))
+    u = rng.normal(size=(m_count, n_tx))
+    deltas = rng.integers(0, 2, size=m_count)
+    deltas[int(rng.integers(0, m_count))] = 0      # at least one silent agent
+    noise_scale = float(rng.choice([0.0, 1.0, 0.3]))
+    batched_rng = np.random.default_rng(case)
+    loop_rng = np.random.default_rng(case)
+    got = channel.receive_control(deltas, h, u, batched_rng, noise_scale)
+    want = oracles.receive_control_loop(deltas, h, u, loop_rng, noise_scale)
+    assert got.shape == (m_count, n_rx)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_receive_control_conditional_moments():

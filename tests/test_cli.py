@@ -189,7 +189,24 @@ def test_calibrate_gamma_command(tmp_path):
     assert code == 0
     doc = json.loads((out / "gamma.json").read_text(encoding="utf-8"))
     assert doc["gamma"] == 1e-6
+    assert doc["clamped"] is True
     assert doc["power_budget_dbw"] == 60.0
+
+
+def test_calibrate_gamma_command_in_range_is_not_clamped(tmp_path):
+    # same system; 20 dBW lies inside its achievable range (about -45 to
+    # 40 dBW over the gamma bracket)
+    path, _ = write_stable_topology_config(tmp_path, n_tx=4, seed=47,
+                                           noise_scale=1e-2, horizon=40,
+                                           p_on=0.0, x0_value=0.0,
+                                           r0_value=0.0)
+    out = tmp_path / "out"
+    assert cli.main(["calibrate-gamma", "--config", str(path),
+                     "--budget-dbw", "20", "--probe-seeds", "2",
+                     "--out", str(out)]) == 0
+    doc = json.loads((out / "gamma.json").read_text(encoding="utf-8"))
+    assert sim.GAMMA_BRACKET[0] < doc["gamma"] < sim.GAMMA_BRACKET[1]
+    assert doc["clamped"] is False
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from swarmtrack import swarm
 
 
@@ -108,6 +109,58 @@ def test_step_swarm_rejects_dimension_mismatch():
         swarm.step_swarm(topo, state, [np.zeros(3), np.zeros(2)], np.zeros(4))
     with pytest.raises(ValueError):
         swarm.step_swarm(topo, state, [np.zeros(2), np.zeros(2)], np.zeros(3))
+
+
+def random_psd_topology(rng):
+    """Ring topology with random PSD plant-noise covariances, some singular."""
+    m_count = int(rng.integers(1, 10))
+    d = int(rng.integers(1, 6))
+    n_rx, n_tx = (int(n) for n in rng.integers(1, 6, size=2))
+    topo = swarm.build_ring_topology(m_count, d, n_tx, n_rx,
+                                     seed=int(rng.integers(0, 2 ** 32)))
+    factors = rng.normal(size=(m_count, d, int(rng.integers(1, d + 1))))
+    w = factors @ factors.transpose(0, 2, 1)
+    return swarm.SwarmTopology(
+        m_agents=m_count, state_dim=d, n_tx=n_tx, n_rx=n_rx,
+        a_internal=topo.a_internal, couplings=topo.couplings,
+        b_actuation=topo.b_actuation, w_noise=0.5 * (w + w.transpose(0, 2, 1)),
+        g_target=topo.g_target)
+
+
+@pytest.mark.parametrize("case", range(25))
+def test_noise_root_matches_per_agent_root(case):
+    topo = random_psd_topology(np.random.default_rng(7200 + case))
+    for m in range(topo.m_agents):
+        root = topo.noise_root[m]
+        assert np.max(np.abs(root - oracles.cov_sqrt(topo.w_noise[m]))) <= 1e-12
+        assert np.allclose(root @ root, topo.w_noise[m], atol=1e-10)
+
+
+@pytest.mark.parametrize("case", range(25))
+def test_batched_plant_noise_matches_per_agent_loop(case):
+    topo = random_psd_topology(np.random.default_rng(7300 + case))
+    batched_rng = np.random.default_rng(case)
+    loop_rng = np.random.default_rng(case)
+    got = swarm.draw_plant_noise(topo, batched_rng)
+    want = oracles.draw_plant_noise_loop(topo, loop_rng)
+    assert got.shape == (topo.global_dim,)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("case", range(25))
+def test_batched_step_swarm_matches_per_agent_loop(case):
+    rng = np.random.default_rng(7400 + case)
+    topo = random_psd_topology(rng)
+    state = make_state(topo, x=rng.normal(size=topo.global_dim),
+                       r=rng.normal(size=topo.global_dim))
+    received = rng.normal(size=(topo.m_agents, topo.n_rx))
+    received[int(rng.integers(0, topo.m_agents))] = 0.0   # a silent agent's row
+    noise = rng.normal(size=topo.global_dim)
+    nxt = swarm.step_swarm(topo, state, received, noise)
+    want = oracles.step_plant_loop(topo, state.x, received, noise)
+    assert np.max(np.abs(nxt.x - want)) <= 1e-12
+    assert np.array_equal(nxt.r, topo.g_target @ state.r)
 
 
 def test_step_target_identity_keeps_target():
