@@ -12,9 +12,10 @@ from .channel import (ChannelEstimate, ChannelRealization, draw_channels,
                       estimate_channel, receive_control)
 from .linalg import SvdFactors, pseudo_inverse, spectral_norm, svd
 from .policy import (ChannelFactors, ControlDecision, DriftConstants,
-                     PolicyParams, RankOneTerms, compute_drift_constants,
-                     control_signal, factorize_agent, objective,
-                     objective_gradient, rank_one_terms, solve_agent)
+                     PolicyParams, RankOneTerms, certified_terms,
+                     compute_drift_constants, control_signal, factorize_agent,
+                     objective, objective_gradient, rank_one_terms,
+                     solve_agent)
 from .stability import (MaskMatrix, check_stability_condition, compute_masks,
                         drift_bound, empirical_drift, stability_report)
 from .baselines import (DareConvergenceError, GareGain, PidGains,
@@ -32,7 +33,8 @@ __all__ = [
     "DriftConstants", "GareGain", "MaskMatrix", "Metrics", "PidGains",
     "PolicyParams", "RankOneTerms", "SimConfig", "SvdFactors", "SwarmState",
     "SwarmTopology", "TrackingError", "TriggerConfig", "build_ring_topology",
-    "calibrate_gamma", "check_stability_condition", "compute_drift_constants",
+    "calibrate_gamma", "certified_terms", "check_stability_condition",
+    "compute_drift_constants",
     "compute_masks", "control_signal", "default_trigger_config",
     "draw_channels", "drift_bound", "empirical_drift", "estimate_channel",
     "factorize_agent", "objective", "objective_gradient", "periodic_trigger",

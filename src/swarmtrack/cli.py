@@ -81,6 +81,17 @@ def _load_config(path: str, overrides) -> sim.SimConfig:
         raise UsageError(f"bad config: {err}") from err
 
 
+def _load_topology(config: sim.SimConfig):
+    """The config's topology; a topology file it cannot load is a usage error."""
+    try:
+        return sim.build_topology(config)
+    except (OSError, ValueError, LookupError, TypeError) as err:
+        if not config.topology_path:
+            raise
+        raise UsageError(f"cannot load topology {config.topology_path!r}: "
+                         f"{err}") from err
+
+
 def _topology_reference(config: sim.SimConfig) -> dict:
     if config.topology_path:
         return {"kind": "file", "path": config.topology_path}
@@ -88,7 +99,7 @@ def _topology_reference(config: sim.SimConfig) -> dict:
 
 
 def cmd_run(config: sim.SimConfig, out_dir: Path) -> int:
-    topology = sim.build_topology(config)
+    topology = _load_topology(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_rows = []
     trajectory_rows = []
@@ -150,7 +161,7 @@ def cmd_sweep(config: sim.SimConfig, axis: str, values, n_seeds: int,
 
 
 def cmd_check_stability(config: sim.SimConfig, n_draws: int, out_dir: Path) -> int:
-    topology = sim.build_topology(config)
+    topology = _load_topology(config)
     constants = policy.compute_drift_constants(topology.a_global,
                                                topology.g_target)
     draws = [channel.draw_channels(
@@ -166,7 +177,7 @@ def cmd_check_stability(config: sim.SimConfig, n_draws: int, out_dir: Path) -> i
 
 def cmd_calibrate_gamma(config: sim.SimConfig, budget_dbw: float,
                         n_probe_seeds: int, out_dir: Path) -> int:
-    topology = sim.build_topology(config)
+    topology = _load_topology(config)
     gamma = sim.calibrate_gamma(config, topology, budget_dbw,
                                 n_probe_seeds=n_probe_seeds)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -35,16 +35,33 @@ direction of Q falls under the cutoff and theta drops towards 0 (seen at
 gamma = 1e6 in calibration probes), and the decisions on that side stay
 those of the dense form.
 
+Certified path. Where rigorous bounds show that neither cutoff can fire,
+c = 1/M exactly and the slot needs no SVD and no eigenproblem
+(certified_terms); every other slot takes the spectral path above
+(factorize_agent + rank_one_terms), so the cutoff decisions stay those of
+the dense form.
+
 Pi and alpha come from the singular spectra of the plant and target
 transitions: pi_m keeps, per sorted position, the smaller-magnitude of the
 two singular values and alpha = 2 max(||A||^2, ||G||^2).
 """
 
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .linalg import DEFAULT_PINV_REL_TOL, svd
+
+# Certificate constants of certified_terms (derivation there).
+# tr(G) tr(G^-1) <= 1e6 bounds cond(F) by 1e3, so every singular value of
+# F = B_m H_m sits far above the 1e-10 cutoff.
+CERTIFIED_MAX_TRACE_PRODUCT = 1e6
+# The eigenvalue bounds must clear the cutoff by this factor, which covers
+# eigh's eigenvalue error (about n eps lambda_max) and the rounding of the
+# bounds themselves.
+CERTIFIED_CUTOFF_MARGIN = 2.0
 
 
 @dataclass(frozen=True)
@@ -243,6 +260,100 @@ def rank_one_terms(factors: ChannelFactors, e, constants: DriftConstants,
     coeff = (pe.reshape(m_count, 1, d) @ left)[:, 0] * inv_s
     u = -c[:, None] * (coeff[:, None, :] @ right_t)[:, 0]
     return RankOneTerms(theta=c * float(pe @ pe), u=u)
+
+
+def certified_terms(b_actuation, h, e, constants: DriftConstants,
+                    params: PolicyParams) -> Optional[RankOneTerms]:
+    """rank_one_terms without SVD or eigh where c = 1/M is certified.
+
+    Takes the stacked (M, d, N_r) actuation blocks and (M, N_r, N_t)
+    channels. Returns None, for the caller to take the spectral path
+    (factorize_agent + rank_one_terms), unless every agent passes the
+    certificate below; the result then equals rank_one_terms' up to
+    rounding.
+
+    One batched thin QR of [F, e_m, (pi o e)_m], F = B_m H_m with d >= N_t,
+    gives F = Q R and y = Q^T [e_m, (pi o e)_m]. With G = F^T F = R^T R:
+    tr G = ||F||_F^2 >= s_max^2 and tr G^-1 = ||R^-1||_F^2 >= s_min^-2.
+    The restricted matrix of rank_one_terms is Q_r = D + M a a^T with
+    D = diag(gamma s_i^-2, 0), ||a||^2 = ||e||^2 and
+    a_w^2 = w^2 = ||e||^2 - ||y_e||^2. Its extreme eigenvalues are bounded:
+
+        lambda_max <= lambda_hi = gamma tr(G^-1) + M ||e||^2,
+        lambda_min >= lambda_lo = min(gamma / (2 tr G),
+                                      M w^2 / (1 + 2 M tr(G) ||y_e||^2 / gamma)).
+
+    The second holds by the secular equation M a_w^2 / lambda = 1
+    + M sum_i a_i^2 / (d_i - lambda) of the smallest eigenvalue (G. H.
+    Golub, SIAM Review 1973): below gamma / (2 tr G) <= d_i / 2 every
+    d_i - lambda is at least d_i / 2, and sum_i a_i^2 / d_i
+    = ||F^T e_m||^2 / gamma <= tr(G) ||y_e||^2 / gamma.
+
+    Certified when tr(G) tr(G^-1) <= 1e6 (cond F <= 1e3: no singular value
+    is cut) and lambda_lo > 2e-10 lambda_hi for every agent. Then Q_r is
+    positive definite and eigh keeps every eigenvalue, so c = a^T Q_r^-1 a;
+    Q_r x = a at x = e_w / (M a_w) (D e_w = 0, a^T e_w = a_w), hence
+    c = a^T x = 1/M exactly, theta = ||pi o e||^2 / M and
+    u = -(1/M) F^+ (pi o e)_m = -(1/M) R^-1 y_pe.
+
+    Orthogonal rather than normal equations G^-1 F^T: forming F^T b loses
+    cond(F)^2 eps where the least-squares residual is large, and the trace
+    of a computed G^-1 can be negative when G is numerically indefinite
+    (N_r < N_t); a sum of squares cannot.
+
+    Declined: gamma = 0, N_t > d, a singular or ill-conditioned F (N_r < N_t
+    included), any agent near the cutoff and M = 1 at full rank (w = 0).
+    e = 0 gives theta = 0 and u = 0 once the channels pass the conditioning
+    test; non-finite channels fail it and raise in factorize_agent.
+    """
+    b = np.asarray(b_actuation, dtype=float)
+    h = np.asarray(h, dtype=float)
+    e = np.asarray(e, dtype=float)
+    m_count, d, _ = b.shape
+    n_tx = h.shape[-1]
+    gamma = params.gamma
+    if gamma == 0 or n_tx > d:
+        return None
+    if e.shape != (m_count * d,):
+        raise ValueError(f"e must have shape {(m_count * d,)}, got {e.shape}")
+    # [F, e_m, (pi o e)_m] per agent, factored by one QR
+    aug = np.empty((m_count, d, n_tx + 2))
+    f = aug[:, :, :n_tx]
+    np.matmul(b, h, out=f)
+    tr_g = (f * f).sum(axis=(1, 2))
+    e_sq = float(e @ e)
+    tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
+    # gamma / (2 tr G) > tol M ||e||^2 is necessary for lambda_lo > tol
+    # lambda_hi; checked before the factorization, it declines cheaply the
+    # slots where the cutoff cuts the power-term eigenvalues (small gamma)
+    # and non-finite channels. Every later test also fails on a NaN.
+    tr_g_max = float(tr_g.max())
+    if not (math.isfinite(tr_g_max)
+            and gamma > 2.0 * tol * m_count * e_sq * tr_g_max):
+        return None
+    pe = constants.pi * e
+    aug[:, :, n_tx] = e.reshape(m_count, d)
+    aug[:, :, n_tx + 1] = pe.reshape(m_count, d)
+    try:
+        r_aug = np.linalg.qr(aug, mode="r")
+        r = r_aug[:, :n_tx, :n_tx]
+        r_inv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        return None
+    tr_inv = (r_inv * r_inv).sum(axis=(1, 2))
+    conditioned = (tr_g * tr_inv).max() <= CERTIFIED_MAX_TRACE_PRODUCT
+    if e_sq == 0.0 and conditioned:
+        return RankOneTerms(theta=np.zeros(m_count), u=np.zeros((m_count, n_tx)))
+    y = r_aug[:, :n_tx, n_tx:]
+    ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
+    lam_hi = tol * (gamma * tr_inv + m_count * e_sq)
+    # lambda_lo > tol lambda_hi, one branch of the min at a time
+    if not (conditioned and gamma > (2.0 * tr_g * lam_hi).max()
+            and (m_count * (e_sq - ye_sq)
+                 - lam_hi * (1.0 + 2.0 * m_count / gamma * tr_g * ye_sq)).min() > 0):
+        return None
+    u = (r_inv @ y[:, :, 1:])[..., 0] / -m_count
+    return RankOneTerms(theta=np.full(m_count, float(pe @ pe) / m_count), u=u)
 
 
 def solve_agent(terms: RankOneTerms, m: int, params: PolicyParams) -> ControlDecision:

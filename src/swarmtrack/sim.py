@@ -15,6 +15,7 @@ reordering work never perturbs existing streams.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -71,6 +72,10 @@ class SimConfig:
     topology_path: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("m_agents", "state_dim", "n_tx", "n_rx", "horizon", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         for name in ("m_agents", "state_dim", "n_tx", "n_rx"):
@@ -81,6 +86,15 @@ class SimConfig:
         for name in ("p_on", "gamma"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("pilot_power", "noise_scale", "x0_value", "r0_value"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.pilot_power <= 0:
+            raise ValueError("pilot_power must be > 0")
+        if self.noise_scale < 0:
+            raise ValueError("noise_scale must be >= 0")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
@@ -211,16 +225,20 @@ def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
 def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
     """Closed-form channel-aware decision of every agent.
 
-    One stacked factorization and one batched rank-one solve per slot;
-    solve_agent then applies each agent's rule to its slice.
+    Per slot the certified closed form, or where it declines one stacked
+    factorization and one batched rank-one solve; solve_agent then applies
+    each agent's rule to its slice.
     """
     params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
     constants = policy.compute_drift_constants(topology.a_global, topology.g_target)
+    b = topology.b_actuation
 
     def decide(t, err, channels, estimate):
         h = estimate.h_est if config.use_estimated_csi else channels.h
-        factors = policy.factorize_agent(topology.b_actuation, h)
-        terms = policy.rank_one_terms(factors, err.e, constants, params)
+        terms = policy.certified_terms(b, h, err.e, constants, params)
+        if terms is None:
+            terms = policy.rank_one_terms(policy.factorize_agent(b, h), err.e,
+                                          constants, params)
         decisions = [policy.solve_agent(terms, m, params)
                      for m in range(topology.m_agents)]
         deltas = np.array([dec.delta for dec in decisions], dtype=int)
@@ -365,10 +383,12 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     """Bisect the communication price until mean transmit power meets a budget.
 
     Probes run the semantic scheme on seeds derived from the config seed.
-    Mean transmit power decreases in gamma; the bisection runs in log space
-    until the probe mean is within rel_tol of 10^(dBW/10) watts. Budgets
-    outside the achievable range return the corresponding bracket edge, or
-    raise CalibrationError when strict=True.
+    Mean transmit power is non-increasing in gamma, and flat wherever the
+    1e-10 cutoff does not fire: there c = 1/M and u does not depend on
+    gamma (policy module docstring). The bisection runs in log space until
+    the probe mean is within rel_tol of 10^(dBW/10) watts. Budgets outside
+    the achievable range return the corresponding bracket edge, or raise
+    CalibrationError when strict=True.
     """
     if topology is None:
         topology = build_topology(config)

@@ -66,11 +66,16 @@ def solve_agent(sigma, bhat_m, h_m, constants: DriftConstants,
                          objective=params.p_on - theta)
 
 
-def library_decisions(e, b_actuation, h, constants, params):
-    """The library's decision of every agent: one stacked factorization,
-    one batched rank-one solve, then solve_agent per agent."""
-    terms = policy.rank_one_terms(policy.factorize_agent(b_actuation, h), e,
-                                  constants, params)
+def library_decisions(e, b_actuation, h, constants, params, spectral=False):
+    """The library's decision of every agent, dispatched as in the slot
+    loop: the certified closed form, else (or with spectral=True) one
+    stacked factorization and one batched rank-one solve; then solve_agent
+    per agent."""
+    terms = None if spectral else policy.certified_terms(b_actuation, h, e,
+                                                         constants, params)
+    if terms is None:
+        terms = policy.rank_one_terms(policy.factorize_agent(b_actuation, h),
+                                      e, constants, params)
     return [policy.solve_agent(terms, m, params) for m in range(len(terms.theta))]
 
 

@@ -242,12 +242,50 @@ def test_missing_required_argument_exits_one(capsys):
     ["check-stability", "--draws", "-3"],
     ["check-stability", "--draws", "0"],
     ["calibrate-gamma", "--probe-seeds", "0"],
+    # config values SimConfig rejects
+    ["run", "--set", "pilot_power=0"],
+    ["run", "--set", "pilot_power=-1"],
+    ["run", "--set", "pilot_power=nan"],
+    ["run", "--set", "pilot_power=Infinity"],
+    ["run", "--set", "noise_scale=-1"],
+    ["run", "--set", "noise_scale=NaN"],
+    ["run", "--set", "horizon=1.5"],
+    ["run", "--set", "m_agents=2.5"],
+    ["run", "--set", "n_tx=true"],
+    ["run", "--set", 'seed="3"'],
+    ["run", "--set", "x0_value=NaN"],
+    ["run", "--set", "r0_value=-Infinity"],
 ])
 def test_invalid_count_exits_one(tmp_path, capsys, argv):
     path = write_config(tmp_path)
     out = tmp_path / "out"
     assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 1
-    assert "usage" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage" in err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "not_json", "not_object",
+                                  "missing_field", "wrong_dims"])
+def test_unloadable_topology_exits_one(tmp_path, capsys, kind):
+    topo_path = tmp_path / "topology.json"
+    if kind == "not_json":
+        topo_path.write_text("{not json", encoding="utf-8")
+    elif kind == "not_object":
+        topo_path.write_text("[1, 2]", encoding="utf-8")
+    elif kind == "missing_field":
+        topo_path.write_text('{"m_agents": 1}', encoding="utf-8")
+    elif kind == "wrong_dims":
+        topo = oracles.scaled_stable_topology(2, 2, 2, seed=9)
+        topo_path.write_text(swarm.topology_to_json(topo), encoding="utf-8")
+    path = write_config(tmp_path, topology_path=str(topo_path))
+    out = tmp_path / "out"
+    for command in ("run", "check-stability", "calibrate-gamma"):
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot load topology" in err and "usage" in err
+        assert "Traceback" not in err
     assert not out.exists()
 
 

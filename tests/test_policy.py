@@ -375,19 +375,26 @@ def rank_one_instance(rng, m_count, d, n_tx, n_rx, gamma):
 
 
 def assert_matches_dense(e, b, h, constants, params, rtol=1e-8):
+    """Both the slot loop's dispatch (certified closed form, else spectral)
+    and the forced spectral path agree with the dense oracle; returns the
+    dispatched decisions."""
     m_count = b.shape[0]
     pe = constants.pi * e
-    decisions = oracles.library_decisions(e, b, h, constants, params)
-    for m, dec in enumerate(decisions):
-        dense = oracles.solve_agent(np.outer(e, e), block_row(b[m], m_count, m),
-                                    h[m], constants, params, m_count)
-        assert dec.delta == dense.delta
-        assert dec.theta == pytest.approx(dense.theta, rel=rtol,
-                                          abs=1e-12 * float(pe @ pe))
-        assert dec.objective == pytest.approx(dense.objective, rel=rtol)
-        u_dense = dense.control(e)
-        assert np.linalg.norm(dec.u - u_dense) <= rtol * np.linalg.norm(u_dense)
-    return decisions
+    dense = [oracles.solve_agent(np.outer(e, e), block_row(b[m], m_count, m),
+                                 h[m], constants, params, m_count)
+             for m in range(m_count)]
+    paths = {spectral: oracles.library_decisions(e, b, h, constants, params,
+                                                 spectral=spectral)
+             for spectral in (False, True)}
+    for decisions in paths.values():
+        for dec, ref in zip(decisions, dense):
+            assert dec.delta == ref.delta
+            assert dec.theta == pytest.approx(ref.theta, rel=rtol,
+                                              abs=1e-12 * float(pe @ pe))
+            assert dec.objective == pytest.approx(ref.objective, rel=rtol)
+            u_dense = ref.control(e)
+            assert np.linalg.norm(dec.u - u_dense) <= rtol * np.linalg.norm(u_dense)
+    return paths[False]
 
 
 @pytest.mark.parametrize("case", range(40))
@@ -456,15 +463,10 @@ def test_transmit_vector_does_not_depend_on_gamma_when_rank_deficient(case):
         assert np.allclose(u, us[0], rtol=1e-9, atol=0)
 
 
-@pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 2.0])
-@pytest.mark.parametrize("layout", ["other_agent", "outside_range"])
-def test_cutoff_boundary_matches_dense_oracle(ratio, layout):
-    # Agent 0's error direction has eigenvalue M ||e||^2 in Q and the power
-    # term gamma s_min^-2 is the largest one: above the 1e-10 relative
-    # cutoff theta is ||pi o e||^2 / M, below it theta drops to 0. The
-    # rank-one path keeps the dense cutoff on both sides. Q's condition
-    # number is about 1e10 here, so both paths carry ~1e10 * eps relative
-    # rounding and are compared to 1e-5.
+def cutoff_boundary_instance(ratio, layout):
+    """Agent 0's error direction has eigenvalue M ||e||^2 in Q and the
+    power term gamma s_min^-2 is the largest one, at ratio * 1e10 times
+    it: the 1e-10 relative cutoff fires for ratio >= 1."""
     rng = np.random.default_rng(1200)
     if layout == "other_agent":
         m_count, d, n = 2, 2, 2
@@ -484,6 +486,19 @@ def test_cutoff_boundary_matches_dense_oracle(ratio, layout):
     constants = DriftConstants(pi=pi, alpha=2.0, sv_a=pi, sv_g=pi)
     pe = constants.pi * e
     params = PolicyParams(p_on=1e-12 * float(pe @ pe), gamma=gamma)
+    return e, b, h, constants, params
+
+
+@pytest.mark.parametrize("ratio", [0.5, 0.9, 1.1, 2.0])
+@pytest.mark.parametrize("layout", ["other_agent", "outside_range"])
+def test_cutoff_boundary_matches_dense_oracle(ratio, layout):
+    # Above the 1e-10 relative cutoff theta is ||pi o e||^2 / M, below it
+    # theta drops to 0. The rank-one path keeps the dense cutoff on both
+    # sides. Q's condition number is about 1e10 here, so both paths carry
+    # ~1e10 * eps relative rounding and are compared to 1e-5.
+    e, b, h, constants, params = cutoff_boundary_instance(ratio, layout)
+    pe = constants.pi * e
+    m_count = b.shape[0]
     dec = assert_matches_dense(e, b, h, constants, params, rtol=1e-5)[0]
     if ratio < 1.0:
         assert dec.delta == 1
@@ -491,3 +506,93 @@ def test_cutoff_boundary_matches_dense_oracle(ratio, layout):
     else:
         assert dec.delta == 0
         assert dec.theta <= 1e-5 * float(pe @ pe)
+
+
+# Routing of the certified closed form: it answers only where the cutoff
+# provably cannot fire and declines (None) everywhere else.
+
+def certified(e, b, h, constants, params):
+    return policy.certified_terms(b, h, e, constants, params)
+
+
+def test_certified_path_taken_on_tall_well_conditioned_channels():
+    rng = np.random.default_rng(1300)
+    e, b, h, constants, params = rank_one_instance(rng, 4, 9, 4, 4, 1.0)
+    terms = certified(e, b, h, constants, params)
+    assert terms is not None
+    pe = constants.pi * e
+    assert np.array_equal(terms.theta, np.full(4, float(pe @ pe) / 4))
+    spectral = policy.rank_one_terms(policy.factorize_agent(b, h), e,
+                                     constants, params)
+    assert np.linalg.norm(terms.u - spectral.u) <= 1e-12 * np.linalg.norm(spectral.u)
+
+
+@pytest.mark.parametrize("case", ["gamma_zero", "wide", "few_receive"])
+def test_certified_path_declines_structural_cases(case):
+    rng = np.random.default_rng(1310)
+    m_count, d, n_tx, n_rx, gamma = 3, 4, 2, 3, 1.0
+    if case == "gamma_zero":
+        gamma = 0.0
+    elif case == "wide":
+        n_tx = 5            # N_t > d
+    else:
+        n_rx = 1            # N_r < N_t: F = B H has rank 1 < N_t
+    e, b, h, constants, params = rank_one_instance(rng, m_count, d, n_tx,
+                                                   n_rx, gamma)
+    assert certified(e, b, h, constants, params) is None
+    assert_matches_dense(e, b, h, constants, params)
+
+
+def test_certified_path_declines_ill_conditioned_channel():
+    # agent 1's F = B H has singular values 1 and 1e-4 (cond 1e4)
+    rng = np.random.default_rng(1320)
+    e, b, h, constants, params = rank_one_instance(rng, 3, 5, 2, 2, 1.0)
+    basis, _ = np.linalg.qr(rng.normal(size=(5, 2)))
+    b[1] = basis
+    h[1] = np.diag([1.0, 1e-4])
+    assert np.linalg.cond(b[1] @ h[1]) == pytest.approx(1e4, rel=1e-9)
+    assert certified(e, b, h, constants, params) is None
+    h[1] = np.diag([1.0, 0.1])       # cond 10: certified again
+    assert certified(e, b, h, constants, params) is not None
+
+
+@pytest.mark.parametrize("ratio", [0.9, 1.1, 2.0])
+@pytest.mark.parametrize("layout", ["other_agent", "outside_range"])
+def test_certified_path_declines_near_cutoff(ratio, layout):
+    # at 0.9 the cutoff does not fire, but the eigenvalue ratio is below
+    # the certificate's 2e-10 margin
+    assert certified(*cutoff_boundary_instance(ratio, layout)) is None
+
+
+def test_certified_path_declines_single_agent_at_full_rank():
+    # M = 1, N_t = N_r = d: w = 0 and c = e^T Q^-1 e < 1 depends on gamma
+    rng = np.random.default_rng(1330)
+    e, b, h, constants, params = rank_one_instance(rng, 1, 3, 3, 3, 0.7)
+    assert certified(e, b, h, constants, params) is None
+    rng = np.random.default_rng(1330)
+    e, b, h, constants, params = rank_one_instance(rng, 1, 3, 2, 3, 0.7)
+    assert certified(e, b, h, constants, params) is not None
+
+
+def test_certified_path_zero_error_is_silent():
+    rng = np.random.default_rng(1340)
+    _, b, h, constants, params = rank_one_instance(rng, 4, 9, 4, 4, 1.0)
+    terms = certified(np.zeros(36), b, h, constants, params)
+    assert terms is not None
+    assert np.array_equal(terms.theta, np.zeros(4))
+    assert np.array_equal(terms.u, np.zeros((4, 4)))
+    spectral = policy.rank_one_terms(policy.factorize_agent(b, h), np.zeros(36),
+                                     constants, params)
+    assert np.array_equal(spectral.theta, terms.theta)
+    assert np.array_equal(np.abs(spectral.u), terms.u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_dispatch_rejects_non_finite_channels(bad):
+    rng = np.random.default_rng(1350)
+    e, b, h, constants, params = rank_one_instance(rng, 2, 4, 2, 2, 1.0)
+    h[1, 0, 0] = bad
+    for e_slot in (e, np.zeros_like(e)):
+        assert certified(e_slot, b, h, constants, params) is None
+        with pytest.raises(ValueError, match="non-finite"):
+            oracles.library_decisions(e_slot, b, h, constants, params)

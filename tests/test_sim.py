@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import oracles
-from swarmtrack import sim, swarm
+from swarmtrack import policy, sim, swarm
 from swarmtrack.sim import SimConfig
+from test_acceptance import benchmark_topology
 
 
 def identity_topology(m_agents, d, n, zero_actuation=False, noise_scale=0.0):
@@ -39,6 +40,38 @@ def test_config_rejects_negative_price():
         with pytest.raises(ValueError, match=f"{field} must be >= 0"):
             SimConfig(**{field: -1e-9})
     assert SimConfig(p_on=0.0, gamma=0.0).gamma == 0.0
+
+
+@pytest.mark.parametrize("field", ["m_agents", "state_dim", "n_tx", "n_rx",
+                                   "horizon", "seed"])
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = SimConfig(m_agents=np.int64(2), seed=np.uint32(7))
+    assert cfg.m_agents == 2 and cfg.seed == 7
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("pilot_power", 0.0, "pilot_power must be > 0"),
+    ("pilot_power", -1e4, "pilot_power must be > 0"),
+    ("pilot_power", float("nan"), "pilot_power must be a finite number"),
+    ("pilot_power", float("inf"), "pilot_power must be a finite number"),
+    ("pilot_power", "nan", "pilot_power must be a finite number"),
+    ("noise_scale", -1.0, "noise_scale must be >= 0"),
+    ("noise_scale", float("nan"), "noise_scale must be a finite number"),
+    ("noise_scale", float("inf"), "noise_scale must be a finite number"),
+    ("x0_value", float("nan"), "x0_value must be a finite number"),
+    ("r0_value", float("-inf"), "r0_value must be a finite number"),
+    ("r0_value", None, "r0_value must be a finite number"),
+])
+def test_config_rejects_bad_physical_values(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        SimConfig(**{field: value})
+    assert SimConfig(noise_scale=0.0, x0_value=-3, r0_value=0).noise_scale == 0.0
 
 
 def test_episode_rejects_mismatched_topology():
@@ -181,6 +214,45 @@ def test_pinned_episode_metrics_from_zero(scheme):
     assert metrics.comm_rate == comm_rate
     assert metrics.n_slots == n_slots
     assert metrics.diverged is diverged
+
+
+# (avg_cost, avg_tx_power, comm_rate, n_slots, diverged) of semantic
+# episodes on a stable decoupled tall system (M = 4, d = 9, N_t = N_r = 4),
+# recorded with the spectral path alone. At gamma = 1 every slot takes the
+# certified closed form; at gamma = 1e-6 the 1e-10 cutoff cuts the power
+# term and every slot but the first (e = 0) takes the spectral path.
+PINNED_TALL = {
+    1.0: ((182.85244513425639, 138.74499914077484, 0.9666666666666667, 30, False),
+          30),
+    1e-6: ((182.8524451347612, 138.74499913909452, 0.9666666666666667, 30, False),
+           1),
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(PINNED_TALL))
+def test_pinned_tall_semantic_episode(gamma, monkeypatch):
+    certified = []
+    real = policy.certified_terms
+
+    def counting(*args):
+        terms = real(*args)
+        certified.append(terms is not None)
+        return terms
+
+    monkeypatch.setattr(policy, "certified_terms", counting)
+    topo = benchmark_topology(4, 9, 4, 4, 7, 0.02)
+    cfg = SimConfig(m_agents=4, state_dim=9, n_tx=4, n_rx=4, horizon=30,
+                    p_on=0.001, gamma=gamma, noise_scale=0.02, x0_value=0.0,
+                    r0_value=0.0, seed=7)
+    metrics = sim.run_episode(cfg, topo)
+    (avg_cost, avg_tx_power, comm_rate, n_slots, diverged), n_certified = \
+        PINNED_TALL[gamma]
+    assert metrics.avg_cost == pytest.approx(avg_cost, rel=1e-9, abs=0.0)
+    assert metrics.avg_tx_power == pytest.approx(avg_tx_power, rel=1e-9, abs=0.0)
+    assert metrics.comm_rate == comm_rate
+    assert metrics.n_slots == n_slots
+    assert metrics.diverged is diverged
+    assert sum(certified) == n_certified and len(certified) == n_slots
 
 
 def test_divergence_guard_stops_early():
