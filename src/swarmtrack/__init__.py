@@ -8,11 +8,13 @@ periodic/state-triggered PID and static Riccati baselines.
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelEstimate, ChannelRealization, draw_channels,
-                      estimate_channel, receive_control)
+from .channel import (ChannelEstimate, ChannelRealization, deliver_control,
+                      draw_channels, estimate_channel, pilot_estimate,
+                      receive_control)
 from .linalg import SvdFactors, pseudo_inverse, spectral_norm, svd
-from .policy import (ChannelFactors, ControlDecision, DriftConstants,
-                     PolicyParams, RankOneTerms, certified_terms,
+from .policy import (ChannelCertificate, ChannelFactors, ControlDecision,
+                     DriftConstants, PolicyParams, RankOneTerms,
+                     certified_terms, certify_channels,
                      compute_drift_constants, control_signal, factorize_agent,
                      objective, objective_gradient, rank_one_terms,
                      solve_agent)
@@ -24,21 +26,23 @@ from .baselines import (DareConvergenceError, GareGain, PidGains,
 from .sim import (CalibrationError, Metrics, SimConfig, calibrate_gamma,
                   run_episode, run_sweep)
 from .swarm import (SwarmState, SwarmTopology, TrackingError,
-                    build_ring_topology, step_swarm, step_target,
+                    build_ring_topology, plant_noise, step_swarm, step_target,
                     topology_from_json, topology_to_json, tracking_error)
 
 __all__ = [
-    "CalibrationError", "ChannelEstimate", "ChannelFactors",
+    "CalibrationError", "ChannelCertificate", "ChannelEstimate", "ChannelFactors",
     "ChannelRealization", "ControlDecision", "DareConvergenceError",
     "DriftConstants", "GareGain", "MaskMatrix", "Metrics", "PidGains",
     "PolicyParams", "RankOneTerms", "SimConfig", "SvdFactors", "SwarmState",
     "SwarmTopology", "TrackingError", "TriggerConfig", "build_ring_topology",
-    "calibrate_gamma", "certified_terms", "check_stability_condition",
+    "calibrate_gamma", "certified_terms", "certify_channels",
+    "check_stability_condition",
     "compute_drift_constants",
-    "compute_masks", "control_signal", "default_trigger_config",
+    "compute_masks", "control_signal", "default_trigger_config", "deliver_control",
     "draw_channels", "drift_bound", "empirical_drift", "estimate_channel",
     "factorize_agent", "objective", "objective_gradient", "periodic_trigger",
-    "pid_control", "pseudo_inverse", "rank_one_terms", "receive_control",
+    "pid_control", "pilot_estimate", "plant_noise", "pseudo_inverse",
+    "rank_one_terms", "receive_control",
     "run_episode", "run_sweep", "solve_agent", "solve_dare", "spectral_norm",
     "stability_report", "state_trigger", "step_swarm", "step_target", "svd",
     "topology_from_json", "topology_to_json", "tracking_error", "tune_pid",

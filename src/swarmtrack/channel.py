@@ -54,8 +54,17 @@ def estimate_channel(h, pilot_power: float, rng,
         raise ValueError(f"pilot_power must be positive, got {pilot_power}")
     h = np.asarray(h, dtype=float)
     noise = noise_scale * rng.normal(size=h.shape)
-    return ChannelEstimate(h_est=h + noise / np.sqrt(pilot_power),
+    return ChannelEstimate(h_est=pilot_estimate(h, noise, pilot_power),
                            pilot_power=pilot_power)
+
+
+def pilot_estimate(h, pilot_noise, pilot_power: float) -> np.ndarray:
+    """Estimate H + N / sqrt(pilot_power) from an already drawn pilot noise N.
+
+    Elementwise, so any stack of slots and agents is estimated at once
+    with the values slot-by-slot estimate_channel calls would give.
+    """
+    return h + pilot_noise / np.sqrt(pilot_power)
 
 
 def receive_control(deltas, h, u, rng, noise_scale: float = 1.0) -> np.ndarray:
@@ -68,7 +77,15 @@ def receive_control(deltas, h, u, rng, noise_scale: float = 1.0) -> np.ndarray:
     calls would take in agent order. A silent agent receives v alone.
     """
     h = np.asarray(h, dtype=float)
+    return deliver_control(deltas, h, u, noise_scale * rng.normal(size=h.shape[:-1]))
+
+
+def deliver_control(deltas, h, u, v) -> np.ndarray:
+    """delta * H @ u + v with an already drawn receiver noise v.
+
+    Same batch axes as receive_control; v has the shape of the received
+    signals.
+    """
     u = np.asarray(u, dtype=float)
-    v = noise_scale * rng.normal(size=h.shape[:-1])
     sent = np.asarray(deltas, dtype=bool)[..., None]
     return np.where(sent, np.matmul(h, u[..., None])[..., 0], 0.0) + v

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baselines, channel, policy, sim, stability, swarm
+from . import __version__, baselines, sim, stability
 
 _METRICS_SCHEMA = "swarmtrack.metrics.v1"
 _TRAJECTORY_SCHEMA = "swarmtrack.cost_trajectory.v1"
@@ -162,12 +162,11 @@ def cmd_sweep(config: sim.SimConfig, axis: str, values, n_seeds: int,
 
 def cmd_check_stability(config: sim.SimConfig, n_draws: int, out_dir: Path) -> int:
     topology = _load_topology(config)
-    constants = policy.compute_drift_constants(topology.a_global,
-                                               topology.g_target)
-    draws = [channel.draw_channels(
-                 sim._slot_rng(config.seed, sim._STREAM_CHANNEL, t),
-                 topology.m_agents, topology.n_rx, topology.n_tx)
-             for t in range(n_draws)]
+    constants = sim._drift_constants(topology)
+    # The episode's channel stream of slots 0 .. n_draws - 1, as one block
+    draws = np.empty((n_draws, topology.m_agents, topology.n_rx, topology.n_tx))
+    for t in range(n_draws):
+        sim._slot_rng(config.seed, sim._STREAM_CHANNEL, t).standard_normal(out=draws[t])
     report = stability.stability_report(topology, constants, draws)
     report["config"] = config.to_dict()
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -39,7 +39,9 @@ Certified path. Where rigorous bounds show that neither cutoff can fire,
 c = 1/M exactly and the slot needs no SVD and no eigenproblem
 (certified_terms); every other slot takes the spectral path above
 (factorize_agent + rank_one_terms), so the cutoff decisions stay those of
-the dense form.
+the dense form. The certificate's channel part depends on the channels
+alone and runs once per block of slots (certify_channels: one thin QR of
+every slot's and agent's B_m H_m); only its error part runs per slot.
 
 Pi and alpha come from the singular spectra of the plant and target
 transitions: pi_m keeps, per sorted position, the smaller-magnitude of the
@@ -77,10 +79,6 @@ class DriftConstants:
     alpha: float
     sv_a: np.ndarray
     sv_g: np.ndarray
-
-    @property
-    def pi_matrix(self) -> np.ndarray:
-        return np.diag(self.pi)
 
 
 @dataclass(frozen=True)
@@ -123,6 +121,30 @@ class ChannelFactors:
         """Power metric U diag(s^-2) U^T on the kept range of F, for analysis."""
         scaled = self.left * self.inverse_singulars[..., None, :] ** 2
         return scaled @ np.swapaxes(self.left, -1, -2)
+
+
+@dataclass(frozen=True)
+class ChannelCertificate:
+    """Channel-only part of certified_terms: thin QR F = Q R of F = B_m H_m.
+
+    Leading axes are batch axes, (slots, M) for a block of slots and (M,)
+    for one slot. tr_g = ||F||_F^2 = tr G and tr_inv = ||R^-1||_F^2
+    = tr G^-1 with G = F^T F. conditioned (one flag per slot) holds when
+    every agent's F is finite with an invertible R and
+    tr(G) tr(G^-1) <= CERTIFIED_MAX_TRACE_PRODUCT; a slot without it is
+    declined.
+    """
+
+    q_t: np.ndarray             # (..., M, n_tx, d), Q^T
+    r_inv: np.ndarray           # (..., M, n_tx, n_tx)
+    tr_g: np.ndarray            # (..., M)
+    tr_inv: np.ndarray          # (..., M)
+    conditioned: np.ndarray     # (...,) bool
+
+    def slot(self, i: int) -> "ChannelCertificate":
+        """The certificate of slot i of a block."""
+        return ChannelCertificate(self.q_t[i], self.r_inv[i], self.tr_g[i],
+                                  self.tr_inv[i], self.conditioned[i])
 
 
 @dataclass(frozen=True)
@@ -262,8 +284,43 @@ def rank_one_terms(factors: ChannelFactors, e, constants: DriftConstants,
     return RankOneTerms(theta=c * float(pe @ pe), u=u)
 
 
+def certify_channels(b_actuation, h) -> Optional[ChannelCertificate]:
+    """Channel part of certified_terms for any stack of slots.
+
+    Takes the stacked (M, d, N_r) actuation blocks and channels of shape
+    (..., M, N_r, N_t); one batched thin QR and one batched inverse cover
+    every (slot, agent) pair. Returns None when N_t > d, where no slot can
+    be certified. A slot whose channel is non-finite, singular or
+    ill-conditioned only clears its own conditioned flag: its R is swapped
+    for the identity before the batched inverse, which would otherwise
+    raise for the whole stack.
+    """
+    b = np.asarray(b_actuation, dtype=float)
+    h = np.asarray(h, dtype=float)
+    d, n_tx = b.shape[-2], h.shape[-1]
+    if n_tx > d:
+        return None
+    f = b @ h
+    tr_g = (f * f).sum(axis=(-2, -1))
+    finite = np.isfinite(tr_g)
+    if not finite.all():
+        f = np.where(finite[..., None, None], f, 0.0)
+    q, r = np.linalg.qr(f)
+    invertible = finite & (np.diagonal(r, axis1=-2, axis2=-1) != 0).all(axis=-1)
+    if not invertible.all():
+        r = np.where(invertible[..., None, None], r, np.eye(n_tx))
+    r_inv = np.linalg.inv(r)
+    tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
+    conditioned = (invertible.all(axis=-1)
+                   & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
+    return ChannelCertificate(q_t=np.swapaxes(q, -1, -2), r_inv=r_inv, tr_g=tr_g,
+                              tr_inv=tr_inv, conditioned=conditioned)
+
+
 def certified_terms(b_actuation, h, e, constants: DriftConstants,
-                    params: PolicyParams) -> Optional[RankOneTerms]:
+                    params: PolicyParams,
+                    channel: Optional[ChannelCertificate] = None
+                    ) -> Optional[RankOneTerms]:
     """rank_one_terms without SVD or eigh where c = 1/M is certified.
 
     Takes the stacked (M, d, N_r) actuation blocks and (M, N_r, N_t)
@@ -272,12 +329,18 @@ def certified_terms(b_actuation, h, e, constants: DriftConstants,
     certificate below; the result then equals rank_one_terms' up to
     rounding.
 
-    One batched thin QR of [F, e_m, (pi o e)_m], F = B_m H_m with d >= N_t,
-    gives F = Q R and y = Q^T [e_m, (pi o e)_m]. With G = F^T F = R^T R:
-    tr G = ||F||_F^2 >= s_max^2 and tr G^-1 = ||R^-1||_F^2 >= s_min^-2.
-    The restricted matrix of rank_one_terms is Q_r = D + M a a^T with
-    D = diag(gamma s_i^-2, 0), ||a||^2 = ||e||^2 and
-    a_w^2 = w^2 = ||e||^2 - ||y_e||^2. Its extreme eigenvalues are bounded:
+    The work splits into a channel part and an error part. The channel
+    part (certify_channels) is the thin QR F = Q R of F = B_m H_m with
+    d >= N_t, R^-1 and the trace terms; the slot loop runs it once per
+    block of slots and passes each slot's share as channel, and without
+    it the call factors h itself. The error part runs per slot:
+    y = Q^T [e_m, (pi o e)_m], the eigenvalue bounds and u.
+
+    With G = F^T F = R^T R: tr G = ||F||_F^2 >= s_max^2 and
+    tr G^-1 = ||R^-1||_F^2 >= s_min^-2. The restricted matrix of
+    rank_one_terms is Q_r = D + M a a^T with D = diag(gamma s_i^-2, 0),
+    ||a||^2 = ||e||^2 and a_w^2 = w^2 = ||e||^2 - ||y_e||^2. Its extreme
+    eigenvalues are bounded:
 
         lambda_max <= lambda_hi = gamma tr(G^-1) + M ||e||^2,
         lambda_min >= lambda_lo = min(gamma / (2 tr G),
@@ -301,58 +364,48 @@ def certified_terms(b_actuation, h, e, constants: DriftConstants,
     of a computed G^-1 can be negative when G is numerically indefinite
     (N_r < N_t); a sum of squares cannot.
 
-    Declined: gamma = 0, N_t > d, a singular or ill-conditioned F (N_r < N_t
-    included), any agent near the cutoff and M = 1 at full rank (w = 0).
-    e = 0 gives theta = 0 and u = 0 once the channels pass the conditioning
-    test; non-finite channels fail it and raise in factorize_agent.
+    Declined: gamma = 0, N_t > d, a singular, non-finite or
+    ill-conditioned F (N_r < N_t included), any agent near the cutoff and
+    M = 1 at full rank (w = 0). e = 0 gives theta = 0 and u = 0 once the
+    channels pass the conditioning test; non-finite channels fail it and
+    raise in factorize_agent.
     """
     b = np.asarray(b_actuation, dtype=float)
-    h = np.asarray(h, dtype=float)
     e = np.asarray(e, dtype=float)
     m_count, d, _ = b.shape
-    n_tx = h.shape[-1]
     gamma = params.gamma
-    if gamma == 0 or n_tx > d:
+    if gamma == 0 or np.shape(h)[-1] > d:
         return None
     if e.shape != (m_count * d,):
         raise ValueError(f"e must have shape {(m_count * d,)}, got {e.shape}")
-    # [F, e_m, (pi o e)_m] per agent, factored by one QR
-    aug = np.empty((m_count, d, n_tx + 2))
-    f = aug[:, :, :n_tx]
-    np.matmul(b, h, out=f)
-    tr_g = (f * f).sum(axis=(1, 2))
+    if channel is None:
+        channel = certify_channels(b, h)
+    if not channel.conditioned:
+        return None
+    tr_g, tr_inv = channel.tr_g, channel.tr_inv
     e_sq = float(e @ e)
     tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
     # gamma / (2 tr G) > tol M ||e||^2 is necessary for lambda_lo > tol
-    # lambda_hi; checked before the factorization, it declines cheaply the
-    # slots where the cutoff cuts the power-term eigenvalues (small gamma)
-    # and non-finite channels. Every later test also fails on a NaN.
-    tr_g_max = float(tr_g.max())
-    if not (math.isfinite(tr_g_max)
-            and gamma > 2.0 * tol * m_count * e_sq * tr_g_max):
+    # lambda_hi; checked first, it declines cheaply the slots where the
+    # cutoff cuts the power-term eigenvalues (small gamma).
+    if not gamma > 2.0 * tol * m_count * e_sq * float(tr_g.max()):
         return None
+    if e_sq == 0.0:
+        return RankOneTerms(theta=np.zeros(m_count),
+                            u=np.zeros((m_count, channel.r_inv.shape[-1])))
     pe = constants.pi * e
-    aug[:, :, n_tx] = e.reshape(m_count, d)
-    aug[:, :, n_tx + 1] = pe.reshape(m_count, d)
-    try:
-        r_aug = np.linalg.qr(aug, mode="r")
-        r = r_aug[:, :n_tx, :n_tx]
-        r_inv = np.linalg.inv(r)
-    except np.linalg.LinAlgError:
-        return None
-    tr_inv = (r_inv * r_inv).sum(axis=(1, 2))
-    conditioned = (tr_g * tr_inv).max() <= CERTIFIED_MAX_TRACE_PRODUCT
-    if e_sq == 0.0 and conditioned:
-        return RankOneTerms(theta=np.zeros(m_count), u=np.zeros((m_count, n_tx)))
-    y = r_aug[:, :n_tx, n_tx:]
+    rhs = np.empty((m_count, d, 2))
+    rhs[:, :, 0] = e.reshape(m_count, d)
+    rhs[:, :, 1] = pe.reshape(m_count, d)
+    y = channel.q_t @ rhs
     ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
     lam_hi = tol * (gamma * tr_inv + m_count * e_sq)
     # lambda_lo > tol lambda_hi, one branch of the min at a time
-    if not (conditioned and gamma > (2.0 * tr_g * lam_hi).max()
+    if not (gamma > (2.0 * tr_g * lam_hi).max()
             and (m_count * (e_sq - ye_sq)
                  - lam_hi * (1.0 + 2.0 * m_count / gamma * tr_g * ye_sq)).min() > 0):
         return None
-    u = (r_inv @ y[:, :, 1:])[..., 0] / -m_count
+    u = (channel.r_inv @ y[:, :, 1:])[..., 0] / -m_count
     return RankOneTerms(theta=np.full(m_count, float(pe @ pe) / m_count), u=u)
 
 

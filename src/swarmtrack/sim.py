@@ -11,7 +11,10 @@ the diverged flag set.
 Randomness is counter-based: every (seed, stream, timeslot) triple keys an
 independent Philox generator, so all schemes consume identical channel and
 noise draws for a given seed (common random numbers) and adding schemes or
-reordering work never perturbs existing streams.
+reordering work never perturbs existing streams. It also lets an episode
+draw a whole block of slots ahead and do their state-independent work
+(pilot estimates, plant noise, the decision's channel factorizations)
+once per block, with the values the slots would have drawn one by one.
 """
 
 import math
@@ -35,6 +38,10 @@ _STREAM_PILOT = 2
 _STREAM_RX = 3
 _STREAM_PLANT = 4
 _TAG_PROBE = 0xCA11
+
+# Slots whose random streams are drawn, and whose channels are estimated
+# and factored, together; the last block of an episode may be shorter.
+_SLOT_BLOCK = 32
 
 # Default gamma bracket of calibrate_gamma; a result on an edge is clamped.
 GAMMA_BRACKET = (1e-6, 1e6)
@@ -222,30 +229,53 @@ def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
     raise last_err
 
 
+_DRIFT_CACHE: dict = {}
+
+
+def _drift_constants(topology: swarm.SwarmTopology) -> policy.DriftConstants:
+    """Pi and alpha of the topology, computed once per (A, G) pair."""
+    key = topology.a_global.tobytes() + topology.g_target.tobytes()
+    hit = _DRIFT_CACHE.get(key)
+    if hit is None:
+        if len(_DRIFT_CACHE) > 64:
+            _DRIFT_CACHE.clear()
+        hit = _DRIFT_CACHE[key] = policy.compute_drift_constants(
+            topology.a_global, topology.g_target)
+    return hit
+
+
 def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
     """Closed-form channel-aware decision of every agent.
 
-    Per slot the certified closed form, or where it declines one stacked
-    factorization and one batched rank-one solve; solve_agent then applies
-    each agent's rule to its slice.
+    Per block of slots the channel part of the certified closed form
+    (policy.certify_channels); per slot its error part, or where it
+    declines one stacked factorization and one batched rank-one solve;
+    solve_agent then applies each agent's rule to its slice.
     """
     params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
-    constants = policy.compute_drift_constants(topology.a_global, topology.g_target)
+    constants = _drift_constants(topology)
     b = topology.b_actuation
+    agents = range(topology.m_agents)
 
-    def decide(t, err, channels, estimate):
-        h = estimate.h_est if config.use_estimated_csi else channels.h
-        terms = policy.certified_terms(b, h, err.e, constants, params)
-        if terms is None:
-            terms = policy.rank_one_terms(policy.factorize_agent(b, h), err.e,
-                                          constants, params)
-        decisions = [policy.solve_agent(terms, m, params)
-                     for m in range(topology.m_agents)]
-        deltas = np.array([dec.delta for dec in decisions], dtype=int)
-        return deltas, np.array([policy.control_signal(dec, err.e)
-                                 for dec in decisions])
+    def start_block(h, h_est):
+        h_used = h_est if config.use_estimated_csi else h
+        certs = policy.certify_channels(b, h_used)
 
-    return decide
+        def decide(t, i, err):
+            h_slot = h_used[i]
+            terms = policy.certified_terms(b, h_slot, err.e, constants, params,
+                                           None if certs is None else certs.slot(i))
+            if terms is None:
+                terms = policy.rank_one_terms(policy.factorize_agent(b, h_slot),
+                                              err.e, constants, params)
+            decisions = [policy.solve_agent(terms, m, params) for m in agents]
+            deltas = np.array([dec.delta for dec in decisions], dtype=int)
+            return deltas, np.array([policy.control_signal(dec, err.e)
+                                     for dec in decisions])
+
+        return decide
+
+    return start_block
 
 
 def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
@@ -277,7 +307,7 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
             return baselines.pid_control(gains.k_p, gains.k_i, gains.k_d,
                                          e, accumulator, prev_e)
 
-    def decide(t, err, channels, estimate):
+    def decide(t, i, err):
         nonlocal accumulator, prev_e, last_sent
         e = err.e
         if prev_e is None:
@@ -296,7 +326,10 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
         prev_e = e
         return deltas, controls
 
-    return decide
+    def start_block(h, h_est):
+        return decide
+
+    return start_block
 
 
 def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = None,
@@ -307,16 +340,30 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     estimation, scheme decision, transmission through the true channel,
     plant and target step. Stops early when the tracking cost passes the
     overflow guard (diverged=True, metrics keep the recorded prefix).
+
+    Everything that does not depend on the state runs once per block of
+    _SLOT_BLOCK slots: the four slot streams of every slot in the block
+    (the same (seed, stream, slot) keys and draws as slot by slot), the
+    pilot estimates, the plant noise and the scheme's channel work. The
+    slot loop keeps the tracking error, the decision, reception and the
+    plant step.
     """
     if topology is None:
         topology = build_topology(config)
     else:
         _check_dims(config, topology)
+    m_count, d = topology.m_agents, topology.state_dim
     dm = topology.global_dim
     state = swarm.SwarmState(x=np.full(dm, float(config.x0_value)),
                              r=np.full(dm, float(config.r0_value)), t=0)
-    decide = (_semantic_step if config.scheme == "semantic"
-              else _triggered_step)(config, topology)
+    start_block = (_semantic_step if config.scheme == "semantic"
+                   else _triggered_step)(config, topology)
+
+    size = min(_SLOT_BLOCK, config.horizon)
+    h = np.empty((size, m_count, topology.n_rx, topology.n_tx))
+    pilot = np.empty_like(h)
+    rx_noise = np.empty((size, m_count, topology.n_rx))
+    plant_z = np.empty((size, m_count, d))
 
     costs = []
     powers = []
@@ -325,6 +372,18 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     decision_log = [] if record_decisions else None
 
     for t in range(config.horizon):
+        i = t % _SLOT_BLOCK
+        if i == 0:
+            n = min(_SLOT_BLOCK, config.horizon - t)
+            for j in range(n):
+                _slot_rng(config.seed, _STREAM_CHANNEL, t + j).standard_normal(out=h[j])
+                _slot_rng(config.seed, _STREAM_PILOT, t + j).standard_normal(out=pilot[j])
+                _slot_rng(config.seed, _STREAM_RX, t + j).standard_normal(out=rx_noise[j])
+                _slot_rng(config.seed, _STREAM_PLANT, t + j).standard_normal(out=plant_z[j])
+            h_est = channel.pilot_estimate(h[:n], pilot[:n], config.pilot_power)
+            plant_noise = swarm.plant_noise(topology, plant_z[:n])
+            decide = start_block(h[:n], h_est)
+
         err = swarm.tracking_error(state)
         if not math.isfinite(err.cost):
             diverged = True
@@ -334,13 +393,7 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
             diverged = True
             break
 
-        channels = channel.draw_channels(
-            _slot_rng(config.seed, _STREAM_CHANNEL, t),
-            topology.m_agents, topology.n_rx, topology.n_tx)
-        estimate = channel.estimate_channel(
-            channels.h, config.pilot_power,
-            _slot_rng(config.seed, _STREAM_PILOT, t))
-        deltas, controls = decide(t, err, channels, estimate)
+        deltas, controls = decide(t, i, err)
 
         # u_m . u_m per agent (silent rows are zero), summed in agent order
         agent_power = np.matmul(controls[:, None, :], controls[:, :, None]).ravel()
@@ -348,14 +401,10 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
         comm_count += int(deltas.sum())
         if record_decisions:
             decision_log.append([(int(deltas[m]), controls[m].copy())
-                                 for m in range(topology.m_agents)])
+                                 for m in range(m_count)])
 
-        received = channel.receive_control(
-            deltas, channels.h, controls,
-            _slot_rng(config.seed, _STREAM_RX, t))
-        noise = swarm.draw_plant_noise(topology,
-                                       _slot_rng(config.seed, _STREAM_PLANT, t))
-        state = swarm.step_swarm(topology, state, received, noise)
+        received = channel.deliver_control(deltas, h[i], controls, rx_noise[i])
+        state = swarm.step_swarm(topology, state, received, plant_noise[i])
 
     n = len(costs)
     costs_arr = np.array(costs)
@@ -365,7 +414,7 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
         seed=config.seed,
         avg_cost=float(costs_arr.mean()) if n else float("inf"),
         avg_tx_power=float(powers_arr.mean()) if len(powers) else 0.0,
-        comm_rate=comm_count / (len(powers) * topology.m_agents) if powers else 0.0,
+        comm_rate=comm_count / (len(powers) * m_count) if powers else 0.0,
         diverged=diverged,
         n_slots=n,
         cost_trajectory=costs_arr,

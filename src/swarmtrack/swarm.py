@@ -188,8 +188,19 @@ def draw_plant_noise(topology: SwarmTopology, rng) -> np.ndarray:
     One (M, d) draw from the generator's ziggurat normal sampler, agent by
     agent, mapped through the stacked square roots topology.noise_root.
     """
-    z = rng.normal(size=(topology.m_agents, topology.state_dim))
-    return np.matmul(topology.noise_root, z[..., None]).reshape(-1)
+    return plant_noise(topology,
+                       rng.normal(size=(topology.m_agents, topology.state_dim)))
+
+
+def plant_noise(topology: SwarmTopology, z) -> np.ndarray:
+    """Stacked plant noise from standard normals z of shape (..., M, d).
+
+    Leading axes are batch axes (one per slot of a block); each (M, d)
+    slice maps to the (dM,) vector draw_plant_noise gives for it.
+    """
+    z = np.asarray(z, dtype=float)
+    noise = np.matmul(topology.noise_root, z[..., None])
+    return noise.reshape(z.shape[:-2] + (topology.global_dim,))
 
 
 def topology_to_json(topology: SwarmTopology) -> str:

@@ -5,11 +5,12 @@ the library (explicit scalar algebra, grids, finite differences, naive
 summation) so the tests stay meaningful.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from swarmtrack import linalg, policy, swarm
+from swarmtrack import baselines, channel, linalg, policy, sim, stability, swarm
 from swarmtrack.policy import DriftConstants, PolicyParams
 
 
@@ -243,3 +244,142 @@ def naive_drift_bound(e, decisions, h, topology, constants):
                            for i in range(len(e)))
         total += topology.m_agents * sum(x * x for x in khat_e)
     return total
+
+
+def _slot_semantic_decide(config, topology):
+    """Semantic decision of one slot from that slot's own channel draw."""
+    params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
+    constants = policy.compute_drift_constants(topology.a_global,
+                                               topology.g_target)
+    b = topology.b_actuation
+
+    def decide(t, err, channels, estimate):
+        h = estimate.h_est if config.use_estimated_csi else channels.h
+        terms = policy.certified_terms(b, h, err.e, constants, params)
+        if terms is None:
+            terms = policy.rank_one_terms(policy.factorize_agent(b, h), err.e,
+                                          constants, params)
+        decisions = [policy.solve_agent(terms, m, params)
+                     for m in range(topology.m_agents)]
+        deltas = np.array([dec.delta for dec in decisions], dtype=int)
+        return deltas, np.array([policy.control_signal(dec, err.e)
+                                 for dec in decisions])
+
+    return decide
+
+
+def _slot_triggered_decide(config, topology):
+    """Baseline decision: trigger per agent, PID (or k_p e) on firing."""
+    gains = sim.tuned_gains(topology)
+    trig = baselines.default_trigger_config(topology.m_agents)
+    m_count = topology.m_agents
+    accumulator = np.zeros(topology.global_dim)
+    prev_e = last_sent = None
+
+    def decide(t, err, channels, estimate):
+        nonlocal accumulator, prev_e, last_sent
+        e = err.e
+        if prev_e is None:
+            prev_e = e
+            last_sent = [e] * m_count
+        accumulator = accumulator + e
+        deltas = np.zeros(m_count, dtype=int)
+        for m in range(m_count):
+            if config.scheme == "baseline1":
+                fires = baselines.periodic_trigger(t, trig.period)
+            else:
+                fires = baselines.state_trigger(e, last_sent[m], trig.sigma[m],
+                                                trig.inverted)
+            if fires:
+                deltas[m] = 1
+                last_sent[m] = e
+        controls = np.zeros((m_count, topology.n_tx))
+        fired = deltas == 1
+        if fired.any():
+            if config.scheme == "baseline3":
+                law = gains.k_p @ e
+            else:
+                law = baselines.pid_control(gains.k_p, gains.k_i, gains.k_d,
+                                            e, accumulator, prev_e)
+            controls[fired] = law[fired]
+        prev_e = e
+        return deltas, controls
+
+    return decide
+
+
+def slot_loop_episode(config, topology=None, record_decisions=False):
+    """sim.run_episode slot by slot: every random stream drawn, every
+    channel estimated and every decision factored inside the slot it
+    belongs to, with the single-slot library calls."""
+    if topology is None:
+        topology = sim.build_topology(config)
+    dm = topology.global_dim
+    state = swarm.SwarmState(x=np.full(dm, float(config.x0_value)),
+                             r=np.full(dm, float(config.r0_value)), t=0)
+    decide = (_slot_semantic_decide if config.scheme == "semantic"
+              else _slot_triggered_decide)(config, topology)
+    costs, powers = [], []
+    comm_count = 0
+    diverged = False
+    decision_log = [] if record_decisions else None
+    for t in range(config.horizon):
+        err = swarm.tracking_error(state)
+        if not math.isfinite(err.cost):
+            diverged = True
+            break
+        costs.append(err.cost)
+        if err.cost > sim.OVERFLOW_GUARD:
+            diverged = True
+            break
+        channels = channel.draw_channels(
+            sim._slot_rng(config.seed, sim._STREAM_CHANNEL, t),
+            topology.m_agents, topology.n_rx, topology.n_tx)
+        estimate = channel.estimate_channel(
+            channels.h, config.pilot_power,
+            sim._slot_rng(config.seed, sim._STREAM_PILOT, t))
+        deltas, controls = decide(t, err, channels, estimate)
+        agent_power = np.matmul(controls[:, None, :], controls[:, :, None]).ravel()
+        powers.append(float(np.add.accumulate(agent_power)[-1]))
+        comm_count += int(deltas.sum())
+        if record_decisions:
+            decision_log.append([(int(deltas[m]), controls[m].copy())
+                                 for m in range(topology.m_agents)])
+        received = channel.receive_control(
+            deltas, channels.h, controls,
+            sim._slot_rng(config.seed, sim._STREAM_RX, t))
+        noise = swarm.draw_plant_noise(
+            topology, sim._slot_rng(config.seed, sim._STREAM_PLANT, t))
+        state = swarm.step_swarm(topology, state, received, noise)
+    n = len(costs)
+    return sim.Metrics(
+        scheme=config.scheme, seed=config.seed,
+        avg_cost=float(np.mean(costs)) if n else float("inf"),
+        avg_tx_power=float(np.mean(powers)) if powers else 0.0,
+        comm_rate=comm_count / (len(powers) * topology.m_agents) if powers else 0.0,
+        diverged=diverged, n_slots=n, cost_trajectory=np.array(costs),
+        tx_power_trajectory=np.array(powers), gamma=config.gamma,
+        decision_log=decision_log)
+
+
+def stability_report_loop(topology, constants, channel_draws, tol=1e-10):
+    """stability.stability_report draw by draw: masks, coverage test and
+    running sums per draw, in draw order."""
+    margins, holds = [], []
+    supports = np.zeros(topology.m_agents)
+    for ch in channel_draws:
+        masks = stability.compute_masks(topology, ch, tol)
+        ok, margin = stability.check_stability_condition(masks, constants.alpha)
+        margins.append(margin)
+        holds.append(ok)
+        supports += [m.support for m in masks]
+    n = len(margins)
+    return {
+        "alpha": constants.alpha,
+        "n_draws": n,
+        "fraction_holds": (sum(holds) / n) if n else 0.0,
+        "mean_margin": (sum(margins) / n) if n else 0.0,
+        "min_margin": min(margins) if n else 0.0,
+        "mean_support_per_agent": (supports / max(n, 1)).tolist(),
+        "verdict": "stable" if n and all(holds) else "not-verified",
+    }

@@ -596,3 +596,46 @@ def test_dispatch_rejects_non_finite_channels(bad):
         assert certified(e_slot, b, h, constants, params) is None
         with pytest.raises(ValueError, match="non-finite"):
             oracles.library_decisions(e_slot, b, h, constants, params)
+
+
+@pytest.mark.parametrize("bad", ["zero", "rank_deficient", "nan", "inf"])
+def test_block_certificate_declines_only_the_bad_slot(bad):
+    # certify_channels factors a whole block of slots at once; one slot's
+    # degenerate channel must not decline (or raise for) the others
+    rng = np.random.default_rng(1360)
+    m_count, d, n_tx, n_rx, n_slots, k = 4, 9, 4, 4, 5, 2
+    e, b, _, constants, params = rank_one_instance(rng, m_count, d, n_tx,
+                                                   n_rx, 1.0)
+    h = rng.normal(size=(n_slots, m_count, n_rx, n_tx))
+    if bad == "zero":
+        h[k, 1] = 0.0
+    elif bad == "rank_deficient":
+        h[k, 1, :, 3] = h[k, 1, :, 0]      # two equal columns: rank 3 < N_t
+    else:
+        h[k, 1, 2, 2] = np.nan if bad == "nan" else np.inf
+    certs = policy.certify_channels(b, h)
+    assert certs.conditioned.tolist() == [i != k for i in range(n_slots)]
+    for i in range(n_slots):
+        terms = policy.certified_terms(b, h[i], e, constants, params,
+                                       certs.slot(i))
+        alone = policy.certified_terms(b, h[i], e, constants, params)
+        if i == k:
+            assert terms is None and alone is None
+            continue
+        assert terms is not None
+        assert np.array_equal(terms.theta, alone.theta)
+        assert np.array_equal(terms.u, alone.u)
+        spectral = policy.rank_one_terms(policy.factorize_agent(b, h[i]), e,
+                                         constants, params)
+        assert np.linalg.norm(terms.u - spectral.u) <= 1e-12 * np.linalg.norm(spectral.u)
+    if bad in ("nan", "inf"):
+        with pytest.raises(ValueError, match="non-finite"):
+            oracles.library_decisions(e, b, h[k], constants, params)
+    else:
+        assert_matches_dense(e, b, h[k], constants, params)
+
+
+def test_block_certificate_declines_wide_channels():
+    rng = np.random.default_rng(1370)
+    b = rng.normal(size=(2, 3, 4))
+    assert policy.certify_channels(b, rng.normal(size=(6, 2, 4, 5))) is None

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,7 +327,6 @@ def test_calibrate_gamma_midrange_out_of_sample():
                     p_on=0.0, noise_scale=1e-2, x0_value=0.0, r0_value=0.0,
                     seed=53)
     probe = [sim.derive_seed(cfg.seed, sim._TAG_PROBE, i) for i in range(3)]
-    from dataclasses import replace
     ref_power = np.mean([sim.run_episode(replace(cfg, gamma=0.5, seed=s),
                                          topo).avg_tx_power for s in probe])
     budget_dbw = 10.0 * math.log10(ref_power)
@@ -442,3 +442,90 @@ def test_derive_seed_stable():
     assert sim.derive_seed(5, 1, 0) == sim.derive_seed(5, 1, 0)
     assert sim.derive_seed(5, 1, 0) != sim.derive_seed(5, 1, 1)
     assert sim.derive_seed(5, 1, 0) != sim.derive_seed(6, 1, 0)
+
+
+def assert_same_episode(got, want, rel=0.0):
+    """Metrics, trajectories and decision logs agree, to rel per slot."""
+    assert (got.n_slots, got.diverged, got.comm_rate) == \
+        (want.n_slots, want.diverged, want.comm_rate)
+    for a, b in ((got.cost_trajectory, want.cost_trajectory),
+                 (got.tx_power_trajectory, want.tx_power_trajectory)):
+        assert a.shape == b.shape
+        assert np.all(np.abs(a - b) <= rel * np.abs(b))
+    assert len(got.decision_log) == len(want.decision_log)
+    for slot, ref in zip(got.decision_log, want.decision_log):
+        assert [delta for delta, _ in slot] == [delta for delta, _ in ref]
+        for (_, u), (_, u_ref) in zip(slot, ref):
+            assert np.all(np.abs(u - u_ref) <= rel * np.abs(u_ref))
+
+
+@pytest.mark.parametrize("csi", [True, False])
+@pytest.mark.parametrize("horizon", [1, 31, 32, 33, 65])
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+def test_block_loop_matches_slot_oracle(scheme, horizon, csi):
+    # Baselines and spectral-path slots are bit-identical to the
+    # slot-by-slot loop; certified slots agree to 1e-12 per slot.
+    # gamma = 1 certifies most semantic slots of the tall system, 1e-6
+    # sends all but the first to the spectral path.
+    topo = benchmark_topology(4, 9, 4, 4, 7, 0.02)
+    for gamma, rel in ((1.0, 1e-12), (1e-6, 0.0)):
+        cfg = SimConfig(m_agents=4, state_dim=9, n_tx=4, n_rx=4,
+                        horizon=horizon, scheme=scheme, p_on=0.001,
+                        gamma=gamma, noise_scale=0.02, x0_value=1.0,
+                        r0_value=0.0, seed=3, use_estimated_csi=csi)
+        got = sim.run_episode(cfg, topo, record_decisions=True)
+        want = oracles.slot_loop_episode(cfg, topo, record_decisions=True)
+        assert got.n_slots == horizon and not got.diverged
+        assert_same_episode(got, want, rel if scheme == "semantic" else 0.0)
+
+
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+def test_block_loop_matches_slot_oracle_through_divergence(scheme):
+    # the README ring diverges around slot 23, in the middle of the first
+    # block; the draws of the block's unused slots must not leak
+    cfg = SimConfig(horizon=100, scheme=scheme, seed=1)
+    got = sim.run_episode(cfg, record_decisions=True)
+    want = oracles.slot_loop_episode(cfg, record_decisions=True)
+    assert got.diverged and 0 < got.n_slots < sim._SLOT_BLOCK
+    assert_same_episode(got, want)
+
+
+@pytest.mark.parametrize("stream,shape", [
+    (sim._STREAM_CHANNEL, (8, 4, 4)),
+    (sim._STREAM_PILOT, (8, 4, 4)),
+    (sim._STREAM_RX, (8, 4)),
+    (sim._STREAM_PLANT, (8, 9)),
+])
+def test_block_draws_match_per_slot_normal_draws(stream, shape):
+    # run_episode fills its block buffers with standard_normal(out=...);
+    # the slot loop drew the same keys with normal(size=...)
+    buf = np.empty((3,) + shape)
+    for slot in range(3):
+        sim._slot_rng(21, stream, slot).standard_normal(out=buf[slot])
+    for slot in range(3):
+        want = fresh_slot_rng(21, stream, slot).normal(size=shape)
+        assert buf[slot].tobytes() == want.tobytes()
+
+
+def test_drift_constants_computed_once_per_topology(monkeypatch):
+    calls = []
+    real = policy.compute_drift_constants
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(policy, "compute_drift_constants", counting)
+    monkeypatch.setattr(sim, "_DRIFT_CACHE", {})
+    topo = benchmark_topology(2, 3, 2, 2, 5, 0.02)
+    cfg = SimConfig(m_agents=2, state_dim=3, n_tx=2, n_rx=2, horizon=3,
+                    noise_scale=0.02, seed=5)
+    for seed in range(3):
+        sim.run_episode(replace(cfg, seed=seed), topo)
+    assert len(calls) == 1
+    other = benchmark_topology(2, 3, 2, 2, 6, 0.02, eig_hi=0.9)
+    sim.run_episode(cfg, other)
+    assert len(calls) == 2
+    cached = sim._drift_constants(topo)
+    fresh = real(topo.a_global, topo.g_target)
+    assert np.array_equal(cached.pi, fresh.pi) and cached.alpha == fresh.alpha

@@ -242,3 +242,24 @@ def test_stability_report_document():
     assert len(report["mean_support_per_agent"]) == 1
     if report["fraction_holds"] == 1.0:
         assert report["verdict"] == "stable"
+
+
+@pytest.mark.parametrize("m_agents,d,n", [(1, 3, 3), (1, 3, 4), (3, 2, 2)])
+def test_batched_stability_report_matches_draw_loop(m_agents, d, n):
+    # one stacked SVD over all draws gives the per-draw report exactly,
+    # zero and rank-deficient draws included
+    rng = np.random.default_rng(15)
+    topo = swarm.build_ring_topology(m_agents, d, n, n, seed=15)
+    constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
+    h = rng.normal(size=(40, m_agents, n, n))
+    h[3] = 0.0
+    h[7, 0] = 0.0
+    h[11, :, :, 1] = h[11, :, :, 0]
+    h[12, 0, 1:] = 0.0
+    draws = [channel.ChannelRealization(h=h[t]) for t in range(len(h))]
+    want = oracles.stability_report_loop(topo, constants, draws)
+    assert 0.0 < want["fraction_holds"] < 1.0 or m_agents > 1
+    assert stability.stability_report(topo, constants, h) == want
+    assert stability.stability_report(topo, constants, draws) == want
+    assert stability.stability_report(topo, constants, h[:0]) == \
+        oracles.stability_report_loop(topo, constants, [])
