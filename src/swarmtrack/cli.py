@@ -162,11 +162,8 @@ def cmd_sweep(config: sim.SimConfig, axis: str, values, n_seeds: int,
 
 def cmd_check_stability(config: sim.SimConfig, n_draws: int, out_dir: Path) -> int:
     topology = _load_topology(config)
-    constants = sim._drift_constants(topology)
-    # The episode's channel stream of slots 0 .. n_draws - 1, as one block
-    draws = np.empty((n_draws, topology.m_agents, topology.n_rx, topology.n_tx))
-    for t in range(n_draws):
-        sim._slot_rng(config.seed, sim._STREAM_CHANNEL, t).standard_normal(out=draws[t])
+    constants = sim.drift_constants(topology)
+    draws = sim.channel_draws(config.seed, topology, n_draws)
     report = stability.stability_report(topology, constants, draws)
     report["config"] = config.to_dict()
     out_dir.mkdir(parents=True, exist_ok=True)

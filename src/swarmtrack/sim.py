@@ -157,6 +157,24 @@ def _slot_rng(seed: int, stream: int, slot: int):
     return gen
 
 
+def _draw_block(seed: int, stream: int, t0: int, out: np.ndarray) -> np.ndarray:
+    """Fill out[j] with the i.i.d. N(0, 1) draws of slot t0 + j of a stream.
+
+    Each slot's draws are those of its own (seed, stream, slot) generator,
+    so a block holds exactly what the slots would draw one by one.
+    """
+    for j, slot_out in enumerate(out):
+        _slot_rng(seed, stream, t0 + j).standard_normal(out=slot_out)
+    return out
+
+
+def channel_draws(seed: int, topology: swarm.SwarmTopology, n_slots: int) -> np.ndarray:
+    """True channels (n_slots, M, N_r, N_t) of an episode's slots 0 .. n_slots - 1."""
+    return _draw_block(seed, _STREAM_CHANNEL, 0,
+                       np.empty((n_slots, topology.m_agents, topology.n_rx,
+                                 topology.n_tx)))
+
+
 def derive_seed(base_seed: int, tag: int, index: int) -> int:
     """Deterministic child seed for probe/auxiliary runs."""
     ss = np.random.SeedSequence(entropy=[base_seed & 0xFFFFFFFFFFFFFFFF, tag, index])
@@ -232,7 +250,7 @@ def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
 _DRIFT_CACHE: dict = {}
 
 
-def _drift_constants(topology: swarm.SwarmTopology) -> policy.DriftConstants:
+def drift_constants(topology: swarm.SwarmTopology) -> policy.DriftConstants:
     """Pi and alpha of the topology, computed once per (A, G) pair."""
     key = topology.a_global.tobytes() + topology.g_target.tobytes()
     hit = _DRIFT_CACHE.get(key)
@@ -253,7 +271,7 @@ def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
     solve_agent then applies each agent's rule to its slice.
     """
     params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
-    constants = _drift_constants(topology)
+    constants = drift_constants(topology)
     b = topology.b_actuation
     agents = range(topology.m_agents)
 
@@ -375,11 +393,9 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
         i = t % _SLOT_BLOCK
         if i == 0:
             n = min(_SLOT_BLOCK, config.horizon - t)
-            for j in range(n):
-                _slot_rng(config.seed, _STREAM_CHANNEL, t + j).standard_normal(out=h[j])
-                _slot_rng(config.seed, _STREAM_PILOT, t + j).standard_normal(out=pilot[j])
-                _slot_rng(config.seed, _STREAM_RX, t + j).standard_normal(out=rx_noise[j])
-                _slot_rng(config.seed, _STREAM_PLANT, t + j).standard_normal(out=plant_z[j])
+            for stream, out in ((_STREAM_CHANNEL, h), (_STREAM_PILOT, pilot),
+                                (_STREAM_RX, rx_noise), (_STREAM_PLANT, plant_z)):
+                _draw_block(config.seed, stream, t, out[:n])
             h_est = channel.pilot_estimate(h[:n], pilot[:n], config.pilot_power)
             plant_noise = swarm.plant_noise(topology, plant_z[:n])
             decide = start_block(h[:n], h_est)

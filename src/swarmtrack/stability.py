@@ -135,40 +135,38 @@ def compute_masks(topology: SwarmTopology, channels: ChannelRealization,
 def check_stability_condition(masks, alpha: float):
     """Sufficient tracking-stability test from actuation coverage.
 
-    Returns (holds, margin) with margin = 1/alpha - ||I - mean(masks)||.
-    Masks are binary diagonal, so the norm is the largest per-position
-    coverage gap 1 - coverage_i.
+    masks is one draw's sequence of MaskMatrix, or stacked mask diagonals
+    (..., M, dM) of any number of draws. Returns (holds, margin) per draw
+    with margin = 1/alpha - ||I - mean(masks)||. Masks are binary
+    diagonal, so the norm is the largest per-position coverage gap
+    1 - coverage_i.
     """
-    diags = np.array([m.diagonal for m in masks])
-    coverage = diags.mean(axis=0)
-    norm = float(np.max(1.0 - coverage))
-    margin = 1.0 / alpha - norm
+    if isinstance(masks, np.ndarray):
+        diags = masks
+    else:
+        diags = np.array([m.diagonal for m in masks])
+    margin = 1.0 / alpha - np.max(1.0 - diags.mean(axis=-2), axis=-1)
     return margin > 0.0, margin
 
 
 def stability_report(topology: SwarmTopology, constants: DriftConstants,
-                     channel_draws, tol: float = DEFAULT_MASK_REL_TOL) -> dict:
-    """Evaluate the stability test over a sequence of channel draws.
+                     channel_draws: np.ndarray,
+                     tol: float = DEFAULT_MASK_REL_TOL) -> dict:
+    """Evaluate the stability test over stacked channel draws.
 
-    channel_draws is either the stacked (n, M, N_r, N_t) channels of n
-    draws or a sequence of ChannelRealization; all draws are factored by
-    one stacked SVD and tested at once. Returns a JSON-ready document with
-    alpha, the fraction of draws that satisfy the condition, margin
-    statistics and mean per-agent support.
+    channel_draws holds the (n, M, N_r, N_t) channels of n draws; all
+    draws are factored by one stacked SVD and tested at once. Returns a
+    JSON-ready document with alpha, the fraction of draws that satisfy the
+    condition, margin statistics and mean per-agent support.
     """
-    if isinstance(channel_draws, np.ndarray):
-        h = channel_draws
-    else:
-        h = np.array([ch.h for ch in channel_draws])
-    n = len(h)
+    n = len(channel_draws)
     if n:
-        diags = _mask_diagonals(topology, h, tol)
-        gaps = 1.0 - diags.mean(axis=1)
-        margins = (1.0 / constants.alpha - gaps.max(axis=1)).tolist()
+        diags = _mask_diagonals(topology, channel_draws, tol)
+        holds, margins = check_stability_condition(diags, constants.alpha)
+        holds, margins = holds.tolist(), margins.tolist()
         supports = diags.sum(axis=(0, 2))
     else:
-        margins, supports = [], np.zeros(topology.m_agents)
-    holds = [margin > 0.0 for margin in margins]
+        holds, margins, supports = [], [], np.zeros(topology.m_agents)
     return {
         "alpha": constants.alpha,
         "n_draws": n,

@@ -315,8 +315,8 @@ def test_criterion_8_bounded_tracking_under_semantic_scheme():
     t0 = time.perf_counter()
     topo = norm_scaled_topology(seed=1)
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
-    draws = [channel.draw_channels(sim._slot_rng(1, 1, t), 1, 9, 9)
-             for t in range(200)]
+    draws = np.array([channel.draw_channels(sim._slot_rng(1, 1, t), 1, 9, 9).h
+                      for t in range(200)])
     fraction = stability.stability_report(topo, constants, draws)["fraction_holds"]
     diverged = 0
     worst_ratio = 0.0

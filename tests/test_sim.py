@@ -526,6 +526,6 @@ def test_drift_constants_computed_once_per_topology(monkeypatch):
     other = benchmark_topology(2, 3, 2, 2, 6, 0.02, eig_hi=0.9)
     sim.run_episode(cfg, other)
     assert len(calls) == 2
-    cached = sim._drift_constants(topo)
+    cached = sim.drift_constants(topo)
     fresh = real(topo.a_global, topo.g_target)
     assert np.array_equal(cached.pi, fresh.pi) and cached.alpha == fresh.alpha

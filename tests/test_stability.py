@@ -234,7 +234,7 @@ def test_stability_report_document():
     rng = np.random.default_rng(14)
     topo = swarm.build_ring_topology(1, 3, 3, 3, seed=14)
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
-    draws = [channel.draw_channels(rng, 1, 3, 3) for _ in range(20)]
+    draws = np.array([channel.draw_channels(rng, 1, 3, 3).h for _ in range(20)])
     report = stability.stability_report(topo, constants, draws)
     assert report["n_draws"] == 20
     assert 0.0 <= report["fraction_holds"] <= 1.0
@@ -260,6 +260,5 @@ def test_batched_stability_report_matches_draw_loop(m_agents, d, n):
     want = oracles.stability_report_loop(topo, constants, draws)
     assert 0.0 < want["fraction_holds"] < 1.0 or m_agents > 1
     assert stability.stability_report(topo, constants, h) == want
-    assert stability.stability_report(topo, constants, draws) == want
     assert stability.stability_report(topo, constants, h[:0]) == \
         oracles.stability_report_loop(topo, constants, [])
