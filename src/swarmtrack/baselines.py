@@ -7,6 +7,11 @@ All three are channel-oblivious by construction: no operation in this
 module accepts an instantaneous channel argument, so their decisions are
 measurable with respect to state history only. Gains are tuned offline
 against the static all-ones channel.
+
+The triggers decide for every agent at once: state_triggers compares the
+current error with the (M, dM) stack of errors the agents last sent (its
+docstring has the exact-tie guarantee), and state_trigger is its one-agent
+case, so the rule exists once.
 """
 
 import math
@@ -76,24 +81,32 @@ def periodic_trigger(t: int, period: int) -> bool:
     return t % period == 0
 
 
-def state_trigger(e, e_last_trigger, sigma_m: float,
-                  inverted: bool = False) -> bool:
-    """Error-deviation trigger ||e - e_last||^2 <= sigma_m ||e||^2.
+def state_triggers(e, e_last, sigma, inverted: bool = False) -> np.ndarray:
+    """Error-deviation trigger ||e - e_last_m||^2 <= sigma_m ||e||^2 of every agent.
 
-    The printed rule fires on *small* deviation from the last transmitted
-    error; inverted=True gives the conventional event-triggering reading
-    with >= instead. Both sides use the same np.sum((.)**2) reduction, so
-    the exact tie of e_last = 0 with sigma_m = 1 (met at t = 1 by episodes
-    that start with e(0) = 0) compares equal values and fires; a different
-    reduction on either side would leave its bit to rounding.
+    e is the current global error (dM,), e_last the (M, dM) errors the
+    agents last transmitted and sigma their (M,) trigger constants; returns
+    the (M,) firing bits. The printed rule fires on *small* deviation from
+    the last transmitted error; inverted=True gives the conventional
+    event-triggering reading with >= instead. Both sides use the same
+    np.sum((.)**2) reduction per row, so the exact tie of e_last_m = 0 with
+    sigma_m = 1 (met at t = 1 by episodes that start with e(0) = 0) compares
+    equal values and fires; a different reduction on either side would
+    leave its bit to rounding.
     """
     e = np.asarray(e, dtype=float)
-    e_last = np.asarray(e_last_trigger, dtype=float)
-    lhs = float(np.sum((e - e_last) ** 2))
-    rhs = sigma_m * float(np.sum(e ** 2))
+    lhs = np.sum((e - np.asarray(e_last, dtype=float)) ** 2, axis=1)
+    rhs = np.asarray(sigma, dtype=float) * float(np.sum(e ** 2))
     if inverted:
         return lhs >= rhs
     return lhs <= rhs
+
+
+def state_trigger(e, e_last_trigger, sigma_m: float,
+                  inverted: bool = False) -> bool:
+    """One agent's state trigger: state_triggers on a single row."""
+    return bool(state_triggers(e, np.asarray(e_last_trigger, dtype=float)[None],
+                               np.array([sigma_m], dtype=float), inverted)[0])
 
 
 def solve_dare(a, b, q, r, max_iter: int = 10000, tol: float = 1e-8) -> GareGain:

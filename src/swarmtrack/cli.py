@@ -192,6 +192,13 @@ def _require_count(flag: str, value: int):
         raise UsageError(f"{flag} must be >= 1, got {value}")
 
 
+def _require_budget(flag: str, value: float):
+    try:
+        sim.budget_watts(value)
+    except ValueError as err:
+        raise UsageError(f"{flag}: {err}") from err
+
+
 def _parse_values(axis: str, raw: str):
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
@@ -201,7 +208,10 @@ def _parse_values(axis: str, raw: str):
         values = [parse(p) for p in parts]
     except ValueError as err:
         raise UsageError(f"--values for axis {axis}: {err}") from err
-    if axis != "power_dbw":
+    if axis == "power_dbw":
+        for value in values:
+            _require_budget(f"--values for axis {axis}", value)
+    else:
         _require_count(f"--values for axis {axis}", min(values))
     if len(set(values)) != len(values):
         raise UsageError(f"--values for axis {axis} repeats a value: {raw}")
@@ -269,6 +279,7 @@ def main(argv=None) -> int:
             return cmd_check_stability(config, args.draws, out_dir)
         if args.command == "calibrate-gamma":
             _require_count("--probe-seeds", args.probe_seeds)
+            _require_budget("--budget-dbw", args.budget_dbw)
             return cmd_calibrate_gamma(config, args.budget_dbw,
                                        args.probe_seeds, out_dir)
         raise UsageError(f"unknown command {args.command!r}")

@@ -91,8 +91,10 @@ class SimConfig:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
         for name in ("p_on", "gamma"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
         for name in ("pilot_power", "noise_scale", "x0_value", "r0_value"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)
@@ -301,8 +303,11 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
 
     Baseline 1 fires periodically, baselines 2 and 3 on the state trigger
     against the error each agent last transmitted; baselines 1 and 2 send
-    the PID control, baseline 3 the proportional term k_p @ e alone. The
-    control law runs once per slot on the stacked (M, N_t, dM) gains.
+    the PID control, baseline 3 the proportional term k_p @ e alone. Both
+    the trigger and the control law run once per slot over the agent axis:
+    the periodic bit is shared by every agent, the state trigger compares
+    the error with the (M, dM) stack of last-sent errors, and the control
+    uses the stacked (M, N_t, dM) gains.
     """
     gains = tuned_gains(topology)
     trig = baselines.default_trigger_config(topology.m_agents)
@@ -311,11 +316,11 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
     prev_e = last_sent = None
 
     if config.scheme == "baseline1":
-        def fires(t, m, e, e_last):
-            return baselines.periodic_trigger(t, trig.period)
+        def fires(t, e, last_sent):
+            return np.full(m_count, baselines.periodic_trigger(t, trig.period))
     else:
-        def fires(t, m, e, e_last):
-            return baselines.state_trigger(e, e_last, trig.sigma[m], trig.inverted)
+        def fires(t, e, last_sent):
+            return baselines.state_triggers(e, last_sent, trig.sigma, trig.inverted)
 
     if config.scheme == "baseline3":
         def control(e, accumulator, prev_e):
@@ -330,19 +335,15 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
         e = err.e
         if prev_e is None:
             prev_e = e
-            last_sent = [e] * m_count
+            last_sent = np.tile(e, (m_count, 1))
         accumulator = accumulator + e
-        deltas = np.zeros(m_count, dtype=int)
-        for m in range(m_count):
-            if fires(t, m, e, last_sent[m]):
-                deltas[m] = 1
-                last_sent[m] = e
+        fired = fires(t, e, last_sent)
+        last_sent[fired] = e
         controls = np.zeros((m_count, topology.n_tx))
-        fired = deltas == 1
         if fired.any():
             controls[fired] = control(e, accumulator, prev_e)[fired]
         prev_e = e
-        return deltas, controls
+        return fired.astype(int), controls
 
     def start_block(h, h_est):
         return decide
@@ -440,6 +441,17 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     )
 
 
+def budget_watts(power_budget_dbw: float) -> float:
+    """A power budget in watts; a budget with no finite wattage is a ValueError."""
+    try:
+        if math.isfinite(power_budget_dbw):
+            return 10.0 ** (power_budget_dbw / 10.0)
+    except OverflowError:
+        pass
+    raise ValueError(f"power budget {power_budget_dbw!r} dBW is not a finite "
+                     f"power in watts")
+
+
 def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
                     power_budget_dbw: float, n_probe_seeds: int = 3,
                     probe_horizon: Optional[int] = None, rel_tol: float = 0.05,
@@ -453,11 +465,12 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     gamma (policy module docstring). The bisection runs in log space until
     the probe mean is within rel_tol of 10^(dBW/10) watts. Budgets outside
     the achievable range return the corresponding bracket edge, or raise
-    CalibrationError when strict=True.
+    CalibrationError when strict=True. A non-finite budget (or one too
+    large to express in watts) raises ValueError.
     """
+    budget_w = budget_watts(power_budget_dbw)
     if topology is None:
         topology = build_topology(config)
-    budget_w = 10.0 ** (power_budget_dbw / 10.0)
     horizon = probe_horizon if probe_horizon is not None else config.horizon
     probe_seeds = [derive_seed(config.seed, _TAG_PROBE, i)
                    for i in range(n_probe_seeds)]
@@ -510,10 +523,13 @@ def run_sweep(base_config: SimConfig, axis: str, values, seeds,
     power budget, and every scheme runs on the same random streams. Returns
     {"rows": detail rows, "aggregates": per (scheme, value) summaries};
     divergent episodes enter aggregate means as a fixed penalty cost and
-    are counted separately.
+    are counted separately. A budget (axis value or base) that budget_watts
+    rejects raises ValueError before any episode runs.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}; valid axes: {AXES}")
+    for budget in (values if axis == "power_dbw" else [base_budget_dbw]):
+        budget_watts(float(budget))
     rows = []
     for value in values:
         for seed in seeds:

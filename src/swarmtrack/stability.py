@@ -17,6 +17,14 @@ swarm's effective channels can actuate: each agent contributes a binary
 diagonal mask with ones on its numerically nonzero singular directions,
 and the swarm passes when  max_i (1 - coverage_i) < 1 / alpha  where
 coverage_i is the fraction of agents whose mask covers position i.
+
+On channel draws the test can hold only when M = 1 and N_t >= d, or when
+alpha < 1. Agent m's mask has at most min(d, N_t) ones, all on the
+leading positions, so when M >= 2 (or N_t < d) the positions at or
+beyond min(d, N_t) of the dM are covered by no agent, the gap there is
+1, and the margin is 1/alpha - 1 whatever the channels. With
+alpha = 2 max(||A||^2, ||G||^2) >= 1, which any target with ||G|| >= 1/sqrt(2)
+gives, every such report is "not-verified".
 """
 
 import math

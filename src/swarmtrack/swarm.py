@@ -99,7 +99,7 @@ class SwarmState:
     t: int = 0
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.r))):
+        if not (np.isfinite(self.x).all() and np.isfinite(self.r).all()):
             raise ValueError("state contains non-finite entries")
         if self.x.shape != self.r.shape:
             raise ValueError("x and r must have the same shape")

@@ -199,6 +199,51 @@ def test_state_trigger_fires_on_exact_tie(dim):
         assert baselines.state_trigger(e, np.zeros(dim), 1.0, inverted=True)
 
 
+def scalar_trigger_loop(e, e_last, sigma, inverted=False):
+    return np.array([baselines.state_trigger(e, row, s, inverted)
+                     for row, s in zip(e_last, sigma)])
+
+
+@pytest.mark.parametrize("dim", [1, 9, 72])
+def test_state_triggers_match_scalar_loop_bitwise(dim):
+    # the batched rule must give every agent the bit of its own scalar call,
+    # including ties: e_last = 0 with sigma = 1, and rows equal to e
+    rng = np.random.default_rng(71 + dim)
+    for case in range(300):
+        m_count = int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(-5, 5)
+        e = rng.normal(size=dim) * scale
+        e_last = rng.normal(size=(m_count, dim)) * scale \
+            * 10.0 ** rng.uniform(-1, 1, size=(m_count, 1))
+        sigma = rng.uniform(0.0, 2.0, size=m_count)
+        kind = case % 4
+        if kind == 1:
+            e_last[:] = 0.0
+            sigma[:] = 1.0
+        elif kind == 2:
+            e_last[rng.random(m_count) < 0.5] = e
+        elif kind == 3:
+            e_last[0] = 0.0
+            sigma[0] = 1.0
+            e_last[-1] = e
+        for inverted in (False, True):
+            got = baselines.state_triggers(e, e_last, sigma, inverted)
+            assert got.dtype == bool and got.shape == (m_count,)
+            assert np.array_equal(got, scalar_trigger_loop(e, e_last, sigma,
+                                                           inverted))
+        if kind == 1:
+            assert baselines.state_triggers(e, e_last, sigma).all()
+            assert baselines.state_triggers(e, e_last, sigma, True).all()
+
+
+def test_state_triggers_per_agent_sigma():
+    e = np.array([1.0, 2.0])
+    e_last = np.array([[0.0, 2.0], [0.0, 2.0], [1.0, 2.0]])
+    # ||e - e_last||^2 = 1, 1, 0 against sigma * ||e||^2 = 0, 5, 0
+    got = baselines.state_triggers(e, e_last, np.array([0.0, 1.0, 0.0]))
+    assert got.tolist() == [False, True, True]
+
+
 def test_default_trigger_config():
     cfg = baselines.default_trigger_config(5)
     assert cfg.period == 3
@@ -211,7 +256,7 @@ def test_baselines_take_no_channel_argument():
     import inspect
     for fn in (baselines.tune_pid, baselines.pid_control,
                baselines.periodic_trigger, baselines.state_trigger,
-               baselines.solve_dare):
+               baselines.state_triggers, baselines.solve_dare):
         params = inspect.signature(fn).parameters
         assert not any("h_" in p or p in ("h", "channel", "channels", "csi")
                        for p in params)

@@ -300,6 +300,38 @@ def test_negative_price_exits_one(tmp_path, capsys, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("override", ["gamma=true", "p_on=false",
+                                      "gamma=1e999", "p_on=-1e999",
+                                      "gamma=Infinity"])
+def test_bool_or_non_finite_price_exits_one(tmp_path, capsys, override):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out),
+                     "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert "must be >= 0 and finite" in err and "usage" in err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate-gamma", "--budget-dbw=nan"],
+    ["calibrate-gamma", "--budget-dbw=inf"],
+    ["calibrate-gamma", "--budget-dbw=-inf"],
+    ["calibrate-gamma", "--budget-dbw=4000"],
+    ["sweep", "--axis", "power_dbw", "--values", "nan", "--seeds", "1"],
+    ["sweep", "--axis", "power_dbw", "--values", "8,inf", "--seeds", "1"],
+])
+def test_budget_without_finite_watts_exits_one(tmp_path, capsys, argv):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "not a finite power" in err and "usage" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("axis,values", [("N_t", "2,2"), ("M", "1,2,1"),
                                          ("power_dbw", "8,8.0")])
 def test_repeated_axis_value_exits_one(tmp_path, capsys, axis, values):

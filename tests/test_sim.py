@@ -43,6 +43,14 @@ def test_config_rejects_negative_price():
     assert SimConfig(p_on=0.0, gamma=0.0).gamma == 0.0
 
 
+@pytest.mark.parametrize("field", ["p_on", "gamma"])
+@pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"),
+                                   float("-inf"), "1", None])
+def test_config_rejects_bool_and_non_finite_price(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0 and finite"):
+        SimConfig(**{field: value})
+
+
 @pytest.mark.parametrize("field", ["m_agents", "state_dim", "n_tx", "n_rx",
                                    "horizon", "seed"])
 @pytest.mark.parametrize("value", [2.0, 2.5, True, "2", None])
@@ -349,6 +357,23 @@ def test_run_sweep_single_cell_shapes():
     for agg in result["aggregates"]:
         assert agg["n_seeds"] == 1
         assert agg["stderr_avg_cost"] == 0.0
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"),
+                                    float("-inf"), 4000.0])
+def test_budget_without_finite_watts_is_rejected(budget):
+    # a NaN budget would otherwise calibrate to a bracket edge and, on the
+    # power_dbw axis, drop every row from its aggregate (NaN != NaN)
+    base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5)
+    with pytest.raises(ValueError, match="not a finite power"):
+        sim.budget_watts(budget)
+    with pytest.raises(ValueError, match="not a finite power"):
+        sim.calibrate_gamma(base, None, budget, n_probe_seeds=1)
+    with pytest.raises(ValueError, match="not a finite power"):
+        sim.run_sweep(base, "power_dbw", [8.0, budget], [0], n_probe_seeds=1)
+    with pytest.raises(ValueError, match="not a finite power"):
+        sim.run_sweep(base, "M", [1], [0], base_budget_dbw=budget)
+    assert sim.budget_watts(10.0) == 10.0 and sim.budget_watts(-4000.0) == 0.0
 
 
 def test_run_sweep_rejects_unknown_axis():
