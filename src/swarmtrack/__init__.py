@@ -25,7 +25,7 @@ from .baselines import (DareConvergenceError, GareGain, PidGains,
                         pid_control, solve_dare, state_trigger, tune_pid)
 from .sim import (CalibrationError, Metrics, SimConfig, calibrate_gamma,
                   run_episode, run_sweep)
-from .swarm import (SwarmState, SwarmTopology, TrackingError,
+from .swarm import (SwarmState, SwarmTopology, TrackingError, advance,
                     build_ring_topology, plant_noise, step_swarm, step_target,
                     topology_from_json, topology_to_json, tracking_error)
 
@@ -34,7 +34,8 @@ __all__ = [
     "ChannelRealization", "ControlDecision", "DareConvergenceError",
     "DriftConstants", "GareGain", "MaskMatrix", "Metrics", "PidGains",
     "PolicyParams", "RankOneTerms", "SimConfig", "SvdFactors", "SwarmState",
-    "SwarmTopology", "TrackingError", "TriggerConfig", "build_ring_topology",
+    "SwarmTopology", "TrackingError", "TriggerConfig", "advance",
+    "build_ring_topology",
     "calibrate_gamma", "certified_terms", "certify_channels",
     "check_stability_condition",
     "compute_drift_constants",

@@ -89,14 +89,14 @@ def state_triggers(e, e_last, sigma, inverted: bool = False) -> np.ndarray:
     the (M,) firing bits. The printed rule fires on *small* deviation from
     the last transmitted error; inverted=True gives the conventional
     event-triggering reading with >= instead. Both sides use the same
-    np.sum((.)**2) reduction per row, so the exact tie of e_last_m = 0 with
-    sigma_m = 1 (met at t = 1 by episodes that start with e(0) = 0) compares
-    equal values and fires; a different reduction on either side would
-    leave its bit to rounding.
+    ((.)**2).sum() reduction (np.add.reduce) per row, so the exact tie of
+    e_last_m = 0 with sigma_m = 1 (met at t = 1 by episodes that start with
+    e(0) = 0) compares equal values and fires; a different reduction on
+    either side would leave its bit to rounding.
     """
     e = np.asarray(e, dtype=float)
-    lhs = np.sum((e - np.asarray(e_last, dtype=float)) ** 2, axis=1)
-    rhs = np.asarray(sigma, dtype=float) * float(np.sum(e ** 2))
+    lhs = ((e - np.asarray(e_last, dtype=float)) ** 2).sum(axis=1)
+    rhs = np.asarray(sigma, dtype=float) * float((e ** 2).sum())
     if inverted:
         return lhs >= rhs
     return lhs <= rhs
@@ -127,9 +127,10 @@ def solve_dare(a, b, q, r, max_iter: int = 10000, tol: float = 1e-8) -> GareGain
     for it in range(1, max_iter + 1):
         btp = b.T @ p
         gain = np.linalg.solve(r + btp @ b, btp @ a)
-        p_next = a.T @ p @ a - a.T @ p @ b @ gain + q
+        atp = a.T @ p
+        p_next = atp @ a - atp @ b @ gain + q
         p_next = 0.5 * (p_next + p_next.T)
-        if not np.all(np.isfinite(p_next)):
+        if not np.isfinite(p_next).all():
             raise DareConvergenceError(float("inf"), trace)
         residual = float(np.max(np.abs(p_next - p)))  # equation residual at p
         trace.append(residual)

@@ -273,6 +273,9 @@ def main(argv=None) -> int:
                                  f"valid axes: {', '.join(sim.AXES)}")
             values = _parse_values(args.axis, args.values)
             _require_count("--seeds", args.seeds)
+            if config.seed + args.seeds - 1 > sim.MAX_SEED:
+                raise UsageError(f"--seeds {args.seeds} from seed {config.seed} "
+                                 f"runs past the largest seed 2**64 - 1")
             return cmd_sweep(config, args.axis, values, args.seeds, out_dir)
         if args.command == "check-stability":
             _require_count("--draws", args.draws)

@@ -46,6 +46,10 @@ _SLOT_BLOCK = 32
 # Default gamma bracket of calibrate_gamma; a result on an edge is clamped.
 GAMMA_BRACKET = (1e-6, 1e6)
 
+# Largest seed: slot keys hold the seed in 64 bits, so a wider one would
+# share every stream with the seed 2**64 below it.
+MAX_SEED = 2 ** 64 - 1
+
 
 class CalibrationError(RuntimeError):
     """Power budget unreachable inside the gamma bracket."""
@@ -85,6 +89,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         for name in ("m_agents", "state_dim", "n_tx", "n_rx"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -143,19 +149,22 @@ def _slot_rng(seed: int, stream: int, slot: int):
 
     The draws are those of a fresh Generator(Philox(key=(seed,
     stream << 48 | slot))). One generator per stream tag is re-keyed in
-    place (counter 0, empty output buffer) instead of built anew, so the
-    returned generator is valid until the next call for the same stream;
-    consume it before asking for the stream's next slot.
+    place (counter 0, empty output buffer) instead of built anew, from one
+    state document per stream of which only the key changes; the returned
+    generator is valid until the next call for the same stream, so consume
+    it before asking for the stream's next slot.
     """
-    gen = _SLOT_GENERATORS.get(stream)
-    if gen is None:
-        gen = _SLOT_GENERATORS[stream] = np.random.Generator(np.random.Philox())
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS,
-                  "key": (seed & 0xFFFFFFFFFFFFFFFF,
-                          ((stream & 0xFFFF) << 48) | (slot & 0xFFFFFFFFFFFF))},
-        "buffer": _ZERO_WORDS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    entry = _SLOT_GENERATORS.get(stream)
+    if entry is None:
+        inner = {"counter": _ZERO_WORDS, "key": None}
+        doc = {"bit_generator": "Philox", "state": inner, "buffer": _ZERO_WORDS,
+               "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        entry = _SLOT_GENERATORS[stream] = (
+            np.random.Generator(np.random.Philox()), doc, inner,
+            (stream & 0xFFFF) << 48)
+    gen, doc, inner, tag = entry
+    inner["key"] = (seed & 0xFFFFFFFFFFFFFFFF, tag | (slot & 0xFFFFFFFFFFFF))
+    gen.bit_generator.state = doc
     return gen
 
 
@@ -268,9 +277,10 @@ def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
     """Closed-form channel-aware decision of every agent.
 
     Per block of slots the channel part of the certified closed form
-    (policy.certify_channels); per slot its error part, or where it
-    declines one stacked factorization and one batched rank-one solve;
-    solve_agent then applies each agent's rule to its slice.
+    (policy.certify_channels), split into its per-slot certificates; per
+    slot its error part, or where it declines one stacked factorization
+    and one batched rank-one solve; solve_agent then applies each agent's
+    rule to its slice.
     """
     params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
     constants = drift_constants(topology)
@@ -280,17 +290,19 @@ def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
     def start_block(h, h_est):
         h_used = h_est if config.use_estimated_csi else h
         certs = policy.certify_channels(b, h_used)
+        slot_certs = ([None] * len(h_used) if certs is None
+                      else [certs.slot(i) for i in range(len(h_used))])
 
-        def decide(t, i, err):
+        def decide(t, i, e):
             h_slot = h_used[i]
-            terms = policy.certified_terms(b, h_slot, err.e, constants, params,
-                                           None if certs is None else certs.slot(i))
+            terms = policy.certified_terms(b, h_slot, e, constants, params,
+                                           slot_certs[i])
             if terms is None:
                 terms = policy.rank_one_terms(policy.factorize_agent(b, h_slot),
-                                              err.e, constants, params)
+                                              e, constants, params)
             decisions = [policy.solve_agent(terms, m, params) for m in agents]
-            deltas = np.array([dec.delta for dec in decisions], dtype=int)
-            return deltas, np.array([policy.control_signal(dec, err.e)
+            deltas = np.array([dec.delta for dec in decisions], dtype=bool)
+            return deltas, np.array([policy.control_signal(dec, e)
                                      for dec in decisions])
 
         return decide
@@ -307,17 +319,23 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
     the trigger and the control law run once per slot over the agent axis:
     the periodic bit is shared by every agent, the state trigger compares
     the error with the (M, dM) stack of last-sent errors, and the control
-    uses the stacked (M, N_t, dM) gains.
+    uses the stacked (M, N_t, dM) gains. A slot where nobody fires returns
+    one shared read-only zero-controls array and evaluates no control law.
     """
     gains = tuned_gains(topology)
     trig = baselines.default_trigger_config(topology.m_agents)
     m_count = topology.m_agents
+    silent = np.zeros((m_count, topology.n_tx))
+    silent.flags.writeable = False
     accumulator = np.zeros(topology.global_dim)
     prev_e = last_sent = None
 
     if config.scheme == "baseline1":
+        everyone = np.ones(m_count, dtype=bool)
+        nobody = np.zeros(m_count, dtype=bool)
+
         def fires(t, e, last_sent):
-            return np.full(m_count, baselines.periodic_trigger(t, trig.period))
+            return everyone if baselines.periodic_trigger(t, trig.period) else nobody
     else:
         def fires(t, e, last_sent):
             return baselines.state_triggers(e, last_sent, trig.sigma, trig.inverted)
@@ -330,20 +348,19 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
             return baselines.pid_control(gains.k_p, gains.k_i, gains.k_d,
                                          e, accumulator, prev_e)
 
-    def decide(t, i, err):
+    def decide(t, i, e):
         nonlocal accumulator, prev_e, last_sent
-        e = err.e
         if prev_e is None:
             prev_e = e
             last_sent = np.tile(e, (m_count, 1))
         accumulator = accumulator + e
         fired = fires(t, e, last_sent)
-        last_sent[fired] = e
-        controls = np.zeros((m_count, topology.n_tx))
+        controls = silent
         if fired.any():
-            controls[fired] = control(e, accumulator, prev_e)[fired]
+            last_sent[fired] = e
+            controls = np.where(fired[:, None], control(e, accumulator, prev_e), 0.0)
         prev_e = e
-        return fired.astype(int), controls
+        return fired, controls
 
     def start_block(h, h_est):
         return decide
@@ -358,14 +375,17 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     The per-slot sequence is: perfect state broadcast, channel draw, pilot
     estimation, scheme decision, transmission through the true channel,
     plant and target step. Stops early when the tracking cost passes the
-    overflow guard (diverged=True, metrics keep the recorded prefix).
+    overflow guard (diverged=True, metrics keep the recorded prefix; the
+    slot that passes it has a cost but no decision or power).
 
     Everything that does not depend on the state runs once per block of
     _SLOT_BLOCK slots: the four slot streams of every slot in the block
     (the same (seed, stream, slot) keys and draws as slot by slot), the
-    pilot estimates, the plant noise and the scheme's channel work. The
-    slot loop keeps the tracking error, the decision, reception and the
-    plant step.
+    pilot estimates, the plant noise, the scheme's channel work and, at
+    the end of the block, the power and transmission bookkeeping of its
+    slots. The slot loop carries the plant and target states as arrays and
+    keeps the tracking error, the decision, reception and the plant step
+    (swarm.advance).
     """
     if topology is None:
         topology = build_topology(config)
@@ -373,8 +393,8 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
         _check_dims(config, topology)
     m_count, d = topology.m_agents, topology.state_dim
     dm = topology.global_dim
-    state = swarm.SwarmState(x=np.full(dm, float(config.x0_value)),
-                             r=np.full(dm, float(config.r0_value)), t=0)
+    x = np.full(dm, float(config.x0_value))
+    r = np.full(dm, float(config.r0_value))
     start_block = (_semantic_step if config.scheme == "semantic"
                    else _triggered_step)(config, topology)
 
@@ -383,16 +403,32 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     pilot = np.empty_like(h)
     rx_noise = np.empty((size, m_count, topology.n_rx))
     plant_z = np.empty((size, m_count, d))
+    bits = np.empty((size, m_count), dtype=bool)
+    sent = np.empty((size, m_count, topology.n_tx))
 
     costs = []
     powers = []
     comm_count = 0
+    decided = 0     # slots of the current block with a decision
     diverged = False
     decision_log = [] if record_decisions else None
+
+    def close_block():
+        # per slot, u_m . u_m per agent (silent rows are zero) summed in
+        # agent order
+        nonlocal comm_count, decided
+        if decided:
+            u = sent[:decided]
+            agent_power = np.matmul(u[:, :, None, :], u[:, :, :, None])
+            powers.append(np.add.accumulate(agent_power.reshape(decided, m_count),
+                                            axis=1)[:, -1])
+            comm_count += int(bits[:decided].sum())
+            decided = 0
 
     for t in range(config.horizon):
         i = t % _SLOT_BLOCK
         if i == 0:
+            close_block()
             n = min(_SLOT_BLOCK, config.horizon - t)
             for stream, out in ((_STREAM_CHANNEL, h), (_STREAM_PILOT, pilot),
                                 (_STREAM_RX, rx_noise), (_STREAM_PLANT, plant_z)):
@@ -401,37 +437,38 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
             plant_noise = swarm.plant_noise(topology, plant_z[:n])
             decide = start_block(h[:n], h_est)
 
-        err = swarm.tracking_error(state)
-        if not math.isfinite(err.cost):
+        e = x - r
+        cost = float(e @ e)
+        if not math.isfinite(cost):
             diverged = True
             break
-        costs.append(err.cost)
-        if err.cost > OVERFLOW_GUARD:
+        costs.append(cost)
+        if cost > OVERFLOW_GUARD:
             diverged = True
             break
 
-        deltas, controls = decide(t, i, err)
-
-        # u_m . u_m per agent (silent rows are zero), summed in agent order
-        agent_power = np.matmul(controls[:, None, :], controls[:, :, None]).ravel()
-        powers.append(float(np.add.accumulate(agent_power)[-1]))
-        comm_count += int(deltas.sum())
+        deltas, controls = decide(t, i, e)
+        bits[i] = deltas
+        sent[i] = controls
+        decided = i + 1
         if record_decisions:
             decision_log.append([(int(deltas[m]), controls[m].copy())
                                  for m in range(m_count)])
 
         received = channel.deliver_control(deltas, h[i], controls, rx_noise[i])
-        state = swarm.step_swarm(topology, state, received, plant_noise[i])
+        x, r = swarm.advance(topology, x, r, received, plant_noise[i])
 
+    close_block()
     n = len(costs)
     costs_arr = np.array(costs)
-    powers_arr = np.array(powers)
+    powers_arr = np.concatenate(powers) if powers else np.array([])
+    n_powers = len(powers_arr)
     return Metrics(
         scheme=config.scheme,
         seed=config.seed,
         avg_cost=float(costs_arr.mean()) if n else float("inf"),
-        avg_tx_power=float(powers_arr.mean()) if len(powers) else 0.0,
-        comm_rate=comm_count / (len(powers) * m_count) if powers else 0.0,
+        avg_tx_power=float(powers_arr.mean()) if n_powers else 0.0,
+        comm_rate=comm_count / (n_powers * m_count) if n_powers else 0.0,
         diverged=diverged,
         n_slots=n,
         cost_trajectory=costs_arr,

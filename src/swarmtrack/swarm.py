@@ -149,12 +149,27 @@ def build_ring_topology(m_agents: int, state_dim: int = 9, n_tx: int = 4,
                          g_target=g_target)
 
 
+def advance(topology: SwarmTopology, x: np.ndarray, r: np.ndarray,
+            received: np.ndarray, noise: np.ndarray):
+    """Plant and target of one slot as arrays: (A x + sum_m Bhat_m uhat_m + noise, G r).
+
+    x and r are the (dM,) plant and target states, received the (M, n_rx)
+    signals after the channel and noise the stacked (dM,) plant noise. No
+    checks: step_swarm is the validating form, and the slot loop passes
+    arrays it built itself.
+    """
+    x_next = topology.a_global @ x
+    x_next += np.matmul(topology.b_actuation, received[..., None]).reshape(-1)
+    x_next += noise
+    return x_next, topology.g_target @ r
+
+
 def step_swarm(topology: SwarmTopology, state: SwarmState,
                received_controls, noise_draw) -> SwarmState:
     """One slot of the whole system, returned as the next state.
 
     The plant steps as x(t+1) = A x + sum_m Bhat_m uhat_m + noise and the
-    target as r(t+1) = G r (step_target). received_controls holds the
+    target as r(t+1) = G r (advance). received_controls holds the
     (M, n_rx) signals after the channel, one row per agent; noise_draw is
     the stacked global plant-noise vector.
     """
@@ -165,10 +180,8 @@ def step_swarm(topology: SwarmTopology, state: SwarmState,
     noise = np.asarray(noise_draw, dtype=float)
     if noise.shape != (topology.global_dim,):
         raise ValueError(f"noise_draw must have shape {(topology.global_dim,)}")
-    x_next = topology.a_global @ state.x
-    x_next += np.matmul(topology.b_actuation, received[..., None]).reshape(-1)
-    x_next += noise
-    return SwarmState(x=x_next, r=step_target(topology, state), t=state.t + 1)
+    x_next, r_next = advance(topology, state.x, state.r, received, noise)
+    return SwarmState(x=x_next, r=r_next, t=state.t + 1)
 
 
 def step_target(topology: SwarmTopology, state: SwarmState) -> np.ndarray:

@@ -73,6 +73,22 @@ def test_solve_dare_divergence_raises_with_trace():
     assert len(info.value.trace) > 0
 
 
+def test_solve_dare_iteration_counts_are_pinned():
+    # how many fixed-point steps a solve takes is part of its output: a
+    # rework of the update must take the same steps, converging or not
+    topo = swarm.build_ring_topology(2, 3, 2, 2, seed=7)
+    sol = baselines.solve_dare(topo.a_global, baselines.static_channel_input(topo),
+                               np.eye(6), np.eye(4))
+    assert sol.iterations == 32
+    # P_k = 4 P_{k-1} + 1 overflows after 511 finite steps
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(baselines.DareConvergenceError) as info:
+        baselines.solve_dare(np.array([[2.0]]), np.zeros((1, 1)),
+                             np.array([[1.0]]), np.array([[1.0]]))
+    assert len(info.value.trace) == 511
+    assert info.value.residual == float("inf")
+
+
 def test_tune_pid_scalar_matches_dare_gain():
     topo = scalar_topology(a=0.5, b=1.0)
     gains = baselines.tune_pid(topo, kappa_i=0.05, kappa_d=0.1)

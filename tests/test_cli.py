@@ -266,6 +266,27 @@ def test_invalid_count_exits_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--set", "seed=-1"],
+    ["run", "--set", f"seed={2 ** 64}"],
+    ["check-stability", "--set", "seed=-1"],
+    ["calibrate-gamma", "--set", "seed=-5"],
+    ["sweep", "--axis", "M", "--values", "1", "--seeds", "1", "--set", "seed=-1"],
+    # consecutive sweep seeds must stay below 2**64
+    ["sweep", "--axis", "M", "--values", "1", "--seeds", "2",
+     "--set", f"seed={2 ** 64 - 1}"],
+    ["sweep", "--axis", "M", "--values", "1", "--seeds", str(10 ** 30)],
+])
+def test_seed_out_of_range_exits_one(tmp_path, capsys, argv):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "seed" in err and "2**64" in err and "usage" in err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("kind", ["missing", "not_json", "not_object",
                                   "missing_field", "wrong_dims"])
 def test_unloadable_topology_exits_one(tmp_path, capsys, kind):

@@ -59,6 +59,16 @@ def test_config_rejects_non_integer_counts(field, value):
         SimConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, -2 ** 64, 2 ** 64, 2 ** 70 + 3])
+def test_config_rejects_seed_outside_64_bits(seed):
+    # slot keys hold the seed in 64 bits: s and s + 2**64 would share
+    # every stream, and a negative seed has no ring topology
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        SimConfig(seed=seed)
+    assert SimConfig(seed=2 ** 64 - 1).seed == sim.MAX_SEED
+    assert SimConfig(seed=np.uint64(2 ** 64 - 1)).seed == sim.MAX_SEED
+
+
 def test_config_accepts_numpy_integers():
     cfg = SimConfig(m_agents=np.int64(2), seed=np.uint32(7))
     assert cfg.m_agents == 2 and cfg.seed == 7
@@ -512,6 +522,41 @@ def test_block_loop_matches_slot_oracle_through_divergence(scheme):
     got = sim.run_episode(cfg, record_decisions=True)
     want = oracles.slot_loop_episode(cfg, record_decisions=True)
     assert got.diverged and 0 < got.n_slots < sim._SLOT_BLOCK
+    assert_same_episode(got, want)
+
+
+def late_overflow_config(scheme, x0_value):
+    # a mildly unstable ring (spectral radius 1.2) started at x = 1e3
+    topo = oracles.scaled_stable_topology(2, 3, 2, seed=4, target_radius=1.2)
+    cfg = SimConfig(m_agents=2, state_dim=3, n_tx=2, n_rx=2, horizon=400,
+                    scheme=scheme, seed=4, x0_value=x0_value)
+    return cfg, topo
+
+
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+def test_block_loop_matches_slot_oracle_past_the_first_block(scheme):
+    # the guard stops these episodes after the first block (slots 62, 211,
+    # 182 and 148), so full blocks and the partial block the stop leaves
+    # are both booked; the overflow slot has a cost and no power entry
+    cfg, topo = late_overflow_config(scheme, 1e3)
+    got = sim.run_episode(cfg, topo, record_decisions=True)
+    want = oracles.slot_loop_episode(cfg, topo, record_decisions=True)
+    assert got.diverged and got.n_slots > sim._SLOT_BLOCK
+    assert got.cost_trajectory[-1] > sim.OVERFLOW_GUARD
+    assert len(got.tx_power_trajectory) == got.n_slots - 1
+    assert_same_episode(got, want)
+
+
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+def test_block_loop_matches_slot_oracle_with_non_finite_first_cost(scheme):
+    # ||e(0)||^2 overflows to inf: the episode stops before any decision
+    cfg, topo = late_overflow_config(scheme, 1e200)
+    with np.errstate(over="ignore"):
+        got = sim.run_episode(cfg, topo, record_decisions=True)
+        want = oracles.slot_loop_episode(cfg, topo, record_decisions=True)
+    assert got.diverged and got.n_slots == 0 and got.avg_cost == math.inf
+    assert (got.avg_tx_power, got.comm_rate, got.decision_log) == (0.0, 0.0, [])
+    assert got.tx_power_trajectory.shape == (0,)
     assert_same_episode(got, want)
 
 
