@@ -8,9 +8,8 @@ periodic/state-triggered PID and static Riccati baselines.
 
 __version__ = "0.1.0"
 
-from .channel import (ChannelEstimate, ChannelRealization, deliver_control,
-                      draw_channels, estimate_channel, pilot_estimate,
-                      receive_control)
+from .channel import (deliver_control, draw_channels, estimate_channel,
+                      pilot_estimate, receive_control)
 from .linalg import SvdFactors, pseudo_inverse, spectral_norm, svd
 from .policy import (ChannelCertificate, ChannelFactors, ControlDecision,
                      DriftConstants, PolicyParams, RankOneTerms,
@@ -18,23 +17,21 @@ from .policy import (ChannelCertificate, ChannelFactors, ControlDecision,
                      compute_drift_constants, control_signal, factorize_agent,
                      objective, objective_gradient, rank_one_terms,
                      solve_agent)
-from .stability import (MaskMatrix, check_stability_condition, compute_masks,
-                        drift_bound, empirical_drift, stability_report)
+from .stability import (check_stability_condition, compute_masks, drift_bound,
+                        empirical_drift, stability_report)
 from .baselines import (DareConvergenceError, GareGain, PidGains,
                         TriggerConfig, default_trigger_config, periodic_trigger,
                         pid_control, solve_dare, state_trigger, tune_pid)
-from .sim import (CalibrationError, Metrics, SimConfig, calibrate_gamma,
-                  run_episode, run_sweep)
-from .swarm import (SwarmState, SwarmTopology, TrackingError, advance,
+from .sim import Metrics, SimConfig, calibrate_gamma, run_episode, run_sweep
+from .swarm import (SwarmState, SwarmTopology, advance,
                     build_ring_topology, plant_noise, step_swarm, step_target,
                     topology_from_json, topology_to_json, tracking_error)
 
 __all__ = [
-    "CalibrationError", "ChannelCertificate", "ChannelEstimate", "ChannelFactors",
-    "ChannelRealization", "ControlDecision", "DareConvergenceError",
-    "DriftConstants", "GareGain", "MaskMatrix", "Metrics", "PidGains",
+    "ChannelCertificate", "ChannelFactors", "ControlDecision",
+    "DareConvergenceError", "DriftConstants", "GareGain", "Metrics", "PidGains",
     "PolicyParams", "RankOneTerms", "SimConfig", "SvdFactors", "SwarmState",
-    "SwarmTopology", "TrackingError", "TriggerConfig", "advance",
+    "SwarmTopology", "TriggerConfig", "advance",
     "build_ring_topology",
     "calibrate_gamma", "certified_terms", "certify_channels",
     "check_stability_condition",

@@ -11,51 +11,27 @@ from an orthogonal pilot sqrt(pilot_power) * I, so the least-squares
 estimate is Hhat = Y / sqrt(pilot_power) with N(0, 1/pilot_power) errors.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """True per-agent fading matrices, shape (M, n_rx, n_tx)."""
-
-    h: np.ndarray
-
-    @property
-    def m_agents(self) -> int:
-        return self.h.shape[0]
+def draw_channels(rng, m_agents: int, n_rx: int, n_tx: int) -> np.ndarray:
+    """Fresh i.i.d. N(0, 1) fading draw for all agents, shape (M, n_rx, n_tx)."""
+    return rng.normal(size=(m_agents, n_rx, n_tx))
 
 
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Pilot-based per-agent channel estimates, shape (M, n_rx, n_tx)."""
-
-    h_est: np.ndarray
-    pilot_power: float
-
-
-def draw_channels(rng, m_agents: int, n_rx: int, n_tx: int) -> ChannelRealization:
-    """Fresh i.i.d. N(0, 1) fading draw for all agents."""
-    return ChannelRealization(h=rng.normal(size=(m_agents, n_rx, n_tx)))
-
-
-def estimate_channel(h, pilot_power: float, rng,
-                     noise_scale: float = 1.0) -> ChannelEstimate:
+def estimate_channel(h, pilot_power: float, rng) -> np.ndarray:
     """Least-squares channel estimate from one pilot transmission.
 
     h may be a single (n_rx, n_tx) matrix or the stacked (M, n_rx, n_tx)
-    realization. The pilot is sqrt(pilot_power) * I, so the estimate is
-    the observation divided by sqrt(pilot_power) and the entrywise
-    estimation error is N(0, noise_scale^2 / pilot_power). noise_scale
-    exists for tests that force the pilot noise to zero.
+    channels; the estimate has the same shape. The pilot is
+    sqrt(pilot_power) * I, so the estimate is the observation divided by
+    sqrt(pilot_power) and the entrywise estimation error is
+    N(0, 1 / pilot_power).
     """
     if pilot_power <= 0:
         raise ValueError(f"pilot_power must be positive, got {pilot_power}")
     h = np.asarray(h, dtype=float)
-    noise = noise_scale * rng.normal(size=h.shape)
-    return ChannelEstimate(h_est=pilot_estimate(h, noise, pilot_power),
-                           pilot_power=pilot_power)
+    return pilot_estimate(h, rng.normal(size=h.shape), pilot_power)
 
 
 def pilot_estimate(h, pilot_noise, pilot_power: float) -> np.ndarray:
@@ -67,7 +43,7 @@ def pilot_estimate(h, pilot_noise, pilot_power: float) -> np.ndarray:
     return h + pilot_noise / np.sqrt(pilot_power)
 
 
-def receive_control(deltas, h, u, rng, noise_scale: float = 1.0) -> np.ndarray:
+def receive_control(deltas, h, u, rng) -> np.ndarray:
     """Control signals as seen by the agents: delta * H @ u + v, v ~ N(0, I).
 
     Leading axes are batch axes: deltas (M,), h (M, n_rx, n_tx) and
@@ -77,7 +53,7 @@ def receive_control(deltas, h, u, rng, noise_scale: float = 1.0) -> np.ndarray:
     calls would take in agent order. A silent agent receives v alone.
     """
     h = np.asarray(h, dtype=float)
-    return deliver_control(deltas, h, u, noise_scale * rng.normal(size=h.shape[:-1]))
+    return deliver_control(deltas, h, u, rng.normal(size=h.shape[:-1]))
 
 
 def deliver_control(deltas, h, u, v) -> np.ndarray:

@@ -290,8 +290,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (baselines.DareConvergenceError, sim.CalibrationError,
-            np.linalg.LinAlgError, FloatingPointError) as err:
+    except (baselines.DareConvergenceError, np.linalg.LinAlgError,
+            FloatingPointError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -116,12 +116,6 @@ class ChannelFactors:
         keep = s > DEFAULT_PINV_REL_TOL * s[..., :1]
         return np.divide(1.0, s, out=np.zeros_like(s), where=keep)
 
-    @property
-    def zeta(self) -> np.ndarray:
-        """Power metric U diag(s^-2) U^T on the kept range of F, for analysis."""
-        scaled = self.left * self.inverse_singulars[..., None, :] ** 2
-        return scaled @ np.swapaxes(self.left, -1, -2)
-
 
 @dataclass(frozen=True)
 class ChannelCertificate:
@@ -317,23 +311,22 @@ def certify_channels(b_actuation, h) -> Optional[ChannelCertificate]:
                               tr_inv=tr_inv, conditioned=conditioned)
 
 
-def certified_terms(b_actuation, h, e, constants: DriftConstants,
-                    params: PolicyParams,
-                    channel: Optional[ChannelCertificate] = None
-                    ) -> Optional[RankOneTerms]:
+def certified_terms(channel: Optional[ChannelCertificate], e,
+                    constants: DriftConstants,
+                    params: PolicyParams) -> Optional[RankOneTerms]:
     """rank_one_terms without SVD or eigh where c = 1/M is certified.
 
-    Takes the stacked (M, d, N_r) actuation blocks and (M, N_r, N_t)
-    channels. Returns None, for the caller to take the spectral path
-    (factorize_agent + rank_one_terms), unless every agent passes the
-    certificate below; the result then equals rank_one_terms' up to
-    rounding.
+    channel is one slot's certificate (certify_channels on that slot's
+    (M, N_r, N_t) channels, or ChannelCertificate.slot of a block's);
+    M and d are read from its Q^T, and None (N_t > d) declines. Returns
+    None, for the caller to take the spectral path (factorize_agent +
+    rank_one_terms), unless every agent passes the certificate below; the
+    result then equals rank_one_terms' up to rounding.
 
     The work splits into a channel part and an error part. The channel
     part (certify_channels) is the thin QR F = Q R of F = B_m H_m with
     d >= N_t, R^-1 and the trace terms; the slot loop runs it once per
-    block of slots and passes each slot's share as channel, and without
-    it the call factors h itself. The error part runs per slot:
+    block of slots. The error part runs here, per slot:
     y = Q^T [e_m, (pi o e)_m], the eigenvalue bounds and u.
 
     With G = F^T F = R^T R: tr G = ||F||_F^2 >= s_max^2 and
@@ -370,16 +363,13 @@ def certified_terms(b_actuation, h, e, constants: DriftConstants,
     channels pass the conditioning test; non-finite channels fail it and
     raise in factorize_agent.
     """
-    b = np.asarray(b_actuation, dtype=float)
-    e = np.asarray(e, dtype=float)
-    m_count, d, _ = b.shape
     gamma = params.gamma
-    if gamma == 0 or np.shape(h)[-1] > d:
+    if channel is None or gamma == 0:
         return None
+    e = np.asarray(e, dtype=float)
+    m_count, _, d = channel.q_t.shape
     if e.shape != (m_count * d,):
         raise ValueError(f"e must have shape {(m_count * d,)}, got {e.shape}")
-    if channel is None:
-        channel = certify_channels(b, h)
     if not channel.conditioned:
         return None
     tr_g, tr_inv = channel.tr_g, channel.tr_inv

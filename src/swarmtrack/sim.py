@@ -51,17 +51,6 @@ GAMMA_BRACKET = (1e-6, 1e6)
 MAX_SEED = 2 ** 64 - 1
 
 
-class CalibrationError(RuntimeError):
-    """Power budget unreachable inside the gamma bracket."""
-
-    def __init__(self, budget_w: float, achievable_lo: float, achievable_hi: float):
-        self.budget_w = budget_w
-        self.achievable = (achievable_lo, achievable_hi)
-        super().__init__(
-            f"budget {budget_w:.4g} W outside achievable mean transmit power "
-            f"range [{achievable_lo:.4g}, {achievable_hi:.4g}] W")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Flat experiment configuration; JSON documents mirror these fields."""
@@ -125,7 +114,12 @@ class SimConfig:
 
 @dataclass
 class Metrics:
-    """Per-episode results; trajectories cover the recorded slots only."""
+    """Per-episode results; trajectories cover the recorded slots only.
+
+    decision_log (with record_decisions) is (deltas, controls): the bits
+    (n, M) and transmit vectors (n, M, N_t) of the n slots that took a
+    decision, one row per entry of tx_power_trajectory.
+    """
 
     scheme: str
     seed: int
@@ -137,7 +131,7 @@ class Metrics:
     cost_trajectory: np.ndarray
     tx_power_trajectory: np.ndarray
     gamma: float
-    decision_log: Optional[list] = None
+    decision_log: Optional[tuple] = None
 
 
 _SLOT_GENERATORS: dict = {}
@@ -294,11 +288,9 @@ def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
                       else [certs.slot(i) for i in range(len(h_used))])
 
         def decide(t, i, e):
-            h_slot = h_used[i]
-            terms = policy.certified_terms(b, h_slot, e, constants, params,
-                                           slot_certs[i])
+            terms = policy.certified_terms(slot_certs[i], e, constants, params)
             if terms is None:
-                terms = policy.rank_one_terms(policy.factorize_agent(b, h_slot),
+                terms = policy.rank_one_terms(policy.factorize_agent(b, h_used[i]),
                                               e, constants, params)
             decisions = [policy.solve_agent(terms, m, params) for m in agents]
             deltas = np.array([dec.delta for dec in decisions], dtype=bool)
@@ -383,7 +375,8 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     (the same (seed, stream, slot) keys and draws as slot by slot), the
     pilot estimates, the plant noise, the scheme's channel work and, at
     the end of the block, the power and transmission bookkeeping of its
-    slots. The slot loop carries the plant and target states as arrays and
+    slots (and the decision log, copied from the block's bit and control
+    buffers). The slot loop carries the plant and target states as arrays and
     keeps the tracking error, the decision, reception and the plant step
     (swarm.advance).
     """
@@ -411,7 +404,8 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     comm_count = 0
     decided = 0     # slots of the current block with a decision
     diverged = False
-    decision_log = [] if record_decisions else None
+    logged_bits = [np.empty((0, m_count), dtype=bool)]
+    logged_sent = [np.empty((0, m_count, topology.n_tx))]
 
     def close_block():
         # per slot, u_m . u_m per agent (silent rows are zero) summed in
@@ -423,40 +417,43 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
             powers.append(np.add.accumulate(agent_power.reshape(decided, m_count),
                                             axis=1)[:, -1])
             comm_count += int(bits[:decided].sum())
+            if record_decisions:
+                logged_bits.append(bits[:decided].copy())
+                logged_sent.append(u.copy())
             decided = 0
 
-    for t in range(config.horizon):
-        i = t % _SLOT_BLOCK
-        if i == 0:
-            close_block()
-            n = min(_SLOT_BLOCK, config.horizon - t)
-            for stream, out in ((_STREAM_CHANNEL, h), (_STREAM_PILOT, pilot),
-                                (_STREAM_RX, rx_noise), (_STREAM_PLANT, plant_z)):
-                _draw_block(config.seed, stream, t, out[:n])
-            h_est = channel.pilot_estimate(h[:n], pilot[:n], config.pilot_power)
-            plant_noise = swarm.plant_noise(topology, plant_z[:n])
-            decide = start_block(h[:n], h_est)
+    # A finite state whose cost overflows to inf ends the episode as
+    # diverged; the overflow itself is expected, not worth a warning.
+    with np.errstate(over="ignore"):
+        for t in range(config.horizon):
+            i = t % _SLOT_BLOCK
+            if i == 0:
+                close_block()
+                n = min(_SLOT_BLOCK, config.horizon - t)
+                for stream, out in ((_STREAM_CHANNEL, h), (_STREAM_PILOT, pilot),
+                                    (_STREAM_RX, rx_noise), (_STREAM_PLANT, plant_z)):
+                    _draw_block(config.seed, stream, t, out[:n])
+                h_est = channel.pilot_estimate(h[:n], pilot[:n], config.pilot_power)
+                plant_noise = swarm.plant_noise(topology, plant_z[:n])
+                decide = start_block(h[:n], h_est)
 
-        e = x - r
-        cost = float(e @ e)
-        if not math.isfinite(cost):
-            diverged = True
-            break
-        costs.append(cost)
-        if cost > OVERFLOW_GUARD:
-            diverged = True
-            break
+            e = x - r
+            cost = float(e @ e)
+            if not math.isfinite(cost):
+                diverged = True
+                break
+            costs.append(cost)
+            if cost > OVERFLOW_GUARD:
+                diverged = True
+                break
 
-        deltas, controls = decide(t, i, e)
-        bits[i] = deltas
-        sent[i] = controls
-        decided = i + 1
-        if record_decisions:
-            decision_log.append([(int(deltas[m]), controls[m].copy())
-                                 for m in range(m_count)])
+            deltas, controls = decide(t, i, e)
+            bits[i] = deltas
+            sent[i] = controls
+            decided = i + 1
 
-        received = channel.deliver_control(deltas, h[i], controls, rx_noise[i])
-        x, r = swarm.advance(topology, x, r, received, plant_noise[i])
+            received = channel.deliver_control(deltas, h[i], controls, rx_noise[i])
+            x, r = swarm.advance(topology, x, r, received, plant_noise[i])
 
     close_block()
     n = len(costs)
@@ -474,7 +471,8 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
         cost_trajectory=costs_arr,
         tx_power_trajectory=powers_arr,
         gamma=config.gamma,
-        decision_log=decision_log,
+        decision_log=((np.concatenate(logged_bits), np.concatenate(logged_sent))
+                      if record_decisions else None),
     )
 
 
@@ -493,7 +491,7 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
                     power_budget_dbw: float, n_probe_seeds: int = 3,
                     probe_horizon: Optional[int] = None, rel_tol: float = 0.05,
                     lo: float = GAMMA_BRACKET[0], hi: float = GAMMA_BRACKET[1],
-                    max_iter: int = 40, strict: bool = False) -> float:
+                    max_iter: int = 40) -> float:
     """Bisect the communication price until mean transmit power meets a budget.
 
     Probes run the semantic scheme on seeds derived from the config seed.
@@ -501,9 +499,9 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     1e-10 cutoff does not fire: there c = 1/M and u does not depend on
     gamma (policy module docstring). The bisection runs in log space until
     the probe mean is within rel_tol of 10^(dBW/10) watts. Budgets outside
-    the achievable range return the corresponding bracket edge, or raise
-    CalibrationError when strict=True. A non-finite budget (or one too
-    large to express in watts) raises ValueError.
+    the achievable range return the corresponding bracket edge. A
+    non-finite budget (or one too large to express in watts) raises
+    ValueError.
     """
     budget_w = budget_watts(power_budget_dbw)
     if topology is None:
@@ -523,12 +521,8 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     p_lo = mean_power(lo)   # weakest penalty -> highest power
     p_hi = mean_power(hi)   # strongest penalty -> lowest power
     if budget_w >= p_lo:
-        if strict and abs(p_lo - budget_w) > rel_tol * budget_w:
-            raise CalibrationError(budget_w, p_hi, p_lo)
         return lo
     if budget_w <= p_hi:
-        if strict and abs(p_hi - budget_w) > rel_tol * budget_w:
-            raise CalibrationError(budget_w, p_hi, p_lo)
         return hi
     g_lo, g_hi = lo, hi
     best_gamma, best_gap = lo, abs(p_lo - budget_w)
@@ -544,8 +538,6 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
             g_lo = mid     # power too high: raise the price
         else:
             g_hi = mid
-    if strict and best_gap > rel_tol * budget_w:
-        raise CalibrationError(budget_w, p_hi, p_lo)
     return best_gamma
 
 

@@ -28,73 +28,64 @@ gives, every such report is "not-verified".
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
 from .policy import DriftConstants, factorize_agent
 from .swarm import SwarmState, SwarmTopology, tracking_error
 
 DEFAULT_MASK_REL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MaskMatrix:
-    """Binary diagonal mask over the sorted singular positions of E_m E_m^T."""
+def _lifted_actions(deltas, controls, h, topology: SwarmTopology) -> np.ndarray:
+    """Khat_m e = -E_m u_m of every agent as its (M, d) block rows.
 
-    diagonal: np.ndarray     # (dM,) of {0., 1.}
-    support: int
-
-
-def _lifted_actions(decisions, h, topology: SwarmTopology):
-    """(agent, Khat_m e) of every transmitting agent; Khat_m e = -E_m u_m.
-
-    Only block row m of E_m = Bhat_m H_m is non-zero, so each action is
-    returned as that d-block.
+    Only block row m of E_m = Bhat_m H_m is non-zero, so agent m's action
+    is the d-block -B_m (H_m u_m), one batched product over the agents; a
+    silent agent's row is zero whatever its control row holds.
     """
     h = np.asarray(h, dtype=float)
-    return [(m, -(topology.b_actuation[m] @ (h[m] @ dec.u)))
-            for m, dec in enumerate(decisions) if dec.delta]
+    u = np.asarray(controls, dtype=float)
+    actions = topology.b_actuation @ (h @ u[..., None])
+    return np.where(np.asarray(deltas, dtype=bool)[:, None], -actions[..., 0], 0.0)
 
 
-def drift_bound(e, decisions, h, topology: SwarmTopology,
+def drift_bound(e, deltas, controls, h, topology: SwarmTopology,
                 constants: DriftConstants) -> float:
     """Analytic one-step drift bound conditioned on the given decisions.
 
-    e is the error the decisions were taken for (Sigma = e e^T) and h the
-    (M, N_r, N_t) channels they were taken on. The channel enters only
-    through each decision's achieved Khat_m e = -E_m u_m, so the caller
+    e is the error the decisions were taken for (Sigma = e e^T); deltas
+    (M,) are the communication bits and controls (M, N_t) the transmit
+    vectors taken on the (M, N_r, N_t) channels h. The channel enters only
+    through each transmitting agent's Khat_m e = -E_m u_m, so the caller
     averages this value over channel draws to estimate the expectation
     form of the bound.
     """
     e = np.asarray(e, dtype=float)
-    pe = constants.pi * e
-    d = topology.state_dim
+    actions = _lifted_actions(deltas, controls, h, topology).reshape(-1)
     total = topology.w_global_trace()
     total += sum(float(np.trace(topology.b_actuation[m] @ topology.b_actuation[m].T))
                  for m in range(topology.m_agents))
     total += (constants.alpha - 1.0) * float(e @ e)
-    for m, action in _lifted_actions(decisions, h, topology):
-        total -= 2.0 * float(pe[m * d:(m + 1) * d] @ action)
-        total += topology.m_agents * float(action @ action)
+    total -= 2.0 * float((constants.pi * e) @ actions)
+    total += topology.m_agents * float(actions @ actions)
     return total
 
 
-def empirical_drift(topology: SwarmTopology, state: SwarmState, decisions, h,
-                    n_draws: int, rng):
+def empirical_drift(topology: SwarmTopology, state: SwarmState, deltas,
+                    controls, h, n_draws: int, rng):
     """Monte Carlo estimate of E[||e(t+1)||^2 - ||e(t)||^2 | e(t)].
 
-    Decisions and the (M, N_r, N_t) channels h they were taken on are held
-    fixed; plant noise and channel reception noise are resampled n_draws
-    times. Returns (mean, standard error). Sums are compensated (math.fsum)
-    so the result does not depend on accumulation order.
+    The decisions (deltas (M,), controls (M, N_t)) and the (M, N_r, N_t)
+    channels h they were taken on are held fixed; plant noise and channel
+    reception noise are resampled n_draws times. Returns (mean, standard
+    error). Sums are compensated (math.fsum) so the result does not depend
+    on accumulation order.
     """
-    err = tracking_error(state)
+    _, cost = tracking_error(state)
     d = topology.state_dim
     base = topology.a_global @ state.x - topology.g_target @ state.r
-    for m, action in _lifted_actions(decisions, h, topology):
-        base[m * d:(m + 1) * d] -= action
+    base -= _lifted_actions(deltas, controls, h, topology).reshape(-1)
     drifts = np.empty(n_draws)
     chunk = 4096
     done = 0
@@ -108,7 +99,7 @@ def empirical_drift(topology: SwarmTopology, state: SwarmState, decisions, h,
             w = rng.normal(size=(n, d)) @ topology.noise_root[m].T
             noise[:, m * d:(m + 1) * d] += w
         e_next = base[None, :] + noise
-        drifts[done:done + n] = np.einsum("ij,ij->i", e_next, e_next) - err.cost
+        drifts[done:done + n] = np.einsum("ij,ij->i", e_next, e_next) - cost
         done += n
     mean = math.fsum(drifts) / n_draws
     if n_draws > 1:
@@ -119,13 +110,16 @@ def empirical_drift(topology: SwarmTopology, state: SwarmState, decisions, h,
     return mean, stderr
 
 
-def _mask_diagonals(topology: SwarmTopology, h, tol: float) -> np.ndarray:
+def compute_masks(topology: SwarmTopology, h,
+                  tol: float = DEFAULT_MASK_REL_TOL) -> np.ndarray:
     """Binary mask diagonals (..., M, dM) of channels h (..., M, N_r, N_t).
 
-    The eigenvalues of E_m E_m^T are the squared singular values of the
+    Agent m's mask has ones on the numerically nonzero singular directions
+    of E_m E_m^T. Its eigenvalues are the squared singular values of the
     d x N_t block B_m H_m (zeros beyond), so one stacked thin SVD covers
     every agent of every draw; position i is kept when its eigenvalue
-    exceeds tol times the largest, which a zero channel never does.
+    exceeds tol times the largest, which a zero channel never does. An
+    agent's support is the sum of its diagonal.
     """
     spectra = factorize_agent(topology.b_actuation, h).singulars ** 2
     diag = np.zeros(spectra.shape[:-1] + (topology.global_dim,))
@@ -133,27 +127,15 @@ def _mask_diagonals(topology: SwarmTopology, h, tol: float) -> np.ndarray:
     return diag
 
 
-def compute_masks(topology: SwarmTopology, channels: ChannelRealization,
-                  tol: float = DEFAULT_MASK_REL_TOL):
-    """Per-agent actuation masks from the singular spectrum of E_m E_m^T."""
-    return [MaskMatrix(diagonal=diag, support=int(diag.sum()))
-            for diag in _mask_diagonals(topology, channels.h, tol)]
-
-
-def check_stability_condition(masks, alpha: float):
+def check_stability_condition(masks: np.ndarray, alpha: float):
     """Sufficient tracking-stability test from actuation coverage.
 
-    masks is one draw's sequence of MaskMatrix, or stacked mask diagonals
-    (..., M, dM) of any number of draws. Returns (holds, margin) per draw
-    with margin = 1/alpha - ||I - mean(masks)||. Masks are binary
-    diagonal, so the norm is the largest per-position coverage gap
-    1 - coverage_i.
+    masks holds stacked mask diagonals (..., M, dM) of any number of
+    draws (compute_masks). Returns (holds, margin) per draw with
+    margin = 1/alpha - ||I - mean(masks)||. Masks are binary diagonal, so
+    the norm is the largest per-position coverage gap 1 - coverage_i.
     """
-    if isinstance(masks, np.ndarray):
-        diags = masks
-    else:
-        diags = np.array([m.diagonal for m in masks])
-    margin = 1.0 / alpha - np.max(1.0 - diags.mean(axis=-2), axis=-1)
+    margin = 1.0 / alpha - np.max(1.0 - masks.mean(axis=-2), axis=-1)
     return margin > 0.0, margin
 
 
@@ -169,7 +151,7 @@ def stability_report(topology: SwarmTopology, constants: DriftConstants,
     """
     n = len(channel_draws)
     if n:
-        diags = _mask_diagonals(topology, channel_draws, tol)
+        diags = compute_masks(topology, channel_draws, tol)
         holds, margins = check_stability_condition(diags, constants.alpha)
         holds, margins = holds.tolist(), margins.tolist()
         supports = diags.sum(axis=(0, 2))

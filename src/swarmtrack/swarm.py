@@ -7,8 +7,8 @@ state x stacks the per-agent states; it evolves as
 
 where A is assembled from per-agent internal and coupling blocks and
 Bhat_m places the agent's actuation matrix at block row m. The target
-r evolves as r(t+1) = G r(t). Tracking error bookkeeping (e, ||e||^2,
-e e^T) lives here too.
+r evolves as r(t+1) = G r(t). The tracking error e = x - r and its cost
+||e||^2 are computed here too.
 """
 
 import json
@@ -105,19 +105,6 @@ class SwarmState:
             raise ValueError("x and r must have the same shape")
 
 
-@dataclass(frozen=True)
-class TrackingError:
-    """Error vector e = x - r with its scalar cost and rank-one cost matrix."""
-
-    e: np.ndarray
-    cost: float
-
-    @property
-    def sigma(self) -> np.ndarray:
-        """Rank-one cost matrix e e^T, formed on demand."""
-        return np.outer(self.e, self.e)
-
-
 def build_ring_topology(m_agents: int, state_dim: int = 9, n_tx: int = 4,
                         n_rx: int = 4, noise_scale: float = 1e-5,
                         seed: int = 0) -> SwarmTopology:
@@ -189,10 +176,10 @@ def step_target(topology: SwarmTopology, state: SwarmState) -> np.ndarray:
     return topology.g_target @ state.r
 
 
-def tracking_error(state: SwarmState) -> TrackingError:
-    """Error e = x - r and cost ||e||^2 (sigma = e e^T on demand)."""
+def tracking_error(state: SwarmState):
+    """Error vector e = x - r and its scalar cost ||e||^2, as (e, cost)."""
     e = state.x - state.r
-    return TrackingError(e=e, cost=float(e @ e))
+    return e, float(e @ e)
 
 
 def draw_plant_noise(topology: SwarmTopology, rng) -> np.ndarray:

@@ -65,9 +65,10 @@ def digest(metrics) -> str:
     h.update(np.ascontiguousarray(metrics.tx_power_trajectory, dtype=float).tobytes())
     h.update(repr((float(metrics.comm_rate), int(metrics.n_slots),
                    bool(metrics.diverged))).encode())
-    for slot in metrics.decision_log:
-        for delta, u in slot:
-            h.update(bytes([delta]))
+    deltas, controls = metrics.decision_log
+    for slot_deltas, slot_controls in zip(deltas, controls):
+        for delta, u in zip(slot_deltas, slot_controls):
+            h.update(bytes([int(delta)]))
             h.update(np.ascontiguousarray(u, dtype=float).tobytes())
     return h.hexdigest()
 

@@ -31,6 +31,18 @@ class DenseDecision:
         return -self.gain @ np.asarray(e, dtype=float)
 
 
+def error_sigma(e) -> np.ndarray:
+    """Rank-one error cost matrix Sigma = e e^T."""
+    return np.outer(e, e)
+
+
+def factor_zeta(factors) -> np.ndarray:
+    """Power metric U diag(s^-2) U^T on the kept range of factored channels
+    (policy.ChannelFactors, batched over leading axes)."""
+    scaled = factors.left * factors.inverse_singulars[..., None, :] ** 2
+    return scaled @ np.swapaxes(factors.left, -1, -2)
+
+
 def dense_zeta(effective) -> np.ndarray:
     """Full dM x dM power metric of E: inverse squared singular values on
     its range (1e-10 relative cutoff), zero on the orthogonal complement."""
@@ -72,12 +84,18 @@ def library_decisions(e, b_actuation, h, constants, params, spectral=False):
     loop: the certified closed form, else (or with spectral=True) one
     stacked factorization and one batched rank-one solve; then solve_agent
     per agent."""
-    terms = None if spectral else policy.certified_terms(b_actuation, h, e,
-                                                         constants, params)
+    terms = None if spectral else policy.certified_terms(
+        policy.certify_channels(b_actuation, h), e, constants, params)
     if terms is None:
         terms = policy.rank_one_terms(policy.factorize_agent(b_actuation, h),
                                       e, constants, params)
     return [policy.solve_agent(terms, m, params) for m in range(len(terms.theta))]
+
+
+def decision_arrays(decisions):
+    """Per-agent decisions as the library's (deltas (M,), controls (M, N_t))."""
+    return (np.array([dec.delta for dec in decisions], dtype=bool),
+            np.array([dec.u for dec in decisions]))
 
 
 def scalar_objective(k, delta, pi, s, b, h, m_count, p_on, gamma):
@@ -155,7 +173,7 @@ def random_policy_instance(rng, m_choices=(1, 2, 3, 4), d_choices=(1, 9),
                                      seed=int(rng.integers(0, 2 ** 32)))
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
     e = error_scale * rng.normal(size=topo.global_dim)
-    sigma = np.outer(e, e)
+    sigma = error_sigma(e)
     params = PolicyParams(p_on=float(rng.uniform(0.0, 5.0)),
                           gamma=float(rng.uniform(0.0, 2.0)))
     agent = int(rng.integers(0, m_count))
@@ -219,7 +237,7 @@ def step_plant_loop(topology, x, received, noise):
     return x_next + noise
 
 
-def naive_drift_bound(e, decisions, h, topology, constants):
+def naive_drift_bound(e, deltas, controls, h, topology, constants):
     """Term-by-term recomputation of the drift bound with explicit loops.
 
     Khat_m e = -Bhat_m H_m u_m is summed entry by entry; with Sigma = e e^T
@@ -233,11 +251,11 @@ def naive_drift_bound(e, decisions, h, topology, constants):
         total += float(sum(bm[i, j] ** 2 for i in range(bm.shape[0])
                            for j in range(bm.shape[1])))
     total += (constants.alpha - 1.0) * float(sum(x * x for x in e))
-    for m, dec in enumerate(decisions):
-        if not dec.delta:
+    for m in range(topology.m_agents):
+        if not deltas[m]:
             continue
-        bhat, hm = topology.bhat(m), np.asarray(h[m])
-        khat_e = [-sum(bhat[i, j] * hm[j, k] * dec.u[k]
+        bhat, hm, u = topology.bhat(m), np.asarray(h[m]), controls[m]
+        khat_e = [-sum(bhat[i, j] * hm[j, k] * u[k]
                        for j in range(hm.shape[0]) for k in range(hm.shape[1]))
                   for i in range(bhat.shape[0])]
         total -= 2.0 * sum(constants.pi[i] * e[i] * khat_e[i]
@@ -253,16 +271,17 @@ def _slot_semantic_decide(config, topology):
                                                topology.g_target)
     b = topology.b_actuation
 
-    def decide(t, err, channels, estimate):
-        h = estimate.h_est if config.use_estimated_csi else channels.h
-        terms = policy.certified_terms(b, h, err.e, constants, params)
+    def decide(t, e, h, h_est):
+        h = h_est if config.use_estimated_csi else h
+        terms = policy.certified_terms(policy.certify_channels(b, h), e,
+                                       constants, params)
         if terms is None:
-            terms = policy.rank_one_terms(policy.factorize_agent(b, h), err.e,
+            terms = policy.rank_one_terms(policy.factorize_agent(b, h), e,
                                           constants, params)
         decisions = [policy.solve_agent(terms, m, params)
                      for m in range(topology.m_agents)]
         deltas = np.array([dec.delta for dec in decisions], dtype=int)
-        return deltas, np.array([policy.control_signal(dec, err.e)
+        return deltas, np.array([policy.control_signal(dec, e)
                                  for dec in decisions])
 
     return decide
@@ -276,9 +295,8 @@ def _slot_triggered_decide(config, topology):
     accumulator = np.zeros(topology.global_dim)
     prev_e = last_sent = None
 
-    def decide(t, err, channels, estimate):
+    def decide(t, e, h, h_est):
         nonlocal accumulator, prev_e, last_sent
-        e = err.e
         if prev_e is None:
             prev_e = e
             last_sent = [e] * m_count
@@ -322,31 +340,30 @@ def slot_loop_episode(config, topology=None, record_decisions=False):
     costs, powers = [], []
     comm_count = 0
     diverged = False
-    decision_log = [] if record_decisions else None
+    logged_bits, logged_sent = [], []
     for t in range(config.horizon):
-        err = swarm.tracking_error(state)
-        if not math.isfinite(err.cost):
+        e, cost = swarm.tracking_error(state)
+        if not math.isfinite(cost):
             diverged = True
             break
-        costs.append(err.cost)
-        if err.cost > sim.OVERFLOW_GUARD:
+        costs.append(cost)
+        if cost > sim.OVERFLOW_GUARD:
             diverged = True
             break
-        channels = channel.draw_channels(
+        h = channel.draw_channels(
             sim._slot_rng(config.seed, sim._STREAM_CHANNEL, t),
             topology.m_agents, topology.n_rx, topology.n_tx)
-        estimate = channel.estimate_channel(
-            channels.h, config.pilot_power,
+        h_est = channel.estimate_channel(
+            h, config.pilot_power,
             sim._slot_rng(config.seed, sim._STREAM_PILOT, t))
-        deltas, controls = decide(t, err, channels, estimate)
+        deltas, controls = decide(t, e, h, h_est)
         agent_power = np.matmul(controls[:, None, :], controls[:, :, None]).ravel()
         powers.append(float(np.add.accumulate(agent_power)[-1]))
         comm_count += int(deltas.sum())
-        if record_decisions:
-            decision_log.append([(int(deltas[m]), controls[m].copy())
-                                 for m in range(topology.m_agents)])
+        logged_bits.append(deltas.astype(bool))
+        logged_sent.append(controls.copy())
         received = channel.receive_control(
-            deltas, channels.h, controls,
+            deltas, h, controls,
             sim._slot_rng(config.seed, sim._STREAM_RX, t))
         noise = swarm.draw_plant_noise(
             topology, sim._slot_rng(config.seed, sim._STREAM_PLANT, t))
@@ -359,7 +376,10 @@ def slot_loop_episode(config, topology=None, record_decisions=False):
         comm_rate=comm_count / (len(powers) * topology.m_agents) if powers else 0.0,
         diverged=diverged, n_slots=n, cost_trajectory=np.array(costs),
         tx_power_trajectory=np.array(powers), gamma=config.gamma,
-        decision_log=decision_log)
+        decision_log=(np.array(logged_bits, dtype=bool).reshape(-1, topology.m_agents),
+                      np.array(logged_sent).reshape(-1, topology.m_agents,
+                                                    topology.n_tx))
+        if record_decisions else None)
 
 
 def stability_report_loop(topology, constants, channel_draws, tol=1e-10):
@@ -367,12 +387,12 @@ def stability_report_loop(topology, constants, channel_draws, tol=1e-10):
     running sums per draw, in draw order."""
     margins, holds = [], []
     supports = np.zeros(topology.m_agents)
-    for ch in channel_draws:
-        masks = stability.compute_masks(topology, ch, tol)
+    for h in channel_draws:
+        masks = stability.compute_masks(topology, h, tol)
         ok, margin = stability.check_stability_condition(masks, constants.alpha)
         margins.append(margin)
         holds.append(ok)
-        supports += [m.support for m in masks]
+        supports += [int(diag.sum()) for diag in masks]
     n = len(margins)
     return {
         "alpha": constants.alpha,

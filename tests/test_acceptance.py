@@ -14,7 +14,6 @@ import oracles
 from swarmtrack import (baselines, channel, cli, linalg, policy, sim,
                         stability, swarm)
 from swarmtrack.policy import PolicyParams
-from swarmtrack.stability import MaskMatrix
 
 
 def report(name, ok, elapsed, detail=""):
@@ -44,8 +43,8 @@ def test_criterion_1_optimizer_correctness():
             oracles.random_policy_instance(rng, m_choices=(1, 2, 3, 4),
                                            d_choices=(1, 9), n_choices=(2, 4))
         m_count = topo.m_agents
-        fact = policy.factorize_agent(topo.bhat(agent), h)
-        quad = m_count * sigma + params.gamma * fact.zeta
+        zeta = oracles.factor_zeta(policy.factorize_agent(topo.bhat(agent), h))
+        quad = m_count * sigma + params.gamma * zeta
         quad_pinv = linalg.pseudo_inverse(quad)
         khat_star = (constants.pi[:, None] * sigma) @ quad_pinv
         # The library's optimum P_on - theta; the dense closed form is one
@@ -55,22 +54,22 @@ def test_criterion_1_optimizer_correctness():
         f_star = params.p_on - dec.theta
         tol = 1e-8 * abs(f_star)
         f_dense = policy.objective(khat_star, sigma, constants.pi, params,
-                                   m_count, fact.zeta, 1)
+                                   m_count, zeta, 1)
         worst_margin = min(worst_margin, (f_dense - f_star) + tol)
         dm = sigma.shape[0]
         scale_star = max(1.0, np.abs(khat_star).max())
         for _ in range(1000):
             cand = rng.normal(size=(dm, dm)) * scale_star * 10.0 ** rng.uniform(-1, 1)
             f_cand = policy.objective(cand, sigma, constants.pi, params,
-                                      m_count, fact.zeta, 1)
+                                      m_count, zeta, 1)
             worst_margin = min(worst_margin, (f_cand - f_star) + tol)
         descended = oracles.gradient_descent_minimum(
-            sigma, constants.pi, params, m_count, fact.zeta, rng, n_steps=5000)
+            sigma, constants.pi, params, m_count, zeta, rng, n_steps=5000)
         f_gd = policy.objective(descended, sigma, constants.pi, params,
-                                m_count, fact.zeta, 1)
+                                m_count, zeta, 1)
         worst_margin = min(worst_margin, (f_gd - f_star) + tol)
         grad = policy.objective_gradient(khat_star, sigma, constants.pi,
-                                         params, m_count, fact.zeta)
+                                         params, m_count, zeta)
         projected = grad @ (quad_pinv @ quad)
         scale = 1.0 + np.linalg.norm(constants.pi[:, None] * sigma)
         worst_grad = max(worst_grad, np.linalg.norm(projected) / scale)
@@ -128,11 +127,12 @@ def test_criterion_3_drift_bound_monte_carlo():
         params = PolicyParams(p_on=float(rng.uniform(0, 2)),
                               gamma=float(rng.uniform(0, 2)))
         hs = [rng.normal(size=(n, n)) for _ in range(m_count)]
-        decisions = oracles.library_decisions(x - r, topo.b_actuation, hs,
-                                              constants, params)
-        bound = stability.drift_bound(x - r, decisions, hs, topo, constants)
+        deltas, controls = oracles.decision_arrays(oracles.library_decisions(
+            x - r, topo.b_actuation, hs, constants, params))
+        bound = stability.drift_bound(x - r, deltas, controls, hs, topo,
+                                      constants)
         mean, stderr = stability.empirical_drift(
-            topo, state, decisions, hs, 100000,
+            topo, state, deltas, controls, hs, 100000,
             np.random.default_rng(9000 + inst))
         held += mean <= bound + 3.0 * stderr
     elapsed = time.perf_counter() - t0
@@ -292,18 +292,15 @@ def test_criterion_7_stability_checker():
         m_count = int(rng.integers(1, 6))
         diags = (rng.random(size=(m_count, dm)) < rng.uniform(0.2, 0.9)) \
             .astype(float)
-        masks = [MaskMatrix(diagonal=d, support=int(d.sum())) for d in diags]
         alpha = float(rng.uniform(0.3, 5.0))
-        holds, margin = stability.check_stability_condition(masks, alpha)
+        holds, margin = stability.check_stability_condition(diags, alpha)
         # independent recomputation: max coverage gap over positions
         covered = diags.sum(axis=0)
         gap = max(1.0 - covered[i] / m_count for i in range(dm))
         margin_ref = 1.0 / alpha - gap
         exact = exact and margin == margin_ref and holds == (margin_ref > 0)
-    full = [MaskMatrix(diagonal=np.ones(6), support=6) for _ in range(3)]
-    empty = [MaskMatrix(diagonal=np.zeros(6), support=0) for _ in range(3)]
-    full_ok, _ = stability.check_stability_condition(full, alpha=2.0)
-    empty_ok, _ = stability.check_stability_condition(empty, alpha=2.0)
+    full_ok, _ = stability.check_stability_condition(np.ones((3, 6)), alpha=2.0)
+    empty_ok, _ = stability.check_stability_condition(np.zeros((3, 6)), alpha=2.0)
     elapsed = time.perf_counter() - t0
     ok = exact and full_ok and not empty_ok
     report("criterion 7: stability margin equals coverage recomputation",
@@ -315,7 +312,7 @@ def test_criterion_8_bounded_tracking_under_semantic_scheme():
     t0 = time.perf_counter()
     topo = norm_scaled_topology(seed=1)
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
-    draws = np.array([channel.draw_channels(sim._slot_rng(1, 1, t), 1, 9, 9).h
+    draws = np.array([channel.draw_channels(sim._slot_rng(1, 1, t), 1, 9, 9)
                       for t in range(200)])
     fraction = stability.stability_report(topo, constants, draws)["fraction_holds"]
     diverged = 0

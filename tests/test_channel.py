@@ -8,13 +8,13 @@ from swarmtrack import channel
 def test_draw_channels_deterministic():
     a = channel.draw_channels(np.random.default_rng(5), 3, 2, 4)
     b = channel.draw_channels(np.random.default_rng(5), 3, 2, 4)
-    assert np.array_equal(a.h, b.h)
-    assert a.h.shape == (3, 2, 4)
+    assert np.array_equal(a, b)
+    assert a.shape == (3, 2, 4)
 
 
 def test_draw_channels_standard_normal_moments():
     rng = np.random.default_rng(123)
-    draws = channel.draw_channels(rng, 1, 1000, 1000).h.ravel()
+    draws = channel.draw_channels(rng, 1, 1000, 1000).ravel()
     assert abs(draws.mean()) < 0.01
     assert abs(draws.var() - 1.0) < 0.01
 
@@ -22,9 +22,8 @@ def test_draw_channels_standard_normal_moments():
 def test_estimate_channel_noiseless_is_exact():
     rng = np.random.default_rng(0)
     h = rng.normal(size=(3, 2, 4))
-    est = channel.estimate_channel(h, pilot_power=1.0,
-                                   rng=np.random.default_rng(1), noise_scale=0.0)
-    assert np.array_equal(est.h_est, h)
+    est = channel.pilot_estimate(h, np.zeros_like(h), pilot_power=1.0)
+    assert np.array_equal(est, h)
 
 
 def test_estimate_channel_high_pilot_power_limit():
@@ -32,14 +31,14 @@ def test_estimate_channel_high_pilot_power_limit():
     h = rng.normal(size=(2, 3, 3))
     est = channel.estimate_channel(h, pilot_power=1e8,
                                    rng=np.random.default_rng(1))
-    assert np.linalg.norm(est.h_est - h) < 1e-3
+    assert np.linalg.norm(est - h) < 1e-3
 
 
 def test_estimate_channel_pure_noise_variance():
     h = np.zeros((1, 200, 200))
     est = channel.estimate_channel(h, pilot_power=1.0,
                                    rng=np.random.default_rng(2))
-    entries = est.h_est.ravel()
+    entries = est.ravel()
     assert abs(entries.mean()) < 0.02
     assert abs(entries.var() - 1.0) < 0.02
 
@@ -49,7 +48,7 @@ def test_estimate_channel_error_variance_scales_with_pilot_power():
     pilot_power = 25.0
     est = channel.estimate_channel(h, pilot_power,
                                    rng=np.random.default_rng(3))
-    assert est.h_est.ravel().var() == pytest.approx(1.0 / pilot_power, rel=0.05)
+    assert est.ravel().var() == pytest.approx(1.0 / pilot_power, rel=0.05)
 
 
 def test_estimate_channel_rejects_bad_pilot_power():
@@ -71,8 +70,7 @@ def test_receive_control_silent_agent_sees_pure_noise():
 
 def test_receive_control_identity_channel_no_noise():
     u = np.array([1.5, -2.0])
-    got = channel.receive_control(1, np.eye(2), u, np.random.default_rng(0),
-                                  noise_scale=0.0)
+    got = channel.deliver_control(1, np.eye(2), u, np.zeros(2))
     assert np.array_equal(got, u)
 
 
@@ -80,8 +78,7 @@ def test_receive_control_matches_dense_oracle():
     rng = np.random.default_rng(4)
     h = rng.normal(size=(3, 2))
     u = rng.normal(size=2)
-    got = channel.receive_control(1, h, u, np.random.default_rng(0),
-                                  noise_scale=0.0)
+    got = channel.deliver_control(1, h, u, np.zeros(3))
     expected = np.array([sum(h[i, j] * u[j] for j in range(2)) for i in range(3)])
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -98,11 +95,17 @@ def test_batched_receive_control_matches_per_agent_loop(case):
     noise_scale = float(rng.choice([0.0, 1.0, 0.3]))
     batched_rng = np.random.default_rng(case)
     loop_rng = np.random.default_rng(case)
-    got = channel.receive_control(deltas, h, u, batched_rng, noise_scale)
-    want = oracles.receive_control_loop(deltas, h, u, loop_rng, noise_scale)
+    got = channel.receive_control(deltas, h, u, batched_rng)
+    want = oracles.receive_control_loop(deltas, h, u, loop_rng)
     assert got.shape == (m_count, n_rx)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
+    # other noise levels through the already-drawn-noise form
+    v = noise_scale * np.random.default_rng(case).normal(size=(m_count, n_rx))
+    got = channel.deliver_control(deltas, h, u, v)
+    want = oracles.receive_control_loop(deltas, h, u, np.random.default_rng(case),
+                                        noise_scale)
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_receive_control_conditional_moments():
@@ -131,6 +134,6 @@ def test_estimate_channel_unbiased():
     draw_rng = np.random.default_rng(78)
     acc = np.zeros((2, 2))
     for _ in range(n):
-        acc += channel.estimate_channel(h, 4.0, draw_rng).h_est[0]
+        acc += channel.estimate_channel(h, 4.0, draw_rng)[0]
     mean_err = acc / n - h[0]
     assert np.all(np.abs(mean_err) < 3 * np.sqrt(1.0 / 4.0 / n))

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -170,8 +171,7 @@ def test_check_stability_fraction_matches_recomputation(tmp_path):
     holds = 0
     for t in range(40):
         chans = channel.draw_channels(sim._slot_rng(cfg.seed, 1, t), 2, 2, 2)
-        diags = np.array([m.diagonal
-                          for m in stability.compute_masks(topo, chans)])
+        diags = stability.compute_masks(topo, chans)
         gap = max(1.0 - diags.mean(axis=0))
         holds += (1.0 / constants.alpha - gap) > 0
     assert report["fraction_holds"] == pytest.approx(holds / 40.0)
@@ -207,6 +207,24 @@ def test_calibrate_gamma_command_in_range_is_not_clamped(tmp_path):
     doc = json.loads((out / "gamma.json").read_text(encoding="utf-8"))
     assert sim.GAMMA_BRACKET[0] < doc["gamma"] < sim.GAMMA_BRACKET[1]
     assert doc["clamped"] is False
+
+
+def test_run_with_overflowing_initial_cost_is_quiet(tmp_path, capsys):
+    # ||e(0)||^2 of x0 = 1e200 overflows: every episode stops at slot 0 as
+    # diverged, without a numpy warning
+    path = write_config(tmp_path, x0_value=1e200)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    lines = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert len(rows) == len(sim.SCHEMES)
+    assert all(row["diverged"] == "true" and row["n_slots"] == "0"
+               for row in rows)
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

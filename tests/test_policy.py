@@ -58,27 +58,27 @@ def test_policy_params_reject_negative_values():
 
 
 def test_factorize_identity_channel():
-    fact = policy.factorize_agent(np.eye(2), np.eye(2))
-    assert np.allclose(fact.zeta, np.eye(2), atol=1e-12)
+    zeta = oracles.factor_zeta(policy.factorize_agent(np.eye(2), np.eye(2)))
+    assert np.allclose(zeta, np.eye(2), atol=1e-12)
 
 
 def test_factorize_scaled_identity():
-    fact = policy.factorize_agent(2.0 * np.eye(3), np.eye(3))
-    assert np.allclose(fact.zeta, np.eye(3) / 4.0, atol=1e-12)
+    zeta = oracles.factor_zeta(policy.factorize_agent(2.0 * np.eye(3), np.eye(3)))
+    assert np.allclose(zeta, np.eye(3) / 4.0, atol=1e-12)
 
 
 def test_factorize_rank_deficient_zeta_spectrum():
     rng = np.random.default_rng(8)
     bhat = rng.normal(size=(5, 2))
     h = rng.normal(size=(2, 2))
-    fact = policy.factorize_agent(bhat, h)
+    zeta = oracles.factor_zeta(policy.factorize_agent(bhat, h))
     e = bhat @ h
     sv = np.sqrt(np.clip(np.sort(np.linalg.eigvalsh(e @ e.T))[::-1], 0.0, None))
     expected = np.sort(np.concatenate([sv[:2] ** -2.0, np.zeros(3)]))
-    got = np.sort(np.linalg.eigvalsh(fact.zeta))
+    got = np.sort(np.linalg.eigvalsh(zeta))
     assert np.allclose(got, expected, atol=1e-8)
-    assert np.linalg.matrix_rank(fact.zeta, tol=1e-10) == np.linalg.matrix_rank(e, tol=1e-10)
-    assert np.allclose(fact.zeta, fact.zeta.T, atol=1e-12)
+    assert np.linalg.matrix_rank(zeta, tol=1e-10) == np.linalg.matrix_rank(e, tol=1e-10)
+    assert np.allclose(zeta, zeta.T, atol=1e-12)
 
 
 def test_objective_zero_gain_silent():
@@ -241,17 +241,17 @@ def test_closed_form_beats_random_candidates(case):
     rng = np.random.default_rng(500 + case)
     topo, constants, e, sigma, params, agent, h = oracles.random_policy_instance(
         rng, d_choices=(1, 2, 3), n_choices=(2, 3))
-    fact = policy.factorize_agent(topo.bhat(agent), h)
+    zeta = oracles.factor_zeta(policy.factorize_agent(topo.bhat(agent), h))
     quad_pinv = linalg.pseudo_inverse(topo.m_agents * sigma
-                                      + params.gamma * fact.zeta)
+                                      + params.gamma * zeta)
     khat_star = (constants.pi[:, None] * sigma) @ quad_pinv
     f_star = policy.objective(khat_star, sigma, constants.pi, params,
-                              topo.m_agents, fact.zeta, 1)
+                              topo.m_agents, zeta, 1)
     dm = sigma.shape[0]
     for _ in range(200):
         cand = rng.normal(size=(dm, dm)) * 10.0 ** rng.integers(-2, 2)
         f_cand = policy.objective(cand, sigma, constants.pi, params,
-                                  topo.m_agents, fact.zeta, 1)
+                                  topo.m_agents, zeta, 1)
         assert f_star <= f_cand + 1e-8 * abs(f_star) + 1e-12
 
 
@@ -259,12 +259,12 @@ def test_stationarity_of_closed_form():
     rng = np.random.default_rng(71)
     topo, constants, e, sigma, params, agent, h = oracles.random_policy_instance(
         rng, d_choices=(2, 3), n_choices=(2,))
-    fact = policy.factorize_agent(topo.bhat(agent), h)
-    quad = topo.m_agents * sigma + params.gamma * fact.zeta
+    zeta = oracles.factor_zeta(policy.factorize_agent(topo.bhat(agent), h))
+    quad = topo.m_agents * sigma + params.gamma * zeta
     quad_pinv = linalg.pseudo_inverse(quad)
     khat_star = (constants.pi[:, None] * sigma) @ quad_pinv
     grad = policy.objective_gradient(khat_star, sigma, constants.pi, params,
-                                     topo.m_agents, fact.zeta)
+                                     topo.m_agents, zeta)
     projector = quad_pinv @ quad    # onto the row space of the quadratic term
     scale = 1.0 + np.linalg.norm(constants.pi[:, None] * sigma)
     assert np.linalg.norm(grad @ projector) <= 1e-8 * scale
@@ -331,10 +331,10 @@ def test_transmit_power_identity_at_minimum_norm_gain(case):
                                     constants, params)[agent]
     if dec.delta == 0:
         pytest.skip("silent instance")
-    fact = policy.factorize_agent(topo.bhat(agent), h)
+    zeta = oracles.factor_zeta(policy.factorize_agent(topo.bhat(agent), h))
     khat_e = -(topo.bhat(agent) @ h) @ dec.u
     lhs = float(dec.u @ dec.u)
-    rhs = float(khat_e @ fact.zeta @ khat_e)
+    rhs = float(khat_e @ zeta @ khat_e)
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
 
 
@@ -512,7 +512,15 @@ def test_cutoff_boundary_matches_dense_oracle(ratio, layout):
 # provably cannot fire and declines (None) everywhere else.
 
 def certified(e, b, h, constants, params):
-    return policy.certified_terms(b, h, e, constants, params)
+    return policy.certified_terms(policy.certify_channels(b, h), e, constants,
+                                  params)
+
+
+def test_certified_path_declines_without_a_certificate():
+    # certify_channels gives None where N_t > d
+    rng = np.random.default_rng(1305)
+    e, _, _, constants, params = rank_one_instance(rng, 4, 9, 4, 4, 1.0)
+    assert policy.certified_terms(None, e, constants, params) is None
 
 
 def test_certified_path_taken_on_tall_well_conditioned_channels():
@@ -616,9 +624,8 @@ def test_block_certificate_declines_only_the_bad_slot(bad):
     certs = policy.certify_channels(b, h)
     assert certs.conditioned.tolist() == [i != k for i in range(n_slots)]
     for i in range(n_slots):
-        terms = policy.certified_terms(b, h[i], e, constants, params,
-                                       certs.slot(i))
-        alone = policy.certified_terms(b, h[i], e, constants, params)
+        terms = policy.certified_terms(certs.slot(i), e, constants, params)
+        alone = certified(e, b, h[i], constants, params)
         if i == k:
             assert terms is None and alone is None
             continue

@@ -289,9 +289,10 @@ def test_power_accounting_matches_decision_log():
     cfg = SimConfig(m_agents=2, state_dim=2, n_tx=2, n_rx=2, horizon=80,
                     p_on=0.01, gamma=0.5, seed=31)
     metrics = sim.run_episode(cfg, topo, record_decisions=True)
-    assert len(metrics.decision_log) == len(metrics.tx_power_trajectory)
-    for slot, entries in zip(metrics.tx_power_trajectory, metrics.decision_log):
-        recomputed = sum(float(u @ u) for delta, u in entries if delta)
+    deltas, controls = metrics.decision_log
+    assert len(deltas) == len(controls) == len(metrics.tx_power_trajectory)
+    for slot, bits, sent in zip(metrics.tx_power_trajectory, deltas, controls):
+        recomputed = sum(float(u @ u) for delta, u in zip(bits, sent) if delta)
         assert slot == pytest.approx(recomputed, rel=1e-12, abs=1e-15)
     assert metrics.avg_tx_power == pytest.approx(
         float(np.mean(metrics.tx_power_trajectory)))
@@ -304,7 +305,7 @@ def test_semantic_never_transmits_with_zero_error():
                     seed=5)
     metrics = sim.run_episode(cfg, topo, record_decisions=True)
     assert metrics.cost_trajectory[0] == 0.0
-    assert all(delta == 0 for delta, _ in metrics.decision_log[0])
+    assert not metrics.decision_log[0][0].any()
 
 
 def test_streams_are_scheme_independent():
@@ -332,8 +333,6 @@ def test_calibrate_gamma_unreachable_budget_returns_edges():
     assert sim.calibrate_gamma(cfg, topo, 60.0, n_probe_seeds=2) == 1e-6
     # -200 dBW is below even the maximally-penalized transmit power
     assert sim.calibrate_gamma(cfg, topo, -200.0, n_probe_seeds=2) == 1e6
-    with pytest.raises(sim.CalibrationError):
-        sim.calibrate_gamma(cfg, topo, 60.0, n_probe_seeds=2, strict=True)
 
 
 def test_calibrate_gamma_midrange_out_of_sample():
@@ -487,11 +486,10 @@ def assert_same_episode(got, want, rel=0.0):
                  (got.tx_power_trajectory, want.tx_power_trajectory)):
         assert a.shape == b.shape
         assert np.all(np.abs(a - b) <= rel * np.abs(b))
-    assert len(got.decision_log) == len(want.decision_log)
-    for slot, ref in zip(got.decision_log, want.decision_log):
-        assert [delta for delta, _ in slot] == [delta for delta, _ in ref]
-        for (_, u), (_, u_ref) in zip(slot, ref):
-            assert np.all(np.abs(u - u_ref) <= rel * np.abs(u_ref))
+    (bits, sent), (bits_ref, sent_ref) = got.decision_log, want.decision_log
+    assert np.array_equal(bits, bits_ref)
+    assert sent.shape == sent_ref.shape
+    assert np.all(np.abs(sent - sent_ref) <= rel * np.abs(sent_ref))
 
 
 @pytest.mark.parametrize("csi", [True, False])
@@ -555,8 +553,10 @@ def test_block_loop_matches_slot_oracle_with_non_finite_first_cost(scheme):
         got = sim.run_episode(cfg, topo, record_decisions=True)
         want = oracles.slot_loop_episode(cfg, topo, record_decisions=True)
     assert got.diverged and got.n_slots == 0 and got.avg_cost == math.inf
-    assert (got.avg_tx_power, got.comm_rate, got.decision_log) == (0.0, 0.0, [])
+    assert (got.avg_tx_power, got.comm_rate) == (0.0, 0.0)
     assert got.tx_power_trajectory.shape == (0,)
+    assert got.decision_log[0].shape == (0, 2)
+    assert got.decision_log[1].shape == (0, 2, 2)
     assert_same_episode(got, want)
 
 
