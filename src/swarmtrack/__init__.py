@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .channel import (deliver_control, draw_channels, estimate_channel,
                       pilot_estimate, receive_control)
-from .linalg import SvdFactors, pseudo_inverse, spectral_norm, svd
+from .linalg import SvdFactors, pseudo_inverse, svd
 from .policy import (ChannelCertificate, ChannelFactors, ControlDecision,
                      DriftConstants, PolicyParams, RankOneTerms,
                      certified_terms, certify_channels,
@@ -41,7 +41,7 @@ __all__ = [
     "factorize_agent", "objective", "objective_gradient", "periodic_trigger",
     "pid_control", "pilot_estimate", "plant_noise", "pseudo_inverse",
     "rank_one_terms", "receive_control",
-    "run_episode", "run_sweep", "solve_agent", "solve_dare", "spectral_norm",
+    "run_episode", "run_sweep", "solve_agent", "solve_dare",
     "stability_report", "state_trigger", "step_swarm", "step_target", "svd",
     "topology_from_json", "topology_to_json", "tracking_error", "tune_pid",
 ]

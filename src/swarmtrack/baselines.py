@@ -21,6 +21,11 @@ import numpy as np
 
 from .swarm import SwarmTopology
 
+# Integral and derivative gains of tune_pid as multiples of the
+# proportional gain.
+KAPPA_I = 0.05
+KAPPA_D = 0.1
+
 
 class DareConvergenceError(RuntimeError):
     """Fixed-point Riccati iteration failed to reach the residual tolerance."""
@@ -68,7 +73,6 @@ class TriggerConfig:
 
     period: int
     sigma: np.ndarray          # (M,) per-agent trigger constants
-    inverted: bool = False
 
 
 def default_trigger_config(m_agents: int) -> TriggerConfig:
@@ -81,14 +85,14 @@ def periodic_trigger(t: int, period: int) -> bool:
     return t % period == 0
 
 
-def state_triggers(e, e_last, sigma, inverted: bool = False) -> np.ndarray:
+def state_triggers(e, e_last, sigma) -> np.ndarray:
     """Error-deviation trigger ||e - e_last_m||^2 <= sigma_m ||e||^2 of every agent.
 
     e is the current global error (dM,), e_last the (M, dM) errors the
     agents last transmitted and sigma their (M,) trigger constants; returns
     the (M,) firing bits. The printed rule fires on *small* deviation from
-    the last transmitted error; inverted=True gives the conventional
-    event-triggering reading with >= instead. Both sides use the same
+    the last transmitted error, not on large deviation (>=) as conventional
+    event triggering would. Both sides use the same
     ((.)**2).sum() reduction (np.add.reduce) per row, so the exact tie of
     e_last_m = 0 with sigma_m = 1 (met at t = 1 by episodes that start with
     e(0) = 0) compares equal values and fires; a different reduction on
@@ -97,16 +101,13 @@ def state_triggers(e, e_last, sigma, inverted: bool = False) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     lhs = ((e - np.asarray(e_last, dtype=float)) ** 2).sum(axis=1)
     rhs = np.asarray(sigma, dtype=float) * float((e ** 2).sum())
-    if inverted:
-        return lhs >= rhs
     return lhs <= rhs
 
 
-def state_trigger(e, e_last_trigger, sigma_m: float,
-                  inverted: bool = False) -> bool:
+def state_trigger(e, e_last_trigger, sigma_m: float) -> bool:
     """One agent's state trigger: state_triggers on a single row."""
     return bool(state_triggers(e, np.asarray(e_last_trigger, dtype=float)[None],
-                               np.array([sigma_m], dtype=float), inverted)[0])
+                               np.array([sigma_m], dtype=float))[0])
 
 
 def solve_dare(a, b, q, r, max_iter: int = 10000, tol: float = 1e-8) -> GareGain:
@@ -150,22 +151,19 @@ def static_channel_input(topology: SwarmTopology) -> np.ndarray:
     return np.hstack(cols)
 
 
-def tune_pid(topology: SwarmTopology, kappa_i: float = 0.05,
-             kappa_d: float = 0.1, a_scale: float = 1.0,
-             max_iter: int = 10000, tol: float = 1e-8) -> PidGains:
+def tune_pid(topology: SwarmTopology, a_scale: float = 1.0) -> PidGains:
     """Offline PID tuning from the static-channel LQR gain.
 
     The proportional gain is the DARE gain for (a_scale * A, B_eff, I, I)
     with negative feedback sign applied; integral and derivative gains are
-    kappa_i / kappa_d multiples of it. a_scale < 1 regularizes tuning when
+    KAPPA_I / KAPPA_D multiples of it. a_scale < 1 regularizes tuning when
     the raw system is unstabilizable under the static channel.
     """
     b_eff = static_channel_input(topology)
     sol = solve_dare(a_scale * topology.a_global, b_eff,
-                     np.eye(topology.global_dim),
-                     np.eye(b_eff.shape[1]), max_iter=max_iter, tol=tol)
+                     np.eye(topology.global_dim), np.eye(b_eff.shape[1]))
     k_p = -_split_rows(sol.gain, topology)
-    return PidGains(k_p=k_p, k_i=kappa_i * k_p, k_d=kappa_d * k_p,
+    return PidGains(k_p=k_p, k_i=KAPPA_I * k_p, k_d=KAPPA_D * k_p,
                     a_scale=a_scale)
 
 

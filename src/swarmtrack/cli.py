@@ -27,6 +27,16 @@ _TRAJECTORY_SCHEMA = "swarmtrack.cost_trajectory.v1"
 _SWEEP_SCHEMA = "swarmtrack.sweep.v1"
 _AGGREGATE_SCHEMA = "swarmtrack.aggregate.v1"
 
+# Columns of each CSV, in file order: Metrics attributes and the keys of
+# sim.run_sweep's row and aggregate dicts.
+_METRICS_COLUMNS = ("scheme", "avg_cost", "avg_tx_power", "comm_rate",
+                    "diverged", "n_slots", "gamma")
+_SWEEP_COLUMNS = ("scheme", "axis", "value", "seed", "avg_cost",
+                  "avg_tx_power", "comm_rate", "diverged", "gamma")
+_AGGREGATE_COLUMNS = ("scheme", "axis", "value", "n_seeds", "mean_avg_cost",
+                      "stderr_avg_cost", "mean_avg_tx_power", "mean_comm_rate",
+                      "n_diverged", "mean_gamma")
+
 
 class UsageError(Exception):
     pass
@@ -105,14 +115,11 @@ def cmd_run(config: sim.SimConfig, out_dir: Path) -> int:
     trajectory_rows = []
     for scheme in sim.SCHEMES:
         metrics = sim.run_episode(replace(config, scheme=scheme), topology)
-        metrics_rows.append([scheme, metrics.avg_cost, metrics.avg_tx_power,
-                             metrics.comm_rate, metrics.diverged,
-                             metrics.n_slots, metrics.gamma])
+        metrics_rows.append([getattr(metrics, c) for c in _METRICS_COLUMNS])
         for t, cost in enumerate(metrics.cost_trajectory):
             trajectory_rows.append([scheme, t, float(cost)])
-    _write_csv(out_dir / "metrics.csv", _METRICS_SCHEMA,
-               ["scheme", "avg_cost", "avg_tx_power", "comm_rate", "diverged",
-                "n_slots", "gamma"], metrics_rows)
+    _write_csv(out_dir / "metrics.csv", _METRICS_SCHEMA, _METRICS_COLUMNS,
+               metrics_rows)
     _write_csv(out_dir / "cost_trajectory.csv", _TRAJECTORY_SCHEMA,
                ["scheme", "t", "cost"], trajectory_rows)
     _write_json(out_dir / "manifest.json", {
@@ -132,21 +139,10 @@ def cmd_sweep(config: sim.SimConfig, axis: str, values, n_seeds: int,
     seeds = [config.seed + i for i in range(n_seeds)]
     result = sim.run_sweep(config, axis, values, seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "sweep.csv", _SWEEP_SCHEMA,
-               ["scheme", "axis", "value", "seed", "avg_cost", "avg_tx_power",
-                "comm_rate", "diverged", "gamma"],
-               [[r["scheme"], r["axis"], r["value"], r["seed"], r["avg_cost"],
-                 r["avg_tx_power"], r["comm_rate"], r["diverged"], r["gamma"]]
-                for r in result["rows"]])
-    _write_csv(out_dir / "aggregate.csv", _AGGREGATE_SCHEMA,
-               ["scheme", "axis", "value", "n_seeds", "mean_avg_cost",
-                "stderr_avg_cost", "mean_avg_tx_power", "mean_comm_rate",
-                "n_diverged", "mean_gamma"],
-               [[a["scheme"], a["axis"], a["value"], a["n_seeds"],
-                 a["mean_avg_cost"], a["stderr_avg_cost"],
-                 a["mean_avg_tx_power"], a["mean_comm_rate"],
-                 a["n_diverged"], a["mean_gamma"]]
-                for a in result["aggregates"]])
+    _write_csv(out_dir / "sweep.csv", _SWEEP_SCHEMA, _SWEEP_COLUMNS,
+               [[r[c] for c in _SWEEP_COLUMNS] for r in result["rows"]])
+    _write_csv(out_dir / "aggregate.csv", _AGGREGATE_SCHEMA, _AGGREGATE_COLUMNS,
+               [[a[c] for c in _AGGREGATE_COLUMNS] for a in result["aggregates"]])
     _write_json(out_dir / "manifest.json", {
         "tool": "swarmtrack",
         "version": __version__,

@@ -1,8 +1,8 @@
-"""Deterministic linear-algebra primitives (SVD, pseudoinverse, spectral norm).
+"""Deterministic linear-algebra primitives (SVD and pseudoinverse).
 
-Everything downstream (policy factorizations, drift constants, stability
-masks) is built on these three operations, so their contracts are kept
-tight: full orthogonal bases, nonincreasing singular values, and a relative
+Drift constants are built on the SVD and the decision's 1e-10 cutoff is
+the pseudoinverse's truncation rule, so their contracts are kept tight:
+full orthogonal bases, nonincreasing singular values, and a relative
 truncation rule for the pseudoinverse.
 """
 
@@ -54,28 +54,20 @@ def svd(matrix) -> SvdFactors:
     return SvdFactors(left_basis=u, singulars=s, right_basis_t=vt)
 
 
-def pseudo_inverse(matrix, rel_tol: float = DEFAULT_PINV_REL_TOL) -> np.ndarray:
+def pseudo_inverse(matrix) -> np.ndarray:
     """Moore-Penrose pseudoinverse with relative singular-value truncation.
 
-    Singular values below rel_tol * sigma_max are treated as exact zeros,
-    so rank-deficient inputs invert cleanly on their range.
+    Singular values at or below DEFAULT_PINV_REL_TOL * sigma_max are treated
+    as exact zeros, so rank-deficient inputs invert cleanly on their range.
     """
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     f = svd(matrix)
     a, b = f.left_basis.shape[0], f.right_basis_t.shape[0]
     s_inv = np.zeros(len(f.singulars))
     if len(f.singulars):
-        cutoff = rel_tol * f.singulars[0]
+        cutoff = DEFAULT_PINV_REL_TOL * f.singulars[0]
         keep = f.singulars > cutoff
         s_inv[keep] = 1.0 / f.singulars[keep]
     sp = np.zeros((b, a))
     k = len(s_inv)
     sp[:k, :k] = np.diag(s_inv)
     return f.right_basis_t.T @ sp @ f.left_basis.T
-
-
-def spectral_norm(matrix) -> float:
-    """Largest singular value of the matrix."""
-    f = svd(matrix)
-    return float(f.singulars[0]) if len(f.singulars) else 0.0

@@ -48,7 +48,6 @@ transitions: pi_m keeps, per sorted position, the smaller-magnitude of the
 two singular values and alpha = 2 max(||A||^2, ||G||^2).
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,14 +70,12 @@ class DriftConstants:
     """Spectral constants of the uncontrolled drift.
 
     pi is the diagonal of the selection matrix Pi (elementwise combination
-    of the sorted singular values of A and G), alpha the quadratic growth
-    constant, sv_a / sv_g the raw sorted singular values they came from.
+    of the sorted singular values of A and G) and alpha the quadratic
+    growth constant.
     """
 
     pi: np.ndarray
     alpha: float
-    sv_a: np.ndarray
-    sv_g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -170,13 +167,12 @@ class ControlDecision:
     u: np.ndarray
 
 
-def compute_drift_constants(a_global, g_target,
-                            strict_ties: bool = False) -> DriftConstants:
+def compute_drift_constants(a_global, g_target) -> DriftConstants:
     """Selection matrix Pi and growth constant alpha from A and G spectra.
 
     Per sorted position the smaller-magnitude singular value is kept; on
-    exact ties the common value is used. strict_ties=True reproduces the
-    as-printed indicator arithmetic instead, which maps ties to zero.
+    exact ties the common value is used, not the zero that the as-printed
+    indicator arithmetic gives there.
     """
     a = np.asarray(a_global, dtype=float)
     g = np.asarray(g_target, dtype=float)
@@ -184,12 +180,8 @@ def compute_drift_constants(a_global, g_target,
         raise ValueError("a_global and g_target must be square and same size")
     sv_a = svd(a).singulars
     sv_g = svd(g).singulars
-    if strict_ties:
-        pi = np.where(sv_a > sv_g, sv_g, 0.0) + np.where(sv_g > sv_a, sv_a, 0.0)
-    else:
-        pi = np.minimum(sv_a, sv_g)
     alpha = 2.0 * max(sv_a[0], sv_g[0]) ** 2
-    return DriftConstants(pi=pi, alpha=float(alpha), sv_a=sv_a, sv_g=sv_g)
+    return DriftConstants(pi=np.minimum(sv_a, sv_g), alpha=float(alpha))
 
 
 def factorize_agent(b_actuation, h) -> ChannelFactors:

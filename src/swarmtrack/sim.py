@@ -5,8 +5,8 @@ target states, every agent's channel is drawn and pilot-estimated, the
 active scheme picks per-agent communication bits and control signals,
 the signals pass through the true fading channel, and the plant and target
 step forward. Costs, transmit power and communication rate accumulate
-into Metrics; a cost above the overflow guard ends the episode early with
-the diverged flag set.
+into Metrics; a cost above the overflow guard, or not finite, ends the
+episode early with the diverged flag set.
 
 Randomness is counter-based: every (seed, stream, timeslot) triple keys an
 independent Philox generator, so all schemes consume identical channel and
@@ -45,6 +45,9 @@ _SLOT_BLOCK = 32
 
 # Default gamma bracket of calibrate_gamma; a result on an edge is clamped.
 GAMMA_BRACKET = (1e-6, 1e6)
+
+# Power budget of run_sweep's M and N_t axes.
+BASE_BUDGET_DBW = 8.0
 
 # Largest seed: slot keys hold the seed in 64 bits, so a wider one would
 # share every stream with the seed 2**64 below it.
@@ -330,7 +333,7 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
             return everyone if baselines.periodic_trigger(t, trig.period) else nobody
     else:
         def fires(t, e, last_sent):
-            return baselines.state_triggers(e, last_sent, trig.sigma, trig.inverted)
+            return baselines.state_triggers(e, last_sent, trig.sigma)
 
     if config.scheme == "baseline3":
         def control(e, accumulator, prev_e):
@@ -367,8 +370,9 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     The per-slot sequence is: perfect state broadcast, channel draw, pilot
     estimation, scheme decision, transmission through the true channel,
     plant and target step. Stops early when the tracking cost passes the
-    overflow guard (diverged=True, metrics keep the recorded prefix; the
-    slot that passes it has a cost but no decision or power).
+    overflow guard or is not finite (diverged=True, metrics keep the
+    recorded prefix; the slot that stops it has a cost but no decision or
+    power).
 
     Everything that does not depend on the state runs once per block of
     _SLOT_BLOCK slots: the four slot streams of every slot in the block
@@ -439,11 +443,8 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
 
             e = x - r
             cost = float(e @ e)
-            if not math.isfinite(cost):
-                diverged = True
-                break
             costs.append(cost)
-            if cost > OVERFLOW_GUARD:
+            if not cost <= OVERFLOW_GUARD:
                 diverged = True
                 break
 
@@ -542,28 +543,29 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
 
 
 def run_sweep(base_config: SimConfig, axis: str, values, seeds,
-              base_budget_dbw: float = 8.0, n_probe_seeds: int = 3,
-              probe_horizon: Optional[int] = 1000,
-              calibrate_max_iter: int = 40) -> dict:
+              n_probe_seeds: int = 3,
+              probe_horizon: Optional[int] = 1000) -> dict:
     """All four schemes across one experiment axis with paired seeds.
 
     axis is one of M, N_t or power_dbw. For each (value, seed) a fresh ring
     topology is built from the seed, gamma is calibrated for the applicable
-    power budget, and every scheme runs on the same random streams. Returns
-    {"rows": detail rows, "aggregates": per (scheme, value) summaries};
-    divergent episodes enter aggregate means as a fixed penalty cost and
-    are counted separately. A budget (axis value or base) that budget_watts
-    rejects raises ValueError before any episode runs.
+    power budget (the axis value, else BASE_BUDGET_DBW), and every scheme
+    runs on the same random streams. Returns {"rows": detail rows,
+    "aggregates": per (scheme, value) summaries}; divergent episodes enter
+    aggregate means as a fixed penalty cost and are counted separately. A
+    power_dbw value that budget_watts rejects raises ValueError before any
+    episode runs.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}; valid axes: {AXES}")
-    for budget in (values if axis == "power_dbw" else [base_budget_dbw]):
-        budget_watts(float(budget))
+    if axis == "power_dbw":
+        for budget in values:
+            budget_watts(float(budget))
     rows = []
     for value in values:
         for seed in seeds:
             cfg = replace(base_config, seed=int(seed), topology_path=None)
-            budget = base_budget_dbw
+            budget = BASE_BUDGET_DBW
             if axis == "M":
                 cfg = replace(cfg, m_agents=int(value))
             elif axis == "N_t":
@@ -573,8 +575,7 @@ def run_sweep(base_config: SimConfig, axis: str, values, seeds,
             topology = build_topology(cfg)
             gamma = calibrate_gamma(cfg, topology, budget,
                                     n_probe_seeds=n_probe_seeds,
-                                    probe_horizon=probe_horizon,
-                                    max_iter=calibrate_max_iter)
+                                    probe_horizon=probe_horizon)
             cfg = replace(cfg, gamma=gamma)
             for scheme in SCHEMES:
                 metrics = run_episode(replace(cfg, scheme=scheme), topology)

@@ -110,20 +110,19 @@ def empirical_drift(topology: SwarmTopology, state: SwarmState, deltas,
     return mean, stderr
 
 
-def compute_masks(topology: SwarmTopology, h,
-                  tol: float = DEFAULT_MASK_REL_TOL) -> np.ndarray:
+def compute_masks(topology: SwarmTopology, h) -> np.ndarray:
     """Binary mask diagonals (..., M, dM) of channels h (..., M, N_r, N_t).
 
     Agent m's mask has ones on the numerically nonzero singular directions
     of E_m E_m^T. Its eigenvalues are the squared singular values of the
     d x N_t block B_m H_m (zeros beyond), so one stacked thin SVD covers
     every agent of every draw; position i is kept when its eigenvalue
-    exceeds tol times the largest, which a zero channel never does. An
-    agent's support is the sum of its diagonal.
+    exceeds DEFAULT_MASK_REL_TOL times the largest, which a zero channel
+    never does. An agent's support is the sum of its diagonal.
     """
     spectra = factorize_agent(topology.b_actuation, h).singulars ** 2
     diag = np.zeros(spectra.shape[:-1] + (topology.global_dim,))
-    diag[..., :spectra.shape[-1]] = spectra > tol * spectra[..., :1]
+    diag[..., :spectra.shape[-1]] = spectra > DEFAULT_MASK_REL_TOL * spectra[..., :1]
     return diag
 
 
@@ -140,8 +139,7 @@ def check_stability_condition(masks: np.ndarray, alpha: float):
 
 
 def stability_report(topology: SwarmTopology, constants: DriftConstants,
-                     channel_draws: np.ndarray,
-                     tol: float = DEFAULT_MASK_REL_TOL) -> dict:
+                     channel_draws: np.ndarray) -> dict:
     """Evaluate the stability test over stacked channel draws.
 
     channel_draws holds the (n, M, N_r, N_t) channels of n draws; all
@@ -151,7 +149,7 @@ def stability_report(topology: SwarmTopology, constants: DriftConstants,
     """
     n = len(channel_draws)
     if n:
-        diags = compute_masks(topology, channel_draws, tol)
+        diags = compute_masks(topology, channel_draws)
         holds, margins = check_stability_condition(diags, constants.alpha)
         holds, margins = holds.tolist(), margins.tolist()
         supports = diags.sum(axis=(0, 2))

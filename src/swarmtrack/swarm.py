@@ -92,11 +92,10 @@ class SwarmTopology:
 
 @dataclass(frozen=True)
 class SwarmState:
-    """Global plant state x, target state r and the timeslot index."""
+    """Global plant state x and target state r."""
 
     x: np.ndarray
     r: np.ndarray
-    t: int = 0
 
     def __post_init__(self):
         if not (np.isfinite(self.x).all() and np.isfinite(self.r).all()):
@@ -168,7 +167,7 @@ def step_swarm(topology: SwarmTopology, state: SwarmState,
     if noise.shape != (topology.global_dim,):
         raise ValueError(f"noise_draw must have shape {(topology.global_dim,)}")
     x_next, r_next = advance(topology, state.x, state.r, received, noise)
-    return SwarmState(x=x_next, r=r_next, t=state.t + 1)
+    return SwarmState(x=x_next, r=r_next)
 
 
 def step_target(topology: SwarmTopology, state: SwarmState) -> np.ndarray:

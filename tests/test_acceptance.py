@@ -8,7 +8,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 import oracles
 from swarmtrack import (baselines, channel, cli, linalg, policy, sim,

@@ -91,19 +91,12 @@ def test_solve_dare_iteration_counts_are_pinned():
 
 def test_tune_pid_scalar_matches_dare_gain():
     topo = scalar_topology(a=0.5, b=1.0)
-    gains = baselines.tune_pid(topo, kappa_i=0.05, kappa_d=0.1)
+    gains = baselines.tune_pid(topo)
     p = dare_scalar_root(0.5)
     k = 0.5 * p / (1.0 + p)
     assert gains.k_p[0][0, 0] == pytest.approx(-k, abs=1e-7)
     assert gains.k_i[0][0, 0] == pytest.approx(-0.05 * k, abs=1e-8)
     assert gains.k_d[0][0, 0] == pytest.approx(-0.1 * k, abs=1e-8)
-
-
-def test_tune_pid_zero_kappas_gives_pure_proportional():
-    topo = scalar_topology(a=0.5, b=1.0)
-    gains = baselines.tune_pid(topo, kappa_i=0.0, kappa_d=0.0)
-    assert np.all(gains.k_i == 0) and np.all(gains.k_d == 0)
-    assert np.any(gains.k_p != 0)
 
 
 def test_tune_pid_deterministic():
@@ -201,7 +194,6 @@ def test_state_trigger_matches_direct_inequality():
         lhs = float(np.sum((e - e_last) ** 2))
         rhs = sigma * float(np.sum(e ** 2))
         assert baselines.state_trigger(e, e_last, sigma) == (lhs <= rhs)
-        assert baselines.state_trigger(e, e_last, sigma, inverted=True) == (lhs >= rhs)
 
 
 @pytest.mark.parametrize("dim", [1, 9, 72])
@@ -212,11 +204,10 @@ def test_state_trigger_fires_on_exact_tie(dim):
     for _ in range(200):
         e = rng.normal(size=dim) * 10.0 ** rng.uniform(-3, 3)
         assert baselines.state_trigger(e, np.zeros(dim), 1.0)
-        assert baselines.state_trigger(e, np.zeros(dim), 1.0, inverted=True)
 
 
-def scalar_trigger_loop(e, e_last, sigma, inverted=False):
-    return np.array([baselines.state_trigger(e, row, s, inverted)
+def scalar_trigger_loop(e, e_last, sigma):
+    return np.array([baselines.state_trigger(e, row, s)
                      for row, s in zip(e_last, sigma)])
 
 
@@ -242,14 +233,11 @@ def test_state_triggers_match_scalar_loop_bitwise(dim):
             e_last[0] = 0.0
             sigma[0] = 1.0
             e_last[-1] = e
-        for inverted in (False, True):
-            got = baselines.state_triggers(e, e_last, sigma, inverted)
-            assert got.dtype == bool and got.shape == (m_count,)
-            assert np.array_equal(got, scalar_trigger_loop(e, e_last, sigma,
-                                                           inverted))
+        got = baselines.state_triggers(e, e_last, sigma)
+        assert got.dtype == bool and got.shape == (m_count,)
+        assert np.array_equal(got, scalar_trigger_loop(e, e_last, sigma))
         if kind == 1:
-            assert baselines.state_triggers(e, e_last, sigma).all()
-            assert baselines.state_triggers(e, e_last, sigma, True).all()
+            assert got.all()
 
 
 def test_state_triggers_per_agent_sigma():
@@ -264,7 +252,6 @@ def test_default_trigger_config():
     cfg = baselines.default_trigger_config(5)
     assert cfg.period == 3
     assert np.array_equal(cfg.sigma, [1.0, 2.0, 3.0, 4.0, 5.0])
-    assert not cfg.inverted
 
 
 def test_baselines_take_no_channel_argument():

@@ -210,8 +210,8 @@ def test_calibrate_gamma_command_in_range_is_not_clamped(tmp_path):
 
 
 def test_run_with_overflowing_initial_cost_is_quiet(tmp_path, capsys):
-    # ||e(0)||^2 of x0 = 1e200 overflows: every episode stops at slot 0 as
-    # diverged, without a numpy warning
+    # ||e(0)||^2 of x0 = 1e200 overflows: every episode records that cost
+    # and stops at slot 0 as diverged, without a numpy warning
     path = write_config(tmp_path, x0_value=1e200)
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -223,8 +223,26 @@ def test_run_with_overflowing_initial_cost_is_quiet(tmp_path, capsys):
     header = lines[1].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
     assert len(rows) == len(sim.SCHEMES)
-    assert all(row["diverged"] == "true" and row["n_slots"] == "0"
-               for row in rows)
+    assert all(row["diverged"] == "true" and row["n_slots"] == "1"
+               and row["avg_cost"] == "inf" for row in rows)
+
+
+def test_run_with_cost_jumping_to_non_finite_reports_it(tmp_path, capsys):
+    # x = r = 1e300 gives cost 0 at slot 0 and a non-finite cost at slot 1;
+    # that cost is recorded, so no divergent row shows a finite average
+    path = write_config(tmp_path, x0_value=1e300, r0_value=1e300)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    lines = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert len(rows) == len(sim.SCHEMES)
+    assert all(row["diverged"] == "true" and row["n_slots"] == "2"
+               and row["avg_cost"] == "inf" for row in rows)
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

@@ -1,0 +1,61 @@
+"""Static checks on the sources, with the standard library's ast only.
+
+Every module-level import in src/ and tests/ is referenced (names a module
+lists in __all__ count as referenced), every name in swarmtrack.__all__
+resolves, and every name the package __init__ imports is listed there.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import swarmtrack
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+INIT = ROOT / "src" / "swarmtrack" / "__init__.py"
+
+
+def imported_names(tree):
+    """(bound name, line) of every module-level import statement."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield (alias.asname or alias.name), node.lineno
+
+
+def listed_in_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def referenced_names(tree):
+    """Every name the module reads (the root of an attribute chain included)."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unreferenced_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = referenced_names(tree) | listed_in_all(tree)
+    unused = [f"{name} (line {line})" for name, line in imported_names(tree)
+              if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_package_exports_match_its_imports():
+    tree = ast.parse(INIT.read_text(encoding="utf-8"))
+    exported = listed_in_all(tree)
+    missing = [name for name in swarmtrack.__all__
+               if not hasattr(swarmtrack, name)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"
+    unlisted = sorted({name for name, _ in imported_names(tree)} - exported)
+    assert not unlisted, f"__init__ imports names missing from __all__: {unlisted}"

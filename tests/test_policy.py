@@ -37,14 +37,6 @@ def test_drift_constants_random_matches_min_of_sorted_spectra():
     assert c.alpha == pytest.approx(2.0 * max(sv_a[0], sv_g[0]) ** 2, rel=1e-10)
 
 
-def test_drift_constants_strict_tie_rule_zeroes_ties():
-    c = policy.compute_drift_constants(np.eye(2), np.eye(2), strict_ties=True)
-    assert np.allclose(c.pi, 0.0)
-    mixed = policy.compute_drift_constants(np.diag([2.0, 1.0]), np.eye(2),
-                                           strict_ties=True)
-    assert np.allclose(mixed.pi, [1.0, 0.0])
-
-
 def test_drift_constants_rejects_shape_mismatch():
     with pytest.raises(ValueError):
         policy.compute_drift_constants(np.eye(2), np.eye(3))
@@ -365,8 +357,7 @@ def rank_one_instance(rng, m_count, d, n_tx, n_rx, gamma):
     b = rng.normal(size=(m_count, d, n_rx))
     h = rng.normal(size=(m_count, n_rx, n_tx))
     pi = rng.uniform(0.1, 2.0, size=m_count * d)
-    constants = DriftConstants(pi=pi, alpha=2.0 * pi.max() ** 2, sv_a=pi,
-                               sv_g=pi)
+    constants = DriftConstants(pi=pi, alpha=2.0 * pi.max() ** 2)
     e = rng.normal(size=m_count * d)
     scale = float((pi * e) @ (pi * e)) / m_count
     params = PolicyParams(p_on=float(rng.uniform(0.0, 1.5)) * scale,
@@ -483,7 +474,7 @@ def cutoff_boundary_instance(ratio, layout):
     s_min = float(factors.singulars[0, -1])
     gamma = ratio * 1e10 * m_count * float(e @ e) * s_min ** 2
     pi = rng.uniform(0.5, 1.0, size=m_count * d)
-    constants = DriftConstants(pi=pi, alpha=2.0, sv_a=pi, sv_g=pi)
+    constants = DriftConstants(pi=pi, alpha=2.0)
     pe = constants.pi * e
     params = PolicyParams(p_on=1e-12 * float(pe @ pe), gamma=gamma)
     return e, b, h, constants, params

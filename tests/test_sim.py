@@ -380,8 +380,6 @@ def test_budget_without_finite_watts_is_rejected(budget):
         sim.calibrate_gamma(base, None, budget, n_probe_seeds=1)
     with pytest.raises(ValueError, match="not a finite power"):
         sim.run_sweep(base, "power_dbw", [8.0, budget], [0], n_probe_seeds=1)
-    with pytest.raises(ValueError, match="not a finite power"):
-        sim.run_sweep(base, "M", [1], [0], base_budget_dbw=budget)
     assert sim.budget_watts(10.0) == 10.0 and sim.budget_watts(-4000.0) == 0.0
 
 
@@ -479,13 +477,15 @@ def test_derive_seed_stable():
 
 
 def assert_same_episode(got, want, rel=0.0):
-    """Metrics, trajectories and decision logs agree, to rel per slot."""
+    """Metrics, trajectories and decision logs agree, to rel per slot
+    (equal entries always agree, so an inf cost matches an inf cost)."""
     assert (got.n_slots, got.diverged, got.comm_rate) == \
         (want.n_slots, want.diverged, want.comm_rate)
     for a, b in ((got.cost_trajectory, want.cost_trajectory),
                  (got.tx_power_trajectory, want.tx_power_trajectory)):
         assert a.shape == b.shape
-        assert np.all(np.abs(a - b) <= rel * np.abs(b))
+        differ = a != b
+        assert np.all(np.abs(a[differ] - b[differ]) <= rel * np.abs(b[differ]))
     (bits, sent), (bits_ref, sent_ref) = got.decision_log, want.decision_log
     assert np.array_equal(bits, bits_ref)
     assert sent.shape == sent_ref.shape
@@ -547,12 +547,13 @@ def test_block_loop_matches_slot_oracle_past_the_first_block(scheme):
 
 @pytest.mark.parametrize("scheme", sim.SCHEMES)
 def test_block_loop_matches_slot_oracle_with_non_finite_first_cost(scheme):
-    # ||e(0)||^2 overflows to inf: the episode stops before any decision
+    # ||e(0)||^2 overflows to inf: the episode records that cost and stops
+    # before any decision
     cfg, topo = late_overflow_config(scheme, 1e200)
     with np.errstate(over="ignore"):
         got = sim.run_episode(cfg, topo, record_decisions=True)
         want = oracles.slot_loop_episode(cfg, topo, record_decisions=True)
-    assert got.diverged and got.n_slots == 0 and got.avg_cost == math.inf
+    assert got.diverged and got.n_slots == 1 and got.avg_cost == math.inf
     assert (got.avg_tx_power, got.comm_rate) == (0.0, 0.0)
     assert got.tx_power_trajectory.shape == (0,)
     assert got.decision_log[0].shape == (0, 2)

@@ -16,11 +16,11 @@ def dense_matvec(a, x):
     return out
 
 
-def make_state(topology, x=None, r=None, t=0):
+def make_state(topology, x=None, r=None):
     dm = topology.global_dim
     return swarm.SwarmState(
         x=np.zeros(dm) if x is None else np.asarray(x, dtype=float),
-        r=np.zeros(dm) if r is None else np.asarray(r, dtype=float), t=t)
+        r=np.zeros(dm) if r is None else np.asarray(r, dtype=float))
 
 
 def test_ring_topology_single_agent_skips_self_coupling():
@@ -75,7 +75,6 @@ def test_step_swarm_identity_dynamics():
     state = make_state(eye, x=[1.0, 2.0, 3.0, 4.0])
     nxt = swarm.step_swarm(eye, state, [np.zeros(2), np.zeros(2)], np.zeros(4))
     assert np.array_equal(nxt.x, state.x)
-    assert nxt.t == 1
 
 
 def test_step_swarm_pure_noise():
@@ -207,7 +206,6 @@ def test_step_swarm_steps_target():
     nxt = swarm.step_swarm(custom, state, [np.zeros(2), np.zeros(2)],
                            np.zeros(4))
     assert np.array_equal(nxt.r, swarm.step_target(custom, state))
-    assert nxt.t == state.t + 1
 
 
 def test_tracking_error_zero():
