@@ -4,9 +4,10 @@ One episode runs the per-timeslot loop: the leader observes the plant and
 target states, every agent's channel is drawn and pilot-estimated, the
 active scheme picks per-agent communication bits and control signals,
 the signals pass through the true fading channel, and the plant and target
-step forward. Costs, transmit power and communication rate accumulate
-into Metrics; a cost above the overflow guard, or not finite, ends the
-episode early with the diverged flag set.
+step forward. Each slot's cost, bits and controls go into one
+whole-episode record, from which Metrics is derived after the loop; a cost
+above the overflow guard, or not finite, ends the episode early with the
+diverged flag set.
 
 Randomness is counter-based: every (seed, stream, timeslot) triple keys an
 independent Philox generator, so all schemes consume identical channel and
@@ -102,6 +103,13 @@ class SimConfig:
             raise ValueError("pilot_power must be > 0")
         if self.noise_scale < 0:
             raise ValueError("noise_scale must be >= 0")
+        if not isinstance(self.use_estimated_csi, (bool, np.bool_)):
+            raise ValueError(f"use_estimated_csi must be true or false, got "
+                             f"{self.use_estimated_csi!r}")
+        if self.topology_path is not None and (
+                not isinstance(self.topology_path, str) or not self.topology_path):
+            raise ValueError(f"topology_path must be a non-empty string or "
+                             f"null, got {self.topology_path!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SimConfig":
@@ -119,9 +127,10 @@ class SimConfig:
 class Metrics:
     """Per-episode results; trajectories cover the recorded slots only.
 
-    decision_log (with record_decisions) is (deltas, controls): the bits
-    (n, M) and transmit vectors (n, M, N_t) of the n slots that took a
-    decision, one row per entry of tx_power_trajectory.
+    decision_log is (deltas, controls): the bits (n, M) and transmit
+    vectors (n, M, N_t) of the n slots that took a decision, one row per
+    entry of tx_power_trajectory; n is n_slots, or n_slots - 1 when the
+    episode diverged (its last slot has a cost and no decision).
     """
 
     scheme: str
@@ -134,7 +143,7 @@ class Metrics:
     cost_trajectory: np.ndarray
     tx_power_trajectory: np.ndarray
     gamma: float
-    decision_log: Optional[tuple] = None
+    decision_log: tuple
 
 
 _SLOT_GENERATORS: dict = {}
@@ -211,14 +220,20 @@ def _check_dims(config: SimConfig, topology: swarm.SwarmTopology):
             f"N_r={config.n_rx})")
 
 
-_TUNE_CACHE: dict = {}
+# Per-topology results (PID gains, drift constants), keyed by what they
+# depend on; emptied when it outgrows 64 entries.
+_TOPOLOGY_CACHE: dict = {}
 _TUNE_SCALE_DECAY = 0.75
 _TUNE_MAX_ATTEMPTS = 40
 
 
-def _topology_fingerprint(topology: swarm.SwarmTopology) -> bytes:
-    return (topology.a_global.tobytes() + topology.b_actuation.tobytes()
-            + bytes([topology.n_tx]))
+def _per_topology(key: tuple, compute):
+    hit = _TOPOLOGY_CACHE.get(key)
+    if hit is None:
+        if len(_TOPOLOGY_CACHE) > 64:
+            _TOPOLOGY_CACHE.clear()
+        hit = _TOPOLOGY_CACHE[key] = compute()
+    return hit
 
 
 def _regularization_scales(topology: swarm.SwarmTopology):
@@ -237,37 +252,25 @@ def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
     progressively scaled-down plant matrix. The scale used is recorded on
     the returned gains.
     """
-    key = _topology_fingerprint(topology)
-    hit = _TUNE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    last_err = None
-    for scale in _regularization_scales(topology):
-        try:
-            result = baselines.tune_pid(topology, a_scale=scale)
-        except baselines.DareConvergenceError as err:
-            last_err = err
-            continue
-        if len(_TUNE_CACHE) > 64:
-            _TUNE_CACHE.clear()
-        _TUNE_CACHE[key] = result
-        return result
-    raise last_err
+    def tune():
+        last_err = None
+        for scale in _regularization_scales(topology):
+            try:
+                return baselines.tune_pid(topology, a_scale=scale)
+            except baselines.DareConvergenceError as err:
+                last_err = err
+        raise last_err
 
-
-_DRIFT_CACHE: dict = {}
+    return _per_topology(("pid", topology.a_global.tobytes(),
+                          topology.b_actuation.tobytes(), topology.n_tx), tune)
 
 
 def drift_constants(topology: swarm.SwarmTopology) -> policy.DriftConstants:
     """Pi and alpha of the topology, computed once per (A, G) pair."""
-    key = topology.a_global.tobytes() + topology.g_target.tobytes()
-    hit = _DRIFT_CACHE.get(key)
-    if hit is None:
-        if len(_DRIFT_CACHE) > 64:
-            _DRIFT_CACHE.clear()
-        hit = _DRIFT_CACHE[key] = policy.compute_drift_constants(
-            topology.a_global, topology.g_target)
-    return hit
+    return _per_topology(
+        ("drift", topology.a_global.tobytes(), topology.g_target.tobytes()),
+        lambda: policy.compute_drift_constants(topology.a_global,
+                                               topology.g_target))
 
 
 def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
@@ -363,8 +366,8 @@ def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
     return start_block
 
 
-def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = None,
-                record_decisions: bool = False) -> Metrics:
+def run_episode(config: SimConfig,
+                topology: Optional[swarm.SwarmTopology] = None) -> Metrics:
     """Run one closed-loop episode of the configured scheme.
 
     The per-slot sequence is: perfect state broadcast, channel draw, pilot
@@ -377,12 +380,15 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     Everything that does not depend on the state runs once per block of
     _SLOT_BLOCK slots: the four slot streams of every slot in the block
     (the same (seed, stream, slot) keys and draws as slot by slot), the
-    pilot estimates, the plant noise, the scheme's channel work and, at
-    the end of the block, the power and transmission bookkeeping of its
-    slots (and the decision log, copied from the block's bit and control
-    buffers). The slot loop carries the plant and target states as arrays and
-    keeps the tracking error, the decision, reception and the plant step
-    (swarm.advance).
+    pilot estimates, the plant noise and the scheme's channel work. The
+    slot loop carries x and r as arrays and keeps the tracking error, the
+    decision, reception and the plant step (swarm.advance).
+
+    Each slot writes its cost, bits and controls into the episode record,
+    three horizon-sized np.empty arrays: 8 + M + 8 M N_t bytes per slot
+    (272 B for M = 8, N_t = 4; 1.4 MB for M = 4 over 10000 slots), and an
+    early stop never touches the pages of the slots after it. Every
+    Metrics field is derived from the record once, after the loop.
     """
     if topology is None:
         topology = build_topology(config)
@@ -400,31 +406,10 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
     pilot = np.empty_like(h)
     rx_noise = np.empty((size, m_count, topology.n_rx))
     plant_z = np.empty((size, m_count, d))
-    bits = np.empty((size, m_count), dtype=bool)
-    sent = np.empty((size, m_count, topology.n_tx))
-
-    costs = []
-    powers = []
-    comm_count = 0
-    decided = 0     # slots of the current block with a decision
-    diverged = False
-    logged_bits = [np.empty((0, m_count), dtype=bool)]
-    logged_sent = [np.empty((0, m_count, topology.n_tx))]
-
-    def close_block():
-        # per slot, u_m . u_m per agent (silent rows are zero) summed in
-        # agent order
-        nonlocal comm_count, decided
-        if decided:
-            u = sent[:decided]
-            agent_power = np.matmul(u[:, :, None, :], u[:, :, :, None])
-            powers.append(np.add.accumulate(agent_power.reshape(decided, m_count),
-                                            axis=1)[:, -1])
-            comm_count += int(bits[:decided].sum())
-            if record_decisions:
-                logged_bits.append(bits[:decided].copy())
-                logged_sent.append(u.copy())
-            decided = 0
+    costs = np.empty(config.horizon)
+    bits = np.empty((config.horizon, m_count), dtype=bool)
+    sent = np.empty((config.horizon, m_count, topology.n_tx))
+    decided = 0
 
     # A finite state whose cost overflows to inf ends the episode as
     # diverged; the overflow itself is expected, not worth a warning.
@@ -432,48 +417,46 @@ def run_episode(config: SimConfig, topology: Optional[swarm.SwarmTopology] = Non
         for t in range(config.horizon):
             i = t % _SLOT_BLOCK
             if i == 0:
-                close_block()
-                n = min(_SLOT_BLOCK, config.horizon - t)
+                span = min(_SLOT_BLOCK, config.horizon - t)
                 for stream, out in ((_STREAM_CHANNEL, h), (_STREAM_PILOT, pilot),
                                     (_STREAM_RX, rx_noise), (_STREAM_PLANT, plant_z)):
-                    _draw_block(config.seed, stream, t, out[:n])
-                h_est = channel.pilot_estimate(h[:n], pilot[:n], config.pilot_power)
-                plant_noise = swarm.plant_noise(topology, plant_z[:n])
-                decide = start_block(h[:n], h_est)
+                    _draw_block(config.seed, stream, t, out[:span])
+                h_est = channel.pilot_estimate(h[:span], pilot[:span],
+                                               config.pilot_power)
+                plant_noise = swarm.plant_noise(topology, plant_z[:span])
+                decide = start_block(h[:span], h_est)
 
             e = x - r
-            cost = float(e @ e)
-            costs.append(cost)
+            costs[t] = cost = float(e @ e)
             if not cost <= OVERFLOW_GUARD:
-                diverged = True
                 break
 
             deltas, controls = decide(t, i, e)
-            bits[i] = deltas
-            sent[i] = controls
-            decided = i + 1
+            bits[t] = deltas
+            sent[t] = controls
+            decided = t + 1
 
             received = channel.deliver_control(deltas, h[i], controls, rx_noise[i])
             x, r = swarm.advance(topology, x, r, received, plant_noise[i])
 
-    close_block()
-    n = len(costs)
-    costs_arr = np.array(costs)
-    powers_arr = np.concatenate(powers) if powers else np.array([])
-    n_powers = len(powers_arr)
+    n = t + 1
+    # per slot, u_m . u_m per agent (silent rows are zero) summed in agent order
+    u = sent[:decided]
+    agent_power = np.matmul(u[:, :, None, :], u[:, :, :, None])
+    powers = np.add.accumulate(agent_power.reshape(decided, m_count), axis=1)[:, -1]
     return Metrics(
         scheme=config.scheme,
         seed=config.seed,
-        avg_cost=float(costs_arr.mean()) if n else float("inf"),
-        avg_tx_power=float(powers_arr.mean()) if n_powers else 0.0,
-        comm_rate=comm_count / (n_powers * m_count) if n_powers else 0.0,
-        diverged=diverged,
+        avg_cost=float(costs[:n].mean()),
+        avg_tx_power=float(powers.mean()) if decided else 0.0,
+        comm_rate=(int(bits[:decided].sum()) / (decided * m_count)
+                   if decided else 0.0),
+        diverged=decided < n,
         n_slots=n,
-        cost_trajectory=costs_arr,
-        tx_power_trajectory=powers_arr,
+        cost_trajectory=costs[:n],
+        tx_power_trajectory=powers,
         gamma=config.gamma,
-        decision_log=((np.concatenate(logged_bits), np.concatenate(logged_sent))
-                      if record_decisions else None),
+        decision_log=(bits[:decided], u),
     )
 
 

@@ -12,6 +12,7 @@ r evolves as r(t+1) = G r(t). The tracking error e = x - r and its cost
 """
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,17 +41,14 @@ class SwarmTopology:
     noise_root: np.ndarray = field(default=None)  # (M, d, d), __post_init__
 
     def __post_init__(self):
+        self._validate()
         d, m_count = self.state_dim, self.m_agents
         a = np.zeros((d * m_count, d * m_count))
         for m in range(m_count):
             a[m * d:(m + 1) * d, m * d:(m + 1) * d] = self.a_internal[m]
         for (m, n), block in self.couplings.items():
-            if m == n:
-                raise ValueError("coupling blocks must have m != n; internal "
-                                 "blocks go in a_internal")
             a[m * d:(m + 1) * d, n * d:(n + 1) * d] = block
         object.__setattr__(self, "a_global", a)
-        self._validate()
         # Symmetric square root of each W_m through its eigendecomposition,
         # so singular covariances work.
         vals, vecs = np.linalg.eigh(self.w_noise)
@@ -59,16 +57,28 @@ class SwarmTopology:
         object.__setattr__(self, "noise_root", root)
 
     def _validate(self):
-        for name, arr in (("a_internal", self.a_internal),
-                          ("b_actuation", self.b_actuation),
-                          ("w_noise", self.w_noise),
-                          ("g_target", self.g_target)):
+        m_count, d = self.m_agents, self.state_dim
+        dm = d * m_count
+        for name, arr, shape in (("a_internal", self.a_internal, (m_count, d, d)),
+                                 ("b_actuation", self.b_actuation,
+                                  (m_count, d, self.n_rx)),
+                                 ("w_noise", self.w_noise, (m_count, d, d)),
+                                 ("g_target", self.g_target, (dm, dm))):
+            if np.shape(arr) != shape:
+                raise ValueError(f"{name} must be {shape}, got {np.shape(arr)}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
-        dm = self.state_dim * self.m_agents
-        if self.g_target.shape != (dm, dm):
-            raise ValueError(f"g_target must be {(dm, dm)}, got {self.g_target.shape}")
-        for m in range(self.m_agents):
+        for key, block in self.couplings.items():
+            if not (isinstance(key, tuple) and len(key) == 2 and all(
+                    isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                    and 0 <= i < m_count for i in key)) or key[0] == key[1]:
+                raise ValueError(f"coupling key {key!r} must be a pair (m, n) of "
+                                 f"agent indices in [0, {m_count}) with m != n; "
+                                 f"internal blocks go in a_internal")
+            if np.shape(block) != (d, d) or not np.all(np.isfinite(block)):
+                raise ValueError(f"coupling block {key!r} must be a finite "
+                                 f"{(d, d)} matrix, got shape {np.shape(block)}")
+        for m in range(m_count):
             w = self.w_noise[m]
             if not np.allclose(w, w.T, atol=1e-12):
                 raise ValueError(f"w_noise[{m}] is not symmetric")

@@ -5,7 +5,9 @@
 
 Each episode's digest is a SHA-256 over its cost and transmit-power
 trajectories, comm rate, slot count, divergence flag and decision log
-(bits and transmit vectors), all at full precision. The set covers the
+(bits and transmit vectors), all at full precision; every field comes
+from the Metrics that run_episode returns, whose decision log is always
+the episode record's decided rows. The set covers the
 four schemes on ring and decoupled stable (benchmark_topology) systems,
 M in {1, 2, 3, 4, 5, 8}, x0 in {0, 1} and four seeds; most ring episodes
 diverge. Beside each digest the file records how many slots the certified
@@ -87,7 +89,7 @@ def compute() -> dict:
         out = {}
         for name, cfg, topology in episodes():
             answered.clear()
-            metrics = sim.run_episode(cfg, topology, record_decisions=True)
+            metrics = sim.run_episode(cfg, topology)
             out[name] = {"digest": digest(metrics), "n_slots": metrics.n_slots,
                          "diverged": bool(metrics.diverged),
                          "certified_slots": sum(answered)}

@@ -323,7 +323,7 @@ def _slot_triggered_decide(config, topology):
     return decide
 
 
-def slot_loop_episode(config, topology=None, record_decisions=False):
+def slot_loop_episode(config, topology=None):
     """sim.run_episode slot by slot: every random stream drawn, every
     channel estimated and every decision factored inside the slot it
     belongs to, with the single-slot library calls."""
@@ -372,8 +372,7 @@ def slot_loop_episode(config, topology=None, record_decisions=False):
         tx_power_trajectory=np.array(powers), gamma=config.gamma,
         decision_log=(np.array(logged_bits, dtype=bool).reshape(-1, topology.m_agents),
                       np.array(logged_sent).reshape(-1, topology.m_agents,
-                                                    topology.n_tx))
-        if record_decisions else None)
+                                                    topology.n_tx)))
 
 
 def stability_report_loop(topology, constants, channel_draws):

@@ -346,6 +346,62 @@ def test_unloadable_topology_exits_one(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+def corrupt_ring_file(doc, kind):
+    """Break one part of a 2-agent, d = 3 ring topology document."""
+    if kind == "b_actuation_columns":
+        doc["b_actuation"] = [[row + [0.0] for row in block]
+                              for block in doc["b_actuation"]]
+    elif kind == "w_noise_blocks":
+        doc["w_noise"] = [np.eye(4).tolist()] * len(doc["w_noise"])
+    elif kind == "a_internal_blocks":
+        doc["a_internal"].append(doc["a_internal"][0])
+    elif kind == "coupling_key":
+        doc["couplings"][1]["m"] = -2
+    elif kind == "coupling_block":
+        doc["couplings"][0]["block"] = np.eye(2).tolist()
+    elif kind == "coupling_nan":
+        doc["couplings"][0]["block"][0][0] = float("nan")
+
+
+@pytest.mark.parametrize("kind", ["b_actuation_columns", "w_noise_blocks",
+                                  "a_internal_blocks", "coupling_key",
+                                  "coupling_block", "coupling_nan"])
+def test_malformed_topology_file_exits_one(tmp_path, capsys, kind):
+    ring = swarm.build_ring_topology(2, state_dim=3, n_tx=2, n_rx=2, seed=3)
+    doc = json.loads(swarm.topology_to_json(ring))
+    corrupt_ring_file(doc, kind)
+    topo_path = tmp_path / "topology.json"
+    topo_path.write_text(json.dumps(doc), encoding="utf-8")
+    path = write_config(tmp_path, m_agents=2, state_dim=3,
+                        topology_path=str(topo_path))
+    out = tmp_path / "out"
+    for command in ("run", "check-stability", "calibrate-gamma"):
+        assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot load topology" in err and "usage" in err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,message", [
+    ("use_estimated_csi=False", "use_estimated_csi must be true or false"),
+    ("use_estimated_csi=1", "use_estimated_csi must be true or false"),
+    ("topology_path=2", "topology_path must be a non-empty string"),
+    ("topology_path=true", "topology_path must be a non-empty string"),
+    ("topology_path=", "topology_path must be a non-empty string"),
+])
+def test_mistyped_config_switch_exits_one(tmp_path, capsys, override, message):
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    for command in ("run", "check-stability"):
+        assert cli.main([command, "--config", str(path), "--out", str(out),
+                         "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err and "usage" in err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("override", ["p_on=-1", "gamma=-0.5", "p_on=NaN"])
 def test_negative_price_exits_one(tmp_path, capsys, override):
     path = write_config(tmp_path)

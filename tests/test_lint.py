@@ -1,8 +1,10 @@
 """Static checks on the sources, with the standard library's ast only.
 
 Every module-level import in src/ and tests/ is referenced (names a module
-lists in __all__ count as referenced), every name in swarmtrack.__all__
-resolves, and every name the package __init__ imports is listed there.
+lists in __all__ count as referenced), every private module-level name of
+the package (_name) is referenced in its own module, every name in
+swarmtrack.__all__ resolves, and every name the package __init__ imports
+is listed there.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 import swarmtrack
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "swarmtrack").glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 INIT = ROOT / "src" / "swarmtrack" / "__init__.py"
 
@@ -26,6 +29,22 @@ def imported_names(tree):
         elif isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 yield (alias.asname or alias.name), node.lineno
+
+
+def private_definitions(tree):
+    """(name, line) of every module-level _name the module defines (not dunders)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node.lineno
 
 
 def listed_in_all(tree):
@@ -49,6 +68,15 @@ def test_no_unreferenced_import(path):
     unused = [f"{name} (line {line})" for name, line in imported_names(tree)
               if name not in used]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_unreferenced_private_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    used = referenced_names(tree)
+    stranded = [f"{name} (line {line})" for name, line in private_definitions(tree)
+                if name not in used]
+    assert not stranded, f"{path.name} defines private names it never uses: {stranded}"
 
 
 def test_package_exports_match_its_imports():

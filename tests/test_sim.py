@@ -93,6 +93,22 @@ def test_config_rejects_bad_physical_values(field, value, message):
     assert SimConfig(noise_scale=0.0, x0_value=-3, r0_value=0).noise_scale == 0.0
 
 
+@pytest.mark.parametrize("value", ["False", "false", 0, 1, None])
+def test_config_rejects_non_bool_csi_switch(value):
+    with pytest.raises(ValueError, match="use_estimated_csi must be true or false"):
+        SimConfig(use_estimated_csi=value)
+
+
+def test_config_accepts_numpy_bool_csi_switch():
+    assert not SimConfig(use_estimated_csi=np.bool_(False)).use_estimated_csi
+
+
+@pytest.mark.parametrize("value", [2, True, "", 1.5])
+def test_config_rejects_topology_path_that_is_not_a_file_name(value):
+    with pytest.raises(ValueError, match="topology_path must be a non-empty string"):
+        SimConfig(topology_path=value)
+
+
 def test_episode_rejects_mismatched_topology():
     topo = identity_topology(2, 2, 2)
     cfg = SimConfig(m_agents=3, state_dim=2, n_tx=2, n_rx=2, horizon=5)
@@ -288,7 +304,7 @@ def test_power_accounting_matches_decision_log():
     topo = oracles.scaled_stable_topology(2, 2, 2, seed=31)
     cfg = SimConfig(m_agents=2, state_dim=2, n_tx=2, n_rx=2, horizon=80,
                     p_on=0.01, gamma=0.5, seed=31)
-    metrics = sim.run_episode(cfg, topo, record_decisions=True)
+    metrics = sim.run_episode(cfg, topo)
     deltas, controls = metrics.decision_log
     assert len(deltas) == len(controls) == len(metrics.tx_power_trajectory)
     for slot, bits, sent in zip(metrics.tx_power_trajectory, deltas, controls):
@@ -303,7 +319,7 @@ def test_semantic_never_transmits_with_zero_error():
     cfg = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=1,
                     p_on=0.5, x0_value=7.0, r0_value=7.0, noise_scale=0.0,
                     seed=5)
-    metrics = sim.run_episode(cfg, topo, record_decisions=True)
+    metrics = sim.run_episode(cfg, topo)
     assert metrics.cost_trajectory[0] == 0.0
     assert not metrics.decision_log[0][0].any()
 
@@ -506,8 +522,8 @@ def test_block_loop_matches_slot_oracle(scheme, horizon, csi):
                         horizon=horizon, scheme=scheme, p_on=0.001,
                         gamma=gamma, noise_scale=0.02, x0_value=1.0,
                         r0_value=0.0, seed=3, use_estimated_csi=csi)
-        got = sim.run_episode(cfg, topo, record_decisions=True)
-        want = oracles.slot_loop_episode(cfg, topo, record_decisions=True)
+        got = sim.run_episode(cfg, topo)
+        want = oracles.slot_loop_episode(cfg, topo)
         assert got.n_slots == horizon and not got.diverged
         assert_same_episode(got, want, rel if scheme == "semantic" else 0.0)
 
@@ -517,8 +533,8 @@ def test_block_loop_matches_slot_oracle_through_divergence(scheme):
     # the README ring diverges around slot 23, in the middle of the first
     # block; the draws of the block's unused slots must not leak
     cfg = SimConfig(horizon=100, scheme=scheme, seed=1)
-    got = sim.run_episode(cfg, record_decisions=True)
-    want = oracles.slot_loop_episode(cfg, record_decisions=True)
+    got = sim.run_episode(cfg)
+    want = oracles.slot_loop_episode(cfg)
     assert got.diverged and 0 < got.n_slots < sim._SLOT_BLOCK
     assert_same_episode(got, want)
 
@@ -537,8 +553,8 @@ def test_block_loop_matches_slot_oracle_past_the_first_block(scheme):
     # 182 and 148), so full blocks and the partial block the stop leaves
     # are both booked; the overflow slot has a cost and no power entry
     cfg, topo = late_overflow_config(scheme, 1e3)
-    got = sim.run_episode(cfg, topo, record_decisions=True)
-    want = oracles.slot_loop_episode(cfg, topo, record_decisions=True)
+    got = sim.run_episode(cfg, topo)
+    want = oracles.slot_loop_episode(cfg, topo)
     assert got.diverged and got.n_slots > sim._SLOT_BLOCK
     assert got.cost_trajectory[-1] > sim.OVERFLOW_GUARD
     assert len(got.tx_power_trajectory) == got.n_slots - 1
@@ -551,8 +567,8 @@ def test_block_loop_matches_slot_oracle_with_non_finite_first_cost(scheme):
     # before any decision
     cfg, topo = late_overflow_config(scheme, 1e200)
     with np.errstate(over="ignore"):
-        got = sim.run_episode(cfg, topo, record_decisions=True)
-        want = oracles.slot_loop_episode(cfg, topo, record_decisions=True)
+        got = sim.run_episode(cfg, topo)
+        want = oracles.slot_loop_episode(cfg, topo)
     assert got.diverged and got.n_slots == 1 and got.avg_cost == math.inf
     assert (got.avg_tx_power, got.comm_rate) == (0.0, 0.0)
     assert got.tx_power_trajectory.shape == (0,)
@@ -587,7 +603,7 @@ def test_drift_constants_computed_once_per_topology(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(policy, "compute_drift_constants", counting)
-    monkeypatch.setattr(sim, "_DRIFT_CACHE", {})
+    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     topo = benchmark_topology(2, 3, 2, 2, 5, 0.02)
     cfg = SimConfig(m_agents=2, state_dim=3, n_tx=2, n_rx=2, horizon=3,
                     noise_scale=0.02, seed=5)
@@ -600,3 +616,12 @@ def test_drift_constants_computed_once_per_topology(monkeypatch):
     cached = sim.drift_constants(topo)
     fresh = real(topo.a_global, topo.g_target)
     assert np.array_equal(cached.pi, fresh.pi) and cached.alpha == fresh.alpha
+
+
+def test_per_topology_results_with_more_than_255_antennas():
+    # the memo key holds n_tx as an integer, not as one byte
+    topo = swarm.build_ring_topology(1, 2, 256, 2)
+    cfg = SimConfig(m_agents=1, state_dim=2, n_tx=256, n_rx=2, horizon=3,
+                    scheme="baseline2")
+    assert sim.tuned_gains(topo).k_p.shape == (1, 256, 2)
+    assert sim.run_episode(cfg, topo).n_slots == 3

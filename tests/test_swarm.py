@@ -264,6 +264,57 @@ def test_topology_json_round_trip_is_exact():
     assert swarm.topology_to_json(back) == text
 
 
+def ring_parts(m_agents=2, d=3, n=2):
+    """Keyword arguments of a ring topology, to corrupt one at a time."""
+    topo = swarm.build_ring_topology(m_agents, state_dim=d, n_tx=n, n_rx=n, seed=3)
+    return dict(m_agents=m_agents, state_dim=d, n_tx=n, n_rx=n,
+                a_internal=topo.a_internal, couplings=dict(topo.couplings),
+                b_actuation=topo.b_actuation, w_noise=topo.w_noise,
+                g_target=topo.g_target)
+
+
+@pytest.mark.parametrize("field,shape", [
+    ("a_internal", (3, 3, 3)),      # M + 1 internal blocks
+    ("a_internal", (2, 3, 2)),
+    ("b_actuation", (2, 3, 3)),     # N_r + 1 columns
+    ("b_actuation", (3, 2)),
+    ("w_noise", (4, 4)),
+    ("w_noise", (2, 4, 4)),         # 4 x 4 blocks for d = 3
+    ("g_target", (6, 5)),
+])
+def test_topology_rejects_wrong_matrix_shape(field, shape):
+    parts = ring_parts()
+    parts[field] = np.zeros(shape)
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        swarm.SwarmTopology(**parts)
+
+
+@pytest.mark.parametrize("key", [(-2, 0), (0, 2), (2, 0), (0.5, 1), (True, 1),
+                                 (0, 1, 1), 1, (1, 1)])
+def test_topology_rejects_coupling_key_outside_the_agents(key):
+    parts = ring_parts()
+    parts["couplings"][key] = np.eye(3)
+    with pytest.raises(ValueError, match=r"must be a pair \(m, n\) of agent "
+                                         r"indices in \[0, 2\) with m != n"):
+        swarm.SwarmTopology(**parts)
+
+
+@pytest.mark.parametrize("block", [np.eye(2), np.full((3, 3), np.nan)])
+def test_topology_rejects_wrong_coupling_block(block):
+    parts = ring_parts()
+    parts["couplings"][(0, 1)] = block
+    with pytest.raises(ValueError, match=r"coupling block \(0, 1\) must be a finite"):
+        swarm.SwarmTopology(**parts)
+
+
+def test_topology_accepts_numpy_integer_coupling_keys():
+    parts = ring_parts()
+    block = parts["couplings"].pop((0, 1))
+    parts["couplings"][(np.int64(0), np.int64(1))] = block
+    topo = swarm.SwarmTopology(**parts)
+    assert np.array_equal(topo.a_global, swarm.SwarmTopology(**ring_parts()).a_global)
+
+
 def test_topology_rejects_asymmetric_noise():
     topo = swarm.build_ring_topology(1, state_dim=2, n_tx=2, n_rx=2, seed=3)
     bad = np.array([[[1.0, 0.5], [0.0, 1.0]]])
