@@ -8,8 +8,7 @@ periodic/state-triggered PID and static Riccati baselines.
 
 __version__ = "0.1.0"
 
-from .channel import (deliver_control, draw_channels, estimate_channel,
-                      pilot_estimate, receive_control)
+from .channel import draw_channels, estimate_channel, receive_control
 from .linalg import SvdFactors, pseudo_inverse, svd
 from .policy import (ChannelCertificate, ChannelFactors, ControlDecision,
                      DriftConstants, PolicyParams, RankOneTerms,
@@ -23,23 +22,23 @@ from .baselines import (DareConvergenceError, GareGain, PidGains,
                         TriggerConfig, default_trigger_config, periodic_trigger,
                         pid_control, solve_dare, state_trigger, tune_pid)
 from .sim import Metrics, SimConfig, calibrate_gamma, run_episode, run_sweep
-from .swarm import (SwarmState, SwarmTopology, advance,
-                    build_ring_topology, plant_noise, step_swarm, step_target,
+from .swarm import (SwarmState, SwarmTopology, build_ring_topology,
+                    draw_plant_noise, step_swarm, step_target,
                     topology_from_json, topology_to_json, tracking_error)
 
 __all__ = [
     "ChannelCertificate", "ChannelFactors", "ControlDecision",
     "DareConvergenceError", "DriftConstants", "GareGain", "Metrics", "PidGains",
     "PolicyParams", "RankOneTerms", "SimConfig", "SvdFactors", "SwarmState",
-    "SwarmTopology", "TriggerConfig", "advance",
-    "build_ring_topology",
+    "SwarmTopology", "TriggerConfig", "build_ring_topology",
     "calibrate_gamma", "certified_terms", "certify_channels",
     "check_stability_condition",
     "compute_drift_constants",
-    "compute_masks", "control_signal", "default_trigger_config", "deliver_control",
-    "draw_channels", "drift_bound", "empirical_drift", "estimate_channel",
+    "compute_masks", "control_signal", "default_trigger_config",
+    "draw_channels", "draw_plant_noise", "drift_bound", "empirical_drift",
+    "estimate_channel",
     "factorize_agent", "objective", "objective_gradient", "periodic_trigger",
-    "pid_control", "pilot_estimate", "plant_noise", "pseudo_inverse",
+    "pid_control", "pseudo_inverse",
     "rank_one_terms", "receive_control",
     "run_episode", "run_sweep", "solve_agent", "solve_dare",
     "stability_report", "state_trigger", "step_swarm", "step_target", "svd",

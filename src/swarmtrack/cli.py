@@ -267,6 +267,9 @@ def main(argv=None) -> int:
             if args.axis not in sim.AXES:
                 raise UsageError(f"unknown axis {args.axis!r}; "
                                  f"valid axes: {', '.join(sim.AXES)}")
+            if config.topology_path is not None:
+                raise UsageError("a sweep builds a seeded ring per seed and "
+                                 "cannot use topology_path")
             values = _parse_values(args.axis, args.values)
             _require_count("--seeds", args.seeds)
             if config.seed + args.seeds - 1 > sim.MAX_SEED:

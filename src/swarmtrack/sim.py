@@ -382,12 +382,13 @@ def run_episode(config: SimConfig,
     (the same (seed, stream, slot) keys and draws as slot by slot), the
     pilot estimates, the plant noise and the scheme's channel work. The
     slot loop carries x and r as arrays and keeps the tracking error, the
-    decision, reception and the plant step (swarm.advance).
+    decision, reception and the plant step.
 
     Each slot writes its cost, bits and controls into the episode record,
-    three horizon-sized np.empty arrays: 8 + M + 8 M N_t bytes per slot
-    (272 B for M = 8, N_t = 4; 1.4 MB for M = 4 over 10000 slots), and an
-    early stop never touches the pages of the slots after it. Every
+    three arrays of 8 + M + 8 M N_t bytes per slot (272 B for M = 8,
+    N_t = 4). The record starts at one block and doubles, capped at the
+    horizon, at the block start that needs room, so its memory follows
+    the slots run, at most twice them, whatever the horizon. Every
     Metrics field is derived from the record once, after the loop.
     """
     if topology is None:
@@ -406,9 +407,9 @@ def run_episode(config: SimConfig,
     pilot = np.empty_like(h)
     rx_noise = np.empty((size, m_count, topology.n_rx))
     plant_z = np.empty((size, m_count, d))
-    costs = np.empty(config.horizon)
-    bits = np.empty((config.horizon, m_count), dtype=bool)
-    sent = np.empty((config.horizon, m_count, topology.n_tx))
+    costs = np.empty(size)
+    bits = np.empty((size, m_count), dtype=bool)
+    sent = np.empty((size, m_count, topology.n_tx))
     decided = 0
 
     # A finite state whose cost overflows to inf ends the episode as
@@ -418,16 +419,21 @@ def run_episode(config: SimConfig,
             i = t % _SLOT_BLOCK
             if i == 0:
                 span = min(_SLOT_BLOCK, config.horizon - t)
+                if t + span > len(costs):
+                    grown = min(2 * len(costs), config.horizon)
+                    costs = np.resize(costs, grown)
+                    bits = np.resize(bits, (grown, m_count))
+                    sent = np.resize(sent, (grown, m_count, topology.n_tx))
                 for stream, out in ((_STREAM_CHANNEL, h), (_STREAM_PILOT, pilot),
                                     (_STREAM_RX, rx_noise), (_STREAM_PLANT, plant_z)):
                     _draw_block(config.seed, stream, t, out[:span])
-                h_est = channel.pilot_estimate(h[:span], pilot[:span],
-                                               config.pilot_power)
-                plant_noise = swarm.plant_noise(topology, plant_z[:span])
+                h_est = channel.estimate_channel(h[:span], pilot[:span],
+                                                 config.pilot_power)
+                noise = swarm.draw_plant_noise(topology, plant_z[:span])
                 decide = start_block(h[:span], h_est)
 
-            e = x - r
-            costs[t] = cost = float(e @ e)
+            e, cost = swarm.tracking_error(x, r)
+            costs[t] = cost
             if not cost <= OVERFLOW_GUARD:
                 break
 
@@ -436,8 +442,8 @@ def run_episode(config: SimConfig,
             sent[t] = controls
             decided = t + 1
 
-            received = channel.deliver_control(deltas, h[i], controls, rx_noise[i])
-            x, r = swarm.advance(topology, x, r, received, plant_noise[i])
+            received = channel.receive_control(deltas, h[i], controls, rx_noise[i])
+            x, r = swarm.step_swarm(topology, x, r, received, noise[i])
 
     n = t + 1
     # per slot, u_m . u_m per agent (silent rows are zero) summed in agent order
@@ -536,18 +542,22 @@ def run_sweep(base_config: SimConfig, axis: str, values, seeds,
     runs on the same random streams. Returns {"rows": detail rows,
     "aggregates": per (scheme, value) summaries}; divergent episodes enter
     aggregate means as a fixed penalty cost and are counted separately. A
-    power_dbw value that budget_watts rejects raises ValueError before any
-    episode runs.
+    power_dbw value that budget_watts rejects, or a base config with a
+    topology_path (a pinned system has no per-seed ring), raises
+    ValueError before any episode runs.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}; valid axes: {AXES}")
+    if base_config.topology_path is not None:
+        raise ValueError(f"a sweep builds a seeded ring per seed and cannot use "
+                         f"topology_path {base_config.topology_path!r}")
     if axis == "power_dbw":
         for budget in values:
             budget_watts(float(budget))
     rows = []
     for value in values:
         for seed in seeds:
-            cfg = replace(base_config, seed=int(seed), topology_path=None)
+            cfg = replace(base_config, seed=int(seed))
             budget = BASE_BUDGET_DBW
             if axis == "M":
                 cfg = replace(cfg, m_agents=int(value))

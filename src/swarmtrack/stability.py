@@ -31,8 +31,10 @@ import math
 
 import numpy as np
 
+from .channel import receive_control
 from .policy import DriftConstants, factorize_agent
-from .swarm import SwarmState, SwarmTopology, tracking_error
+from .swarm import (SwarmState, SwarmTopology, draw_plant_noise, step_swarm,
+                    tracking_error)
 
 DEFAULT_MASK_REL_TOL = 1e-10
 
@@ -78,29 +80,27 @@ def empirical_drift(topology: SwarmTopology, state: SwarmState, deltas,
 
     The decisions (deltas (M,), controls (M, N_t)) and the (M, N_r, N_t)
     channels h they were taken on are held fixed; plant noise and channel
-    reception noise are resampled n_draws times. Returns (mean, standard
-    error). Sums are compensated (math.fsum) so the result does not depend
-    on accumulation order.
+    reception noise are resampled n_draws times, and each draw steps the
+    slot loop's own reception (receive_control), plant noise
+    (draw_plant_noise) and plant (step_swarm). Per chunk of draws the
+    generator gives the (M, n, N_r) reception normals, then the (M, n, d)
+    plant normals, agent by agent. Returns (mean, standard error). Sums
+    are compensated (math.fsum) so the result does not depend on
+    accumulation order.
     """
-    _, cost = tracking_error(state)
-    d = topology.state_dim
-    base = topology.a_global @ state.x - topology.g_target @ state.r
-    base -= _lifted_actions(deltas, controls, h, topology).reshape(-1)
+    _, cost = tracking_error(state.x, state.r)
+    m_count, d = topology.m_agents, topology.state_dim
     drifts = np.empty(n_draws)
     chunk = 4096
-    done = 0
-    while done < n_draws:
+    for done in range(0, n_draws, chunk):
         n = min(chunk, n_draws - done)
-        noise = np.zeros((n, topology.global_dim))
-        for m in range(topology.m_agents):
-            v = rng.normal(size=(n, topology.n_rx))
-            noise[:, m * d:(m + 1) * d] += v @ topology.b_actuation[m].T
-        for m in range(topology.m_agents):
-            w = rng.normal(size=(n, d)) @ topology.noise_root[m].T
-            noise[:, m * d:(m + 1) * d] += w
-        e_next = base[None, :] + noise
+        v = rng.normal(size=(m_count, n, topology.n_rx)).transpose(1, 0, 2)
+        z = rng.normal(size=(m_count, n, d)).transpose(1, 0, 2)
+        received = receive_control(deltas, h, controls, v)
+        x_next, r_next = step_swarm(topology, state.x, state.r, received,
+                                    draw_plant_noise(topology, z))
+        e_next = x_next - r_next
         drifts[done:done + n] = np.einsum("ij,ij->i", e_next, e_next) - cost
-        done += n
     mean = math.fsum(drifts) / n_draws
     if n_draws > 1:
         var = math.fsum((x - mean) ** 2 for x in drifts) / (n_draws - 1)

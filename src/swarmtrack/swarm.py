@@ -8,7 +8,8 @@ state x stacks the per-agent states; it evolves as
 where A is assembled from per-agent internal and coupling blocks and
 Bhat_m places the agent's actuation matrix at block row m. The target
 r evolves as r(t+1) = G r(t). The tracking error e = x - r and its cost
-||e||^2 are computed here too.
+||e||^2 are computed here too. States are plain arrays, and the plant
+noise is built from standard normals the caller draws.
 """
 
 import json
@@ -145,67 +146,47 @@ def build_ring_topology(m_agents: int, state_dim: int = 9, n_tx: int = 4,
                          g_target=g_target)
 
 
-def advance(topology: SwarmTopology, x: np.ndarray, r: np.ndarray,
-            received: np.ndarray, noise: np.ndarray):
-    """Plant and target of one slot as arrays: (A x + sum_m Bhat_m uhat_m + noise, G r).
+def step_swarm(topology: SwarmTopology, x: np.ndarray, r: np.ndarray,
+               received: np.ndarray, noise: np.ndarray):
+    """One slot of the whole system: (A x + sum_m Bhat_m uhat_m + noise, G r).
 
-    x and r are the (dM,) plant and target states, received the (M, n_rx)
-    signals after the channel and noise the stacked (dM,) plant noise. No
-    checks: step_swarm is the validating form, and the slot loop passes
-    arrays it built itself.
+    x and r are the (dM,) plant and target state arrays, received the
+    (M, n_rx) signals after the channel, one row per agent, and noise the
+    stacked (dM,) plant noise. received and noise may carry the same
+    leading axes (one per draw); the next plant state then carries them
+    too. The plant sums B received, then A x, then the noise; the target
+    steps through step_target.
     """
-    x_next = topology.a_global @ x
-    x_next += np.matmul(topology.b_actuation, received[..., None]).reshape(-1)
+    lead = received.shape[:-2]
+    if received.shape != lead + (topology.m_agents, topology.n_rx):
+        raise ValueError(f"received controls must have shape (..., "
+                         f"{topology.m_agents}, {topology.n_rx}), got {received.shape}")
+    if noise.shape != lead + (topology.global_dim,):
+        raise ValueError(f"noise must have shape {lead + (topology.global_dim,)}, "
+                         f"got {noise.shape}")
+    x_next = np.matmul(topology.b_actuation, received[..., None]).reshape(noise.shape)
+    x_next += topology.a_global @ x
     x_next += noise
-    return x_next, topology.g_target @ r
+    return x_next, step_target(topology, r)
 
 
-def step_swarm(topology: SwarmTopology, state: SwarmState,
-               received_controls, noise_draw) -> SwarmState:
-    """One slot of the whole system, returned as the next state.
-
-    The plant steps as x(t+1) = A x + sum_m Bhat_m uhat_m + noise and the
-    target as r(t+1) = G r (advance). received_controls holds the
-    (M, n_rx) signals after the channel, one row per agent; noise_draw is
-    the stacked global plant-noise vector.
-    """
-    received = np.asarray(received_controls, dtype=float)
-    if received.shape != (topology.m_agents, topology.n_rx):
-        raise ValueError(f"received controls must have shape "
-                         f"{(topology.m_agents, topology.n_rx)}, got {received.shape}")
-    noise = np.asarray(noise_draw, dtype=float)
-    if noise.shape != (topology.global_dim,):
-        raise ValueError(f"noise_draw must have shape {(topology.global_dim,)}")
-    x_next, r_next = advance(topology, state.x, state.r, received, noise)
-    return SwarmState(x=x_next, r=r_next)
-
-
-def step_target(topology: SwarmTopology, state: SwarmState) -> np.ndarray:
+def step_target(topology: SwarmTopology, r) -> np.ndarray:
     """Next target state r(t+1) = G r(t) as a vector."""
-    return topology.g_target @ state.r
+    return topology.g_target @ r
 
 
-def tracking_error(state: SwarmState):
+def tracking_error(x, r):
     """Error vector e = x - r and its scalar cost ||e||^2, as (e, cost)."""
-    e = state.x - state.r
+    e = x - r
     return e, float(e @ e)
 
 
-def draw_plant_noise(topology: SwarmTopology, rng) -> np.ndarray:
-    """Sample the stacked plant noise, per agent from N(0, W_m).
+def draw_plant_noise(topology: SwarmTopology, z) -> np.ndarray:
+    """Stacked plant noise, per agent N(0, W_m), from standard normals z.
 
-    One (M, d) draw from the generator's ziggurat normal sampler, agent by
-    agent, mapped through the stacked square roots topology.noise_root.
-    """
-    return plant_noise(topology,
-                       rng.normal(size=(topology.m_agents, topology.state_dim)))
-
-
-def plant_noise(topology: SwarmTopology, z) -> np.ndarray:
-    """Stacked plant noise from standard normals z of shape (..., M, d).
-
-    Leading axes are batch axes (one per slot of a block); each (M, d)
-    slice maps to the (dM,) vector draw_plant_noise gives for it.
+    z has shape (..., M, d); each agent's d normals map through its square
+    root topology.noise_root[m]. Leading axes are batch axes (one per slot
+    or draw), and each (M, d) slice gives one (dM,) noise vector.
     """
     z = np.asarray(z, dtype=float)
     noise = np.matmul(topology.noise_root, z[..., None])

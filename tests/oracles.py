@@ -329,9 +329,9 @@ def slot_loop_episode(config, topology=None):
     belongs to, with the single-slot library calls."""
     if topology is None:
         topology = sim.build_topology(config)
-    dm = topology.global_dim
-    state = swarm.SwarmState(x=np.full(dm, float(config.x0_value)),
-                             r=np.full(dm, float(config.r0_value)))
+    m_count, d = topology.m_agents, topology.state_dim
+    x = np.full(topology.global_dim, float(config.x0_value))
+    r = np.full(topology.global_dim, float(config.r0_value))
     decide = (_slot_semantic_decide if config.scheme == "semantic"
               else _slot_triggered_decide)(config, topology)
     costs, powers = [], []
@@ -339,17 +339,17 @@ def slot_loop_episode(config, topology=None):
     diverged = False
     logged_bits, logged_sent = [], []
     for t in range(config.horizon):
-        e, cost = swarm.tracking_error(state)
+        e, cost = swarm.tracking_error(x, r)
         costs.append(cost)
         if not cost <= sim.OVERFLOW_GUARD:
             diverged = True
             break
         h = channel.draw_channels(
             sim._slot_rng(config.seed, sim._STREAM_CHANNEL, t),
-            topology.m_agents, topology.n_rx, topology.n_tx)
+            m_count, topology.n_rx, topology.n_tx)
         h_est = channel.estimate_channel(
-            h, config.pilot_power,
-            sim._slot_rng(config.seed, sim._STREAM_PILOT, t))
+            h, sim._slot_rng(config.seed, sim._STREAM_PILOT, t).normal(size=h.shape),
+            config.pilot_power)
         deltas, controls = decide(t, e, h, h_est)
         agent_power = np.matmul(controls[:, None, :], controls[:, :, None]).ravel()
         powers.append(float(np.add.accumulate(agent_power)[-1]))
@@ -358,21 +358,22 @@ def slot_loop_episode(config, topology=None):
         logged_sent.append(controls.copy())
         received = channel.receive_control(
             deltas, h, controls,
-            sim._slot_rng(config.seed, sim._STREAM_RX, t))
+            sim._slot_rng(config.seed, sim._STREAM_RX, t).normal(
+                size=(m_count, topology.n_rx)))
         noise = swarm.draw_plant_noise(
-            topology, sim._slot_rng(config.seed, sim._STREAM_PLANT, t))
-        state = swarm.step_swarm(topology, state, received, noise)
+            topology,
+            sim._slot_rng(config.seed, sim._STREAM_PLANT, t).normal(size=(m_count, d)))
+        x, r = swarm.step_swarm(topology, x, r, received, noise)
     n = len(costs)
     return sim.Metrics(
         scheme=config.scheme, seed=config.seed,
         avg_cost=float(np.mean(costs)) if n else float("inf"),
         avg_tx_power=float(np.mean(powers)) if powers else 0.0,
-        comm_rate=comm_count / (len(powers) * topology.m_agents) if powers else 0.0,
+        comm_rate=comm_count / (len(powers) * m_count) if powers else 0.0,
         diverged=diverged, n_slots=n, cost_trajectory=np.array(costs),
         tx_power_trajectory=np.array(powers), gamma=config.gamma,
-        decision_log=(np.array(logged_bits, dtype=bool).reshape(-1, topology.m_agents),
-                      np.array(logged_sent).reshape(-1, topology.m_agents,
-                                                    topology.n_tx)))
+        decision_log=(np.array(logged_bits, dtype=bool).reshape(-1, m_count),
+                      np.array(logged_sent).reshape(-1, m_count, topology.n_tx)))
 
 
 def stability_report_loop(topology, constants, channel_draws):

@@ -110,6 +110,18 @@ def test_sweep_unknown_axis_lists_valid_axes(tmp_path, capsys):
         assert axis in err
 
 
+def test_sweep_with_topology_path_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path, _ = write_stable_topology_config(tmp_path)
+    ran = []
+    monkeypatch.setattr(sim, "run_episode", lambda *args: ran.append(args))
+    code = cli.main(["sweep", "--config", str(path), "--axis", "N_t",
+                     "--values", "2", "--seeds", "1", "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "topology_path" in err
+    assert not ran and not (tmp_path / "o").exists()
+
+
 def test_sweep_rerun_identical(tmp_path):
     path = write_config(tmp_path, horizon=10)
     out1, out2 = tmp_path / "a", tmp_path / "b"

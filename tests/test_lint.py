@@ -4,10 +4,17 @@ Every module-level import in src/ and tests/ is referenced (names a module
 lists in __all__ count as referenced), every private module-level name of
 the package (_name) is referenced in its own module, every name in
 swarmtrack.__all__ resolves, and every name the package __init__ imports
-is listed there.
+is listed there. The README layout table names only what its modules
+define: each backticked bare name or call in a `swarmtrack.<module>` row
+resolves in that module, and a written call's arguments fit the
+function's signature.
 """
 
 import ast
+import importlib
+import inspect
+import keyword
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +22,7 @@ import pytest
 import swarmtrack
 
 ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 PACKAGE = sorted((ROOT / "src" / "swarmtrack").glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 INIT = ROOT / "src" / "swarmtrack" / "__init__.py"
@@ -87,3 +95,35 @@ def test_package_exports_match_its_imports():
     assert not missing, f"__all__ names that do not resolve: {missing}"
     unlisted = sorted({name for name, _ in imported_names(tree)} - exported)
     assert not unlisted, f"__init__ imports names missing from __all__: {unlisted}"
+
+
+def layout_references():
+    """(module, name, written arguments or None) of the README layout table."""
+    for line in README.read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\| `swarmtrack\.(\w+)` \| (.*) \|$", line)
+        if row is None:
+            continue
+        for span in re.findall(r"`([^`]*)`", row.group(2)):
+            ref = re.fullmatch(r"([A-Za-z_]\w*)(?:\((.*)\))?", span)
+            if ref is None or ref.group(1) == "swarmtrack" \
+                    or keyword.iskeyword(ref.group(1)):
+                continue
+            yield row.group(1), ref.group(1), ref.group(2)
+
+
+def test_readme_layout_names_resolve():
+    refs = list(layout_references())
+    assert refs, "README layout table not found"
+    problems = []
+    for module_name, name, args in refs:
+        module = importlib.import_module(f"swarmtrack.{module_name}")
+        if not hasattr(module, name):
+            problems.append(f"swarmtrack.{module_name} has no {name}")
+        elif args is not None:
+            n_args = len([a for a in args.split(",") if a.strip()])
+            try:
+                inspect.signature(getattr(module, name)).bind(*range(n_args))
+            except TypeError:
+                problems.append(f"{module_name}.{name}({args}) does not fit "
+                                f"{inspect.signature(getattr(module, name))}")
+    assert not problems, problems

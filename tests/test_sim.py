@@ -1,11 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 import oracles
-from swarmtrack import policy, sim, swarm
+from swarmtrack import channel, policy, sim, swarm
 from swarmtrack.sim import SimConfig
 from test_acceptance import benchmark_topology
 
@@ -300,6 +300,54 @@ def test_divergence_guard_stops_early():
     assert math.isfinite(metrics.avg_cost)
 
 
+def test_record_follows_the_slots_run_not_the_horizon():
+    # the episode record grows by doubling from one block, so a horizon far
+    # beyond memory runs the same episode as a small one
+    cfg = SimConfig(m_agents=2, state_dim=3, n_tx=2, n_rx=2, horizon=5000,
+                    seed=23)
+    want = sim.run_episode(cfg)
+    got = sim.run_episode(replace(cfg, horizon=10 ** 15))
+    assert got.diverged and got.n_slots < 5000
+    for field in fields(sim.Metrics):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "decision_log":
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        elif isinstance(b, np.ndarray):
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
+
+
+def test_run_episode_calls_each_slot_operation_by_its_public_name(monkeypatch):
+    # per block: one pilot estimate and one plant-noise map; per slot: one
+    # tracking error, one reception, one plant step and one target step
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((channel, "estimate_channel"), (channel, "receive_control"),
+                         (swarm, "draw_plant_noise"), (swarm, "step_swarm"),
+                         (swarm, "step_target"), (swarm, "tracking_error")):
+        counted(module, name)
+    topo = benchmark_topology(3, 9, 4, 4, 5, 0.02)
+    cfg = SimConfig(m_agents=3, state_dim=9, n_tx=4, n_rx=4, horizon=70,
+                    p_on=0.001, noise_scale=0.02, r0_value=0.0, seed=5)
+    for scheme in sim.SCHEMES:
+        calls.clear()
+        metrics = sim.run_episode(replace(cfg, scheme=scheme), topo)
+        assert not metrics.diverged and metrics.n_slots == 70
+        assert calls == {"estimate_channel": 3, "draw_plant_noise": 3,
+                         "tracking_error": 70, "receive_control": 70,
+                         "step_swarm": 70, "step_target": 70}
+
+
 def test_power_accounting_matches_decision_log():
     topo = oracles.scaled_stable_topology(2, 2, 2, seed=31)
     cfg = SimConfig(m_agents=2, state_dim=2, n_tx=2, n_rx=2, horizon=80,
@@ -397,6 +445,16 @@ def test_budget_without_finite_watts_is_rejected(budget):
     with pytest.raises(ValueError, match="not a finite power"):
         sim.run_sweep(base, "power_dbw", [8.0, budget], [0], n_probe_seeds=1)
     assert sim.budget_watts(10.0) == 10.0 and sim.budget_watts(-4000.0) == 0.0
+
+
+def test_run_sweep_rejects_topology_path(tmp_path):
+    topo = oracles.scaled_stable_topology(1, 2, 2, seed=61)
+    path = tmp_path / "topo.json"
+    path.write_text(swarm.topology_to_json(topo), encoding="utf-8")
+    base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5,
+                     topology_path=str(path))
+    with pytest.raises(ValueError, match="topology_path"):
+        sim.run_sweep(base, "N_t", [2], [0], n_probe_seeds=1)
 
 
 def test_run_sweep_rejects_unknown_axis():

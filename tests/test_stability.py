@@ -91,6 +91,42 @@ def test_silent_agent_control_row_is_ignored():
                                   np.random.default_rng(17))
 
 
+@pytest.mark.parametrize("case", range(5))
+def test_empirical_drift_samples_the_episode_plant(case):
+    # each draw is one slot of the episode plant: reception delta H u + v,
+    # plant noise root(W_m) z_m and x' = A x + sum_m Bhat_m uhat_m + w,
+    # with the (M, n, N_r) reception normals drawn before the (M, n, d)
+    # plant normals
+    rng = np.random.default_rng(850 + case)
+    topo = swarm.build_ring_topology(int(rng.integers(1, 4)),
+                                     int(rng.integers(1, 4)), 2, 3,
+                                     noise_scale=1e-2,
+                                     seed=int(rng.integers(0, 1000)))
+    m_count, d = topo.m_agents, topo.state_dim
+    state = swarm.SwarmState(x=rng.normal(size=topo.global_dim),
+                             r=rng.normal(size=topo.global_dim))
+    deltas = rng.integers(0, 2, size=m_count).astype(bool)
+    controls = rng.normal(size=(m_count, 2))
+    h = rng.normal(size=(m_count, 3, 2))
+    n = 7
+    mean, _ = stability.empirical_drift(topo, state, deltas, controls, h, n,
+                                        np.random.default_rng(case))
+    gen = np.random.default_rng(case)
+    v = gen.normal(size=(m_count, n, 3))
+    z = gen.normal(size=(m_count, n, d))
+    e = state.x - state.r
+    drifts = []
+    for k in range(n):
+        received = [h[m] @ controls[m] + v[m, k] if deltas[m] else v[m, k]
+                    for m in range(m_count)]
+        noise = np.concatenate([oracles.cov_sqrt(topo.w_noise[m]) @ z[m, k]
+                                for m in range(m_count)])
+        e_next = (oracles.step_plant_loop(topo, state.x, received, noise)
+                  - topo.g_target @ state.r)
+        drifts.append(float(e_next @ e_next) - float(e @ e))
+    assert mean == pytest.approx(sum(drifts) / n, rel=1e-12, abs=1e-12)
+
+
 def test_empirical_drift_deterministic_frozen_system():
     # No plant noise, no actuation (so channel noise cannot enter), A = G = I:
     # the error never moves and the drift is exactly zero.

@@ -16,13 +16,6 @@ def dense_matvec(a, x):
     return out
 
 
-def make_state(topology, x=None, r=None):
-    dm = topology.global_dim
-    return swarm.SwarmState(
-        x=np.zeros(dm) if x is None else np.asarray(x, dtype=float),
-        r=np.zeros(dm) if r is None else np.asarray(r, dtype=float))
-
-
 def test_ring_topology_single_agent_skips_self_coupling():
     topo = swarm.build_ring_topology(1, state_dim=3, n_tx=2, n_rx=2, seed=5)
     assert topo.couplings == {}
@@ -72,42 +65,43 @@ def test_step_swarm_identity_dynamics():
         a_internal=np.array([np.eye(2), np.eye(2)]), couplings={},
         b_actuation=topo.b_actuation, w_noise=topo.w_noise,
         g_target=np.eye(4))
-    state = make_state(eye, x=[1.0, 2.0, 3.0, 4.0])
-    nxt = swarm.step_swarm(eye, state, [np.zeros(2), np.zeros(2)], np.zeros(4))
-    assert np.array_equal(nxt.x, state.x)
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    x_next, _ = swarm.step_swarm(eye, x, np.zeros(4), np.zeros((2, 2)), np.zeros(4))
+    assert np.array_equal(x_next, x)
 
 
 def test_step_swarm_pure_noise():
     topo = swarm.build_ring_topology(2, state_dim=2, n_tx=2, n_rx=2, seed=3)
-    state = make_state(topo)
     w = np.array([0.5, -1.0, 2.0, 0.25])
-    nxt = swarm.step_swarm(topo, state, [np.zeros(2), np.zeros(2)], w)
-    assert np.array_equal(nxt.x, w)
+    x_next, _ = swarm.step_swarm(topo, np.zeros(4), np.zeros(4), np.zeros((2, 2)), w)
+    assert np.array_equal(x_next, w)
 
 
 def test_step_swarm_matches_dense_oracle():
     rng = np.random.default_rng(17)
     topo = swarm.build_ring_topology(3, state_dim=2, n_tx=2, n_rx=2, seed=17)
     x = rng.normal(size=6)
-    controls = [rng.normal(size=2) for _ in range(3)]
+    controls = np.array([rng.normal(size=2) for _ in range(3)])
     w = rng.normal(size=6)
-    state = make_state(topo, x=x)
-    nxt = swarm.step_swarm(topo, state, controls, w)
+    x_next, _ = swarm.step_swarm(topo, x, np.zeros(6), controls, w)
     expected = dense_matvec(topo.a_global, x) + w
     for m in range(3):
         expected += dense_matvec(topo.bhat(m), controls[m])
-    assert np.max(np.abs(nxt.x - expected)) <= 1e-12
+    assert np.max(np.abs(x_next - expected)) <= 1e-12
 
 
 def test_step_swarm_rejects_dimension_mismatch():
     topo = swarm.build_ring_topology(2, state_dim=2, n_tx=2, n_rx=2, seed=3)
-    state = make_state(topo)
+    x = r = np.zeros(4)
     with pytest.raises(ValueError):
-        swarm.step_swarm(topo, state, [np.zeros(2)], np.zeros(4))
+        swarm.step_swarm(topo, x, r, np.zeros((1, 2)), np.zeros(4))
     with pytest.raises(ValueError):
-        swarm.step_swarm(topo, state, [np.zeros(3), np.zeros(2)], np.zeros(4))
+        swarm.step_swarm(topo, x, r, np.zeros((2, 3)), np.zeros(4))
     with pytest.raises(ValueError):
-        swarm.step_swarm(topo, state, [np.zeros(2), np.zeros(2)], np.zeros(3))
+        swarm.step_swarm(topo, x, r, np.zeros((2, 2)), np.zeros(3))
+    # leading draw axes must agree between the signals and the noise
+    with pytest.raises(ValueError):
+        swarm.step_swarm(topo, x, r, np.zeros((3, 2, 2)), np.zeros((2, 4)))
 
 
 def random_psd_topology(rng):
@@ -140,7 +134,8 @@ def test_batched_plant_noise_matches_per_agent_loop(case):
     topo = random_psd_topology(np.random.default_rng(7300 + case))
     batched_rng = np.random.default_rng(case)
     loop_rng = np.random.default_rng(case)
-    got = swarm.draw_plant_noise(topo, batched_rng)
+    got = swarm.draw_plant_noise(
+        topo, batched_rng.normal(size=(topo.m_agents, topo.state_dim)))
     want = oracles.draw_plant_noise_loop(topo, loop_rng)
     assert got.shape == (topo.global_dim,)
     assert np.max(np.abs(got - want)) <= 1e-12
@@ -151,21 +146,40 @@ def test_batched_plant_noise_matches_per_agent_loop(case):
 def test_batched_step_swarm_matches_per_agent_loop(case):
     rng = np.random.default_rng(7400 + case)
     topo = random_psd_topology(rng)
-    state = make_state(topo, x=rng.normal(size=topo.global_dim),
-                       r=rng.normal(size=topo.global_dim))
+    x, r = rng.normal(size=topo.global_dim), rng.normal(size=topo.global_dim)
     received = rng.normal(size=(topo.m_agents, topo.n_rx))
     received[int(rng.integers(0, topo.m_agents))] = 0.0   # a silent agent's row
     noise = rng.normal(size=topo.global_dim)
-    nxt = swarm.step_swarm(topo, state, received, noise)
-    want = oracles.step_plant_loop(topo, state.x, received, noise)
-    assert np.max(np.abs(nxt.x - want)) <= 1e-12
-    assert np.array_equal(nxt.r, topo.g_target @ state.r)
+    x_next, r_next = swarm.step_swarm(topo, x, r, received, noise)
+    want = oracles.step_plant_loop(topo, x, received, noise)
+    assert np.max(np.abs(x_next - want)) <= 1e-12
+    assert np.array_equal(r_next, topo.g_target @ r)
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_step_swarm_over_draw_axes_equals_per_draw_calls(case):
+    # leading draw axes on the signals and the noise step every draw at
+    # once, bit for bit as one call per draw
+    rng = np.random.default_rng(7500 + case)
+    topo = random_psd_topology(rng)
+    x, r = rng.normal(size=topo.global_dim), rng.normal(size=topo.global_dim)
+    lead = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(1, 3))))
+    received = rng.normal(size=lead + (topo.m_agents, topo.n_rx))
+    noise = swarm.draw_plant_noise(
+        topo, rng.normal(size=lead + (topo.m_agents, topo.state_dim)))
+    x_next, r_next = swarm.step_swarm(topo, x, r, received, noise)
+    assert x_next.shape == lead + (topo.global_dim,)
+    assert np.array_equal(r_next, swarm.step_target(topo, r))
+    for k in np.ndindex(*lead):
+        one_x, one_r = swarm.step_swarm(topo, x, r, received[k], noise[k])
+        assert np.array_equal(x_next[k], one_x)
+        assert np.array_equal(r_next, one_r)
 
 
 def test_step_target_identity_keeps_target():
     topo = swarm.build_ring_topology(2, state_dim=2, n_tx=2, n_rx=2, seed=3)
-    state = make_state(topo, r=[1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(swarm.step_target(topo, state), state.r)
+    r = np.array([1.0, 2.0, 3.0, 4.0])
+    assert np.array_equal(swarm.step_target(topo, r), r)
 
 
 def test_step_target_doubling():
@@ -175,8 +189,7 @@ def test_step_target_doubling():
         a_internal=topo.a_internal, couplings={},
         b_actuation=topo.b_actuation, w_noise=topo.w_noise,
         g_target=2.0 * np.eye(2))
-    state = make_state(doubling, r=[1.0, 1.0])
-    assert np.array_equal(swarm.step_target(doubling, state), [2.0, 2.0])
+    assert np.array_equal(swarm.step_target(doubling, np.ones(2)), [2.0, 2.0])
 
 
 def test_step_target_matches_dense_oracle():
@@ -188,8 +201,7 @@ def test_step_target_matches_dense_oracle():
         a_internal=topo.a_internal, couplings=topo.couplings,
         b_actuation=topo.b_actuation, w_noise=topo.w_noise, g_target=g)
     r = rng.normal(size=4)
-    state = make_state(custom, r=r)
-    assert np.max(np.abs(swarm.step_target(custom, state)
+    assert np.max(np.abs(swarm.step_target(custom, r)
                          - dense_matvec(g, r))) <= 1e-12
 
 
@@ -202,24 +214,20 @@ def test_step_swarm_steps_target():
         m_agents=2, state_dim=2, n_tx=2, n_rx=2,
         a_internal=topo.a_internal, couplings=topo.couplings,
         b_actuation=topo.b_actuation, w_noise=topo.w_noise, g_target=g)
-    state = make_state(custom, x=rng.normal(size=4), r=rng.normal(size=4))
-    nxt = swarm.step_swarm(custom, state, [np.zeros(2), np.zeros(2)],
-                           np.zeros(4))
-    assert np.array_equal(nxt.r, swarm.step_target(custom, state))
+    x, r = rng.normal(size=4), rng.normal(size=4)
+    _, r_next = swarm.step_swarm(custom, x, r, np.zeros((2, 2)), np.zeros(4))
+    assert np.array_equal(r_next, swarm.step_target(custom, r))
 
 
 def test_tracking_error_zero():
-    topo = swarm.build_ring_topology(2, state_dim=2, n_tx=2, n_rx=2, seed=3)
-    state = make_state(topo, x=[1.0, 2.0, 3.0, 4.0], r=[1.0, 2.0, 3.0, 4.0])
-    e, cost = swarm.tracking_error(state)
+    x = np.array([1.0, 2.0, 3.0, 4.0])
+    e, cost = swarm.tracking_error(x, x.copy())
     assert cost == 0.0
     assert np.all(oracles.error_sigma(e) == 0)
 
 
 def test_tracking_error_unit_vector():
-    topo = swarm.build_ring_topology(2, state_dim=2, n_tx=2, n_rx=2, seed=3)
-    state = make_state(topo, x=[1.0, 0.0, 0.0, 0.0])
-    e, cost = swarm.tracking_error(state)
+    e, cost = swarm.tracking_error(np.array([1.0, 0.0, 0.0, 0.0]), np.zeros(4))
     assert cost == 1.0
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
@@ -228,9 +236,8 @@ def test_tracking_error_unit_vector():
 
 def test_tracking_error_paper_initial_condition():
     # 9 global dims, all plant entries 1, all target entries 100
-    topo = swarm.build_ring_topology(1, state_dim=9, n_tx=4, n_rx=4, seed=3)
-    state = make_state(topo, x=np.ones(9), r=100.0 * np.ones(9))
-    assert swarm.tracking_error(state)[1] == pytest.approx(88209.0)
+    assert swarm.tracking_error(np.ones(9), 100.0 * np.ones(9))[1] == \
+        pytest.approx(88209.0)
 
 
 @pytest.mark.parametrize("case", range(25))
@@ -245,9 +252,9 @@ def test_step_swarm_linearity_without_noise():
     rng = np.random.default_rng(31)
     x1, x2 = rng.normal(size=6), rng.normal(size=6)
     a, b = 0.7, -1.3
-    zeros = [np.zeros(2)] * 3
+    zeros = np.zeros((3, 2))
     w0 = np.zeros(6)
-    step = lambda x: swarm.step_swarm(topo, make_state(topo, x=x), zeros, w0).x
+    step = lambda x: swarm.step_swarm(topo, x, w0, zeros, w0)[0]
     assert np.allclose(step(a * x1 + b * x2), a * step(x1) + b * step(x2),
                        atol=1e-10)
 
