@@ -134,9 +134,8 @@ def cmd_run(config: sim.SimConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_sweep(config: sim.SimConfig, axis: str, values, n_seeds: int,
+def cmd_sweep(config: sim.SimConfig, axis: str, values, seeds,
               out_dir: Path) -> int:
-    seeds = [config.seed + i for i in range(n_seeds)]
     result = sim.run_sweep(config, axis, values, seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "sweep.csv", _SWEEP_SCHEMA, _SWEEP_COLUMNS,
@@ -196,22 +195,12 @@ def _require_budget(flag: str, value: float):
 
 
 def _parse_values(axis: str, raw: str):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise UsageError("--values must list at least one value")
+    """--values as a list: integers on the M and N_t axes, else floats."""
     parse = float if axis == "power_dbw" else int
     try:
-        values = [parse(p) for p in parts]
+        return [parse(p) for p in raw.split(",") if p.strip()]
     except ValueError as err:
         raise UsageError(f"--values for axis {axis}: {err}") from err
-    if axis == "power_dbw":
-        for value in values:
-            _require_budget(f"--values for axis {axis}", value)
-    else:
-        _require_count(f"--values for axis {axis}", min(values))
-    if len(set(values)) != len(values):
-        raise UsageError(f"--values for axis {axis} repeats a value: {raw}")
-    return values
 
 
 def build_parser() -> "_Parser":
@@ -264,18 +253,18 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(config, out_dir)
         if args.command == "sweep":
-            if args.axis not in sim.AXES:
-                raise UsageError(f"unknown axis {args.axis!r}; "
-                                 f"valid axes: {', '.join(sim.AXES)}")
-            if config.topology_path is not None:
-                raise UsageError("a sweep builds a seeded ring per seed and "
-                                 "cannot use topology_path")
             values = _parse_values(args.axis, args.values)
-            _require_count("--seeds", args.seeds)
+            # checked before the seed list is built, so a huge --seeds
+            # allocates nothing
             if config.seed + args.seeds - 1 > sim.MAX_SEED:
                 raise UsageError(f"--seeds {args.seeds} from seed {config.seed} "
                                  f"runs past the largest seed 2**64 - 1")
-            return cmd_sweep(config, args.axis, values, args.seeds, out_dir)
+            seeds = list(range(config.seed, config.seed + args.seeds))
+            try:
+                sim.sweep_cells(config, args.axis, values, seeds)
+            except ValueError as err:
+                raise UsageError(f"sweep: {err}") from err
+            return cmd_sweep(config, args.axis, values, seeds, out_dir)
         if args.command == "check-stability":
             _require_count("--draws", args.draws)
             return cmd_check_stability(config, args.draws, out_dir)

@@ -80,6 +80,7 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not 0 <= self.seed <= MAX_SEED:
@@ -261,8 +262,9 @@ def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
                 last_err = err
         raise last_err
 
-    return _per_topology(("pid", topology.a_global.tobytes(),
-                          topology.b_actuation.tobytes(), topology.n_tx), tune)
+    return _per_topology(("pid", topology.m_agents, topology.state_dim,
+                          topology.n_rx, topology.n_tx, topology.a_global.tobytes(),
+                          topology.b_actuation.tobytes()), tune)
 
 
 def drift_constants(topology: swarm.SwarmTopology) -> policy.DriftConstants:
@@ -531,58 +533,72 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     return best_gamma
 
 
+def sweep_cells(base_config: SimConfig, axis: str, values, seeds) -> list:
+    """(value, seed, config, budget_dbw) of every cell of a sweep, values outer.
+
+    The one check of a sweep's inputs, made before any episode runs: a
+    known axis, no topology_path (a pinned system has no per-seed ring),
+    values and seeds neither empty nor repeated, and every cell's config
+    valid (SimConfig takes each seed and M or N_t value as given, so a
+    non-integer is rejected) and power budget finite in watts; the M and
+    N_t axes use BASE_BUDGET_DBW. A bad input raises ValueError.
+    """
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}; valid axes: {', '.join(AXES)}")
+    if base_config.topology_path is not None:
+        raise ValueError(f"a sweep builds a seeded ring per seed and cannot use "
+                         f"topology_path {base_config.topology_path!r}")
+    for name, items in (("values", values), ("seeds", seeds)):
+        if len(items) == 0:
+            raise ValueError(f"a sweep needs at least one of its {name}")
+        if len(set(items)) != len(items):
+            raise ValueError(f"{name} of a sweep repeats a value: {list(items)}")
+    cells = []
+    for value in values:
+        budget = BASE_BUDGET_DBW
+        if axis == "power_dbw":
+            budget_watts(value)
+            budget = float(value)
+        counts = {"M": {"m_agents": value}, "N_t": {"n_tx": value}}.get(axis, {})
+        for seed in seeds:
+            cells.append((value, seed, replace(base_config, seed=seed, **counts),
+                          budget))
+    return cells
+
+
 def run_sweep(base_config: SimConfig, axis: str, values, seeds,
               n_probe_seeds: int = 3,
               probe_horizon: Optional[int] = 1000) -> dict:
     """All four schemes across one experiment axis with paired seeds.
 
-    axis is one of M, N_t or power_dbw. For each (value, seed) a fresh ring
-    topology is built from the seed, gamma is calibrated for the applicable
-    power budget (the axis value, else BASE_BUDGET_DBW), and every scheme
-    runs on the same random streams. Returns {"rows": detail rows,
-    "aggregates": per (scheme, value) summaries}; divergent episodes enter
-    aggregate means as a fixed penalty cost and are counted separately. A
-    power_dbw value that budget_watts rejects, or a base config with a
-    topology_path (a pinned system has no per-seed ring), raises
-    ValueError before any episode runs.
+    The cells are those of sweep_cells, which checks every input before
+    any episode runs. For each (value, seed) a fresh ring topology is built
+    from the seed, gamma is calibrated for the cell's power budget, and
+    every scheme runs on the same random streams. Returns {"rows": detail
+    rows, "aggregates": per (scheme, value) summaries}; divergent episodes
+    enter aggregate means as a fixed penalty cost and are counted
+    separately.
     """
-    if axis not in AXES:
-        raise ValueError(f"unknown axis {axis!r}; valid axes: {AXES}")
-    if base_config.topology_path is not None:
-        raise ValueError(f"a sweep builds a seeded ring per seed and cannot use "
-                         f"topology_path {base_config.topology_path!r}")
-    if axis == "power_dbw":
-        for budget in values:
-            budget_watts(float(budget))
     rows = []
-    for value in values:
-        for seed in seeds:
-            cfg = replace(base_config, seed=int(seed))
-            budget = BASE_BUDGET_DBW
-            if axis == "M":
-                cfg = replace(cfg, m_agents=int(value))
-            elif axis == "N_t":
-                cfg = replace(cfg, n_tx=int(value))
-            else:
-                budget = float(value)
-            topology = build_topology(cfg)
-            gamma = calibrate_gamma(cfg, topology, budget,
-                                    n_probe_seeds=n_probe_seeds,
-                                    probe_horizon=probe_horizon)
-            cfg = replace(cfg, gamma=gamma)
-            for scheme in SCHEMES:
-                metrics = run_episode(replace(cfg, scheme=scheme), topology)
-                rows.append({
-                    "scheme": scheme,
-                    "axis": axis,
-                    "value": value,
-                    "seed": int(seed),
-                    "avg_cost": metrics.avg_cost,
-                    "avg_tx_power": metrics.avg_tx_power,
-                    "comm_rate": metrics.comm_rate,
-                    "diverged": metrics.diverged,
-                    "gamma": gamma,
-                })
+    for value, seed, cfg, budget in sweep_cells(base_config, axis, values, seeds):
+        topology = build_topology(cfg)
+        gamma = calibrate_gamma(cfg, topology, budget,
+                                n_probe_seeds=n_probe_seeds,
+                                probe_horizon=probe_horizon)
+        cfg = replace(cfg, gamma=gamma)
+        for scheme in SCHEMES:
+            metrics = run_episode(replace(cfg, scheme=scheme), topology)
+            rows.append({
+                "scheme": scheme,
+                "axis": axis,
+                "value": value,
+                "seed": cfg.seed,
+                "avg_cost": metrics.avg_cost,
+                "avg_tx_power": metrics.avg_tx_power,
+                "comm_rate": metrics.comm_rate,
+                "diverged": metrics.diverged,
+                "gamma": gamma,
+            })
     aggregates = []
     for value in values:
         for scheme in SCHEMES:

@@ -33,8 +33,7 @@ import numpy as np
 
 from .channel import receive_control
 from .policy import DriftConstants, factorize_agent
-from .swarm import (SwarmState, SwarmTopology, draw_plant_noise, step_swarm,
-                    tracking_error)
+from .swarm import SwarmTopology, draw_plant_noise, step_swarm, tracking_error
 
 DEFAULT_MASK_REL_TOL = 1e-10
 
@@ -74,11 +73,12 @@ def drift_bound(e, deltas, controls, h, topology: SwarmTopology,
     return total
 
 
-def empirical_drift(topology: SwarmTopology, state: SwarmState, deltas,
-                    controls, h, n_draws: int, rng):
+def empirical_drift(topology: SwarmTopology, x, r, deltas, controls, h,
+                    n_draws: int, rng):
     """Monte Carlo estimate of E[||e(t+1)||^2 - ||e(t)||^2 | e(t)].
 
-    The decisions (deltas (M,), controls (M, N_t)) and the (M, N_r, N_t)
+    x and r are the (dM,) plant and target states, as in step_swarm. The
+    decisions (deltas (M,), controls (M, N_t)) and the (M, N_r, N_t)
     channels h they were taken on are held fixed; plant noise and channel
     reception noise are resampled n_draws times, and each draw steps the
     slot loop's own reception (receive_control), plant noise
@@ -88,7 +88,7 @@ def empirical_drift(topology: SwarmTopology, state: SwarmState, deltas,
     are compensated (math.fsum) so the result does not depend on
     accumulation order.
     """
-    _, cost = tracking_error(state.x, state.r)
+    _, cost = tracking_error(x, r)
     m_count, d = topology.m_agents, topology.state_dim
     drifts = np.empty(n_draws)
     chunk = 4096
@@ -97,7 +97,7 @@ def empirical_drift(topology: SwarmTopology, state: SwarmState, deltas,
         v = rng.normal(size=(m_count, n, topology.n_rx)).transpose(1, 0, 2)
         z = rng.normal(size=(m_count, n, d)).transpose(1, 0, 2)
         received = receive_control(deltas, h, controls, v)
-        x_next, r_next = step_swarm(topology, state.x, state.r, received,
+        x_next, r_next = step_swarm(topology, x, r, received,
                                     draw_plant_noise(topology, z))
         e_next = x_next - r_next
         drifts[done:done + n] = np.einsum("ij,ij->i", e_next, e_next) - cost

@@ -14,7 +14,7 @@ noise is built from standard normals the caller draws.
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,8 +38,8 @@ class SwarmTopology:
     b_actuation: np.ndarray         # (M, d, n_rx)
     w_noise: np.ndarray             # (M, d, d)
     g_target: np.ndarray            # (dM, dM)
-    a_global: np.ndarray = field(default=None)  # assembled in __post_init__
-    noise_root: np.ndarray = field(default=None)  # (M, d, d), __post_init__
+    a_global: np.ndarray = field(init=False)    # assembled in __post_init__
+    noise_root: np.ndarray = field(init=False)  # (M, d, d), __post_init__
 
     def __post_init__(self):
         self._validate()
@@ -211,9 +211,24 @@ def topology_to_json(topology: SwarmTopology) -> str:
 
 
 def topology_from_json(text: str) -> SwarmTopology:
+    """Topology of a topology_to_json document.
+
+    Unknown keys, at the top level or in a coupling entry, and a coupling
+    pair listed twice raise ValueError.
+    """
     doc = json.loads(text)
-    couplings = {(c["m"], c["n"]): np.array(c["block"], dtype=float)
-                 for c in doc["couplings"]}
+    unknown = set(doc) - {f.name for f in fields(SwarmTopology) if f.init}
+    if unknown:
+        raise ValueError(f"unknown topology keys: {sorted(unknown)}")
+    couplings = {}
+    for c in doc["couplings"]:
+        unknown = set(c) - {"m", "n", "block"}
+        if unknown:
+            raise ValueError(f"unknown coupling keys: {sorted(unknown)}")
+        pair = (c["m"], c["n"])
+        if pair in couplings:
+            raise ValueError(f"coupling {pair} is listed twice")
+        couplings[pair] = np.array(c["block"], dtype=float)
     return SwarmTopology(
         m_agents=doc["m_agents"], state_dim=doc["state_dim"],
         n_tx=doc["n_tx"], n_rx=doc["n_rx"],

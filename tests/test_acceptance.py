@@ -122,7 +122,6 @@ def test_criterion_3_drift_bound_monte_carlo():
                                                    topo.g_target)
         r = rng.normal(size=topo.global_dim)
         x = r + 3.0 * rng.normal(size=topo.global_dim)
-        state = swarm.SwarmState(x=x, r=r)
         params = PolicyParams(p_on=float(rng.uniform(0, 2)),
                               gamma=float(rng.uniform(0, 2)))
         hs = [rng.normal(size=(n, n)) for _ in range(m_count)]
@@ -131,7 +130,7 @@ def test_criterion_3_drift_bound_monte_carlo():
         bound = stability.drift_bound(x - r, deltas, controls, hs, topo,
                                       constants)
         mean, stderr = stability.empirical_drift(
-            topo, state, deltas, controls, hs, 100000,
+            topo, x, r, deltas, controls, hs, 100000,
             np.random.default_rng(9000 + inst))
         held += mean <= bound + 3.0 * stderr
     elapsed = time.perf_counter() - t0

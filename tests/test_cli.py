@@ -373,11 +373,19 @@ def corrupt_ring_file(doc, kind):
         doc["couplings"][0]["block"] = np.eye(2).tolist()
     elif kind == "coupling_nan":
         doc["couplings"][0]["block"][0][0] = float("nan")
+    elif kind == "coupling_twice":
+        doc["couplings"].append(dict(doc["couplings"][0]))
+    elif kind == "unknown_key":
+        doc["scale"] = 2.0
+    elif kind == "unknown_coupling_key":
+        doc["couplings"][0]["weight"] = 2.0
 
 
 @pytest.mark.parametrize("kind", ["b_actuation_columns", "w_noise_blocks",
                                   "a_internal_blocks", "coupling_key",
-                                  "coupling_block", "coupling_nan"])
+                                  "coupling_block", "coupling_nan",
+                                  "coupling_twice", "unknown_key",
+                                  "unknown_coupling_key"])
 def test_malformed_topology_file_exits_one(tmp_path, capsys, kind):
     ring = swarm.build_ring_topology(2, state_dim=3, n_tx=2, n_rx=2, seed=3)
     doc = json.loads(swarm.topology_to_json(ring))

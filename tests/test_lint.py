@@ -4,10 +4,12 @@ Every module-level import in src/ and tests/ is referenced (names a module
 lists in __all__ count as referenced), every private module-level name of
 the package (_name) is referenced in its own module, every name in
 swarmtrack.__all__ resolves, and every name the package __init__ imports
-is listed there. The README layout table names only what its modules
-define: each backticked bare name or call in a `swarmtrack.<module>` row
-resolves in that module, and a written call's arguments fit the
-function's signature.
+is listed there. Every import of the package names one of its modules:
+`from swarmtrack import X`, and `from . import X` inside the package, bind
+a module (or __version__), never a function or class. The README layout
+table names only what its modules define: each backticked bare name or
+call in a `swarmtrack.<module>` row resolves in that module, and a
+written call's arguments fit the function's signature.
 """
 
 import ast
@@ -26,6 +28,7 @@ README = ROOT / "README.md"
 PACKAGE = sorted((ROOT / "src" / "swarmtrack").glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 INIT = ROOT / "src" / "swarmtrack" / "__init__.py"
+MODULES = {path.stem for path in PACKAGE} - {"__init__"}
 
 
 def imported_names(tree):
@@ -95,6 +98,20 @@ def test_package_exports_match_its_imports():
     assert not missing, f"__all__ names that do not resolve: {missing}"
     unlisted = sorted({name for name, _ in imported_names(tree)} - exported)
     assert not unlisted, f"__init__ imports names missing from __all__: {unlisted}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_name_a_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    in_package = path.parent == INIT.parent
+    flat = [f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and (
+                (node.level == 0 and node.module == "swarmtrack")
+                or (in_package and node.level == 1 and node.module is None))
+            for alias in node.names
+            if alias.name not in MODULES | {"__version__"}]
+    assert not flat, (f"{path.name} imports names from the package root, not "
+                      f"from their modules: {flat}")
 
 
 def layout_references():

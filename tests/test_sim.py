@@ -74,6 +74,16 @@ def test_config_accepts_numpy_integers():
     assert cfg.m_agents == 2 and cfg.seed == 7
 
 
+def test_config_stores_numpy_integers_as_ints():
+    # a numpy int64 seed used to overflow the slot-key mask in run_episode
+    cfg = SimConfig(m_agents=np.int64(1), state_dim=np.int32(2), n_tx=2,
+                    n_rx=2, horizon=np.uint8(4), seed=np.int64(7))
+    assert all(type(getattr(cfg, name)) is int for name in
+               ("m_agents", "state_dim", "n_tx", "n_rx", "horizon", "seed"))
+    plain = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=4, seed=7)
+    assert sim.run_episode(cfg).avg_cost == sim.run_episode(plain).avg_cost
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("pilot_power", 0.0, "pilot_power must be > 0"),
     ("pilot_power", -1e4, "pilot_power must be > 0"),
@@ -463,6 +473,48 @@ def test_run_sweep_rejects_unknown_axis():
         sim.run_sweep(base, "bogus", [1], [0])
 
 
+@pytest.mark.parametrize("axis,values,seeds,message", [
+    ("M", [2.5], [0], "m_agents must be an integer"),
+    ("N_t", [True], [0], "n_tx must be an integer"),
+    ("M", [1], [1.9], "seed must be an integer"),
+    ("M", [1], [0, 0], "seeds of a sweep repeats a value"),
+    ("N_t", [2, 2], [0], "values of a sweep repeats a value"),
+    ("power_dbw", [8.0, 8], [0], "values of a sweep repeats a value"),
+    ("M", [1], [], "at least one of its seeds"),
+    ("power_dbw", [], [0], "at least one of its values"),
+])
+def test_run_sweep_rejects_bad_cells_before_any_episode(monkeypatch, axis, values,
+                                                        seeds, message):
+    # each case used to run (2.5 as M = 2, True as N_t = 1, seed 1.9 as 1),
+    # count a repeat twice, or average an empty seed list
+    ran = []
+
+    def no_episode(*args):
+        ran.append(args)
+        raise RuntimeError("an episode ran")
+
+    monkeypatch.setattr(sim, "run_episode", no_episode)
+    base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5)
+    with pytest.raises(ValueError, match=message):
+        sim.run_sweep(base, axis, values, seeds, n_probe_seeds=1)
+    assert not ran
+
+
+def test_sweep_cells_take_values_and_seeds_as_given():
+    base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5)
+    cells = sim.sweep_cells(base, "M", np.array([2, 3]), [np.uint32(4), 5])
+    assert cells == [
+        (2, 4, replace(base, m_agents=2, seed=4), sim.BASE_BUDGET_DBW),
+        (2, 5, replace(base, m_agents=2, seed=5), sim.BASE_BUDGET_DBW),
+        (3, 4, replace(base, m_agents=3, seed=4), sim.BASE_BUDGET_DBW),
+        (3, 5, replace(base, m_agents=3, seed=5), sim.BASE_BUDGET_DBW)]
+    assert sim.sweep_cells(base, "power_dbw", [-3], [6]) == [
+        (-3, 6, replace(base, seed=6), -3.0)]
+    result = sim.run_sweep(base, "N_t", [np.int64(3)], [np.int64(6)],
+                           n_probe_seeds=1, probe_horizon=5)
+    assert {type(row["seed"]) for row in result["rows"]} == {int}
+
+
 def test_run_sweep_deterministic():
     base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=25,
                      seed=67)
@@ -683,3 +735,19 @@ def test_per_topology_results_with_more_than_255_antennas():
                     scheme="baseline2")
     assert sim.tuned_gains(topo).k_p.shape == (1, 256, 2)
     assert sim.run_episode(cfg, topo).n_slots == 3
+
+
+def test_tuned_gains_per_agent_split(monkeypatch):
+    # 0.5 I plants with all-ones actuation have the same A and B bytes at
+    # (M, d) = (2, 4) and (4, 2); the second used to get the first's gains
+    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
+    for m_count, d in ((2, 4), (4, 2)):
+        topo = swarm.SwarmTopology(
+            m_agents=m_count, state_dim=d, n_tx=1, n_rx=1,
+            a_internal=np.array([0.5 * np.eye(d)] * m_count), couplings={},
+            b_actuation=np.ones((m_count, d, 1)),
+            w_noise=np.zeros((m_count, d, d)), g_target=np.eye(d * m_count))
+        cfg = SimConfig(m_agents=m_count, state_dim=d, n_tx=1, n_rx=1,
+                        horizon=3, scheme="baseline2")
+        assert sim.tuned_gains(topo).k_p.shape == (m_count, 1, 8)
+        assert sim.run_episode(cfg, topo).n_slots == 3

@@ -76,8 +76,8 @@ def test_silent_agent_control_row_is_ignored():
     rng = np.random.default_rng(16)
     topo = swarm.build_ring_topology(3, 2, 2, 2, noise_scale=1e-2, seed=16)
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
-    state = swarm.SwarmState(x=rng.normal(size=6), r=rng.normal(size=6))
-    e = state.x - state.r
+    x, r = rng.normal(size=6), rng.normal(size=6)
+    e = x - r
     hs = rng.normal(size=(3, 2, 2))
     deltas = np.array([True, False, True])
     controls = rng.normal(size=(3, 2))
@@ -85,9 +85,9 @@ def test_silent_agent_control_row_is_ignored():
     zeroed[1] = 0.0
     assert stability.drift_bound(e, deltas, controls, hs, topo, constants) == \
         stability.drift_bound(e, deltas, zeroed, hs, topo, constants)
-    assert stability.empirical_drift(topo, state, deltas, controls, hs, 200,
+    assert stability.empirical_drift(topo, x, r, deltas, controls, hs, 200,
                                      np.random.default_rng(17)) == \
-        stability.empirical_drift(topo, state, deltas, zeroed, hs, 200,
+        stability.empirical_drift(topo, x, r, deltas, zeroed, hs, 200,
                                   np.random.default_rng(17))
 
 
@@ -103,26 +103,25 @@ def test_empirical_drift_samples_the_episode_plant(case):
                                      noise_scale=1e-2,
                                      seed=int(rng.integers(0, 1000)))
     m_count, d = topo.m_agents, topo.state_dim
-    state = swarm.SwarmState(x=rng.normal(size=topo.global_dim),
-                             r=rng.normal(size=topo.global_dim))
+    x, r = rng.normal(size=topo.global_dim), rng.normal(size=topo.global_dim)
     deltas = rng.integers(0, 2, size=m_count).astype(bool)
     controls = rng.normal(size=(m_count, 2))
     h = rng.normal(size=(m_count, 3, 2))
     n = 7
-    mean, _ = stability.empirical_drift(topo, state, deltas, controls, h, n,
+    mean, _ = stability.empirical_drift(topo, x, r, deltas, controls, h, n,
                                         np.random.default_rng(case))
     gen = np.random.default_rng(case)
     v = gen.normal(size=(m_count, n, 3))
     z = gen.normal(size=(m_count, n, d))
-    e = state.x - state.r
+    e = x - r
     drifts = []
     for k in range(n):
         received = [h[m] @ controls[m] + v[m, k] if deltas[m] else v[m, k]
                     for m in range(m_count)]
         noise = np.concatenate([oracles.cov_sqrt(topo.w_noise[m]) @ z[m, k]
                                 for m in range(m_count)])
-        e_next = (oracles.step_plant_loop(topo, state.x, received, noise)
-                  - topo.g_target @ state.r)
+        e_next = (oracles.step_plant_loop(topo, x, received, noise)
+                  - topo.g_target @ r)
         drifts.append(float(e_next @ e_next) - float(e @ e))
     assert mean == pytest.approx(sum(drifts) / n, rel=1e-12, abs=1e-12)
 
@@ -134,10 +133,9 @@ def test_empirical_drift_deterministic_frozen_system():
                              a_blocks=[np.eye(2), np.eye(2)],
                              b_blocks=[np.zeros((2, 2)), np.zeros((2, 2))],
                              noise_scale=0.0)
-    state = swarm.SwarmState(x=np.array([1.0, 2.0, 3.0, 4.0]),
-                             r=np.zeros(4))
+    x, r = np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4)
     mean, stderr = stability.empirical_drift(
-        topo, state, *silent_decisions(2, 2), no_channels(topo), 500,
+        topo, x, r, *silent_decisions(2, 2), no_channels(topo), 500,
         np.random.default_rng(0))
     assert mean == 0.0
     assert stderr == 0.0
@@ -149,9 +147,9 @@ def test_empirical_drift_noise_floor_matches_closed_form():
                              b_blocks=[np.array([[1.0, 0.0], [0.0, 2.0]]),
                                        np.array([[0.5, 0.0], [0.0, 1.0]])],
                              noise_scale=0.04)
-    state = swarm.SwarmState(x=np.array([1.0, 2.0, 3.0, 4.0]), r=np.zeros(4))
+    x, r = np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4)
     mean, stderr = stability.empirical_drift(
-        topo, state, *silent_decisions(2, 2), no_channels(topo), 60000,
+        topo, x, r, *silent_decisions(2, 2), no_channels(topo), 60000,
         np.random.default_rng(1))
     expected = topo.w_global_trace() + sum(
         np.trace(topo.b_actuation[m] @ topo.b_actuation[m].T) for m in range(2))
@@ -163,13 +161,12 @@ def test_empirical_drift_within_analytic_bound():
     topo = swarm.build_ring_topology(2, 2, 2, 2, noise_scale=1e-2, seed=5)
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)
     x, r = rng.normal(size=4), rng.normal(size=4)
-    state = swarm.SwarmState(x=x, r=r)
     e = x - r
     params = PolicyParams(p_on=0.5, gamma=0.5)
     hs = [rng.normal(size=(2, 2)) for _ in range(2)]
     deltas, controls = oracles.decision_arrays(oracles.library_decisions(
         e, topo.b_actuation, hs, constants, params))
-    mean, stderr = stability.empirical_drift(topo, state, deltas, controls, hs,
+    mean, stderr = stability.empirical_drift(topo, x, r, deltas, controls, hs,
                                              40000, np.random.default_rng(6))
     bound = stability.drift_bound(e, deltas, controls, hs, topo, constants)
     assert mean <= bound + 3.0 * stderr
@@ -177,12 +174,12 @@ def test_empirical_drift_within_analytic_bound():
 
 def test_empirical_drift_order_independent_mean():
     topo = swarm.build_ring_topology(1, 2, 2, 2, noise_scale=1e-2, seed=3)
-    state = swarm.SwarmState(x=np.ones(2), r=np.zeros(2))
+    x, r = np.ones(2), np.zeros(2)
     deltas, controls = silent_decisions(1, 2)
     hs = no_channels(topo)
-    m1, s1 = stability.empirical_drift(topo, state, deltas, controls, hs, 5000,
+    m1, s1 = stability.empirical_drift(topo, x, r, deltas, controls, hs, 5000,
                                        np.random.default_rng(7))
-    m2, s2 = stability.empirical_drift(topo, state, deltas, controls, hs, 5000,
+    m2, s2 = stability.empirical_drift(topo, x, r, deltas, controls, hs, 5000,
                                        np.random.default_rng(7))
     assert m1 == m2 and s1 == s2
 

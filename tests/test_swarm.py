@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,29 @@ def test_topology_json_round_trip_is_exact():
     assert swarm.topology_to_json(back) == text
 
 
+def ring_document():
+    """topology_to_json document of a 3-agent ring, d = 2, as a dict."""
+    topo = swarm.build_ring_topology(3, state_dim=2, n_tx=2, n_rx=2, seed=3)
+    return json.loads(swarm.topology_to_json(topo))
+
+
+def test_topology_file_rejects_a_coupling_listed_twice():
+    # the second (0, 1) entry used to replace the first without a word
+    doc = ring_document()
+    doc["couplings"].append(dict(doc["couplings"][0], block=np.eye(2).tolist()))
+    with pytest.raises(ValueError, match=r"coupling \(0, 1\) is listed twice"):
+        swarm.topology_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("where,key", [("top", "scale"), ("top", "a_global"),
+                                       ("coupling", "scale")])
+def test_topology_file_rejects_unknown_keys(where, key):
+    doc = ring_document()
+    (doc if where == "top" else doc["couplings"][1])[key] = 2.0
+    with pytest.raises(ValueError, match=rf"unknown \w+ keys: \['{key}'\]"):
+        swarm.topology_from_json(json.dumps(doc))
+
+
 def ring_parts(m_agents=2, d=3, n=2):
     """Keyword arguments of a ring topology, to corrupt one at a time."""
     topo = swarm.build_ring_topology(m_agents, state_dim=d, n_tx=n, n_rx=n, seed=3)
@@ -278,6 +303,12 @@ def ring_parts(m_agents=2, d=3, n=2):
                 a_internal=topo.a_internal, couplings=dict(topo.couplings),
                 b_actuation=topo.b_actuation, w_noise=topo.w_noise,
                 g_target=topo.g_target)
+
+
+@pytest.mark.parametrize("computed", ["a_global", "noise_root"])
+def test_topology_computed_matrices_are_not_arguments(computed):
+    with pytest.raises(TypeError, match=computed):
+        swarm.SwarmTopology(**ring_parts(), **{computed: np.zeros((6, 6))})
 
 
 @pytest.mark.parametrize("field,shape", [
