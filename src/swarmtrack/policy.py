@@ -36,12 +36,19 @@ gamma = 1e6 in calibration probes), and the decisions on that side stay
 those of the dense form.
 
 Certified path. Where rigorous bounds show that neither cutoff can fire,
-c = 1/M exactly and the slot needs no SVD and no eigenproblem
-(certified_terms); every other slot takes the spectral path above
-(factorize_agent + rank_one_terms), so the cutoff decisions stay those of
-the dense form. The certificate's channel part depends on the channels
-alone and runs once per block of slots (certify_channels: one thin QR of
-every slot's and agent's B_m H_m); only its error part runs per slot.
+the slot needs no SVD and no eigenproblem (certified_terms): c = 1/M
+exactly when w != 0, and for one agent at full rank (M = 1 with N_t = d,
+where F = B_m H_m is square and w = 0) c = t / (1 + t) with
+t = ||F^T e||^2 / gamma by Sherman-Morrison. The slot loop routes every
+slot through certified_terms first; where it declines (returns None) the
+slot takes the spectral path above (factorize_agent + rank_one_terms), so
+the cutoff decisions stay those of the dense form. Everything the
+certificate needs that does not depend on the error runs once per block
+of slots (certify_channels: one thin QR of every slot's and agent's
+B_m H_m, and the bound terms of tr G, tr G^-1 and gamma, in a
+CertifiedBlock); only the error part runs per slot. Declined: gamma = 0,
+N_t > d, a singular, non-finite or ill-conditioned B_m H_m, and any agent
+whose eigenvalue bounds come within a factor 2 of the cutoff.
 
 Pi and alpha come from the singular spectra of the plant and target
 transitions: pi_m keeps, per sorted position, the smaller-magnitude of the
@@ -115,27 +122,32 @@ class ChannelFactors:
 
 
 @dataclass(frozen=True)
-class ChannelCertificate:
-    """Channel-only part of certified_terms: thin QR F = Q R of F = B_m H_m.
+class CertifiedBlock:
+    """Per-block part of certified_terms: the work that needs no error.
 
-    Leading axes are batch axes, (slots, M) for a block of slots and (M,)
-    for one slot. tr_g = ||F||_F^2 = tr G and tr_inv = ||R^-1||_F^2
-    = tr G^-1 with G = F^T F. conditioned (one flag per slot) holds when
-    every agent's F is finite with an invertible R and
-    tr(G) tr(G^-1) <= CERTIFIED_MAX_TRACE_PRODUCT; a slot without it is
-    declined.
+    Built by certify_channels from a block's (slots, M, N_r, N_t) channels
+    and gamma; certified_terms reads slot i. q_t, r and r_inv hold the thin
+    QR F = Q R of every slot's and agent's F = B_m H_m (Q^T, R, R^-1; R
+    serves the full-rank branch).
+    conditioned (one flag per slot) holds when every agent's F is finite
+    with an invertible R and tr(G) tr(G^-1) <= CERTIFIED_MAX_TRACE_PRODUCT,
+    with G = F^T F, tr G = ||F||_F^2 and tr G^-1 = ||R^-1||_F^2; a slot
+    without it is declined. The bound terms depend on the channels and
+    gamma alone and are formed here once per block, each in the operand
+    order of the bound it enters: max_tr_g (per slot, max_m tr G),
+    two_tr_g = 2 tr G, gamma_tr_inv = gamma tr G^-1 and
+    slope = (2 M / gamma) tr G.
     """
 
-    q_t: np.ndarray             # (..., M, n_tx, d), Q^T
-    r_inv: np.ndarray           # (..., M, n_tx, n_tx)
-    tr_g: np.ndarray            # (..., M)
-    tr_inv: np.ndarray          # (..., M)
-    conditioned: np.ndarray     # (...,) bool
-
-    def slot(self, i: int) -> "ChannelCertificate":
-        """The certificate of slot i of a block."""
-        return ChannelCertificate(self.q_t[i], self.r_inv[i], self.tr_g[i],
-                                  self.tr_inv[i], self.conditioned[i])
+    gamma: float
+    q_t: np.ndarray             # (slots, M, n_tx, d), Q^T
+    r: np.ndarray               # (slots, M, n_tx, n_tx)
+    r_inv: np.ndarray           # (slots, M, n_tx, n_tx)
+    conditioned: np.ndarray     # (slots,) bool
+    max_tr_g: list              # (slots,) floats
+    two_tr_g: np.ndarray        # (slots, M)
+    gamma_tr_inv: np.ndarray    # (slots, M)
+    slope: np.ndarray           # (slots, M)
 
 
 @dataclass(frozen=True)
@@ -270,21 +282,22 @@ def rank_one_terms(factors: ChannelFactors, e, constants: DriftConstants,
     return RankOneTerms(theta=c * float(pe @ pe), u=u)
 
 
-def certify_channels(b_actuation, h) -> Optional[ChannelCertificate]:
-    """Channel part of certified_terms for any stack of slots.
+def certify_channels(b_actuation, h, gamma: float) -> Optional[CertifiedBlock]:
+    """Per-block part of certified_terms for a block of slots.
 
-    Takes the stacked (M, d, N_r) actuation blocks and channels of shape
-    (..., M, N_r, N_t); one batched thin QR and one batched inverse cover
-    every (slot, agent) pair. Returns None when N_t > d, where no slot can
-    be certified. A slot whose channel is non-finite, singular or
-    ill-conditioned only clears its own conditioned flag: its R is swapped
-    for the identity before the batched inverse, which would otherwise
-    raise for the whole stack.
+    Takes the stacked (M, d, N_r) actuation blocks, the block's channels of
+    shape (slots, M, N_r, N_t) and the communication price gamma; one
+    batched thin QR and one batched inverse cover every (slot, agent) pair.
+    Returns None when N_t > d or gamma = 0, where no slot can be certified.
+    A slot whose channel is non-finite, singular or ill-conditioned only
+    clears its own conditioned flag: its R is swapped for the identity
+    before the batched inverse, which would otherwise raise for the whole
+    stack.
     """
     b = np.asarray(b_actuation, dtype=float)
     h = np.asarray(h, dtype=float)
-    d, n_tx = b.shape[-2], h.shape[-1]
-    if n_tx > d:
+    m_count, d, n_tx = b.shape[0], b.shape[1], h.shape[-1]
+    if n_tx > d or gamma == 0:
         return None
     f = b @ h
     tr_g = (f * f).sum(axis=(-2, -1))
@@ -299,27 +312,32 @@ def certify_channels(b_actuation, h) -> Optional[ChannelCertificate]:
     tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
     conditioned = (invertible.all(axis=-1)
                    & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
-    return ChannelCertificate(q_t=np.swapaxes(q, -1, -2), r_inv=r_inv, tr_g=tr_g,
-                              tr_inv=tr_inv, conditioned=conditioned)
+    # a declined slot's terms may overflow or be NaN; they are never read
+    with np.errstate(over="ignore", invalid="ignore"):
+        return CertifiedBlock(
+            gamma=gamma, q_t=np.swapaxes(q, -1, -2), r=r, r_inv=r_inv,
+            conditioned=conditioned, max_tr_g=tr_g.max(axis=-1).tolist(),
+            two_tr_g=2.0 * tr_g, gamma_tr_inv=gamma * tr_inv,
+            slope=2.0 * m_count / gamma * tr_g)
 
 
-def certified_terms(channel: Optional[ChannelCertificate], e,
-                    constants: DriftConstants,
-                    params: PolicyParams) -> Optional[RankOneTerms]:
-    """rank_one_terms without SVD or eigh where c = 1/M is certified.
+def certified_terms(block: Optional[CertifiedBlock], i: int, e,
+                    constants: DriftConstants) -> Optional[RankOneTerms]:
+    """rank_one_terms without SVD or eigh where no cutoff can fire.
 
-    channel is one slot's certificate (certify_channels on that slot's
-    (M, N_r, N_t) channels, or ChannelCertificate.slot of a block's);
-    M and d are read from its Q^T, and None (N_t > d) declines. Returns
-    None, for the caller to take the spectral path (factorize_agent +
-    rank_one_terms), unless every agent passes the certificate below; the
-    result then equals rank_one_terms' up to rounding.
+    block is certify_channels of a block of slots and i the slot; M and d
+    are read from its Q^T, and None (N_t > d or gamma = 0) declines.
+    Returns None, for the caller to take the spectral path
+    (factorize_agent + rank_one_terms), unless every agent passes the
+    certificate below; the result then equals rank_one_terms' up to
+    rounding.
 
     The work splits into a channel part and an error part. The channel
     part (certify_channels) is the thin QR F = Q R of F = B_m H_m with
-    d >= N_t, R^-1 and the trace terms; the slot loop runs it once per
-    block of slots. The error part runs here, per slot:
-    y = Q^T [e_m, (pi o e)_m], the eigenvalue bounds and u.
+    d >= N_t, R^-1 and the bound terms of tr G, tr G^-1 and gamma; the
+    slot loop runs it once per block of slots. The error part runs here,
+    per slot: ||e||^2, y = Q^T [e_m, (pi o e)_m], the two bound tests and
+    u.
 
     With G = F^T F = R^T R: tr G = ||F||_F^2 >= s_max^2 and
     tr G^-1 = ||R^-1||_F^2 >= s_min^-2. The restricted matrix of
@@ -344,50 +362,66 @@ def certified_terms(channel: Optional[ChannelCertificate], e,
     c = a^T x = 1/M exactly, theta = ||pi o e||^2 / M and
     u = -(1/M) F^+ (pi o e)_m = -(1/M) R^-1 y_pe.
 
+    Full rank (M = 1, N_t = d: F is square and w = 0). Q_r = gamma S^-2
+    + a a^T has no w direction, so by Sherman-Morrison c = t / (1 + t)
+    with t = ||F^T e||^2 / gamma = ||R^T y_e||^2 / gamma, theta
+    = c ||pi o e||^2 and u = -c F^-1 (pi o e) = -c R^-1 y_pe. Every
+    eigenvalue of Q_r lies in [gamma / tr G, lambda_hi], so the same
+    margin rule certifies it when gamma / tr G > 2e-10 lambda_hi.
+
     Orthogonal rather than normal equations G^-1 F^T: forming F^T b loses
     cond(F)^2 eps where the least-squares residual is large, and the trace
     of a computed G^-1 can be negative when G is numerically indefinite
     (N_r < N_t); a sum of squares cannot.
 
     Declined: gamma = 0, N_t > d, a singular, non-finite or
-    ill-conditioned F (N_r < N_t included), any agent near the cutoff and
-    M = 1 at full rank (w = 0). e = 0 gives theta = 0 and u = 0 once the
-    channels pass the conditioning test; non-finite channels fail it and
-    raise in factorize_agent.
+    ill-conditioned F (N_r < N_t included) and any agent near the cutoff.
+    e = 0 gives theta = 0 and u = 0 once the channels pass the
+    conditioning test; non-finite channels fail it and raise in
+    factorize_agent.
     """
-    gamma = params.gamma
-    if channel is None or gamma == 0:
+    if block is None:
         return None
     e = np.asarray(e, dtype=float)
-    m_count, _, d = channel.q_t.shape
+    _, m_count, n_tx, d = block.q_t.shape
     if e.shape != (m_count * d,):
         raise ValueError(f"e must have shape {(m_count * d,)}, got {e.shape}")
-    if not channel.conditioned:
+    if not block.conditioned[i]:
         return None
-    tr_g, tr_inv = channel.tr_g, channel.tr_inv
+    gamma = block.gamma
+    full_rank = m_count == 1 and n_tx == d
     e_sq = float(e @ e)
     tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
     # gamma / (2 tr G) > tol M ||e||^2 is necessary for lambda_lo > tol
-    # lambda_hi; checked first, it declines cheaply the slots where the
-    # cutoff cuts the power-term eigenvalues (small gamma).
-    if not gamma > 2.0 * tol * m_count * e_sq * float(tr_g.max()):
+    # lambda_hi when w != 0; checked first, it declines cheaply the slots
+    # where the cutoff cuts the power-term eigenvalues (small gamma).
+    if not (full_rank
+            or gamma > 2.0 * tol * m_count * e_sq * block.max_tr_g[i]):
         return None
     if e_sq == 0.0:
-        return RankOneTerms(theta=np.zeros(m_count),
-                            u=np.zeros((m_count, channel.r_inv.shape[-1])))
+        return RankOneTerms(theta=np.zeros(m_count), u=np.zeros((m_count, n_tx)))
     pe = constants.pi * e
     rhs = np.empty((m_count, d, 2))
     rhs[:, :, 0] = e.reshape(m_count, d)
     rhs[:, :, 1] = pe.reshape(m_count, d)
-    y = channel.q_t @ rhs
+    y = block.q_t[i] @ rhs
+    lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
+    if full_rank:
+        # gamma / tr G > tol lambda_hi
+        if not 2.0 * gamma > float(block.two_tr_g[i, 0] * lam_hi[0]):
+            return None
+        fe = block.r[i, 0].T @ y[0, :, 0]
+        t = float(fe @ fe) / gamma
+        c = t / (1.0 + t)
+        u = (block.r_inv[i] @ y[:, :, 1:])[..., 0] * -c
+        return RankOneTerms(theta=np.array([c * float(pe @ pe)]), u=u)
     ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
-    lam_hi = tol * (gamma * tr_inv + m_count * e_sq)
     # lambda_lo > tol lambda_hi, one branch of the min at a time
-    if not (gamma > (2.0 * tr_g * lam_hi).max()
+    if not (gamma > (block.two_tr_g[i] * lam_hi).max()
             and (m_count * (e_sq - ye_sq)
-                 - lam_hi * (1.0 + 2.0 * m_count / gamma * tr_g * ye_sq)).min() > 0):
+                 - lam_hi * (1.0 + block.slope[i] * ye_sq)).min() > 0):
         return None
-    u = (channel.r_inv @ y[:, :, 1:])[..., 0] / -m_count
+    u = (block.r_inv[i] @ y[:, :, 1:])[..., 0] / -m_count
     return RankOneTerms(theta=np.full(m_count, float(pe @ pe) / m_count), u=u)
 
 

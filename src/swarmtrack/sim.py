@@ -148,7 +148,6 @@ class Metrics:
 
 
 _SLOT_GENERATORS: dict = {}
-_ZERO_WORDS = np.zeros(4, dtype=np.uint64)
 
 
 def _slot_rng(seed: int, stream: int, slot: int):
@@ -159,12 +158,14 @@ def _slot_rng(seed: int, stream: int, slot: int):
     place (counter 0, empty output buffer) instead of built anew, from one
     state document per stream of which only the key changes; the returned
     generator is valid until the next call for the same stream, so consume
-    it before asking for the stream's next slot.
+    it before asking for the stream's next slot. The counter and buffer
+    words are plain ints, which Philox's state setter reads faster than a
+    uint64 array.
     """
     entry = _SLOT_GENERATORS.get(stream)
     if entry is None:
-        inner = {"counter": _ZERO_WORDS, "key": None}
-        doc = {"bit_generator": "Philox", "state": inner, "buffer": _ZERO_WORDS,
+        inner = {"counter": (0, 0, 0, 0), "key": None}
+        doc = {"bit_generator": "Philox", "state": inner, "buffer": (0, 0, 0, 0),
                "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         entry = _SLOT_GENERATORS[stream] = (
             np.random.Generator(np.random.Philox()), doc, inner,
@@ -278,11 +279,10 @@ def drift_constants(topology: swarm.SwarmTopology) -> policy.DriftConstants:
 def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
     """Closed-form channel-aware decision of every agent.
 
-    Per block of slots the channel part of the certified closed form
-    (policy.certify_channels), split into its per-slot certificates; per
-    slot its error part, or where it declines one stacked factorization
-    and one batched rank-one solve; solve_agent then applies each agent's
-    rule to its slice.
+    Per block of slots the per-block part of the certified closed form
+    (policy.certify_channels); per slot its error part, or where it
+    declines one stacked factorization and one batched rank-one solve;
+    solve_agent then applies each agent's rule to its slice.
     """
     params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
     constants = drift_constants(topology)
@@ -291,12 +291,10 @@ def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
 
     def start_block(h, h_est):
         h_used = h_est if config.use_estimated_csi else h
-        certs = policy.certify_channels(b, h_used)
-        slot_certs = ([None] * len(h_used) if certs is None
-                      else [certs.slot(i) for i in range(len(h_used))])
+        block = policy.certify_channels(b, h_used, params.gamma)
 
         def decide(t, i, e):
-            terms = policy.certified_terms(slot_certs[i], e, constants, params)
+            terms = policy.certified_terms(block, i, e, constants)
             if terms is None:
                 terms = policy.rank_one_terms(policy.factorize_agent(b, h_used[i]),
                                               e, constants, params)
@@ -469,12 +467,15 @@ def run_episode(config: SimConfig,
 
 
 def budget_watts(power_budget_dbw: float) -> float:
-    """A power budget in watts; a budget with no finite wattage is a ValueError."""
-    try:
-        if math.isfinite(power_budget_dbw):
-            return 10.0 ** (power_budget_dbw / 10.0)
-    except OverflowError:
-        pass
+    """A power budget in watts; a budget that is not a real number (a bool
+    included) or has no finite wattage is a ValueError."""
+    if (not isinstance(power_budget_dbw, bool)
+            and isinstance(power_budget_dbw, numbers.Real)):
+        try:
+            if math.isfinite(power_budget_dbw):
+                return 10.0 ** (power_budget_dbw / 10.0)
+        except OverflowError:
+            pass
     raise ValueError(f"power budget {power_budget_dbw!r} dBW is not a finite "
                      f"power in watts")
 
@@ -491,9 +492,9 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     1e-10 cutoff does not fire: there c = 1/M and u does not depend on
     gamma (policy module docstring). The bisection runs in log space until
     the probe mean is within rel_tol of 10^(dBW/10) watts. Budgets outside
-    the achievable range return the corresponding bracket edge. A
-    non-finite budget (or one too large to express in watts) raises
-    ValueError.
+    the achievable range return the corresponding bracket edge. A budget
+    that is not a real number (a bool included), is not finite or is too
+    large to express in watts raises ValueError.
     """
     budget_w = budget_watts(power_budget_dbw)
     if topology is None:
@@ -540,8 +541,9 @@ def sweep_cells(base_config: SimConfig, axis: str, values, seeds) -> list:
     known axis, no topology_path (a pinned system has no per-seed ring),
     values and seeds neither empty nor repeated, and every cell's config
     valid (SimConfig takes each seed and M or N_t value as given, so a
-    non-integer is rejected) and power budget finite in watts; the M and
-    N_t axes use BASE_BUDGET_DBW. A bad input raises ValueError.
+    non-integer is rejected) and power budget a real number finite in
+    watts; the M and N_t axes use BASE_BUDGET_DBW. A bad input raises
+    ValueError.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}; valid axes: {', '.join(AXES)}")

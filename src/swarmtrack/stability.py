@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .channel import receive_control
-from .policy import DriftConstants, factorize_agent
+from .policy import DriftConstants
 from .swarm import SwarmTopology, draw_plant_noise, step_swarm, tracking_error
 
 DEFAULT_MASK_REL_TOL = 1e-10
@@ -115,12 +115,16 @@ def compute_masks(topology: SwarmTopology, h) -> np.ndarray:
 
     Agent m's mask has ones on the numerically nonzero singular directions
     of E_m E_m^T. Its eigenvalues are the squared singular values of the
-    d x N_t block B_m H_m (zeros beyond), so one stacked thin SVD covers
-    every agent of every draw; position i is kept when its eigenvalue
-    exceeds DEFAULT_MASK_REL_TOL times the largest, which a zero channel
-    never does. An agent's support is the sum of its diagonal.
+    d x N_t block B_m H_m (zeros beyond), so one stacked SVD, singular
+    values only, covers every agent of every draw; position i is kept when
+    its eigenvalue exceeds DEFAULT_MASK_REL_TOL times the largest, which a
+    zero channel never does. An agent's support is the sum of its
+    diagonal. A non-finite channel is a ValueError.
     """
-    spectra = factorize_agent(topology.b_actuation, h).singulars ** 2
+    f = topology.b_actuation @ np.asarray(h, dtype=float)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("effective channel contains non-finite entries")
+    spectra = np.linalg.svd(f, compute_uv=False) ** 2
     diag = np.zeros(spectra.shape[:-1] + (topology.global_dim,))
     diag[..., :spectra.shape[-1]] = spectra > DEFAULT_MASK_REL_TOL * spectra[..., :1]
     return diag

@@ -84,11 +84,69 @@ def library_decisions(e, b_actuation, h, constants, params, spectral=False):
     stacked factorization and one batched rank-one solve; then solve_agent
     per agent."""
     terms = None if spectral else policy.certified_terms(
-        policy.certify_channels(b_actuation, h), e, constants, params)
+        policy.certify_channels(b_actuation, np.asarray(h)[None], params.gamma),
+        0, e, constants)
     if terms is None:
         terms = policy.rank_one_terms(policy.factorize_agent(b_actuation, h),
                                       e, constants, params)
     return [policy.solve_agent(terms, m, params) for m in range(len(terms.theta))]
+
+
+def slot_certified_terms(b_actuation, h, e, constants, params):
+    """policy.certified_terms of one slot with every term formed at the slot.
+
+    The per-slot formula that policy.CertifiedBlock hoists out of the slot:
+    the slot's own thin QR, traces and bound terms of gamma, in the operand
+    order of certified_terms, so a slot's result agrees with the per-block
+    form bit for bit. None where certified_terms declines.
+    """
+    gamma = params.gamma
+    b = np.asarray(b_actuation, dtype=float)
+    m_count, d, _ = b.shape
+    n_tx = np.shape(h)[-1]
+    if n_tx > d or gamma == 0:
+        return None
+    f = b @ np.asarray(h, dtype=float)
+    tr_g = (f * f).sum(axis=(-2, -1))
+    if not np.isfinite(tr_g).all():
+        return None
+    q, r = np.linalg.qr(f)
+    if not (np.diagonal(r, axis1=-2, axis2=-1) != 0).all():
+        return None
+    r_inv = np.linalg.inv(r)
+    tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
+    if not (tr_g * tr_inv).max() <= policy.CERTIFIED_MAX_TRACE_PRODUCT:
+        return None
+    e = np.asarray(e, dtype=float)
+    full_rank = m_count == 1 and n_tx == d
+    e_sq = float(e @ e)
+    tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
+    if not (full_rank or gamma > 2.0 * tol * m_count * e_sq * float(tr_g.max())):
+        return None
+    if e_sq == 0.0:
+        return policy.RankOneTerms(theta=np.zeros(m_count),
+                                   u=np.zeros((m_count, n_tx)))
+    pe = constants.pi * e
+    rhs = np.empty((m_count, d, 2))
+    rhs[:, :, 0] = e.reshape(m_count, d)
+    rhs[:, :, 1] = pe.reshape(m_count, d)
+    y = np.swapaxes(q, -1, -2) @ rhs
+    lam_hi = tol * (gamma * tr_inv + m_count * e_sq)
+    if full_rank:
+        if not 2.0 * gamma > float(2.0 * tr_g[0] * lam_hi[0]):
+            return None
+        fe = r[0].T @ y[0, :, 0]
+        t = float(fe @ fe) / gamma
+        c = t / (1.0 + t)
+        return policy.RankOneTerms(theta=np.array([c * float(pe @ pe)]),
+                                   u=(r_inv @ y[:, :, 1:])[..., 0] * -c)
+    ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
+    if not (gamma > (2.0 * tr_g * lam_hi).max()
+            and (m_count * (e_sq - ye_sq)
+                 - lam_hi * (1.0 + 2.0 * m_count / gamma * tr_g * ye_sq)).min() > 0):
+        return None
+    return policy.RankOneTerms(theta=np.full(m_count, float(pe @ pe) / m_count),
+                               u=(r_inv @ y[:, :, 1:])[..., 0] / -m_count)
 
 
 def decision_arrays(decisions):
@@ -271,8 +329,8 @@ def _slot_semantic_decide(config, topology):
 
     def decide(t, e, h, h_est):
         h = h_est if config.use_estimated_csi else h
-        terms = policy.certified_terms(policy.certify_channels(b, h), e,
-                                       constants, params)
+        terms = policy.certified_terms(
+            policy.certify_channels(b, h[None], params.gamma), 0, e, constants)
         if terms is None:
             terms = policy.rank_one_terms(policy.factorize_agent(b, h), e,
                                           constants, params)

@@ -397,15 +397,23 @@ def test_rank_one_matches_dense_oracle(case):
 
 
 @pytest.mark.parametrize("d,n_tx,n_rx", [(1, 1, 1), (1, 3, 2), (2, 2, 2),
-                                         (3, 4, 3), (3, 3, 5), (4, 6, 4)])
+                                         (3, 4, 3), (3, 3, 5), (4, 6, 4),
+                                         (4, 4, 4), (5, 5, 7)])
 def test_rank_one_full_rank_single_agent(d, n_tx, n_rx):
     # M = 1 with N_t, N_r >= d: E is invertible on the whole error space,
-    # so c = e^T Q^-1 e < 1/M depends on gamma.
+    # so c = e^T Q^-1 e < 1/M depends on gamma. Where N_t = d (F square)
+    # the certified full-rank branch answers every conditioned slot.
     rng = np.random.default_rng(950 + 10 * d + n_tx)
     e, b, h, constants, params = rank_one_instance(rng, 1, d, n_tx, n_rx, 0.7)
     dec, = assert_matches_dense(e, b, h, constants, params)
     pe = constants.pi * e
     assert dec.theta < float(pe @ pe)
+    block = policy.certify_channels(b, h[None], params.gamma)
+    if n_tx == d:
+        assert (certified(e, b, h, constants, params) is not None) \
+            == bool(block.conditioned[0])
+    else:
+        assert block is None
 
 
 @pytest.mark.parametrize("case", range(10))
@@ -503,15 +511,15 @@ def test_cutoff_boundary_matches_dense_oracle(ratio, layout):
 # provably cannot fire and declines (None) everywhere else.
 
 def certified(e, b, h, constants, params):
-    return policy.certified_terms(policy.certify_channels(b, h), e, constants,
-                                  params)
+    return policy.certified_terms(policy.certify_channels(b, h[None], params.gamma),
+                                  0, e, constants)
 
 
 def test_certified_path_declines_without_a_certificate():
     # certify_channels gives None where N_t > d
     rng = np.random.default_rng(1305)
     e, _, _, constants, params = rank_one_instance(rng, 4, 9, 4, 4, 1.0)
-    assert policy.certified_terms(None, e, constants, params) is None
+    assert policy.certified_terms(None, 0, e, constants) is None
 
 
 def test_certified_path_taken_on_tall_well_conditioned_channels():
@@ -563,14 +571,112 @@ def test_certified_path_declines_near_cutoff(ratio, layout):
     assert certified(*cutoff_boundary_instance(ratio, layout)) is None
 
 
-def test_certified_path_declines_single_agent_at_full_rank():
-    # M = 1, N_t = N_r = d: w = 0 and c = e^T Q^-1 e < 1 depends on gamma
+def full_rank_boundary_instance(ratio):
+    """M = 1, N_t = N_r = d = 3, so w = 0, with gamma / tr G at ratio times
+    the full-rank certificate's edge 2e-10 (gamma tr G^-1 + ||e||^2)."""
     rng = np.random.default_rng(1330)
-    e, b, h, constants, params = rank_one_instance(rng, 1, 3, 3, 3, 0.7)
-    assert certified(e, b, h, constants, params) is None
+    e, b, h, constants, _ = rank_one_instance(rng, 1, 3, 3, 3, 1.0)
+    f = b[0] @ h[0]
+    tr_g = float((f * f).sum())
+    tr_inv = float((np.linalg.inv(f) ** 2).sum())   # ||F^-1||_F^2 = tr G^-1
+    tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
+    gamma = ratio * tol * float(e @ e) / (1.0 / tr_g - ratio * tol * tr_inv)
+    pe = constants.pi * e
+    return e, b, h, constants, PolicyParams(p_on=1e-12 * float(pe @ pe),
+                                            gamma=gamma)
+
+
+def test_certified_path_declines_single_agent_at_full_rank():
+    # M = 1, N_t = N_r = d: w = 0 and c = e^T Q^-1 e < 1 depends on gamma.
+    # The full-rank branch declines below the edge of its certificate,
+    # though the 1e-10 cutoff fires only further down; the spectral path
+    # then answers as the dense form does.
+    for ratio in (0.5, 0.9):
+        args = full_rank_boundary_instance(ratio)
+        assert certified(*args) is None
+        assert_matches_dense(*args, rtol=1e-5)
     rng = np.random.default_rng(1330)
     e, b, h, constants, params = rank_one_instance(rng, 1, 3, 2, 3, 0.7)
     assert certified(e, b, h, constants, params) is not None
+
+
+@pytest.mark.parametrize("ratio", [1.1, 2.0, 1e4])
+def test_full_rank_branch_certifies_above_its_edge(ratio):
+    # just above the edge gamma / tr G = 2e-10 lambda_hi the branch answers
+    # c = t / (1 + t) and agrees with the dense form; Q is ill-conditioned
+    # near the edge, so both carry ~1e10 eps relative rounding
+    e, b, h, constants, params = full_rank_boundary_instance(ratio)
+    terms = certified(e, b, h, constants, params)
+    assert terms is not None
+    dec, = assert_matches_dense(e, b, h, constants, params, rtol=1e-5)
+    assert dec.delta == 1
+    pe = constants.pi * e
+    assert terms.theta[0] < float(pe @ pe)
+
+
+CERTIFIED_ROUTES = {   # route of the middle slot: certified?
+    "certified": True, "zero_error": True, "full_rank": True,
+    "unconditioned": False, "gamma_zero": False, "cheap_gamma": False,
+    "bound": False, "full_rank_bound": False,
+}
+
+
+def route_instance(route):
+    """A block of three slots whose middle one takes the named route
+    through certified_terms: (e, b, h (3, M, N_r, N_t), constants, params)."""
+    rng = np.random.default_rng(1390)
+    if route == "bound":
+        e, b, h_mid, constants, params = cutoff_boundary_instance(0.9,
+                                                                  "outside_range")
+    elif route == "full_rank_bound":
+        e, b, h_mid, constants, params = full_rank_boundary_instance(0.9)
+    else:
+        dims = (1, 3, 3, 3) if route == "full_rank" else (4, 9, 4, 4)
+        e, b, h_mid, constants, params = rank_one_instance(rng, *dims, 1.0)
+    h = np.stack([rng.normal(size=h_mid.shape), h_mid,
+                  rng.normal(size=h_mid.shape)])
+    if route == "unconditioned":
+        h[1, 1] = 0.0
+    elif route == "gamma_zero":
+        params = PolicyParams(p_on=params.p_on, gamma=0.0)
+    elif route == "zero_error":
+        e = np.zeros_like(e)
+    elif route == "cheap_gamma":
+        f = b @ h[1]
+        tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
+        floor = 2.0 * tol * len(b) * float(e @ e) * float((f * f).sum(axis=(1, 2)).max())
+        params = PolicyParams(p_on=params.p_on, gamma=0.5 * floor)
+    return e, b, h, constants, params
+
+
+@pytest.mark.parametrize("route", sorted(CERTIFIED_ROUTES))
+def test_block_terms_match_per_slot_formula(route):
+    # the per-block bound terms give every slot's result bit for bit as the
+    # per-slot formula does, on each route through certified_terms
+    e, b, h, constants, params = route_instance(route)
+    block = policy.certify_channels(b, h, params.gamma)
+    for i in range(len(h)):
+        terms = policy.certified_terms(block, i, e, constants)
+        ref = oracles.slot_certified_terms(b, h[i], e, constants, params)
+        assert (terms is None) == (ref is None)
+        if ref is not None:
+            assert terms.theta.tobytes() == ref.theta.tobytes()
+            assert terms.u.shape == ref.u.shape
+            assert terms.u.tobytes() == ref.u.tobytes()
+    answered = policy.certified_terms(block, 1, e, constants) is not None
+    assert answered == CERTIFIED_ROUTES[route]
+    if route == "gamma_zero":
+        assert block is None
+        return
+    # the middle slot declines for the named reason; the full-rank branch
+    # skips the cheap gamma test, which holds only where w != 0
+    assert bool(block.conditioned[1]) == (route != "unconditioned")
+    if not route.startswith("full_rank"):
+        tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
+        cheap_passes = params.gamma > (2.0 * tol * len(b) * float(e @ e)
+                                       * block.max_tr_g[1])
+        assert cheap_passes == (route != "cheap_gamma")
+    assert_matches_dense(e, b, h[1], constants, params, rtol=1e-5)
 
 
 def test_certified_path_zero_error_is_silent():
@@ -612,10 +718,10 @@ def test_block_certificate_declines_only_the_bad_slot(bad):
         h[k, 1, :, 3] = h[k, 1, :, 0]      # two equal columns: rank 3 < N_t
     else:
         h[k, 1, 2, 2] = np.nan if bad == "nan" else np.inf
-    certs = policy.certify_channels(b, h)
+    certs = policy.certify_channels(b, h, params.gamma)
     assert certs.conditioned.tolist() == [i != k for i in range(n_slots)]
     for i in range(n_slots):
-        terms = policy.certified_terms(certs.slot(i), e, constants, params)
+        terms = policy.certified_terms(certs, i, e, constants)
         alone = certified(e, b, h[i], constants, params)
         if i == k:
             assert terms is None and alone is None
@@ -636,4 +742,4 @@ def test_block_certificate_declines_only_the_bad_slot(bad):
 def test_block_certificate_declines_wide_channels():
     rng = np.random.default_rng(1370)
     b = rng.normal(size=(2, 3, 4))
-    assert policy.certify_channels(b, rng.normal(size=(6, 2, 4, 5))) is None
+    assert policy.certify_channels(b, rng.normal(size=(6, 2, 4, 5)), 1.0) is None

@@ -457,6 +457,20 @@ def test_budget_without_finite_watts_is_rejected(budget):
     assert sim.budget_watts(10.0) == 10.0 and sim.budget_watts(-4000.0) == 0.0
 
 
+@pytest.mark.parametrize("budget", [True, False, np.bool_(True), "8", None,
+                                    1j])
+def test_budget_that_is_not_a_real_number_is_rejected(budget):
+    # a bool used to pass as 1 or 0 dBW, where every numeric config value
+    # rejects one
+    base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5)
+    with pytest.raises(ValueError, match="not a finite power"):
+        sim.budget_watts(budget)
+    with pytest.raises(ValueError, match="not a finite power"):
+        sim.sweep_cells(base, "power_dbw", [budget], [0])
+    with pytest.raises(ValueError, match="not a finite power"):
+        sim.calibrate_gamma(base, None, budget)
+
+
 def test_run_sweep_rejects_topology_path(tmp_path):
     topo = oracles.scaled_stable_topology(1, 2, 2, seed=61)
     path = tmp_path / "topo.json"

@@ -221,6 +221,42 @@ def test_compute_masks_stacked_draws_match_per_draw_calls():
         assert np.array_equal(stacked[t], stability.compute_masks(topo, h[t]))
 
 
+def full_svd_masks(topology, h):
+    """compute_masks' rule on the singular values of a full thin SVD."""
+    spectra = policy.factorize_agent(topology.b_actuation, h).singulars ** 2
+    diag = np.zeros(spectra.shape[:-1] + (topology.global_dim,))
+    diag[..., :spectra.shape[-1]] = (
+        spectra > stability.DEFAULT_MASK_REL_TOL * spectra[..., :1])
+    return diag
+
+
+@pytest.mark.parametrize("m_count,d,n_tx,n_rx", [(4, 9, 4, 4), (2, 3, 5, 2),
+                                                 (1, 4, 4, 6), (3, 2, 1, 3)])
+def test_compute_masks_match_full_svd_masks(m_count, d, n_tx, n_rx):
+    # singular values alone give the masks of the full SVD, bit for bit,
+    # on random, zero and rank-deficient draws
+    rng = np.random.default_rng(19 + d)
+    topo = swarm.build_ring_topology(m_count, d, n_tx, n_rx, seed=19)
+    h = rng.normal(size=(100, m_count, n_rx, n_tx))
+    h[3] = 0.0
+    h[5, 0] = 0.0
+    if n_tx > 1:
+        h[7, :, :, 1] = h[7, :, :, 0]
+        h[8, 0, :, -1] = 3.0 * h[8, 0, :, 0]
+    h[9] = np.outer(rng.normal(size=n_rx), rng.normal(size=n_tx))
+    masks = stability.compute_masks(topo, h)
+    assert np.array_equal(masks, full_svd_masks(topo, h))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compute_masks_reject_non_finite_channels(bad):
+    topo = swarm.build_ring_topology(2, 3, 2, 2, seed=20)
+    h = np.ones((4, 2, 2, 2))
+    h[2, 1, 0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        stability.compute_masks(topo, h)
+
+
 def test_check_stability_full_coverage():
     masks = np.ones((3, 4))
     holds, margin = stability.check_stability_condition(masks, alpha=50.0)
