@@ -37,18 +37,22 @@ those of the dense form.
 
 Certified path. Where rigorous bounds show that neither cutoff can fire,
 the slot needs no SVD and no eigenproblem (certified_terms): c = 1/M
-exactly when w != 0, and for one agent at full rank (M = 1 with N_t = d,
-where F = B_m H_m is square and w = 0) c = t / (1 + t) with
+exactly when w != 0, and for one agent at full rank (M = 1 with N_t and
+N_r >= d, where F = B_m H_m has rank d and w = 0) c = t / (1 + t) with
 t = ||F^T e||^2 / gamma by Sherman-Morrison. The slot loop routes every
 slot through certified_terms first; where it declines (returns None) the
 slot takes the spectral path above (factorize_agent + rank_one_terms), so
 the cutoff decisions stay those of the dense form. Everything the
 certificate needs that does not depend on the error runs once per block
 of slots (certify_channels: one thin QR of every slot's and agent's
-B_m H_m, and the bound terms of tr G, tr G^-1 and gamma, in a
-CertifiedBlock); only the error part runs per slot. Declined: gamma = 0,
-N_t > d, a singular, non-finite or ill-conditioned B_m H_m, and any agent
-whose eigenvalue bounds come within a factor 2 of the cutoff.
+B_m H_m, or of its transpose when N_t > d, and the bound terms of tr G,
+tr G^-1 and gamma, in a CertifiedBlock); only the error part runs per
+slot. Declined: gamma = 0, N_r < min(d, N_t) (B_m H_m cannot have full
+rank), a singular, non-finite or ill-conditioned B_m H_m (tr G tr G^-1
+above CERTIFIED_MAX_TRACE_PRODUCT, which keeps its singular values clear
+of the cutoff), and any agent whose eigenvalue bounds come within a
+factor 2 of the cutoff. The certified u holds a stated accuracy contract
+against exact arithmetic (certified_terms).
 
 Pi and alpha come from the singular spectra of the plant and target
 transitions: pi_m keeps, per sorted position, the smaller-magnitude of the
@@ -63,13 +67,16 @@ import numpy as np
 from .linalg import DEFAULT_PINV_REL_TOL, svd
 
 # Certificate constants of certified_terms (derivation there).
-# tr(G) tr(G^-1) <= 1e6 bounds cond(F) by 1e3, so every singular value of
-# F = B_m H_m sits far above the 1e-10 cutoff.
-CERTIFIED_MAX_TRACE_PRODUCT = 1e6
 # The eigenvalue bounds must clear the cutoff by this factor, which covers
 # eigh's eigenvalue error (about n eps lambda_max) and the rounding of the
 # bounds themselves.
 CERTIFIED_CUTOFF_MARGIN = 2.0
+# cond(F)^2 <= tr(G) tr(G^-1), so this limit keeps every singular value of
+# F = B_m H_m above the 1e-10 cutoff by CERTIFIED_CUTOFF_MARGIN: cond(F)
+# <= 1 / (2e-10) = 5e9. There cond(F) eps <= 1.1e-6, so the QR factors
+# that measure tr(G^-1) are accurate far inside the margin and the
+# certified u meets its C cond(F) eps accuracy contract (certified_terms).
+CERTIFIED_MAX_TRACE_PRODUCT = (CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL) ** -2
 
 
 @dataclass(frozen=True)
@@ -126,23 +133,27 @@ class CertifiedBlock:
     """Per-block part of certified_terms: the work that needs no error.
 
     Built by certify_channels from a block's (slots, M, N_r, N_t) channels
-    and gamma; certified_terms reads slot i. q_t, r and r_inv hold the thin
-    QR F = Q R of every slot's and agent's F = B_m H_m (Q^T, R, R^-1; R
-    serves the full-rank branch).
+    and gamma; certified_terms reads slot i. The factors come from one thin
+    QR per slot and agent, of F = B_m H_m when N_t <= d (tall: F = Q R)
+    and of F^T when N_t > d (wide: F^T = Q R, R d x d). In the coordinates
+    y = q_t [e_m, (pi o e)_m] (q_t = Q^T, tall) or y = [e_m, (pi o e)_m]
+    (q_t None, wide), root @ y_e has the norm of F^T e_m (root = R^T,
+    tall; R, wide) and lift @ y_pe = F^+ (pi o e)_m (lift = R^-1, tall;
+    Q R^-T, wide).
     conditioned (one flag per slot) holds when every agent's F is finite
     with an invertible R and tr(G) tr(G^-1) <= CERTIFIED_MAX_TRACE_PRODUCT,
-    with G = F^T F, tr G = ||F||_F^2 and tr G^-1 = ||R^-1||_F^2; a slot
-    without it is declined. The bound terms depend on the channels and
-    gamma alone and are formed here once per block, each in the operand
-    order of the bound it enters: max_tr_g (per slot, max_m tr G),
-    two_tr_g = 2 tr G, gamma_tr_inv = gamma tr G^-1 and
-    slope = (2 M / gamma) tr G.
+    with tr G = ||F||_F^2 and tr G^-1 = ||R^-1||_F^2 (the sums of s_i^2 and
+    s_i^-2 over F's singular values); a slot without it is declined. The
+    bound terms depend on the channels and gamma alone and are formed here
+    once per block, each in the operand order of the bound it enters:
+    max_tr_g (per slot, max_m tr G), two_tr_g = 2 tr G, gamma_tr_inv =
+    gamma tr G^-1 and slope = (2 M / gamma) tr G.
     """
 
     gamma: float
-    q_t: np.ndarray             # (slots, M, n_tx, d), Q^T
-    r: np.ndarray               # (slots, M, n_tx, n_tx)
-    r_inv: np.ndarray           # (slots, M, n_tx, n_tx)
+    q_t: Optional[np.ndarray]   # (slots, M, n_tx, d) Q^T, tall; None, wide
+    root: np.ndarray            # (slots, M, k, k), k = min(d, n_tx)
+    lift: np.ndarray            # (slots, M, n_tx, k)
     conditioned: np.ndarray     # (slots,) bool
     max_tr_g: list              # (slots,) floats
     two_tr_g: np.ndarray        # (slots, M)
@@ -288,34 +299,41 @@ def certify_channels(b_actuation, h, gamma: float) -> Optional[CertifiedBlock]:
     Takes the stacked (M, d, N_r) actuation blocks, the block's channels of
     shape (slots, M, N_r, N_t) and the communication price gamma; one
     batched thin QR and one batched inverse cover every (slot, agent) pair.
-    Returns None when N_t > d or gamma = 0, where no slot can be certified.
-    A slot whose channel is non-finite, singular or ill-conditioned only
-    clears its own conditioned flag: its R is swapped for the identity
-    before the batched inverse, which would otherwise raise for the whole
-    stack.
+    Returns None when gamma = 0 or N_r < min(d, N_t), where no slot can be
+    certified (F = B_m H_m then has rank N_r, below that of R). A slot
+    whose channel is non-finite, singular or ill-conditioned only clears
+    its own conditioned flag: its R is swapped for the identity before the
+    batched inverse, which would otherwise raise for the whole stack.
     """
     b = np.asarray(b_actuation, dtype=float)
     h = np.asarray(h, dtype=float)
-    m_count, d, n_tx = b.shape[0], b.shape[1], h.shape[-1]
-    if n_tx > d or gamma == 0:
+    m_count, d, n_rx = b.shape
+    n_tx = h.shape[-1]
+    k = min(d, n_tx)
+    if gamma == 0 or n_rx < k:
         return None
+    wide = n_tx > d
     f = b @ h
     tr_g = (f * f).sum(axis=(-2, -1))
     finite = np.isfinite(tr_g)
     if not finite.all():
         f = np.where(finite[..., None, None], f, 0.0)
-    q, r = np.linalg.qr(f)
+    q, r = np.linalg.qr(np.swapaxes(f, -1, -2) if wide else f)
     invertible = finite & (np.diagonal(r, axis1=-2, axis2=-1) != 0).all(axis=-1)
     if not invertible.all():
-        r = np.where(invertible[..., None, None], r, np.eye(n_tx))
+        r = np.where(invertible[..., None, None], r, np.eye(k))
     r_inv = np.linalg.inv(r)
     tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
     conditioned = (invertible.all(axis=-1)
                    & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
+    if wide:
+        q_t, root, lift = None, r, q @ np.swapaxes(r_inv, -1, -2)
+    else:
+        q_t, root, lift = np.swapaxes(q, -1, -2), np.swapaxes(r, -1, -2), r_inv
     # a declined slot's terms may overflow or be NaN; they are never read
     with np.errstate(over="ignore", invalid="ignore"):
         return CertifiedBlock(
-            gamma=gamma, q_t=np.swapaxes(q, -1, -2), r=r, r_inv=r_inv,
+            gamma=gamma, q_t=q_t, root=root, lift=lift,
             conditioned=conditioned, max_tr_g=tr_g.max(axis=-1).tolist(),
             two_tr_g=2.0 * tr_g, gamma_tr_inv=gamma * tr_inv,
             slope=2.0 * m_count / gamma * tr_g)
@@ -325,24 +343,31 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
                     constants: DriftConstants) -> Optional[RankOneTerms]:
     """rank_one_terms without SVD or eigh where no cutoff can fire.
 
-    block is certify_channels of a block of slots and i the slot; M and d
-    are read from its Q^T, and None (N_t > d or gamma = 0) declines.
-    Returns None, for the caller to take the spectral path
+    block is certify_channels of a block of slots and i the slot; M, N_t
+    and d are read from its factors, and None (gamma = 0 or N_r < min(d,
+    N_t)) declines. Returns None, for the caller to take the spectral path
     (factorize_agent + rank_one_terms), unless every agent passes the
     certificate below; the result then equals rank_one_terms' up to
-    rounding.
+    rounding, and exact arithmetic within the accuracy contract below.
 
     The work splits into a channel part and an error part. The channel
-    part (certify_channels) is the thin QR F = Q R of F = B_m H_m with
-    d >= N_t, R^-1 and the bound terms of tr G, tr G^-1 and gamma; the
-    slot loop runs it once per block of slots. The error part runs here,
-    per slot: ||e||^2, y = Q^T [e_m, (pi o e)_m], the two bound tests and
-    u.
+    part (certify_channels) is one thin QR per agent, R^-1 and the bound
+    terms of tr G, tr G^-1 and gamma; the slot loop runs it once per block
+    of slots. The error part runs here, per slot: ||e||^2, the coordinates
+    y_e and y_pe of e_m and (pi o e)_m, the two bound tests and u.
 
-    With G = F^T F = R^T R: tr G = ||F||_F^2 >= s_max^2 and
-    tr G^-1 = ||R^-1||_F^2 >= s_min^-2. The restricted matrix of
-    rank_one_terms is Q_r = D + M a a^T with D = diag(gamma s_i^-2, 0),
-    ||a||^2 = ||e||^2 and a_w^2 = w^2 = ||e||^2 - ||y_e||^2. Its extreme
+    Tall F (N_t <= d): F = Q R, y = Q^T [e_m, (pi o e)_m], G = F^T F
+    = R^T R, F^+ = R^-1 Q^T and ||F^T e_m|| = ||R^T y_e||. Wide F
+    (N_t > d, N_r >= d): F^T = Q R with R d x d, so F has full row rank d,
+    F^+ = Q R^-T, ||F^T e_m|| = ||R e_m|| and range(F) is all of block m:
+    y = [e_m, (pi o e)_m] and the in-block residual is 0. Either way, over
+    F's k = min(d, N_t) singular values s_i, tr G = ||F||_F^2
+    = sum s_i^2 >= s_max^2 and tr G^-1 = ||R^-1||_F^2 = sum s_i^-2
+    >= s_min^-2.
+
+    The restricted matrix of rank_one_terms is Q_r = D + M a a^T with
+    D = diag(gamma s_i^-2, 0), ||a||^2 = ||e||^2 and a_w^2 = w^2
+    = ||e||^2 - ||y_e||^2 (||y_e|| = ||e_m|| for wide F). Its extreme
     eigenvalues are bounded:
 
         lambda_max <= lambda_hi = gamma tr(G^-1) + M ||e||^2,
@@ -355,41 +380,59 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
     d_i - lambda is at least d_i / 2, and sum_i a_i^2 / d_i
     = ||F^T e_m||^2 / gamma <= tr(G) ||y_e||^2 / gamma.
 
-    Certified when tr(G) tr(G^-1) <= 1e6 (cond F <= 1e3: no singular value
-    is cut) and lambda_lo > 2e-10 lambda_hi for every agent. Then Q_r is
-    positive definite and eigh keeps every eigenvalue, so c = a^T Q_r^-1 a;
-    Q_r x = a at x = e_w / (M a_w) (D e_w = 0, a^T e_w = a_w), hence
-    c = a^T x = 1/M exactly, theta = ||pi o e||^2 / M and
-    u = -(1/M) F^+ (pi o e)_m = -(1/M) R^-1 y_pe.
+    Certified when the block's conditioning flag holds (tr(G) tr(G^-1)
+    <= CERTIFIED_MAX_TRACE_PRODUCT: no singular value of F comes within
+    the margin of the 1e-10 cutoff) and lambda_lo > 2e-10 lambda_hi for
+    every agent. Then Q_r is positive definite and eigh keeps every
+    eigenvalue, so c = a^T Q_r^-1 a; Q_r x = a at x = e_w / (M a_w)
+    (D e_w = 0, a^T e_w = a_w), hence c = a^T x = 1/M exactly,
+    theta = ||pi o e||^2 / M and u = -(1/M) F^+ (pi o e)_m. The first
+    branch of that test needs gamma / (2 tr G) > 2e-10 gamma tr G^-1, so
+    a certified agent has tr(G) tr(G^-1) < 2.5e9 (cond F < 5e4) whenever
+    e != 0: the eigenvalue cutoff of Q_r, whose diagonal spans cond(F)^2,
+    binds long before that of F.
 
-    Full rank (M = 1, N_t = d: F is square and w = 0). Q_r = gamma S^-2
-    + a a^T has no w direction, so by Sherman-Morrison c = t / (1 + t)
-    with t = ||F^T e||^2 / gamma = ||R^T y_e||^2 / gamma, theta
-    = c ||pi o e||^2 and u = -c F^-1 (pi o e) = -c R^-1 y_pe. Every
-    eigenvalue of Q_r lies in [gamma / tr G, lambda_hi], so the same
-    margin rule certifies it when gamma / tr G > 2e-10 lambda_hi.
+    Full rank (M = 1 with N_t >= d: F has rank d and w = 0). Q_r = gamma
+    S^-2 + a a^T has no w direction, so by Sherman-Morrison c = t / (1 + t)
+    with t = ||F^T e||^2 / gamma = ||root y_e||^2 / gamma, theta
+    = c ||pi o e||^2 and u = -c F^+ (pi o e). Every eigenvalue of Q_r
+    lies in [gamma / tr G, lambda_hi], so the same margin rule certifies
+    it when gamma / tr G > 2e-10 lambda_hi.
+
+    Accuracy contract. Householder QR is backward stable, so against
+    exact arithmetic on the same B, H, e and pi a certified agent's u
+    errs by at most C cond(F) eps ||u|| when F is square or wide (no
+    least-squares residual), plus C cond(F)^2 eps c ||rho|| / ||F||_2 for
+    tall F, rho the residual of (pi o e)_m outside range(F) (N. J.
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, ch. 20), with C = 4 d N_t; theta is within C cond(F) eps
+    relative (theta = ||pi o e||^2 / M does not read F; at full rank c
+    does). This decides no transmit bit where w != 0. The spectral path
+    forms Q_r, whose diagonal spans cond(F)^2, and loses about
+    cond(F)^2 eps. The property tests hold the contract against an exact
+    rational closed form (tests/oracles.py, exact_rank_one_terms).
 
     Orthogonal rather than normal equations G^-1 F^T: forming F^T b loses
     cond(F)^2 eps where the least-squares residual is large, and the trace
-    of a computed G^-1 can be negative when G is numerically indefinite
-    (N_r < N_t); a sum of squares cannot.
+    of a computed G^-1 can be negative when G is numerically indefinite;
+    a sum of squares cannot.
 
-    Declined: gamma = 0, N_t > d, a singular, non-finite or
-    ill-conditioned F (N_r < N_t included) and any agent near the cutoff.
-    e = 0 gives theta = 0 and u = 0 once the channels pass the
-    conditioning test; non-finite channels fail it and raise in
-    factorize_agent.
+    Declined: gamma = 0, N_r < min(d, N_t), a singular, non-finite or
+    ill-conditioned F and any agent near the cutoff. e = 0 gives theta = 0
+    and u = 0 once the channels pass the conditioning test; non-finite
+    channels fail it and raise in factorize_agent.
     """
     if block is None:
         return None
     e = np.asarray(e, dtype=float)
-    _, m_count, n_tx, d = block.q_t.shape
+    _, m_count, n_tx, k = block.lift.shape
+    d = k if block.q_t is None else block.q_t.shape[-1]
     if e.shape != (m_count * d,):
         raise ValueError(f"e must have shape {(m_count * d,)}, got {e.shape}")
     if not block.conditioned[i]:
         return None
     gamma = block.gamma
-    full_rank = m_count == 1 and n_tx == d
+    full_rank = m_count == 1 and n_tx >= d
     e_sq = float(e @ e)
     tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
     # gamma / (2 tr G) > tol M ||e||^2 is necessary for lambda_lo > tol
@@ -401,19 +444,20 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
     if e_sq == 0.0:
         return RankOneTerms(theta=np.zeros(m_count), u=np.zeros((m_count, n_tx)))
     pe = constants.pi * e
-    rhs = np.empty((m_count, d, 2))
-    rhs[:, :, 0] = e.reshape(m_count, d)
-    rhs[:, :, 1] = pe.reshape(m_count, d)
-    y = block.q_t[i] @ rhs
+    y = np.empty((m_count, d, 2))
+    y[:, :, 0] = e.reshape(m_count, d)
+    y[:, :, 1] = pe.reshape(m_count, d)
+    if block.q_t is not None:
+        y = block.q_t[i] @ y
     lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
     if full_rank:
         # gamma / tr G > tol lambda_hi
         if not 2.0 * gamma > float(block.two_tr_g[i, 0] * lam_hi[0]):
             return None
-        fe = block.r[i, 0].T @ y[0, :, 0]
+        fe = block.root[i, 0] @ y[0, :, 0]
         t = float(fe @ fe) / gamma
         c = t / (1.0 + t)
-        u = (block.r_inv[i] @ y[:, :, 1:])[..., 0] * -c
+        u = (block.lift[i] @ y[:, :, 1:])[..., 0] * -c
         return RankOneTerms(theta=np.array([c * float(pe @ pe)]), u=u)
     ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
     # lambda_lo > tol lambda_hi, one branch of the min at a time
@@ -421,7 +465,7 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
             and (m_count * (e_sq - ye_sq)
                  - lam_hi * (1.0 + block.slope[i] * ye_sq)).min() > 0):
         return None
-    u = (block.r_inv[i] @ y[:, :, 1:])[..., 0] / -m_count
+    u = (block.lift[i] @ y[:, :, 1:])[..., 0] / -m_count
     return RankOneTerms(theta=np.full(m_count, float(pe @ pe) / m_count), u=u)
 
 

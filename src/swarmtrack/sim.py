@@ -247,12 +247,16 @@ def _regularization_scales(topology: swarm.SwarmTopology):
 
 
 def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
-    """PID gains, regularizing A when the raw solve diverges.
+    """PID gains, regularizing A when the raw solve fails.
 
-    Random swarms are frequently unstabilizable under the static all-ones
-    channel; the Riccati iteration then diverges and tuning retries with a
-    progressively scaled-down plant matrix. The scale used is recorded on
-    the returned gains.
+    Tuning retries with a progressively scaled-down plant matrix whenever
+    solve_dare raises DareConvergenceError: its iteration overflows (a
+    system the static all-ones channel cannot stabilize), or it stalls.
+    On rings the iteration converges in relative terms within a few dozen
+    steps to a stabilizing gain, but with max|P| of order 1e7 the absolute
+    change max|dP| stays above solve_dare's 1e-8 tolerance until max_iter,
+    so those rings are tuned on a scaled plant too. The scale used is
+    recorded on the returned gains.
     """
     def tune():
         last_err = None
@@ -492,11 +496,26 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     1e-10 cutoff does not fire: there c = 1/M and u does not depend on
     gamma (policy module docstring). The bisection runs in log space until
     the probe mean is within rel_tol of 10^(dBW/10) watts. Budgets outside
-    the achievable range return the corresponding bracket edge. A budget
-    that is not a real number (a bool included), is not finite or is too
-    large to express in watts raises ValueError.
+    the achievable range return the corresponding bracket edge. Every
+    argument is checked before any probe runs, with ValueError for a
+    budget that is not a real number (a bool included), is not finite or
+    is too large to express in watts, for n_probe_seeds not an integer
+    >= 1 or max_iter not an integer >= 0 (bools rejected), for a bracket
+    other than finite 0 < lo < hi and for rel_tol not a number >= 0.
     """
     budget_w = budget_watts(power_budget_dbw)
+    for name, value, least in (("n_probe_seeds", n_probe_seeds, 1),
+                               ("max_iter", max_iter, 0)):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or value < least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if not all(not isinstance(v, bool) and isinstance(v, numbers.Real)
+               and math.isfinite(v) for v in (lo, hi)) or not 0 < lo < hi:
+        raise ValueError(f"the gamma bracket needs finite 0 < lo < hi, got "
+                         f"lo={lo!r}, hi={hi!r}")
+    if (isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real)
+            or not rel_tol >= 0):
+        raise ValueError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
     if topology is None:
         topology = build_topology(config)
     horizon = probe_horizon if probe_horizon is not None else config.horizon

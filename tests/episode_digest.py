@@ -14,8 +14,14 @@ diverge. Beside each digest the file records how many slots the certified
 closed form answered (policy.certified_terms not None), so a comparison
 can tell certified-path drift from any other.
 
---write stores the digests; --compare recomputes them, lists the
-episodes whose digest differs and exits 1 if any does.
+--write stores the digests, and beside them (same name, .npz) every
+episode's cost, power, bits and controls, and the semantic episodes'
+thresholds theta. --compare recomputes them, lists the episodes whose
+digest differs and exits 1 if any does. Where the stored arrays exist it
+measures each changed episode over the slots both runs decided: the worst
+relative deviation of cost, power and u (per slot |a - b| / max(|a|, |b|),
+per agent's u in norm) and the transmit bits that flipped, each flip with
+its slot, agent and theta - P_on before and after.
 """
 
 import argparse
@@ -75,27 +81,72 @@ def digest(metrics) -> str:
     return h.hexdigest()
 
 
-def compute() -> dict:
-    real = policy.certified_terms
-    answered = []
+def compute():
+    """(summary, arrays, p_on) of every episode: the digest file's entries,
+    the trajectories the .npz stores, and each episode's P_on."""
+    real_certified, real_solve = policy.certified_terms, policy.solve_agent
+    answered, thetas = [], []
 
     def counting(*args):
-        terms = real(*args)
+        terms = real_certified(*args)
         answered.append(terms is not None)
         return terms
 
-    policy.certified_terms = counting
+    def recording(terms, m, params):
+        decision = real_solve(terms, m, params)
+        thetas.append(decision.theta)
+        return decision
+
+    policy.certified_terms, policy.solve_agent = counting, recording
     try:
-        out = {}
+        summary, arrays, p_on = {}, {}, {}
         for name, cfg, topology in episodes():
             answered.clear()
+            thetas.clear()
             metrics = sim.run_episode(cfg, topology)
-            out[name] = {"digest": digest(metrics), "n_slots": metrics.n_slots,
-                         "diverged": bool(metrics.diverged),
-                         "certified_slots": sum(answered)}
-        return out
+            summary[name] = {"digest": digest(metrics), "n_slots": metrics.n_slots,
+                             "diverged": bool(metrics.diverged),
+                             "certified_slots": sum(answered)}
+            bits, controls = metrics.decision_log
+            arrays.update({
+                f"{name}|cost": metrics.cost_trajectory,
+                f"{name}|power": metrics.tx_power_trajectory,
+                f"{name}|bits": bits, f"{name}|u": controls,
+                f"{name}|theta": np.reshape(thetas, (-1, cfg.m_agents))})
+            p_on[name] = cfg.p_on
+        return summary, arrays, p_on
     finally:
-        policy.certified_terms = real
+        policy.certified_terms, policy.solve_agent = real_certified, real_solve
+
+
+FIELDS = ("cost", "power", "bits", "u", "theta")
+
+
+def relative_deviation(old, new) -> float:
+    """Worst ||old - new|| / max(||old||, ||new||), norms over the last
+    axis (0 where both are 0)."""
+    diff = np.linalg.norm(new - old, axis=-1)
+    big = np.maximum(np.linalg.norm(old, axis=-1), np.linalg.norm(new, axis=-1))
+    ratio = np.divide(diff, big, out=np.zeros_like(diff), where=big > 0)
+    return float(ratio.max(initial=0.0))
+
+
+def deviations(name, stored, current, p_on) -> tuple:
+    """Worst cost, power and u deviation of one episode over the slots both
+    runs decided, and its bit flips as (slot, agent, old theta - P_on,
+    new theta - P_on), theta nan where the scheme has none."""
+    old = {field: stored[f"{name}|{field}"] for field in FIELDS}
+    new = {field: current[f"{name}|{field}"] for field in FIELDS}
+    n = min(len(old["bits"]), len(new["bits"]))
+    worst = (relative_deviation(old["cost"][:n, None], new["cost"][:n, None]),
+             relative_deviation(old["power"][:n, None], new["power"][:n, None]),
+             relative_deviation(old["u"][:n], new["u"][:n]))
+    flips = []
+    for t, m in zip(*np.nonzero(old["bits"][:n] != new["bits"][:n])):
+        before, after = (float(theta[t, m] - p_on) if len(theta) else np.nan
+                         for theta in (old["theta"], new["theta"]))
+        flips.append((int(t), int(m), before, after))
+    return worst, flips
 
 
 def main(argv=None) -> int:
@@ -105,25 +156,44 @@ def main(argv=None) -> int:
     group.add_argument("--compare", metavar="PATH",
                        help="compare with stored digests")
     args = parser.parse_args(argv)
-    current = compute()
+    current, arrays, p_on = compute()
     if args.write:
         Path(args.write).write_text(json.dumps(current, indent=1) + "\n",
                                     encoding="utf-8")
+        np.savez_compressed(Path(args.write).with_suffix(".npz"), **arrays)
         print(f"wrote {len(current)} digests to {args.write}")
         return 0
     stored = json.loads(Path(args.compare).read_text(encoding="utf-8"))
+    stored_npz = Path(args.compare).with_suffix(".npz")
+    old = dict(np.load(stored_npz)) if stored_npz.exists() else None
     changed = sorted(k for k in current.keys() | stored.keys()
                      if current.get(k, {}).get("digest")
                      != stored.get(k, {}).get("digest"))
+    worst, n_flips = np.zeros(3), 0
     for name in changed:
         was, now = stored.get(name, {}), current.get(name, {})
-        print(f"changed {name}: certified slots {was.get('certified_slots')} -> "
-              f"{now.get('certified_slots')}, diverged {was.get('diverged')} -> "
-              f"{now.get('diverged')}")
+        line = (f"changed {name}: certified slots {was.get('certified_slots')} -> "
+                f"{now.get('certified_slots')}, diverged {was.get('diverged')} -> "
+                f"{now.get('diverged')}")
+        if old is not None and was and now:
+            dev, flips = deviations(name, old, arrays, p_on[name])
+            worst = np.maximum(worst, dev)
+            n_flips += len(flips)
+            line += (f", worst deviation cost {dev[0]:.2e} power {dev[1]:.2e} "
+                     f"u {dev[2]:.2e}, {len(flips)} bit flips")
+            line += "".join(f"\n  flip slot {t} agent {m}: theta - P_on "
+                            f"{before:.3e} -> {after:.3e}"
+                            for t, m, before, after in flips)
+        print(line)
     uncertified = [k for k in changed
                    if not stored.get(k, {}).get("certified_slots")]
+    baseline = [k for k in changed if not k.endswith("/semantic")]
     print(f"{len(changed)} of {len(current)} digests differ; "
-          f"{len(uncertified)} of them in episodes without certified slots")
+          f"{len(uncertified)} of them in episodes without certified slots; "
+          f"{len(baseline)} baseline-scheme digests differ")
+    if old is not None and changed:
+        print(f"worst per-slot deviation: cost {worst[0]:.2e}, power "
+              f"{worst[1]:.2e}, u {worst[2]:.2e}; {n_flips} transmit bits flipped")
     return 1 if changed else 0
 
 

@@ -6,6 +6,7 @@ summation) so the tests stay meaningful.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -96,21 +97,23 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     """policy.certified_terms of one slot with every term formed at the slot.
 
     The per-slot formula that policy.CertifiedBlock hoists out of the slot:
-    the slot's own thin QR, traces and bound terms of gamma, in the operand
-    order of certified_terms, so a slot's result agrees with the per-block
-    form bit for bit. None where certified_terms declines.
+    the slot's own thin QR (of F, or of F^T when N_t > d), traces and bound
+    terms of gamma, in the operand order of certified_terms, so a slot's
+    result agrees with the per-block form bit for bit. None where
+    certified_terms declines.
     """
     gamma = params.gamma
     b = np.asarray(b_actuation, dtype=float)
-    m_count, d, _ = b.shape
+    m_count, d, n_rx = b.shape
     n_tx = np.shape(h)[-1]
-    if n_tx > d or gamma == 0:
+    if gamma == 0 or n_rx < min(d, n_tx):
         return None
+    wide = n_tx > d
     f = b @ np.asarray(h, dtype=float)
     tr_g = (f * f).sum(axis=(-2, -1))
     if not np.isfinite(tr_g).all():
         return None
-    q, r = np.linalg.qr(f)
+    q, r = np.linalg.qr(np.swapaxes(f, -1, -2) if wide else f)
     if not (np.diagonal(r, axis1=-2, axis2=-1) != 0).all():
         return None
     r_inv = np.linalg.inv(r)
@@ -118,7 +121,7 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     if not (tr_g * tr_inv).max() <= policy.CERTIFIED_MAX_TRACE_PRODUCT:
         return None
     e = np.asarray(e, dtype=float)
-    full_rank = m_count == 1 and n_tx == d
+    full_rank = m_count == 1 and n_tx >= d
     e_sq = float(e @ e)
     tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
     if not (full_rank or gamma > 2.0 * tol * m_count * e_sq * float(tr_g.max())):
@@ -130,23 +133,105 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     rhs = np.empty((m_count, d, 2))
     rhs[:, :, 0] = e.reshape(m_count, d)
     rhs[:, :, 1] = pe.reshape(m_count, d)
-    y = np.swapaxes(q, -1, -2) @ rhs
+    if wide:
+        y, root, lift = rhs, r, q @ np.swapaxes(r_inv, -1, -2)
+    else:
+        y, root, lift = np.swapaxes(q, -1, -2) @ rhs, np.swapaxes(r, -1, -2), r_inv
     lam_hi = tol * (gamma * tr_inv + m_count * e_sq)
     if full_rank:
         if not 2.0 * gamma > float(2.0 * tr_g[0] * lam_hi[0]):
             return None
-        fe = r[0].T @ y[0, :, 0]
+        fe = root[0] @ y[0, :, 0]
         t = float(fe @ fe) / gamma
         c = t / (1.0 + t)
         return policy.RankOneTerms(theta=np.array([c * float(pe @ pe)]),
-                                   u=(r_inv @ y[:, :, 1:])[..., 0] * -c)
+                                   u=(lift @ y[:, :, 1:])[..., 0] * -c)
     ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
     if not (gamma > (2.0 * tr_g * lam_hi).max()
             and (m_count * (e_sq - ye_sq)
                  - lam_hi * (1.0 + 2.0 * m_count / gamma * tr_g * ye_sq)).min() > 0):
         return None
     return policy.RankOneTerms(theta=np.full(m_count, float(pe @ pe) / m_count),
-                               u=(r_inv @ y[:, :, 1:])[..., 0] / -m_count)
+                               u=(lift @ y[:, :, 1:])[..., 0] / -m_count)
+
+
+EXACT_MAX_DM = 12
+
+
+def _exact(a):
+    """Nested lists of Fractions holding a float array's values exactly."""
+    return [_exact(row) for row in a] if np.ndim(a) else Fraction(float(a))
+
+
+def _exact_matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _exact_solve(a, b):
+    """a^-1 b by Gauss-Jordan elimination in Fractions; a singular a raises."""
+    n = len(a)
+    aug = [list(row) + list(rhs) for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular matrix in exact solve")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv = 1 / aug[col][col]
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def exact_rank_one_terms(b_actuation, h, e, pi, gamma):
+    """theta (M,) and u (M, N_t) of the rank-one closed form in exact
+    rational arithmetic, each rounded once to float at the end.
+
+    The float inputs are taken as exact rationals (fractions.Fraction), F
+    = B_m H_m is formed exactly and F^+ comes from the exact normal
+    equations: (F^T F)^-1 F^T for N_t <= d, F^T (F F^T)^-1 for N_t > d;
+    a rank-deficient F raises ValueError. Valid in the cutoff-free regime,
+    for dM <= EXACT_MAX_DM: c = 1/M when w = (I - P_m) e != 0 (the part of
+    e that E_m cannot actuate, formed exactly), else c = t / (1 + M t)
+    with t = ||F^T e_m||^2 / gamma (t / (1 + t) for one agent at full
+    rank); theta = c ||pi o e||^2 and u = -c F^+ (pi o e)_m.
+    """
+    b = np.asarray(b_actuation, dtype=float)
+    m_count, d, _ = b.shape
+    if m_count * d > EXACT_MAX_DM:
+        raise ValueError(f"dM = {m_count * d} exceeds {EXACT_MAX_DM}")
+    e_x = _exact(np.asarray(e, dtype=float))
+    pe = [p * v for p, v in zip(_exact(np.asarray(pi, dtype=float)), e_x)]
+    pe_sq = sum(v * v for v in pe)
+    e_sq = sum(v * v for v in e_x)
+    gamma_x = Fraction(float(gamma))
+    theta, u = [], []
+    for m in range(m_count):
+        f = _exact_matmul(_exact(b[m]), _exact(np.asarray(h[m], dtype=float)))
+        f_t = _transpose(f)
+        e_m = [[v] for v in e_x[m * d:(m + 1) * d]]
+        pe_m = [[v] for v in pe[m * d:(m + 1) * d]]
+        if len(f_t) <= d:        # full column rank: F^+ = (F^T F)^-1 F^T
+            pinv = _exact_solve(_exact_matmul(f_t, f), f_t)
+        else:                    # full row rank: F^+ = F^T (F F^T)^-1
+            pinv = _transpose(_exact_solve(_exact_matmul(f, f_t), f))
+        proj = _exact_matmul(f, _exact_matmul(pinv, e_m))
+        e_m_sq = sum(row[0] ** 2 for row in e_m)
+        w_sq = (e_sq - e_m_sq) + sum((a[0] - p[0]) ** 2 for a, p in zip(e_m, proj))
+        if w_sq != 0:
+            c = Fraction(1, m_count)
+        else:
+            t = sum(v[0] ** 2 for v in _exact_matmul(f_t, e_m)) / gamma_x
+            c = t / (1 + m_count * t)
+        theta.append(float(c * pe_sq))
+        u.append([float(-c * v[0]) for v in _exact_matmul(pinv, pe_m)])
+    return np.array(theta), np.array(u)
 
 
 def decision_arrays(decisions):

@@ -1,0 +1,36 @@
+import numpy as np
+
+import episode_digest
+
+
+def episode_arrays(name, cost, power, bits, u, theta):
+    return {f"{name}|cost": np.array(cost), f"{name}|power": np.array(power),
+            f"{name}|bits": np.array(bits), f"{name}|u": np.array(u),
+            f"{name}|theta": np.array(theta).reshape(-1, 2)}
+
+
+def test_deviations_cover_the_common_slots_and_list_flips():
+    # the new run decided one slot fewer; slot 1 changed cost, u and
+    # agent 1's bit, whose theta crossed P_on = 0.5
+    old = episode_arrays("ep", [1.0, 2.0, 3.0], [0.0, 4.0, 1.0],
+                         [[0, 0], [1, 0], [1, 1]],
+                         [[[0.0], [0.0]], [[2.0], [0.0]], [[1.0], [1.0]]],
+                         [0.1, 0.2, 0.9, 0.4, 0.8, 0.8])
+    new = episode_arrays("ep", [1.0, 2.2], [0.0, 4.0],
+                         [[0, 0], [1, 1]], [[[0.0], [0.0]], [[2.0], [-1.0]]],
+                         [0.1, 0.2, 0.9, 0.6])
+    worst, flips = episode_digest.deviations("ep", old, new, 0.5)
+    assert np.isclose(worst[0], 0.2 / 2.2)
+    assert worst[1] == 0.0
+    assert worst[2] == 1.0       # agent 1's u went from 0 to -1
+    assert len(flips) == 1
+    t, m, before, after = flips[0]
+    assert (t, m) == (1, 1)
+    assert np.isclose(before, -0.1) and np.isclose(after, 0.1)
+
+
+def test_deviations_without_thresholds_report_nan():
+    old = episode_arrays("b", [1.0], [1.0], [[1, 0]], [[[1.0], [0.0]]], [])
+    new = episode_arrays("b", [1.0], [1.0], [[1, 1]], [[[1.0], [1.0]]], [])
+    _, flips = episode_digest.deviations("b", old, new, 0.0)
+    assert len(flips) == 1 and np.isnan(flips[0][2]) and np.isnan(flips[0][3])

@@ -401,19 +401,17 @@ def test_rank_one_matches_dense_oracle(case):
                                          (4, 4, 4), (5, 5, 7)])
 def test_rank_one_full_rank_single_agent(d, n_tx, n_rx):
     # M = 1 with N_t, N_r >= d: E is invertible on the whole error space,
-    # so c = e^T Q^-1 e < 1/M depends on gamma. Where N_t = d (F square)
-    # the certified full-rank branch answers every conditioned slot.
+    # so c = e^T Q^-1 e < 1/M depends on gamma. F square (N_t = d) or wide
+    # (N_t > d), the certified full-rank branch answers every conditioned
+    # slot.
     rng = np.random.default_rng(950 + 10 * d + n_tx)
     e, b, h, constants, params = rank_one_instance(rng, 1, d, n_tx, n_rx, 0.7)
     dec, = assert_matches_dense(e, b, h, constants, params)
     pe = constants.pi * e
     assert dec.theta < float(pe @ pe)
     block = policy.certify_channels(b, h[None], params.gamma)
-    if n_tx == d:
-        assert (certified(e, b, h, constants, params) is not None) \
-            == bool(block.conditioned[0])
-    else:
-        assert block is None
+    assert block.conditioned[0]
+    assert certified(e, b, h, constants, params) is not None
 
 
 @pytest.mark.parametrize("case", range(10))
@@ -507,6 +505,77 @@ def test_cutoff_boundary_matches_dense_oracle(ratio, layout):
         assert dec.theta <= 1e-5 * float(pe @ pe)
 
 
+# Accuracy of the certified closed form against exact rational arithmetic
+# (oracles.exact_rank_one_terms), at the contract of policy.certified_terms.
+
+EPS = np.finfo(float).eps
+
+
+def assert_within_contract(u, u_exact, b, h, e, constants):
+    """Every agent's certified u is within the contract bound of exact
+    arithmetic: C cond(F) eps (||u|| + cond(F) c ||rho|| / ||F||_2),
+    C = 4 d N_t, rho the least-squares residual of (pi o e)_m (0 unless F
+    is tall)."""
+    f = np.asarray(b) @ np.asarray(h)
+    m_count, d, n_tx = f.shape
+    pe = (constants.pi * e).reshape(m_count, d)
+    for m in range(m_count):
+        kappa = np.linalg.cond(f[m])
+        x = np.linalg.pinv(f[m]) @ pe[m]
+        c = np.linalg.norm(u_exact[m]) / np.linalg.norm(x) if x.any() else 0.0
+        rho = np.linalg.norm(pe[m] - f[m] @ x)
+        bound = 4 * d * n_tx * kappa * EPS * (
+            np.linalg.norm(u_exact[m]) + kappa * c * rho / np.linalg.norm(f[m], 2))
+        assert np.linalg.norm(u[m] - u_exact[m]) <= bound
+
+
+def conditioned_instance(rng, m_count, d, n_tx, n_rx, cond):
+    """(e, b, h, constants): every agent's F = B_m H_m has singular values
+    spread geometrically over a factor cond (range(F) inside range(B_m))."""
+    k = min(d, n_tx)
+    b = rng.normal(size=(m_count, d, n_rx))
+    h = np.empty((m_count, n_rx, n_tx))
+    for m in range(m_count):
+        left = np.linalg.qr(b[m])[0][:, :k]
+        right = np.linalg.qr(rng.normal(size=(n_tx, k)))[0]
+        s = np.geomspace(1.0, 1.0 / cond, k) * rng.uniform(0.5, 2.0)
+        h[m] = np.linalg.pinv(b[m]) @ ((left * s) @ right.T)
+    e = rng.normal(size=m_count * d)
+    pi = rng.uniform(0.2, 1.0, size=m_count * d)
+    return e, b, h, DriftConstants(pi=pi, alpha=2.0)
+
+
+CONTRACT_SHAPES = {    # (M, d, N_t, N_r), dM <= 12
+    "tall": [(1, 4, 2, 3), (2, 5, 3, 3), (3, 4, 3, 4), (2, 6, 1, 2)],
+    "square": [(1, 4, 4, 4), (1, 6, 6, 7), (2, 3, 3, 5), (3, 2, 2, 2)],
+    "wide": [(1, 3, 5, 3), (1, 5, 8, 6), (2, 3, 4, 3), (4, 3, 4, 3)],
+}
+
+
+@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("shape", sorted(CONTRACT_SHAPES))
+def test_certified_terms_meet_accuracy_contract(shape, case, record_property):
+    # theta and u of the certified path stay within C cond(F) eps of exact
+    # arithmetic up to cond(F) = 1e4; the spectral path's error, about
+    # cond(F)^2 eps, is recorded, not bounded
+    rng = np.random.default_rng(1400 + 10 * case + sorted(CONTRACT_SHAPES).index(shape))
+    m_count, d, n_tx, n_rx = CONTRACT_SHAPES[shape][case % 4]
+    cond = 10.0 ** (case * 4 / 7)
+    e, b, h, constants = conditioned_instance(rng, m_count, d, n_tx, n_rx, cond)
+    gamma = float(10.0 ** rng.uniform(-1, 1))
+    terms = certified(e, b, h, constants, PolicyParams(p_on=0.0, gamma=gamma))
+    assert terms is not None
+    theta, u = oracles.exact_rank_one_terms(b, h, e, constants.pi, gamma)
+    kappa = np.linalg.cond(b @ h).max()
+    assert np.all(np.abs(terms.theta - theta) <= 4 * d * n_tx * kappa * EPS * theta)
+    assert_within_contract(terms.u, u, b, h, e, constants)
+    spectral = policy.rank_one_terms(policy.factorize_agent(b, h), e, constants,
+                                     PolicyParams(p_on=0.0, gamma=gamma))
+    err = np.linalg.norm(spectral.u - u, axis=1) / np.linalg.norm(u, axis=1)
+    record_property("spectral_u_error_over_cond2_eps",
+                    float((err / (np.linalg.cond(b @ h) ** 2 * EPS)).max()))
+
+
 # Routing of the certified closed form: it answers only where the cutoff
 # provably cannot fire and declines (None) everywhere else.
 
@@ -516,7 +585,7 @@ def certified(e, b, h, constants, params):
 
 
 def test_certified_path_declines_without_a_certificate():
-    # certify_channels gives None where N_t > d
+    # certify_channels gives None where gamma = 0 or N_r < min(d, N_t)
     rng = np.random.default_rng(1305)
     e, _, _, constants, params = rank_one_instance(rng, 4, 9, 4, 4, 1.0)
     assert policy.certified_terms(None, 0, e, constants) is None
@@ -541,7 +610,7 @@ def test_certified_path_declines_structural_cases(case):
     if case == "gamma_zero":
         gamma = 0.0
     elif case == "wide":
-        n_tx = 5            # N_t > d
+        n_tx = 5            # N_t > d with N_r < d: F has rank 3 < d
     else:
         n_rx = 1            # N_r < N_t: F = B H has rank 1 < N_t
     e, b, h, constants, params = rank_one_instance(rng, m_count, d, n_tx,
@@ -551,16 +620,23 @@ def test_certified_path_declines_structural_cases(case):
 
 
 def test_certified_path_declines_ill_conditioned_channel():
-    # agent 1's F = B H has singular values 1 and 1e-4 (cond 1e4)
+    # agent 1's F = B H has singular values 1 and s: tr G tr G^-1
+    # = (1 + s^2)(1 + s^-2) crosses CERTIFIED_MAX_TRACE_PRODUCT = 2.5e19
+    # between s = 2.01e-10 and s = 1.99e-10
     rng = np.random.default_rng(1320)
     e, b, h, constants, params = rank_one_instance(rng, 3, 5, 2, 2, 1.0)
     basis, _ = np.linalg.qr(rng.normal(size=(5, 2)))
     b[1] = basis
-    h[1] = np.diag([1.0, 1e-4])
+    h[1] = np.diag([1.0, 1e-4])       # cond 1e4: certified
     assert np.linalg.cond(b[1] @ h[1]) == pytest.approx(1e4, rel=1e-9)
-    assert certified(e, b, h, constants, params) is None
-    h[1] = np.diag([1.0, 0.1])       # cond 10: certified again
     assert certified(e, b, h, constants, params) is not None
+    for s, conditioned in ((2.01e-10, True), (1.99e-10, False)):
+        h[1] = np.diag([1.0, s])
+        block = policy.certify_channels(b, h[None], params.gamma)
+        assert bool(block.conditioned[0]) == conditioned
+        # inside the limit the eigenvalue bounds decline it: Q_r's diagonal
+        # spans cond(F)^2 = 2.5e19, far past the 1e-10 cutoff
+        assert policy.certified_terms(block, 0, e, constants) is None
 
 
 @pytest.mark.parametrize("ratio", [0.9, 1.1, 2.0])
@@ -616,6 +692,7 @@ def test_full_rank_branch_certifies_above_its_edge(ratio):
 
 CERTIFIED_ROUTES = {   # route of the middle slot: certified?
     "certified": True, "zero_error": True, "full_rank": True,
+    "wide": True, "full_rank_wide": True,
     "unconditioned": False, "gamma_zero": False, "cheap_gamma": False,
     "bound": False, "full_rank_bound": False,
 }
@@ -631,7 +708,8 @@ def route_instance(route):
     elif route == "full_rank_bound":
         e, b, h_mid, constants, params = full_rank_boundary_instance(0.9)
     else:
-        dims = (1, 3, 3, 3) if route == "full_rank" else (4, 9, 4, 4)
+        dims = {"full_rank": (1, 3, 3, 3), "wide": (4, 3, 4, 3),
+                "full_rank_wide": (1, 3, 5, 3)}.get(route, (4, 9, 4, 4))
         e, b, h_mid, constants, params = rank_one_instance(rng, *dims, 1.0)
     h = np.stack([rng.normal(size=h_mid.shape), h_mid,
                   rng.normal(size=h_mid.shape)])
@@ -740,6 +818,17 @@ def test_block_certificate_declines_only_the_bad_slot(bad):
 
 
 def test_block_certificate_declines_wide_channels():
+    # wide F (N_t > d) is certified where N_r >= d gives it full row rank;
+    # with N_r < d its rank is N_r < d and no slot can be certified
     rng = np.random.default_rng(1370)
     b = rng.normal(size=(2, 3, 4))
-    assert policy.certify_channels(b, rng.normal(size=(6, 2, 4, 5)), 1.0) is None
+    h = rng.normal(size=(6, 2, 4, 5))
+    block = policy.certify_channels(b, h, 1.0)
+    assert block.conditioned.all()
+    e = rng.normal(size=6)
+    constants = DriftConstants(pi=rng.uniform(0.5, 1.0, size=6), alpha=2.0)
+    for i in range(len(h)):
+        terms = policy.certified_terms(block, i, e, constants)
+        _, u_exact = oracles.exact_rank_one_terms(b, h[i], e, constants.pi, 1.0)
+        assert_within_contract(terms.u, u_exact, b, h[i], e, constants)
+    assert policy.certify_channels(b[:, :, :2], h[:, :, :2], 1.0) is None

@@ -471,6 +471,43 @@ def test_budget_that_is_not_a_real_number_is_rejected(budget):
         sim.calibrate_gamma(base, None, budget)
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"n_probe_seeds": 0}, "n_probe_seeds"),
+    ({"n_probe_seeds": True}, "n_probe_seeds"),
+    ({"n_probe_seeds": 1.5}, "n_probe_seeds"),
+    ({"lo": 10.0, "hi": 1.0}, "bracket"),
+    ({"lo": 0.0}, "bracket"),
+    ({"hi": float("inf")}, "bracket"),
+    ({"lo": float("nan")}, "bracket"),
+    ({"rel_tol": -0.01}, "rel_tol"),
+    ({"rel_tol": float("nan")}, "rel_tol"),
+    ({"max_iter": -1}, "max_iter"),
+    ({"max_iter": False}, "max_iter"),
+])
+def test_calibrate_gamma_rejects_bad_arguments_before_any_probe(
+        monkeypatch, kwargs, match):
+    # n_probe_seeds=0 used to die dividing by zero, lo > hi to return 1.0
+    # silently, and lo = 0 to pin the log-space bisection at 0
+    def no_probe(*args, **kw):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(sim, "run_episode", no_probe)
+    monkeypatch.setattr(sim, "build_topology", no_probe)
+    base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5)
+    with pytest.raises(ValueError, match=match):
+        sim.calibrate_gamma(base, None, 8.0, **kwargs)
+
+
+def test_run_sweep_rejects_zero_probe_seeds(monkeypatch):
+    def no_probe(*args, **kw):
+        raise AssertionError("a probe ran")
+
+    monkeypatch.setattr(sim, "run_episode", no_probe)
+    base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5)
+    with pytest.raises(ValueError, match="n_probe_seeds"):
+        sim.run_sweep(base, "power_dbw", [8.0], [0], n_probe_seeds=0)
+
+
 def test_run_sweep_rejects_topology_path(tmp_path):
     topo = oracles.scaled_stable_topology(1, 2, 2, seed=61)
     path = tmp_path / "topo.json"
@@ -765,3 +802,55 @@ def test_tuned_gains_per_agent_split(monkeypatch):
                         horizon=3, scheme="baseline2")
         assert sim.tuned_gains(topo).k_p.shape == (m_count, 1, 8)
         assert sim.run_episode(cfg, topo).n_slots == 3
+
+
+def certified_share(monkeypatch, configs_and_topologies):
+    """Blocks' conditioned flags and the slots certified_terms answered
+    over a set of semantic episodes."""
+    certify, answer = policy.certify_channels, policy.certified_terms
+    flags, answered = [], []
+
+    def certify_recording(*args):
+        block = certify(*args)
+        flags.append(None if block is None else block.conditioned)
+        return block
+
+    def answer_recording(*args):
+        terms = answer(*args)
+        answered.append(terms is not None)
+        return terms
+
+    monkeypatch.setattr(policy, "certify_channels", certify_recording)
+    monkeypatch.setattr(policy, "certified_terms", answer_recording)
+    for cfg, topo in configs_and_topologies:
+        sim.run_episode(cfg, topo)
+    return flags, answered
+
+
+def test_benchmark_m8_blocks_are_all_conditioned(monkeypatch):
+    # the M = 8, d = 9, N = 4 benchmark system: no block holds a channel
+    # past the conditioning limit (at tr G tr G^-1 <= 1e6, 6.5% of slots
+    # were declined by it); 511 of the 512 slots are certified
+    topo = benchmark_topology(8, 9, 4, 4, 0, 0.02)
+    runs = [(SimConfig(m_agents=8, state_dim=9, n_tx=4, n_rx=4, horizon=64,
+                       p_on=0.001, noise_scale=0.02, x0_value=0.0,
+                       r0_value=0.0, seed=seed), topo) for seed in range(8)]
+    flags, answered = certified_share(monkeypatch, runs)
+    assert len(flags) == 16
+    assert all(block is not None and block.all() for block in flags)
+    assert sum(answered) >= 0.99 * len(answered)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e6])
+def test_wide_channels_take_the_certified_branch(monkeypatch, gamma):
+    # criterion 6's M-axis shape (M = 4, d = 3, N_r = 3, N_t = 4): F is
+    # wide. No slot was certified while N_t > d was declined; now 1200 of
+    # 1200 slots are at gamma = 1 and 1199 of 1200 at gamma = 1e6 (at
+    # gamma = 1e-6 the cutoff really fires and 100 of 1200 are)
+    runs = [(SimConfig(m_agents=4, state_dim=3, n_tx=4, n_rx=3, horizon=300,
+                       seed=seed, p_on=0.001, noise_scale=0.02, x0_value=0.0,
+                       r0_value=0.0, use_estimated_csi=False, gamma=gamma),
+             benchmark_topology(4, 3, 4, 3, seed, 0.02)) for seed in range(4)]
+    flags, answered = certified_share(monkeypatch, runs)
+    assert all(block is not None and block.all() for block in flags)
+    assert sum(answered) >= 0.99 * len(answered)
