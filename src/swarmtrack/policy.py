@@ -33,26 +33,37 @@ dense dM x dM form applied. This is kept on purpose rather than exact
 arithmetic: when gamma s_min^-2 exceeds about 1e10 M ||e||^2 the error
 direction of Q falls under the cutoff and theta drops towards 0 (seen at
 gamma = 1e6 in calibration probes), and the decisions on that side stay
-those of the dense form.
+those of the dense form. At the other end (gamma near 1e-6, the lower
+edge of calibration) the cutoff takes out power-term eigenvalues of Q,
+but since Q_r e_w = M a_w a every eigenpair carries a^T v = lambda v^T
+e_w / (M a_w): cutting eigenvalues at or below tau lowers c by at most
+tau / (M^2 w^2), so M c stays within delta = 2e-10 (gamma tr G^-1
++ M ||e||^2) / (M w^2) of 1 (certified_terms).
 
-Certified path. Where rigorous bounds show that neither cutoff can fire,
-the slot needs no SVD and no eigenproblem (certified_terms): c = 1/M
-exactly when w != 0, and for one agent at full rank (M = 1 with N_t and
-N_r >= d, where F = B_m H_m has rank d and w = 0) c = t / (1 + t) with
-t = ||F^T e||^2 / gamma by Sherman-Morrison. The slot loop routes every
-slot through certified_terms first; where it declines (returns None) the
-slot takes the spectral path above (factorize_agent + rank_one_terms), so
-the cutoff decisions stay those of the dense form. Everything the
-certificate needs that does not depend on the error runs once per block
+Certified path. Where rigorous bounds pin c, the slot needs no SVD and no
+eigenproblem (certified_terms), with two certificates. The first shows
+that neither cutoff can fire: then c = 1/M exactly when w != 0, and for
+one agent at full rank (M = 1 with N_t and N_r >= d, where F = B_m H_m
+has rank d and w = 0) c = t / (1 + t) with t = ||F^T e||^2 / gamma by
+Sherman-Morrison. The second, for w != 0 where Q_r's cutoff may fire,
+bounds what it can remove: every agent's delta is at most
+CERTIFIED_CUT_SLACK = 1e-8 and P_on lies outside [(1 - max delta)
+theta_0, theta_0), theta_0 = ||pi o e||^2 / M; it answers theta_0 and
+u = -(1/M) F^+ (pi o e)_m, which take the spectral path's transmit bits
+and lie within delta of its values. The slot loop routes every slot
+through certified_terms first; where it declines (returns None) the slot
+takes the spectral path above (factorize_agent + rank_one_terms), so the
+cutoff decisions stay those of the dense form. Everything the
+certificates need that does not depend on the error runs once per block
 of slots (certify_channels: one thin QR of every slot's and agent's
 B_m H_m, or of its transpose when N_t > d, and the bound terms of tr G,
 tr G^-1 and gamma, in a CertifiedBlock); only the error part runs per
 slot. Declined: gamma = 0, N_r < min(d, N_t) (B_m H_m cannot have full
 rank), a singular, non-finite or ill-conditioned B_m H_m (tr G tr G^-1
 above CERTIFIED_MAX_TRACE_PRODUCT, which keeps its singular values clear
-of the cutoff), and any agent whose eigenvalue bounds come within a
-factor 2 of the cutoff. The certified u holds a stated accuracy contract
-against exact arithmetic (certified_terms).
+of the cutoff), and any slot that neither certificate covers. The
+certified u holds a stated accuracy contract against exact arithmetic
+(certified_terms).
 
 Pi and alpha come from the singular spectra of the plant and target
 transitions: pi_m keeps, per sorted position, the smaller-magnitude of the
@@ -77,6 +88,12 @@ CERTIFIED_CUTOFF_MARGIN = 2.0
 # that measure tr(G^-1) are accurate far inside the margin and the
 # certified u meets its C cond(F) eps accuracy contract (certified_terms).
 CERTIFIED_MAX_TRACE_PRODUCT = (CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL) ** -2
+# Largest delta = 2e-10 lambda_hi / (M w^2) the second certificate
+# accepts: a bound on the share of c that Q_r's cutoff may remove, and so
+# on the relative distance of its theta and u from the spectral path's.
+# At 1e-8 it also keeps w^2 above 2% of ||e||^2 (lambda_hi >= M ||e||^2),
+# far from the rounding of w^2 = ||e||^2 - ||y_e||^2.
+CERTIFIED_CUT_SLACK = 1e-8
 
 
 @dataclass(frozen=True)
@@ -133,29 +150,29 @@ class CertifiedBlock:
     """Per-block part of certified_terms: the work that needs no error.
 
     Built by certify_channels from a block's (slots, M, N_r, N_t) channels
-    and gamma; certified_terms reads slot i. The factors come from one thin
-    QR per slot and agent, of F = B_m H_m when N_t <= d (tall: F = Q R)
-    and of F^T when N_t > d (wide: F^T = Q R, R d x d). In the coordinates
-    y = q_t [e_m, (pi o e)_m] (q_t = Q^T, tall) or y = [e_m, (pi o e)_m]
-    (q_t None, wide), root @ y_e has the norm of F^T e_m (root = R^T,
-    tall; R, wide) and lift @ y_pe = F^+ (pi o e)_m (lift = R^-1, tall;
-    Q R^-T, wide).
+    and the policy parameters (params: gamma, and P_on for the second
+    certificate); certified_terms reads slot i. The factors come from one
+    thin QR per slot and agent, of F = B_m H_m when N_t <= d (tall:
+    F = Q R) and of F^T when N_t > d (wide: F^T = Q R, R d x d). In the
+    coordinates y = q_t [e_m, (pi o e)_m] (q_t = Q^T, tall) or
+    y = [e_m, (pi o e)_m] (q_t None, wide), root @ y_e has the norm of
+    F^T e_m (root = R^T, tall; R, wide) and lift @ y_pe = F^+ (pi o e)_m
+    (lift = R^-1, tall; Q R^-T, wide).
     conditioned (one flag per slot) holds when every agent's F is finite
     with an invertible R and tr(G) tr(G^-1) <= CERTIFIED_MAX_TRACE_PRODUCT,
     with tr G = ||F||_F^2 and tr G^-1 = ||R^-1||_F^2 (the sums of s_i^2 and
     s_i^-2 over F's singular values); a slot without it is declined. The
     bound terms depend on the channels and gamma alone and are formed here
     once per block, each in the operand order of the bound it enters:
-    max_tr_g (per slot, max_m tr G), two_tr_g = 2 tr G, gamma_tr_inv =
-    gamma tr G^-1 and slope = (2 M / gamma) tr G.
+    two_tr_g = 2 tr G, gamma_tr_inv = gamma tr G^-1 and slope
+    = (2 M / gamma) tr G.
     """
 
-    gamma: float
+    params: PolicyParams
     q_t: Optional[np.ndarray]   # (slots, M, n_tx, d) Q^T, tall; None, wide
     root: np.ndarray            # (slots, M, k, k), k = min(d, n_tx)
     lift: np.ndarray            # (slots, M, n_tx, k)
     conditioned: np.ndarray     # (slots,) bool
-    max_tr_g: list              # (slots,) floats
     two_tr_g: np.ndarray        # (slots, M)
     gamma_tr_inv: np.ndarray    # (slots, M)
     slope: np.ndarray           # (slots, M)
@@ -293,12 +310,13 @@ def rank_one_terms(factors: ChannelFactors, e, constants: DriftConstants,
     return RankOneTerms(theta=c * float(pe @ pe), u=u)
 
 
-def certify_channels(b_actuation, h, gamma: float) -> Optional[CertifiedBlock]:
+def certify_channels(b_actuation, h, params: PolicyParams) -> Optional[CertifiedBlock]:
     """Per-block part of certified_terms for a block of slots.
 
     Takes the stacked (M, d, N_r) actuation blocks, the block's channels of
-    shape (slots, M, N_r, N_t) and the communication price gamma; one
-    batched thin QR and one batched inverse cover every (slot, agent) pair.
+    shape (slots, M, N_r, N_t) and the policy parameters (gamma enters the
+    bound terms, P_on the second certificate); one batched thin QR and one
+    batched inverse cover every (slot, agent) pair.
     Returns None when gamma = 0 or N_r < min(d, N_t), where no slot can be
     certified (F = B_m H_m then has rank N_r, below that of R). A slot
     whose channel is non-finite, singular or ill-conditioned only clears
@@ -310,6 +328,7 @@ def certify_channels(b_actuation, h, gamma: float) -> Optional[CertifiedBlock]:
     m_count, d, n_rx = b.shape
     n_tx = h.shape[-1]
     k = min(d, n_tx)
+    gamma = params.gamma
     if gamma == 0 or n_rx < k:
         return None
     wide = n_tx > d
@@ -333,28 +352,30 @@ def certify_channels(b_actuation, h, gamma: float) -> Optional[CertifiedBlock]:
     # a declined slot's terms may overflow or be NaN; they are never read
     with np.errstate(over="ignore", invalid="ignore"):
         return CertifiedBlock(
-            gamma=gamma, q_t=q_t, root=root, lift=lift,
-            conditioned=conditioned, max_tr_g=tr_g.max(axis=-1).tolist(),
-            two_tr_g=2.0 * tr_g, gamma_tr_inv=gamma * tr_inv,
+            params=params, q_t=q_t, root=root, lift=lift,
+            conditioned=conditioned, two_tr_g=2.0 * tr_g, gamma_tr_inv=gamma * tr_inv,
             slope=2.0 * m_count / gamma * tr_g)
 
 
 def certified_terms(block: Optional[CertifiedBlock], i: int, e,
                     constants: DriftConstants) -> Optional[RankOneTerms]:
-    """rank_one_terms without SVD or eigh where no cutoff can fire.
+    """rank_one_terms without SVD or eigh where a certificate pins c.
 
     block is certify_channels of a block of slots and i the slot; M, N_t
-    and d are read from its factors, and None (gamma = 0 or N_r < min(d,
-    N_t)) declines. Returns None, for the caller to take the spectral path
-    (factorize_agent + rank_one_terms), unless every agent passes the
-    certificate below; the result then equals rank_one_terms' up to
-    rounding, and exact arithmetic within the accuracy contract below.
+    and d are read from its factors, P_on and gamma from its params, and
+    None (gamma = 0 or N_r < min(d, N_t)) declines. Returns None, for the
+    caller to take the spectral path (factorize_agent + rank_one_terms),
+    unless every agent passes one of the two certificates below; the
+    result then takes rank_one_terms' transmit bits, and its values agree
+    with rank_one_terms' up to rounding (first certificate) or within
+    delta (second), and with exact arithmetic within the accuracy contract
+    below.
 
     The work splits into a channel part and an error part. The channel
     part (certify_channels) is one thin QR per agent, R^-1 and the bound
     terms of tr G, tr G^-1 and gamma; the slot loop runs it once per block
     of slots. The error part runs here, per slot: ||e||^2, the coordinates
-    y_e and y_pe of e_m and (pi o e)_m, the two bound tests and u.
+    y_e and y_pe of e_m and (pi o e)_m, the bound tests and u.
 
     Tall F (N_t <= d): F = Q R, y = Q^T [e_m, (pi o e)_m], G = F^T F
     = R^T R, F^+ = R^-1 Q^T and ||F^T e_m|| = ||R^T y_e||. Wide F
@@ -380,24 +401,47 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
     d_i - lambda is at least d_i / 2, and sum_i a_i^2 / d_i
     = ||F^T e_m||^2 / gamma <= tr(G) ||y_e||^2 / gamma.
 
-    Certified when the block's conditioning flag holds (tr(G) tr(G^-1)
+    Both certificates need the block's conditioning flag (tr(G) tr(G^-1)
     <= CERTIFIED_MAX_TRACE_PRODUCT: no singular value of F comes within
-    the margin of the 1e-10 cutoff) and lambda_lo > 2e-10 lambda_hi for
-    every agent. Then Q_r is positive definite and eigh keeps every
-    eigenvalue, so c = a^T Q_r^-1 a; Q_r x = a at x = e_w / (M a_w)
-    (D e_w = 0, a^T e_w = a_w), hence c = a^T x = 1/M exactly,
-    theta = ||pi o e||^2 / M and u = -(1/M) F^+ (pi o e)_m. The first
-    branch of that test needs gamma / (2 tr G) > 2e-10 gamma tr G^-1, so
-    a certified agent has tr(G) tr(G^-1) < 2.5e9 (cond F < 5e4) whenever
-    e != 0: the eigenvalue cutoff of Q_r, whose diagonal spans cond(F)^2,
-    binds long before that of F.
+    the margin of the 1e-10 cutoff, so the spectral path keeps all k of
+    them and has the same w).
+
+    First certificate: lambda_lo > 2e-10 lambda_hi for every agent. Then
+    Q_r is positive definite and eigh keeps every eigenvalue, so
+    c = a^T Q_r^-1 a; Q_r x = a at x = e_w / (M a_w) (D e_w = 0,
+    a^T e_w = a_w), hence c = a^T x = 1/M exactly, theta = ||pi o e||^2
+    / M and u = -(1/M) F^+ (pi o e)_m. The first branch of that test needs
+    gamma / (2 tr G) > 2e-10 gamma tr G^-1, so a certified agent has
+    tr(G) tr(G^-1) < 2.5e9 (cond F < 5e4) whenever e != 0: the eigenvalue
+    cutoff of Q_r, whose diagonal spans cond(F)^2, binds long before that
+    of F.
+
+    Second certificate (w != 0 where the first fails, mostly small gamma:
+    the cutoff removes power-term eigenvalues). Q_r e_w = M a_w a, so for
+    every eigenpair (lambda_j, v_j) a^T v_j = lambda_j (v_j^T e_w)
+    / (M a_w), and v_j's share of c is (a^T v_j)^2 / lambda_j
+    = lambda_j (v_j^T e_w)^2 / (M^2 w^2). The spectral path drops the
+    eigenvalues at or below tau = 1e-10 lambda_max, which therefore lowers
+    c = 1/M by at most tau sum_j (v_j^T e_w)^2 / (M^2 w^2) <= tau
+    / (M^2 w^2) (cf. the secular equation of a diagonal-plus-rank-one
+    matrix; J. R. Bunch, C. P. Nielsen and D. C. Sorensen, Numer. Math.
+    1978). Since tau <= 1e-10 lambda_hi, whatever the cutoff removes, M c
+    lies in [1 - delta_m, 1] with delta_m = 2e-10 lambda_hi / (M w^2); the
+    margin 2 covers eigh's eigenvalue error. Certified when every agent has
+    delta_m <= CERTIFIED_CUT_SLACK and P_on lies outside [(1 - max delta)
+    theta_0, theta_0), theta_0 = ||pi o e||^2 / M: the spectral threshold
+    c ||pi o e||^2 lies in [(1 - max delta) theta_0, theta_0], so both
+    paths transmit iff P_on < theta_0. The answer is that of the first
+    certificate, theta_0 and u = -(1/M) F^+ (pi o e)_m; the spectral
+    path's theta and u are at most delta below it, relative.
 
     Full rank (M = 1 with N_t >= d: F has rank d and w = 0). Q_r = gamma
     S^-2 + a a^T has no w direction, so by Sherman-Morrison c = t / (1 + t)
     with t = ||F^T e||^2 / gamma = ||root y_e||^2 / gamma, theta
     = c ||pi o e||^2 and u = -c F^+ (pi o e). Every eigenvalue of Q_r
     lies in [gamma / tr G, lambda_hi], so the same margin rule certifies
-    it when gamma / tr G > 2e-10 lambda_hi.
+    it when gamma / tr G > 2e-10 lambda_hi; the second certificate does
+    not apply.
 
     Accuracy contract. Householder QR is backward stable, so against
     exact arithmetic on the same B, H, e and pi a certified agent's u
@@ -418,8 +462,9 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
     a sum of squares cannot.
 
     Declined: gamma = 0, N_r < min(d, N_t), a singular, non-finite or
-    ill-conditioned F and any agent near the cutoff. e = 0 gives theta = 0
-    and u = 0 once the channels pass the conditioning test; non-finite
+    ill-conditioned F, and any slot where some agent fails the first
+    certificate and the slot fails the second. e = 0 gives theta = 0 and
+    u = 0 once the channels pass the conditioning test; non-finite
     channels fail it and raise in factorize_agent.
     """
     if block is None:
@@ -431,18 +476,11 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
         raise ValueError(f"e must have shape {(m_count * d,)}, got {e.shape}")
     if not block.conditioned[i]:
         return None
-    gamma = block.gamma
-    full_rank = m_count == 1 and n_tx >= d
     e_sq = float(e @ e)
-    tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
-    # gamma / (2 tr G) > tol M ||e||^2 is necessary for lambda_lo > tol
-    # lambda_hi when w != 0; checked first, it declines cheaply the slots
-    # where the cutoff cuts the power-term eigenvalues (small gamma).
-    if not (full_rank
-            or gamma > 2.0 * tol * m_count * e_sq * block.max_tr_g[i]):
-        return None
     if e_sq == 0.0:
         return RankOneTerms(theta=np.zeros(m_count), u=np.zeros((m_count, n_tx)))
+    gamma = block.params.gamma
+    tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
     pe = constants.pi * e
     y = np.empty((m_count, d, 2))
     y[:, :, 0] = e.reshape(m_count, d)
@@ -450,8 +488,8 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
     if block.q_t is not None:
         y = block.q_t[i] @ y
     lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
-    if full_rank:
-        # gamma / tr G > tol lambda_hi
+    if m_count == 1 and n_tx >= d:
+        # full rank: gamma / tr G > tol lambda_hi
         if not 2.0 * gamma > float(block.two_tr_g[i, 0] * lam_hi[0]):
             return None
         fe = block.root[i, 0] @ y[0, :, 0]
@@ -460,13 +498,19 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
         u = (block.lift[i] @ y[:, :, 1:])[..., 0] * -c
         return RankOneTerms(theta=np.array([c * float(pe @ pe)]), u=u)
     ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
-    # lambda_lo > tol lambda_hi, one branch of the min at a time
+    m_w_sq = m_count * (e_sq - ye_sq)
+    theta = float(pe @ pe) / m_count
+    # first certificate, lambda_lo > tol lambda_hi, one branch of the min
+    # at a time; else the second, delta = lam_hi / (M w^2) <= slack with
+    # P_on outside the band [(1 - max delta) theta, theta)
     if not (gamma > (block.two_tr_g[i] * lam_hi).max()
-            and (m_count * (e_sq - ye_sq)
-                 - lam_hi * (1.0 + block.slope[i] * ye_sq)).min() > 0):
-        return None
+            and (m_w_sq - lam_hi * (1.0 + block.slope[i] * ye_sq)).min() > 0):
+        if not (lam_hi <= CERTIFIED_CUT_SLACK * m_w_sq).all():
+            return None
+        if (1.0 - (lam_hi / m_w_sq).max()) * theta <= block.params.p_on < theta:
+            return None
     u = (block.lift[i] @ y[:, :, 1:])[..., 0] / -m_count
-    return RankOneTerms(theta=np.full(m_count, float(pe @ pe) / m_count), u=u)
+    return RankOneTerms(theta=np.full(m_count, theta), u=u)
 
 
 def solve_agent(terms: RankOneTerms, m: int, params: PolicyParams) -> ControlDecision:

@@ -295,7 +295,7 @@ def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
 
     def start_block(h, h_est):
         h_used = h_est if config.use_estimated_csi else h
-        block = policy.certify_channels(b, h_used, params.gamma)
+        block = policy.certify_channels(b, h_used, params)
 
         def decide(t, i, e):
             terms = policy.certified_terms(block, i, e, constants)
@@ -494,7 +494,12 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     Probes run the semantic scheme on seeds derived from the config seed.
     Mean transmit power is non-increasing in gamma, and flat wherever the
     1e-10 cutoff does not fire: there c = 1/M and u does not depend on
-    gamma (policy module docstring). The bisection runs in log space until
+    gamma (policy module docstring). At the low edge (gamma = 1e-6) the
+    cutoff fires, but a slot that the second certificate answers keeps the
+    spectral path's bits and moves each u by at most a relative delta
+    <= policy.CERTIFIED_CUT_SLACK = 1e-8 (the cutoff's share of c), so a
+    slot's transmit power, the sum of ||u_m||^2, by at most 2 delta. The
+    bisection runs in log space until
     the probe mean is within rel_tol of 10^(dBW/10) watts. Budgets outside
     the achievable range return the corresponding bracket edge. Every
     argument is checked before any probe runs, with ValueError for a

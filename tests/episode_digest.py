@@ -17,7 +17,8 @@ can tell certified-path drift from any other.
 --write stores the digests, and beside them (same name, .npz) every
 episode's cost, power, bits and controls, and the semantic episodes'
 thresholds theta. --compare recomputes them, lists the episodes whose
-digest differs and exits 1 if any does. Where the stored arrays exist it
+digest differs, prints the certified slots over all episodes before and
+after, and exits 1 if any digest differs. Where the stored arrays exist it
 measures each changed episode over the slots both runs decided: the worst
 relative deviation of cost, power and u (per slot |a - b| / max(|a|, |b|),
 per agent's u in norm) and the transmit bits that flipped, each flip with
@@ -149,6 +150,13 @@ def deviations(name, stored, current, p_on) -> tuple:
     return worst, flips
 
 
+def certified_total(stored, current) -> str:
+    """One line: certified slots summed over every episode, stored -> current."""
+    before, after = (sum(entry.get("certified_slots", 0) for entry in side.values())
+                     for side in (stored, current))
+    return f"certified slots over all episodes: {before} -> {after}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     group = parser.add_mutually_exclusive_group(required=True)
@@ -191,6 +199,7 @@ def main(argv=None) -> int:
     print(f"{len(changed)} of {len(current)} digests differ; "
           f"{len(uncertified)} of them in episodes without certified slots; "
           f"{len(baseline)} baseline-scheme digests differ")
+    print(certified_total(stored, current))
     if old is not None and changed:
         print(f"worst per-slot deviation: cost {worst[0]:.2e}, power "
               f"{worst[1]:.2e}, u {worst[2]:.2e}; {n_flips} transmit bits flipped")

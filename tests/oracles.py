@@ -85,7 +85,7 @@ def library_decisions(e, b_actuation, h, constants, params, spectral=False):
     stacked factorization and one batched rank-one solve; then solve_agent
     per agent."""
     terms = None if spectral else policy.certified_terms(
-        policy.certify_channels(b_actuation, np.asarray(h)[None], params.gamma),
+        policy.certify_channels(b_actuation, np.asarray(h)[None], params),
         0, e, constants)
     if terms is None:
         terms = policy.rank_one_terms(policy.factorize_agent(b_actuation, h),
@@ -99,8 +99,8 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     The per-slot formula that policy.CertifiedBlock hoists out of the slot:
     the slot's own thin QR (of F, or of F^T when N_t > d), traces and bound
     terms of gamma, in the operand order of certified_terms, so a slot's
-    result agrees with the per-block form bit for bit. None where
-    certified_terms declines.
+    result agrees with the per-block form bit for bit; both certificates
+    (the second reads P_on). None where certified_terms declines.
     """
     gamma = params.gamma
     b = np.asarray(b_actuation, dtype=float)
@@ -124,8 +124,6 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     full_rank = m_count == 1 and n_tx >= d
     e_sq = float(e @ e)
     tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
-    if not (full_rank or gamma > 2.0 * tol * m_count * e_sq * float(tr_g.max())):
-        return None
     if e_sq == 0.0:
         return policy.RankOneTerms(theta=np.zeros(m_count),
                                    u=np.zeros((m_count, n_tx)))
@@ -147,11 +145,18 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
         return policy.RankOneTerms(theta=np.array([c * float(pe @ pe)]),
                                    u=(lift @ y[:, :, 1:])[..., 0] * -c)
     ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
-    if not (gamma > (2.0 * tr_g * lam_hi).max()
-            and (m_count * (e_sq - ye_sq)
-                 - lam_hi * (1.0 + 2.0 * m_count / gamma * tr_g * ye_sq)).min() > 0):
-        return None
-    return policy.RankOneTerms(theta=np.full(m_count, float(pe @ pe) / m_count),
+    m_w_sq = m_count * (e_sq - ye_sq)
+    theta = float(pe @ pe) / m_count
+    first = (gamma > (2.0 * tr_g * lam_hi).max()
+             and (m_w_sq - lam_hi * (1.0 + 2.0 * m_count / gamma * tr_g
+                                     * ye_sq)).min() > 0)
+    if not first:
+        if not (lam_hi <= policy.CERTIFIED_CUT_SLACK * m_w_sq).all():
+            return None
+        delta = (lam_hi / m_w_sq).max()
+        if (1.0 - delta) * theta <= params.p_on < theta:
+            return None
+    return policy.RankOneTerms(theta=np.full(m_count, theta),
                                u=(lift @ y[:, :, 1:])[..., 0] / -m_count)
 
 
@@ -415,7 +420,7 @@ def _slot_semantic_decide(config, topology):
     def decide(t, e, h, h_est):
         h = h_est if config.use_estimated_csi else h
         terms = policy.certified_terms(
-            policy.certify_channels(b, h[None], params.gamma), 0, e, constants)
+            policy.certify_channels(b, h[None], params), 0, e, constants)
         if terms is None:
             terms = policy.rank_one_terms(policy.factorize_agent(b, h), e,
                                           constants, params)

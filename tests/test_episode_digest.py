@@ -34,3 +34,14 @@ def test_deviations_without_thresholds_report_nan():
     new = episode_arrays("b", [1.0], [1.0], [[1, 1]], [[[1.0], [1.0]]], [])
     _, flips = episode_digest.deviations("b", old, new, 0.0)
     assert len(flips) == 1 and np.isnan(flips[0][2]) and np.isnan(flips[0][3])
+
+
+def test_certified_total_sums_every_episode_on_both_sides():
+    # an episode only one side has counts on that side; a baseline entry
+    # without the field counts 0
+    stored = {"a": {"certified_slots": 3}, "b": {"certified_slots": 0},
+              "gone": {"certified_slots": 5}, "base": {"digest": "x"}}
+    current = {"a": {"certified_slots": 7}, "b": {"certified_slots": 2},
+               "new": {"certified_slots": 1}, "base": {"digest": "x"}}
+    assert (episode_digest.certified_total(stored, current)
+            == "certified slots over all episodes: 8 -> 10")

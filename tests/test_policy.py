@@ -409,7 +409,7 @@ def test_rank_one_full_rank_single_agent(d, n_tx, n_rx):
     dec, = assert_matches_dense(e, b, h, constants, params)
     pe = constants.pi * e
     assert dec.theta < float(pe @ pe)
-    block = policy.certify_channels(b, h[None], params.gamma)
+    block = policy.certify_channels(b, h[None], params)
     assert block.conditioned[0]
     assert certified(e, b, h, constants, params) is not None
 
@@ -576,11 +576,109 @@ def test_certified_terms_meet_accuracy_contract(shape, case, record_property):
                     float((err / (np.linalg.cond(b @ h) ** 2 * EPS)).max()))
 
 
+# The second certificate: where Q_r's cutoff fires (small gamma) it bounds
+# what the cutoff removes from c, against the spectral path as oracle.
+
+def cut_terms(b, h, e, gamma):
+    """Per agent, from F's SVD: delta = 2e-10 lambda_hi / (M w^2), the
+    second certificate's bound on 1 - M c, and the number of eigenvalues
+    of Q_r = diag(gamma s^-2, 0) + M a a^T at or below the 1e-10 cutoff."""
+    left, s, _ = np.linalg.svd(b @ h, full_matrices=False)
+    m_count, d, k = left.shape
+    e_sq = float(e @ e)
+    alpha = (e.reshape(m_count, 1, d) @ left)[:, 0]
+    w_sq = e_sq - (alpha ** 2).sum(axis=1)
+    lam_hi = gamma * (s ** -2.0).sum(axis=1) + m_count * e_sq
+    tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
+    delta = tol * lam_hi / (m_count * w_sq)
+    a = np.concatenate([alpha, np.sqrt(np.maximum(w_sq, 0.0))[:, None]], axis=1)
+    q_r = m_count * a[:, :, None] * a[:, None, :]
+    q_r[:, np.arange(k), np.arange(k)] += gamma / s ** 2
+    lam = np.linalg.eigvalsh(q_r)
+    cut = (lam <= linalg.DEFAULT_PINV_REL_TOL * lam.max(axis=1, keepdims=True))
+    return delta, cut.sum(axis=1)
+
+
+CUT_SHAPES = {    # (d, N_t, N_r)
+    "tall": [(5, 3, 4), (4, 2, 3), (6, 4, 4), (9, 4, 4)],
+    "wide": [(3, 5, 3), (2, 4, 3), (4, 6, 5), (3, 4, 3)],
+}
+
+
+@pytest.mark.parametrize("case", range(12))
+@pytest.mark.parametrize("m_count", [2, 3, 4, 8])
+@pytest.mark.parametrize("shape", sorted(CUT_SHAPES))
+def test_cut_certificate_bounds_the_spectral_path(shape, m_count, case):
+    # gamma in [1e-10, 1e-3] with ||e|| scaled so that gamma / s_max^2 is
+    # 10 to 1e4 times under the cutoff of M ||e||^2: the first certificate
+    # fails and the spectral path cuts at least one eigenvalue of Q_r.
+    # There 1 - M c_spec lies in [0, delta], the certified theta and u are
+    # within delta of the spectral ones, and the bits are equal; the
+    # allowance C cond(F)^2 eps is the spectral path's rounding
+    rng = np.random.default_rng(1500 + 100 * m_count + 10 * case
+                                + sorted(CUT_SHAPES).index(shape))
+    d, n_tx, n_rx = CUT_SHAPES[shape][case % 4]
+    cond = float(10.0 ** rng.uniform(0.0, 1.0))
+    e, b, h, constants = conditioned_instance(rng, m_count, d, n_tx, n_rx, cond)
+    gamma = float(10.0 ** rng.uniform(-10, -3))
+    s_max = np.linalg.svd(b @ h, compute_uv=False).max()
+    e_sq = float(10.0 ** rng.uniform(1, 4)) * gamma / (
+        s_max ** 2 * m_count * linalg.DEFAULT_PINV_REL_TOL)
+    e *= np.sqrt(e_sq / float(e @ e))
+    pe = constants.pi * e
+    theta_0 = float(pe @ pe) / m_count
+    params = PolicyParams(p_on=float(rng.uniform(0.0, 1.5)) * theta_0, gamma=gamma)
+    delta, cut = cut_terms(b, h, e, gamma)
+    assert cut.min() >= 1 and delta.max() <= policy.CERTIFIED_CUT_SLACK
+    spectral = policy.rank_one_terms(policy.factorize_agent(b, h), e, constants,
+                                     params)
+    slack = 4 * d * n_tx * EPS * np.linalg.cond(b @ h) ** 2
+    short = 1.0 - spectral.theta / theta_0          # 1 - M c_spec
+    assert np.all(short >= -slack) and np.all(short <= delta + slack)
+    terms = certified(e, b, h, constants, params)
+    if (1.0 - delta.max()) * theta_0 <= params.p_on < theta_0:
+        assert terms is None
+        return
+    assert terms is not None
+    assert np.array_equal(terms.theta, np.full(m_count, theta_0))
+    assert np.all(terms.theta - spectral.theta <= (delta + slack) * terms.theta)
+    err = np.linalg.norm(terms.u - spectral.u, axis=1)
+    assert np.all(err <= (delta + slack) * np.linalg.norm(terms.u, axis=1))
+    for m in range(m_count):
+        assert (policy.solve_agent(terms, m, params).delta
+                == policy.solve_agent(spectral, m, params).delta)
+
+
+def test_cut_certificate_declines_past_its_slack():
+    # agent 1 holds e inside range(F_1) but for a part of squared norm
+    # w^2 = ratio (2e-10 / slack) ||e||^2 = ratio 0.02 ||e||^2, and e_0 = 0.
+    # At gamma = 1e-6 lambda_hi is about M ||e||^2, so delta_1 = 2e-10
+    # lambda_hi / (M w^2) is about slack / ratio (2.0e-8 and 5.2e-9). Q_r's
+    # cutoff fires for agent 1 in both, so the second certificate decides:
+    # declined at twice the slack, certified at half of it
+    rng = np.random.default_rng(1560)
+    e, b, h, constants, _ = rank_one_instance(rng, 2, 5, 3, 3, 1e-6)
+    params = PolicyParams(p_on=0.0, gamma=1e-6)
+    f_1 = b[1] @ h[1]
+    in_range = f_1 @ rng.normal(size=3)
+    outside = e[5:] - f_1 @ np.linalg.lstsq(f_1, e[5:], rcond=None)[0]
+    outside /= np.linalg.norm(outside)
+    share = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL / \
+        policy.CERTIFIED_CUT_SLACK
+    for ratio, answered in ((0.5, False), (2.0, True)):
+        e = np.concatenate([np.zeros(5), in_range])
+        e[5:] += np.sqrt(ratio * share * float(e @ e)) * outside
+        delta, cut = cut_terms(b, h, e, params.gamma)
+        assert cut[1] == 1
+        assert (delta.max() <= policy.CERTIFIED_CUT_SLACK) == answered
+        assert (certified(e, b, h, constants, params) is not None) == answered
+
+
 # Routing of the certified closed form: it answers only where the cutoff
 # provably cannot fire and declines (None) everywhere else.
 
 def certified(e, b, h, constants, params):
-    return policy.certified_terms(policy.certify_channels(b, h[None], params.gamma),
+    return policy.certified_terms(policy.certify_channels(b, h[None], params),
                                   0, e, constants)
 
 
@@ -632,7 +730,7 @@ def test_certified_path_declines_ill_conditioned_channel():
     assert certified(e, b, h, constants, params) is not None
     for s, conditioned in ((2.01e-10, True), (1.99e-10, False)):
         h[1] = np.diag([1.0, s])
-        block = policy.certify_channels(b, h[None], params.gamma)
+        block = policy.certify_channels(b, h[None], params)
         assert bool(block.conditioned[0]) == conditioned
         # inside the limit the eigenvalue bounds decline it: Q_r's diagonal
         # spans cond(F)^2 = 2.5e19, far past the 1e-10 cutoff
@@ -693,8 +791,10 @@ def test_full_rank_branch_certifies_above_its_edge(ratio):
 CERTIFIED_ROUTES = {   # route of the middle slot: certified?
     "certified": True, "zero_error": True, "full_rank": True,
     "wide": True, "full_rank_wide": True,
-    "unconditioned": False, "gamma_zero": False, "cheap_gamma": False,
+    "cut_bound": True,
+    "unconditioned": False, "gamma_zero": False,
     "bound": False, "full_rank_bound": False,
+    "cut_slack": False, "cut_margin": False,
 }
 
 
@@ -707,6 +807,9 @@ def route_instance(route):
                                                                   "outside_range")
     elif route == "full_rank_bound":
         e, b, h_mid, constants, params = full_rank_boundary_instance(0.9)
+    elif route.startswith("cut"):
+        # gamma = 1e-6: Q_r's cutoff fires, as in calibration's low probes
+        e, b, h_mid, constants, params = rank_one_instance(rng, 4, 9, 4, 4, 1e-6)
     else:
         dims = {"full_rank": (1, 3, 3, 3), "wide": (4, 3, 4, 3),
                 "full_rank_wide": (1, 3, 5, 3)}.get(route, (4, 9, 4, 4))
@@ -719,11 +822,18 @@ def route_instance(route):
         params = PolicyParams(p_on=params.p_on, gamma=0.0)
     elif route == "zero_error":
         e = np.zeros_like(e)
-    elif route == "cheap_gamma":
-        f = b @ h[1]
-        tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
-        floor = 2.0 * tol * len(b) * float(e @ e) * float((f * f).sum(axis=(1, 2)).max())
-        params = PolicyParams(p_on=params.p_on, gamma=0.5 * floor)
+    elif route == "cut_slack":
+        # agent 1 holds e inside range(F_1) but for a 1e-3 part: its w^2
+        # is 1e-6 of ||e||^2, so delta is far above the slack
+        f_1 = b[1] @ h_mid[1]
+        e = np.zeros_like(e)
+        e[9:18] = f_1 @ rng.normal(size=4)
+        e[9:18] += 1e-3 * np.linalg.norm(e) * np.linalg.qr(f_1, "complete")[0][:, -1]
+    elif route == "cut_margin":
+        # P_on just under theta_0, inside the band of any delta >= 2e-10
+        pe = constants.pi * e
+        params = PolicyParams(p_on=(1.0 - 1e-13) * float(pe @ pe) / len(b),
+                              gamma=params.gamma)
     return e, b, h, constants, params
 
 
@@ -732,7 +842,7 @@ def test_block_terms_match_per_slot_formula(route):
     # the per-block bound terms give every slot's result bit for bit as the
     # per-slot formula does, on each route through certified_terms
     e, b, h, constants, params = route_instance(route)
-    block = policy.certify_channels(b, h, params.gamma)
+    block = policy.certify_channels(b, h, params)
     for i in range(len(h)):
         terms = policy.certified_terms(block, i, e, constants)
         ref = oracles.slot_certified_terms(b, h[i], e, constants, params)
@@ -746,14 +856,28 @@ def test_block_terms_match_per_slot_formula(route):
     if route == "gamma_zero":
         assert block is None
         return
-    # the middle slot declines for the named reason; the full-rank branch
-    # skips the cheap gamma test, which holds only where w != 0
+    # the middle slot declines for the named reason; on the cut routes Q_r's
+    # cutoff fires and only delta and P_on decide
     assert bool(block.conditioned[1]) == (route != "unconditioned")
-    if not route.startswith("full_rank"):
-        tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
-        cheap_passes = params.gamma > (2.0 * tol * len(b) * float(e @ e)
-                                       * block.max_tr_g[1])
-        assert cheap_passes == (route != "cheap_gamma")
+    if route.startswith("cut"):
+        delta, cut = cut_terms(b, h[1], e, params.gamma)
+        assert cut.max() >= 1
+        assert ((delta.max() <= policy.CERTIFIED_CUT_SLACK)
+                == (route != "cut_slack"))
+        theta_0 = float((constants.pi * e) @ (constants.pi * e)) / len(b)
+        assert (((1.0 - delta.max()) * theta_0 <= params.p_on < theta_0)
+                == (route == "cut_margin"))
+    if route == "cut_margin":
+        # answering theta_0 would flip bits here: the cutoff takes up to
+        # 7e-12 of c, which puts three agents' spectral theta under P_on.
+        # The dense form's own rounding at gamma = 1e-6 (1.7e-8 of theta
+        # here; the spectral 1 - M c agrees with a 50-digit evaluation to
+        # 3e-16) exceeds the band, so inside it the bit is the spectral
+        # path's
+        spectral = policy.rank_one_terms(policy.factorize_agent(b, h[1]), e,
+                                         constants, params)
+        assert (spectral.theta <= params.p_on).sum() == 3
+        return
     assert_matches_dense(e, b, h[1], constants, params, rtol=1e-5)
 
 
@@ -796,7 +920,7 @@ def test_block_certificate_declines_only_the_bad_slot(bad):
         h[k, 1, :, 3] = h[k, 1, :, 0]      # two equal columns: rank 3 < N_t
     else:
         h[k, 1, 2, 2] = np.nan if bad == "nan" else np.inf
-    certs = policy.certify_channels(b, h, params.gamma)
+    certs = policy.certify_channels(b, h, params)
     assert certs.conditioned.tolist() == [i != k for i in range(n_slots)]
     for i in range(n_slots):
         terms = policy.certified_terms(certs, i, e, constants)
@@ -823,7 +947,7 @@ def test_block_certificate_declines_wide_channels():
     rng = np.random.default_rng(1370)
     b = rng.normal(size=(2, 3, 4))
     h = rng.normal(size=(6, 2, 4, 5))
-    block = policy.certify_channels(b, h, 1.0)
+    block = policy.certify_channels(b, h, PolicyParams(gamma=1.0))
     assert block.conditioned.all()
     e = rng.normal(size=6)
     constants = DriftConstants(pi=rng.uniform(0.5, 1.0, size=6), alpha=2.0)
@@ -831,4 +955,5 @@ def test_block_certificate_declines_wide_channels():
         terms = policy.certified_terms(block, i, e, constants)
         _, u_exact = oracles.exact_rank_one_terms(b, h[i], e, constants.pi, 1.0)
         assert_within_contract(terms.u, u_exact, b, h[i], e, constants)
-    assert policy.certify_channels(b[:, :, :2], h[:, :, :2], 1.0) is None
+    assert policy.certify_channels(b[:, :, :2], h[:, :, :2],
+                                   PolicyParams(gamma=1.0)) is None
