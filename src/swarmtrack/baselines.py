@@ -162,14 +162,9 @@ def tune_pid(topology: SwarmTopology, a_scale: float = 1.0) -> PidGains:
     b_eff = static_channel_input(topology)
     sol = solve_dare(a_scale * topology.a_global, b_eff,
                      np.eye(topology.global_dim), np.eye(b_eff.shape[1]))
-    k_p = -_split_rows(sol.gain, topology)
+    k_p = -sol.gain.reshape(topology.m_agents, topology.n_tx, topology.global_dim)
     return PidGains(k_p=k_p, k_i=KAPPA_I * k_p, k_d=KAPPA_D * k_p,
                     a_scale=a_scale)
-
-
-def _split_rows(gain: np.ndarray, topology: SwarmTopology) -> np.ndarray:
-    n_tx = topology.n_tx
-    return np.array([gain[m * n_tx:(m + 1) * n_tx] for m in range(topology.m_agents)])
 
 
 def pid_control(k_p, k_i, k_d, e, accumulator, prev_e) -> np.ndarray:

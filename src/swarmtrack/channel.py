@@ -32,8 +32,8 @@ def estimate_channel(h, pilot_noise, pilot_power: float) -> np.ndarray:
     estimation error is N(0, 1 / pilot_power). Elementwise, so any stack
     of slots and agents is estimated at once.
     """
-    if pilot_power <= 0:
-        raise ValueError(f"pilot_power must be positive, got {pilot_power}")
+    if isinstance(pilot_power, bool) or not 0 < pilot_power < np.inf:
+        raise ValueError(f"pilot_power must be finite and positive, got {pilot_power!r}")
     return h + pilot_noise / np.sqrt(pilot_power)
 
 

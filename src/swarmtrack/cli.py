@@ -9,7 +9,8 @@ Subcommands:
 All outputs are deterministic functions of the config file plus overrides:
 reruns produce byte-identical CSV/JSON files.
 
-Exit codes: 0 success, 1 usage error, 2 numeric failure, 3 I/O error.
+Exit codes: 0 success, 1 usage error or a count too large to allocate,
+2 numeric failure, 3 I/O error.
 """
 
 import argparse
@@ -27,15 +28,11 @@ _TRAJECTORY_SCHEMA = "swarmtrack.cost_trajectory.v1"
 _SWEEP_SCHEMA = "swarmtrack.sweep.v1"
 _AGGREGATE_SCHEMA = "swarmtrack.aggregate.v1"
 
-# Columns of each CSV, in file order: Metrics attributes and the keys of
-# sim.run_sweep's row and aggregate dicts.
+# Metrics attributes in metrics.csv, in file order. sweep.csv and
+# aggregate.csv take their columns from the keys of sim.run_sweep's row and
+# aggregate dicts.
 _METRICS_COLUMNS = ("scheme", "avg_cost", "avg_tx_power", "comm_rate",
                     "diverged", "n_slots", "gamma")
-_SWEEP_COLUMNS = ("scheme", "axis", "value", "seed", "avg_cost",
-                  "avg_tx_power", "comm_rate", "diverged", "gamma")
-_AGGREGATE_COLUMNS = ("scheme", "axis", "value", "n_seeds", "mean_avg_cost",
-                      "stderr_avg_cost", "mean_avg_tx_power", "mean_comm_rate",
-                      "n_diverged", "mean_gamma")
 
 
 class UsageError(Exception):
@@ -64,6 +61,16 @@ def _write_csv(path: Path, schema: str, header, rows):
 
 def _write_json(path: Path, doc: dict):
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_manifest(out_dir: Path, command: str, config: sim.SimConfig,
+                    outputs, **fields):
+    """manifest.json: tool, command and config, the command's own fields,
+    then the files written with manifest.json last."""
+    _write_json(out_dir / "manifest.json", {
+        "tool": "swarmtrack", "version": __version__, "command": command,
+        "config": config.to_dict(), **fields,
+        "outputs": [*outputs, "manifest.json"]})
 
 
 def _load_config(path: str, overrides) -> sim.SimConfig:
@@ -122,15 +129,8 @@ def cmd_run(config: sim.SimConfig, out_dir: Path) -> int:
                metrics_rows)
     _write_csv(out_dir / "cost_trajectory.csv", _TRAJECTORY_SCHEMA,
                ["scheme", "t", "cost"], trajectory_rows)
-    _write_json(out_dir / "manifest.json", {
-        "tool": "swarmtrack",
-        "version": __version__,
-        "command": "run",
-        "config": config.to_dict(),
-        "topology": _topology_reference(config),
-        "seeds": [config.seed],
-        "outputs": ["metrics.csv", "cost_trajectory.csv", "manifest.json"],
-    })
+    _write_manifest(out_dir, "run", config, ["metrics.csv", "cost_trajectory.csv"],
+                    topology=_topology_reference(config), seeds=[config.seed])
     return 0
 
 
@@ -138,20 +138,13 @@ def cmd_sweep(config: sim.SimConfig, axis: str, values, seeds,
               out_dir: Path) -> int:
     result = sim.run_sweep(config, axis, values, seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "sweep.csv", _SWEEP_SCHEMA, _SWEEP_COLUMNS,
-               [[r[c] for c in _SWEEP_COLUMNS] for r in result["rows"]])
-    _write_csv(out_dir / "aggregate.csv", _AGGREGATE_SCHEMA, _AGGREGATE_COLUMNS,
-               [[a[c] for c in _AGGREGATE_COLUMNS] for a in result["aggregates"]])
-    _write_json(out_dir / "manifest.json", {
-        "tool": "swarmtrack",
-        "version": __version__,
-        "command": "sweep",
-        "config": config.to_dict(),
-        "axis": axis,
-        "values": list(values),
-        "seeds": seeds,
-        "outputs": ["sweep.csv", "aggregate.csv", "manifest.json"],
-    })
+    for name, schema, records in (
+            ("sweep.csv", _SWEEP_SCHEMA, result["rows"]),
+            ("aggregate.csv", _AGGREGATE_SCHEMA, result["aggregates"])):
+        _write_csv(out_dir / name, schema, records[0].keys(),
+                   [r.values() for r in records])
+    _write_manifest(out_dir, "sweep", config, ["sweep.csv", "aggregate.csv"],
+                    axis=axis, values=list(values), seeds=seeds)
     return 0
 
 
@@ -285,6 +278,10 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o failure: {err}", file=sys.stderr)
         return 3
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'allocation failed'}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

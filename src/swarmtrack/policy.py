@@ -70,6 +70,8 @@ transitions: pi_m keeps, per sorted position, the smaller-magnitude of the
 two singular values and alpha = 2 max(||A||^2, ||G||^2).
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,16 +113,17 @@ class DriftConstants:
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """Activation power and communication price."""
+    """Activation power and communication price, each a finite real >= 0."""
 
     p_on: float = 1.0
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.p_on < 0:
-            raise ValueError("p_on must be >= 0")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        for name in ("p_on", "gamma"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value) or value < 0):
+                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
 
 
 @dataclass(frozen=True)

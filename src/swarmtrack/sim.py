@@ -90,11 +90,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
-        for name in ("p_on", "gamma"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value < 0):
-                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
+        policy.PolicyParams(p_on=self.p_on, gamma=self.gamma)  # the price rule
         for name in ("pilot_power", "noise_scale", "x0_value", "r0_value"):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Real)

@@ -26,7 +26,8 @@ class SwarmTopology:
     a_internal[m] is the d x d internal block of agent m, couplings maps
     (m, n) index pairs (0-based, m != n) to d x d coupling blocks,
     b_actuation[m] is d x n_rx, w_noise[m] the d x d plant-noise covariance
-    and g_target the (d*M) x (d*M) target transition.
+    and g_target the (d*M) x (d*M) target transition. The four counts are
+    integers >= 1 (a bool is not a count).
     """
 
     m_agents: int
@@ -58,6 +59,12 @@ class SwarmTopology:
         object.__setattr__(self, "noise_root", root)
 
     def _validate(self):
+        for name in (f.name for f in fields(self) if f.type is int):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, int(value))
         m_count, d = self.m_agents, self.state_dim
         dm = d * m_count
         for name, arr, shape in (("a_internal", self.a_internal, (m_count, d, d)),
@@ -99,6 +106,10 @@ class SwarmTopology:
 
     def w_global_trace(self) -> float:
         return float(sum(np.trace(self.w_noise[m]) for m in range(self.m_agents)))
+
+
+# A topology document holds SwarmTopology's init fields, in declaration order.
+_DOCUMENT_FIELDS = tuple(f for f in fields(SwarmTopology) if f.init)
 
 
 @dataclass(frozen=True)
@@ -194,19 +205,15 @@ def draw_plant_noise(topology: SwarmTopology, z) -> np.ndarray:
 
 
 def topology_to_json(topology: SwarmTopology) -> str:
-    """Serialize a topology to JSON (matrices as row-major nested lists)."""
-    doc = {
-        "m_agents": topology.m_agents,
-        "state_dim": topology.state_dim,
-        "n_tx": topology.n_tx,
-        "n_rx": topology.n_rx,
-        "a_internal": topology.a_internal.tolist(),
-        "couplings": [{"m": m, "n": n, "block": block.tolist()}
-                      for (m, n), block in sorted(topology.couplings.items())],
-        "b_actuation": topology.b_actuation.tolist(),
-        "w_noise": topology.w_noise.tolist(),
-        "g_target": topology.g_target.tolist(),
-    }
+    """Serialize a topology to JSON: its init fields, in declaration order.
+
+    Fields annotated np.ndarray are row-major nested lists and couplings a
+    list of {"m", "n", "block"} entries sorted by pair.
+    """
+    doc = {f.name: getattr(topology, f.name).tolist() if f.type is np.ndarray
+           else getattr(topology, f.name) for f in _DOCUMENT_FIELDS}
+    doc["couplings"] = [{"m": m, "n": n, "block": block.tolist()}
+                        for (m, n), block in sorted(topology.couplings.items())]
     return json.dumps(doc, indent=2)
 
 
@@ -217,10 +224,12 @@ def topology_from_json(text: str) -> SwarmTopology:
     pair listed twice raise ValueError.
     """
     doc = json.loads(text)
-    unknown = set(doc) - {f.name for f in fields(SwarmTopology) if f.init}
+    unknown = set(doc) - {f.name for f in _DOCUMENT_FIELDS}
     if unknown:
         raise ValueError(f"unknown topology keys: {sorted(unknown)}")
-    couplings = {}
+    args = {f.name: np.array(doc[f.name], dtype=float)
+            if f.type is np.ndarray else doc[f.name] for f in _DOCUMENT_FIELDS}
+    couplings = args["couplings"] = {}
     for c in doc["couplings"]:
         unknown = set(c) - {"m", "n", "block"}
         if unknown:
@@ -229,12 +238,4 @@ def topology_from_json(text: str) -> SwarmTopology:
         if pair in couplings:
             raise ValueError(f"coupling {pair} is listed twice")
         couplings[pair] = np.array(c["block"], dtype=float)
-    return SwarmTopology(
-        m_agents=doc["m_agents"], state_dim=doc["state_dim"],
-        n_tx=doc["n_tx"], n_rx=doc["n_rx"],
-        a_internal=np.array(doc["a_internal"], dtype=float),
-        couplings=couplings,
-        b_actuation=np.array(doc["b_actuation"], dtype=float),
-        w_noise=np.array(doc["w_noise"], dtype=float),
-        g_target=np.array(doc["g_target"], dtype=float),
-    )
+    return SwarmTopology(**args)

@@ -126,6 +126,14 @@ def test_receive_control_conditional_moments():
     assert abs(off) < 3 * se
 
 
+@pytest.mark.parametrize("pilot_power", [float("nan"), float("inf"), True])
+def test_estimate_channel_rejects_pilot_power_not_finite_and_positive(pilot_power):
+    # nan used to give nan estimates, and inf the noiseless channel
+    with pytest.raises(ValueError, match="pilot_power must be finite and positive"):
+        channel.estimate_channel(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)),
+                                 pilot_power)
+
+
 def test_estimate_channel_unbiased():
     rng = np.random.default_rng(77)
     h = rng.normal(size=(1, 2, 2))

@@ -67,6 +67,26 @@ def test_run_writes_expected_files(tmp_path):
     assert json.loads(json.dumps(manifest)) == manifest
 
 
+def test_run_document_layout(tmp_path):
+    # the layout readers of these files rely on: a reordered column or
+    # manifest key is a format change
+    path, _ = write_stable_topology_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    head = lambda name: (out / name).read_text(encoding="utf-8").splitlines()[:2]
+    assert head("metrics.csv") == [
+        "# schema: swarmtrack.metrics.v1",
+        "scheme,avg_cost,avg_tx_power,comm_rate,diverged,n_slots,gamma"]
+    assert head("cost_trajectory.csv") == [
+        "# schema: swarmtrack.cost_trajectory.v1", "scheme,t,cost"]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest) == ["tool", "version", "command", "config", "topology",
+                              "seeds", "outputs"]
+    assert list(manifest["topology"]) == ["kind", "path"]
+    assert manifest["outputs"] == ["metrics.csv", "cost_trajectory.csv",
+                                   "manifest.json"]
+
+
 def test_run_is_byte_deterministic(tmp_path):
     path = write_config(tmp_path)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -98,6 +118,27 @@ def test_sweep_row_arithmetic(tmp_path):
     assert len(lines) == 2 + 2 * 4 * 3     # values x schemes x seeds
     agg = (out / "aggregate.csv").read_text(encoding="utf-8").splitlines()
     assert len(agg) == 2 + 2 * 4
+
+
+def test_sweep_document_layout(tmp_path):
+    # the layout readers of these files rely on: a reordered column or
+    # manifest key is a format change
+    path = write_config(tmp_path, horizon=5)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--config", str(path), "--axis", "power_dbw",
+                     "--values", "8", "--seeds", "1", "--out", str(out)]) == 0
+    head = lambda name: (out / name).read_text(encoding="utf-8").splitlines()[:2]
+    assert head("sweep.csv") == [
+        "# schema: swarmtrack.sweep.v1",
+        "scheme,axis,value,seed,avg_cost,avg_tx_power,comm_rate,diverged,gamma"]
+    assert head("aggregate.csv") == [
+        "# schema: swarmtrack.aggregate.v1",
+        "scheme,axis,value,n_seeds,mean_avg_cost,stderr_avg_cost,"
+        "mean_avg_tx_power,mean_comm_rate,n_diverged,mean_gamma"]
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert list(manifest) == ["tool", "version", "command", "config", "axis",
+                              "values", "seeds", "outputs"]
+    assert manifest["outputs"] == ["sweep.csv", "aggregate.csv", "manifest.json"]
 
 
 def test_sweep_unknown_axis_lists_valid_axes(tmp_path, capsys):
@@ -379,13 +420,17 @@ def corrupt_ring_file(doc, kind):
         doc["scale"] = 2.0
     elif kind == "unknown_coupling_key":
         doc["couplings"][0]["weight"] = 2.0
+    elif kind in ("n_tx_float", "m_agents_float"):
+        name = kind[:-len("_float")]
+        doc[name] = float(doc[name])
 
 
 @pytest.mark.parametrize("kind", ["b_actuation_columns", "w_noise_blocks",
                                   "a_internal_blocks", "coupling_key",
                                   "coupling_block", "coupling_nan",
                                   "coupling_twice", "unknown_key",
-                                  "unknown_coupling_key"])
+                                  "unknown_coupling_key", "n_tx_float",
+                                  "m_agents_float"])
 def test_malformed_topology_file_exits_one(tmp_path, capsys, kind):
     ring = swarm.build_ring_topology(2, state_dim=3, n_tx=2, n_rx=2, seed=3)
     doc = json.loads(swarm.topology_to_json(ring))
@@ -400,6 +445,18 @@ def test_malformed_topology_file_exits_one(tmp_path, capsys, kind):
         err = capsys.readouterr().err
         assert "error: cannot load topology" in err and "usage" in err
         assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_count_too_large_to_allocate_exits_one(tmp_path, capsys):
+    # numpy refuses the (10**15, M, N_r, N_t) channel array at once, so
+    # nothing is allocated
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["check-stability", "--config", str(path),
+                     "--draws", str(10 ** 15), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: out of memory" in err and "Traceback" not in err
     assert not out.exists()
 
 

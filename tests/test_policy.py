@@ -49,6 +49,16 @@ def test_policy_params_reject_negative_values():
         PolicyParams(gamma=-1.0)
 
 
+@pytest.mark.parametrize("field", ["p_on", "gamma"])
+@pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"),
+                                   float("-inf"), "1", None])
+def test_policy_params_reject_bool_and_non_finite_price(field, value):
+    # nan used to make every agent transmit (nan >= theta is false), and
+    # gamma = inf gave theta = 0 for every agent
+    with pytest.raises(ValueError, match=f"{field} must be >= 0 and finite"):
+        PolicyParams(**{field: value})
+
+
 def test_factorize_identity_channel():
     zeta = oracles.factor_zeta(policy.factorize_agent(np.eye(2), np.eye(2)))
     assert np.allclose(zeta, np.eye(2), atol=1e-12)

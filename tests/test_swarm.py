@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -271,6 +272,25 @@ def test_topology_json_round_trip_is_exact():
     assert np.array_equal(back.g_target, topo.g_target)
     assert back.couplings.keys() == topo.couplings.keys()
     assert swarm.topology_to_json(back) == text
+    # every init field survives, with its type
+    for f in fields(swarm.SwarmTopology):
+        if not f.init:
+            continue
+        before, after = getattr(topo, f.name), getattr(back, f.name)
+        if f.name == "couplings":
+            assert list(after) == list(before)
+            assert all(np.array_equal(after[k], before[k]) for k in before)
+        else:
+            assert type(after) is type(before) and np.array_equal(after, before)
+
+
+def test_topology_document_layout():
+    # the key order of a topology file; a reordered key is a format change
+    doc = ring_document()
+    assert list(doc) == ["m_agents", "state_dim", "n_tx", "n_rx", "a_internal",
+                         "couplings", "b_actuation", "w_noise", "g_target"]
+    assert [list(c) for c in doc["couplings"]] == [["m", "n", "block"]] * 3
+    assert [(c["m"], c["n"]) for c in doc["couplings"]] == [(0, 1), (1, 2), (2, 0)]
 
 
 def ring_document():
@@ -343,6 +363,27 @@ def test_topology_rejects_wrong_coupling_block(block):
     parts["couplings"][(0, 1)] = block
     with pytest.raises(ValueError, match=r"coupling block \(0, 1\) must be a finite"):
         swarm.SwarmTopology(**parts)
+
+
+@pytest.mark.parametrize("name", ["m_agents", "state_dim", "n_tx", "n_rx"])
+@pytest.mark.parametrize("kind", ["float", "bool", "zero", "negative", "string",
+                                  "none"])
+def test_topology_rejects_a_count_that_is_not_a_positive_integer(name, kind):
+    parts = ring_parts()
+    parts[name] = {"float": float(parts[name]), "bool": True, "zero": 0,
+                   "negative": -parts[name], "string": str(parts[name]),
+                   "none": None}[kind]
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        swarm.SwarmTopology(**parts)
+
+
+def test_topology_stores_numpy_integer_counts_as_int():
+    parts = ring_parts()
+    parts.update(m_agents=np.int64(2), n_tx=np.uint8(2))
+    topo = swarm.SwarmTopology(**parts)
+    assert type(topo.m_agents) is int and type(topo.n_tx) is int
+    assert swarm.topology_to_json(topo) == \
+        swarm.topology_to_json(swarm.SwarmTopology(**ring_parts()))
 
 
 def test_topology_accepts_numpy_integer_coupling_keys():
