@@ -8,10 +8,11 @@ module accepts an instantaneous channel argument, so their decisions are
 measurable with respect to state history only. Gains are tuned offline
 against the static all-ones channel.
 
-The triggers decide for every agent at once: state_triggers compares the
-current error with the (M, dM) stack of errors the agents last sent (its
-docstring has the exact-tie guarantee), and state_trigger is its one-agent
-case, so the rule exists once.
+An episode's baseline is triggered_decisions, which reads the slot and the
+error alone. Its triggers decide for every agent at once: state_triggers
+compares the error with the (M, dM) stack of errors the agents last sent
+(its docstring has the exact-tie guarantee), and state_trigger is its
+one-agent case, so the rule exists once.
 """
 
 import math
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .swarm import SwarmTopology
+
+SCHEMES = ("baseline1", "baseline2", "baseline3")
 
 # Integral and derivative gains of tune_pid as multiples of the
 # proportional gain.
@@ -65,20 +68,6 @@ class PidGains:
     k_i: np.ndarray
     k_d: np.ndarray
     a_scale: float = 1.0
-
-
-@dataclass
-class TriggerConfig:
-    """Communication triggering constants for the baseline schemes."""
-
-    period: int
-    sigma: np.ndarray          # (M,) per-agent trigger constants
-
-
-def default_trigger_config(m_agents: int) -> TriggerConfig:
-    """Period ceil(M/2) and per-agent constants sigma_m = m (1-based)."""
-    return TriggerConfig(period=max(1, math.ceil(m_agents / 2)),
-                         sigma=np.arange(1, m_agents + 1, dtype=float))
 
 
 def periodic_trigger(t: int, period: int) -> bool:
@@ -177,3 +166,48 @@ def pid_control(k_p, k_i, k_d, e, accumulator, prev_e) -> np.ndarray:
     e = np.asarray(e, dtype=float)
     return k_p @ e + k_i @ np.asarray(accumulator, dtype=float) \
         + k_d @ (e - np.asarray(prev_e, dtype=float))
+
+
+def triggered_decisions(scheme: str, gains: PidGains):
+    """A baseline's decisions over an episode, as decide(t, e) per slot t.
+
+    decide is called in slot order from t = 0 with the global error e and
+    returns the (M,) firing bits and (M, N_t) controls. Baseline 1 fires
+    every agent every ceil(M/2) slots; baselines 2 and 3 fire on the state
+    trigger, sigma_m = m (1-based), against the error each agent last
+    sent. Baselines 1 and 2 send the PID control, baseline 3 k_p @ e alone,
+    evaluated once per slot over the agent axis; a slot where nobody fires
+    returns one shared read-only zero array and evaluates no control law.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown baseline {scheme!r}; valid: {SCHEMES}")
+    m_count, n_tx, dm = gains.k_p.shape
+    periodic, pid = scheme == "baseline1", scheme != "baseline3"
+    period, sigma = math.ceil(m_count / 2), np.arange(1.0, m_count + 1)
+    if periodic:  # baseline 1's two shared firing-bit arrays
+        everyone, nobody = np.ones(m_count, dtype=bool), np.zeros(m_count, dtype=bool)
+    silent = np.zeros((m_count, n_tx))
+    silent.flags.writeable = False
+    accumulator = np.zeros(dm)
+    prev_e = last_sent = None
+
+    def decide(t, e):
+        nonlocal accumulator, prev_e, last_sent
+        if prev_e is None:
+            prev_e = e
+            last_sent = np.tile(e, (m_count, 1))
+        accumulator = accumulator + e
+        if periodic:
+            fired = everyone if periodic_trigger(t, period) else nobody
+        else:
+            fired = state_triggers(e, last_sent, sigma)
+        controls = silent
+        if fired.any():
+            last_sent[fired] = e
+            law = (pid_control(gains.k_p, gains.k_i, gains.k_d, e, accumulator,
+                               prev_e) if pid else gains.k_p @ e)
+            controls = np.where(fired[:, None], law, 0.0)
+        prev_e = e
+        return fired, controls
+
+    return decide

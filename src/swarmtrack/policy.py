@@ -50,7 +50,7 @@ bounds what it can remove: every agent's delta is at most
 CERTIFIED_CUT_SLACK = 1e-8 and P_on lies outside [(1 - max delta)
 theta_0, theta_0), theta_0 = ||pi o e||^2 / M; it answers theta_0 and
 u = -(1/M) F^+ (pi o e)_m, which take the spectral path's transmit bits
-and lie within delta of its values. The slot loop routes every slot
+and lie within delta of its values. block_decisions routes every slot
 through certified_terms first; where it declines (returns None) the slot
 takes the spectral path above (factorize_agent + rank_one_terms), so the
 cutoff decisions stay those of the dense form. Everything the
@@ -376,9 +376,9 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
 
     The work splits into a channel part and an error part. The channel
     part (certify_channels) is one thin QR per agent, R^-1 and the bound
-    terms of tr G, tr G^-1 and gamma; the slot loop runs it once per block
-    of slots. The error part runs here, per slot: ||e||^2, the coordinates
-    y_e and y_pe of e_m and (pi o e)_m, the bound tests and u.
+    terms of tr G, tr G^-1 and gamma; block_decisions runs it once per
+    block of slots. The error part runs here, per slot: ||e||^2, the
+    coordinates y_e and y_pe of e_m and (pi o e)_m, the bound tests and u.
 
     Tall F (N_t <= d): F = Q R, y = Q^T [e_m, (pi o e)_m], G = F^T F
     = R^T R, F^+ = R^-1 Q^T and ||F^T e_m|| = ||R^T y_e||. Wide F
@@ -533,3 +533,25 @@ def control_signal(decision: ControlDecision, e) -> np.ndarray:
     names the vector u acts on.
     """
     return decision.u
+
+
+def block_decisions(b_actuation, h, constants: DriftConstants, params: PolicyParams):
+    """The semantic scheme over a block of (slots, M, N_r, N_t) channels h.
+
+    Certifies h once and returns decide(i, e): slot i's bits (M,) and
+    controls (M, N_t) from certified_terms, or where they decline
+    factorize_agent + rank_one_terms, then solve_agent per agent.
+    """
+    block = certify_channels(b_actuation, h, params)
+    agents = range(len(b_actuation))
+
+    def decide(i, e):
+        terms = certified_terms(block, i, e, constants)
+        if terms is None:
+            terms = rank_one_terms(factorize_agent(b_actuation, h[i]), e,
+                                   constants, params)
+        decisions = [solve_agent(terms, m, params) for m in agents]
+        return (np.array([dec.delta for dec in decisions], dtype=bool),
+                np.array([control_signal(dec, e) for dec in decisions]))
+
+    return decide

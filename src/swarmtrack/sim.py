@@ -4,10 +4,12 @@ One episode runs the per-timeslot loop: the leader observes the plant and
 target states, every agent's channel is drawn and pilot-estimated, the
 active scheme picks per-agent communication bits and control signals,
 the signals pass through the true fading channel, and the plant and target
-step forward. Each slot's cost, bits and controls go into one
-whole-episode record, from which Metrics is derived after the loop; a cost
-above the overflow guard, or not finite, ends the episode early with the
-diverged flag set.
+step forward. Each scheme's decision lives in the module of its rule:
+policy.block_decisions for the semantic scheme and
+baselines.triggered_decisions for the three channel-oblivious baselines.
+Each slot's cost, bits and controls go into one whole-episode record, from
+which Metrics is derived after the loop; a cost above the overflow guard,
+or not finite, ends the episode early with the diverged flag set.
 
 Randomness is counter-based: every (seed, stream, timeslot) triple keys an
 independent Philox generator, so all schemes consume identical channel and
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import baselines, channel, policy, swarm
 
-SCHEMES = ("semantic", "baseline1", "baseline2", "baseline3")
+SCHEMES = ("semantic",) + baselines.SCHEMES
 AXES = ("M", "N_t", "power_dbw")
 
 OVERFLOW_GUARD = 1e30
@@ -221,8 +223,6 @@ def _check_dims(config: SimConfig, topology: swarm.SwarmTopology):
 # Per-topology results (PID gains, drift constants), keyed by what they
 # depend on; emptied when it outgrows 64 entries.
 _TOPOLOGY_CACHE: dict = {}
-_TUNE_SCALE_DECAY = 0.75
-_TUNE_MAX_ATTEMPTS = 40
 
 
 def _per_topology(key: tuple, compute):
@@ -234,34 +234,25 @@ def _per_topology(key: tuple, compute):
     return hit
 
 
-def _regularization_scales(topology: swarm.SwarmTopology):
-    yield 1.0
-    radius = float(np.max(np.abs(np.linalg.eigvals(topology.a_global))))
-    base = 0.9 / radius if radius > 0 else 1.0
-    for j in range(_TUNE_MAX_ATTEMPTS):
-        yield base * _TUNE_SCALE_DECAY ** j
-
-
 def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
-    """PID gains, regularizing A when the raw solve fails.
+    """PID gains of the plant, or of its A scaled to spectral radius 0.9.
 
-    Tuning retries with a progressively scaled-down plant matrix whenever
-    solve_dare raises DareConvergenceError: its iteration overflows (a
-    system the static all-ones channel cannot stabilize), or it stalls.
-    On rings the iteration converges in relative terms within a few dozen
-    steps to a stabilizing gain, but with max|P| of order 1e7 the absolute
-    change max|dP| stays above solve_dare's 1e-8 tolerance until max_iter,
-    so those rings are tuned on a scaled plant too. The scale used is
-    recorded on the returned gains.
+    The first attempt tunes on A itself. When solve_dare raises
+    DareConvergenceError there (its iteration overflows on a system the
+    static all-ones channel cannot stabilize, or stalls: on rings max|P|
+    reaches about 1e7 and max|dP| stays above the 1e-8 tolerance until
+    max_iter), the second tunes on 0.9 A / rho(A), a stable plant; an
+    error there, or a nilpotent A (rho = 0, nothing to scale), is raised.
+    The scale used is recorded on the returned gains.
     """
     def tune():
-        last_err = None
-        for scale in _regularization_scales(topology):
-            try:
-                return baselines.tune_pid(topology, a_scale=scale)
-            except baselines.DareConvergenceError as err:
-                last_err = err
-        raise last_err
+        try:
+            return baselines.tune_pid(topology)
+        except baselines.DareConvergenceError:
+            radius = float(np.max(np.abs(np.linalg.eigvals(topology.a_global))))
+            if not radius > 0:
+                raise
+            return baselines.tune_pid(topology, a_scale=0.9 / radius)
 
     return _per_topology(("pid", topology.m_agents, topology.state_dim,
                           topology.n_rx, topology.n_tx, topology.a_global.tobytes(),
@@ -274,96 +265,6 @@ def drift_constants(topology: swarm.SwarmTopology) -> policy.DriftConstants:
         ("drift", topology.a_global.tobytes(), topology.g_target.tobytes()),
         lambda: policy.compute_drift_constants(topology.a_global,
                                                topology.g_target))
-
-
-def _semantic_step(config: SimConfig, topology: swarm.SwarmTopology):
-    """Closed-form channel-aware decision of every agent.
-
-    Per block of slots the per-block part of the certified closed form
-    (policy.certify_channels); per slot its error part, or where it
-    declines one stacked factorization and one batched rank-one solve;
-    solve_agent then applies each agent's rule to its slice.
-    """
-    params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
-    constants = drift_constants(topology)
-    b = topology.b_actuation
-    agents = range(topology.m_agents)
-
-    def start_block(h, h_est):
-        h_used = h_est if config.use_estimated_csi else h
-        block = policy.certify_channels(b, h_used, params)
-
-        def decide(t, i, e):
-            terms = policy.certified_terms(block, i, e, constants)
-            if terms is None:
-                terms = policy.rank_one_terms(policy.factorize_agent(b, h_used[i]),
-                                              e, constants, params)
-            decisions = [policy.solve_agent(terms, m, params) for m in agents]
-            deltas = np.array([dec.delta for dec in decisions], dtype=bool)
-            return deltas, np.array([policy.control_signal(dec, e)
-                                     for dec in decisions])
-
-        return decide
-
-    return start_block
-
-
-def _triggered_step(config: SimConfig, topology: swarm.SwarmTopology):
-    """Channel-oblivious baseline: a trigger rule and a PID-tuned control law.
-
-    Baseline 1 fires periodically, baselines 2 and 3 on the state trigger
-    against the error each agent last transmitted; baselines 1 and 2 send
-    the PID control, baseline 3 the proportional term k_p @ e alone. Both
-    the trigger and the control law run once per slot over the agent axis:
-    the periodic bit is shared by every agent, the state trigger compares
-    the error with the (M, dM) stack of last-sent errors, and the control
-    uses the stacked (M, N_t, dM) gains. A slot where nobody fires returns
-    one shared read-only zero-controls array and evaluates no control law.
-    """
-    gains = tuned_gains(topology)
-    trig = baselines.default_trigger_config(topology.m_agents)
-    m_count = topology.m_agents
-    silent = np.zeros((m_count, topology.n_tx))
-    silent.flags.writeable = False
-    accumulator = np.zeros(topology.global_dim)
-    prev_e = last_sent = None
-
-    if config.scheme == "baseline1":
-        everyone = np.ones(m_count, dtype=bool)
-        nobody = np.zeros(m_count, dtype=bool)
-
-        def fires(t, e, last_sent):
-            return everyone if baselines.periodic_trigger(t, trig.period) else nobody
-    else:
-        def fires(t, e, last_sent):
-            return baselines.state_triggers(e, last_sent, trig.sigma)
-
-    if config.scheme == "baseline3":
-        def control(e, accumulator, prev_e):
-            return gains.k_p @ e
-    else:
-        def control(e, accumulator, prev_e):
-            return baselines.pid_control(gains.k_p, gains.k_i, gains.k_d,
-                                         e, accumulator, prev_e)
-
-    def decide(t, i, e):
-        nonlocal accumulator, prev_e, last_sent
-        if prev_e is None:
-            prev_e = e
-            last_sent = np.tile(e, (m_count, 1))
-        accumulator = accumulator + e
-        fired = fires(t, e, last_sent)
-        controls = silent
-        if fired.any():
-            last_sent[fired] = e
-            controls = np.where(fired[:, None], control(e, accumulator, prev_e), 0.0)
-        prev_e = e
-        return fired, controls
-
-    def start_block(h, h_est):
-        return decide
-
-    return start_block
 
 
 def run_episode(config: SimConfig,
@@ -381,6 +282,10 @@ def run_episode(config: SimConfig,
     _SLOT_BLOCK slots: the four slot streams of every slot in the block
     (the same (seed, stream, slot) keys and draws as slot by slot), the
     pilot estimates, the plant noise and the scheme's channel work. The
+    scheme is picked once, before the loop: each block start gets its
+    decide(i, e) for the block's slot i, policy.block_decisions on the
+    estimated channels (the true ones when use_estimated_csi is false) or
+    the baseline's triggered decide told the block's first slot. The
     slot loop carries x and r as arrays and keeps the tracking error, the
     decision, reception and the plant step.
 
@@ -399,8 +304,20 @@ def run_episode(config: SimConfig,
     dm = topology.global_dim
     x = np.full(dm, float(config.x0_value))
     r = np.full(dm, float(config.r0_value))
-    start_block = (_semantic_step if config.scheme == "semantic"
-                   else _triggered_step)(config, topology)
+    if config.scheme == "semantic":
+        params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
+        constants = drift_constants(topology)
+
+        def start_block(t0, h, h_est):
+            return policy.block_decisions(
+                topology.b_actuation, h_est if config.use_estimated_csi else h,
+                constants, params)
+    else:
+        triggered = baselines.triggered_decisions(config.scheme,
+                                                  tuned_gains(topology))
+
+        def start_block(t0, h, h_est):
+            return lambda i, e: triggered(t0 + i, e)
 
     size = min(_SLOT_BLOCK, config.horizon)
     h = np.empty((size, m_count, topology.n_rx, topology.n_tx))
@@ -430,14 +347,14 @@ def run_episode(config: SimConfig,
                 h_est = channel.estimate_channel(h[:span], pilot[:span],
                                                  config.pilot_power)
                 noise = swarm.draw_plant_noise(topology, plant_z[:span])
-                decide = start_block(h[:span], h_est)
+                decide = start_block(t, h[:span], h_est)
 
             e, cost = swarm.tracking_error(x, r)
             costs[t] = cost
             if not cost <= OVERFLOW_GUARD:
                 break
 
-            deltas, controls = decide(t, i, e)
+            deltas, controls = decide(i, e)
             bits[t] = deltas
             sent[t] = controls
             decided = t + 1
@@ -500,13 +417,16 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     the achievable range return the corresponding bracket edge. Every
     argument is checked before any probe runs, with ValueError for a
     budget that is not a real number (a bool included), is not finite or
-    is too large to express in watts, for n_probe_seeds not an integer
-    >= 1 or max_iter not an integer >= 0 (bools rejected), for a bracket
-    other than finite 0 < lo < hi and for rel_tol not a number >= 0.
+    is too large to express in watts, for n_probe_seeds or a probe_horizon
+    other than None not an integer >= 1 or max_iter not an integer >= 0
+    (bools rejected), for a bracket other than finite 0 < lo < hi and for
+    rel_tol not a number >= 0.
     """
     budget_w = budget_watts(power_budget_dbw)
-    for name, value, least in (("n_probe_seeds", n_probe_seeds, 1),
-                               ("max_iter", max_iter, 0)):
+    counts = [("n_probe_seeds", n_probe_seeds, 1), ("max_iter", max_iter, 0)]
+    if probe_horizon is not None:
+        counts.append(("probe_horizon", probe_horizon, 1))
+    for name, value, least in counts:
         if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                 or value < least):
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")

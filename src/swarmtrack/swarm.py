@@ -217,23 +217,32 @@ def topology_to_json(topology: SwarmTopology) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _check_keys(kind: str, doc, names):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{kind} must be a JSON object, got {type(doc).__name__}")
+    for problem, keys in (("unknown", set(doc) - set(names)),
+                          ("missing", set(names) - set(doc))):
+        if keys:
+            raise ValueError(f"{problem} {kind} keys: {sorted(keys)}")
+
+
 def topology_from_json(text: str) -> SwarmTopology:
     """Topology of a topology_to_json document.
 
-    Unknown keys, at the top level or in a coupling entry, and a coupling
+    A document or coupling entry that is not a JSON object, unknown or
+    missing keys in either, couplings that are not a list and a coupling
     pair listed twice raise ValueError.
     """
     doc = json.loads(text)
-    unknown = set(doc) - {f.name for f in _DOCUMENT_FIELDS}
-    if unknown:
-        raise ValueError(f"unknown topology keys: {sorted(unknown)}")
+    _check_keys("topology", doc, [f.name for f in _DOCUMENT_FIELDS])
+    if not isinstance(doc["couplings"], list):
+        raise ValueError(f"couplings must be a list, got "
+                         f"{type(doc['couplings']).__name__}")
     args = {f.name: np.array(doc[f.name], dtype=float)
             if f.type is np.ndarray else doc[f.name] for f in _DOCUMENT_FIELDS}
     couplings = args["couplings"] = {}
     for c in doc["couplings"]:
-        unknown = set(c) - {"m", "n", "block"}
-        if unknown:
-            raise ValueError(f"unknown coupling keys: {sorted(unknown)}")
+        _check_keys("coupling", c, ("m", "n", "block"))
         pair = (c["m"], c["n"])
         if pair in couplings:
             raise ValueError(f"coupling {pair} is listed twice")

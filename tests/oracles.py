@@ -80,10 +80,10 @@ def solve_agent(sigma, bhat_m, h_m, constants: DriftConstants,
 
 
 def library_decisions(e, b_actuation, h, constants, params, spectral=False):
-    """The library's decision of every agent, dispatched as in the slot
-    loop: the certified closed form, else (or with spectral=True) one
-    stacked factorization and one batched rank-one solve; then solve_agent
-    per agent."""
+    """The library's decision of every agent, dispatched as in
+    policy.block_decisions: the certified closed form, else (or with
+    spectral=True) one stacked factorization and one batched rank-one
+    solve; then solve_agent per agent."""
     terms = None if spectral else policy.certified_terms(
         policy.certify_channels(b_actuation, np.asarray(h)[None], params),
         0, e, constants)
@@ -245,18 +245,6 @@ def decision_arrays(decisions):
             np.array([dec.u for dec in decisions]))
 
 
-def scalar_objective(k, delta, pi, s, b, h, m_count, p_on, gamma):
-    """Problem objective for the one-dimensional system, written from scratch.
-
-    k is the physical gain; the lifted gain is delta * b * h * k.
-    """
-    if not delta:
-        return 0.0
-    khat = b * h * k
-    return (-2.0 * pi * khat * s + m_count * khat * khat * s
-            + p_on + gamma * k * k)
-
-
 def scalar_grid_optimum(pi, s, b, h, m_count, p_on, gamma, n_points=1_000_000):
     """Brute-force optimum of the scalar problem over delta and a gain grid.
 
@@ -411,7 +399,8 @@ def naive_drift_bound(e, deltas, controls, h, topology, constants):
 
 
 def _slot_semantic_decide(config, topology):
-    """Semantic decision of one slot from that slot's own channel draw."""
+    """Semantic decision of one slot from that slot's own channel draw:
+    policy.block_decisions on a one-slot block."""
     params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
     constants = policy.compute_drift_constants(topology.a_global,
                                                topology.g_target)
@@ -419,25 +408,17 @@ def _slot_semantic_decide(config, topology):
 
     def decide(t, e, h, h_est):
         h = h_est if config.use_estimated_csi else h
-        terms = policy.certified_terms(
-            policy.certify_channels(b, h[None], params), 0, e, constants)
-        if terms is None:
-            terms = policy.rank_one_terms(policy.factorize_agent(b, h), e,
-                                          constants, params)
-        decisions = [policy.solve_agent(terms, m, params)
-                     for m in range(topology.m_agents)]
-        deltas = np.array([dec.delta for dec in decisions], dtype=int)
-        return deltas, np.array([policy.control_signal(dec, e)
-                                 for dec in decisions])
+        return policy.block_decisions(b, h[None], constants, params)(0, e)
 
     return decide
 
 
 def _slot_triggered_decide(config, topology):
-    """Baseline decision: trigger per agent, PID (or k_p e) on firing."""
+    """Baseline decision: trigger per agent, PID (or k_p e) on firing, with
+    period ceil(M/2) and sigma_m = m (1-based) written out here."""
     gains = sim.tuned_gains(topology)
-    trig = baselines.default_trigger_config(topology.m_agents)
     m_count = topology.m_agents
+    period = (m_count + 1) // 2
     accumulator = np.zeros(topology.global_dim)
     prev_e = last_sent = None
 
@@ -450,9 +431,9 @@ def _slot_triggered_decide(config, topology):
         deltas = np.zeros(m_count, dtype=int)
         for m in range(m_count):
             if config.scheme == "baseline1":
-                fires = baselines.periodic_trigger(t, trig.period)
+                fires = baselines.periodic_trigger(t, period)
             else:
-                fires = baselines.state_trigger(e, last_sent[m], trig.sigma[m])
+                fires = baselines.state_trigger(e, last_sent[m], m + 1.0)
             if fires:
                 deltas[m] = 1
                 last_sent[m] = e

@@ -248,18 +248,70 @@ def test_state_triggers_per_agent_sigma():
     assert got.tolist() == [False, True, True]
 
 
-def test_default_trigger_config():
-    cfg = baselines.default_trigger_config(5)
-    assert cfg.period == 3
-    assert np.array_equal(cfg.sigma, [1.0, 2.0, 3.0, 4.0, 5.0])
+def unit_gains(m_count):
+    """Gains of M one-antenna agents on an M-vector error: k_p = -I, k_i = k_d = 0."""
+    k_p = -np.eye(m_count).reshape(m_count, 1, m_count)
+    return baselines.PidGains(k_p=k_p, k_i=0 * k_p, k_d=0 * k_p)
+
+
+def test_triggered_period_is_half_the_swarm_rounded_up():
+    for m_count, period in ((1, 1), (2, 1), (4, 2), (5, 3)):
+        decide = baselines.triggered_decisions("baseline1", unit_gains(m_count))
+        e = np.ones(m_count)
+        fired = [decide(t, e)[0] for t in range(7)]
+        assert [bool(f.all()) for f in fired] == [t % period == 0 for t in range(7)]
+        assert all(f.all() or not f.any() for f in fired)
+
+
+def test_triggered_sigma_is_the_one_based_agent_index():
+    # after e0 = a, the error -2 a deviates by ||3 a||^2 = 9/4 ||e||^2, so
+    # the agents with sigma_m = m >= 9/4 fire: m = 3, 4, 5
+    decide = baselines.triggered_decisions("baseline2", unit_gains(5))
+    a = np.eye(5)[0]
+    assert decide(0, a)[0].all()
+    fired, controls = decide(1, -2.0 * a)
+    assert fired.tolist() == [False, False, True, True, True]
+    assert np.array_equal(controls[:2], np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("scheme,law", [("baseline2", "pid"), ("baseline3", "p")])
+def test_triggered_control_law(scheme, law):
+    k_p = np.arange(1.0, 7.0).reshape(2, 1, 3)
+    gains = baselines.PidGains(k_p=k_p, k_i=0.5 * k_p, k_d=2.0 * k_p)
+    decide = baselines.triggered_decisions(scheme, gains)
+    errors = [np.array([1.0, 0.0, 2.0]), np.array([1.0, 0.5, 2.0])]
+    for t, e in enumerate(errors):
+        fired, controls = decide(t, e)
+    assert fired.all()
+    want = k_p @ errors[1]
+    if law == "pid":
+        want = baselines.pid_control(k_p, 0.5 * k_p, 2.0 * k_p, errors[1],
+                                     errors[0] + errors[1], errors[0])
+    assert np.array_equal(controls, want)
+
+
+def test_triggered_silent_slot_shares_one_read_only_zero_array():
+    decide = baselines.triggered_decisions("baseline1", unit_gains(4))
+    decide(0, np.ones(4))
+    first, second = decide(1, np.ones(4))[1], decide(3, np.ones(4))[1]
+    assert first is second and not first.flags.writeable
+    assert not first.any()
+
+
+def test_triggered_decisions_rejects_an_unknown_scheme():
+    with pytest.raises(ValueError, match="unknown baseline 'semantic'"):
+        baselines.triggered_decisions("semantic", unit_gains(2))
 
 
 def test_baselines_take_no_channel_argument():
-    # channel-obliviousness is structural: no baseline operation accepts CSI
+    # channel-obliviousness is structural: no baseline operation accepts
+    # CSI, and neither does the decide of an episode's triggered decisions
     import inspect
+    decide = baselines.triggered_decisions("baseline2", unit_gains(2))
     for fn in (baselines.tune_pid, baselines.pid_control,
                baselines.periodic_trigger, baselines.state_trigger,
-               baselines.state_triggers, baselines.solve_dare):
+               baselines.state_triggers, baselines.solve_dare,
+               baselines.triggered_decisions, decide):
         params = inspect.signature(fn).parameters
         assert not any("h_" in p or p in ("h", "channel", "channels", "csi")
                        for p in params)

@@ -49,6 +49,23 @@ def test_unknown_config_key_exits_one(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_config_that_is_not_an_object_exits_one(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_set_without_an_equals_sign_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(write_config(tmp_path)),
+                     "--set", "horizon", "--out", str(out)]) == 1
+    assert "--set expects KEY=VALUE, got 'horizon'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_writes_expected_files(tmp_path):
     path = write_config(tmp_path)
     out = tmp_path / "out"
@@ -376,6 +393,15 @@ def test_seed_out_of_range_exits_one(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+UNLOADABLE_TOPOLOGY_REASONS = {
+    "missing": "No such file", "not_json": "Expecting property name",
+    "not_object": "topology must be a JSON object, got list",
+    "missing_field": "missing topology keys: ['a_internal', 'b_actuation', "
+                     "'couplings', 'g_target', 'n_rx', 'n_tx', 'state_dim', "
+                     "'w_noise']",
+    "wrong_dims": "do not match config"}
+
+
 @pytest.mark.parametrize("kind", ["missing", "not_json", "not_object",
                                   "missing_field", "wrong_dims"])
 def test_unloadable_topology_exits_one(tmp_path, capsys, kind):
@@ -395,6 +421,7 @@ def test_unloadable_topology_exits_one(tmp_path, capsys, kind):
         assert cli.main([command, "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert "error: cannot load topology" in err and "usage" in err
+        assert UNLOADABLE_TOPOLOGY_REASONS[kind] in err
         assert "Traceback" not in err
     assert not out.exists()
 

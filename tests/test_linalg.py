@@ -30,6 +30,12 @@ def test_svd_rejects_non_finite():
         linalg.svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2)])
+def test_svd_rejects_a_non_matrix(shape):
+    with pytest.raises(ValueError, match="matrix must be a 2-d matrix"):
+        linalg.svd(np.ones(shape))
+
+
 @pytest.mark.parametrize("case", range(200))
 def test_svd_contract_randomized(case):
     rng = np.random.default_rng(1000 + case)

@@ -951,6 +951,42 @@ def test_block_certificate_declines_only_the_bad_slot(bad):
         assert_matches_dense(e, b, h[k], constants, params)
 
 
+@pytest.mark.parametrize("bad", ["zero", "rank_deficient"])
+def test_block_decisions_take_each_slot_by_its_own_route(bad):
+    # block_decisions certifies the block once; every slot's bits and
+    # controls are those of the one-slot dispatch, the declined slot's
+    # through the spectral path
+    rng = np.random.default_rng(1365)
+    m_count, d, n_tx, n_rx, n_slots, k = 4, 9, 4, 4, 5, 2
+    e, b, _, constants, params = rank_one_instance(rng, m_count, d, n_tx,
+                                                   n_rx, 1.0)
+    h = rng.normal(size=(n_slots, m_count, n_rx, n_tx))
+    if bad == "zero":
+        h[k, 1] = 0.0
+    else:
+        h[k, 1, :, 3] = h[k, 1, :, 0]
+    assert certified(e, b, h[k], constants, params) is None
+    decide = policy.block_decisions(b, h, constants, params)
+    for i in range(n_slots):
+        deltas, controls = decide(i, e)
+        want = oracles.decision_arrays(
+            oracles.library_decisions(e, b, h[i], constants, params))
+        assert deltas.dtype == bool and np.array_equal(deltas, want[0])
+        assert controls.shape == (m_count, n_tx)
+        assert np.array_equal(controls, want[1])
+
+
+def test_rank_one_and_certified_terms_reject_a_wrong_shape_error():
+    rng = np.random.default_rng(1380)
+    e, b, h, constants, params = rank_one_instance(rng, 2, 3, 2, 3, 1.0)
+    factors = policy.factorize_agent(b, h)
+    for bad in (e[:-1], e.reshape(2, 3)):
+        with pytest.raises(ValueError, match=r"e must have shape \(6,\)"):
+            policy.rank_one_terms(factors, bad, constants, params)
+        with pytest.raises(ValueError, match=r"e must have shape \(6,\)"):
+            certified(bad, b, h, constants, params)
+
+
 def test_block_certificate_declines_wide_channels():
     # wide F (N_t > d) is certified where N_r >= d gives it full row rank;
     # with N_r < d its rank is N_r < d and no slot can be certified

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from swarmtrack import channel, policy, sim, swarm
+from swarmtrack import baselines, channel, policy, sim, swarm
 from swarmtrack.sim import SimConfig
 from test_acceptance import benchmark_topology
 
@@ -485,11 +485,16 @@ def test_budget_that_is_not_a_real_number_is_rejected(budget):
     ({"rel_tol": float("nan")}, "rel_tol"),
     ({"max_iter": -1}, "max_iter"),
     ({"max_iter": False}, "max_iter"),
+    ({"probe_horizon": 0}, "probe_horizon must be an integer >= 1, got 0"),
+    ({"probe_horizon": 2.5}, "probe_horizon"),
+    ({"probe_horizon": True}, "probe_horizon"),
 ])
 def test_calibrate_gamma_rejects_bad_arguments_before_any_probe(
         monkeypatch, kwargs, match):
     # n_probe_seeds=0 used to die dividing by zero, lo > hi to return 1.0
-    # silently, and lo = 0 to pin the log-space bisection at 0
+    # silently, lo = 0 to pin the log-space bisection at 0, and a bad
+    # probe_horizon to be reported as the config's horizon after
+    # build_topology ran
     def no_probe(*args, **kw):
         raise AssertionError("a probe ran")
 
@@ -498,6 +503,27 @@ def test_calibrate_gamma_rejects_bad_arguments_before_any_probe(
     base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5)
     with pytest.raises(ValueError, match=match):
         sim.calibrate_gamma(base, None, 8.0, **kwargs)
+
+
+class PowerOfGamma:
+    """A probe episode whose mean transmit power is 1 / gamma watts."""
+
+    def __init__(self, config, topology):
+        self.avg_tx_power = 1.0 / config.gamma
+
+
+@pytest.mark.parametrize("max_iter", [3, 4])
+def test_calibrate_gamma_out_of_iterations_returns_the_best_probe(
+        monkeypatch, max_iter):
+    # on [1e-2, 1e2] for a 3 W budget the bisection probes 1, 10^-1,
+    # 10^-0.5 (3.16 W, the closest) and 10^-0.25 (1.78 W); rel_tol = 0
+    # never stops it, so it returns the closest probe, not the last
+    monkeypatch.setattr(sim, "run_episode", PowerOfGamma)
+    base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5)
+    gamma = sim.calibrate_gamma(base, object(), 10.0 * math.log10(3.0),
+                                n_probe_seeds=1, rel_tol=0.0, lo=1e-2, hi=1e2,
+                                max_iter=max_iter)
+    assert gamma == pytest.approx(10.0 ** -0.5, rel=1e-12)
 
 
 def test_run_sweep_rejects_zero_probe_seeds(monkeypatch):
@@ -806,6 +832,59 @@ def test_tuned_gains_per_agent_split(monkeypatch):
                         horizon=3, scheme="baseline2")
         assert sim.tuned_gains(topo).k_p.shape == (m_count, 1, 8)
         assert sim.run_episode(cfg, topo).n_slots == 3
+
+
+def test_tuned_gains_scale_the_plant_only_where_the_raw_tuning_fails(monkeypatch):
+    # the stable benchmark family tunes on A itself; a criterion-5 ring
+    # (M = 4, d = 9, N_t = N_r = 4) stalls there and tunes on 0.9 A / rho(A)
+    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
+    assert sim.tuned_gains(benchmark_topology(8, 9, 4, 4, 0, 0.02)).a_scale == 1.0
+    ring = swarm.build_ring_topology(4, 9, 4, 4, 1e-5, 0)
+    radius = np.max(np.abs(np.linalg.eigvals(ring.a_global)))
+    assert sim.tuned_gains(ring).a_scale == pytest.approx(0.9 / radius,
+                                                          rel=1e-12)
+
+
+def test_tuned_gains_raise_when_the_scaled_plant_fails_too(monkeypatch):
+    scales = []
+
+    def failing(topology, a_scale=1.0):
+        scales.append(a_scale)
+        raise baselines.DareConvergenceError(float("inf"), [])
+
+    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
+    monkeypatch.setattr(baselines, "tune_pid", failing)
+    topo = benchmark_topology(2, 3, 2, 2, 5, 0.02)
+    with pytest.raises(baselines.DareConvergenceError):
+        sim.tuned_gains(topo)
+    radius = np.max(np.abs(np.linalg.eigvals(topo.a_global)))
+    assert scales == [1.0, pytest.approx(0.9 / radius, rel=1e-12)]
+
+
+def test_tuned_gains_of_a_nilpotent_plant_that_overflows_raise(monkeypatch):
+    # rho(A) = 0 leaves nothing to scale: the first error is raised, not a
+    # ZeroDivisionError from 0.9 / rho. The Riccati iterate overflows,
+    # which numpy also reports as a warning; only the error is checked here
+    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
+    topo = swarm.SwarmTopology(
+        m_agents=1, state_dim=2, n_tx=1, n_rx=1,
+        a_internal=np.array([[[0.0, 1e200], [0.0, 0.0]]]), couplings={},
+        b_actuation=np.ones((1, 2, 1)), w_noise=np.zeros((1, 2, 2)),
+        g_target=np.eye(2))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(baselines.DareConvergenceError):
+        sim.tuned_gains(topo)
+
+
+def test_topology_cache_empties_past_64_entries(monkeypatch):
+    cache = {}
+    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", cache)
+    for key in range(65):
+        assert sim._per_topology((key,), lambda: key) == key
+    assert len(cache) == 65
+    assert sim._per_topology((0,), lambda: "again") == 0
+    assert sim._per_topology((65,), lambda: 65) == 65
+    assert cache == {(65,): 65}
 
 
 def certified_share(monkeypatch, configs_and_topologies):

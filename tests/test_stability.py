@@ -141,6 +141,18 @@ def test_empirical_drift_deterministic_frozen_system():
     assert stderr == 0.0
 
 
+def test_empirical_drift_of_one_draw_has_no_standard_error():
+    topo = constant_topology(2, 2, 2,
+                             a_blocks=[np.eye(2), np.eye(2)],
+                             b_blocks=[np.zeros((2, 2)), np.zeros((2, 2))],
+                             noise_scale=0.0)
+    x, r = np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4)
+    mean, stderr = stability.empirical_drift(
+        topo, x, r, *silent_decisions(2, 2), no_channels(topo), 1,
+        np.random.default_rng(0))
+    assert mean == 0.0 and stderr == float("inf")
+
+
 def test_empirical_drift_noise_floor_matches_closed_form():
     topo = constant_topology(2, 2, 2,
                              a_blocks=[np.eye(2), np.eye(2)],

@@ -316,6 +316,30 @@ def test_topology_file_rejects_unknown_keys(where, key):
         swarm.topology_from_json(json.dumps(doc))
 
 
+def without(doc, key, entry=None):
+    del (doc if entry is None else doc["couplings"][entry])[key]
+    return doc
+
+
+@pytest.mark.parametrize("broken,message", [
+    (lambda doc: [], r"topology must be a JSON object, got list"),
+    (lambda doc: {"m_agents": 1},
+     r"missing topology keys: \['a_internal', 'b_actuation', 'couplings', "
+     r"'g_target', 'n_rx', 'n_tx', 'state_dim', 'w_noise'\]$"),
+    (lambda doc: without(doc, "couplings"), r"missing topology keys: \['couplings'\]"),
+    (lambda doc: without(doc, "block", entry=1), r"missing coupling keys: \['block'\]"),
+    (lambda doc: dict(doc, couplings=5), r"couplings must be a list, got int"),
+    (lambda doc: dict(doc, couplings=doc["couplings"] + [[0, 1]]),
+     r"coupling must be a JSON object, got list"),
+], ids=["not_object", "missing_keys", "missing_couplings", "missing_block",
+        "couplings_not_list", "coupling_not_object"])
+def test_topology_file_names_what_is_missing_or_mistyped(broken, message):
+    # each used to raise a bare KeyError or TypeError ('state_dim', 'block',
+    # "'int' object is not iterable", "list indices must be integers")
+    with pytest.raises(ValueError, match=message):
+        swarm.topology_from_json(json.dumps(broken(ring_document())))
+
+
 def ring_parts(m_agents=2, d=3, n=2):
     """Keyword arguments of a ring topology, to corrupt one at a time."""
     topo = swarm.build_ring_topology(m_agents, state_dim=d, n_tx=n, n_rx=n, seed=3)
@@ -407,3 +431,30 @@ def test_topology_rejects_asymmetric_noise():
 def test_state_rejects_non_finite():
     with pytest.raises(ValueError):
         swarm.SwarmState(x=np.array([np.nan]), r=np.array([0.0]))
+
+
+def test_state_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="same shape"):
+        swarm.SwarmState(x=np.zeros(2), r=np.zeros(3))
+
+
+@pytest.mark.parametrize("field", ["a_internal", "b_actuation", "w_noise",
+                                   "g_target"])
+def test_topology_rejects_non_finite_matrices(field):
+    parts = ring_parts()
+    parts[field] = parts[field].copy()
+    parts[field].flat[0] = np.inf
+    with pytest.raises(ValueError, match=f"{field} contains non-finite entries"):
+        swarm.SwarmTopology(**parts)
+
+
+def test_topology_rejects_noise_that_is_not_positive_semidefinite():
+    parts = ring_parts()
+    parts["w_noise"] = np.array([np.eye(3), np.diag([1.0, -1e-6, 1.0])])
+    with pytest.raises(ValueError, match=r"w_noise\[1\] is not positive semidefinite"):
+        swarm.SwarmTopology(**parts)
+
+
+def test_ring_topology_needs_an_agent():
+    with pytest.raises(ValueError, match="m_agents must be >= 1"):
+        swarm.build_ring_topology(0, state_dim=2, n_tx=2, n_rx=2)
