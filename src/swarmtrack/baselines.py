@@ -114,19 +114,22 @@ def solve_dare(a, b, q, r, max_iter: int = 10000, tol: float = 1e-8) -> GareGain
     r = np.asarray(r, dtype=float)
     p = q.copy()
     trace = []
-    for it in range(1, max_iter + 1):
-        btp = b.T @ p
-        gain = np.linalg.solve(r + btp @ b, btp @ a)
-        atp = a.T @ p
-        p_next = atp @ a - atp @ b @ gain + q
-        p_next = 0.5 * (p_next + p_next.T)
-        if not np.isfinite(p_next).all():
-            raise DareConvergenceError(float("inf"), trace)
-        residual = float(np.max(np.abs(p_next - p)))  # equation residual at p
-        trace.append(residual)
-        if residual < tol:
-            return GareGain(p=p, gain=gain, residual=residual, iterations=it)
-        p = p_next
+    # a diverging iterate overflows to inf or nan, which the finite check
+    # below turns into DareConvergenceError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, max_iter + 1):
+            btp = b.T @ p
+            gain = np.linalg.solve(r + btp @ b, btp @ a)
+            atp = a.T @ p
+            p_next = atp @ a - atp @ b @ gain + q
+            p_next = 0.5 * (p_next + p_next.T)
+            if not np.isfinite(p_next).all():
+                raise DareConvergenceError(float("inf"), trace)
+            residual = float(np.max(np.abs(p_next - p)))  # equation residual at p
+            trace.append(residual)
+            if residual < tol:
+                return GareGain(p=p, gain=gain, residual=residual, iterations=it)
+            p = p_next
     raise DareConvergenceError(trace[-1], trace)
 
 

@@ -15,6 +15,8 @@ the caller decides how they are drawn: one slot at a time or a block of
 slots at once, along any leading axes.
 """
 
+import numbers
+
 import numpy as np
 
 
@@ -32,7 +34,8 @@ def estimate_channel(h, pilot_noise, pilot_power: float) -> np.ndarray:
     estimation error is N(0, 1 / pilot_power). Elementwise, so any stack
     of slots and agents is estimated at once.
     """
-    if isinstance(pilot_power, bool) or not 0 < pilot_power < np.inf:
+    if (isinstance(pilot_power, bool) or not isinstance(pilot_power, numbers.Real)
+            or not 0 < pilot_power < np.inf):
         raise ValueError(f"pilot_power must be finite and positive, got {pilot_power!r}")
     return h + pilot_noise / np.sqrt(pilot_power)
 

@@ -127,28 +127,6 @@ class PolicyParams:
 
 
 @dataclass(frozen=True)
-class ChannelFactors:
-    """Thin SVD  F = left @ diag(singulars) @ right_t  of effective channels.
-
-    Batched over leading axes. In the slot loop F[m] = B_m @ H_m is the
-    d x N_t block row m of E_m = Bhat_m @ H_m, its only non-zero block, so
-    E_m has the same singular values and its left vectors are left[m]
-    placed at block row m.
-    """
-
-    left: np.ndarray            # (..., rows, k), k = min(rows, n_tx)
-    singulars: np.ndarray       # (..., k), nonincreasing
-    right_t: np.ndarray         # (..., k, n_tx)
-
-    @property
-    def inverse_singulars(self) -> np.ndarray:
-        """1/s above the pseudo_inverse cutoff (1e-10 * s_max), 0 at or below it."""
-        s = self.singulars
-        keep = s > DEFAULT_PINV_REL_TOL * s[..., :1]
-        return np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-
-
-@dataclass(frozen=True)
 class CertifiedBlock:
     """Per-block part of certified_terms: the work that needs no error.
 
@@ -221,23 +199,32 @@ def compute_drift_constants(a_global, g_target) -> DriftConstants:
     g = np.asarray(g_target, dtype=float)
     if a.shape != g.shape or a.shape[0] != a.shape[1]:
         raise ValueError("a_global and g_target must be square and same size")
-    sv_a = svd(a).singulars
-    sv_g = svd(g).singulars
-    alpha = 2.0 * max(sv_a[0], sv_g[0]) ** 2
+    sv_a = svd(a)[1]
+    sv_g = svd(g)[1]
+    with np.errstate(over="ignore"):
+        alpha = 2.0 * max(sv_a[0], sv_g[0]) ** 2
+    if not np.isfinite(alpha):
+        raise FloatingPointError("growth constant alpha = 2 max(||A||, ||G||)^2 "
+                                 "overflows")
     return DriftConstants(pi=np.minimum(sv_a, sv_g), alpha=float(alpha))
 
 
-def factorize_agent(b_actuation, h) -> ChannelFactors:
-    """Thin SVD of the effective channels b_actuation @ h.
+def factorize_agent(b_actuation, h):
+    """Thin SVD (left, s, right_t) of the effective channels b_actuation @ h.
 
-    Leading axes are batch axes: with the stacked (M, d, N_r) actuation
-    blocks and (M, N_r, N_t) channels one LAPACK call factors every agent.
+    numpy's own result: F = left @ diag(s) @ right_t with left
+    (..., rows, k), s (..., k) nonincreasing and right_t (..., k, n_tx),
+    k = min(rows, n_tx). Leading axes are batch axes: with the stacked
+    (M, d, N_r) actuation blocks and (M, N_r, N_t) channels one LAPACK
+    call factors every agent. In the slot loop F[m] = B_m @ H_m is the
+    d x N_t block row m of E_m = Bhat_m @ H_m, its only non-zero block, so
+    E_m has the same singular values and its left vectors are left[m]
+    placed at block row m.
     """
     f = np.asarray(b_actuation, dtype=float) @ np.asarray(h, dtype=float)
     if not np.all(np.isfinite(f)):
         raise ValueError("effective channel contains non-finite entries")
-    left, singulars, right_t = np.linalg.svd(f, full_matrices=False)
-    return ChannelFactors(left=left, singulars=singulars, right_t=right_t)
+    return np.linalg.svd(f, full_matrices=False)
 
 
 def objective(khat, sigma, pi, params: PolicyParams, m_count: int,
@@ -275,18 +262,22 @@ def objective_gradient(khat, sigma, pi, params: PolicyParams, m_count: int,
     return -2.0 * (pi[:, None] * sigma) + 2.0 * khat @ (m_count * sigma + params.gamma * zeta)
 
 
-def rank_one_terms(factors: ChannelFactors, e, constants: DriftConstants,
+def rank_one_terms(factors, e, constants: DriftConstants,
                    params: PolicyParams) -> RankOneTerms:
     """Thresholds and transmit vectors of all M agents from stacked factors.
 
-    factors holds the (M, d, N_t) blocks B_m @ H_m and e is the global
-    error. Q = M e e^T + gamma zeta_m is restricted to the orthonormal
-    basis [kept left vectors of E_m, w / ||w||], in which e has
-    coordinates a = (U^T e, ||w||); c = a^T Q_r^+ a with the 1e-10
-    relative cutoff on the eigenvalues of the (k+1) x (k+1) matrix Q_r.
+    factors is factorize_agent's (left, s, right_t) of the (M, d, N_t)
+    blocks B_m @ H_m and e is the global error. Singular values at or
+    below 1e-10 * s_max count as zero (the rule of linalg.pseudo_inverse):
+    their left vectors are not kept and their inverse is 0. Q = M e e^T
+    + gamma zeta_m is restricted to the orthonormal basis [kept left
+    vectors of E_m, w / ||w||], in which e has coordinates
+    a = (U^T e, ||w||); c = a^T Q_r^+ a with the same 1e-10 relative
+    cutoff on the eigenvalues of the (k+1) x (k+1) matrix Q_r.
     """
-    left, right_t = factors.left, factors.right_t
-    inv_s = factors.inverse_singulars
+    left, s, right_t = factors
+    keep_s = s > DEFAULT_PINV_REL_TOL * s[..., :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep_s)
     m_count, d, k = left.shape
     e = np.asarray(e, dtype=float)
     if e.shape != (m_count * d,):

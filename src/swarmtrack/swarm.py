@@ -137,8 +137,9 @@ def build_ring_topology(m_agents: int, state_dim: int = 9, n_tx: int = 4,
     identity. For M = 1 the ring degenerates to self-coupling, which is
     skipped (the internal block is not doubled).
     """
-    if m_agents < 1:
-        raise ValueError("m_agents must be >= 1")
+    if (isinstance(m_agents, bool) or not isinstance(m_agents, numbers.Integral)
+            or m_agents < 1):
+        raise ValueError(f"m_agents must be >= 1 and an integer, got {m_agents!r}")
     rng = np.random.default_rng(seed)
     a_internal = np.empty((m_agents, state_dim, state_dim))
     b_actuation = np.empty((m_agents, state_dim, n_rx))

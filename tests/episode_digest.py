@@ -1,4 +1,5 @@
-"""Digests of a fixed episode set, to check that a change keeps outputs.
+"""Digests of a fixed episode set and CLI output set, to check that a
+change keeps outputs.
 
     PYTHONPATH=src python tests/episode_digest.py --write digests.json
     PYTHONPATH=src python tests/episode_digest.py --compare digests.json
@@ -14,11 +15,19 @@ diverge. Beside each digest the file records how many slots the certified
 closed form answered (policy.certified_terms not None), so a comparison
 can tell certified-path drift from any other.
 
+The CLI set is every file cli.main writes for run and check-stability on
+a 2-agent ring (d = 3, N = 2, horizon 40) and on the same system pinned
+as a topology file, calibrate-gamma on the ring, and sweeps on M, N_t and
+power_dbw (2 values, 1 seed each). The commands run in a temporary
+directory with relative paths, so manifest.json does not depend on where
+the tool runs; each file's SHA-256 is keyed cli/<case>/<file>.
+
 --write stores the digests, and beside them (same name, .npz) every
 episode's cost, power, bits and controls, and the semantic episodes'
 thresholds theta. --compare recomputes them, lists the episodes whose
 digest differs, prints the certified slots over all episodes before and
-after, and exits 1 if any digest differs. Where the stored arrays exist it
+after, names each CLI file that differs or exists on one side only, and
+exits 1 if any digest differs. Where the stored arrays exist it
 measures each changed episode over the slots both runs decided: the worst
 relative deviation of cost, power and u (per slot |a - b| / max(|a|, |b|),
 per agent's u in norm) and the transmit bits that flipped, each flip with
@@ -28,7 +37,9 @@ its slot, agent and theta - P_on before and after.
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -37,7 +48,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
 
-from swarmtrack import policy, sim, swarm  # noqa: E402
+from swarmtrack import cli, policy, sim, swarm  # noqa: E402
 from test_acceptance import benchmark_topology  # noqa: E402
 
 AGENT_COUNTS = (1, 2, 3, 4, 5, 8)
@@ -66,6 +77,51 @@ def episodes():
                         cfg = replace(base, scheme=scheme, x0_value=x0)
                         name = f"{kind}/M{m_count}/seed{seed}/x0={x0:g}/{scheme}"
                         yield name, cfg, topology
+
+
+CLI_PREFIX = "cli/"
+CLI_CONFIG = {"m_agents": 2, "state_dim": 3, "n_tx": 2, "n_rx": 2,
+              "horizon": 40, "seed": 0}
+# case -> (command, config file, arguments after --config and --out)
+CLI_CASES = {
+    "run-ring": ("run", "ring.json", []),
+    "run-file": ("run", "file.json", []),
+    "check-stability-ring": ("check-stability", "ring.json", ["--draws", "50"]),
+    "check-stability-file": ("check-stability", "file.json", ["--draws", "50"]),
+    "calibrate-gamma": ("calibrate-gamma", "ring.json", ["--probe-seeds", "2"]),
+    "sweep-M": ("sweep", "ring.json", ["--axis", "M", "--values", "1,2",
+                                       "--seeds", "1"]),
+    "sweep-N_t": ("sweep", "ring.json", ["--axis", "N_t", "--values", "1,2",
+                                         "--seeds", "1"]),
+    "sweep-power_dbw": ("sweep", "ring.json", ["--axis", "power_dbw",
+                                               "--values", "0,8", "--seeds", "1"]),
+}
+
+
+def cli_digests() -> dict:
+    """{cli/<case>/<file>: {"digest": SHA-256}} of every file the CLI set
+    writes; a command that exits non-zero raises RuntimeError."""
+    out, cwd = {}, os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            ring = sim.SimConfig.from_dict(CLI_CONFIG)
+            Path("topology.json").write_text(
+                swarm.topology_to_json(sim.build_topology(ring)), encoding="utf-8")
+            Path("ring.json").write_text(json.dumps(CLI_CONFIG), encoding="utf-8")
+            Path("file.json").write_text(
+                json.dumps({**CLI_CONFIG, "topology_path": "topology.json"}),
+                encoding="utf-8")
+            for case, (command, config, extra) in CLI_CASES.items():
+                code = cli.main([command, "--config", config, "--out", case, *extra])
+                if code:
+                    raise RuntimeError(f"{command} of case {case} exited {code}")
+                for path in sorted(Path(case).iterdir()):
+                    out[f"{CLI_PREFIX}{case}/{path.name}"] = {
+                        "digest": hashlib.sha256(path.read_bytes()).hexdigest()}
+        finally:
+            os.chdir(cwd)
+    return out
 
 
 def digest(metrics) -> str:
@@ -157,6 +213,13 @@ def certified_total(stored, current) -> str:
     return f"certified slots over all episodes: {before} -> {after}"
 
 
+def differing(stored, current) -> list:
+    """Sorted keys whose digest differs or that one side lacks."""
+    return sorted(k for k in current.keys() | stored.keys()
+                  if current.get(k, {}).get("digest")
+                  != stored.get(k, {}).get("digest"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     group = parser.add_mutually_exclusive_group(required=True)
@@ -165,18 +228,21 @@ def main(argv=None) -> int:
                        help="compare with stored digests")
     args = parser.parse_args(argv)
     current, arrays, p_on = compute()
+    files = cli_digests()
     if args.write:
-        Path(args.write).write_text(json.dumps(current, indent=1) + "\n",
-                                    encoding="utf-8")
+        Path(args.write).write_text(json.dumps({**current, **files}, indent=1)
+                                    + "\n", encoding="utf-8")
         np.savez_compressed(Path(args.write).with_suffix(".npz"), **arrays)
-        print(f"wrote {len(current)} digests to {args.write}")
+        print(f"wrote {len(current)} episode and {len(files)} CLI file digests "
+              f"to {args.write}")
         return 0
     stored = json.loads(Path(args.compare).read_text(encoding="utf-8"))
+    stored_files = {k: stored.pop(k) for k in list(stored)
+                    if k.startswith(CLI_PREFIX)}
     stored_npz = Path(args.compare).with_suffix(".npz")
     old = dict(np.load(stored_npz)) if stored_npz.exists() else None
-    changed = sorted(k for k in current.keys() | stored.keys()
-                     if current.get(k, {}).get("digest")
-                     != stored.get(k, {}).get("digest"))
+    changed = differing(stored, current)
+    changed_files = differing(stored_files, files)
     worst, n_flips = np.zeros(3), 0
     for name in changed:
         was, now = stored.get(name, {}), current.get(name, {})
@@ -196,14 +262,19 @@ def main(argv=None) -> int:
     uncertified = [k for k in changed
                    if not stored.get(k, {}).get("certified_slots")]
     baseline = [k for k in changed if not k.endswith("/semantic")]
-    print(f"{len(changed)} of {len(current)} digests differ; "
+    print(f"{len(changed)} of {len(current)} episode digests differ; "
           f"{len(uncertified)} of them in episodes without certified slots; "
           f"{len(baseline)} baseline-scheme digests differ")
     print(certified_total(stored, current))
     if old is not None and changed:
         print(f"worst per-slot deviation: cost {worst[0]:.2e}, power "
               f"{worst[1]:.2e}, u {worst[2]:.2e}; {n_flips} transmit bits flipped")
-    return 1 if changed else 0
+    for name in changed_files:
+        side = ("" if name in files and name in stored_files
+                else " (current only)" if name in files else " (stored only)")
+        print(f"changed {name}{side}")
+    print(f"{len(changed_files)} of {len(files)} CLI output files differ")
+    return 1 if changed or changed_files else 0
 
 
 if __name__ == "__main__":

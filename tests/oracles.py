@@ -38,21 +38,22 @@ def error_sigma(e) -> np.ndarray:
 
 def factor_zeta(factors) -> np.ndarray:
     """Power metric U diag(s^-2) U^T on the kept range of factored channels
-    (policy.ChannelFactors, batched over leading axes)."""
-    scaled = factors.left * factors.inverse_singulars[..., None, :] ** 2
-    return scaled @ np.swapaxes(factors.left, -1, -2)
+    (policy.factorize_agent's (left, s, right_t), batched over leading
+    axes); singular values at or below 1e-10 * s_max count as zero."""
+    left, s, _ = factors
+    keep = s > linalg.DEFAULT_PINV_REL_TOL * s[..., :1]
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    return (left * inv_s[..., None, :] ** 2) @ np.swapaxes(left, -1, -2)
 
 
 def dense_zeta(effective) -> np.ndarray:
     """Full dM x dM power metric of E: inverse squared singular values on
     its range (1e-10 relative cutoff), zero on the orthogonal complement."""
-    f = linalg.svd(effective)
+    u, s, _ = linalg.svd(effective)
     inv_sq = np.zeros(effective.shape[0])
-    if len(f.singulars):
-        cutoff = linalg.DEFAULT_PINV_REL_TOL * f.singulars[0]
-        keep = f.singulars > cutoff
-        inv_sq[:len(f.singulars)][keep] = f.singulars[keep] ** -2.0
-    u = f.left_basis
+    if len(s):
+        keep = s > linalg.DEFAULT_PINV_REL_TOL * s[0]
+        inv_sq[:len(s)][keep] = s[keep] ** -2.0
     return (u * inv_sq) @ u.T
 
 

@@ -126,7 +126,8 @@ def test_receive_control_conditional_moments():
     assert abs(off) < 3 * se
 
 
-@pytest.mark.parametrize("pilot_power", [float("nan"), float("inf"), True])
+@pytest.mark.parametrize("pilot_power", [
+    float("nan"), float("inf"), True, pytest.param(np.True_, id="np.True_"), "1e4"])
 def test_estimate_channel_rejects_pilot_power_not_finite_and_positive(pilot_power):
     # nan used to give nan estimates, and inf the noiseless channel
     with pytest.raises(ValueError, match="pilot_power must be finite and positive"):

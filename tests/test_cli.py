@@ -1,5 +1,6 @@
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,27 @@ def test_run_with_cost_jumping_to_non_finite_reports_it(tmp_path, capsys):
     assert len(rows) == len(sim.SCHEMES)
     assert all(row["diverged"] == "true" and row["n_slots"] == "2"
                and row["avg_cost"] == "inf" for row in rows)
+
+
+@pytest.mark.parametrize("command", ["run", "check-stability", "calibrate-gamma"])
+def test_plant_whose_growth_constant_overflows_exits_two(tmp_path, capsys, command):
+    # ||A||^2 = 1e400 overflows alpha; check-stability used to write
+    # "alpha": Infinity (not JSON) and exit 0, and every command leaked
+    # numpy's RuntimeWarnings from alpha and the Riccati iteration
+    topo = replace(swarm.build_ring_topology(1, 2, 2, 2),
+                   a_internal=np.array([[[0.0, 1e200], [0.0, 0.0]]]))
+    topo_path = tmp_path / "topology.json"
+    topo_path.write_text(swarm.topology_to_json(topo), encoding="utf-8")
+    path = write_config(tmp_path, topology_path=str(topo_path))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([command, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:")
+    assert "Warning" not in err and "Traceback" not in err
+    assert not list(out.glob("*"))      # run makes the directory first
 
 
 def test_numeric_failure_exit_code(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 import episode_digest
@@ -45,3 +47,24 @@ def test_certified_total_sums_every_episode_on_both_sides():
                "new": {"certified_slots": 1}, "base": {"digest": "x"}}
     assert (episode_digest.certified_total(stored, current)
             == "certified slots over all episodes: 8 -> 10")
+
+
+def test_compare_names_a_changed_cli_file(tmp_path, monkeypatch, capsys):
+    # one stand-in episode; the CLI set runs for real, and a rerun of it
+    # is byte-identical
+    monkeypatch.setattr(episode_digest, "compute", lambda: (
+        {"ep": {"digest": "a", "certified_slots": 1}}, {}, {"ep": 0.0}))
+    path = tmp_path / "digests.json"
+    assert episode_digest.main(["--write", str(path)]) == 0
+    assert episode_digest.main(["--compare", str(path)]) == 0
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    n_files = sum(key.startswith("cli/") for key in stored)
+    assert n_files == 18
+    stored["cli/run-ring/metrics.csv"]["digest"] = "0" * 64
+    path.write_text(json.dumps(stored), encoding="utf-8")
+    capsys.readouterr()
+    assert episode_digest.main(["--compare", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "changed cli/run-ring/metrics.csv\n" in out
+    assert f"1 of {n_files} CLI output files differ" in out
+    assert "0 of 1 episode digests differ" in out

@@ -5,13 +5,13 @@ from swarmtrack import linalg
 
 
 def test_svd_identity():
-    f = linalg.svd(np.eye(3))
-    assert np.allclose(f.singulars, [1.0, 1.0, 1.0])
+    _, s, _ = linalg.svd(np.eye(3))
+    assert np.allclose(s, [1.0, 1.0, 1.0])
 
 
 def test_svd_diagonal():
-    f = linalg.svd(np.diag([3.0, 2.0, 1.0]))
-    assert np.allclose(f.singulars, [3.0, 2.0, 1.0], atol=1e-12)
+    _, s, _ = linalg.svd(np.diag([3.0, 2.0, 1.0]))
+    assert np.allclose(s, [3.0, 2.0, 1.0], atol=1e-12)
 
 
 def test_svd_singulars_match_eigendecomposition_oracle():
@@ -19,8 +19,8 @@ def test_svd_singulars_match_eigendecomposition_oracle():
     m = rng.normal(size=(4, 3))
     # independent symmetric eigensolver route: sqrt of eigenvalues of M^T M
     expected = np.sqrt(np.sort(np.linalg.eigvalsh(m.T @ m))[::-1])
-    f = linalg.svd(m)
-    assert np.allclose(f.singulars, expected, atol=1e-8)
+    _, s, _ = linalg.svd(m)
+    assert np.allclose(s, expected, atol=1e-8)
 
 
 def test_svd_rejects_non_finite():
@@ -42,13 +42,15 @@ def test_svd_contract_randomized(case):
     a = int(rng.integers(1, 8))
     b = int(rng.integers(1, 8))
     m = rng.normal(size=(a, b)) * 10.0 ** rng.integers(-3, 4)
-    f = linalg.svd(m)
-    smax = f.singulars[0] if len(f.singulars) else 0.0
-    assert np.all(np.diff(f.singulars) <= 0)
-    assert np.all(f.singulars >= 0)
-    assert np.allclose(f.left_basis.T @ f.left_basis, np.eye(a), atol=1e-10)
-    assert np.allclose(f.right_basis_t @ f.right_basis_t.T, np.eye(b), atol=1e-10)
-    assert np.max(np.abs(f.reconstruct() - m)) <= 1e-10 * max(smax, 1e-300)
+    u, s, vt = linalg.svd(m)
+    k = min(a, b)
+    assert u.shape == (a, a) and s.shape == (k,) and vt.shape == (b, b)
+    smax = s[0]
+    assert np.all(np.diff(s) <= 0)
+    assert np.all(s >= 0)
+    assert np.allclose(u.T @ u, np.eye(a), atol=1e-10)
+    assert np.allclose(vt @ vt.T, np.eye(b), atol=1e-10)
+    assert np.max(np.abs((u[:, :k] * s) @ vt[:k] - m)) <= 1e-10 * max(smax, 1e-300)
 
 
 def test_pinv_identity():
@@ -58,6 +60,17 @@ def test_pinv_identity():
 def test_pinv_truncates_zero_singulars():
     assert np.allclose(linalg.pseudo_inverse(np.diag([2.0, 0.0])),
                        np.diag([0.5, 0.0]), atol=1e-12)
+
+
+def test_pinv_singular_value_at_the_cutoff_counts_as_zero():
+    # numpy returns s = 1e-10 exactly, at 1e-10 * s_max: cut; one ulp above
+    # it is kept
+    assert linalg.svd(np.diag([1.0, 1e-10]))[1][1] == 1e-10
+    assert np.array_equal(linalg.pseudo_inverse(np.diag([1.0, 1e-10])),
+                          np.diag([1.0, 0.0]))
+    above = np.nextafter(1e-10, 1.0)
+    assert np.allclose(linalg.pseudo_inverse(np.diag([1.0, above])),
+                       np.diag([1.0, 1.0 / above]), rtol=1e-12, atol=0)
 
 
 def test_pinv_full_column_rank_left_inverse():

@@ -483,11 +483,10 @@ def cutoff_boundary_instance(ratio, layout):
         e = rng.normal(size=d)
     b = rng.normal(size=(m_count, d, n))
     h = rng.normal(size=(m_count, n, n))
-    factors = policy.factorize_agent(b, h)
+    left, s, _ = policy.factorize_agent(b, h)
     if layout == "outside_range":
-        left = factors.left[0]
-        e = e - left @ (left.T @ e)
-    s_min = float(factors.singulars[0, -1])
+        e = e - left[0] @ (left[0].T @ e)
+    s_min = float(s[0, -1])
     gamma = ratio * 1e10 * m_count * float(e @ e) * s_min ** 2
     pi = rng.uniform(0.5, 1.0, size=m_count * d)
     constants = DriftConstants(pi=pi, alpha=2.0)
@@ -513,6 +512,26 @@ def test_cutoff_boundary_matches_dense_oracle(ratio, layout):
     else:
         assert dec.delta == 0
         assert dec.theta <= 1e-5 * float(pe @ pe)
+
+
+def test_singular_value_at_the_cutoff_counts_as_zero():
+    # F = diag(1, 1e-10): numpy returns s = 1e-10 exactly, on the cutoff,
+    # so rank_one_terms treats direction 2 as outside range(F), sends
+    # nothing along it and (w != 0) answers theta = ||pi o e||^2 / M; one
+    # ulp above the cutoff the direction is kept and u has a component
+    # along it
+    e = np.array([1.0, 2.0])
+    constants = DriftConstants(pi=np.array([1.0, 0.5]), alpha=2.0)
+    params = PolicyParams(p_on=0.0, gamma=1.0)
+    pe = constants.pi * e
+    for s_2, kept in ((1e-10, False), (np.nextafter(1e-10, 1.0), True)):
+        factors = policy.factorize_agent(np.diag([1.0, s_2])[None], np.eye(2)[None])
+        assert factors[1][0, 1] == s_2
+        terms = policy.rank_one_terms(factors, e, constants, params)
+        assert (terms.u[0, 1] != 0.0) == kept
+        assert terms.u[0, 0] != 0.0
+        if not kept:
+            assert terms.theta[0] == pytest.approx(float(pe @ pe), rel=1e-12)
 
 
 # Accuracy of the certified closed form against exact rational arithmetic

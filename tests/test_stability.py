@@ -235,7 +235,7 @@ def test_compute_masks_stacked_draws_match_per_draw_calls():
 
 def full_svd_masks(topology, h):
     """compute_masks' rule on the singular values of a full thin SVD."""
-    spectra = policy.factorize_agent(topology.b_actuation, h).singulars ** 2
+    spectra = policy.factorize_agent(topology.b_actuation, h)[1] ** 2
     diag = np.zeros(spectra.shape[:-1] + (topology.global_dim,))
     diag[..., :spectra.shape[-1]] = (
         spectra > stability.DEFAULT_MASK_REL_TOL * spectra[..., :1])

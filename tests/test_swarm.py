@@ -456,5 +456,7 @@ def test_topology_rejects_noise_that_is_not_positive_semidefinite():
 
 
 def test_ring_topology_needs_an_agent():
-    with pytest.raises(ValueError, match="m_agents must be >= 1"):
-        swarm.build_ring_topology(0, state_dim=2, n_tx=2, n_rx=2)
+    # a float or a bool (numpy's too) used to raise numpy's TypeError
+    for m_agents in (0, 2.5, True, np.True_):
+        with pytest.raises(ValueError, match="m_agents must be >= 1"):
+            swarm.build_ring_topology(m_agents, state_dim=2, n_tx=2, n_rx=2)
