@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .swarm import SwarmTopology
 
 SCHEMES = ("baseline1", "baseline2", "baseline3")
@@ -28,6 +29,10 @@ SCHEMES = ("baseline1", "baseline2", "baseline3")
 # proportional gain.
 KAPPA_I = 0.05
 KAPPA_D = 0.1
+
+# Fixed-point steps and residual tolerance of solve_dare.
+DARE_MAX_ITER = 10000
+DARE_TOL = 1e-8
 
 
 class DareConvergenceError(RuntimeError):
@@ -99,14 +104,15 @@ def state_trigger(e, e_last_trigger, sigma_m: float) -> bool:
                                np.array([sigma_m], dtype=float))[0])
 
 
-def solve_dare(a, b, q, r, max_iter: int = 10000, tol: float = 1e-8) -> GareGain:
+def solve_dare(a, b, q, r) -> GareGain:
     """Discrete algebraic Riccati equation by fixed-point iteration.
 
     Iterates P <- A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A + Q from
-    P = Q until the equation residual drops below tol, then returns the
-    gain (R + B^T P B)^{-1} B^T P A. Raises DareConvergenceError with the
-    residual trace when the iteration fails (typical for unstabilizable
-    systems).
+    P = Q until the equation residual drops below DARE_TOL = 1e-8, then
+    returns the gain (R + B^T P B)^{-1} B^T P A. Raises
+    DareConvergenceError with the residual trace when DARE_MAX_ITER =
+    10000 steps do not get there or an iterate overflows (typical for
+    unstabilizable systems).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -117,7 +123,7 @@ def solve_dare(a, b, q, r, max_iter: int = 10000, tol: float = 1e-8) -> GareGain
     # a diverging iterate overflows to inf or nan, which the finite check
     # below turns into DareConvergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, max_iter + 1):
+        for it in range(1, DARE_MAX_ITER + 1):
             btp = b.T @ p
             gain = np.linalg.solve(r + btp @ b, btp @ a)
             atp = a.T @ p
@@ -127,7 +133,7 @@ def solve_dare(a, b, q, r, max_iter: int = 10000, tol: float = 1e-8) -> GareGain
                 raise DareConvergenceError(float("inf"), trace)
             residual = float(np.max(np.abs(p_next - p)))  # equation residual at p
             trace.append(residual)
-            if residual < tol:
+            if residual < DARE_TOL:
                 return GareGain(p=p, gain=gain, residual=residual, iterations=it)
             p = p_next
     raise DareConvergenceError(trace[-1], trace)
@@ -148,9 +154,11 @@ def tune_pid(topology: SwarmTopology, a_scale: float = 1.0) -> PidGains:
 
     The proportional gain is the DARE gain for (a_scale * A, B_eff, I, I)
     with negative feedback sign applied; integral and derivative gains are
-    KAPPA_I / KAPPA_D multiples of it. a_scale < 1 regularizes tuning when
-    the raw system is unstabilizable under the static channel.
+    KAPPA_I / KAPPA_D multiples of it. a_scale, a finite real, < 1
+    regularizes tuning when the raw system is unstabilizable under the
+    static channel.
     """
+    _checks.real("a_scale", a_scale)
     b_eff = static_channel_input(topology)
     sol = solve_dare(a_scale * topology.a_global, b_eff,
                      np.eye(topology.global_dim), np.eye(b_eff.shape[1]))

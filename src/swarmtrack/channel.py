@@ -15,9 +15,9 @@ the caller decides how they are drawn: one slot at a time or a block of
 slots at once, along any leading axes.
 """
 
-import numbers
-
 import numpy as np
+
+from . import _checks
 
 
 def draw_channels(rng, m_agents: int, n_rx: int, n_tx: int) -> np.ndarray:
@@ -34,9 +34,7 @@ def estimate_channel(h, pilot_noise, pilot_power: float) -> np.ndarray:
     estimation error is N(0, 1 / pilot_power). Elementwise, so any stack
     of slots and agents is estimated at once.
     """
-    if (isinstance(pilot_power, bool) or not isinstance(pilot_power, numbers.Real)
-            or not 0 < pilot_power < np.inf):
-        raise ValueError(f"pilot_power must be finite and positive, got {pilot_power!r}")
+    _checks.real("pilot_power", pilot_power, least=0, strict=True)
     return h + pilot_noise / np.sqrt(pilot_power)
 
 

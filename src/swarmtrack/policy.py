@@ -70,13 +70,12 @@ transitions: pi_m keeps, per sorted position, the smaller-magnitude of the
 two singular values and alpha = 2 max(||A||^2, ||G||^2).
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import _checks
 from .linalg import DEFAULT_PINV_REL_TOL, svd
 
 # Certificate constants of certified_terms (derivation there).
@@ -120,10 +119,7 @@ class PolicyParams:
 
     def __post_init__(self):
         for name in ("p_on", "gamma"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value) or value < 0):
-                raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
+            _checks.real(name, getattr(self, name), least=0)
 
 
 @dataclass(frozen=True)

@@ -21,13 +21,12 @@ once per block, with the values the slots would have drawn one by one.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from . import baselines, channel, policy, swarm
+from . import _checks, baselines, channel, policy, swarm
 
 SCHEMES = ("semantic",) + baselines.SCHEMES
 AXES = ("M", "N_t", "power_dbw")
@@ -78,30 +77,18 @@ class SimConfig:
     topology_path: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("m_agents", "state_dim", "n_tx", "n_rx", "horizon", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        for name in ("m_agents", "state_dim", "n_tx", "n_rx", "horizon"):
+            object.__setattr__(self, name, _checks.count(name, getattr(self, name)))
+        object.__setattr__(self, "seed", _checks.count("seed", self.seed, least=None))
         if not 0 <= self.seed <= MAX_SEED:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        for name in ("m_agents", "state_dim", "n_tx", "n_rx"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
         policy.PolicyParams(p_on=self.p_on, gamma=self.gamma)  # the price rule
-        for name in ("pilot_power", "noise_scale", "x0_value", "r0_value"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        if self.pilot_power <= 0:
-            raise ValueError("pilot_power must be > 0")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be >= 0")
+        _checks.real("pilot_power", self.pilot_power, least=0, strict=True)
+        _checks.real("noise_scale", self.noise_scale, least=0)
+        _checks.real("x0_value", self.x0_value)
+        _checks.real("r0_value", self.r0_value)
         if not isinstance(self.use_estimated_csi, (bool, np.bool_)):
             raise ValueError(f"use_estimated_csi must be true or false, got "
                              f"{self.use_estimated_csi!r}")
@@ -187,6 +174,7 @@ def _draw_block(seed: int, stream: int, t0: int, out: np.ndarray) -> np.ndarray:
 
 def channel_draws(seed: int, topology: swarm.SwarmTopology, n_slots: int) -> np.ndarray:
     """True channels (n_slots, M, N_r, N_t) of an episode's slots 0 .. n_slots - 1."""
+    n_slots = _checks.count("n_slots", n_slots, least=0)
     return _draw_block(seed, _STREAM_CHANNEL, 0,
                        np.empty((n_slots, topology.m_agents, topology.n_rx,
                                  topology.n_tx)))
@@ -384,15 +372,12 @@ def run_episode(config: SimConfig,
 
 
 def budget_watts(power_budget_dbw: float) -> float:
-    """A power budget in watts; a budget that is not a real number (a bool
-    included) or has no finite wattage is a ValueError."""
-    if (not isinstance(power_budget_dbw, bool)
-            and isinstance(power_budget_dbw, numbers.Real)):
-        try:
-            if math.isfinite(power_budget_dbw):
-                return 10.0 ** (power_budget_dbw / 10.0)
-        except OverflowError:
-            pass
+    """A power budget in watts; ValueError unless it is a real with finite watts."""
+    try:
+        if _checks.is_real(power_budget_dbw):
+            return 10.0 ** (power_budget_dbw / 10.0)
+    except OverflowError:
+        pass
     raise ValueError(f"power budget {power_budget_dbw!r} dBW is not a finite "
                      f"power in watts")
 
@@ -415,28 +400,20 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     bisection runs in log space until
     the probe mean is within rel_tol of 10^(dBW/10) watts. Budgets outside
     the achievable range return the corresponding bracket edge. Every
-    argument is checked before any probe runs, with ValueError for a
-    budget that is not a real number (a bool included), is not finite or
-    is too large to express in watts, for n_probe_seeds or a probe_horizon
-    other than None not an integer >= 1 or max_iter not an integer >= 0
-    (bools rejected), for a bracket other than finite 0 < lo < hi and for
-    rel_tol not a number >= 0.
+    argument is checked before any probe runs, by the package's count and
+    real rules (_checks): budget_watts, counts n_probe_seeds, probe_horizon
+    (unless None) >= 1 and max_iter >= 0, reals 0 < lo < hi and a finite
+    rel_tol >= 0; a failed check is a ValueError.
     """
     budget_w = budget_watts(power_budget_dbw)
-    counts = [("n_probe_seeds", n_probe_seeds, 1), ("max_iter", max_iter, 0)]
+    _checks.count("n_probe_seeds", n_probe_seeds)
+    _checks.count("max_iter", max_iter, least=0)
     if probe_horizon is not None:
-        counts.append(("probe_horizon", probe_horizon, 1))
-    for name, value, least in counts:
-        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                or value < least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    if not all(not isinstance(v, bool) and isinstance(v, numbers.Real)
-               and math.isfinite(v) for v in (lo, hi)) or not 0 < lo < hi:
+        _checks.count("probe_horizon", probe_horizon)
+    if not (_checks.is_real(lo) and _checks.is_real(hi) and 0 < lo < hi):
         raise ValueError(f"the gamma bracket needs finite 0 < lo < hi, got "
                          f"lo={lo!r}, hi={hi!r}")
-    if (isinstance(rel_tol, bool) or not isinstance(rel_tol, numbers.Real)
-            or not rel_tol >= 0):
-        raise ValueError(f"rel_tol must be a number >= 0, got {rel_tol!r}")
+    _checks.real("rel_tol", rel_tol, least=0)
     if topology is None:
         topology = build_topology(config)
     horizon = probe_horizon if probe_horizon is not None else config.horizon

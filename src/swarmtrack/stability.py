@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from . import _checks
 from .channel import receive_control
 from .policy import DriftConstants
 from .swarm import SwarmTopology, draw_plant_noise, step_swarm, tracking_error
@@ -80,14 +81,15 @@ def empirical_drift(topology: SwarmTopology, x, r, deltas, controls, h,
     x and r are the (dM,) plant and target states, as in step_swarm. The
     decisions (deltas (M,), controls (M, N_t)) and the (M, N_r, N_t)
     channels h they were taken on are held fixed; plant noise and channel
-    reception noise are resampled n_draws times, and each draw steps the
-    slot loop's own reception (receive_control), plant noise
+    reception noise are resampled n_draws >= 1 times, and each draw steps
+    the slot loop's own reception (receive_control), plant noise
     (draw_plant_noise) and plant (step_swarm). Per chunk of draws the
     generator gives the (M, n, N_r) reception normals, then the (M, n, d)
     plant normals, agent by agent. Returns (mean, standard error). Sums
     are compensated (math.fsum) so the result does not depend on
     accumulation order.
     """
+    n_draws = _checks.count("n_draws", n_draws)
     _, cost = tracking_error(x, r)
     m_count, d = topology.m_agents, topology.state_dim
     drifts = np.empty(n_draws)

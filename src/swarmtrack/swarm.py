@@ -13,10 +13,11 @@ noise is built from standard normals the caller draws.
 """
 
 import json
-import numbers
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from . import _checks
 
 
 @dataclass(frozen=True)
@@ -60,11 +61,7 @@ class SwarmTopology:
 
     def _validate(self):
         for name in (f.name for f in fields(self) if f.type is int):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < 1):
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _checks.count(name, getattr(self, name)))
         m_count, d = self.m_agents, self.state_dim
         dm = d * m_count
         for name, arr, shape in (("a_internal", self.a_internal, (m_count, d, d)),
@@ -77,9 +74,9 @@ class SwarmTopology:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
         for key, block in self.couplings.items():
-            if not (isinstance(key, tuple) and len(key) == 2 and all(
-                    isinstance(i, numbers.Integral) and not isinstance(i, bool)
-                    and 0 <= i < m_count for i in key)) or key[0] == key[1]:
+            if not (isinstance(key, tuple) and len(key) == 2
+                    and all(_checks.is_count(i, 0) and i < m_count for i in key)
+                    and key[0] != key[1]):
                 raise ValueError(f"coupling key {key!r} must be a pair (m, n) of "
                                  f"agent indices in [0, {m_count}) with m != n; "
                                  f"internal blocks go in a_internal")
@@ -137,9 +134,10 @@ def build_ring_topology(m_agents: int, state_dim: int = 9, n_tx: int = 4,
     identity. For M = 1 the ring degenerates to self-coupling, which is
     skipped (the internal block is not doubled).
     """
-    if (isinstance(m_agents, bool) or not isinstance(m_agents, numbers.Integral)
-            or m_agents < 1):
-        raise ValueError(f"m_agents must be >= 1 and an integer, got {m_agents!r}")
+    m_agents = _checks.count("m_agents", m_agents)
+    state_dim = _checks.count("state_dim", state_dim)
+    n_tx = _checks.count("n_tx", n_tx)
+    n_rx = _checks.count("n_rx", n_rx)
     rng = np.random.default_rng(seed)
     a_internal = np.empty((m_agents, state_dim, state_dim))
     b_actuation = np.empty((m_agents, state_dim, n_rx))

@@ -1,8 +1,13 @@
 """Digests of a fixed episode set and CLI output set, to check that a
 change keeps outputs.
 
-    PYTHONPATH=src python tests/episode_digest.py --write digests.json
-    PYTHONPATH=src python tests/episode_digest.py --compare digests.json
+    PYTHONPATH=src python tests/episode_digest.py --write tests/digests.json
+    PYTHONPATH=src python tests/episode_digest.py --compare tests/digests.json
+
+tests/digests.json is the committed baseline that
+test_episode_digest.test_outputs_match_committed_digests compares with.
+A change that moves outputs on purpose rewrites it with --write and
+leaves the .npz that --write puts beside it out of the commit.
 
 Each episode's digest is a SHA-256 over its cost and transmit-power
 trajectories, comm rate, slot count, divergence flag and decision log
@@ -22,12 +27,14 @@ power_dbw (2 values, 1 seed each). The commands run in a temporary
 directory with relative paths, so manifest.json does not depend on where
 the tool runs; each file's SHA-256 is keyed cli/<case>/<file>.
 
---write stores the digests, and beside them (same name, .npz) every
-episode's cost, power, bits and controls, and the semantic episodes'
-thresholds theta. --compare recomputes them, lists the episodes whose
-digest differs, prints the certified slots over all episodes before and
-after, names each CLI file that differs or exists on one side only, and
-exits 1 if any digest differs. Where the stored arrays exist it
+--write stores the digests with the numpy version, Python version and
+platform they were computed on (key "environment"; digests are bit-exact,
+so they depend on numpy and its BLAS), and beside them (same name, .npz)
+every episode's cost, power, bits and controls, and the semantic
+episodes' thresholds theta. --compare recomputes them, lists the
+episodes whose digest differs, prints the certified slots over all
+episodes before and after, names each CLI file that differs or exists on
+one side only, and exits 1 if any digest differs. Where the stored arrays exist it
 measures each changed episode over the slots both runs decided: the worst
 relative deviation of cost, power and u (per slot |a - b| / max(|a|, |b|),
 per agent's u in norm) and the transmit bits that flipped, each flip with
@@ -38,6 +45,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 from dataclasses import replace
@@ -80,6 +88,7 @@ def episodes():
 
 
 CLI_PREFIX = "cli/"
+ENVIRONMENT = "environment"
 CLI_CONFIG = {"m_agents": 2, "state_dim": 3, "n_tx": 2, "n_rx": 2,
               "horizon": 40, "seed": 0}
 # case -> (command, config file, arguments after --config and --out)
@@ -122,6 +131,12 @@ def cli_digests() -> dict:
         finally:
             os.chdir(cwd)
     return out
+
+
+def environment() -> dict:
+    """The numpy version, Python version and platform of this process."""
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "platform": f"{platform.system()}-{platform.machine()}"}
 
 
 def digest(metrics) -> str:
@@ -230,13 +245,15 @@ def main(argv=None) -> int:
     current, arrays, p_on = compute()
     files = cli_digests()
     if args.write:
-        Path(args.write).write_text(json.dumps({**current, **files}, indent=1)
-                                    + "\n", encoding="utf-8")
+        document = {ENVIRONMENT: environment(), **current, **files}
+        Path(args.write).write_text(json.dumps(document, indent=1) + "\n",
+                                    encoding="utf-8")
         np.savez_compressed(Path(args.write).with_suffix(".npz"), **arrays)
         print(f"wrote {len(current)} episode and {len(files)} CLI file digests "
               f"to {args.write}")
         return 0
     stored = json.loads(Path(args.compare).read_text(encoding="utf-8"))
+    stored.pop(ENVIRONMENT, None)
     stored_files = {k: stored.pop(k) for k in list(stored)
                     if k.startswith(CLI_PREFIX)}
     stored_npz = Path(args.compare).with_suffix(".npz")

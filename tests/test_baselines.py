@@ -68,8 +68,7 @@ def test_solve_dare_divergence_raises_with_trace():
     # strongly unstable scalar plant with no input cannot converge
     with pytest.raises(baselines.DareConvergenceError) as info:
         baselines.solve_dare(np.array([[2.0]]), np.zeros((1, 1)),
-                             np.array([[1.0]]), np.array([[1.0]]),
-                             max_iter=50)
+                             np.array([[1.0]]), np.array([[1.0]]))
     assert len(info.value.trace) > 0
 
 
@@ -128,6 +127,14 @@ def test_tune_pid_splits_dare_gain_per_agent():
     assert b_eff.shape == (4, 4)
     sol = baselines.solve_dare(scaled.a_global, b_eff, np.eye(4), np.eye(4))
     assert np.allclose(np.vstack(gains.k_p), -sol.gain, atol=1e-12)
+
+
+@pytest.mark.parametrize("a_scale", [True, np.True_, float("nan"), float("inf"),
+                                     "0.9", None])
+def test_tune_pid_rejects_a_scale_that_is_not_a_finite_real(a_scale):
+    # True used to tune on A and record a_scale=True in the gains
+    with pytest.raises(ValueError, match="a_scale must be finite"):
+        baselines.tune_pid(scalar_topology(a=0.5, b=1.0), a_scale=a_scale)
 
 
 def test_pid_control_zero_error_is_zero():

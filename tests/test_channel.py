@@ -130,7 +130,7 @@ def test_receive_control_conditional_moments():
     float("nan"), float("inf"), True, pytest.param(np.True_, id="np.True_"), "1e4"])
 def test_estimate_channel_rejects_pilot_power_not_finite_and_positive(pilot_power):
     # nan used to give nan estimates, and inf the noiseless channel
-    with pytest.raises(ValueError, match="pilot_power must be finite and positive"):
+    with pytest.raises(ValueError, match="pilot_power must be > 0 and finite"):
         channel.estimate_channel(np.zeros((1, 2, 2)), np.zeros((1, 2, 2)),
                                  pilot_power)
 

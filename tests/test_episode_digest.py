@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 
 import episode_digest
+
+DIGESTS = Path(__file__).resolve().parent / "digests.json"
 
 
 def episode_arrays(name, cost, power, bits, u, theta):
@@ -68,3 +71,17 @@ def test_compare_names_a_changed_cli_file(tmp_path, monkeypatch, capsys):
     assert "changed cli/run-ring/metrics.csv\n" in out
     assert f"1 of {n_files} CLI output files differ" in out
     assert "0 of 1 episode digests differ" in out
+
+
+def test_outputs_match_committed_digests(capsys):
+    # the output gate: every episode and CLI file digest of the committed
+    # baseline. Digests are bit-exact, so a mismatch on another numpy or
+    # BLAS is real too; the answer is a deliberate re-baseline with
+    # episode_digest.py --write, never a skip
+    code = episode_digest.main(["--compare", str(DIGESTS)])
+    report = capsys.readouterr().out
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert code == 0, (
+        f"outputs differ from {DIGESTS.name}:\n{report}"
+        f"digests written with {recorded.get(episode_digest.ENVIRONMENT)}, "
+        f"running {episode_digest.environment()}")

@@ -9,7 +9,9 @@ is listed there. Every import of the package names one of its modules:
 a module (or __version__), never a function or class. The README layout
 table names only what its modules define: each backticked bare name or
 call in a `swarmtrack.<module>` row resolves in that module, and a
-written call's arguments fit the function's signature.
+written call's arguments fit the function's signature. The scalar rules
+(what a count and a real are) live in _checks alone: no other package
+module imports numbers.
 """
 
 import ast
@@ -112,6 +114,17 @@ def test_package_imports_name_a_module(path):
             if alias.name not in MODULES | {"__version__"}]
     assert not flat, (f"{path.name} imports names from the package root, not "
                       f"from their modules: {flat}")
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_checks_imports_numbers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert path.stem == "_checks" or "numbers" not in imported, (
+        f"{path.name} imports numbers; count and real rules belong in _checks")
 
 
 def layout_references():

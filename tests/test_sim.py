@@ -87,15 +87,15 @@ def test_config_stores_numpy_integers_as_ints():
 @pytest.mark.parametrize("field,value,message", [
     ("pilot_power", 0.0, "pilot_power must be > 0"),
     ("pilot_power", -1e4, "pilot_power must be > 0"),
-    ("pilot_power", float("nan"), "pilot_power must be a finite number"),
-    ("pilot_power", float("inf"), "pilot_power must be a finite number"),
-    ("pilot_power", "nan", "pilot_power must be a finite number"),
+    ("pilot_power", float("nan"), "pilot_power must be > 0 and finite"),
+    ("pilot_power", float("inf"), "pilot_power must be > 0 and finite"),
+    ("pilot_power", "nan", "pilot_power must be > 0 and finite"),
     ("noise_scale", -1.0, "noise_scale must be >= 0"),
-    ("noise_scale", float("nan"), "noise_scale must be a finite number"),
-    ("noise_scale", float("inf"), "noise_scale must be a finite number"),
-    ("x0_value", float("nan"), "x0_value must be a finite number"),
-    ("r0_value", float("-inf"), "r0_value must be a finite number"),
-    ("r0_value", None, "r0_value must be a finite number"),
+    ("noise_scale", float("nan"), "noise_scale must be >= 0 and finite"),
+    ("noise_scale", float("inf"), "noise_scale must be >= 0 and finite"),
+    ("x0_value", float("nan"), "x0_value must be finite"),
+    ("r0_value", float("-inf"), "r0_value must be finite"),
+    ("r0_value", None, "r0_value must be finite"),
 ])
 def test_config_rejects_bad_physical_values(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -488,13 +488,14 @@ def test_budget_that_is_not_a_real_number_is_rejected(budget):
     ({"probe_horizon": 0}, "probe_horizon must be an integer >= 1, got 0"),
     ({"probe_horizon": 2.5}, "probe_horizon"),
     ({"probe_horizon": True}, "probe_horizon"),
+    ({"rel_tol": float("inf")}, "rel_tol must be >= 0 and finite"),
 ])
 def test_calibrate_gamma_rejects_bad_arguments_before_any_probe(
         monkeypatch, kwargs, match):
     # n_probe_seeds=0 used to die dividing by zero, lo > hi to return 1.0
-    # silently, lo = 0 to pin the log-space bisection at 0, and a bad
+    # silently, lo = 0 to pin the log-space bisection at 0, a bad
     # probe_horizon to be reported as the config's horizon after
-    # build_topology ran
+    # build_topology ran, and rel_tol = inf to accept the first probe
     def no_probe(*args, **kw):
         raise AssertionError("a probe ran")
 
@@ -783,6 +784,15 @@ def test_block_draws_match_per_slot_normal_draws(stream, shape):
     for slot in range(3):
         want = fresh_slot_rng(21, stream, slot).normal(size=shape)
         assert buf[slot].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_slots", [-1, True, np.True_, 2.0, "2", None])
+def test_channel_draws_rejects_n_slots_that_is_not_a_count(n_slots):
+    # True and 2.0 used to reach numpy's TypeError
+    topo = swarm.build_ring_topology(1, 2, 2, 2, seed=0)
+    with pytest.raises(ValueError, match="n_slots must be an integer >= 0"):
+        sim.channel_draws(0, topo, n_slots)
+    assert sim.channel_draws(0, topo, np.int64(0)).shape == (0, 1, 2, 2)
 
 
 def test_drift_constants_computed_once_per_topology(monkeypatch):

@@ -153,6 +153,18 @@ def test_empirical_drift_of_one_draw_has_no_standard_error():
     assert mean == 0.0 and stderr == float("inf")
 
 
+@pytest.mark.parametrize("n_draws", [0, -1, True, np.True_, 2.5, "2", None])
+def test_empirical_drift_rejects_n_draws_that_is_not_a_positive_count(n_draws):
+    # 0 used to divide by zero, -1 to reach numpy's negative dimensions, and
+    # True or 2.5 numpy's TypeError
+    topo = constant_topology(1, 2, 2, a_blocks=[np.eye(2)],
+                             b_blocks=[np.eye(2)], noise_scale=0.0)
+    with pytest.raises(ValueError, match="n_draws must be an integer >= 1"):
+        stability.empirical_drift(topo, np.ones(2), np.zeros(2),
+                                  *silent_decisions(1, 2), no_channels(topo),
+                                  n_draws, np.random.default_rng(0))
+
+
 def test_empirical_drift_noise_floor_matches_closed_form():
     topo = constant_topology(2, 2, 2,
                              a_blocks=[np.eye(2), np.eye(2)],

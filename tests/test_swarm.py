@@ -455,8 +455,24 @@ def test_topology_rejects_noise_that_is_not_positive_semidefinite():
         swarm.SwarmTopology(**parts)
 
 
+@pytest.mark.parametrize("name", ["m_agents", "state_dim", "n_tx", "n_rx"])
+@pytest.mark.parametrize("value", [0, -2, 2.5, 2.0, True, np.True_, "2", None])
+def test_ring_topology_rejects_a_count_that_is_not_a_positive_integer(name, value):
+    # a float or a bool state_dim, n_tx or n_rx used to reach numpy's TypeError
+    counts = {"m_agents": 2, "state_dim": 2, "n_tx": 2, "n_rx": 2, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+        swarm.build_ring_topology(**counts)
+
+
+def test_ring_topology_stores_numpy_integer_counts_as_int():
+    topo = swarm.build_ring_topology(np.int64(2), np.int32(2), np.uint8(2),
+                                     np.int16(2), seed=4)
+    assert swarm.topology_to_json(topo) == swarm.topology_to_json(
+        swarm.build_ring_topology(2, 2, 2, 2, seed=4))
+
+
 def test_ring_topology_needs_an_agent():
     # a float or a bool (numpy's too) used to raise numpy's TypeError
     for m_agents in (0, 2.5, True, np.True_):
-        with pytest.raises(ValueError, match="m_agents must be >= 1"):
+        with pytest.raises(ValueError, match="m_agents must be an integer >= 1"):
             swarm.build_ring_topology(m_agents, state_dim=2, n_tx=2, n_rx=2)
