@@ -107,9 +107,11 @@ def state_trigger(e, e_last_trigger, sigma_m: float) -> bool:
 def solve_dare(a, b, q, r) -> GareGain:
     """Discrete algebraic Riccati equation by fixed-point iteration.
 
-    Iterates P <- A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A + Q from
+    Iterates P <- A^T P A - (B^T P A)^T (R + B^T P B)^{-1} B^T P A + Q from
     P = Q until the equation residual drops below DARE_TOL = 1e-8, then
-    returns the gain (R + B^T P B)^{-1} B^T P A. Raises
+    returns the gain (R + B^T P B)^{-1} B^T P A. Q and R are symmetric:
+    each step forms B^T P A once and uses its transpose for A^T P B, which
+    is the same matrix because every iterate is symmetrised. Raises
     DareConvergenceError with the residual trace when DARE_MAX_ITER =
     10000 steps do not get there or an iterate overflows (typical for
     unstabilizable systems).
@@ -125,9 +127,9 @@ def solve_dare(a, b, q, r) -> GareGain:
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, DARE_MAX_ITER + 1):
             btp = b.T @ p
-            gain = np.linalg.solve(r + btp @ b, btp @ a)
-            atp = a.T @ p
-            p_next = atp @ a - atp @ b @ gain + q
+            btpa = btp @ a
+            gain = np.linalg.solve(r + btp @ b, btpa)
+            p_next = a.T @ p @ a - btpa.T @ gain + q
             p_next = 0.5 * (p_next + p_next.T)
             if not np.isfinite(p_next).all():
                 raise DareConvergenceError(float("inf"), trace)
@@ -142,7 +144,9 @@ def solve_dare(a, b, q, r) -> GareGain:
 def static_channel_input(topology: SwarmTopology) -> np.ndarray:
     """Aggregate input map under the all-ones static channel.
 
-    Column block m is Bhat_m @ 1_{n_rx x n_tx}; shape (dM, M * n_tx).
+    Column block m is Bhat_m @ 1_{n_rx x n_tx}; shape (dM, M * n_tx). The
+    n_tx columns of block m are one column repeated, so the map has rank
+    at most M: it is B_c @ kron(I_M, 1^T_{n_tx}), B_c its columns [:, ::n_tx].
     """
     ones = np.ones((topology.n_rx, topology.n_tx))
     cols = [topology.bhat(m) @ ones for m in range(topology.m_agents)]
@@ -152,17 +156,27 @@ def static_channel_input(topology: SwarmTopology) -> np.ndarray:
 def tune_pid(topology: SwarmTopology, a_scale: float = 1.0) -> PidGains:
     """Offline PID tuning from the static-channel LQR gain.
 
-    The proportional gain is the DARE gain for (a_scale * A, B_eff, I, I)
-    with negative feedback sign applied; integral and derivative gains are
-    KAPPA_I / KAPPA_D multiples of it. a_scale, a finite real, < 1
-    regularizes tuning when the raw system is unstabilizable under the
-    static channel.
+    The proportional gain is the DARE gain for (a_scale * A, B_eff, I, I),
+    B_eff = static_channel_input, with negative feedback sign applied;
+    integral and derivative gains are KAPPA_I / KAPPA_D multiples of it.
+    a_scale, a finite real, < 1 regularizes tuning when the raw system is
+    unstabilizable under the static channel.
+
+    The DARE is solved on B_eff's M distinct columns B_c, so each step
+    solves an M x M system instead of an (M n_tx)-sized one. With B_eff
+    = B_c J, J = kron(I_M, 1^T_{n_tx}) and J J^T = n_tx I_M, the
+    push-through identity gives B_eff (I + B_eff^T P B_eff)^{-1} B_eff^T
+    = B_c (I / n_tx + B_c^T P B_c)^{-1} B_c^T, so (a_scale * A, B_c, I,
+    I / n_tx) has the same P iterates in exact arithmetic, hence the same
+    stopping step, and its gain row m divided by n_tx is each of agent m's
+    n_tx rows of the dense gain.
     """
     _checks.real("a_scale", a_scale)
-    b_eff = static_channel_input(topology)
-    sol = solve_dare(a_scale * topology.a_global, b_eff,
-                     np.eye(topology.global_dim), np.eye(b_eff.shape[1]))
-    k_p = -sol.gain.reshape(topology.m_agents, topology.n_tx, topology.global_dim)
+    n_tx = topology.n_tx
+    b_c = static_channel_input(topology)[:, ::n_tx]
+    sol = solve_dare(a_scale * topology.a_global, b_c,
+                     np.eye(topology.global_dim), np.eye(topology.m_agents) / n_tx)
+    k_p = np.repeat(-sol.gain[:, None, :] / n_tx, n_tx, axis=1)
     return PidGains(k_p=k_p, k_i=KAPPA_I * k_p, k_d=KAPPA_D * k_p,
                     a_scale=a_scale)
 

@@ -76,7 +76,7 @@ from typing import Optional
 import numpy as np
 
 from . import _checks
-from .linalg import DEFAULT_PINV_REL_TOL, svd
+from .linalg import DEFAULT_PINV_REL_TOL, svd, upper_inverse
 
 # Certificate constants of certified_terms (derivation there).
 # The eigenvalue bounds must clear the cutoff by this factor, which covers
@@ -306,12 +306,13 @@ def certify_channels(b_actuation, h, params: PolicyParams) -> Optional[Certified
     Takes the stacked (M, d, N_r) actuation blocks, the block's channels of
     shape (slots, M, N_r, N_t) and the policy parameters (gamma enters the
     bound terms, P_on the second certificate); one batched thin QR and one
-    batched inverse cover every (slot, agent) pair.
+    back substitution over the stack of R factors (linalg.upper_inverse) cover
+    every (slot, agent) pair.
     Returns None when gamma = 0 or N_r < min(d, N_t), where no slot can be
     certified (F = B_m H_m then has rank N_r, below that of R). A slot
     whose channel is non-finite, singular or ill-conditioned only clears
     its own conditioned flag: its R is swapped for the identity before the
-    batched inverse, which would otherwise raise for the whole stack.
+    inverse, which would otherwise divide by its zero diagonal.
     """
     b = np.asarray(b_actuation, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -331,7 +332,7 @@ def certify_channels(b_actuation, h, params: PolicyParams) -> Optional[Certified
     invertible = finite & (np.diagonal(r, axis1=-2, axis2=-1) != 0).all(axis=-1)
     if not invertible.all():
         r = np.where(invertible[..., None, None], r, np.eye(k))
-    r_inv = np.linalg.inv(r)
+    r_inv = upper_inverse(r)
     tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
     conditioned = (invertible.all(axis=-1)
                    & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))

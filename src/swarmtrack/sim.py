@@ -372,12 +372,19 @@ def run_episode(config: SimConfig,
 
 
 def budget_watts(power_budget_dbw: float) -> float:
-    """A power budget in watts; ValueError unless it is a real with finite watts."""
-    try:
-        if _checks.is_real(power_budget_dbw):
-            return 10.0 ** (power_budget_dbw / 10.0)
-    except OverflowError:
-        pass
+    """A power budget in watts; ValueError unless it is a real with finite watts.
+
+    The watts are computed in the budget's own type, so a numpy float32
+    budget is rejected where its watts overflow float32.
+    """
+    if _checks.is_real(power_budget_dbw):
+        try:
+            with np.errstate(over="ignore"):
+                watts = 10.0 ** (power_budget_dbw / 10.0)
+        except OverflowError:
+            watts = math.inf
+        if math.isfinite(watts):
+            return watts
     raise ValueError(f"power budget {power_budget_dbw!r} dBW is not a finite "
                      f"power in watts")
 

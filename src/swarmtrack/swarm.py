@@ -25,8 +25,8 @@ class SwarmTopology:
     """Static system matrices for one swarm instance.
 
     a_internal[m] is the d x d internal block of agent m, couplings maps
-    (m, n) index pairs (0-based, m != n) to d x d coupling blocks,
-    b_actuation[m] is d x n_rx, w_noise[m] the d x d plant-noise covariance
+    (m, n) index pairs (0-based, m != n) to d x d coupling blocks (stored
+    with Python int keys and float array blocks), b_actuation[m] is d x n_rx, w_noise[m] the d x d plant-noise covariance
     and g_target the (d*M) x (d*M) target transition. The four counts are
     integers >= 1 (a bool is not a count).
     """
@@ -73,6 +73,7 @@ class SwarmTopology:
                 raise ValueError(f"{name} must be {shape}, got {np.shape(arr)}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
+        couplings = {}
         for key, block in self.couplings.items():
             if not (isinstance(key, tuple) and len(key) == 2
                     and all(_checks.is_count(i, 0) and i < m_count for i in key)
@@ -83,6 +84,8 @@ class SwarmTopology:
             if np.shape(block) != (d, d) or not np.all(np.isfinite(block)):
                 raise ValueError(f"coupling block {key!r} must be a finite "
                                  f"{(d, d)} matrix, got shape {np.shape(block)}")
+            couplings[(int(key[0]), int(key[1]))] = np.asarray(block, dtype=float)
+        object.__setattr__(self, "couplings", couplings)
         for m in range(m_count):
             w = self.w_noise[m]
             if not np.allclose(w, w.T, atol=1e-12):

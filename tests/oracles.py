@@ -117,7 +117,7 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     q, r = np.linalg.qr(np.swapaxes(f, -1, -2) if wide else f)
     if not (np.diagonal(r, axis1=-2, axis2=-1) != 0).all():
         return None
-    r_inv = np.linalg.inv(r)
+    r_inv = linalg.upper_inverse(r)
     tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
     if not (tr_g * tr_inv).max() <= policy.CERTIFIED_MAX_TRACE_PRODUCT:
         return None

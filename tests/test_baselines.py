@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from swarmtrack import baselines, swarm
+from test_acceptance import benchmark_topology
 
 
 def scalar_topology(a, b):
@@ -127,6 +128,68 @@ def test_tune_pid_splits_dare_gain_per_agent():
     assert b_eff.shape == (4, 4)
     sol = baselines.solve_dare(scaled.a_global, b_eff, np.eye(4), np.eye(4))
     assert np.allclose(np.vstack(gains.k_p), -sol.gain, atol=1e-12)
+
+
+def reduced_and_dense_solves(monkeypatch, topo, a_scale):
+    """What tune_pid(topo, a_scale) hands solve_dare and gets back, beside the
+    dense solve on static_channel_input with R = I; a solve that raises
+    gives its DareConvergenceError."""
+    solve, handed = baselines.solve_dare, []
+
+    def spy(a, b, q, r):
+        handed.append((b, r))
+        return solve(a, b, q, r)
+
+    def outcome(fn, *args):
+        try:
+            return fn(*args)
+        except baselines.DareConvergenceError as err:
+            return err
+
+    monkeypatch.setattr(baselines, "solve_dare", spy)
+    gains = outcome(baselines.tune_pid, topo, a_scale)
+    monkeypatch.setattr(baselines, "solve_dare", solve)
+    b_eff = baselines.static_channel_input(topo)
+    dense = outcome(solve, a_scale * topo.a_global, b_eff,
+                    np.eye(topo.global_dim), np.eye(b_eff.shape[1]))
+    return gains, handed, dense
+
+
+@pytest.mark.parametrize("system", ["ring", "fallback-ring", "decoupled-1",
+                                    "decoupled-2", "decoupled-4"])
+def test_tune_pid_solves_the_rank_m_dare_with_the_dense_gain(monkeypatch, system):
+    # tune_pid solves the DARE on the M distinct columns of the static
+    # channel input with R = I / n_tx; by the push-through identity that
+    # has the dense solve's iterates, so its steps, its failures and (to
+    # rounding) its gain; every agent's n_tx rows are one row repeated
+    if system == "ring":
+        topo = swarm.build_ring_topology(3, 3, 2, 2, seed=0)
+    elif system == "fallback-ring":
+        topo = swarm.build_ring_topology(2, 9, 4, 4, seed=2)
+    else:
+        topo = benchmark_topology(3, 9, int(system[-1]), 4, 5, 0.02)
+    m_count, n_tx = topo.m_agents, topo.n_tx
+    a_scale = 1.0
+    gains, handed, dense = reduced_and_dense_solves(monkeypatch, topo, a_scale)
+    if system == "fallback-ring":
+        # the plant the static channel cannot stabilize: both solves stall
+        # for every step, and tuning falls back to 0.9 A / rho(A)
+        assert isinstance(gains, baselines.DareConvergenceError)
+        assert isinstance(dense, baselines.DareConvergenceError)
+        assert len(gains.trace) == len(dense.trace) == baselines.DARE_MAX_ITER
+        a_scale = 0.9 / float(np.max(np.abs(np.linalg.eigvals(topo.a_global))))
+        gains, handed, dense = reduced_and_dense_solves(monkeypatch, topo, a_scale)
+    (b, r), = handed
+    assert b.shape == (topo.global_dim, m_count)
+    assert np.array_equal(r, np.eye(m_count) / n_tx)
+    reduced = baselines.solve_dare(a_scale * topo.a_global, b,
+                                   np.eye(topo.global_dim), r)
+    assert reduced.iterations == dense.iterations
+    assert gains.k_p.shape == (m_count, n_tx, topo.global_dim)
+    assert all(np.array_equal(gains.k_p[m, j], gains.k_p[m, 0])
+               for m in range(m_count) for j in range(n_tx))
+    np.testing.assert_allclose(gains.k_p.reshape(m_count * n_tx, -1), -dense.gain,
+                               rtol=1e-10, atol=1e-10 * np.abs(dense.gain).max())
 
 
 @pytest.mark.parametrize("a_scale", [True, np.True_, float("nan"), float("inf"),

@@ -445,7 +445,9 @@ def test_run_sweep_single_cell_shapes():
 
 
 @pytest.mark.parametrize("budget", [float("nan"), float("inf"),
-                                    float("-inf"), 4000.0])
+                                    float("-inf"), 4000.0,
+                                    pytest.param(np.float64(4000), id="float64-4000"),
+                                    pytest.param(np.float32(400), id="float32-400")])
 def test_budget_without_finite_watts_is_rejected(budget):
     # a NaN budget would otherwise calibrate to a bracket edge and, on the
     # power_dbw axis, drop every row from its aggregate (NaN != NaN)

@@ -418,6 +418,21 @@ def test_topology_accepts_numpy_integer_coupling_keys():
     assert np.array_equal(topo.a_global, swarm.SwarmTopology(**ring_parts()).a_global)
 
 
+def test_numpy_keys_and_list_blocks_round_trip_through_json():
+    # keys are stored as Python ints and blocks as float arrays, so the
+    # topology file is written (json used to reject an int64 key, and a
+    # nested-list block has no tolist) and reads back to the same system
+    parts = ring_parts()
+    block = parts["couplings"].pop((0, 1))
+    parts["couplings"][(np.int64(0), np.int64(1))] = block.tolist()
+    topo = swarm.SwarmTopology(**parts)
+    assert all(type(i) is int for key in topo.couplings for i in key)
+    assert all(b.dtype == float for b in topo.couplings.values())
+    text = swarm.topology_to_json(topo)
+    assert text == swarm.topology_to_json(swarm.SwarmTopology(**ring_parts()))
+    assert np.array_equal(swarm.topology_from_json(text).a_global, topo.a_global)
+
+
 def test_topology_rejects_asymmetric_noise():
     topo = swarm.build_ring_topology(1, state_dim=2, n_tx=2, n_rx=2, seed=3)
     bad = np.array([[[1.0, 0.5], [0.0, 1.0]]])
