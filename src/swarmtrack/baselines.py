@@ -115,12 +115,20 @@ def solve_dare(a, b, q, r) -> GareGain:
     DareConvergenceError with the residual trace when DARE_MAX_ITER =
     10000 steps do not get there or an iterate overflows (typical for
     unstabilizable systems).
+
+    Finiteness rule: a step whose iterate has a non-finite entry raises
+    at once with residual inf and appends nothing to the trace. A finite
+    iterate whose difference from P overflows appends inf to the trace,
+    and the iteration goes on. A non-finite entry of the iterate makes
+    its difference from P, hence the residual, non-finite, so the
+    iterate itself is checked only when the residual is not finite.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
     p = q.copy()
+    diff = np.empty_like(p)
     trace = []
     # a diverging iterate overflows to inf or nan, which the finite check
     # below turns into DareConvergenceError
@@ -129,11 +137,17 @@ def solve_dare(a, b, q, r) -> GareGain:
             btp = b.T @ p
             btpa = btp @ a
             gain = np.linalg.solve(r + btp @ b, btpa)
-            p_next = a.T @ p @ a - btpa.T @ gain + q
-            p_next = 0.5 * (p_next + p_next.T)
-            if not np.isfinite(p_next).all():
+            p_next = a.T @ p @ a
+            p_next -= btpa.T @ gain
+            p_next += q
+            # a fresh sum: adding its own transpose in place would make
+            # numpy copy the overlapping operand first, which costs more
+            p_next = p_next + p_next.T
+            p_next *= 0.5
+            np.subtract(p_next, p, out=diff)
+            residual = float(np.abs(diff, out=diff).max())  # equation residual at p
+            if not math.isfinite(residual) and not np.isfinite(p_next).all():
                 raise DareConvergenceError(float("inf"), trace)
-            residual = float(np.max(np.abs(p_next - p)))  # equation residual at p
             trace.append(residual)
             if residual < DARE_TOL:
                 return GareGain(p=p, gain=gain, residual=residual, iterations=it)

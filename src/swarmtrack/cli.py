@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage error or a count too large to allocate,
 """
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -196,7 +197,11 @@ def _parse_values(axis: str, raw: str):
         raise UsageError(f"--values for axis {axis}: {err}") from err
 
 
+@functools.cache
 def build_parser() -> "_Parser":
+    """The swarmtrack argument parser, built once: every call in the process
+    returns the same parser. Parsing leaves it unchanged (a usage error
+    too), so main shares it across calls."""
     parser = _Parser(prog="swarmtrack",
                      description="Semantic communication and tracking-control "
                                  "swarm simulator")

@@ -405,8 +405,10 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     <= policy.CERTIFIED_CUT_SLACK = 1e-8 (the cutoff's share of c), so a
     slot's transmit power, the sum of ||u_m||^2, by at most 2 delta. The
     bisection runs in log space until
-    the probe mean is within rel_tol of 10^(dBW/10) watts. Budgets outside
-    the achievable range return the corresponding bracket edge. Every
+    the probe mean is within rel_tol of 10^(dBW/10) watts; after max_iter
+    probes without that, it returns the gamma whose probe mean came closest
+    to the budget, either bracket edge included (lo on a tie). Budgets
+    outside the achievable range return the corresponding bracket edge. Every
     argument is checked before any probe runs, by the package's count and
     real rules (_checks): budget_watts, counts n_probe_seeds, probe_horizon
     (unless None) >= 1 and max_iter >= 0, reals 0 < lo < hi and a finite
@@ -442,7 +444,8 @@ def calibrate_gamma(config: SimConfig, topology: Optional[swarm.SwarmTopology],
     if budget_w <= p_hi:
         return hi
     g_lo, g_hi = lo, hi
-    best_gamma, best_gap = lo, abs(p_lo - budget_w)
+    best_gamma, best_gap = min((lo, abs(p_lo - budget_w)),
+                               (hi, abs(p_hi - budget_w)), key=lambda c: c[1])
     for _ in range(max_iter):
         mid = math.sqrt(g_lo * g_hi)
         p_mid = mean_power(mid)

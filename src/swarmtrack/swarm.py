@@ -86,12 +86,16 @@ class SwarmTopology:
                                  f"{(d, d)} matrix, got shape {np.shape(block)}")
             couplings[(int(key[0]), int(key[1]))] = np.asarray(block, dtype=float)
         object.__setattr__(self, "couplings", couplings)
-        for m in range(m_count):
-            w = self.w_noise[m]
-            if not np.allclose(w, w.T, atol=1e-12):
-                raise ValueError(f"w_noise[{m}] is not symmetric")
-            if np.linalg.eigvalsh(w).min() < -1e-12:
-                raise ValueError(f"w_noise[{m}] is not positive semidefinite")
+        # every agent's np.allclose(w, w.T, atol=1e-12) and eigenvalue test
+        # at once; the first failing agent is reported, symmetry first
+        w = np.asarray(self.w_noise)
+        asymmetric = ~np.isclose(w, w.swapaxes(-1, -2), atol=1e-12).all(axis=(1, 2))
+        indefinite = np.linalg.eigvalsh(w).min(axis=1) < -1e-12
+        failing = np.flatnonzero(asymmetric | indefinite)
+        if failing.size:
+            m = failing[0]
+            rule = "symmetric" if asymmetric[m] else "positive semidefinite"
+            raise ValueError(f"w_noise[{m}] is not {rule}")
 
     @property
     def global_dim(self) -> int:

@@ -321,6 +321,34 @@ def scalar_constants(pi):
     return DriftConstants(pi=np.array([pi]), alpha=2.0 * pi ** 2)
 
 
+def solve_dare_loop(a, b, q, r):
+    """Reference Riccati loop: solve_dare's fixed-point iteration with a new
+    array per operation and a finiteness check of every iterate, the form
+    the library's in-place loop must match bit for bit."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    q = np.asarray(q, dtype=float)
+    r = np.asarray(r, dtype=float)
+    p = q.copy()
+    trace = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, baselines.DARE_MAX_ITER + 1):
+            btp = b.T @ p
+            btpa = btp @ a
+            gain = np.linalg.solve(r + btp @ b, btpa)
+            p_next = a.T @ p @ a - btpa.T @ gain + q
+            p_next = 0.5 * (p_next + p_next.T)
+            if not np.isfinite(p_next).all():
+                raise baselines.DareConvergenceError(float("inf"), trace)
+            residual = float(np.max(np.abs(p_next - p)))  # equation residual at p
+            trace.append(residual)
+            if residual < baselines.DARE_TOL:
+                return baselines.GareGain(p=p, gain=gain, residual=residual,
+                                          iterations=it)
+            p = p_next
+    raise baselines.DareConvergenceError(trace[-1], trace)
+
+
 def scaled_stable_topology(m_agents, d, n, seed, target_radius=0.5,
                            noise_scale=1e-5, n_tx=None):
     """Ring topology rescaled so the open-loop spectral radius is small."""

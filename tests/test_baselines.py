@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from swarmtrack import baselines, swarm
 from test_acceptance import benchmark_topology
 
@@ -87,6 +88,51 @@ def test_solve_dare_iteration_counts_are_pinned():
                              np.array([[1.0]]), np.array([[1.0]]))
     assert len(info.value.trace) == 511
     assert info.value.residual == float("inf")
+
+
+def dare_system(system):
+    """(A, B, Q, R) of a named Riccati system: one of the 64 experiment cells
+    or the M = 8 benchmark system on the rank-M input with R = I / n_tx, a
+    4-agent ring that stalls for all DARE_MAX_ITER steps, or the scalar
+    a = 2, b = 0 plant whose iterate overflows after 511 steps."""
+    if system == "overflow":
+        return np.array([[2.0]]), np.zeros((1, 1)), np.eye(1), np.eye(1)
+    if system == "ring":
+        topo = swarm.build_ring_topology(4, 9, 4, 4, seed=0)
+    elif system == "m8":
+        topo = benchmark_topology(8, 9, 4, 4, 0, 0.02)
+    else:
+        topo = benchmark_topology(4, 9, 4, 4, 1000 + int(system[-1]), 0.02)
+    b_c = baselines.static_channel_input(topo)[:, ::topo.n_tx]
+    return (topo.a_global, b_c, np.eye(topo.global_dim),
+            np.eye(topo.m_agents) / topo.n_tx)
+
+
+def dare_outcome(solve, system):
+    """What a solve of the system returns, as bytes: p, gain, residual and
+    step count, or the raised error's residual and trace."""
+    try:
+        sol = solve(*dare_system(system))
+    except baselines.DareConvergenceError as err:
+        return "error", np.float64(err.residual).tobytes(), \
+            np.array(err.trace).tobytes(), len(err.trace)
+    return "solved", sol.p.tobytes(), sol.gain.tobytes(), \
+        np.float64(sol.residual).tobytes(), sol.iterations
+
+
+@pytest.mark.parametrize("system", [f"cell-{i}" for i in range(10)]
+                         + ["m8", "ring", "overflow"])
+def test_solve_dare_matches_the_reference_loop_bit_for_bit(system):
+    # the in-place loop with its residual-first finite check has the
+    # reference loop's iterates, stopping step, trace and errors
+    got = dare_outcome(baselines.solve_dare, system)
+    assert got == dare_outcome(oracles.solve_dare_loop, system)
+    if system == "ring":
+        assert got[0] == "error" and got[3] == baselines.DARE_MAX_ITER
+    elif system == "overflow":
+        assert got[0] == "error" and got[3] == 511
+    else:
+        assert got[0] == "solved"
 
 
 def test_tune_pid_scalar_matches_dare_gain():

@@ -124,6 +124,24 @@ def test_run_set_overrides_change_output(tmp_path):
     assert (out1 / "metrics.csv").read_bytes() != (out2 / "metrics.csv").read_bytes()
 
 
+def test_repeated_calls_share_no_parse_state(tmp_path, capsys):
+    # main parses every call with one shared parser: an override, then a
+    # usage error raised inside the parse, then a plain call
+    def seed_and_horizon(out):
+        doc = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        return doc["config"]["seed"], doc["config"]["horizon"]
+
+    common = ["--config", str(write_config(tmp_path)), "--out"]
+    assert cli.main(["run", *common, str(tmp_path / "a"), "--set", "seed=11"]) == 0
+    assert cli.main(["run", *common, str(tmp_path / "b"), "--set", "horizon=7",
+                     "--bogus"]) == 1
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+    assert cli.main(["run", *common, str(tmp_path / "c")]) == 0
+    assert seed_and_horizon(tmp_path / "a") == (11, 20)
+    assert seed_and_horizon(tmp_path / "c") == (3, 20)
+
+
 def test_sweep_row_arithmetic(tmp_path):
     path = write_config(tmp_path, horizon=10)
     out = tmp_path / "out"

@@ -529,6 +529,20 @@ def test_calibrate_gamma_out_of_iterations_returns_the_best_probe(
     assert gamma == pytest.approx(10.0 ** -0.5, rel=1e-12)
 
 
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_calibrate_gamma_out_of_iterations_can_return_the_upper_edge(
+        monkeypatch, max_iter):
+    # on [1e-2, 1e2] for a 0.05 W budget the upper edge (0.01 W) is closer
+    # than the lower edge (100 W) and than the first bisection probe,
+    # gamma = 1 (1 W), so a bisection cut short returns the upper edge
+    monkeypatch.setattr(sim, "run_episode", PowerOfGamma)
+    base = SimConfig(m_agents=1, state_dim=2, n_tx=2, n_rx=2, horizon=5)
+    gamma = sim.calibrate_gamma(base, object(), 10.0 * math.log10(0.05),
+                                n_probe_seeds=1, rel_tol=0.0, lo=1e-2, hi=1e2,
+                                max_iter=max_iter)
+    assert gamma == 1e2
+
+
 def test_run_sweep_rejects_zero_probe_seeds(monkeypatch):
     def no_probe(*args, **kw):
         raise AssertionError("a probe ran")

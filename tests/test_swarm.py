@@ -470,6 +470,25 @@ def test_topology_rejects_noise_that_is_not_positive_semidefinite():
         swarm.SwarmTopology(**parts)
 
 
+INDEFINITE = np.diag([1.0, -1e-6, 1.0])
+ASYMMETRIC = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("w_noise, message", [
+    # the first failing agent is named, whatever fails after it
+    ([INDEFINITE, ASYMMETRIC], "w_noise[0] is not positive semidefinite"),
+    # an agent failing both checks is reported for its symmetry
+    ([ASYMMETRIC + np.diag([0.0, -2.0, 0.0]), np.eye(3)],
+     "w_noise[0] is not symmetric"),
+])
+def test_topology_names_the_first_failing_noise_block(w_noise, message):
+    parts = ring_parts()
+    parts["w_noise"] = np.array(w_noise)
+    with pytest.raises(ValueError) as info:
+        swarm.SwarmTopology(**parts)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("name", ["m_agents", "state_dim", "n_tx", "n_rx"])
 @pytest.mark.parametrize("value", [0, -2, 2.5, 2.0, True, np.True_, "2", None])
 def test_ring_topology_rejects_a_count_that_is_not_a_positive_integer(name, value):
