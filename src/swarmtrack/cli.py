@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, baselines, sim, stability
+from . import __version__, _checks, baselines, sim, stability
 
 _METRICS_SCHEMA = "swarmtrack.metrics.v1"
 _TRAJECTORY_SCHEMA = "swarmtrack.cost_trajectory.v1"
@@ -176,16 +176,20 @@ def cmd_calibrate_gamma(config: sim.SimConfig, budget_dbw: float,
     return 0
 
 
-def _require_count(flag: str, value: int):
-    if value < 1:
-        raise UsageError(f"{flag} must be >= 1, got {value}")
+def _checked(parse, rule):
+    """argparse type: parse the flag's text, then apply the package rule;
+    the ValueError of either is the usage error, in its own words."""
+    def convert(text):
+        try:
+            value = parse(text)
+            rule(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from err
+        return value
+    return convert
 
 
-def _require_budget(flag: str, value: float):
-    try:
-        sim.budget_watts(value)
-    except ValueError as err:
-        raise UsageError(f"{flag}: {err}") from err
+_COUNT = _checked(int, functools.partial(_checks.count, "count"))
 
 
 def _parse_values(axis: str, raw: str):
@@ -222,21 +226,21 @@ def build_parser() -> "_Parser":
                          help=f"axis name, one of {', '.join(sim.AXES)}")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
-    p_sweep.add_argument("--seeds", type=int, default=5,
+    p_sweep.add_argument("--seeds", type=_COUNT, default=5,
                          help="number of consecutive seeds")
 
     p_stab = sub.add_parser("check-stability",
                             help="stability condition over channel draws")
     common(p_stab)
-    p_stab.add_argument("--draws", type=int, default=100,
+    p_stab.add_argument("--draws", type=_COUNT, default=100,
                         help="number of channel draws")
 
     p_cal = sub.add_parser("calibrate-gamma",
                            help="match mean transmit power to a budget")
     common(p_cal)
-    p_cal.add_argument("--budget-dbw", type=float, default=8.0,
-                       help="power budget in dBW")
-    p_cal.add_argument("--probe-seeds", type=int, default=3,
+    p_cal.add_argument("--budget-dbw", type=_checked(float, sim.budget_watts),
+                       default=8.0, help="power budget in dBW")
+    p_cal.add_argument("--probe-seeds", type=_COUNT, default=3,
                        help="number of probe seeds")
 
     return parser
@@ -264,14 +268,9 @@ def main(argv=None) -> int:
                 raise UsageError(f"sweep: {err}") from err
             return cmd_sweep(config, args.axis, values, seeds, out_dir)
         if args.command == "check-stability":
-            _require_count("--draws", args.draws)
             return cmd_check_stability(config, args.draws, out_dir)
-        if args.command == "calibrate-gamma":
-            _require_count("--probe-seeds", args.probe_seeds)
-            _require_budget("--budget-dbw", args.budget_dbw)
-            return cmd_calibrate_gamma(config, args.budget_dbw,
-                                       args.probe_seeds, out_dir)
-        raise UsageError(f"unknown command {args.command!r}")
+        return cmd_calibrate_gamma(config, args.budget_dbw, args.probe_seeds,
+                                   out_dir)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)

@@ -58,11 +58,14 @@ certificates need that does not depend on the error runs once per block
 of slots (certify_channels: one thin QR of every slot's and agent's
 B_m H_m, or of its transpose when N_t > d, and the bound terms of tr G,
 tr G^-1 and gamma, in a CertifiedBlock); only the error part runs per
-slot. Declined: gamma = 0, N_r < min(d, N_t) (B_m H_m cannot have full
-rank), a singular, non-finite or ill-conditioned B_m H_m (tr G tr G^-1
-above CERTIFIED_MAX_TRACE_PRODUCT, which keeps its singular values clear
-of the cutoff), and any slot that neither certificate covers. The
-certified u holds a stated accuracy contract against exact arithmetic
+slot. Every block has one coordinate form, y = q_t [e_m, (pi o e)_m] with
+q_t = I for wide F, and F^+ = lift @ q_t. Declined: every slot whose
+conditioned flag is clear, which gamma = 0 and N_r < min(d, N_t) (B_m H_m
+cannot have full rank) clear for the whole block and a singular,
+non-finite or ill-conditioned B_m H_m (tr G tr G^-1 above
+CERTIFIED_MAX_TRACE_PRODUCT, which keeps its singular values clear of the
+cutoff) for its own slot; and any slot that neither certificate covers.
+The certified u holds a stated accuracy contract against exact arithmetic
 (certified_terms).
 
 Pi and alpha come from the singular spectra of the plant and target
@@ -128,25 +131,27 @@ class CertifiedBlock:
 
     Built by certify_channels from a block's (slots, M, N_r, N_t) channels
     and the policy parameters (params: gamma, and P_on for the second
-    certificate); certified_terms reads slot i. The factors come from one
-    thin QR per slot and agent, of F = B_m H_m when N_t <= d (tall:
-    F = Q R) and of F^T when N_t > d (wide: F^T = Q R, R d x d). In the
-    coordinates y = q_t [e_m, (pi o e)_m] (q_t = Q^T, tall) or
-    y = [e_m, (pi o e)_m] (q_t None, wide), root @ y_e has the norm of
-    F^T e_m (root = R^T, tall; R, wide) and lift @ y_pe = F^+ (pi o e)_m
-    (lift = R^-1, tall; Q R^-T, wide).
-    conditioned (one flag per slot) holds when every agent's F is finite
-    with an invertible R and tr(G) tr(G^-1) <= CERTIFIED_MAX_TRACE_PRODUCT,
-    with tr G = ||F||_F^2 and tr G^-1 = ||R^-1||_F^2 (the sums of s_i^2 and
-    s_i^-2 over F's singular values); a slot without it is declined. The
-    bound terms depend on the channels and gamma alone and are formed here
-    once per block, each in the operand order of the bound it enters:
+    certificate), for every input; certified_terms reads slot i. The
+    factors come from one thin QR per slot and agent, of F = B_m H_m when
+    N_t <= d (tall: F = Q R) and of F^T when N_t > d (wide: F^T = Q R,
+    R d x d). Every block has one coordinate form y = q_t [e_m, (pi o e)_m],
+    with q_t = Q^T (tall) or the d x d identity (wide, a broadcast view):
+    root @ y_e has the norm of F^T e_m (root = R^T, tall; R, wide) and
+    lift @ y_pe = F^+ (pi o e)_m (lift = R^-1, tall; Q R^-T, wide), so
+    F^+ = lift @ q_t.
+    conditioned (one flag per slot) holds when gamma > 0, N_r >= min(d, N_t)
+    and every agent's F is finite with an invertible R and tr(G) tr(G^-1)
+    <= CERTIFIED_MAX_TRACE_PRODUCT, with tr G = ||F||_F^2 and tr G^-1
+    = ||R^-1||_F^2 (the sums of s_i^2 and s_i^-2 over F's singular values);
+    a slot without it is declined and its terms are never read. The bound
+    terms depend on the channels and gamma alone and are formed here once
+    per block, each in the operand order of the bound it enters:
     two_tr_g = 2 tr G, gamma_tr_inv = gamma tr G^-1 and slope
-    = (2 M / gamma) tr G.
+    = (2 M / gamma) tr G (inf where gamma = 0).
     """
 
     params: PolicyParams
-    q_t: Optional[np.ndarray]   # (slots, M, n_tx, d) Q^T, tall; None, wide
+    q_t: np.ndarray             # (slots, M, k, d) Q^T, tall; I, wide
     root: np.ndarray            # (slots, M, k, k), k = min(d, n_tx)
     lift: np.ndarray            # (slots, M, n_tx, k)
     conditioned: np.ndarray     # (slots,) bool
@@ -300,7 +305,7 @@ def rank_one_terms(factors, e, constants: DriftConstants,
     return RankOneTerms(theta=c * float(pe @ pe), u=u)
 
 
-def certify_channels(b_actuation, h, params: PolicyParams) -> Optional[CertifiedBlock]:
+def certify_channels(b_actuation, h, params: PolicyParams) -> CertifiedBlock:
     """Per-block part of certified_terms for a block of slots.
 
     Takes the stacked (M, d, N_r) actuation blocks, the block's channels of
@@ -308,11 +313,12 @@ def certify_channels(b_actuation, h, params: PolicyParams) -> Optional[Certified
     bound terms, P_on the second certificate); one batched thin QR and one
     back substitution over the stack of R factors (linalg.upper_inverse) cover
     every (slot, agent) pair.
-    Returns None when gamma = 0 or N_r < min(d, N_t), where no slot can be
-    certified (F = B_m H_m then has rank N_r, below that of R). A slot
-    whose channel is non-finite, singular or ill-conditioned only clears
-    its own conditioned flag: its R is swapped for the identity before the
-    inverse, which would otherwise divide by its zero diagonal.
+    Returns a CertifiedBlock for every input. gamma = 0 and N_r < min(d,
+    N_t), where no slot can be certified (F = B_m H_m then has rank N_r,
+    below that of R), clear every slot's conditioned flag. A slot whose
+    channel is non-finite, singular or ill-conditioned clears its own flag:
+    its R is swapped for the identity before the inverse, which would
+    otherwise divide by its zero diagonal.
     """
     b = np.asarray(b_actuation, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -320,8 +326,6 @@ def certify_channels(b_actuation, h, params: PolicyParams) -> Optional[Certified
     n_tx = h.shape[-1]
     k = min(d, n_tx)
     gamma = params.gamma
-    if gamma == 0 or n_rx < k:
-        return None
     wide = n_tx > d
     f = b @ h
     tr_g = (f * f).sum(axis=(-2, -1))
@@ -334,10 +338,11 @@ def certify_channels(b_actuation, h, params: PolicyParams) -> Optional[Certified
         r = np.where(invertible[..., None, None], r, np.eye(k))
     r_inv = upper_inverse(r)
     tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
-    conditioned = (invertible.all(axis=-1)
+    conditioned = (invertible.all(axis=-1) & (gamma > 0) & (n_rx >= k)
                    & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
     if wide:
-        q_t, root, lift = None, r, q @ np.swapaxes(r_inv, -1, -2)
+        q_t = np.broadcast_to(np.eye(d), (*f.shape[:-2], d, d))
+        root, lift = r, q @ np.swapaxes(r_inv, -1, -2)
     else:
         q_t, root, lift = np.swapaxes(q, -1, -2), np.swapaxes(r, -1, -2), r_inv
     # a declined slot's terms may overflow or be NaN; they are never read
@@ -345,22 +350,23 @@ def certify_channels(b_actuation, h, params: PolicyParams) -> Optional[Certified
         return CertifiedBlock(
             params=params, q_t=q_t, root=root, lift=lift,
             conditioned=conditioned, two_tr_g=2.0 * tr_g, gamma_tr_inv=gamma * tr_inv,
-            slope=2.0 * m_count / gamma * tr_g)
+            slope=(2.0 * m_count / gamma if gamma else np.inf) * tr_g)
 
 
-def certified_terms(block: Optional[CertifiedBlock], i: int, e,
+def certified_terms(block: CertifiedBlock, i: int, e,
                     constants: DriftConstants) -> Optional[RankOneTerms]:
     """rank_one_terms without SVD or eigh where a certificate pins c.
 
     block is certify_channels of a block of slots and i the slot; M, N_t
-    and d are read from its factors, P_on and gamma from its params, and
-    None (gamma = 0 or N_r < min(d, N_t)) declines. Returns None, for the
-    caller to take the spectral path (factorize_agent + rank_one_terms),
-    unless every agent passes one of the two certificates below; the
-    result then takes rank_one_terms' transmit bits, and its values agree
-    with rank_one_terms' up to rounding (first certificate) or within
-    delta (second), and with exact arithmetic within the accuracy contract
-    below.
+    and d are read from its factors, P_on and gamma from its params, and a
+    slot whose conditioned flag is clear (gamma = 0, N_r < min(d, N_t), or
+    a singular, non-finite or ill-conditioned channel) declines. Returns
+    None, for the caller to take the spectral path (factorize_agent
+    + rank_one_terms), unless every agent passes one of the two
+    certificates below; the result then takes rank_one_terms' transmit
+    bits, and its values agree with rank_one_terms' up to rounding (first
+    certificate) or within delta (second), and with exact arithmetic within
+    the accuracy contract below.
 
     The work splits into a channel part and an error part. The channel
     part (certify_channels) is one thin QR per agent, R^-1 and the bound
@@ -372,7 +378,8 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
     = R^T R, F^+ = R^-1 Q^T and ||F^T e_m|| = ||R^T y_e||. Wide F
     (N_t > d, N_r >= d): F^T = Q R with R d x d, so F has full row rank d,
     F^+ = Q R^-T, ||F^T e_m|| = ||R e_m|| and range(F) is all of block m:
-    y = [e_m, (pi o e)_m] and the in-block residual is 0. Either way, over
+    q_t = I, y = [e_m, (pi o e)_m] and the in-block residual is 0. Either
+    way y = q_t [e_m, (pi o e)_m] and F^+ = lift @ q_t, and over
     F's k = min(d, N_t) singular values s_i, tr G = ||F||_F^2
     = sum s_i^2 >= s_max^2 and tr G^-1 = ||R^-1||_F^2 = sum s_i^-2
     >= s_min^-2.
@@ -452,17 +459,15 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
     of a computed G^-1 can be negative when G is numerically indefinite;
     a sum of squares cannot.
 
-    Declined: gamma = 0, N_r < min(d, N_t), a singular, non-finite or
-    ill-conditioned F, and any slot where some agent fails the first
-    certificate and the slot fails the second. e = 0 gives theta = 0 and
-    u = 0 once the channels pass the conditioning test; non-finite
-    channels fail it and raise in factorize_agent.
+    Declined: a slot whose flag is clear (gamma = 0, N_r < min(d, N_t), a
+    singular, non-finite or ill-conditioned F), and any slot where some
+    agent fails the first certificate and the slot fails the second. e = 0
+    gives theta = 0 and u = 0 once the channels pass the conditioning test;
+    non-finite channels fail it and raise in factorize_agent.
     """
-    if block is None:
-        return None
     e = np.asarray(e, dtype=float)
-    _, m_count, n_tx, k = block.lift.shape
-    d = k if block.q_t is None else block.q_t.shape[-1]
+    _, m_count, n_tx, _ = block.lift.shape
+    d = block.q_t.shape[-1]
     if e.shape != (m_count * d,):
         raise ValueError(f"e must have shape {(m_count * d,)}, got {e.shape}")
     if not block.conditioned[i]:
@@ -476,8 +481,7 @@ def certified_terms(block: Optional[CertifiedBlock], i: int, e,
     y = np.empty((m_count, d, 2))
     y[:, :, 0] = e.reshape(m_count, d)
     y[:, :, 1] = pe.reshape(m_count, d)
-    if block.q_t is not None:
-        y = block.q_t[i] @ y
+    y = block.q_t[i] @ y
     lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
     if m_count == 1 and n_tx >= d:
         # full rank: gamma / tr G > tol lambda_hi

@@ -56,6 +56,15 @@ BASE_BUDGET_DBW = 8.0
 MAX_SEED = 2 ** 64 - 1
 
 
+def checked_seed(name: str, value) -> int:
+    """int(value) of a seed: an integer in [0, MAX_SEED], not a bool; else
+    ValueError. The one seed rule of SimConfig, channel_draws and derive_seed."""
+    seed = _checks.count(name, value, least=None)
+    if not 0 <= seed <= MAX_SEED:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Flat experiment configuration; JSON documents mirror these fields."""
@@ -79,9 +88,7 @@ class SimConfig:
     def __post_init__(self):
         for name in ("m_agents", "state_dim", "n_tx", "n_rx", "horizon"):
             object.__setattr__(self, name, _checks.count(name, getattr(self, name)))
-        object.__setattr__(self, "seed", _checks.count("seed", self.seed, least=None))
-        if not 0 <= self.seed <= MAX_SEED:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        object.__setattr__(self, "seed", checked_seed("seed", self.seed))
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; valid: {SCHEMES}")
         policy.PolicyParams(p_on=self.p_on, gamma=self.gamma)  # the price rule
@@ -175,14 +182,15 @@ def _draw_block(seed: int, stream: int, t0: int, out: np.ndarray) -> np.ndarray:
 def channel_draws(seed: int, topology: swarm.SwarmTopology, n_slots: int) -> np.ndarray:
     """True channels (n_slots, M, N_r, N_t) of an episode's slots 0 .. n_slots - 1."""
     n_slots = _checks.count("n_slots", n_slots, least=0)
-    return _draw_block(seed, _STREAM_CHANNEL, 0,
+    return _draw_block(checked_seed("seed", seed), _STREAM_CHANNEL, 0,
                        np.empty((n_slots, topology.m_agents, topology.n_rx,
                                  topology.n_tx)))
 
 
 def derive_seed(base_seed: int, tag: int, index: int) -> int:
-    """Deterministic child seed for probe/auxiliary runs."""
-    ss = np.random.SeedSequence(entropy=[base_seed & 0xFFFFFFFFFFFFFFFF, tag, index])
+    """Deterministic child seed for probe/auxiliary runs; base_seed follows
+    checked_seed."""
+    ss = np.random.SeedSequence(entropy=[checked_seed("seed", base_seed), tag, index])
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -16,9 +16,13 @@ from the Metrics that run_episode returns, whose decision log is always
 the episode record's decided rows. The set covers the
 four schemes on ring and decoupled stable (benchmark_topology) systems,
 M in {1, 2, 3, 4, 5, 8}, x0 in {0, 1} and four seeds; most ring episodes
-diverge. Beside each digest the file records how many slots the certified
-closed form answered (policy.certified_terms not None), so a comparison
-can tell certified-path drift from any other.
+diverge. Those all have tall channels (d = 3, N_t = 2 or d = 9, N_t = 4)
+and gamma = 1, so the set adds semantic episodes on stable systems whose
+channels are wide (N_t > d) or short (N_r < min(d, N_t)), each at gamma
+in {0, 1e-6, 1, 1e6} and M in {1, 2, 4}. Beside each digest the file
+records how many slots the certified closed form answered
+(policy.certified_terms not None), so a comparison can tell
+certified-path drift from any other.
 
 The CLI set is every file cli.main writes for run and check-stability on
 a 2-agent ring (d = 3, N = 2, horizon 40) and on the same system pinned
@@ -43,6 +47,7 @@ its slot, agent and theta - P_on before and after.
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -62,6 +67,11 @@ from test_acceptance import benchmark_topology  # noqa: E402
 AGENT_COUNTS = (1, 2, 3, 4, 5, 8)
 SEEDS = (0, 1, 2, 3)
 HORIZON = 80
+# The semantic episodes on what the set above never reaches, layout ->
+# (d, N_t, N_r): wide F with N_r = d, and short N_r < min(d, N_t).
+EDGE_LAYOUTS = {"wide3": (3, 4, 3), "wide9": (9, 16, 9), "short": (3, 4, 2)}
+EDGE_AGENT_COUNTS = (1, 2, 4)
+EDGE_GAMMAS = (0.0, 1e-6, 1.0, 1e6)
 
 
 def episodes():
@@ -85,6 +95,16 @@ def episodes():
                         cfg = replace(base, scheme=scheme, x0_value=x0)
                         name = f"{kind}/M{m_count}/seed{seed}/x0={x0:g}/{scheme}"
                         yield name, cfg, topology
+    for index, ((layout, (d, n_tx, n_rx)), m_count) in enumerate(
+            itertools.product(EDGE_LAYOUTS.items(), EDGE_AGENT_COUNTS)):
+        topology = benchmark_topology(m_count, d, n_tx, n_rx, index, 0.02)
+        for gamma in EDGE_GAMMAS:
+            cfg = sim.SimConfig(m_agents=m_count, state_dim=d, n_tx=n_tx,
+                                n_rx=n_rx, horizon=HORIZON, p_on=0.001,
+                                gamma=gamma, noise_scale=0.02, r0_value=0.0,
+                                seed=index)
+            yield (f"edge/{layout}/M{m_count}/seed{index}/gamma={gamma:g}/semantic",
+                   cfg, topology)
 
 
 CLI_PREFIX = "cli/"

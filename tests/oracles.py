@@ -195,6 +195,29 @@ def _transpose(a):
     return [list(col) for col in zip(*a)]
 
 
+def _exact_pinv(f):
+    """F^+ of an exact full-rank F from the exact normal equations:
+    (F^T F)^-1 F^T for N_t <= d, F^T (F F^T)^-1 for N_t > d; a
+    rank-deficient F raises ValueError."""
+    f_t = _transpose(f)
+    if len(f_t) <= len(f):
+        return _exact_solve(_exact_matmul(f_t, f), f_t)
+    return _transpose(_exact_solve(_exact_matmul(f, f_t), f))
+
+
+def _exact_channel(b_m, h_m):
+    """F = B_m H_m formed exactly from the float inputs."""
+    return _exact_matmul(_exact(np.asarray(b_m, dtype=float)),
+                         _exact(np.asarray(h_m, dtype=float)))
+
+
+def exact_pseudo_inverse(b_m, h_m) -> np.ndarray:
+    """F^+ (N_t, d) of F = B_m H_m in exact rational arithmetic, rounded
+    once to float; a rank-deficient F raises ValueError."""
+    return np.array([[float(v) for v in row]
+                     for row in _exact_pinv(_exact_channel(b_m, h_m))])
+
+
 def exact_rank_one_terms(b_actuation, h, e, pi, gamma):
     """theta (M,) and u (M, N_t) of the rank-one closed form in exact
     rational arithmetic, each rounded once to float at the end.
@@ -219,14 +242,11 @@ def exact_rank_one_terms(b_actuation, h, e, pi, gamma):
     gamma_x = Fraction(float(gamma))
     theta, u = [], []
     for m in range(m_count):
-        f = _exact_matmul(_exact(b[m]), _exact(np.asarray(h[m], dtype=float)))
+        f = _exact_channel(b[m], h[m])
         f_t = _transpose(f)
         e_m = [[v] for v in e_x[m * d:(m + 1) * d]]
         pe_m = [[v] for v in pe[m * d:(m + 1) * d]]
-        if len(f_t) <= d:        # full column rank: F^+ = (F^T F)^-1 F^T
-            pinv = _exact_solve(_exact_matmul(f_t, f), f_t)
-        else:                    # full row rank: F^+ = F^T (F F^T)^-1
-            pinv = _transpose(_exact_solve(_exact_matmul(f, f_t), f))
+        pinv = _exact_pinv(f)
         proj = _exact_matmul(f, _exact_matmul(pinv, e_m))
         e_m_sq = sum(row[0] ** 2 for row in e_m)
         w_sq = (e_sq - e_m_sq) + sum((a[0] - p[0]) ** 2 for a, p in zip(e_m, proj))

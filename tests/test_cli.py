@@ -598,3 +598,25 @@ def test_repeated_axis_value_exits_one(tmp_path, capsys, axis, values):
                      "--config", str(path), "--out", str(out)]) == 1
     assert "repeats a value" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--axis", "M", "--values", "1", "--seeds", "0"],
+     "argument --seeds: count must be an integer >= 1, got 0"),
+    (["check-stability", "--draws", "0"],
+     "argument --draws: count must be an integer >= 1, got 0"),
+    (["calibrate-gamma", "--probe-seeds", "-1"],
+     "argument --probe-seeds: count must be an integer >= 1, got -1"),
+    (["calibrate-gamma", "--budget-dbw", "4000"],
+     "argument --budget-dbw: power budget 4000.0 dBW is not a finite power"),
+])
+def test_count_and_budget_flags_use_the_package_rules(tmp_path, capsys, argv,
+                                                      message):
+    # the flags are checked while parsing, in the words of _checks.count and
+    # sim.budget_watts, before the config is read
+    out = tmp_path / "out"
+    assert cli.main(argv + ["--config", str(tmp_path / "absent.json"),
+                            "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err and "usage" in err
+    assert not out.exists()

@@ -605,6 +605,32 @@ def test_certified_terms_meet_accuracy_contract(shape, case, record_property):
                     float((err / (np.linalg.cond(b @ h) ** 2 * EPS)).max()))
 
 
+@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("shape", sorted(CONTRACT_SHAPES))
+def test_lift_times_q_t_is_the_pseudo_inverse(shape, case):
+    # one coordinate form for every block: F^+ = lift @ q_t (q_t = I for
+    # wide F), each column F^+ e_j within the accuracy contract of the
+    # certified u (c = 1, pi o e = e_j) against exact arithmetic
+    rng = np.random.default_rng(1600 + 10 * case + sorted(CONTRACT_SHAPES).index(shape))
+    m_count, d, n_tx, n_rx = CONTRACT_SHAPES[shape][case % 4]
+    cond = 10.0 ** (case * 4 / 7)
+    _, b, h_0, _ = conditioned_instance(rng, m_count, d, n_tx, n_rx, cond)
+    h = np.stack([h_0, 0.5 * h_0])
+    block = policy.certify_channels(b, h, PolicyParams())
+    assert block.q_t.shape == (2, m_count, min(d, n_tx), d)
+    assert block.conditioned.all()
+    for i in range(2):
+        pinv = block.lift[i] @ block.q_t[i]
+        for m in range(m_count):
+            f = b[m] @ h[i, m]
+            kappa = np.linalg.cond(f)
+            exact = oracles.exact_pseudo_inverse(b[m], h[i, m])
+            rho = np.linalg.norm(np.eye(d) - f @ exact, axis=0)
+            bound = 4 * d * n_tx * kappa * EPS * (
+                np.linalg.norm(exact, axis=0) + kappa * rho / np.linalg.norm(f, 2))
+            assert np.all(np.linalg.norm(pinv[m] - exact, axis=0) <= bound)
+
+
 # The second certificate: where Q_r's cutoff fires (small gamma) it bounds
 # what the cutoff removes from c, against the spectral path as oracle.
 
@@ -711,11 +737,34 @@ def certified(e, b, h, constants, params):
                                   0, e, constants)
 
 
+def assert_block_declined(e, b, h, constants, params):
+    """No slot of the (slots, M, N_r, N_t) block h is flagged, certified_terms
+    declines every slot, and block_decisions gives each slot the spectral
+    path's bits and controls bit for bit."""
+    block = policy.certify_channels(b, h, params)
+    assert block.conditioned.shape == (len(h),)
+    assert not block.conditioned.any()
+    decide = policy.block_decisions(b, h, constants, params)
+    for i in range(len(h)):
+        assert policy.certified_terms(block, i, e, constants) is None
+        deltas, controls = decide(i, e)
+        want = oracles.decision_arrays(oracles.library_decisions(
+            e, b, h[i], constants, params, spectral=True))
+        assert deltas.dtype == bool and np.array_equal(deltas, want[0])
+        assert controls.shape == want[1].shape
+        assert controls.tobytes() == want[1].tobytes()
+
+
 def test_certified_path_declines_without_a_certificate():
-    # certify_channels gives None where gamma = 0 or N_r < min(d, N_t)
+    # gamma = 0 and N_r < min(d, N_t) clear every slot's flag: the block
+    # is formed as any other, and every slot takes the spectral path
     rng = np.random.default_rng(1305)
-    e, _, _, constants, params = rank_one_instance(rng, 4, 9, 4, 4, 1.0)
-    assert policy.certified_terms(None, 0, e, constants) is None
+    for m_count, d, n_tx, n_rx, gamma in ((4, 9, 4, 4, 0.0), (4, 9, 4, 3, 1.0),
+                                          (2, 3, 5, 2, 1.0), (1, 3, 3, 3, 0.0)):
+        e, b, _, constants, params = rank_one_instance(rng, m_count, d, n_tx,
+                                                       n_rx, gamma)
+        h = rng.normal(size=(3, m_count, n_rx, n_tx))
+        assert_block_declined(e, b, h, constants, params)
 
 
 def test_certified_path_taken_on_tall_well_conditioned_channels():
@@ -883,7 +932,7 @@ def test_block_terms_match_per_slot_formula(route):
     answered = policy.certified_terms(block, 1, e, constants) is not None
     assert answered == CERTIFIED_ROUTES[route]
     if route == "gamma_zero":
-        assert block is None
+        assert_block_declined(e, b, h, constants, params)
         return
     # the middle slot declines for the named reason; on the cut routes Q_r's
     # cutoff fires and only delta and P_on decide
@@ -1020,5 +1069,5 @@ def test_block_certificate_declines_wide_channels():
         terms = policy.certified_terms(block, i, e, constants)
         _, u_exact = oracles.exact_rank_one_terms(b, h[i], e, constants.pi, 1.0)
         assert_within_contract(terms.u, u_exact, b, h[i], e, constants)
-    assert policy.certify_channels(b[:, :, :2], h[:, :, :2],
-                                   PolicyParams(gamma=1.0)) is None
+    assert_block_declined(e, b[:, :, :2], h[:, :, :2], constants,
+                          PolicyParams(gamma=1.0))

@@ -811,6 +811,31 @@ def test_channel_draws_rejects_n_slots_that_is_not_a_count(n_slots):
     assert sim.channel_draws(0, topo, np.int64(0)).shape == (0, 1, 2, 2)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 70 + 3, True, np.True_,
+                                  1.0, "3", None])
+def test_every_seed_taker_applies_the_config_seed_rule(seed):
+    # SimConfig, channel_draws and derive_seed accept the same seeds: the
+    # last two masked a seed to 64 bits (-1 drew seed 2**64 - 1's channels,
+    # 2**64 seed 0's) and took True as 1
+    topo = swarm.build_ring_topology(1, 2, 2, 2, seed=0)
+    for take in (lambda: SimConfig(seed=seed),
+                 lambda: sim.channel_draws(seed, topo, 1),
+                 lambda: sim.derive_seed(seed, sim._TAG_PROBE, 0)):
+        with pytest.raises(ValueError, match="seed must be"):
+            take()
+
+
+def test_seed_rule_keeps_the_edge_seeds():
+    topo = swarm.build_ring_topology(1, 2, 2, 2, seed=0)
+    for seed in (0, sim.MAX_SEED):
+        assert sim.checked_seed("seed", np.uint64(seed)) == seed
+        assert (sim.channel_draws(np.uint64(seed), topo, 2).tobytes()
+                == sim.channel_draws(seed, topo, 2).tobytes())
+        assert sim.derive_seed(np.uint64(seed), 1, 0) == sim.derive_seed(seed, 1, 0)
+    assert (sim.channel_draws(0, topo, 2).tobytes()
+            != sim.channel_draws(sim.MAX_SEED, topo, 2).tobytes())
+
+
 def test_drift_constants_computed_once_per_topology(monkeypatch):
     calls = []
     real = policy.compute_drift_constants
@@ -920,7 +945,7 @@ def certified_share(monkeypatch, configs_and_topologies):
 
     def certify_recording(*args):
         block = certify(*args)
-        flags.append(None if block is None else block.conditioned)
+        flags.append(block.conditioned)
         return block
 
     def answer_recording(*args):
@@ -945,7 +970,7 @@ def test_benchmark_m8_blocks_are_all_conditioned(monkeypatch):
                        r0_value=0.0, seed=seed), topo) for seed in range(8)]
     flags, answered = certified_share(monkeypatch, runs)
     assert len(flags) == 16
-    assert all(block is not None and block.all() for block in flags)
+    assert all(conditioned.all() for conditioned in flags)
     assert sum(answered) >= 0.99 * len(answered)
 
 
@@ -961,5 +986,5 @@ def test_wide_channels_take_the_certified_branch(monkeypatch, gamma):
                        r0_value=0.0, use_estimated_csi=False, gamma=gamma),
              benchmark_topology(4, 3, 4, 3, seed, 0.02)) for seed in range(4)]
     flags, answered = certified_share(monkeypatch, runs)
-    assert all(block is not None and block.all() for block in flags)
+    assert all(conditioned.all() for conditioned in flags)
     assert sum(answered) >= 0.99 * len(answered)
