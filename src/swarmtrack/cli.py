@@ -6,6 +6,9 @@ Subcommands:
     check-stability  fraction of channel draws passing the stability test
     calibrate-gamma  match mean transmit power to a dBW budget
 
+Each subcommand has one handler, cmd_*(config, args, out_dir), attached to
+its subparser by build_parser; main parses, loads the config and calls it.
+
 All outputs are deterministic functions of the config file plus overrides:
 reruns produce byte-identical CSV/JSON files.
 
@@ -116,7 +119,7 @@ def _topology_reference(config: sim.SimConfig) -> dict:
     return {"kind": "ring", "seed": config.seed}
 
 
-def cmd_run(config: sim.SimConfig, out_dir: Path) -> int:
+def cmd_run(config: sim.SimConfig, args, out_dir: Path) -> int:
     topology = _load_topology(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_rows = []
@@ -135,9 +138,19 @@ def cmd_run(config: sim.SimConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_sweep(config: sim.SimConfig, axis: str, values, seeds,
-              out_dir: Path) -> int:
-    result = sim.run_sweep(config, axis, values, seeds)
+def cmd_sweep(config: sim.SimConfig, args, out_dir: Path) -> int:
+    values = _parse_values(args.axis, args.values)
+    # checked before the seed list is built, so a huge --seeds allocates
+    # nothing
+    if config.seed + args.seeds - 1 > sim.MAX_SEED:
+        raise UsageError(f"--seeds {args.seeds} from seed {config.seed} "
+                         f"runs past the largest seed 2**64 - 1")
+    seeds = list(range(config.seed, config.seed + args.seeds))
+    try:
+        sim.sweep_cells(config, args.axis, values, seeds)
+    except ValueError as err:
+        raise UsageError(f"sweep: {err}") from err
+    result = sim.run_sweep(config, args.axis, values, seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, schema, records in (
             ("sweep.csv", _SWEEP_SCHEMA, result["rows"]),
@@ -145,14 +158,14 @@ def cmd_sweep(config: sim.SimConfig, axis: str, values, seeds,
         _write_csv(out_dir / name, schema, records[0].keys(),
                    [r.values() for r in records])
     _write_manifest(out_dir, "sweep", config, ["sweep.csv", "aggregate.csv"],
-                    axis=axis, values=list(values), seeds=seeds)
+                    axis=args.axis, values=values, seeds=seeds)
     return 0
 
 
-def cmd_check_stability(config: sim.SimConfig, n_draws: int, out_dir: Path) -> int:
+def cmd_check_stability(config: sim.SimConfig, args, out_dir: Path) -> int:
     topology = _load_topology(config)
     constants = sim.drift_constants(topology)
-    draws = sim.channel_draws(config.seed, topology, n_draws)
+    draws = sim.channel_draws(config.seed, topology, args.draws)
     report = stability.stability_report(topology, constants, draws)
     report["config"] = config.to_dict()
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -160,17 +173,16 @@ def cmd_check_stability(config: sim.SimConfig, n_draws: int, out_dir: Path) -> i
     return 0
 
 
-def cmd_calibrate_gamma(config: sim.SimConfig, budget_dbw: float,
-                        n_probe_seeds: int, out_dir: Path) -> int:
+def cmd_calibrate_gamma(config: sim.SimConfig, args, out_dir: Path) -> int:
     topology = _load_topology(config)
-    gamma = sim.calibrate_gamma(config, topology, budget_dbw,
-                                n_probe_seeds=n_probe_seeds)
+    gamma = sim.calibrate_gamma(config, topology, args.budget_dbw,
+                                n_probe_seeds=args.probe_seeds)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "gamma.json", {
         "gamma": gamma,
         "clamped": gamma in sim.GAMMA_BRACKET,
-        "power_budget_dbw": budget_dbw,
-        "n_probe_seeds": n_probe_seeds,
+        "power_budget_dbw": args.budget_dbw,
+        "n_probe_seeds": args.probe_seeds,
         "config": config.to_dict(),
     })
     return 0
@@ -211,18 +223,19 @@ def build_parser() -> "_Parser":
                                  "swarm simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
 
-    p_run = sub.add_parser("run", help="run one episode per scheme")
-    common(p_run)
+    common(sub.add_parser("run", help="run one episode per scheme"), cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="sweep one experiment axis")
-    common(p_sweep)
-    p_sweep.add_argument("--axis", required=True,
+    common(p_sweep, cmd_sweep)
+    p_sweep.add_argument("--axis", required=True, choices=sim.AXES,
+                         metavar="AXIS",
                          help=f"axis name, one of {', '.join(sim.AXES)}")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
@@ -231,13 +244,13 @@ def build_parser() -> "_Parser":
 
     p_stab = sub.add_parser("check-stability",
                             help="stability condition over channel draws")
-    common(p_stab)
+    common(p_stab, cmd_check_stability)
     p_stab.add_argument("--draws", type=_COUNT, default=100,
                         help="number of channel draws")
 
     p_cal = sub.add_parser("calibrate-gamma",
                            help="match mean transmit power to a budget")
-    common(p_cal)
+    common(p_cal, cmd_calibrate_gamma)
     p_cal.add_argument("--budget-dbw", type=_checked(float, sim.budget_watts),
                        default=8.0, help="power budget in dBW")
     p_cal.add_argument("--probe-seeds", type=_COUNT, default=3,
@@ -251,26 +264,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args.config, args.set)
-        out_dir = Path(args.out)
-        if args.command == "run":
-            return cmd_run(config, out_dir)
-        if args.command == "sweep":
-            values = _parse_values(args.axis, args.values)
-            # checked before the seed list is built, so a huge --seeds
-            # allocates nothing
-            if config.seed + args.seeds - 1 > sim.MAX_SEED:
-                raise UsageError(f"--seeds {args.seeds} from seed {config.seed} "
-                                 f"runs past the largest seed 2**64 - 1")
-            seeds = list(range(config.seed, config.seed + args.seeds))
-            try:
-                sim.sweep_cells(config, args.axis, values, seeds)
-            except ValueError as err:
-                raise UsageError(f"sweep: {err}") from err
-            return cmd_sweep(config, args.axis, values, seeds, out_dir)
-        if args.command == "check-stability":
-            return cmd_check_stability(config, args.draws, out_dir)
-        return cmd_calibrate_gamma(config, args.budget_dbw, args.probe_seeds,
-                                   out_dir)
+        return args.handler(config, args, Path(args.out))
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         parser.print_usage(sys.stderr)

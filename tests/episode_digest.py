@@ -19,7 +19,10 @@ M in {1, 2, 3, 4, 5, 8}, x0 in {0, 1} and four seeds; most ring episodes
 diverge. Those all have tall channels (d = 3, N_t = 2 or d = 9, N_t = 4)
 and gamma = 1, so the set adds semantic episodes on stable systems whose
 channels are wide (N_t > d) or short (N_r < min(d, N_t)), each at gamma
-in {0, 1e-6, 1, 1e6} and M in {1, 2, 4}. Beside each digest the file
+in {0, 1e-6, 1, 1e6} and M in {1, 2, 4}. Every one of those estimates its
+channels from pilots, so the set also runs semantic episodes with perfect
+CSI (use_estimated_csi false) on the stable d = 9, N_t = N_r = 4 family,
+M in {1, 2, 4, 8} and seeds 0-2. Beside each digest the file
 records how many slots the certified closed form answered
 (policy.certified_terms not None), so a comparison can tell
 certified-path drift from any other.
@@ -72,6 +75,15 @@ HORIZON = 80
 EDGE_LAYOUTS = {"wide3": (3, 4, 3), "wide9": (9, 16, 9), "short": (3, 4, 2)}
 EDGE_AGENT_COUNTS = (1, 2, 4)
 EDGE_GAMMAS = (0.0, 1e-6, 1.0, 1e6)
+PERFECT_CSI_AGENT_COUNTS = (1, 2, 4, 8)
+PERFECT_CSI_SEEDS = (0, 1, 2)
+
+
+def stable_config(m_count, seed, **fields):
+    """The stable family's config: d = 9, N_t = N_r = 4."""
+    return sim.SimConfig(m_agents=m_count, state_dim=9, n_tx=4, n_rx=4,
+                         horizon=HORIZON, p_on=0.001, noise_scale=0.02,
+                         r0_value=0.0, seed=seed, **fields)
 
 
 def episodes():
@@ -85,10 +97,7 @@ def episodes():
                     topology = swarm.build_ring_topology(m_count, 3, 2, 2,
                                                          base.noise_scale, seed)
                 else:
-                    base = sim.SimConfig(m_agents=m_count, state_dim=9, n_tx=4,
-                                         n_rx=4, horizon=HORIZON, p_on=0.001,
-                                         noise_scale=0.02, r0_value=0.0,
-                                         seed=seed)
+                    base = stable_config(m_count, seed)
                     topology = benchmark_topology(m_count, 9, 4, 4, seed, 0.02)
                 for x0 in (0.0, 1.0):
                     for scheme in sim.SCHEMES:
@@ -105,6 +114,11 @@ def episodes():
                                 seed=index)
             yield (f"edge/{layout}/M{m_count}/seed{index}/gamma={gamma:g}/semantic",
                    cfg, topology)
+    for m_count in PERFECT_CSI_AGENT_COUNTS:
+        for seed in PERFECT_CSI_SEEDS:
+            yield (f"perfect-csi/M{m_count}/seed{seed}/x0=1/semantic",
+                   stable_config(m_count, seed, use_estimated_csi=False),
+                   benchmark_topology(m_count, 9, 4, 4, seed, 0.02))
 
 
 CLI_PREFIX = "cli/"

@@ -177,10 +177,11 @@ def test_sweep_document_layout(tmp_path):
     assert manifest["outputs"] == ["sweep.csv", "aggregate.csv", "manifest.json"]
 
 
-def test_sweep_unknown_axis_lists_valid_axes(tmp_path, capsys):
+@pytest.mark.parametrize("values", ["1", "a"])
+def test_sweep_unknown_axis_lists_valid_axes(tmp_path, capsys, values):
     path = write_config(tmp_path)
     code = cli.main(["sweep", "--config", str(path), "--axis", "bogus",
-                     "--values", "1", "--out", str(tmp_path / "o")])
+                     "--values", values, "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err
     for axis in sim.AXES:

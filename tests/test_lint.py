@@ -9,24 +9,28 @@ is listed there. Every import of the package names one of its modules:
 a module (or __version__), never a function or class. The README layout
 table names only what its modules define: each backticked bare name or
 call in a `swarmtrack.<module>` row resolves in that module, and a
-written call's arguments fit the function's signature. The scalar rules
-(what a count and a real are) live in _checks alone: no other package
-module imports numbers.
+written call's arguments fit the function's signature. The README's
+sentence on the output gate counts the episodes and CLI files that
+tests/digests.json holds. The scalar rules (what a count and a real are)
+live in _checks alone: no other package module imports numbers.
 """
 
 import ast
 import importlib
 import inspect
+import json
 import keyword
 import re
 from pathlib import Path
 
 import pytest
 
+import episode_digest
 import swarmtrack
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
+DIGESTS = ROOT / "tests" / "digests.json"
 PACKAGE = sorted((ROOT / "src" / "swarmtrack").glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 INIT = ROOT / "src" / "swarmtrack" / "__init__.py"
@@ -157,3 +161,13 @@ def test_readme_layout_names_resolve():
                 problems.append(f"{module_name}.{name}({args}) does not fit "
                                 f"{inspect.signature(getattr(module, name))}")
     assert not problems, problems
+
+
+def test_readme_digest_counts_match_the_gate():
+    sentence = re.search(r"digests of (\d+) episodes and\s+(\d+) CLI output files",
+                         README.read_text(encoding="utf-8"))
+    assert sentence, "README sentence on the output gate not found"
+    keys = set(json.loads(DIGESTS.read_text(encoding="utf-8")))
+    keys.discard(episode_digest.ENVIRONMENT)
+    files = sum(key.startswith(episode_digest.CLI_PREFIX) for key in keys)
+    assert tuple(map(int, sentence.groups())) == (len(keys) - files, files)
