@@ -30,28 +30,41 @@ SCHEMES = ("baseline1", "baseline2", "baseline3")
 KAPPA_I = 0.05
 KAPPA_D = 0.1
 
-# Fixed-point steps and residual tolerance of solve_dare.
-DARE_MAX_ITER = 10000
-DARE_TOL = 1e-8
+# solve_dare's doubling steps: at most DARE_MAX_STEPS (step k stands for
+# 2**k - 1 fixed-point steps), stopped once max|dH| / max|H| < DARE_RTOL;
+# a result is accepted only with a stable closed loop and an equation
+# residual at most DARE_RESIDUAL_RTOL * max|P|. That bound is loose on
+# purpose: on seeded rings P >= I has eigenvalues up to 3e10, and the
+# residual of a converged solve reaches 1.2e-4 of max|P| there (below
+# 1e-13 on the decoupled benchmark systems).
+DARE_MAX_STEPS = 32
+DARE_RTOL = 1e-13
+DARE_RESIDUAL_RTOL = 1e-3
 
 
 class DareConvergenceError(RuntimeError):
-    """Fixed-point Riccati iteration failed to reach the residual tolerance."""
+    """Riccati solve that overflowed, did not settle or was not accepted.
+
+    trace holds the relative change max|dH| / max|H| of every finite
+    doubling step; residual is inf when an iterate is not finite, else the
+    equation residual relative to max|P| of the last iterate.
+    """
 
     def __init__(self, residual: float, trace):
         self.residual = residual
         self.trace = list(trace)
         super().__init__(
-            f"DARE iteration did not converge: final residual {residual:.3e} "
-            f"after {len(self.trace)} iterations")
+            f"DARE solve failed: residual {residual:.3e} after "
+            f"{len(self.trace)} doubling steps")
 
 
 @dataclass(frozen=True)
 class GareGain:
     """Solution of a discrete algebraic Riccati equation.
 
-    p is the fixed point, gain the (k, n) feedback gain for u = -gain @ x,
-    residual the equation residual at p.
+    p is the stabilising solution, gain the (k, n) feedback gain for
+    u = -gain @ x, residual the max-norm equation residual at p relative
+    to max|p|, and iterations the number of doubling steps taken.
     """
 
     p: np.ndarray
@@ -104,55 +117,76 @@ def state_trigger(e, e_last_trigger, sigma_m: float) -> bool:
                                np.array([sigma_m], dtype=float))[0])
 
 
+def _doubling_step(a_k, g, h):
+    """One doubling step (A_k, G_k, H_k) -> (A_k+1, G_k+1, H_k+1).
+
+    With W = I + G_k H_k, solved once against the stacked [A_k, G_k]:
+    A_k+1 = A_k W^-1 A_k, G_k+1 = G_k + A_k W^-1 G_k A_k^T and H_k+1 =
+    H_k + A_k^T H_k W^-1 A_k, with G and H symmetrised.
+    """
+    n = a_k.shape[0]
+    w_a, w_g = np.hsplit(np.linalg.solve(np.eye(n) + g @ h, np.hstack([a_k, g])), 2)
+    g_next = g + a_k @ w_g @ a_k.T
+    h_next = h + a_k.T @ h @ w_a
+    return a_k @ w_a, 0.5 * (g_next + g_next.T), 0.5 * (h_next + h_next.T)
+
+
+def _relative(value, p):
+    """value / max|p|, or value itself where p is 0."""
+    scale = float(np.abs(p).max())
+    return value / scale if scale > 0 else value
+
+
 def solve_dare(a, b, q, r) -> GareGain:
-    """Discrete algebraic Riccati equation by fixed-point iteration.
+    """Discrete algebraic Riccati equation by the structure-preserving
+    doubling algorithm (Chu, Fan, Lin & Wang, Int. J. Control 77, 2004).
 
-    Iterates P <- A^T P A - (B^T P A)^T (R + B^T P B)^{-1} B^T P A + Q from
-    P = Q until the equation residual drops below DARE_TOL = 1e-8, then
-    returns the gain (R + B^T P B)^{-1} B^T P A. Q and R are symmetric:
-    each step forms B^T P A once and uses its transpose for A^T P B, which
-    is the same matrix because every iterate is symmetrised. Raises
-    DareConvergenceError with the residual trace when DARE_MAX_ITER =
-    10000 steps do not get there or an iterate overflows (typical for
-    unstabilizable systems).
+    Solves P = A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A + Q for the
+    stabilising P from A_0 = A, G_0 = B R^{-1} B^T, H_0 = Q by
+    _doubling_step; H_k is the fixed-point iterate from P = Q after
+    2**k - 1 steps, so it converges quadratically. The loop stops once
+    max|H_k+1 - H_k| / max|H_k+1| < DARE_RTOL = 1e-13, within
+    DARE_MAX_STEPS = 32 steps, and P = H_k+1. The gain is
+    (R + B^T P B)^{-1} B^T P A, and the result is accepted only when the
+    loop settled, the max-norm equation residual at P is at most
+    DARE_RESIDUAL_RTOL = 1e-3 of max|P| and rho(A - B gain) < 1.
 
-    Finiteness rule: a step whose iterate has a non-finite entry raises
-    at once with residual inf and appends nothing to the trace. A finite
-    iterate whose difference from P overflows appends inf to the trace,
-    and the iteration goes on. A non-finite entry of the iterate makes
-    its difference from P, hence the residual, non-finite, so the
-    iterate itself is checked only when the residual is not finite.
+    Anything else raises DareConvergenceError with the trace of relative
+    changes: an iterate with a non-finite entry at once, with residual inf
+    (an unstabilizable mode, such as a = 2 with b = 0, squares A_k every
+    step and overflows), and otherwise with the residual of the last
+    iterate (a marginal mode never settles; a closed loop that is not
+    stable is not accepted).
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     q = np.asarray(q, dtype=float)
     r = np.asarray(r, dtype=float)
-    p = q.copy()
-    diff = np.empty_like(p)
+    a_k, h = a, q
+    g = b @ np.linalg.solve(r, b.T)
+    g = 0.5 * (g + g.T)
     trace = []
-    # a diverging iterate overflows to inf or nan, which the finite check
+    # an iterate that overflows is inf or nan, which the finite check
     # below turns into DareConvergenceError
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, DARE_MAX_ITER + 1):
-            btp = b.T @ p
-            btpa = btp @ a
-            gain = np.linalg.solve(r + btp @ b, btpa)
-            p_next = a.T @ p @ a
-            p_next -= btpa.T @ gain
-            p_next += q
-            # a fresh sum: adding its own transpose in place would make
-            # numpy copy the overlapping operand first, which costs more
-            p_next = p_next + p_next.T
-            p_next *= 0.5
-            np.subtract(p_next, p, out=diff)
-            residual = float(np.abs(diff, out=diff).max())  # equation residual at p
-            if not math.isfinite(residual) and not np.isfinite(p_next).all():
+        for _ in range(DARE_MAX_STEPS):
+            a_k, g, h_next = _doubling_step(a_k, g, h)
+            if not np.isfinite(h_next).all():
                 raise DareConvergenceError(float("inf"), trace)
-            trace.append(residual)
-            if residual < DARE_TOL:
-                return GareGain(p=p, gain=gain, residual=residual, iterations=it)
-            p = p_next
-    raise DareConvergenceError(trace[-1], trace)
+            change = _relative(float(np.abs(h_next - h).max()), h_next)
+            trace.append(change)
+            h = h_next
+            if change < DARE_RTOL:
+                break
+        btp = b.T @ h
+        btpa = btp @ a
+        gain = np.linalg.solve(r + btp @ b, btpa)
+        residual = _relative(
+            float(np.abs(a.T @ h @ a - btpa.T @ gain + q - h).max()), h)
+    if change < DARE_RTOL and residual <= DARE_RESIDUAL_RTOL \
+            and np.abs(np.linalg.eigvals(a - b @ gain)).max() < 1:
+        return GareGain(p=h, gain=gain, residual=residual, iterations=len(trace))
+    raise DareConvergenceError(residual, trace)
 
 
 def static_channel_input(topology: SwarmTopology) -> np.ndarray:
@@ -174,16 +208,15 @@ def tune_pid(topology: SwarmTopology, a_scale: float = 1.0) -> PidGains:
     B_eff = static_channel_input, with negative feedback sign applied;
     integral and derivative gains are KAPPA_I / KAPPA_D multiples of it.
     a_scale, a finite real, < 1 regularizes tuning when the raw system is
-    unstabilizable under the static channel.
+    unstabilizable under the static channel. A plant whose DARE
+    solve_dare does not accept raises DareConvergenceError.
 
-    The DARE is solved on B_eff's M distinct columns B_c, so each step
-    solves an M x M system instead of an (M n_tx)-sized one. With B_eff
-    = B_c J, J = kron(I_M, 1^T_{n_tx}) and J J^T = n_tx I_M, the
-    push-through identity gives B_eff (I + B_eff^T P B_eff)^{-1} B_eff^T
-    = B_c (I / n_tx + B_c^T P B_c)^{-1} B_c^T, so (a_scale * A, B_c, I,
-    I / n_tx) has the same P iterates in exact arithmetic, hence the same
-    stopping step, and its gain row m divided by n_tx is each of agent m's
-    n_tx rows of the dense gain.
+    The DARE is solved on B_eff's M distinct columns B_c with R = I / n_tx.
+    With B_eff = B_c J, J = kron(I_M, 1^T_{n_tx}) and J J^T = n_tx I_M,
+    both inputs give G_0 = B R^{-1} B^T = n_tx B_c B_c^T, hence the same
+    doubling iterates, P and step count in exact arithmetic, and by the
+    push-through identity the reduced gain's row m divided by n_tx is each
+    of agent m's n_tx rows of the dense gain.
     """
     _checks.real("a_scale", a_scale)
     n_tx = topology.n_tx

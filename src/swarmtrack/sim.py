@@ -233,13 +233,13 @@ def _per_topology(key: tuple, compute):
 def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
     """PID gains of the plant, or of its A scaled to spectral radius 0.9.
 
-    The first attempt tunes on A itself. When solve_dare raises
-    DareConvergenceError there (its iteration overflows on a system the
-    static all-ones channel cannot stabilize, or stalls: on rings max|P|
-    reaches about 1e7 and max|dP| stays above the 1e-8 tolerance until
-    max_iter), the second tunes on 0.9 A / rho(A), a stable plant; an
-    error there, or a nilpotent A (rho = 0, nothing to scale), is raised.
-    The scale used is recorded on the returned gains.
+    The first attempt tunes on A itself, and succeeds wherever the static
+    all-ones channel can stabilise the plant. When solve_dare raises
+    DareConvergenceError there (a mode no input reaches, as in a
+    zero-actuation plant with rho(A) >= 1, overflows, never settles or
+    leaves the closed loop unstable), the second tunes on 0.9 A / rho(A),
+    a stable plant; an error there, or a nilpotent A (rho = 0, nothing to
+    scale), is raised. The scale used is recorded on the returned gains.
     """
     def tune():
         try:

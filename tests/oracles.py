@@ -341,10 +341,16 @@ def scalar_constants(pi):
     return DriftConstants(pi=np.array([pi]), alpha=2.0 * pi ** 2)
 
 
+# The fixed-point rule solve_dare_loop stops on: at most 10000 steps,
+# until max|P_k+1 - P_k| < 1e-8.
+DARE_MAX_ITER = 10000
+DARE_TOL = 1e-8
+
+
 def solve_dare_loop(a, b, q, r):
-    """Reference Riccati loop: solve_dare's fixed-point iteration with a new
-    array per operation and a finiteness check of every iterate, the form
-    the library's in-place loop must match bit for bit."""
+    """Reference Riccati loop: the fixed-point iteration from P = Q, with a
+    new array per operation and a finiteness check of every iterate, whose
+    converged gain solve_dare's doubling solve must reproduce."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -352,7 +358,7 @@ def solve_dare_loop(a, b, q, r):
     p = q.copy()
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, baselines.DARE_MAX_ITER + 1):
+        for it in range(1, DARE_MAX_ITER + 1):
             btp = b.T @ p
             btpa = btp @ a
             gain = np.linalg.solve(r + btp @ b, btpa)
@@ -362,7 +368,7 @@ def solve_dare_loop(a, b, q, r):
                 raise baselines.DareConvergenceError(float("inf"), trace)
             residual = float(np.max(np.abs(p_next - p)))  # equation residual at p
             trace.append(residual)
-            if residual < baselines.DARE_TOL:
+            if residual < DARE_TOL:
                 return baselines.GareGain(p=p, gain=gain, residual=residual,
                                           iterations=it)
             p = p_next

@@ -99,10 +99,28 @@ def test_run_document_layout(tmp_path):
         "# schema: swarmtrack.cost_trajectory.v1", "scheme,t,cost"]
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert list(manifest) == ["tool", "version", "command", "config", "topology",
-                              "seeds", "outputs"]
+                              "seeds", "a_scale", "outputs"]
     assert list(manifest["topology"]) == ["kind", "path"]
+    assert manifest["a_scale"] == 1.0
     assert manifest["outputs"] == ["metrics.csv", "cost_trajectory.csv",
                                    "manifest.json"]
+
+
+def test_run_manifest_records_the_plant_scale_the_baselines_tuned_on(tmp_path):
+    # no input reaches a zero-actuation plant with rho(A) = 1.2, so its
+    # DARE has no stabilising solution and tuning scales A to 0.9 / 1.2
+    topo = swarm.SwarmTopology(
+        m_agents=1, state_dim=2, n_tx=2, n_rx=2,
+        a_internal=np.array([1.2 * np.eye(2)]), couplings={},
+        b_actuation=np.zeros((1, 2, 2)), w_noise=np.zeros((1, 2, 2)),
+        g_target=np.eye(2))
+    topo_path = tmp_path / "topology.json"
+    topo_path.write_text(swarm.topology_to_json(topo), encoding="utf-8")
+    path = write_config(tmp_path, topology_path=str(topo_path))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["a_scale"] == pytest.approx(0.75, rel=1e-12)
 
 
 def test_run_is_byte_deterministic(tmp_path):

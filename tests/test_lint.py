@@ -12,7 +12,8 @@ call in a `swarmtrack.<module>` row resolves in that module, and a
 written call's arguments fit the function's signature. The README's
 sentence on the output gate counts the episodes and CLI files that
 tests/digests.json holds. The scalar rules (what a count and a real are)
-live in _checks alone: no other package module imports numbers.
+live in _checks alone: no other package module imports numbers. No file
+in src/ or tests/ imports scipy, which the package does not declare.
 """
 
 import ast
@@ -120,15 +121,27 @@ def test_package_imports_name_a_module(path):
                       f"from their modules: {flat}")
 
 
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
-def test_only_checks_imports_numbers(path):
+def imported_modules(path):
+    """Top-level package of every absolute import anywhere in the file."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = {alias.name.split(".")[0] for node in ast.walk(tree)
                 if isinstance(node, ast.Import) for alias in node.names}
-    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
-                 if isinstance(node, ast.ImportFrom) and node.level == 0}
-    assert path.stem == "_checks" or "numbers" not in imported, (
+    return imported | {node.module.split(".")[0] for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level == 0}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_checks_imports_numbers(path):
+    assert path.stem == "_checks" or "numbers" not in imported_modules(path), (
         f"{path.name} imports numbers; count and real rules belong in _checks")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_scipy_import(path):
+    # the package declares numpy alone; an oracle that reached for scipy
+    # (solve_discrete_are, say) would pass only where scipy happens to be
+    # installed
+    assert "scipy" not in imported_modules(path), f"{path.name} imports scipy"
 
 
 def layout_references():

@@ -886,14 +886,14 @@ def test_tuned_gains_per_agent_split(monkeypatch):
 
 
 def test_tuned_gains_scale_the_plant_only_where_the_raw_tuning_fails(monkeypatch):
-    # the stable benchmark family tunes on A itself; a criterion-5 ring
-    # (M = 4, d = 9, N_t = N_r = 4) stalls there and tunes on 0.9 A / rho(A)
+    # the stable benchmark family and a criterion-5 ring (M = 4, d = 9,
+    # N_t = N_r = 4) tune on A itself; a zero-actuation identity plant has
+    # no stabilising DARE solution and tunes on 0.9 A / rho(A) = 0.9 A
     monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     assert sim.tuned_gains(benchmark_topology(8, 9, 4, 4, 0, 0.02)).a_scale == 1.0
-    ring = swarm.build_ring_topology(4, 9, 4, 4, 1e-5, 0)
-    radius = np.max(np.abs(np.linalg.eigvals(ring.a_global)))
-    assert sim.tuned_gains(ring).a_scale == pytest.approx(0.9 / radius,
-                                                          rel=1e-12)
+    assert sim.tuned_gains(swarm.build_ring_topology(4, 9, 4, 4, 1e-5, 0)).a_scale == 1.0
+    frozen = identity_topology(2, 2, 2, zero_actuation=True)
+    assert sim.tuned_gains(frozen).a_scale == pytest.approx(0.9, rel=1e-12)
 
 
 def test_tuned_gains_raise_when_the_scaled_plant_fails_too(monkeypatch):
