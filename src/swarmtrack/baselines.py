@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _checks
 from .swarm import SwarmTopology
 
 SCHEMES = ("baseline1", "baseline2", "baseline3")
@@ -44,6 +43,9 @@ DARE_RESIDUAL_RTOL = 1e-3
 
 class DareConvergenceError(RuntimeError):
     """Riccati solve that overflowed, did not settle or was not accepted.
+
+    tune_pid and sim.tuned_gains let it propagate: an actuated plant with
+    no stabilising solution has no baseline gain, and the CLI exits 2.
 
     trace holds the relative change max|dH| / max|H| of every finite
     doubling step; residual is inf when an iterate is not finite, else the
@@ -78,14 +80,13 @@ class PidGains:
     """Per-agent PID gain triples acting on the global error vector.
 
     k_p/k_i/k_d have shape (M, n_tx, dM) and already carry the negative
-    feedback sign, so controllers apply them as u = K @ e directly.
-    a_scale records any plant-matrix regularization used during tuning.
+    feedback sign, so controllers apply them as u = K @ e directly;
+    tune_pid computes them from the plant's own A.
     """
 
     k_p: np.ndarray
     k_i: np.ndarray
     k_d: np.ndarray
-    a_scale: float = 1.0
 
 
 def periodic_trigger(t: int, period: int) -> bool:
@@ -201,15 +202,16 @@ def static_channel_input(topology: SwarmTopology) -> np.ndarray:
     return np.hstack(cols)
 
 
-def tune_pid(topology: SwarmTopology, a_scale: float = 1.0) -> PidGains:
-    """Offline PID tuning from the static-channel LQR gain.
+def tune_pid(topology: SwarmTopology) -> PidGains:
+    """Offline PID tuning from the static-channel LQR gain of the plant.
 
-    The proportional gain is the DARE gain for (a_scale * A, B_eff, I, I),
+    The proportional gain is the DARE gain for (A, B_eff, I, I),
     B_eff = static_channel_input, with negative feedback sign applied;
     integral and derivative gains are KAPPA_I / KAPPA_D multiples of it.
-    a_scale, a finite real, < 1 regularizes tuning when the raw system is
-    unstabilizable under the static channel. A plant whose DARE
-    solve_dare does not accept raises DareConvergenceError.
+    Where B_eff is all zero no input reaches the plant, so the LQR gain is
+    0 for every A and no Riccati equation is solved (the gains are -0.0).
+    Otherwise an actuated plant whose DARE solve_dare does not accept
+    (no stabilising solution) raises DareConvergenceError.
 
     The DARE is solved on B_eff's M distinct columns B_c with R = I / n_tx.
     With B_eff = B_c J, J = kron(I_M, 1^T_{n_tx}) and J J^T = n_tx I_M,
@@ -218,14 +220,15 @@ def tune_pid(topology: SwarmTopology, a_scale: float = 1.0) -> PidGains:
     push-through identity the reduced gain's row m divided by n_tx is each
     of agent m's n_tx rows of the dense gain.
     """
-    _checks.real("a_scale", a_scale)
     n_tx = topology.n_tx
     b_c = static_channel_input(topology)[:, ::n_tx]
-    sol = solve_dare(a_scale * topology.a_global, b_c,
-                     np.eye(topology.global_dim), np.eye(topology.m_agents) / n_tx)
-    k_p = np.repeat(-sol.gain[:, None, :] / n_tx, n_tx, axis=1)
-    return PidGains(k_p=k_p, k_i=KAPPA_I * k_p, k_d=KAPPA_D * k_p,
-                    a_scale=a_scale)
+    if b_c.any():
+        gain = solve_dare(topology.a_global, b_c, np.eye(topology.global_dim),
+                          np.eye(topology.m_agents) / n_tx).gain
+    else:
+        gain = np.zeros((topology.m_agents, topology.global_dim))
+    k_p = np.repeat(-gain[:, None, :] / n_tx, n_tx, axis=1)
+    return PidGains(k_p=k_p, k_i=KAPPA_I * k_p, k_d=KAPPA_D * k_p)
 
 
 def pid_control(k_p, k_i, k_d, e, accumulator, prev_e) -> np.ndarray:

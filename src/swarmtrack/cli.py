@@ -134,8 +134,7 @@ def cmd_run(config: sim.SimConfig, args, out_dir: Path) -> int:
     _write_csv(out_dir / "cost_trajectory.csv", _TRAJECTORY_SCHEMA,
                ["scheme", "t", "cost"], trajectory_rows)
     _write_manifest(out_dir, "run", config, ["metrics.csv", "cost_trajectory.csv"],
-                    topology=_topology_reference(config), seeds=[config.seed],
-                    a_scale=sim.tuned_gains(topology).a_scale)
+                    topology=_topology_reference(config), seeds=[config.seed])
     return 0
 
 

@@ -231,28 +231,15 @@ def _per_topology(key: tuple, compute):
 
 
 def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
-    """PID gains of the plant, or of its A scaled to spectral radius 0.9.
+    """PID gains of the plant (baselines.tune_pid), computed once per topology.
 
-    The first attempt tunes on A itself, and succeeds wherever the static
-    all-ones channel can stabilise the plant. When solve_dare raises
-    DareConvergenceError there (a mode no input reaches, as in a
-    zero-actuation plant with rho(A) >= 1, overflows, never settles or
-    leaves the closed loop unstable), the second tunes on 0.9 A / rho(A),
-    a stable plant; an error there, or a nilpotent A (rho = 0, nothing to
-    scale), is raised. The scale used is recorded on the returned gains.
+    Tuning is on A itself; an actuated plant with no stabilising Riccati
+    solution raises DareConvergenceError.
     """
-    def tune():
-        try:
-            return baselines.tune_pid(topology)
-        except baselines.DareConvergenceError:
-            radius = float(np.max(np.abs(np.linalg.eigvals(topology.a_global))))
-            if not radius > 0:
-                raise
-            return baselines.tune_pid(topology, a_scale=0.9 / radius)
-
     return _per_topology(("pid", topology.m_agents, topology.state_dim,
                           topology.n_rx, topology.n_tx, topology.a_global.tobytes(),
-                          topology.b_actuation.tobytes()), tune)
+                          topology.b_actuation.tobytes()),
+                         lambda: baselines.tune_pid(topology))
 
 
 def drift_constants(topology: swarm.SwarmTopology) -> policy.DriftConstants:

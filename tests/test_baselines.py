@@ -271,7 +271,6 @@ def test_tune_pid_solves_the_rank_m_dare_with_the_dense_gain(monkeypatch, system
         topo = benchmark_topology(3, 9, int(system[-1]), 4, 5, 0.02)
     m_count, n_tx = topo.m_agents, topo.n_tx
     gains, handed, dense = reduced_and_dense_solves(monkeypatch, topo)
-    assert gains.a_scale == 1.0
     (b, r), = handed
     assert b.shape == (topo.global_dim, m_count)
     assert np.array_equal(r, np.eye(m_count) / n_tx)
@@ -285,14 +284,6 @@ def test_tune_pid_solves_the_rank_m_dare_with_the_dense_gain(monkeypatch, system
     tol = max(1e-10, 100 * np.finfo(float).eps * np.linalg.cond(dense.p))
     np.testing.assert_allclose(gains.k_p.reshape(m_count * n_tx, -1), -dense.gain,
                                rtol=tol, atol=tol * np.abs(dense.gain).max())
-
-
-@pytest.mark.parametrize("a_scale", [True, np.True_, float("nan"), float("inf"),
-                                     "0.9", None])
-def test_tune_pid_rejects_a_scale_that_is_not_a_finite_real(a_scale):
-    # True used to tune on A and record a_scale=True in the gains
-    with pytest.raises(ValueError, match="a_scale must be finite"):
-        baselines.tune_pid(scalar_topology(a=0.5, b=1.0), a_scale=a_scale)
 
 
 def test_pid_control_zero_error_is_zero():

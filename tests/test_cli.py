@@ -99,28 +99,51 @@ def test_run_document_layout(tmp_path):
         "# schema: swarmtrack.cost_trajectory.v1", "scheme,t,cost"]
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert list(manifest) == ["tool", "version", "command", "config", "topology",
-                              "seeds", "a_scale", "outputs"]
+                              "seeds", "outputs"]
     assert list(manifest["topology"]) == ["kind", "path"]
-    assert manifest["a_scale"] == 1.0
     assert manifest["outputs"] == ["metrics.csv", "cost_trajectory.csv",
                                    "manifest.json"]
 
 
-def test_run_manifest_records_the_plant_scale_the_baselines_tuned_on(tmp_path):
-    # no input reaches a zero-actuation plant with rho(A) = 1.2, so its
-    # DARE has no stabilising solution and tuning scales A to 0.9 / 1.2
+def write_pinned_topology_config(tmp_path, a_diag, b_column):
+    """A run config pinned to a one-agent d = 2, N_t = N_r = 1 plant with
+    A = diag(a_diag) and actuation column b_column."""
     topo = swarm.SwarmTopology(
-        m_agents=1, state_dim=2, n_tx=2, n_rx=2,
-        a_internal=np.array([1.2 * np.eye(2)]), couplings={},
-        b_actuation=np.zeros((1, 2, 2)), w_noise=np.zeros((1, 2, 2)),
-        g_target=np.eye(2))
+        m_agents=1, state_dim=2, n_tx=1, n_rx=1,
+        a_internal=np.array([np.diag(a_diag)]), couplings={},
+        b_actuation=np.array(b_column, dtype=float).reshape(1, 2, 1),
+        w_noise=np.zeros((1, 2, 2)), g_target=np.eye(2))
     topo_path = tmp_path / "topology.json"
     topo_path.write_text(swarm.topology_to_json(topo), encoding="utf-8")
-    path = write_config(tmp_path, topology_path=str(topo_path))
+    return write_config(tmp_path, topology_path=str(topo_path), m_agents=1,
+                        state_dim=2, n_tx=1, n_rx=1)
+
+
+def test_run_of_a_zero_actuation_plant_sends_zero_baseline_controls(
+        tmp_path, monkeypatch):
+    # no input reaches the plant, so its LQR gain is 0 even at rho(A) = 1.2:
+    # the baselines tune without a Riccati solve and send zero power
+    def no_solve(*args):
+        raise AssertionError("solve_dare called on a zero-actuation plant")
+
+    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
+    monkeypatch.setattr(baselines, "solve_dare", no_solve)
+    path = write_pinned_topology_config(tmp_path, [1.2, 1.2], [0.0, 0.0])
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["a_scale"] == pytest.approx(0.75, rel=1e-12)
+    rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[2:]
+    power = {row.split(",")[0]: float(row.split(",")[2]) for row in rows}
+    assert [power[s] for s in baselines.SCHEMES] == [0.0, 0.0, 0.0]
+
+
+def test_run_of_an_actuated_plant_without_a_stabilising_gain_exits_2(
+        tmp_path, capsys):
+    # the input reaches only the second mode; the first grows by 2 a slot,
+    # so the DARE has no stabilising solution and the baselines no gain
+    path = write_pinned_topology_config(tmp_path, [2.0, 0.5], [0.0, 1.0])
+    assert cli.main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "DARE solve failed" in capsys.readouterr().err
 
 
 def test_run_is_byte_deterministic(tmp_path):

@@ -9,9 +9,10 @@ is listed there. Every import of the package names one of its modules:
 a module (or __version__), never a function or class. The README layout
 table names only what its modules define: each backticked bare name or
 call in a `swarmtrack.<module>` row resolves in that module, and a
-written call's arguments fit the function's signature. The README's
-sentence on the output gate counts the episodes and CLI files that
-tests/digests.json holds. The scalar rules (what a count and a real are)
+written call's arguments fit the function's signature. Every
+"`module.func`'s `param`" mention in the README names a parameter of
+that function. The README's sentence on the output gate counts the
+episodes and CLI files that tests/digests.json holds. The scalar rules (what a count and a real are)
 live in _checks alone: no other package module imports numbers. No file
 in src/ or tests/ imports scipy, which the package does not declare.
 """
@@ -174,6 +175,33 @@ def test_readme_layout_names_resolve():
                 problems.append(f"{module_name}.{name}({args}) does not fit "
                                 f"{inspect.signature(getattr(module, name))}")
     assert not problems, problems
+
+
+def parameter_mentions(text):
+    """(module, function, parameter) of every "`module.func`'s `param`"."""
+    return re.findall(r"`(\w+)\.(\w+)`'s\s+`(\w+)`", text)
+
+
+def unknown_parameters(text):
+    """The mentions in text whose function has no such parameter."""
+    problems = []
+    for module_name, name, param in parameter_mentions(text):
+        func = getattr(importlib.import_module(f"swarmtrack.{module_name}"), name, None)
+        if func is None or param not in inspect.signature(func).parameters:
+            problems.append(f"{module_name}.{name} has no parameter {param}")
+    return problems
+
+
+def test_readme_parameter_mentions_name_real_parameters():
+    text = README.read_text(encoding="utf-8")
+    assert parameter_mentions(text), "README parameter mentions not found"
+    assert not unknown_parameters(text)
+
+
+def test_parameter_mentions_flag_a_missing_parameter():
+    # the check reads a mention across a line break, as the README wraps it
+    text = "`sim.channel_draws`'s\n`n_slots` and `baselines.tune_pid`'s `a_scale`"
+    assert unknown_parameters(text) == ["baselines.tune_pid has no parameter a_scale"]
 
 
 def test_readme_digest_counts_match_the_gate():

@@ -885,36 +885,44 @@ def test_tuned_gains_per_agent_split(monkeypatch):
         assert sim.run_episode(cfg, topo).n_slots == 3
 
 
-def test_tuned_gains_scale_the_plant_only_where_the_raw_tuning_fails(monkeypatch):
-    # the stable benchmark family and a criterion-5 ring (M = 4, d = 9,
-    # N_t = N_r = 4) tune on A itself; a zero-actuation identity plant has
-    # no stabilising DARE solution and tunes on 0.9 A / rho(A) = 0.9 A
+def test_tuned_gains_of_a_zero_actuation_plant_are_zero_without_a_riccati_solve(
+        monkeypatch):
+    # no input reaches a zero-actuation plant, so its LQR gain is 0 for
+    # every A, rho(A) = 1 here included; an actuated plant solves once
+    solve, solved = baselines.solve_dare, []
+
+    def spy(a, b, q, r):
+        solved.append(a)
+        return solve(a, b, q, r)
+
     monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
-    assert sim.tuned_gains(benchmark_topology(8, 9, 4, 4, 0, 0.02)).a_scale == 1.0
-    assert sim.tuned_gains(swarm.build_ring_topology(4, 9, 4, 4, 1e-5, 0)).a_scale == 1.0
-    frozen = identity_topology(2, 2, 2, zero_actuation=True)
-    assert sim.tuned_gains(frozen).a_scale == pytest.approx(0.9, rel=1e-12)
+    monkeypatch.setattr(baselines, "solve_dare", spy)
+    gains = sim.tuned_gains(identity_topology(2, 2, 2, zero_actuation=True))
+    assert solved == []
+    for k in (gains.k_p, gains.k_i, gains.k_d):
+        assert k.shape == (2, 2, 4) and not k.any()
+    sim.tuned_gains(benchmark_topology(2, 3, 2, 2, 5, 0.02))
+    assert len(solved) == 1
 
 
-def test_tuned_gains_raise_when_the_scaled_plant_fails_too(monkeypatch):
-    scales = []
+def test_tuned_gains_call_tune_pid_once_and_raise_its_error(monkeypatch):
+    calls, error = [], baselines.DareConvergenceError(float("inf"), [])
 
-    def failing(topology, a_scale=1.0):
-        scales.append(a_scale)
-        raise baselines.DareConvergenceError(float("inf"), [])
+    def failing(topology):
+        calls.append(topology)
+        raise error
 
     monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     monkeypatch.setattr(baselines, "tune_pid", failing)
     topo = benchmark_topology(2, 3, 2, 2, 5, 0.02)
-    with pytest.raises(baselines.DareConvergenceError):
+    with pytest.raises(baselines.DareConvergenceError) as info:
         sim.tuned_gains(topo)
-    radius = np.max(np.abs(np.linalg.eigvals(topo.a_global)))
-    assert scales == [1.0, pytest.approx(0.9 / radius, rel=1e-12)]
+    assert info.value is error
+    assert calls == [topo]
 
 
 def test_tuned_gains_of_a_nilpotent_plant_that_overflows_raise(monkeypatch):
-    # rho(A) = 0 leaves nothing to scale: the first error is raised, not a
-    # ZeroDivisionError from 0.9 / rho. The Riccati iterate overflows
+    # an actuated nilpotent plant whose Riccati iterate overflows raises,
     # without a RuntimeWarning (an error under this suite's filter)
     monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     topo = swarm.SwarmTopology(
