@@ -56,12 +56,15 @@ takes the spectral path above (factorize_agent + rank_one_terms), so the
 cutoff decisions stay those of the dense form. Everything the
 certificates need that does not depend on the error runs once per block
 of slots (certify_channels: one thin QR of every slot's and agent's
-B_m H_m, or of its transpose when N_t > d, and the bound terms of tr G,
-tr G^-1 and gamma, in a CertifiedBlock); only the error part runs per
-slot. Every block has one coordinate form, y = q_t [e_m, (pi o e)_m] with
-q_t = I for wide F, and F^+ = lift @ q_t. Declined: every slot whose
-conditioned flag is clear, which gamma = 0 and N_r < min(d, N_t) (B_m H_m
-cannot have full rank) clear for the whole block and a singular,
+B_m H_m, or of its transpose when N_t > d, the bound terms of tr G,
+tr G^-1 and gamma, and per slot and agent one stacked operator
+[q_t; -F^+ diag(pi_m) / M], with F^+ = lift @ q_t and q_t = I for wide
+F, in a CertifiedBlock); only the error part runs per slot, and it reads
+y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m of every agent off one
+batched product of the operators with e's agent blocks e_m. Declined:
+every slot whose conditioned flag is clear, which gamma = 0 and
+N_r < min(d, N_t) (B_m H_m cannot have full rank) clear for the whole
+block, whose channels are then not factored at all, and a singular,
 non-finite or ill-conditioned B_m H_m (tr G tr G^-1 above
 CERTIFIED_MAX_TRACE_PRODUCT, which keeps its singular values clear of the
 cutoff) for its own slot; and any slot that neither certificate covers.
@@ -74,7 +77,7 @@ two singular values and alpha = 2 max(||A||^2, ||G||^2).
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -129,16 +132,18 @@ class PolicyParams:
 class CertifiedBlock:
     """Per-block part of certified_terms: the work that needs no error.
 
-    Built by certify_channels from a block's (slots, M, N_r, N_t) channels
-    and the policy parameters (params: gamma, and P_on for the second
-    certificate), for every input; certified_terms reads slot i. The
-    factors come from one thin QR per slot and agent, of F = B_m H_m when
-    N_t <= d (tall: F = Q R) and of F^T when N_t > d (wide: F^T = Q R,
-    R d x d). Every block has one coordinate form y = q_t [e_m, (pi o e)_m],
-    with q_t = Q^T (tall) or the d x d identity (wide, a broadcast view):
-    root @ y_e has the norm of F^T e_m (root = R^T, tall; R, wide) and
-    lift @ y_pe = F^+ (pi o e)_m (lift = R^-1, tall; Q R^-T, wide), so
-    F^+ = lift @ q_t.
+    Built by certify_channels from a block's (slots, M, N_r, N_t) channels,
+    the drift constants (pi) and the policy parameters (params: gamma, and
+    P_on for the second certificate), for every input; certified_terms
+    reads slot i. The factors come from one thin QR per slot and agent, of
+    F = B_m H_m when N_t <= d (tall: F = Q R) and of F^T when N_t > d
+    (wide: F^T = Q R, R d x d), with q_t = Q^T (tall) or the d x d identity
+    (wide): root @ (q_t e_m) has the norm of F^T e_m (root = R^T, tall; R,
+    wide) and F^+ = lift @ q_t (lift = R^-1, tall; Q R^-T, wide).
+    operator stacks, per slot and agent, q_t over -F^+ diag(pi_m) / M
+    (pi_m agent m's block of pi), so operator @ e_m holds y_e = q_t e_m in
+    its first k rows and u = -(1/M) F^+ (pi o e)_m in the rest; q_t is a
+    view of those first k rows.
     conditioned (one flag per slot) holds when gamma > 0, N_r >= min(d, N_t)
     and every agent's F is finite with an invertible R and tr(G) tr(G^-1)
     <= CERTIFIED_MAX_TRACE_PRODUCT, with tr G = ||F||_F^2 and tr G^-1
@@ -147,12 +152,16 @@ class CertifiedBlock:
     terms depend on the channels and gamma alone and are formed here once
     per block, each in the operand order of the bound it enters:
     two_tr_g = 2 tr G, gamma_tr_inv = gamma tr G^-1 and slope
-    = (2 M / gamma) tr G (inf where gamma = 0).
+    = (2 M / gamma) tr G. Where gamma = 0 or N_r < min(d, N_t) no slot can
+    be certified: nothing is factored, and the factor and bound fields are
+    broadcast zero views of their shapes.
     """
 
     params: PolicyParams
+    constants: DriftConstants
+    operator: np.ndarray        # (slots, M, k + n_tx, d), k = min(d, n_tx)
     q_t: np.ndarray             # (slots, M, k, d) Q^T, tall; I, wide
-    root: np.ndarray            # (slots, M, k, k), k = min(d, n_tx)
+    root: np.ndarray            # (slots, M, k, k)
     lift: np.ndarray            # (slots, M, n_tx, k)
     conditioned: np.ndarray     # (slots,) bool
     two_tr_g: np.ndarray        # (slots, M)
@@ -160,8 +169,7 @@ class CertifiedBlock:
     slope: np.ndarray           # (slots, M)
 
 
-@dataclass(frozen=True)
-class RankOneTerms:
+class RankOneTerms(NamedTuple):
     """Decision terms of every agent for one error vector.
 
     theta[m] is agent m's transmission threshold and u[m] the control
@@ -172,8 +180,7 @@ class RankOneTerms:
     u: np.ndarray               # (M, n_tx)
 
 
-@dataclass(frozen=True)
-class ControlDecision:
+class ControlDecision(NamedTuple):
     """Per-agent outcome of one decision slot.
 
     delta is the communication bit, theta the threshold P_on was compared
@@ -305,27 +312,40 @@ def rank_one_terms(factors, e, constants: DriftConstants,
     return RankOneTerms(theta=c * float(pe @ pe), u=u)
 
 
-def certify_channels(b_actuation, h, params: PolicyParams) -> CertifiedBlock:
+def certify_channels(b_actuation, h, constants: DriftConstants,
+                     params: PolicyParams) -> CertifiedBlock:
     """Per-block part of certified_terms for a block of slots.
 
     Takes the stacked (M, d, N_r) actuation blocks, the block's channels of
-    shape (slots, M, N_r, N_t) and the policy parameters (gamma enters the
-    bound terms, P_on the second certificate); one batched thin QR and one
-    back substitution over the stack of R factors (linalg.upper_inverse) cover
-    every (slot, agent) pair.
+    shape (slots, M, N_r, N_t), the drift constants (pi enters the
+    operator) and the policy parameters (gamma enters the bound terms, P_on
+    the second certificate); one batched thin QR, one back substitution
+    over the stack of R factors (linalg.upper_inverse) and one batched
+    product F^+ = lift @ q_t cover every (slot, agent) pair, and the
+    operator [q_t; -F^+ diag(pi_m) / M] is formed once here.
     Returns a CertifiedBlock for every input. gamma = 0 and N_r < min(d,
     N_t), where no slot can be certified (F = B_m H_m then has rank N_r,
-    below that of R), clear every slot's conditioned flag. A slot whose
-    channel is non-finite, singular or ill-conditioned clears its own flag:
-    its R is swapped for the identity before the inverse, which would
-    otherwise divide by its zero diagonal.
+    below that of R), clear every slot's conditioned flag without any
+    factorization. A slot whose channel is non-finite, singular or
+    ill-conditioned clears its own flag: its R is swapped for the identity
+    before the inverse, which would otherwise divide by its zero diagonal.
     """
     b = np.asarray(b_actuation, dtype=float)
     h = np.asarray(h, dtype=float)
     m_count, d, n_rx = b.shape
-    n_tx = h.shape[-1]
+    n_slots, n_tx = h.shape[0], h.shape[-1]
     k = min(d, n_tx)
     gamma = params.gamma
+    if gamma == 0 or n_rx < k:
+        operator = np.broadcast_to(0.0, (n_slots, m_count, k + n_tx, d))
+        bound = np.broadcast_to(0.0, (n_slots, m_count))
+        return CertifiedBlock(
+            params=params, constants=constants, operator=operator,
+            q_t=operator[..., :k, :],
+            root=np.broadcast_to(0.0, (n_slots, m_count, k, k)),
+            lift=np.broadcast_to(0.0, (n_slots, m_count, n_tx, k)),
+            conditioned=np.zeros(n_slots, dtype=bool),
+            two_tr_g=bound, gamma_tr_inv=bound, slope=bound)
     wide = n_tx > d
     f = b @ h
     tr_g = (f * f).sum(axis=(-2, -1))
@@ -338,48 +358,57 @@ def certify_channels(b_actuation, h, params: PolicyParams) -> CertifiedBlock:
         r = np.where(invertible[..., None, None], r, np.eye(k))
     r_inv = upper_inverse(r)
     tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
-    conditioned = (invertible.all(axis=-1) & (gamma > 0) & (n_rx >= k)
+    conditioned = (invertible.all(axis=-1)
                    & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
-    if wide:
-        q_t = np.broadcast_to(np.eye(d), (*f.shape[:-2], d, d))
-        root, lift = r, q @ np.swapaxes(r_inv, -1, -2)
-    else:
-        q_t, root, lift = np.swapaxes(q, -1, -2), np.swapaxes(r, -1, -2), r_inv
+    operator = np.empty((n_slots, m_count, k + n_tx, d))
+    q_t = operator[..., :k, :]
     # a declined slot's terms may overflow or be NaN; they are never read
     with np.errstate(over="ignore", invalid="ignore"):
+        if wide:
+            q_t[...] = np.eye(d)
+            root, lift = r, q @ np.swapaxes(r_inv, -1, -2)
+            pinv = lift
+        else:
+            q_t[...] = np.swapaxes(q, -1, -2)
+            root, lift = np.swapaxes(r, -1, -2), r_inv
+            pinv = lift @ q_t
+        np.multiply(pinv, constants.pi.reshape(m_count, 1, d) / -m_count,
+                    out=operator[..., k:, :])
         return CertifiedBlock(
-            params=params, q_t=q_t, root=root, lift=lift,
-            conditioned=conditioned, two_tr_g=2.0 * tr_g, gamma_tr_inv=gamma * tr_inv,
-            slope=(2.0 * m_count / gamma if gamma else np.inf) * tr_g)
+            params=params, constants=constants, operator=operator, q_t=q_t,
+            root=root, lift=lift, conditioned=conditioned,
+            two_tr_g=2.0 * tr_g, gamma_tr_inv=gamma * tr_inv,
+            slope=(2.0 * m_count / gamma) * tr_g)
 
 
-def certified_terms(block: CertifiedBlock, i: int, e,
-                    constants: DriftConstants) -> Optional[RankOneTerms]:
+def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     """rank_one_terms without SVD or eigh where a certificate pins c.
 
     block is certify_channels of a block of slots and i the slot; M, N_t
-    and d are read from its factors, P_on and gamma from its params, and a
-    slot whose conditioned flag is clear (gamma = 0, N_r < min(d, N_t), or
-    a singular, non-finite or ill-conditioned channel) declines. Returns
-    None, for the caller to take the spectral path (factorize_agent
-    + rank_one_terms), unless every agent passes one of the two
-    certificates below; the result then takes rank_one_terms' transmit
-    bits, and its values agree with rank_one_terms' up to rounding (first
-    certificate) or within delta (second), and with exact arithmetic within
-    the accuracy contract below.
+    and d are read from its factors, pi from its constants, P_on and gamma
+    from its params, and a slot whose conditioned flag is clear (gamma = 0,
+    N_r < min(d, N_t), or a singular, non-finite or ill-conditioned
+    channel) declines. Returns None, for the caller to take the spectral
+    path (factorize_agent + rank_one_terms), unless every agent passes one
+    of the two certificates below; the result then takes rank_one_terms'
+    transmit bits, and its values agree with rank_one_terms' up to
+    rounding (first certificate) or within delta (second), and with exact
+    arithmetic within the accuracy contract below.
 
     The work splits into a channel part and an error part. The channel
-    part (certify_channels) is one thin QR per agent, R^-1 and the bound
-    terms of tr G, tr G^-1 and gamma; block_decisions runs it once per
-    block of slots. The error part runs here, per slot: ||e||^2, the
-    coordinates y_e and y_pe of e_m and (pi o e)_m, the bound tests and u.
+    part (certify_channels) is one thin QR per agent, R^-1, the operator
+    [q_t; -F^+ diag(pi_m) / M] and the bound terms of tr G, tr G^-1 and
+    gamma; block_decisions runs it once per block of slots. The error part
+    runs here, per slot: ||e||^2 and ||pi o e||^2, one batched product of
+    the operator with e's agent blocks e_m, which gives the coordinates
+    y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m, and the bound tests.
 
-    Tall F (N_t <= d): F = Q R, y = Q^T [e_m, (pi o e)_m], G = F^T F
-    = R^T R, F^+ = R^-1 Q^T and ||F^T e_m|| = ||R^T y_e||. Wide F
-    (N_t > d, N_r >= d): F^T = Q R with R d x d, so F has full row rank d,
+    Tall F (N_t <= d): F = Q R, y_e = Q^T e_m, G = F^T F = R^T R,
+    F^+ = R^-1 Q^T and ||F^T e_m|| = ||R^T y_e||. Wide F (N_t > d,
+    N_r >= d): F^T = Q R with R d x d, so F has full row rank d,
     F^+ = Q R^-T, ||F^T e_m|| = ||R e_m|| and range(F) is all of block m:
-    q_t = I, y = [e_m, (pi o e)_m] and the in-block residual is 0. Either
-    way y = q_t [e_m, (pi o e)_m] and F^+ = lift @ q_t, and over
+    q_t = I, y_e = e_m and the in-block residual is 0. Either way
+    y_e = q_t e_m and F^+ = lift @ q_t, and over
     F's k = min(d, N_t) singular values s_i, tr G = ||F||_F^2
     = sum s_i^2 >= s_max^2 and tr G^-1 = ||R^-1||_F^2 = sum s_i^-2
     >= s_min^-2.
@@ -436,7 +465,8 @@ def certified_terms(block: CertifiedBlock, i: int, e,
     Full rank (M = 1 with N_t >= d: F has rank d and w = 0). Q_r = gamma
     S^-2 + a a^T has no w direction, so by Sherman-Morrison c = t / (1 + t)
     with t = ||F^T e||^2 / gamma = ||root y_e||^2 / gamma, theta
-    = c ||pi o e||^2 and u = -c F^+ (pi o e). Every eigenvalue of Q_r
+    = c ||pi o e||^2 and u = -c F^+ (pi o e), c times the operator's
+    u (M = 1). Every eigenvalue of Q_r
     lies in [gamma / tr G, lambda_hi], so the same margin rule certifies
     it when gamma / tr G > 2e-10 lambda_hi; the second certificate does
     not apply.
@@ -466,8 +496,9 @@ def certified_terms(block: CertifiedBlock, i: int, e,
     non-finite channels fail it and raise in factorize_agent.
     """
     e = np.asarray(e, dtype=float)
-    _, m_count, n_tx, _ = block.lift.shape
-    d = block.q_t.shape[-1]
+    _, m_count, rows, d = block.operator.shape
+    k = block.root.shape[-1]
+    n_tx = rows - k
     if e.shape != (m_count * d,):
         raise ValueError(f"e must have shape {(m_count * d,)}, got {e.shape}")
     if not block.conditioned[i]:
@@ -477,22 +508,19 @@ def certified_terms(block: CertifiedBlock, i: int, e,
         return RankOneTerms(theta=np.zeros(m_count), u=np.zeros((m_count, n_tx)))
     gamma = block.params.gamma
     tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
-    pe = constants.pi * e
-    y = np.empty((m_count, d, 2))
-    y[:, :, 0] = e.reshape(m_count, d)
-    y[:, :, 1] = pe.reshape(m_count, d)
-    y = block.q_t[i] @ y
+    pe = block.constants.pi * e
+    z = (block.operator[i] @ e.reshape(m_count, d, 1))[..., 0]
+    y_e, u = z[:, :k], z[:, k:]
     lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
     if m_count == 1 and n_tx >= d:
         # full rank: gamma / tr G > tol lambda_hi
         if not 2.0 * gamma > float(block.two_tr_g[i, 0] * lam_hi[0]):
             return None
-        fe = block.root[i, 0] @ y[0, :, 0]
+        fe = block.root[i, 0] @ y_e[0]
         t = float(fe @ fe) / gamma
         c = t / (1.0 + t)
-        u = (block.lift[i] @ y[:, :, 1:])[..., 0] * -c
-        return RankOneTerms(theta=np.array([c * float(pe @ pe)]), u=u)
-    ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
+        return RankOneTerms(theta=np.array([c * float(pe @ pe)]), u=u * c)
+    ye_sq = (y_e ** 2).sum(axis=1)
     m_w_sq = m_count * (e_sq - ye_sq)
     theta = float(pe @ pe) / m_count
     # first certificate, lambda_lo > tol lambda_hi, one branch of the min
@@ -504,7 +532,6 @@ def certified_terms(block: CertifiedBlock, i: int, e,
             return None
         if (1.0 - (lam_hi / m_w_sq).max()) * theta <= block.params.p_on < theta:
             return None
-    u = (block.lift[i] @ y[:, :, 1:])[..., 0] / -m_count
     return RankOneTerms(theta=np.full(m_count, theta), u=u)
 
 
@@ -512,10 +539,8 @@ def solve_agent(terms: RankOneTerms, m: int, params: PolicyParams) -> ControlDec
     """Communication bit and transmit vector of agent m: transmit iff P_on < theta_m."""
     theta = float(terms.theta[m])
     if params.p_on >= theta:
-        return ControlDecision(delta=0, theta=theta, objective=0.0,
-                               u=np.zeros(terms.u.shape[1]))
-    return ControlDecision(delta=1, theta=theta, objective=params.p_on - theta,
-                           u=terms.u[m])
+        return ControlDecision(0, theta, 0.0, np.zeros(terms.u.shape[1]))
+    return ControlDecision(1, theta, params.p_on - theta, terms.u[m])
 
 
 def control_signal(decision: ControlDecision, e) -> np.ndarray:
@@ -532,18 +557,20 @@ def block_decisions(b_actuation, h, constants: DriftConstants, params: PolicyPar
 
     Certifies h once and returns decide(i, e): slot i's bits (M,) and
     controls (M, N_t) from certified_terms, or where they decline
-    factorize_agent + rank_one_terms, then solve_agent per agent.
+    factorize_agent + rank_one_terms, then solve_agent and control_signal
+    per agent.
     """
-    block = certify_channels(b_actuation, h, params)
-    agents = range(len(b_actuation))
+    block = certify_channels(b_actuation, h, constants, params)
+    m_count = len(b_actuation)
+    agents = range(m_count)
 
     def decide(i, e):
-        terms = certified_terms(block, i, e, constants)
+        terms = certified_terms(block, i, e)
         if terms is None:
             terms = rank_one_terms(factorize_agent(b_actuation, h[i]), e,
                                    constants, params)
         decisions = [solve_agent(terms, m, params) for m in agents]
-        return (np.array([dec.delta for dec in decisions], dtype=bool),
+        return (np.fromiter((dec.delta for dec in decisions), bool, m_count),
                 np.array([control_signal(dec, e) for dec in decisions]))
 
     return decide

@@ -86,8 +86,8 @@ def library_decisions(e, b_actuation, h, constants, params, spectral=False):
     spectral=True) one stacked factorization and one batched rank-one
     solve; then solve_agent per agent."""
     terms = None if spectral else policy.certified_terms(
-        policy.certify_channels(b_actuation, np.asarray(h)[None], params),
-        0, e, constants)
+        policy.certify_channels(b_actuation, np.asarray(h)[None], constants,
+                                params), 0, e)
     if terms is None:
         terms = policy.rank_one_terms(policy.factorize_agent(b_actuation, h),
                                       e, constants, params)
@@ -98,16 +98,18 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     """policy.certified_terms of one slot with every term formed at the slot.
 
     The per-slot formula that policy.CertifiedBlock hoists out of the slot:
-    the slot's own thin QR (of F, or of F^T when N_t > d), traces and bound
-    terms of gamma, in the operand order of certified_terms, so a slot's
-    result agrees with the per-block form bit for bit; both certificates
-    (the second reads P_on). None where certified_terms declines.
+    the slot's own thin QR (of F, or of F^T when N_t > d), traces, bound
+    terms of gamma and operator [q_t; -F^+ diag(pi_m) / M], in the operand
+    order of certified_terms, so a slot's result agrees with the per-block
+    form bit for bit; both certificates (the second reads P_on). None where
+    certified_terms declines.
     """
     gamma = params.gamma
     b = np.asarray(b_actuation, dtype=float)
     m_count, d, n_rx = b.shape
     n_tx = np.shape(h)[-1]
-    if gamma == 0 or n_rx < min(d, n_tx):
+    k = min(d, n_tx)
+    if gamma == 0 or n_rx < k:
         return None
     wide = n_tx > d
     f = b @ np.asarray(h, dtype=float)
@@ -128,24 +130,26 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     if e_sq == 0.0:
         return policy.RankOneTerms(theta=np.zeros(m_count),
                                    u=np.zeros((m_count, n_tx)))
-    pe = constants.pi * e
-    rhs = np.empty((m_count, d, 2))
-    rhs[:, :, 0] = e.reshape(m_count, d)
-    rhs[:, :, 1] = pe.reshape(m_count, d)
+    operator = np.empty((m_count, k + n_tx, d))
     if wide:
-        y, root, lift = rhs, r, q @ np.swapaxes(r_inv, -1, -2)
+        operator[:, :k] = np.eye(d)
+        root, pinv = r, q @ np.swapaxes(r_inv, -1, -2)
     else:
-        y, root, lift = np.swapaxes(q, -1, -2) @ rhs, np.swapaxes(r, -1, -2), r_inv
+        operator[:, :k] = np.swapaxes(q, -1, -2)
+        root, pinv = np.swapaxes(r, -1, -2), r_inv @ operator[:, :k]
+    operator[:, k:] = pinv * (constants.pi.reshape(m_count, 1, d) / -m_count)
+    pe = constants.pi * e
+    z = (operator @ e.reshape(m_count, d, 1))[..., 0]
+    y_e, u = z[:, :k], z[:, k:]
     lam_hi = tol * (gamma * tr_inv + m_count * e_sq)
     if full_rank:
         if not 2.0 * gamma > float(2.0 * tr_g[0] * lam_hi[0]):
             return None
-        fe = root[0] @ y[0, :, 0]
+        fe = root[0] @ y_e[0]
         t = float(fe @ fe) / gamma
         c = t / (1.0 + t)
-        return policy.RankOneTerms(theta=np.array([c * float(pe @ pe)]),
-                                   u=(lift @ y[:, :, 1:])[..., 0] * -c)
-    ye_sq = (y[:, :, 0] ** 2).sum(axis=1)
+        return policy.RankOneTerms(theta=np.array([c * float(pe @ pe)]), u=u * c)
+    ye_sq = (y_e ** 2).sum(axis=1)
     m_w_sq = m_count * (e_sq - ye_sq)
     theta = float(pe @ pe) / m_count
     first = (gamma > (2.0 * tr_g * lam_hi).max()
@@ -157,8 +161,7 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
         delta = (lam_hi / m_w_sq).max()
         if (1.0 - delta) * theta <= params.p_on < theta:
             return None
-    return policy.RankOneTerms(theta=np.full(m_count, theta),
-                               u=(lift @ y[:, :, 1:])[..., 0] / -m_count)
+    return policy.RankOneTerms(theta=np.full(m_count, theta), u=u)
 
 
 EXACT_MAX_DM = 12

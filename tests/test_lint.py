@@ -15,6 +15,10 @@ that function. The README's sentence on the output gate counts the
 episodes and CLI files that tests/digests.json holds. The scalar rules (what a count and a real are)
 live in _checks alone: no other package module imports numbers. No file
 in src/ or tests/ imports scipy, which the package does not declare.
+Every package name the benchmark harness looks up (perfbench/run.py's
+per-layer rows, perfbench/tracer.py's hooks, extra functions and patched
+classes, and the functions perfbench/test_smoke.py pins a call count of)
+is a function or class of the package; the check only parses those files.
 """
 
 import ast
@@ -33,6 +37,7 @@ import swarmtrack
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 DIGESTS = ROOT / "tests" / "digests.json"
+PERFBENCH = ROOT / "perfbench"
 PACKAGE = sorted((ROOT / "src" / "swarmtrack").glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 INIT = ROOT / "src" / "swarmtrack" / "__init__.py"
@@ -212,3 +217,67 @@ def test_readme_digest_counts_match_the_gate():
     keys.discard(episode_digest.ENVIRONMENT)
     files = sum(key.startswith(episode_digest.CLI_PREFIX) for key in keys)
     assert tuple(map(int, sentence.groups())) == (len(keys) - files, files)
+
+
+def module_constant(tree, name):
+    """The literal value of a module-level assignment to name."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return node.value
+    raise LookupError(f"no module-level {name}")
+
+
+def perfbench_pins():
+    """(module.name, where) of every package name the benchmark harness
+    looks up: a class where where ends in "class", else a function."""
+    def parse(name):
+        return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"), filename=name)
+
+    run, tracer, smoke = parse("run.py"), parse("tracer.py"), parse("test_smoke.py")
+    for row, _, _ in ast.literal_eval(module_constant(run, "PER_LAYER")):
+        if row.count(".") == 2:        # module.function.metric
+            yield row.rsplit(".", 1)[0], "run.py PER_LAYER"
+    for key in module_constant(tracer, "_HOOKS").keys:
+        yield ast.literal_eval(key), "tracer.py _HOOKS"
+    for name in ast.literal_eval(module_constant(tracer, "EXTRA_FUNCTIONS")):
+        yield name, "tracer.py EXTRA_FUNCTIONS"
+    for node in ast.walk(tracer):      # by_module["swarm"].SwarmState
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Subscript)
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id == "by_module"):
+            yield f"{ast.literal_eval(node.value.slice)}.{node.attr}", "tracer.py class"
+    for node in ast.walk(smoke):       # metrics["policy.solve_agent.calls_per_slot"]
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == "metrics" and isinstance(node.slice, ast.Constant)):
+            function, _, metric = node.slice.value.rpartition(".")
+            if function.count(".") == 1 and metric.startswith("calls"):
+                yield function, "test_smoke.py call count"
+
+
+def unresolved_pins(pins):
+    """The pins that name no function (or class) the tracer can wrap."""
+    extra = {name for name, where in pins if where == "tracer.py EXTRA_FUNCTIONS"}
+    problems = []
+    for name, where in pins:
+        module_name, _, attr = name.partition(".")
+        obj = None
+        if module_name in MODULES:
+            module = importlib.import_module(f"swarmtrack.{module_name}")
+            obj = getattr(module, attr, None)
+        is_class = where.endswith("class")
+        kind = inspect.isclass if is_class else inspect.isfunction
+        if not (kind(obj) and obj.__module__ == f"swarmtrack.{module_name}"
+                and (is_class or not attr.startswith("_") or name in extra)):
+            problems.append(f"{name} ({where})")
+    return problems
+
+
+def test_perfbench_pins_name_package_functions():
+    # a renamed pin fails here with its name, not with a list.index error
+    # inside a traced benchmark run
+    pins = sorted(set(perfbench_pins()))
+    names = {name for name, _ in pins}
+    assert {"policy.solve_agent", "policy.control_signal", "sim._slot_rng",
+            "swarm.SwarmState"} <= names, "perfbench pins not found"
+    assert not unresolved_pins(pins), unresolved_pins(pins)

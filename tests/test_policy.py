@@ -419,7 +419,7 @@ def test_rank_one_full_rank_single_agent(d, n_tx, n_rx):
     dec, = assert_matches_dense(e, b, h, constants, params)
     pe = constants.pi * e
     assert dec.theta < float(pe @ pe)
-    block = policy.certify_channels(b, h[None], params)
+    block = policy.certify_channels(b, h[None], constants, params)
     assert block.conditioned[0]
     assert certified(e, b, h, constants, params) is not None
 
@@ -614,9 +614,9 @@ def test_lift_times_q_t_is_the_pseudo_inverse(shape, case):
     rng = np.random.default_rng(1600 + 10 * case + sorted(CONTRACT_SHAPES).index(shape))
     m_count, d, n_tx, n_rx = CONTRACT_SHAPES[shape][case % 4]
     cond = 10.0 ** (case * 4 / 7)
-    _, b, h_0, _ = conditioned_instance(rng, m_count, d, n_tx, n_rx, cond)
+    _, b, h_0, constants = conditioned_instance(rng, m_count, d, n_tx, n_rx, cond)
     h = np.stack([h_0, 0.5 * h_0])
-    block = policy.certify_channels(b, h, PolicyParams())
+    block = policy.certify_channels(b, h, constants, PolicyParams())
     assert block.q_t.shape == (2, m_count, min(d, n_tx), d)
     assert block.conditioned.all()
     for i in range(2):
@@ -629,6 +629,38 @@ def test_lift_times_q_t_is_the_pseudo_inverse(shape, case):
             bound = 4 * d * n_tx * kappa * EPS * (
                 np.linalg.norm(exact, axis=0) + kappa * rho / np.linalg.norm(f, 2))
             assert np.all(np.linalg.norm(pinv[m] - exact, axis=0) <= bound)
+
+
+@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("shape", sorted(CONTRACT_SHAPES))
+def test_operator_rows_hold_q_t_and_the_scaled_pseudo_inverse(shape, case):
+    # the per-block operator [q_t; -F^+ diag(pi_m) / M]: its first k rows
+    # are q_t (F^+ = lift @ q_t, tested above), and each column j of the
+    # rest, -(pi_j / M) F^+ e_j, is within the accuracy contract of the
+    # certified u (c = 1/M, pi o e = pi_j e_j) against exact arithmetic
+    rng = np.random.default_rng(1700 + 10 * case + sorted(CONTRACT_SHAPES).index(shape))
+    m_count, d, n_tx, n_rx = CONTRACT_SHAPES[shape][case % 4]
+    k = min(d, n_tx)
+    cond = 10.0 ** (case * 4 / 7)
+    _, b, h_0, constants = conditioned_instance(rng, m_count, d, n_tx, n_rx, cond)
+    h = np.stack([h_0, 0.5 * h_0])
+    block = policy.certify_channels(b, h, constants, PolicyParams())
+    assert block.operator.shape == (2, m_count, k + n_tx, d)
+    assert block.conditioned.all()
+    assert np.array_equal(block.operator[..., :k, :], block.q_t)
+    pi = constants.pi.reshape(m_count, d)
+    for i in range(2):
+        for m in range(m_count):
+            f = b[m] @ h[i, m]
+            kappa = np.linalg.cond(f)
+            exact = oracles.exact_pseudo_inverse(b[m], h[i, m])
+            rho = np.linalg.norm(np.eye(d) - f @ exact, axis=0)
+            bound = 4 * d * n_tx * kappa * EPS * (
+                np.linalg.norm(exact, axis=0) + kappa * rho / np.linalg.norm(f, 2))
+            scaled = block.operator[i, m, k:]
+            want = exact * (pi[m] / -m_count)
+            assert np.all(np.linalg.norm(scaled - want, axis=0)
+                          <= bound * pi[m] / m_count)
 
 
 # The second certificate: where Q_r's cutoff fires (small gamma) it bounds
@@ -733,20 +765,20 @@ def test_cut_certificate_declines_past_its_slack():
 # provably cannot fire and declines (None) everywhere else.
 
 def certified(e, b, h, constants, params):
-    return policy.certified_terms(policy.certify_channels(b, h[None], params),
-                                  0, e, constants)
+    return policy.certified_terms(
+        policy.certify_channels(b, h[None], constants, params), 0, e)
 
 
 def assert_block_declined(e, b, h, constants, params):
     """No slot of the (slots, M, N_r, N_t) block h is flagged, certified_terms
     declines every slot, and block_decisions gives each slot the spectral
     path's bits and controls bit for bit."""
-    block = policy.certify_channels(b, h, params)
+    block = policy.certify_channels(b, h, constants, params)
     assert block.conditioned.shape == (len(h),)
     assert not block.conditioned.any()
     decide = policy.block_decisions(b, h, constants, params)
     for i in range(len(h)):
-        assert policy.certified_terms(block, i, e, constants) is None
+        assert policy.certified_terms(block, i, e) is None
         deltas, controls = decide(i, e)
         want = oracles.decision_arrays(oracles.library_decisions(
             e, b, h[i], constants, params, spectral=True))
@@ -764,6 +796,35 @@ def test_certified_path_declines_without_a_certificate():
         e, b, _, constants, params = rank_one_instance(rng, m_count, d, n_tx,
                                                        n_rx, gamma)
         h = rng.normal(size=(3, m_count, n_rx, n_tx))
+        assert_block_declined(e, b, h, constants, params)
+
+
+def test_fully_declined_blocks_are_not_factored(monkeypatch):
+    # gamma = 0 and N_r < min(d, N_t) decline the whole block before any
+    # QR, back substitution or operator: the factor and bound fields are
+    # zero broadcast views of their shapes, and each slot still takes the
+    # spectral path
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fully declined block was factored")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(policy, "upper_inverse", refuse)
+    rng = np.random.default_rng(1306)
+    for m_count, d, n_tx, n_rx, gamma in ((4, 9, 4, 4, 0.0), (4, 3, 4, 2, 1.0),
+                                          (2, 3, 5, 2, 1.0), (1, 3, 3, 3, 0.0)):
+        e, b, _, constants, params = rank_one_instance(rng, m_count, d, n_tx,
+                                                       n_rx, gamma)
+        h = rng.normal(size=(3, m_count, n_rx, n_tx))
+        block = policy.certify_channels(b, h, constants, params)
+        k = min(d, n_tx)
+        shapes = {"operator": (3, m_count, k + n_tx, d), "q_t": (3, m_count, k, d),
+                  "root": (3, m_count, k, k), "lift": (3, m_count, n_tx, k),
+                  "two_tr_g": (3, m_count), "gamma_tr_inv": (3, m_count),
+                  "slope": (3, m_count)}
+        for name, shape in shapes.items():
+            field = getattr(block, name)
+            assert field.shape == shape, name
+            assert not field.any() and not any(field.strides), name
         assert_block_declined(e, b, h, constants, params)
 
 
@@ -808,11 +869,11 @@ def test_certified_path_declines_ill_conditioned_channel():
     assert certified(e, b, h, constants, params) is not None
     for s, conditioned in ((2.01e-10, True), (1.99e-10, False)):
         h[1] = np.diag([1.0, s])
-        block = policy.certify_channels(b, h[None], params)
+        block = policy.certify_channels(b, h[None], constants, params)
         assert bool(block.conditioned[0]) == conditioned
         # inside the limit the eigenvalue bounds decline it: Q_r's diagonal
         # spans cond(F)^2 = 2.5e19, far past the 1e-10 cutoff
-        assert policy.certified_terms(block, 0, e, constants) is None
+        assert policy.certified_terms(block, 0, e) is None
 
 
 @pytest.mark.parametrize("ratio", [0.9, 1.1, 2.0])
@@ -920,16 +981,16 @@ def test_block_terms_match_per_slot_formula(route):
     # the per-block bound terms give every slot's result bit for bit as the
     # per-slot formula does, on each route through certified_terms
     e, b, h, constants, params = route_instance(route)
-    block = policy.certify_channels(b, h, params)
+    block = policy.certify_channels(b, h, constants, params)
     for i in range(len(h)):
-        terms = policy.certified_terms(block, i, e, constants)
+        terms = policy.certified_terms(block, i, e)
         ref = oracles.slot_certified_terms(b, h[i], e, constants, params)
         assert (terms is None) == (ref is None)
         if ref is not None:
             assert terms.theta.tobytes() == ref.theta.tobytes()
             assert terms.u.shape == ref.u.shape
             assert terms.u.tobytes() == ref.u.tobytes()
-    answered = policy.certified_terms(block, 1, e, constants) is not None
+    answered = policy.certified_terms(block, 1, e) is not None
     assert answered == CERTIFIED_ROUTES[route]
     if route == "gamma_zero":
         assert_block_declined(e, b, h, constants, params)
@@ -998,10 +1059,10 @@ def test_block_certificate_declines_only_the_bad_slot(bad):
         h[k, 1, :, 3] = h[k, 1, :, 0]      # two equal columns: rank 3 < N_t
     else:
         h[k, 1, 2, 2] = np.nan if bad == "nan" else np.inf
-    certs = policy.certify_channels(b, h, params)
+    certs = policy.certify_channels(b, h, constants, params)
     assert certs.conditioned.tolist() == [i != k for i in range(n_slots)]
     for i in range(n_slots):
-        terms = policy.certified_terms(certs, i, e, constants)
+        terms = policy.certified_terms(certs, i, e)
         alone = certified(e, b, h[i], constants, params)
         if i == k:
             assert terms is None and alone is None
@@ -1061,12 +1122,12 @@ def test_block_certificate_declines_wide_channels():
     rng = np.random.default_rng(1370)
     b = rng.normal(size=(2, 3, 4))
     h = rng.normal(size=(6, 2, 4, 5))
-    block = policy.certify_channels(b, h, PolicyParams(gamma=1.0))
-    assert block.conditioned.all()
     e = rng.normal(size=6)
     constants = DriftConstants(pi=rng.uniform(0.5, 1.0, size=6), alpha=2.0)
+    block = policy.certify_channels(b, h, constants, PolicyParams(gamma=1.0))
+    assert block.conditioned.all()
     for i in range(len(h)):
-        terms = policy.certified_terms(block, i, e, constants)
+        terms = policy.certified_terms(block, i, e)
         _, u_exact = oracles.exact_rank_one_terms(b, h[i], e, constants.pi, 1.0)
         assert_within_contract(terms.u, u_exact, b, h[i], e, constants)
     assert_block_declined(e, b[:, :, :2], h[:, :, :2], constants,
