@@ -5,8 +5,10 @@ trigger with PID control, and baseline 3 the state trigger with the PID's
 proportional gain alone, which is the static-channel DARE (Riccati) gain.
 All three are channel-oblivious by construction: no operation in this
 module accepts an instantaneous channel argument, so their decisions are
-measurable with respect to state history only. Gains are tuned offline
-against the static all-ones channel.
+measurable with respect to state history only. The one gain the module
+keeps is the proportional gain k_p, which tune_pid computes offline
+against the static all-ones channel; the PID's integral and derivative
+gains are the fixed multiples KAPPA_I and KAPPA_D of it.
 
 An episode's baseline is triggered_decisions, which reads the slot and the
 error alone. Its triggers decide for every agent at once: state_triggers
@@ -24,8 +26,8 @@ from .swarm import SwarmTopology
 
 SCHEMES = ("baseline1", "baseline2", "baseline3")
 
-# Integral and derivative gains of tune_pid as multiples of the
-# proportional gain.
+# Integral and derivative gains of baselines 1 and 2 as multiples of the
+# proportional gain k_p.
 KAPPA_I = 0.05
 KAPPA_D = 0.1
 
@@ -73,20 +75,6 @@ class GareGain:
     gain: np.ndarray
     residual: float
     iterations: int
-
-
-@dataclass
-class PidGains:
-    """Per-agent PID gain triples acting on the global error vector.
-
-    k_p/k_i/k_d have shape (M, n_tx, dM) and already carry the negative
-    feedback sign, so controllers apply them as u = K @ e directly;
-    tune_pid computes them from the plant's own A.
-    """
-
-    k_p: np.ndarray
-    k_i: np.ndarray
-    k_d: np.ndarray
 
 
 def periodic_trigger(t: int, period: int) -> bool:
@@ -190,45 +178,33 @@ def solve_dare(a, b, q, r) -> GareGain:
     raise DareConvergenceError(residual, trace)
 
 
-def static_channel_input(topology: SwarmTopology) -> np.ndarray:
-    """Aggregate input map under the all-ones static channel.
+def tune_pid(topology: SwarmTopology) -> np.ndarray:
+    """Proportional gain k_p of the baselines: the static-channel LQR gain
+    of the plant, with negative feedback sign applied.
 
-    Column block m is Bhat_m @ 1_{n_rx x n_tx}; shape (dM, M * n_tx). The
-    n_tx columns of block m are one column repeated, so the map has rank
-    at most M: it is B_c @ kron(I_M, 1^T_{n_tx}), B_c its columns [:, ::n_tx].
+    k_p has shape (M, n_tx, dM), so controllers apply it as u = k_p @ e
+    directly. Under the all-ones static channel each agent's n_tx antennas
+    send one signal, so the input has rank M: its column m is B_m @ 1 in
+    block row m, B_c (dM, M). The DARE is solved on (A, B_c, I, I / n_tx);
+    R = I / n_tx gives the dense (M * n_tx)-column input's G_0 = n_tx B_c
+    B_c^T, and each of agent m's n_tx rows of k_p is -gain[m] / n_tx.
+    Where B_c is all zero no input reaches the plant, so the LQR gain is 0
+    for every A and no Riccati equation is solved (k_p is -0.0). Otherwise
+    an actuated plant whose DARE solve_dare does not accept (no
+    stabilising solution) raises DareConvergenceError.
     """
-    ones = np.ones((topology.n_rx, topology.n_tx))
-    cols = [topology.bhat(m) @ ones for m in range(topology.m_agents)]
-    return np.hstack(cols)
-
-
-def tune_pid(topology: SwarmTopology) -> PidGains:
-    """Offline PID tuning from the static-channel LQR gain of the plant.
-
-    The proportional gain is the DARE gain for (A, B_eff, I, I),
-    B_eff = static_channel_input, with negative feedback sign applied;
-    integral and derivative gains are KAPPA_I / KAPPA_D multiples of it.
-    Where B_eff is all zero no input reaches the plant, so the LQR gain is
-    0 for every A and no Riccati equation is solved (the gains are -0.0).
-    Otherwise an actuated plant whose DARE solve_dare does not accept
-    (no stabilising solution) raises DareConvergenceError.
-
-    The DARE is solved on B_eff's M distinct columns B_c with R = I / n_tx.
-    With B_eff = B_c J, J = kron(I_M, 1^T_{n_tx}) and J J^T = n_tx I_M,
-    both inputs give G_0 = B R^{-1} B^T = n_tx B_c B_c^T, hence the same
-    doubling iterates, P and step count in exact arithmetic, and by the
-    push-through identity the reduced gain's row m divided by n_tx is each
-    of agent m's n_tx rows of the dense gain.
-    """
-    n_tx = topology.n_tx
-    b_c = static_channel_input(topology)[:, ::n_tx]
+    m_count, d, n_tx = topology.m_agents, topology.state_dim, topology.n_tx
+    agents = np.arange(m_count)
+    b_c = np.zeros((m_count, d, m_count))
+    b_c[agents, :, agents] = (topology.b_actuation
+                              @ np.ones((topology.n_rx, n_tx)))[..., 0]
+    b_c = b_c.reshape(topology.global_dim, m_count)
     if b_c.any():
         gain = solve_dare(topology.a_global, b_c, np.eye(topology.global_dim),
-                          np.eye(topology.m_agents) / n_tx).gain
+                          np.eye(m_count) / n_tx).gain
     else:
-        gain = np.zeros((topology.m_agents, topology.global_dim))
-    k_p = np.repeat(-gain[:, None, :] / n_tx, n_tx, axis=1)
-    return PidGains(k_p=k_p, k_i=KAPPA_I * k_p, k_d=KAPPA_D * k_p)
+        gain = np.zeros((m_count, topology.global_dim))
+    return np.repeat(-gain[:, None, :] / n_tx, n_tx, axis=1)
 
 
 def pid_control(k_p, k_i, k_d, e, accumulator, prev_e) -> np.ndarray:
@@ -243,21 +219,26 @@ def pid_control(k_p, k_i, k_d, e, accumulator, prev_e) -> np.ndarray:
         + k_d @ (e - np.asarray(prev_e, dtype=float))
 
 
-def triggered_decisions(scheme: str, gains: PidGains):
+def triggered_decisions(scheme: str, k_p):
     """A baseline's decisions over an episode, as decide(t, e) per slot t.
 
-    decide is called in slot order from t = 0 with the global error e and
-    returns the (M,) firing bits and (M, N_t) controls. Baseline 1 fires
-    every agent every ceil(M/2) slots; baselines 2 and 3 fire on the state
-    trigger, sigma_m = m (1-based), against the error each agent last
-    sent. Baselines 1 and 2 send the PID control, baseline 3 k_p @ e alone,
-    evaluated once per slot over the agent axis; a slot where nobody fires
-    returns one shared read-only zero array and evaluates no control law.
+    k_p is tune_pid's (M, N_t, dM) proportional gain. decide is called in
+    slot order from t = 0 with the global error e and returns the (M,)
+    firing bits and (M, N_t) controls. Baseline 1 fires every agent every
+    ceil(M/2) slots; baselines 2 and 3 fire on the state trigger, sigma_m =
+    m (1-based), against the error each agent last sent. Baselines 1 and 2
+    send the PID control, whose integral and derivative gains KAPPA_I * k_p
+    and KAPPA_D * k_p are formed once per episode, baseline 3 k_p @ e
+    alone, evaluated once per slot over the agent axis; a slot where nobody
+    fires returns one shared read-only zero array and evaluates no control
+    law.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown baseline {scheme!r}; valid: {SCHEMES}")
-    m_count, n_tx, dm = gains.k_p.shape
+    m_count, n_tx, dm = k_p.shape
     periodic, pid = scheme == "baseline1", scheme != "baseline3"
+    if pid:  # baselines 1 and 2's integral and derivative gains
+        k_i, k_d = KAPPA_I * k_p, KAPPA_D * k_p
     period, sigma = math.ceil(m_count / 2), np.arange(1.0, m_count + 1)
     if periodic:  # baseline 1's two shared firing-bit arrays
         everyone, nobody = np.ones(m_count, dtype=bool), np.zeros(m_count, dtype=bool)
@@ -279,8 +260,8 @@ def triggered_decisions(scheme: str, gains: PidGains):
         controls = silent
         if fired.any():
             last_sent[fired] = e
-            law = (pid_control(gains.k_p, gains.k_i, gains.k_d, e, accumulator,
-                               prev_e) if pid else gains.k_p @ e)
+            law = (pid_control(k_p, k_i, k_d, e, accumulator, prev_e) if pid
+                   else k_p @ e)
             controls = np.where(fired[:, None], law, 0.0)
         prev_e = e
         return fired, controls

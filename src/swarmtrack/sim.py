@@ -67,7 +67,12 @@ def checked_seed(name: str, value) -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Flat experiment configuration; JSON documents mirror these fields."""
+    """Flat experiment configuration; JSON documents mirror these fields.
+
+    noise_scale sets the plant noise of the seeded ring alone: with a
+    topology_path the file's w_noise sets it, and noise_scale has no effect
+    (it is still checked and recorded).
+    """
 
     m_agents: int = 4
     state_dim: int = 9
@@ -216,8 +221,8 @@ def _check_dims(config: SimConfig, topology: swarm.SwarmTopology):
             f"N_r={config.n_rx})")
 
 
-# Per-topology results (PID gains, drift constants), keyed by what they
-# depend on; emptied when it outgrows 64 entries.
+# Per-topology results (the baselines' k_p, drift constants), keyed by
+# what they depend on; emptied when it outgrows 64 entries.
 _TOPOLOGY_CACHE: dict = {}
 
 
@@ -230,8 +235,9 @@ def _per_topology(key: tuple, compute):
     return hit
 
 
-def tuned_gains(topology: swarm.SwarmTopology) -> baselines.PidGains:
-    """PID gains of the plant (baselines.tune_pid), computed once per topology.
+def tuned_gains(topology: swarm.SwarmTopology) -> np.ndarray:
+    """The baselines' (M, N_t, dM) proportional gain k_p of the plant
+    (baselines.tune_pid), computed once per topology.
 
     Tuning is on A itself; an actuated plant with no stabilising Riccati
     solution raises DareConvergenceError.

@@ -26,9 +26,10 @@ class SwarmTopology:
 
     a_internal[m] is the d x d internal block of agent m, couplings maps
     (m, n) index pairs (0-based, m != n) to d x d coupling blocks (stored
-    with Python int keys and float array blocks), b_actuation[m] is d x n_rx, w_noise[m] the d x d plant-noise covariance
-    and g_target the (d*M) x (d*M) target transition. The four counts are
-    integers >= 1 (a bool is not a count).
+    with Python int keys and float array blocks), b_actuation[m] is the
+    d x n_rx actuation block of agent m, w_noise[m] its d x d plant-noise
+    covariance and g_target the (d*M) x (d*M) target transition. The four
+    counts are integers >= 1 (a bool is not a count).
     """
 
     m_agents: int
@@ -100,13 +101,6 @@ class SwarmTopology:
     @property
     def global_dim(self) -> int:
         return self.state_dim * self.m_agents
-
-    def bhat(self, m: int) -> np.ndarray:
-        """Global actuation matrix of agent m: B_m at block row m, zeros elsewhere."""
-        out = np.zeros((self.global_dim, self.n_rx))
-        d = self.state_dim
-        out[m * d:(m + 1) * d, :] = self.b_actuation[m]
-        return out
 
     def w_global_trace(self) -> float:
         return float(sum(np.trace(self.w_noise[m]) for m in range(self.m_agents)))

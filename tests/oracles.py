@@ -420,6 +420,26 @@ def draw_plant_noise_loop(topology, rng):
     return out
 
 
+def bhat(topology, m) -> np.ndarray:
+    """Global actuation matrix of agent m: B_m at block row m, zeros elsewhere."""
+    out = np.zeros((topology.global_dim, topology.n_rx))
+    d = topology.state_dim
+    out[m * d:(m + 1) * d, :] = topology.b_actuation[m]
+    return out
+
+
+def static_channel_input(topology) -> np.ndarray:
+    """Dense aggregate input map under the all-ones static channel.
+
+    Column block m is Bhat_m @ 1_{n_rx x n_tx}; shape (dM, M * n_tx). The
+    n_tx columns of block m are one column repeated, so the map has rank
+    at most M: it is B_c @ kron(I_M, 1^T_{n_tx}), B_c its columns [:, ::n_tx],
+    the rank-M input baselines.tune_pid solves the Riccati equation on.
+    """
+    ones = np.ones((topology.n_rx, topology.n_tx))
+    return np.hstack([bhat(topology, m) @ ones for m in range(topology.m_agents)])
+
+
 def step_plant_loop(topology, x, received, noise):
     """x(t+1) = A x + sum_m Bhat_m uhat_m + noise, one block row per agent."""
     x_next = topology.a_global @ np.asarray(x, dtype=float)
@@ -446,10 +466,10 @@ def naive_drift_bound(e, deltas, controls, h, topology, constants):
     for m in range(topology.m_agents):
         if not deltas[m]:
             continue
-        bhat, hm, u = topology.bhat(m), np.asarray(h[m]), controls[m]
-        khat_e = [-sum(bhat[i, j] * hm[j, k] * u[k]
+        bhat_m, hm, u = bhat(topology, m), np.asarray(h[m]), controls[m]
+        khat_e = [-sum(bhat_m[i, j] * hm[j, k] * u[k]
                        for j in range(hm.shape[0]) for k in range(hm.shape[1]))
-                  for i in range(bhat.shape[0])]
+                  for i in range(bhat_m.shape[0])]
         total -= 2.0 * sum(constants.pi[i] * e[i] * khat_e[i]
                            for i in range(len(e)))
         total += topology.m_agents * sum(x * x for x in khat_e)
@@ -474,7 +494,8 @@ def _slot_semantic_decide(config, topology):
 def _slot_triggered_decide(config, topology):
     """Baseline decision: trigger per agent, PID (or k_p e) on firing, with
     period ceil(M/2) and sigma_m = m (1-based) written out here."""
-    gains = sim.tuned_gains(topology)
+    k_p = sim.tuned_gains(topology)
+    k_i, k_d = baselines.KAPPA_I * k_p, baselines.KAPPA_D * k_p
     m_count = topology.m_agents
     period = (m_count + 1) // 2
     accumulator = np.zeros(topology.global_dim)
@@ -499,10 +520,9 @@ def _slot_triggered_decide(config, topology):
         fired = deltas == 1
         if fired.any():
             if config.scheme == "baseline3":
-                law = gains.k_p @ e
+                law = k_p @ e
             else:
-                law = baselines.pid_control(gains.k_p, gains.k_i, gains.k_d,
-                                            e, accumulator, prev_e)
+                law = baselines.pid_control(k_p, k_i, k_d, e, accumulator, prev_e)
             controls[fired] = law[fired]
         prev_e = e
         return deltas, controls

@@ -42,7 +42,7 @@ def test_criterion_1_optimizer_correctness():
             oracles.random_policy_instance(rng, m_choices=(1, 2, 3, 4),
                                            d_choices=(1, 9), n_choices=(2, 4))
         m_count = topo.m_agents
-        zeta = oracles.factor_zeta(policy.factorize_agent(topo.bhat(agent), h))
+        zeta = oracles.factor_zeta(policy.factorize_agent(oracles.bhat(topo, agent), h))
         quad = m_count * sigma + params.gamma * zeta
         quad_pinv = linalg.pseudo_inverse(quad)
         khat_star = (constants.pi[:, None] * sigma) @ quad_pinv

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import episode_digest
 import oracles
 from swarmtrack import baselines, swarm
 from test_acceptance import benchmark_topology
@@ -78,7 +79,7 @@ def test_solve_dare_iteration_counts_are_pinned():
     # how many doubling steps a solve takes is part of its output: a rework
     # of the step must take the same steps, converging or not
     topo = swarm.build_ring_topology(2, 3, 2, 2, seed=7)
-    sol = baselines.solve_dare(topo.a_global, baselines.static_channel_input(topo),
+    sol = baselines.solve_dare(topo.a_global, oracles.static_channel_input(topo),
                                np.eye(6), np.eye(4))
     assert sol.iterations == 7
     assert baselines.solve_dare(*dare_system("m8")).iterations == 10
@@ -105,7 +106,7 @@ def dare_system(system):
         topo = benchmark_topology(8, 9, 4, 4, 0, 0.02)
     else:
         topo = benchmark_topology(4, 9, 4, 4, 1000 + int(system.split("-")[1]), 0.02)
-    b_c = baselines.static_channel_input(topo)[:, ::topo.n_tx]
+    b_c = oracles.static_channel_input(topo)[:, ::topo.n_tx]
     return (topo.a_global, b_c, np.eye(topo.global_dim),
             np.eye(topo.m_agents) / topo.n_tx)
 
@@ -190,7 +191,7 @@ def test_criterion_5_rings_solve_with_a_stabilising_gain():
     # static channel stabilises each, and the residual meets the bound
     for seed in range(20):
         topo = swarm.build_ring_topology(4, 9, 4, 4, 1e-5, seed)
-        b_c = baselines.static_channel_input(topo)[:, ::4]
+        b_c = oracles.static_channel_input(topo)[:, ::4]
         sol = baselines.solve_dare(topo.a_global, b_c, np.eye(36), np.eye(4) / 4)
         assert closed_loop_radius(topo.a_global, b_c, sol.gain) < 1, seed
         assert sol.residual <= baselines.DARE_RESIDUAL_RTOL, seed
@@ -198,12 +199,13 @@ def test_criterion_5_rings_solve_with_a_stabilising_gain():
 
 def test_tune_pid_scalar_matches_dare_gain():
     topo = scalar_topology(a=0.5, b=1.0)
-    gains = baselines.tune_pid(topo)
+    k_p = baselines.tune_pid(topo)
     p = dare_scalar_root(0.5)
     k = 0.5 * p / (1.0 + p)
-    assert gains.k_p[0][0, 0] == pytest.approx(-k, abs=1e-7)
-    assert gains.k_i[0][0, 0] == pytest.approx(-0.05 * k, abs=1e-8)
-    assert gains.k_d[0][0, 0] == pytest.approx(-0.1 * k, abs=1e-8)
+    assert k_p.shape == (1, 1, 1)
+    assert k_p[0][0, 0] == pytest.approx(-k, abs=1e-7)
+    # the integral and derivative gains are these fixed multiples of k_p
+    assert (baselines.KAPPA_I, baselines.KAPPA_D) == (0.05, 0.1)
 
 
 def test_tune_pid_deterministic():
@@ -214,9 +216,7 @@ def test_tune_pid_deterministic():
         couplings={k: 0.2 * v for k, v in topo.couplings.items()},
         b_actuation=topo.b_actuation, w_noise=topo.w_noise,
         g_target=topo.g_target)
-    g1 = baselines.tune_pid(scaled)
-    g2 = baselines.tune_pid(scaled)
-    assert np.array_equal(g1.k_p, g2.k_p)
+    assert np.array_equal(baselines.tune_pid(scaled), baselines.tune_pid(scaled))
 
 
 def test_tune_pid_splits_dare_gain_per_agent():
@@ -229,17 +229,17 @@ def test_tune_pid_splits_dare_gain_per_agent():
         couplings={k: 0.1 * v for k, v in topo.couplings.items()},
         b_actuation=topo.b_actuation, w_noise=topo.w_noise,
         g_target=topo.g_target)
-    gains = baselines.tune_pid(scaled)
-    assert gains.k_p.shape == (2, 2, 4)
-    b_eff = baselines.static_channel_input(scaled)
+    k_p = baselines.tune_pid(scaled)
+    assert k_p.shape == (2, 2, 4)
+    b_eff = oracles.static_channel_input(scaled)
     assert b_eff.shape == (4, 4)
     sol = baselines.solve_dare(scaled.a_global, b_eff, np.eye(4), np.eye(4))
-    assert np.allclose(np.vstack(gains.k_p), -sol.gain, atol=1e-12)
+    assert np.allclose(np.vstack(k_p), -sol.gain, atol=1e-12)
 
 
 def reduced_and_dense_solves(monkeypatch, topo):
     """What tune_pid(topo) hands solve_dare and gets back, beside the dense
-    solve on static_channel_input with R = I."""
+    solve on the dense oracles.static_channel_input with R = I."""
     solve, handed = baselines.solve_dare, []
 
     def spy(a, b, q, r):
@@ -247,12 +247,12 @@ def reduced_and_dense_solves(monkeypatch, topo):
         return solve(a, b, q, r)
 
     monkeypatch.setattr(baselines, "solve_dare", spy)
-    gains = baselines.tune_pid(topo)
+    k_p = baselines.tune_pid(topo)
     monkeypatch.setattr(baselines, "solve_dare", solve)
-    b_eff = baselines.static_channel_input(topo)
+    b_eff = oracles.static_channel_input(topo)
     dense = solve(topo.a_global, b_eff, np.eye(topo.global_dim),
                   np.eye(b_eff.shape[1]))
-    return gains, handed, dense
+    return k_p, handed, dense
 
 
 @pytest.mark.parametrize("system", ["ring", "fallback-ring", "decoupled-1",
@@ -270,20 +270,57 @@ def test_tune_pid_solves_the_rank_m_dare_with_the_dense_gain(monkeypatch, system
     else:
         topo = benchmark_topology(3, 9, int(system[-1]), 4, 5, 0.02)
     m_count, n_tx = topo.m_agents, topo.n_tx
-    gains, handed, dense = reduced_and_dense_solves(monkeypatch, topo)
+    k_p, handed, dense = reduced_and_dense_solves(monkeypatch, topo)
     (b, r), = handed
     assert b.shape == (topo.global_dim, m_count)
     assert np.array_equal(r, np.eye(m_count) / n_tx)
     reduced = baselines.solve_dare(topo.a_global, b, np.eye(topo.global_dim), r)
     assert reduced.iterations == dense.iterations
-    assert gains.k_p.shape == (m_count, n_tx, topo.global_dim)
-    assert all(np.array_equal(gains.k_p[m, j], gains.k_p[m, 0])
+    assert k_p.shape == (m_count, n_tx, topo.global_dim)
+    assert all(np.array_equal(k_p[m, j], k_p[m, 0])
                for m in range(m_count) for j in range(n_tx))
     # both gains carry rounding of order eps times P's condition number,
     # which is 4e7 on the fallback ring
     tol = max(1e-10, 100 * np.finfo(float).eps * np.linalg.cond(dense.p))
-    np.testing.assert_allclose(gains.k_p.reshape(m_count * n_tx, -1), -dense.gain,
+    np.testing.assert_allclose(k_p.reshape(m_count * n_tx, -1), -dense.gain,
                                rtol=tol, atol=tol * np.abs(dense.gain).max())
+
+
+def static_channel_systems(group):
+    """The topologies of a named group: the 64 experiment cells, the M = 8
+    benchmark system, the 20 criterion-5 rings, every topology of the
+    episode digest set (N_r in {2, 3, 4, 9}) or an N_r = 1 ring."""
+    if group == "cells":
+        return [benchmark_topology(4, 9, 4, 4, 1000 + i, 0.02) for i in range(64)]
+    if group == "m8":
+        return [benchmark_topology(8, 9, 4, 4, 0, 0.02)]
+    if group == "criterion-5-rings":
+        return [swarm.build_ring_topology(4, 9, 4, 4, 1e-5, seed) for seed in range(20)]
+    if group == "digest-set":
+        return list({id(t): t for _, _, t in episode_digest.episodes()}.values())
+    return [swarm.build_ring_topology(3, 3, 2, 1, seed=0)]
+
+
+@pytest.mark.parametrize("group", ["cells", "m8", "criterion-5-rings",
+                                   "digest-set", "n_r=1"])
+def test_tune_pid_input_is_every_n_tx_th_column_of_the_dense_input(
+        monkeypatch, group):
+    # the rank-M input tune_pid builds from b_actuation is, bit for bit,
+    # the dense static-channel input's columns [:, ::n_tx]
+    handed = []
+
+    def spy(a, b, q, r):
+        handed.append(b)
+        return baselines.GareGain(p=q, gain=np.zeros(b.T.shape), residual=0.0,
+                                  iterations=0)
+
+    monkeypatch.setattr(baselines, "solve_dare", spy)
+    topologies = static_channel_systems(group)
+    for topo in topologies:
+        baselines.tune_pid(topo)
+    assert len(handed) == len(topologies)
+    for topo, b in zip(topologies, handed):
+        assert np.array_equal(b, oracles.static_channel_input(topo)[:, ::topo.n_tx])
 
 
 def test_pid_control_zero_error_is_zero():
@@ -405,9 +442,8 @@ def test_state_triggers_per_agent_sigma():
 
 
 def unit_gains(m_count):
-    """Gains of M one-antenna agents on an M-vector error: k_p = -I, k_i = k_d = 0."""
-    k_p = -np.eye(m_count).reshape(m_count, 1, m_count)
-    return baselines.PidGains(k_p=k_p, k_i=0 * k_p, k_d=0 * k_p)
+    """k_p of M one-antenna agents on an M-vector error: k_p = -I."""
+    return -np.eye(m_count).reshape(m_count, 1, m_count)
 
 
 def test_triggered_period_is_half_the_swarm_rounded_up():
@@ -433,15 +469,15 @@ def test_triggered_sigma_is_the_one_based_agent_index():
 @pytest.mark.parametrize("scheme,law", [("baseline2", "pid"), ("baseline3", "p")])
 def test_triggered_control_law(scheme, law):
     k_p = np.arange(1.0, 7.0).reshape(2, 1, 3)
-    gains = baselines.PidGains(k_p=k_p, k_i=0.5 * k_p, k_d=2.0 * k_p)
-    decide = baselines.triggered_decisions(scheme, gains)
+    decide = baselines.triggered_decisions(scheme, k_p)
     errors = [np.array([1.0, 0.0, 2.0]), np.array([1.0, 0.5, 2.0])]
     for t, e in enumerate(errors):
         fired, controls = decide(t, e)
     assert fired.all()
     want = k_p @ errors[1]
     if law == "pid":
-        want = baselines.pid_control(k_p, 0.5 * k_p, 2.0 * k_p, errors[1],
+        want = baselines.pid_control(k_p, baselines.KAPPA_I * k_p,
+                                     baselines.KAPPA_D * k_p, errors[1],
                                      errors[0] + errors[1], errors[0])
     assert np.array_equal(controls, want)
 

@@ -165,6 +165,21 @@ def test_run_set_overrides_change_output(tmp_path):
     assert (out1 / "metrics.csv").read_bytes() != (out2 / "metrics.csv").read_bytes()
 
 
+def test_noise_scale_has_no_effect_with_a_topology_file(tmp_path):
+    # the file's w_noise sets the plant noise; noise_scale shapes only the
+    # seeded ring, and the manifest records it all the same
+    path, _ = write_stable_topology_config(tmp_path, m_agents=2)
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert cli.main(["run", "--config", str(path), "--out", str(out1)]) == 0
+    assert cli.main(["run", "--config", str(path), "--set", "noise_scale=0.5",
+                     "--out", str(out2)]) == 0
+    for name in ("metrics.csv", "cost_trajectory.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    configs = [json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+               ["config"]["noise_scale"] for out in (out1, out2)]
+    assert configs == [1e-5, 0.5]
+
+
 def test_repeated_calls_share_no_parse_state(tmp_path, capsys):
     # main parses every call with one shared parser: an override, then a
     # usage error raised inside the parse, then a plain call

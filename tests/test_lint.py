@@ -17,11 +17,15 @@ live in _checks alone: no other package module imports numbers. No file
 in src/ or tests/ imports scipy, which the package does not declare.
 Every package name the benchmark harness looks up (perfbench/run.py's
 per-layer rows, perfbench/tracer.py's hooks, extra functions and patched
-classes, and the functions perfbench/test_smoke.py pins a call count of)
-is a function or class of the package; the check only parses those files.
+classes, the functions perfbench/test_smoke.py pins a call count of, and
+every swarm.*, sim.* and cli.* attribute perfbench/workloads.py reads) is
+a function or class of the package, and every keyword workloads.py passes
+to SwarmTopology(...) or SimConfig(...) is an init field; the check only
+parses those files.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
@@ -42,6 +46,8 @@ PACKAGE = sorted((ROOT / "src" / "swarmtrack").glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 INIT = ROOT / "src" / "swarmtrack" / "__init__.py"
 MODULES = {path.stem for path in PACKAGE} - {"__init__"}
+# The package modules perfbench/workloads.py reads attributes off.
+WORKLOAD_MODULES = ("swarm", "sim", "cli")
 
 
 def imported_names(tree):
@@ -235,6 +241,11 @@ def perfbench_pins():
         return ast.parse((PERFBENCH / name).read_text(encoding="utf-8"), filename=name)
 
     run, tracer, smoke = parse("run.py"), parse("tracer.py"), parse("test_smoke.py")
+    for node in ast.walk(parse("workloads.py")):  # swarm.X, mods.sim.X
+        owner = node.value if isinstance(node, ast.Attribute) else None
+        module = getattr(owner, "id", None) or getattr(owner, "attr", None)
+        if module in WORKLOAD_MODULES:
+            yield f"{module}.{node.attr}", "workloads.py"
     for row, _, _ in ast.literal_eval(module_constant(run, "PER_LAYER")):
         if row.count(".") == 2:        # module.function.metric
             yield row.rsplit(".", 1)[0], "run.py PER_LAYER"
@@ -265,12 +276,31 @@ def unresolved_pins(pins):
         if module_name in MODULES:
             module = importlib.import_module(f"swarmtrack.{module_name}")
             obj = getattr(module, attr, None)
-        is_class = where.endswith("class")
+        # workloads.py reads classes and functions alike
+        is_class = where.endswith("class") or (
+            where == "workloads.py" and inspect.isclass(obj))
         kind = inspect.isclass if is_class else inspect.isfunction
         if not (kind(obj) and obj.__module__ == f"swarmtrack.{module_name}"
                 and (is_class or not attr.startswith("_") or name in extra)):
             problems.append(f"{name} ({where})")
     return problems
+
+
+def unknown_init_keywords(tree):
+    """The keywords a SwarmTopology(...) or SimConfig(...) call in tree
+    passes that are not init fields of that class, and the calls found."""
+    classes = {"SwarmTopology": swarmtrack.swarm.SwarmTopology,
+               "SimConfig": swarmtrack.sim.SimConfig}
+    problems, calls = [], 0
+    for node in ast.walk(tree):
+        name = getattr(getattr(node, "func", None), "attr", None)
+        if isinstance(node, ast.Call) and name in classes:
+            calls += 1
+            init = {f.name for f in dataclasses.fields(classes[name]) if f.init}
+            problems += [f"{name}({kw.arg}=...) (line {node.lineno})"
+                         for kw in node.keywords
+                         if kw.arg is not None and kw.arg not in init]
+    return problems, calls
 
 
 def test_perfbench_pins_name_package_functions():
@@ -279,5 +309,11 @@ def test_perfbench_pins_name_package_functions():
     pins = sorted(set(perfbench_pins()))
     names = {name for name, _ in pins}
     assert {"policy.solve_agent", "policy.control_signal", "sim._slot_rng",
-            "swarm.SwarmState"} <= names, "perfbench pins not found"
+            "swarm.SwarmState", "swarm.SwarmTopology", "swarm.topology_to_json",
+            "sim.SimConfig", "sim.run_episode", "cli.main"} <= names, \
+        "perfbench pins not found"
     assert not unresolved_pins(pins), unresolved_pins(pins)
+    workloads = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    problems, calls = unknown_init_keywords(workloads)
+    assert calls >= 2, "workloads.py SwarmTopology/SimConfig calls not found"
+    assert not problems, problems

@@ -202,9 +202,9 @@ def test_solve_agent_khat_consistent_with_gain():
     h = rng.normal(size=(2, 2))
     dec = oracles.library_decisions(e, topo.b_actuation, [h] * 3, constants,
                                     params)[1]
-    dense = oracles.solve_agent(np.outer(e, e), topo.bhat(1), h, constants,
+    dense = oracles.solve_agent(np.outer(e, e), oracles.bhat(topo, 1), h, constants,
                                 params, 3)
-    effective = topo.bhat(1) @ h
+    effective = oracles.bhat(topo, 1) @ h
     assert dec.delta == dense.delta
     assert np.max(np.abs(-effective @ dec.u - dense.khat @ e)) <= 1e-10
 
@@ -231,7 +231,7 @@ def test_control_signal_matches_dense_oracle():
     e = rng.normal(size=5)
     dec = oracles.library_decisions(e, topo.b_actuation, [h], constants,
                                     params)[0]
-    dense = oracles.solve_agent(np.outer(e, e), topo.bhat(0), h, constants,
+    dense = oracles.solve_agent(np.outer(e, e), oracles.bhat(topo, 0), h, constants,
                                 params, 1)
     expected = np.array([-sum(dense.gain[i, j] * e[j] for j in range(5))
                          for i in range(2)])
@@ -243,7 +243,7 @@ def test_closed_form_beats_random_candidates(case):
     rng = np.random.default_rng(500 + case)
     topo, constants, e, sigma, params, agent, h = oracles.random_policy_instance(
         rng, d_choices=(1, 2, 3), n_choices=(2, 3))
-    zeta = oracles.factor_zeta(policy.factorize_agent(topo.bhat(agent), h))
+    zeta = oracles.factor_zeta(policy.factorize_agent(oracles.bhat(topo, agent), h))
     quad_pinv = linalg.pseudo_inverse(topo.m_agents * sigma
                                       + params.gamma * zeta)
     khat_star = (constants.pi[:, None] * sigma) @ quad_pinv
@@ -261,7 +261,7 @@ def test_stationarity_of_closed_form():
     rng = np.random.default_rng(71)
     topo, constants, e, sigma, params, agent, h = oracles.random_policy_instance(
         rng, d_choices=(2, 3), n_choices=(2,))
-    zeta = oracles.factor_zeta(policy.factorize_agent(topo.bhat(agent), h))
+    zeta = oracles.factor_zeta(policy.factorize_agent(oracles.bhat(topo, agent), h))
     quad = topo.m_agents * sigma + params.gamma * zeta
     quad_pinv = linalg.pseudo_inverse(quad)
     khat_star = (constants.pi[:, None] * sigma) @ quad_pinv
@@ -333,8 +333,8 @@ def test_transmit_power_identity_at_minimum_norm_gain(case):
                                     constants, params)[agent]
     if dec.delta == 0:
         pytest.skip("silent instance")
-    zeta = oracles.factor_zeta(policy.factorize_agent(topo.bhat(agent), h))
-    khat_e = -(topo.bhat(agent) @ h) @ dec.u
+    zeta = oracles.factor_zeta(policy.factorize_agent(oracles.bhat(topo, agent), h))
+    khat_e = -(oracles.bhat(topo, agent) @ h) @ dec.u
     lhs = float(dec.u @ dec.u)
     rhs = float(khat_e @ zeta @ khat_e)
     assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)

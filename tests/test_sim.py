@@ -865,7 +865,7 @@ def test_per_topology_results_with_more_than_255_antennas():
     topo = swarm.build_ring_topology(1, 2, 256, 2)
     cfg = SimConfig(m_agents=1, state_dim=2, n_tx=256, n_rx=2, horizon=3,
                     scheme="baseline2")
-    assert sim.tuned_gains(topo).k_p.shape == (1, 256, 2)
+    assert sim.tuned_gains(topo).shape == (1, 256, 2)
     assert sim.run_episode(cfg, topo).n_slots == 3
 
 
@@ -881,7 +881,7 @@ def test_tuned_gains_per_agent_split(monkeypatch):
             w_noise=np.zeros((m_count, d, d)), g_target=np.eye(d * m_count))
         cfg = SimConfig(m_agents=m_count, state_dim=d, n_tx=1, n_rx=1,
                         horizon=3, scheme="baseline2")
-        assert sim.tuned_gains(topo).k_p.shape == (m_count, 1, 8)
+        assert sim.tuned_gains(topo).shape == (m_count, 1, 8)
         assert sim.run_episode(cfg, topo).n_slots == 3
 
 
@@ -897,10 +897,9 @@ def test_tuned_gains_of_a_zero_actuation_plant_are_zero_without_a_riccati_solve(
 
     monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     monkeypatch.setattr(baselines, "solve_dare", spy)
-    gains = sim.tuned_gains(identity_topology(2, 2, 2, zero_actuation=True))
+    k_p = sim.tuned_gains(identity_topology(2, 2, 2, zero_actuation=True))
     assert solved == []
-    for k in (gains.k_p, gains.k_i, gains.k_d):
-        assert k.shape == (2, 2, 4) and not k.any()
+    assert k_p.shape == (2, 2, 4) and not k_p.any()
     sim.tuned_gains(benchmark_topology(2, 3, 2, 2, 5, 0.02))
     assert len(solved) == 1
 

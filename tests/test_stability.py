@@ -228,7 +228,7 @@ def test_compute_masks_support_equals_numerical_rank():
     chans = channel.draw_channels(rng, 2, 9, 9)
     supports = stability.compute_masks(topo, chans).sum(axis=1)
     for m in range(2):
-        e = topo.bhat(m) @ chans[m]
+        e = oracles.bhat(topo, m) @ chans[m]
         assert supports[m] == np.linalg.matrix_rank(e, tol=1e-8)
         assert supports[m] == 9
 

@@ -56,7 +56,7 @@ def test_ring_topology_noise_and_target():
 
 def test_bhat_places_single_block():
     topo = swarm.build_ring_topology(3, state_dim=2, n_tx=2, n_rx=2, seed=0)
-    bh = topo.bhat(1)
+    bh = oracles.bhat(topo, 1)
     assert np.array_equal(bh[2:4], topo.b_actuation[1])
     assert np.all(bh[:2] == 0) and np.all(bh[4:] == 0)
 
@@ -89,7 +89,7 @@ def test_step_swarm_matches_dense_oracle():
     x_next, _ = swarm.step_swarm(topo, x, np.zeros(6), controls, w)
     expected = dense_matvec(topo.a_global, x) + w
     for m in range(3):
-        expected += dense_matvec(topo.bhat(m), controls[m])
+        expected += dense_matvec(oracles.bhat(topo, m), controls[m])
     assert np.max(np.abs(x_next - expected)) <= 1e-12
 
 
