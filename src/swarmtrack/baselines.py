@@ -46,8 +46,12 @@ DARE_RESIDUAL_RTOL = 1e-3
 class DareConvergenceError(RuntimeError):
     """Riccati solve that overflowed, did not settle or was not accepted.
 
-    tune_pid and sim.tuned_gains let it propagate: an actuated plant with
-    no stabilising solution has no baseline gain, and the CLI exits 2.
+    tune_pid and sim.tuned_gains let it propagate: an actuated plant for
+    which solve_dare finds no stabilising solution gets no baseline gain,
+    and the CLI exits 2. That does not show that none exists: the M = 1,
+    d = 9, N_t = N_r = 16 ring of seed 2 has one (a Schur-method solve
+    gives rho(A - BK) = 0.876), yet the doubling iterate settles on an
+    indefinite H there, and run exits 2.
 
     trace holds the relative change max|dH| / max|H| of every finite
     doubling step; residual is inf when an iterate is not finite, else the
@@ -190,8 +194,10 @@ def tune_pid(topology: SwarmTopology) -> np.ndarray:
     B_c^T, and each of agent m's n_tx rows of k_p is -gain[m] / n_tx.
     Where B_c is all zero no input reaches the plant, so the LQR gain is 0
     for every A and no Riccati equation is solved (k_p is -0.0). Otherwise
-    an actuated plant whose DARE solve_dare does not accept (no
-    stabilising solution) raises DareConvergenceError.
+    an actuated plant for which solve_dare finds no stabilising solution
+    it accepts raises DareConvergenceError, whether or not one exists (the
+    M = 1, d = 9, N_t = N_r = 16 ring of seed 2 has one; see
+    DareConvergenceError).
     """
     m_count, d, n_tx = topology.m_agents, topology.state_dim, topology.n_tx
     agents = np.arange(m_count)

@@ -55,13 +55,17 @@ through certified_terms first; where it declines (returns None) the slot
 takes the spectral path above (factorize_agent + rank_one_terms), so the
 cutoff decisions stay those of the dense form. Everything the
 certificates need that does not depend on the error runs once per block
-of slots (certify_channels: one thin QR of every slot's and agent's
-B_m H_m, or of its transpose when N_t > d, the bound terms of tr G,
-tr G^-1 and gamma, and per slot and agent one stacked operator
-[q_t; -F^+ diag(pi_m) / M], with F^+ = lift @ q_t and q_t = I for wide
-F, in a CertifiedBlock); only the error part runs per slot, and it reads
-y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m of every agent off one
-batched product of the operators with e's agent blocks e_m. Declined:
+of slots (certify_channels: where N_r = N_t <= d, one QR B_m = Q_B R_B
+of the actuation and one batched inverse of every slot's and agent's
+square C = R_B H_m, since F = Q_B C gives F^+ = C^-1 Q_B^T and cond F
+= cond C (reverse-order law; T. N. E. Greville, SIAM Review 8, 1966);
+otherwise one thin QR of every slot's and agent's B_m H_m, or of its
+transpose when N_t > d; then the bound terms of tr G, tr G^-1 and gamma,
+and per slot and agent one stacked operator [q_t; -F^+ diag(pi_m) / M],
+with F^+ = lift @ q_t and q_t = I for wide F, in a CertifiedBlock); only
+the error part runs per slot, and it reads y_e = q_t e_m and
+u = -(1/M) F^+ (pi o e)_m of every agent off one batched product of the
+operators with e's agent blocks e_m. Declined:
 every slot whose conditioned flag is clear, which gamma = 0 and
 N_r < min(d, N_t) (B_m H_m cannot have full rank) clear for the whole
 block, whose channels are then not factored at all, and a singular,
@@ -91,7 +95,7 @@ from .linalg import DEFAULT_PINV_REL_TOL, svd, upper_inverse
 CERTIFIED_CUTOFF_MARGIN = 2.0
 # cond(F)^2 <= tr(G) tr(G^-1), so this limit keeps every singular value of
 # F = B_m H_m above the 1e-10 cutoff by CERTIFIED_CUTOFF_MARGIN: cond(F)
-# <= 1 / (2e-10) = 5e9. There cond(F) eps <= 1.1e-6, so the QR factors
+# <= 1 / (2e-10) = 5e9. There cond(F) eps <= 1.1e-6, so the factors
 # that measure tr(G^-1) are accurate far inside the margin and the
 # certified u meets its C cond(F) eps accuracy contract (certified_terms).
 CERTIFIED_MAX_TRACE_PRODUCT = (CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL) ** -2
@@ -135,19 +139,25 @@ class CertifiedBlock:
     Built by certify_channels from a block's (slots, M, N_r, N_t) channels,
     the drift constants (pi) and the policy parameters (params: gamma, and
     P_on for the second certificate), for every input; certified_terms
-    reads slot i. The factors come from one thin QR per slot and agent, of
-    F = B_m H_m when N_t <= d (tall: F = Q R) and of F^T when N_t > d
-    (wide: F^T = Q R, R d x d), with q_t = Q^T (tall) or the d x d identity
-    (wide): root @ (q_t e_m) has the norm of F^T e_m (root = R^T, tall; R,
-    wide) and F^+ = lift @ q_t (lift = R^-1, tall; Q R^-T, wide).
+    reads slot i. Where N_r = N_t <= d the factors come from the QR
+    B_m = Q_B R_B of the actuation, once per block, and the square
+    C = R_B H_m, so that F = B_m H_m = Q_B C: q_t = Q_B^T, root = C^T and
+    lift = C^-1. Otherwise they come from one thin QR per slot and agent,
+    of F when N_t <= d (tall: F = Q R) and of F^T when N_t > d (wide:
+    F^T = Q R, R d x d), with q_t = Q^T (tall) or the d x d identity
+    (wide), root = R^T (tall) or R (wide) and lift = R^-1 (tall) or
+    Q R^-T (wide). Either way root @ (q_t e_m) has the norm of F^T e_m and
+    F^+ = lift @ q_t.
     operator stacks, per slot and agent, q_t over -F^+ diag(pi_m) / M
-    (pi_m agent m's block of pi), so operator @ e_m holds y_e = q_t e_m in
-    its first k rows and u = -(1/M) F^+ (pi o e)_m in the rest; q_t is a
-    view of those first k rows.
+    (pi_m agent m's block of pi; formed as C^-1 (Q_B^T diag(pi_m) / -M)
+    where C is square), so operator @ e_m holds y_e = q_t e_m in its first
+    k rows and u = -(1/M) F^+ (pi o e)_m in the rest; q_t is a view of
+    those first k rows.
     conditioned (one flag per slot) holds when gamma > 0, N_r >= min(d, N_t)
-    and every agent's F is finite with an invertible R and tr(G) tr(G^-1)
-    <= CERTIFIED_MAX_TRACE_PRODUCT, with tr G = ||F||_F^2 and tr G^-1
-    = ||R^-1||_F^2 (the sums of s_i^2 and s_i^-2 over F's singular values);
+    and every agent's F is finite with an invertible C or R and tr(G)
+    tr(G^-1) <= CERTIFIED_MAX_TRACE_PRODUCT, with tr G = ||C||_F^2 or
+    ||F||_F^2 and tr G^-1 = ||C^-1||_F^2 or ||R^-1||_F^2 (the sums of s_i^2
+    and s_i^-2 over F's singular values);
     a slot without it is declined and its terms are never read. The bound
     terms depend on the channels and gamma alone and are formed here once
     per block, each in the operand order of the bound it enters:
@@ -319,16 +329,27 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
     Takes the stacked (M, d, N_r) actuation blocks, the block's channels of
     shape (slots, M, N_r, N_t), the drift constants (pi enters the
     operator) and the policy parameters (gamma enters the bound terms, P_on
-    the second certificate); one batched thin QR, one back substitution
-    over the stack of R factors (linalg.upper_inverse) and one batched
-    product F^+ = lift @ q_t cover every (slot, agent) pair, and the
-    operator [q_t; -F^+ diag(pi_m) / M] is formed once here.
+    the second certificate), and forms the operator [q_t; -F^+ diag(pi_m)
+    / M] of every (slot, agent) pair once here. The shape picks the
+    factors. Where N_r = N_t <= d, one QR of the (M, d, N_r) actuation
+    stack, one batched product C = R_B H and one batched LU inverse of the
+    (slots, M, N_t, N_t) stack C cover the block, and the operator's last
+    rows are C^-1 (Q_B^T diag(pi_m) / -M). Otherwise (N_r > N_t, or wide
+    F) one batched thin QR of F or F^T, one back substitution over the
+    stack of R factors (linalg.upper_inverse) and one batched product
+    F^+ = lift @ q_t do. The QR route stays there because C would not be
+    square: an LU would have to go through the normal equations and lose
+    cond(F)^2 eps.
     Returns a CertifiedBlock for every input. gamma = 0 and N_r < min(d,
     N_t), where no slot can be certified (F = B_m H_m then has rank N_r,
     below that of R), clear every slot's conditioned flag without any
     factorization. A slot whose channel is non-finite, singular or
-    ill-conditioned clears its own flag: its R is swapped for the identity
-    before the inverse, which would otherwise divide by its zero diagonal.
+    ill-conditioned clears its own flag, and no other slot changes: a
+    non-finite C is swapped for the identity before the inverse, and so
+    is an exactly singular one (zero LU pivot, slogdet sign 0) when the
+    stacked inverse raises, after which the stack is inverted again; on
+    the QR route a non-finite F is zeroed and an R with a zero diagonal
+    swapped for the identity before the back substitution.
     """
     b = np.asarray(b_actuation, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -346,34 +367,53 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
             lift=np.broadcast_to(0.0, (n_slots, m_count, n_tx, k)),
             conditioned=np.zeros(n_slots, dtype=bool),
             two_tr_g=bound, gamma_tr_inv=bound, slope=bound)
-    wide = n_tx > d
-    f = b @ h
-    tr_g = (f * f).sum(axis=(-2, -1))
-    finite = np.isfinite(tr_g)
-    if not finite.all():
-        f = np.where(finite[..., None, None], f, 0.0)
-    q, r = np.linalg.qr(np.swapaxes(f, -1, -2) if wide else f)
-    invertible = finite & (np.diagonal(r, axis1=-2, axis2=-1) != 0).all(axis=-1)
-    if not invertible.all():
-        r = np.where(invertible[..., None, None], r, np.eye(k))
-    r_inv = upper_inverse(r)
-    tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
-    conditioned = (invertible.all(axis=-1)
-                   & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
     operator = np.empty((n_slots, m_count, k + n_tx, d))
     q_t = operator[..., :k, :]
+    scale = constants.pi.reshape(m_count, 1, d) / -m_count
     # a declined slot's terms may overflow or be NaN; they are never read
     with np.errstate(over="ignore", invalid="ignore"):
-        if wide:
-            q_t[...] = np.eye(d)
-            root, lift = r, q @ np.swapaxes(r_inv, -1, -2)
-            pinv = lift
+        if n_rx == n_tx <= d:
+            # F = Q_B C with C = R_B H square: F^+ = C^-1 Q_B^T (Greville)
+            q_b, r_b = np.linalg.qr(b)
+            c = r_b @ h
+            tr_g = (c * c).sum(axis=(-2, -1))
+            invertible = np.isfinite(tr_g)
+            if not invertible.all():
+                c = np.where(invertible[..., None, None], c, np.eye(k))
+            try:
+                lift = np.linalg.inv(c)
+            except np.linalg.LinAlgError:       # some C is exactly singular
+                invertible &= np.linalg.slogdet(c)[0] != 0
+                c = np.where(invertible[..., None, None], c, np.eye(k))
+                lift = np.linalg.inv(c)
+            tr_inv = (lift * lift).sum(axis=(-2, -1))
+            q_t[...] = q_bt = np.swapaxes(q_b, -1, -2)
+            root = np.swapaxes(c, -1, -2)
+            np.matmul(lift, q_bt * scale, out=operator[..., k:, :])
         else:
-            q_t[...] = np.swapaxes(q, -1, -2)
-            root, lift = np.swapaxes(r, -1, -2), r_inv
-            pinv = lift @ q_t
-        np.multiply(pinv, constants.pi.reshape(m_count, 1, d) / -m_count,
-                    out=operator[..., k:, :])
+            wide = n_tx > d
+            f = b @ h
+            tr_g = (f * f).sum(axis=(-2, -1))
+            finite = np.isfinite(tr_g)
+            if not finite.all():
+                f = np.where(finite[..., None, None], f, 0.0)
+            q, r = np.linalg.qr(np.swapaxes(f, -1, -2) if wide else f)
+            invertible = finite & (np.diagonal(r, axis1=-2, axis2=-1) != 0).all(axis=-1)
+            if not invertible.all():
+                r = np.where(invertible[..., None, None], r, np.eye(k))
+            r_inv = upper_inverse(r)
+            tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
+            if wide:
+                q_t[...] = np.eye(d)
+                root, lift = r, q @ np.swapaxes(r_inv, -1, -2)
+                pinv = lift
+            else:
+                q_t[...] = np.swapaxes(q, -1, -2)
+                root, lift = np.swapaxes(r, -1, -2), r_inv
+                pinv = lift @ q_t
+            np.multiply(pinv, scale, out=operator[..., k:, :])
+        conditioned = (invertible.all(axis=-1)
+                       & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
         return CertifiedBlock(
             params=params, constants=constants, operator=operator, q_t=q_t,
             root=root, lift=lift, conditioned=conditioned,
@@ -396,21 +436,26 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     arithmetic within the accuracy contract below.
 
     The work splits into a channel part and an error part. The channel
-    part (certify_channels) is one thin QR per agent, R^-1, the operator
+    part (certify_channels) is per agent either C = R_B H_m and C^-1 from
+    the actuation's QR B_m = Q_B R_B (N_r = N_t <= d) or one thin QR and
+    R^-1 (every other certifiable shape), then the operator
     [q_t; -F^+ diag(pi_m) / M] and the bound terms of tr G, tr G^-1 and
     gamma; block_decisions runs it once per block of slots. The error part
     runs here, per slot: ||e||^2 and ||pi o e||^2, one batched product of
     the operator with e's agent blocks e_m, which gives the coordinates
     y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m, and the bound tests.
 
-    Tall F (N_t <= d): F = Q R, y_e = Q^T e_m, G = F^T F = R^T R,
-    F^+ = R^-1 Q^T and ||F^T e_m|| = ||R^T y_e||. Wide F (N_t > d,
-    N_r >= d): F^T = Q R with R d x d, so F has full row rank d,
-    F^+ = Q R^-T, ||F^T e_m|| = ||R e_m|| and range(F) is all of block m:
-    q_t = I, y_e = e_m and the in-block residual is 0. Either way
-    y_e = q_t e_m and F^+ = lift @ q_t, and over
-    F's k = min(d, N_t) singular values s_i, tr G = ||F||_F^2
-    = sum s_i^2 >= s_max^2 and tr G^-1 = ||R^-1||_F^2 = sum s_i^-2
+    Square C (N_r = N_t <= d): F = Q_B C with C = R_B H_m N_t x N_t, so
+    range(F) = range(B_m), y_e = Q_B^T e_m, G = C^T C, F^+ = C^-1 Q_B^T
+    (reverse-order law, Greville 1966), ||F^T e_m|| = ||C^T y_e|| and F
+    has C's singular values. Tall F (N_t <= d, N_r > N_t): F = Q R,
+    y_e = Q^T e_m, G = F^T F = R^T R, F^+ = R^-1 Q^T and ||F^T e_m||
+    = ||R^T y_e||. Wide F (N_t > d, N_r >= d): F^T = Q R with R d x d, so F
+    has full row rank d, F^+ = Q R^-T, ||F^T e_m|| = ||R e_m|| and range(F)
+    is all of block m: q_t = I, y_e = e_m and the in-block residual is 0.
+    Each way y_e = q_t e_m and F^+ = lift @ q_t, and over F's k = min(d,
+    N_t) singular values s_i, tr G = ||C||_F^2 or ||F||_F^2 = sum s_i^2
+    >= s_max^2 and tr G^-1 = ||C^-1||_F^2 or ||R^-1||_F^2 = sum s_i^-2
     >= s_min^-2.
 
     The restricted matrix of rank_one_terms is Q_r = D + M a a^T with
@@ -471,23 +516,31 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     it when gamma / tr G > 2e-10 lambda_hi; the second certificate does
     not apply.
 
-    Accuracy contract. Householder QR is backward stable, so against
-    exact arithmetic on the same B, H, e and pi a certified agent's u
-    errs by at most C cond(F) eps ||u|| when F is square or wide (no
-    least-squares residual), plus C cond(F)^2 eps c ||rho|| / ||F||_2 for
-    tall F, rho the residual of (pi o e)_m outside range(F) (N. J.
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    2002, ch. 20), with C = 4 d N_t; theta is within C cond(F) eps
-    relative (theta = ||pi o e||^2 / M does not read F; at full rank c
-    does). This decides no transmit bit where w != 0. The spectral path
-    forms Q_r, whose diagonal spans cond(F)^2, and loses about
-    cond(F)^2 eps. The property tests hold the contract against an exact
-    rational closed form (tests/oracles.py, exact_rank_one_terms).
+    Accuracy contract. Against exact arithmetic on the same B, H, e and
+    pi a certified agent's u errs by at most C cond(F) eps ||u|| when F is
+    square or wide (no least-squares residual), plus C cond(F)^2 eps c
+    ||rho|| / ||F||_2 for tall F, rho the residual of (pi o e)_m outside
+    range(F) (N. J. Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 20), with C = 4 d N_t; theta is within
+    C cond(F) eps relative (theta = ||pi o e||^2 / M does not read F; at
+    full rank c does). On the QR route this is the backward stability of
+    Householder QR of F (or F^T). On the square-C route the computed
+    factors are those of a nearby F too: one Householder QR of B_m gives
+    a Q_B orthonormal to working precision with Q_B R_B = B_m + dB,
+    ||dB|| = O(eps ||B_m||) (Higham ch. 19); forming C = R_B H_m rounds as
+    forming B_m H_m does; and LU with partial pivoting inverts C with an
+    error of O(cond(C) eps ||C^-1||) (Higham ch. 9 and 14), where
+    cond C = cond F because Q_B has orthonormal columns. The same bound
+    therefore holds. This decides no transmit bit where w != 0. The spectral path forms
+    Q_r, whose diagonal spans cond(F)^2, and loses about cond(F)^2 eps.
+    The property tests hold the contract against an exact rational closed
+    form (tests/oracles.py, exact_rank_one_terms).
 
-    Orthogonal rather than normal equations G^-1 F^T: forming F^T b loses
-    cond(F)^2 eps where the least-squares residual is large, and the trace
-    of a computed G^-1 can be negative when G is numerically indefinite;
-    a sum of squares cannot.
+    Orthogonal factors or a square LU rather than normal equations
+    G^-1 F^T: forming F^T b loses cond(F)^2 eps where the least-squares
+    residual is large, and the trace of a computed G^-1 can be negative
+    when G is numerically indefinite; a sum of squares cannot. C = R_B H_m
+    is not G: its condition number is F's, not F's squared.
 
     Declined: a slot whose flag is clear (gamma = 0, N_r < min(d, N_t), a
     singular, non-finite or ill-conditioned F), and any slot where some

@@ -239,8 +239,10 @@ def tuned_gains(topology: swarm.SwarmTopology) -> np.ndarray:
     """The baselines' (M, N_t, dM) proportional gain k_p of the plant
     (baselines.tune_pid), computed once per topology.
 
-    Tuning is on A itself; an actuated plant with no stabilising Riccati
-    solution raises DareConvergenceError.
+    Tuning is on A itself; an actuated plant for which
+    baselines.solve_dare finds no stabilising Riccati solution raises
+    DareConvergenceError, also where one exists (the M = 1, d = 9,
+    N_t = N_r = 16 ring of seed 2).
     """
     return _per_topology(("pid", topology.m_agents, topology.state_dim,
                           topology.n_rx, topology.n_tx, topology.a_global.tobytes(),

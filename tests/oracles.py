@@ -98,29 +98,42 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     """policy.certified_terms of one slot with every term formed at the slot.
 
     The per-slot formula that policy.CertifiedBlock hoists out of the slot:
-    the slot's own thin QR (of F, or of F^T when N_t > d), traces, bound
-    terms of gamma and operator [q_t; -F^+ diag(pi_m) / M], in the operand
-    order of certified_terms, so a slot's result agrees with the per-block
-    form bit for bit; both certificates (the second reads P_on). None where
-    certified_terms declines.
+    the slot's own factors, traces, bound terms of gamma and operator
+    [q_t; -F^+ diag(pi_m) / M], in the operand order of certified_terms,
+    so a slot's result agrees with the per-block form bit for bit; both
+    certificates (the second reads P_on). With N_r = N_t <= d the factors
+    are the QR B_m = Q_B R_B of the actuation and the inverse of the square
+    C = R_B H_m (q_t = Q_B^T, root = C^T, lift = C^-1, tr G = ||C||_F^2);
+    otherwise the slot's own thin QR of F, or of F^T when N_t > d. None
+    where certified_terms declines.
     """
     gamma = params.gamma
     b = np.asarray(b_actuation, dtype=float)
+    h = np.asarray(h, dtype=float)
     m_count, d, n_rx = b.shape
-    n_tx = np.shape(h)[-1]
+    n_tx = h.shape[-1]
     k = min(d, n_tx)
     if gamma == 0 or n_rx < k:
         return None
-    wide = n_tx > d
-    f = b @ np.asarray(h, dtype=float)
-    tr_g = (f * f).sum(axis=(-2, -1))
-    if not np.isfinite(tr_g).all():
-        return None
-    q, r = np.linalg.qr(np.swapaxes(f, -1, -2) if wide else f)
-    if not (np.diagonal(r, axis1=-2, axis2=-1) != 0).all():
-        return None
-    r_inv = linalg.upper_inverse(r)
-    tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
+    square, wide = n_rx == n_tx <= d, n_tx > d
+    if square:
+        q_b, r_b = np.linalg.qr(b)
+        c = r_b @ h
+        tr_g = (c * c).sum(axis=(-2, -1))
+        if not np.isfinite(tr_g).all() or (np.linalg.slogdet(c)[0] == 0).any():
+            return None
+        lift = np.linalg.inv(c)
+        tr_inv = (lift * lift).sum(axis=(-2, -1))
+    else:
+        f = b @ h
+        tr_g = (f * f).sum(axis=(-2, -1))
+        if not np.isfinite(tr_g).all():
+            return None
+        q, r = np.linalg.qr(np.swapaxes(f, -1, -2) if wide else f)
+        if not (np.diagonal(r, axis1=-2, axis2=-1) != 0).all():
+            return None
+        r_inv = linalg.upper_inverse(r)
+        tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
     if not (tr_g * tr_inv).max() <= policy.CERTIFIED_MAX_TRACE_PRODUCT:
         return None
     e = np.asarray(e, dtype=float)
@@ -131,13 +144,19 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
         return policy.RankOneTerms(theta=np.zeros(m_count),
                                    u=np.zeros((m_count, n_tx)))
     operator = np.empty((m_count, k + n_tx, d))
-    if wide:
+    scale = constants.pi.reshape(m_count, 1, d) / -m_count
+    if square:
+        operator[:, :k] = np.swapaxes(q_b, -1, -2)
+        root = np.swapaxes(c, -1, -2)
+        operator[:, k:] = lift @ (np.swapaxes(q_b, -1, -2) * scale)
+    elif wide:
         operator[:, :k] = np.eye(d)
-        root, pinv = r, q @ np.swapaxes(r_inv, -1, -2)
+        root = r
+        operator[:, k:] = (q @ np.swapaxes(r_inv, -1, -2)) * scale
     else:
         operator[:, :k] = np.swapaxes(q, -1, -2)
-        root, pinv = np.swapaxes(r, -1, -2), r_inv @ operator[:, :k]
-    operator[:, k:] = pinv * (constants.pi.reshape(m_count, 1, d) / -m_count)
+        root = np.swapaxes(r, -1, -2)
+        operator[:, k:] = (r_inv @ operator[:, :k]) * scale
     pe = constants.pi * e
     z = (operator @ e.reshape(m_count, d, 1))[..., 0]
     y_e, u = z[:, :k], z[:, k:]

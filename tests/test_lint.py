@@ -8,8 +8,10 @@ is listed there. Every import of the package names one of its modules:
 `from swarmtrack import X`, and `from . import X` inside the package, bind
 a module (or __version__), never a function or class. The README layout
 table names only what its modules define: each backticked bare name or
-call in a `swarmtrack.<module>` row resolves in that module, and a
-written call's arguments fit the function's signature. Every
+call in a `swarmtrack.<module>` row resolves in that module, one
+qualified by a package module (`policy.certify_channels`) resolves in
+that module, and a written call's arguments fit the function's
+signature. Every
 "`module.func`'s `param`" mention in the README names a parameter of
 that function. The README's sentence on the output gate counts the
 episodes and CLI files that tests/digests.json holds. The scalar rules (what a count and a real are)
@@ -156,25 +158,32 @@ def test_no_scipy_import(path):
     assert "scipy" not in imported_modules(path), f"{path.name} imports scipy"
 
 
-def layout_references():
-    """(module, name, written arguments or None) of the README layout table."""
-    for line in README.read_text(encoding="utf-8").splitlines():
+def layout_references(text):
+    """(module, name, written arguments or None) of the README layout table.
+
+    A bare name or call resolves in its row's module; one qualified by a
+    package module (`policy.certify_channels`) resolves in that module.
+    """
+    for line in text.splitlines():
         row = re.match(r"\| `swarmtrack\.(\w+)` \| (.*) \|$", line)
         if row is None:
             continue
         for span in re.findall(r"`([^`]*)`", row.group(2)):
-            ref = re.fullmatch(r"([A-Za-z_]\w*)(?:\((.*)\))?", span)
-            if ref is None or ref.group(1) == "swarmtrack" \
-                    or keyword.iskeyword(ref.group(1)):
+            ref = re.fullmatch(r"(?:(\w+)\.)?([A-Za-z_]\w*)(?:\((.*)\))?", span)
+            if ref is None:
                 continue
-            yield row.group(1), ref.group(1), ref.group(2)
+            module, name, args = ref.groups()
+            if module is None and (name == "swarmtrack" or keyword.iskeyword(name)):
+                continue
+            if module is None or module in MODULES:
+                yield module or row.group(1), name, args
 
 
-def test_readme_layout_names_resolve():
-    refs = list(layout_references())
-    assert refs, "README layout table not found"
+def unresolved_layout_references(text):
+    """The layout references in text that name nothing, or whose written
+    call does not fit the signature."""
     problems = []
-    for module_name, name, args in refs:
+    for module_name, name, args in layout_references(text):
         module = importlib.import_module(f"swarmtrack.{module_name}")
         if not hasattr(module, name):
             problems.append(f"swarmtrack.{module_name} has no {name}")
@@ -185,7 +194,27 @@ def test_readme_layout_names_resolve():
             except TypeError:
                 problems.append(f"{module_name}.{name}({args}) does not fit "
                                 f"{inspect.signature(getattr(module, name))}")
-    assert not problems, problems
+    return problems
+
+
+def test_readme_layout_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    refs = list(layout_references(text))
+    assert refs, "README layout table not found"
+    assert not unresolved_layout_references(text)
+
+
+def test_layout_references_flag_a_qualified_missing_name():
+    # a row's span qualified by another package module resolves there; one
+    # qualified by a name that is not a package module is not read
+    text = ("| `swarmtrack.linalg` | `svd(matrix)`, the R factors of "
+            "`policy.certify_channels` and `policy.certify_block`, "
+            "`topology.b_actuation` |")
+    assert [ref[:2] for ref in layout_references(text)] == [
+        ("linalg", "svd"), ("policy", "certify_channels"),
+        ("policy", "certify_block")]
+    assert unresolved_layout_references(text) == [
+        "swarmtrack.policy has no certify_block"]
 
 
 def parameter_mentions(text):

@@ -801,13 +801,14 @@ def test_certified_path_declines_without_a_certificate():
 
 def test_fully_declined_blocks_are_not_factored(monkeypatch):
     # gamma = 0 and N_r < min(d, N_t) decline the whole block before any
-    # QR, back substitution or operator: the factor and bound fields are
-    # zero broadcast views of their shapes, and each slot still takes the
-    # spectral path
+    # QR, inverse, back substitution or operator: the factor and bound
+    # fields are zero broadcast views of their shapes, and each slot still
+    # takes the spectral path
     def refuse(*args, **kwargs):
         raise AssertionError("a fully declined block was factored")
 
     monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
     monkeypatch.setattr(policy, "upper_inverse", refuse)
     rng = np.random.default_rng(1306)
     for m_count, d, n_tx, n_rx, gamma in ((4, 9, 4, 4, 0.0), (4, 3, 4, 2, 1.0),
@@ -826,6 +827,57 @@ def test_fully_declined_blocks_are_not_factored(monkeypatch):
             assert field.shape == shape, name
             assert not field.any() and not any(field.strides), name
         assert_block_declined(e, b, h, constants, params)
+
+
+FACTOR_ROUTES = {    # (M, d, N_t, N_r): the array certify_channels factors
+    "square": (4, 9, 4, 4), "square_full": (1, 3, 3, 3),
+    "square_singular": (4, 9, 4, 4), "tall": (3, 5, 2, 3), "wide": (2, 3, 5, 4),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FACTOR_ROUTES))
+def test_certify_channels_factors_by_the_channel_shape(route, monkeypatch):
+    # N_r = N_t <= d: one QR of the (M, d, N_r) actuation stack and one
+    # inverse of the (slots, M, N_t, N_t) stack C = R_B H; N_r > N_t and
+    # wide F: the thin QR of the (slots, M) stack of F, or of F^T, and no
+    # general inverse. An exactly singular C (agent 0 of the middle slot)
+    # makes the stacked inverse raise; that slot is swapped for the identity
+    # and declined, and the stack is inverted once more
+    calls = []
+
+    def counted(name, func):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return func(a, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    m_count, d, n_tx, n_rx = FACTOR_ROUTES[route]
+    rng = np.random.default_rng(1395)
+    e, b, _, constants, params = rank_one_instance(rng, m_count, d, n_tx,
+                                                   n_rx, 1.0)
+    h = rng.normal(size=(3, m_count, n_rx, n_tx))
+    singular = route == "square_singular"
+    if singular:
+        h[1, 0] = 0.0
+    block = policy.certify_channels(b, h, constants, params)
+    assert block.conditioned.tolist() == [True, not singular, True]
+    if route.startswith("square"):
+        assert calls == [("qr", (m_count, d, n_rx))] + \
+            [("inv", (3, m_count, n_tx, n_tx))] * (1 + singular)
+    else:
+        f_shape = (3, m_count) + ((n_tx, d) if n_tx > d else (d, n_tx))
+        assert calls == [("qr", f_shape)]
+    for i in range(len(h)):
+        terms = policy.certified_terms(block, i, e)
+        if not block.conditioned[i]:
+            assert terms is None
+            continue
+        spectral = policy.rank_one_terms(policy.factorize_agent(b, h[i]), e,
+                                         constants, params)
+        assert np.allclose(terms.theta, spectral.theta, rtol=1e-12, atol=0)
+        assert np.linalg.norm(terms.u - spectral.u) <= 1e-12 * np.linalg.norm(spectral.u)
 
 
 def test_certified_path_taken_on_tall_well_conditioned_channels():
