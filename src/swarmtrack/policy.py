@@ -56,16 +56,20 @@ takes the spectral path above (factorize_agent + rank_one_terms), so the
 cutoff decisions stay those of the dense form. Everything the
 certificates need that does not depend on the error runs once per block
 of slots (certify_channels: where N_r = N_t <= d, one QR B_m = Q_B R_B
-of the actuation and one batched inverse of every slot's and agent's
-square C = R_B H_m, since F = Q_B C gives F^+ = C^-1 Q_B^T and cond F
-= cond C (reverse-order law; T. N. E. Greville, SIAM Review 8, 1966);
+per actuation stack, kept across blocks, and one batched inverse of every
+slot's and agent's square C = R_B H_m, since F = Q_B C gives F^+ = C^-1
+Q_B^T and cond F = cond C (reverse-order law; T. N. E. Greville, SIAM
+Review 8, 1966);
 otherwise one thin QR of every slot's and agent's B_m H_m, or of its
-transpose when N_t > d; then the bound terms of tr G, tr G^-1 and gamma,
-and per slot and agent one stacked operator [q_t; -F^+ diag(pi_m) / M],
-with F^+ = lift @ q_t and q_t = I for wide F, in a CertifiedBlock); only
-the error part runs per slot, and it reads y_e = q_t e_m and
-u = -(1/M) F^+ (pi o e)_m of every agent off one batched product of the
-operators with e's agent blocks e_m. Declined:
+transpose when N_t > d; then the bound terms of tr G, tr G^-1 and gamma
+and their extremes over each slot's agents, and per slot and agent one
+stacked operator [q_t; -F^+ diag(pi_m) / M], with F^+ = lift @ q_t and
+q_t = I for wide F, in a CertifiedBlock); only the error part runs per
+slot, and it reads y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m of every
+agent off one batched product of the operators with e's agent blocks e_m.
+Two scalar tests in ||e||^2 and sum_m ||y_e,m||^2 against the extremes
+answer most slots for every agent at once, and the per-agent tests the
+rest. Declined:
 every slot whose conditioned flag is clear, which gamma = 0 and
 N_r < min(d, N_t) (B_m H_m cannot have full rank) clear for the whole
 block, whose channels are then not factored at all, and a singular,
@@ -105,6 +109,17 @@ CERTIFIED_MAX_TRACE_PRODUCT = (CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL) *
 # At 1e-8 it also keeps w^2 above 2% of ||e||^2 (lambda_hi >= M ||e||^2),
 # far from the rounding of w^2 = ||e||^2 - ||y_e||^2.
 CERTIFIED_CUT_SLACK = 1e-8
+# Relative margin by which the scalar tests of certified_terms undercut
+# the per-agent bounds they stand in for. It covers the rounding of the
+# per-slot edge e_sq_limit, formed in another operand order than the
+# per-agent test (about 10 eps), and of the sum of ||y_e||^2 over agents
+# (a summation error of about M k eps), so a slot that passes a scalar
+# test passes the per-agent ones in floating point too.
+_SCALAR_MARGIN = 1e-12
+# QR (Q_B^T, R_B) of each (M, d, N_r) actuation stack certify_channels
+# has factored, keyed by its shape and bytes; emptied when it outgrows 64
+# entries.
+_ACTUATION_QR_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -162,9 +177,16 @@ class CertifiedBlock:
     terms depend on the channels and gamma alone and are formed here once
     per block, each in the operand order of the bound it enters:
     two_tr_g = 2 tr G, gamma_tr_inv = gamma tr G^-1 and slope
-    = (2 M / gamma) tr G. Where gamma = 0 or N_r < min(d, N_t) no slot can
-    be certified: nothing is factored, and the factor and bound fields are
-    broadcast zero views of their shapes.
+    = (2 M / gamma) tr G. The scalar tests of certified_terms read three
+    extremes of them over the slot's agents, with tol = 2e-10
+    (1 + _SCALAR_MARGIN): e_sq_limit = min_m (gamma / (tol 2 tr G_m)
+    - gamma tr G^-1_m) / M, the ||e||^2 below which every agent passes the
+    first branch of the first certificate, gamma_tr_inv_max
+    = max_m gamma tr G^-1_m and slope_max = max_m (2 M / gamma) tr G_m.
+    They may be infinite or NaN at extreme gamma or on a declined slot,
+    where a scalar test then fails. Where gamma = 0 or N_r < min(d, N_t)
+    no slot can be certified: nothing is factored, and the factor and
+    bound fields are broadcast zero views of their shapes.
     """
 
     params: PolicyParams
@@ -177,6 +199,9 @@ class CertifiedBlock:
     two_tr_g: np.ndarray        # (slots, M)
     gamma_tr_inv: np.ndarray    # (slots, M)
     slope: np.ndarray           # (slots, M)
+    e_sq_limit: np.ndarray      # (slots,)
+    gamma_tr_inv_max: np.ndarray  # (slots,)
+    slope_max: np.ndarray       # (slots,)
 
 
 class RankOneTerms(NamedTuple):
@@ -322,6 +347,20 @@ def rank_one_terms(factors, e, constants: DriftConstants,
     return RankOneTerms(theta=c * float(pe @ pe), u=u)
 
 
+def _actuation_qr(b):
+    """(Q_B^T, R_B) of the (M, d, N_r) actuation stack b, once per stack."""
+    key = (b.shape, b.tobytes())
+    hit = _ACTUATION_QR_CACHE.get(key)
+    if hit is None:
+        if len(_ACTUATION_QR_CACHE) > 64:
+            _ACTUATION_QR_CACHE.clear()
+        q_b, r_b = np.linalg.qr(b)
+        hit = _ACTUATION_QR_CACHE[key] = (np.swapaxes(q_b, -1, -2), r_b)
+        for factor in hit:
+            factor.flags.writeable = False
+    return hit
+
+
 def certify_channels(b_actuation, h, constants: DriftConstants,
                      params: PolicyParams) -> CertifiedBlock:
     """Per-block part of certified_terms for a block of slots.
@@ -332,9 +371,10 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
     the second certificate), and forms the operator [q_t; -F^+ diag(pi_m)
     / M] of every (slot, agent) pair once here. The shape picks the
     factors. Where N_r = N_t <= d, one QR of the (M, d, N_r) actuation
-    stack, one batched product C = R_B H and one batched LU inverse of the
-    (slots, M, N_t, N_t) stack C cover the block, and the operator's last
-    rows are C^-1 (Q_B^T diag(pi_m) / -M). Otherwise (N_r > N_t, or wide
+    stack (kept in a memo keyed by its bytes, so every block of a topology
+    reuses it), one batched product C = R_B H and one batched LU inverse of
+    the (slots, M, N_t, N_t) stack C cover the block, and the operator's
+    last rows are C^-1 (Q_B^T diag(pi_m) / -M). Otherwise (N_r > N_t, or wide
     F) one batched thin QR of F or F^T, one back substitution over the
     stack of R factors (linalg.upper_inverse) and one batched product
     F^+ = lift @ q_t do. The QR route stays there because C would not be
@@ -360,21 +400,25 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
     if gamma == 0 or n_rx < k:
         operator = np.broadcast_to(0.0, (n_slots, m_count, k + n_tx, d))
         bound = np.broadcast_to(0.0, (n_slots, m_count))
+        extreme = np.broadcast_to(0.0, n_slots)
         return CertifiedBlock(
             params=params, constants=constants, operator=operator,
             q_t=operator[..., :k, :],
             root=np.broadcast_to(0.0, (n_slots, m_count, k, k)),
             lift=np.broadcast_to(0.0, (n_slots, m_count, n_tx, k)),
             conditioned=np.zeros(n_slots, dtype=bool),
-            two_tr_g=bound, gamma_tr_inv=bound, slope=bound)
+            two_tr_g=bound, gamma_tr_inv=bound, slope=bound,
+            e_sq_limit=extreme, gamma_tr_inv_max=extreme, slope_max=extreme)
     operator = np.empty((n_slots, m_count, k + n_tx, d))
     q_t = operator[..., :k, :]
     scale = constants.pi.reshape(m_count, 1, d) / -m_count
-    # a declined slot's terms may overflow or be NaN; they are never read
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a declined slot's terms may overflow, divide by zero or be NaN, and
+    # extreme gamma overflows or underflows the bound terms; a scalar test
+    # then fails, and nothing reads a declined slot's terms
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if n_rx == n_tx <= d:
             # F = Q_B C with C = R_B H square: F^+ = C^-1 Q_B^T (Greville)
-            q_b, r_b = np.linalg.qr(b)
+            q_bt, r_b = _actuation_qr(b)
             c = r_b @ h
             tr_g = (c * c).sum(axis=(-2, -1))
             invertible = np.isfinite(tr_g)
@@ -387,7 +431,7 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
                 c = np.where(invertible[..., None, None], c, np.eye(k))
                 lift = np.linalg.inv(c)
             tr_inv = (lift * lift).sum(axis=(-2, -1))
-            q_t[...] = q_bt = np.swapaxes(q_b, -1, -2)
+            q_t[...] = q_bt
             root = np.swapaxes(c, -1, -2)
             np.matmul(lift, q_bt * scale, out=operator[..., k:, :])
         else:
@@ -414,11 +458,16 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
             np.multiply(pinv, scale, out=operator[..., k:, :])
         conditioned = (invertible.all(axis=-1)
                        & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
+        two_tr_g, gamma_tr_inv = 2.0 * tr_g, gamma * tr_inv
+        slope = (2.0 * m_count / gamma) * tr_g
+        tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL * (1.0 + _SCALAR_MARGIN)
+        e_sq_limit = ((gamma / (tol * two_tr_g) - gamma_tr_inv) / m_count).min(axis=-1)
         return CertifiedBlock(
             params=params, constants=constants, operator=operator, q_t=q_t,
             root=root, lift=lift, conditioned=conditioned,
-            two_tr_g=2.0 * tr_g, gamma_tr_inv=gamma * tr_inv,
-            slope=(2.0 * m_count / gamma) * tr_g)
+            two_tr_g=two_tr_g, gamma_tr_inv=gamma_tr_inv, slope=slope,
+            e_sq_limit=e_sq_limit, gamma_tr_inv_max=gamma_tr_inv.max(axis=-1),
+            slope_max=slope.max(axis=-1))
 
 
 def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
@@ -443,7 +492,8 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     gamma; block_decisions runs it once per block of slots. The error part
     runs here, per slot: ||e||^2 and ||pi o e||^2, one batched product of
     the operator with e's agent blocks e_m, which gives the coordinates
-    y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m, and the bound tests.
+    y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m, the scalar tests and,
+    where both fail, the per-agent bound tests.
 
     Square C (N_r = N_t <= d): F = Q_B C with C = R_B H_m N_t x N_t, so
     range(F) = range(B_m), y_e = Q_B^T e_m, G = C^T C, F^+ = C^-1 Q_B^T
@@ -507,6 +557,30 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     certificate, theta_0 and u = -(1/M) F^+ (pi o e)_m; the spectral
     path's theta and u are at most delta below it, relative.
 
+    Scalar tests. Both certificates are first tried for all agents at
+    once, in two scalars of the error: ||e||^2 and Y = sum_m ||y_e,m||^2
+    >= every ||y_e,m||^2 (one reduction), against the block's per-slot
+    agent extremes e_sq_limit, gamma_tr_inv_max and slope_max. Every
+    agent passes the first certificate if ||e||^2 < e_sq_limit (its first
+    branch, rearranged for ||e||^2) and W - Lambda (1 + slope_max Y) > 0,
+    with W = M (||e||^2 - Y) <= M w_m^2 and Lambda = 2e-10
+    (gamma_tr_inv_max + M ||e||^2) >= lambda_hi: an agent's second branch
+    M w_m^2 - lambda_hi (1 + slope_m ||y_e,m||^2) only falls as
+    ||y_e,m||^2, gamma tr G^-1_m and slope_m rise. Every agent passes the
+    second if W > 0, Lambda <= CERTIFIED_CUT_SLACK W and P_on lies outside
+    [(1 - Lambda / W) theta_0, theta_0), since Lambda / W >= max delta
+    widens the band. Apart from e_sq_limit, each scalar test is its
+    per-agent test with the operands replaced by bounds in the same
+    operand order, and rounding is monotone, so it implies the per-agent
+    test in floating point; e_sq_limit and Y are formed in another order,
+    and _SCALAR_MARGIN lowers e_sq_limit and raises Y by more than their
+    rounding. A slot that passes a scalar test therefore passes the
+    per-agent tests and gets the same answer; the per-agent tests below
+    referee every slot that fails both scalar tests, so the certified
+    slots and their answers are those of the per-agent tests alone. Where
+    k = d (wide F, or square F with N_t = d) Y is ||e||^2, W < 0 and only
+    the per-agent tests certify.
+
     Full rank (M = 1 with N_t >= d: F has rank d and w = 0). Q_r = gamma
     S^-2 + a a^T has no w direction, so by Sherman-Morrison c = t / (1 + t)
     with t = ||F^T e||^2 / gamma = ||root y_e||^2 / gamma, theta
@@ -564,18 +638,29 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     pe = block.constants.pi * e
     z = (block.operator[i] @ e.reshape(m_count, d, 1))[..., 0]
     y_e, u = z[:, :k], z[:, k:]
-    lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
     if m_count == 1 and n_tx >= d:
         # full rank: gamma / tr G > tol lambda_hi
+        lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
         if not 2.0 * gamma > float(block.two_tr_g[i, 0] * lam_hi[0]):
             return None
         fe = block.root[i, 0] @ y_e[0]
         t = float(fe @ fe) / gamma
         c = t / (1.0 + t)
         return RankOneTerms(theta=np.array([c * float(pe @ pe)]), u=u * c)
+    theta = float(pe @ pe) / m_count
+    # scalar tests: both certificates at once for every agent, in Python
+    # floats (no warnings where an extreme is infinite or NaN)
+    y_sq = float(np.vdot(y_e, y_e)) * (1.0 + _SCALAR_MARGIN)
+    w = m_count * (e_sq - y_sq)
+    lam = tol * (float(block.gamma_tr_inv_max[i]) + m_count * e_sq)
+    if (e_sq < block.e_sq_limit[i]
+            and w - lam * (1.0 + float(block.slope_max[i]) * y_sq) > 0
+            or w > 0 and lam <= CERTIFIED_CUT_SLACK * w
+            and not (1.0 - lam / w) * theta <= block.params.p_on < theta):
+        return RankOneTerms(theta=np.full(m_count, theta), u=u)
+    lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
     ye_sq = (y_e ** 2).sum(axis=1)
     m_w_sq = m_count * (e_sq - ye_sq)
-    theta = float(pe @ pe) / m_count
     # first certificate, lambda_lo > tol lambda_hi, one branch of the min
     # at a time; else the second, delta = lam_hi / (M w^2) <= slack with
     # P_on outside the band [(1 - max delta) theta, theta)

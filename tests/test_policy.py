@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -821,7 +824,8 @@ def test_fully_declined_blocks_are_not_factored(monkeypatch):
         shapes = {"operator": (3, m_count, k + n_tx, d), "q_t": (3, m_count, k, d),
                   "root": (3, m_count, k, k), "lift": (3, m_count, n_tx, k),
                   "two_tr_g": (3, m_count), "gamma_tr_inv": (3, m_count),
-                  "slope": (3, m_count)}
+                  "slope": (3, m_count), "e_sq_limit": (3,),
+                  "gamma_tr_inv_max": (3,), "slope_max": (3,)}
         for name, shape in shapes.items():
             field = getattr(block, name)
             assert field.shape == shape, name
@@ -837,12 +841,14 @@ FACTOR_ROUTES = {    # (M, d, N_t, N_r): the array certify_channels factors
 
 @pytest.mark.parametrize("route", sorted(FACTOR_ROUTES))
 def test_certify_channels_factors_by_the_channel_shape(route, monkeypatch):
-    # N_r = N_t <= d: one QR of the (M, d, N_r) actuation stack and one
-    # inverse of the (slots, M, N_t, N_t) stack C = R_B H; N_r > N_t and
-    # wide F: the thin QR of the (slots, M) stack of F, or of F^T, and no
+    # N_r = N_t <= d: one QR per (M, d, N_r) actuation stack, which a
+    # second block of the same stack reuses, and one inverse of each
+    # block's (slots, M, N_t, N_t) stack C = R_B H; N_r > N_t and wide F:
+    # the thin QR of each block's (slots, M) stack of F, or of F^T, and no
     # general inverse. An exactly singular C (agent 0 of the middle slot)
     # makes the stacked inverse raise; that slot is swapped for the identity
     # and declined, and the stack is inverted once more
+    monkeypatch.setattr(policy, "_ACTUATION_QR_CACHE", {})
     calls = []
 
     def counted(name, func):
@@ -863,9 +869,16 @@ def test_certify_channels_factors_by_the_channel_shape(route, monkeypatch):
         h[1, 0] = 0.0
     block = policy.certify_channels(b, h, constants, params)
     assert block.conditioned.tolist() == [True, not singular, True]
+    inverses = [("inv", (3, m_count, n_tx, n_tx))] * (1 + singular)
     if route.startswith("square"):
-        assert calls == [("qr", (m_count, d, n_rx))] + \
-            [("inv", (3, m_count, n_tx, n_tx))] * (1 + singular)
+        assert calls == [("qr", (m_count, d, n_rx))] + inverses
+        calls.clear()
+        again = policy.certify_channels(b.copy(), h, constants, params)
+        assert calls == inverses
+        assert again.operator.tobytes() == block.operator.tobytes()
+        calls.clear()
+        policy.certify_channels(2.0 * b, h, constants, params)
+        assert calls == [("qr", (m_count, d, n_rx))] + inverses
     else:
         f_shape = (3, m_count) + ((n_tx, d) if n_tx > d else (d, n_tx))
         assert calls == [("qr", f_shape)]
@@ -1070,6 +1083,140 @@ def test_block_terms_match_per_slot_formula(route):
         assert (spectral.theta <= params.p_on).sum() == 3
         return
     assert_matches_dense(e, b, h[1], constants, params, rtol=1e-5)
+
+
+# The scalar tests of certified_terms: two tests in ||e||^2 and the summed
+# ||y_e||^2 against per-slot agent extremes, which stand in for every
+# agent's bounds; the per-agent tests referee every slot they do not answer.
+
+class PerAgentRead(Exception):
+    """certified_terms read a per-agent bound term."""
+
+
+class PerAgentSpy(np.ndarray):
+    def __getitem__(self, index):
+        raise PerAgentRead
+
+
+def scalar_certified(block, i, e):
+    """Whether certified_terms answers slot i without reading a per-agent
+    bound term (two_tr_g, gamma_tr_inv or slope), i.e. by a scalar test."""
+    spied = dataclasses.replace(block, **{
+        name: getattr(block, name).view(PerAgentSpy)
+        for name in ("two_tr_g", "gamma_tr_inv", "slope")})
+    try:
+        return policy.certified_terms(spied, i, e) is not None
+    except PerAgentRead:
+        return False
+
+
+def assert_slot_matches_referee(block, i, e, b, h, constants, params):
+    """certified_terms of slot i equals the per-slot formula bit for bit;
+    returns whether a scalar test answered it (then the per-slot formula,
+    which runs only the per-agent tests, certifies it too)."""
+    terms = policy.certified_terms(block, i, e)
+    ref = oracles.slot_certified_terms(b, h[i], e, constants, params)
+    assert (terms is None) == (ref is None)
+    if ref is not None:
+        assert terms.theta.tobytes() == ref.theta.tobytes()
+        assert terms.u.tobytes() == ref.u.tobytes()
+    scalar = scalar_certified(block, i, e)
+    assert not scalar or ref is not None
+    return scalar
+
+
+def scalar_test_errors(rng, f):
+    """Errors for the (M, d, N_t) stack f: spread over every agent, held in
+    one agent's block, and inside each agent's range(F_m) (or one agent's)
+    but for a 1e-3 part; each at a random scale."""
+    m_count, d, n_tx = f.shape
+    one = np.zeros((m_count, d))
+    one[rng.integers(m_count)] = rng.normal(size=d)
+    near = (f @ rng.normal(size=(m_count, n_tx, 1)))[..., 0]
+    near += 1e-3 * np.abs(near).max() * rng.normal(size=near.shape)
+    near_one = np.zeros_like(near)
+    near_one[0] = near[0]
+    return [float(10.0 ** rng.uniform(-3, 3)) * x.ravel()
+            for x in (rng.normal(size=(m_count, d)), one, near, near_one)]
+
+
+SCALAR_SHAPES = {"tall": (5, 3, 4), "square": (9, 4, 4), "wide": (3, 5, 4)}
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("m_count", [2, 3, 4, 8])
+@pytest.mark.parametrize("shape", sorted(SCALAR_SHAPES))
+def test_scalar_tests_are_sufficient(shape, m_count, gamma):
+    # every slot a scalar test answers, the per-agent tests answer too, with
+    # the same bits; P_on at 0, at random and just under theta_0 (inside
+    # the second certificate's band). Wide F has y_e = e_m, so the summed
+    # ||y_e||^2 is ||e||^2 and only the per-agent tests certify
+    rng = np.random.default_rng(1600 + 10 * m_count
+                                + sorted(SCALAR_SHAPES).index(shape))
+    d, n_tx, n_rx = SCALAR_SHAPES[shape]
+    b = rng.normal(size=(m_count, d, n_rx))
+    h = rng.normal(size=(6, m_count, n_rx, n_tx))
+    pi = rng.uniform(0.1, 2.0, size=m_count * d)
+    constants = DriftConstants(pi=pi, alpha=2.0 * pi.max() ** 2)
+    block = policy.certify_channels(b, h, constants, PolicyParams(gamma=gamma))
+    assert block.conditioned.all()
+    answered = refereed = 0
+    for i in range(len(h)):
+        for e in scalar_test_errors(rng, b @ h[i]):
+            theta_0 = float((pi * e) @ (pi * e)) / m_count
+            for p_on in (0.0, float(rng.uniform(0.0, 1.5)) * theta_0,
+                         (1.0 - 1e-13) * theta_0):
+                params = PolicyParams(p_on=p_on, gamma=gamma)
+                scalar = assert_slot_matches_referee(
+                    dataclasses.replace(block, params=params), i, e, b, h,
+                    constants, params)
+                answered += scalar
+                refereed += not scalar
+    if shape == "wide":
+        assert answered == 0
+    else:
+        assert answered > 0 and refereed > 0
+
+
+def test_scalar_tests_skip_the_per_agent_terms():
+    # on the benchmark's shape (M = 8, d = 9, N_t = N_r = 4) at gamma = 1
+    # a spread error passes a scalar test: the per-agent bound terms are
+    # never read, and the answer is the referee's. An error inside agent
+    # 1's range but for a 1e-3 part fails both scalar tests, and the
+    # per-agent tests decide it
+    rng = np.random.default_rng(1620)
+    e, b, h, constants, params = rank_one_instance(rng, 8, 9, 4, 4, 1.0)
+    block = policy.certify_channels(b, h[None], constants, params)
+    assert scalar_certified(block, 0, e)
+    assert_slot_matches_referee(block, 0, e, b, h[None], constants, params)
+    near = np.zeros_like(e)
+    near[9:18] = b[1] @ h[1] @ rng.normal(size=4)
+    near[9:18] += 1e-3 * np.linalg.norm(near) * rng.normal(size=9)
+    assert not scalar_certified(block, 0, near)
+    assert not assert_slot_matches_referee(block, 0, near, b, h[None],
+                                           constants, params)
+
+
+@pytest.mark.parametrize("gamma", [5e-324, 1e-300, 1e300])
+@pytest.mark.parametrize("shape", sorted(SCALAR_SHAPES))
+def test_scalar_tests_are_quiet_at_extreme_gamma(shape, gamma):
+    # subnormal and huge gamma overflow or underflow the agent extremes,
+    # and a singular (middle) and a non-finite (last) slot divide by zero
+    # or carry NaN: no warning, and every slot matches the referee
+    rng = np.random.default_rng(1630 + sorted(SCALAR_SHAPES).index(shape))
+    d, n_tx, n_rx = SCALAR_SHAPES[shape]
+    e, b, _, constants, params = rank_one_instance(rng, 4, d, n_tx, n_rx, gamma)
+    h = rng.normal(size=(3, 4, n_rx, n_tx))
+    h[1, 0] = 0.0
+    h[2, 2, 0, 0] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        block = policy.certify_channels(b, h, constants, params)
+        assert block.conditioned.tolist() == [True, False, False]
+        for i in range(len(h)):
+            for e_slot in (e, *scalar_test_errors(rng, b @ h[0])):
+                assert_slot_matches_referee(block, i, e_slot, b, h, constants,
+                                            params)
 
 
 def test_certified_path_zero_error_is_silent():
