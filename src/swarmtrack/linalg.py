@@ -1,5 +1,4 @@
-"""Deterministic linear-algebra primitives (SVD, pseudoinverse and the
-inverse of a stack of triangular factors).
+"""Deterministic linear-algebra primitives (SVD and pseudoinverse).
 
 Drift constants are built on the SVD and the decision's 1e-10 cutoff is
 the pseudoinverse's truncation rule, so their contracts are kept tight:
@@ -43,19 +42,3 @@ def pseudo_inverse(matrix) -> np.ndarray:
     sp[:k, :k] = np.diag(s_inv)
     return vt.T @ sp @ u.T
 
-
-def upper_inverse(r) -> np.ndarray:
-    """Inverse of a stack (..., k, k) of upper-triangular matrices with
-    nonzero diagonals, by back substitution from the last row up: row i
-    of R^-1 is (e_i - R[i, i+1:] R^-1[i+1:]) / R[i, i], and its entries
-    left of the diagonal stay 0. An entry that overflows is inf or NaN,
-    without a warning."""
-    k = r.shape[-1]
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    inv = np.zeros_like(r)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(k - 1, -1, -1):
-            inv[..., i, i] = 1.0 / diag[..., i]
-            row = r[..., i:i + 1, i + 1:] @ inv[..., i + 1:, i + 1:]
-            inv[..., i, i + 1:] = -row[..., 0, :] / diag[..., i, None]
-    return inv

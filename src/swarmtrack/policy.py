@@ -55,18 +55,19 @@ through certified_terms first; where it declines (returns None) the slot
 takes the spectral path above (factorize_agent + rank_one_terms), so the
 cutoff decisions stay those of the dense form. Everything the
 certificates need that does not depend on the error runs once per block
-of slots (certify_channels: where N_r = N_t <= d, one QR B_m = Q_B R_B
-per actuation stack, kept across blocks, and one batched inverse of every
-slot's and agent's square C = R_B H_m, since F = Q_B C gives F^+ = C^-1
-Q_B^T and cond F = cond C (reverse-order law; T. N. E. Greville, SIAM
-Review 8, 1966);
-otherwise one thin QR of every slot's and agent's B_m H_m, or of its
-transpose when N_t > d; then the bound terms of tr G, tr G^-1 and gamma
+of slots (certify_channels), through one factorization for every shape,
+F = B_m H_m = U S W^T with U and W orthonormal columns and S the k x k
+core, k = min(d, N_t): one QR B_m = Q_B R_B per actuation stack, kept
+across blocks, gives F = Q_B C with C = R_B H_m, so F^+ = C^+ Q_B^T and
+cond F = cond C (reverse-order law; T. N. E. Greville, SIAM Review 8,
+1966); S is C where C is square, else the triangle of a thin QR of C or
+C^T; and one batched inverse of every slot's and agent's S gives
+F^+ = W S^-1 U^T. Then come the bound terms of tr G, tr G^-1 and gamma
 and their extremes over each slot's agents, and per slot and agent one
-stacked operator [q_t; -F^+ diag(pi_m) / M], with F^+ = lift @ q_t and
-q_t = I for wide F, in a CertifiedBlock); only the error part runs per
-slot, and it reads y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m of every
-agent off one batched product of the operators with e's agent blocks e_m.
+stacked operator [q_t; -F^+ diag(pi_m) / M], q_t = U^T, in a
+CertifiedBlock; only the error part runs per slot, and it reads
+y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m of every agent off one
+batched product of the operators with e's agent blocks e_m.
 Two scalar tests in ||e||^2 and sum_m ||y_e,m||^2 against the extremes
 answer most slots for every agent at once, and the per-agent tests the
 rest. Declined:
@@ -90,7 +91,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import _checks
-from .linalg import DEFAULT_PINV_REL_TOL, svd, upper_inverse
+from .linalg import DEFAULT_PINV_REL_TOL, svd
 
 # Certificate constants of certified_terms (derivation there).
 # The eigenvalue bounds must clear the cutoff by this factor, which covers
@@ -154,25 +155,23 @@ class CertifiedBlock:
     Built by certify_channels from a block's (slots, M, N_r, N_t) channels,
     the drift constants (pi) and the policy parameters (params: gamma, and
     P_on for the second certificate), for every input; certified_terms
-    reads slot i. Where N_r = N_t <= d the factors come from the QR
-    B_m = Q_B R_B of the actuation, once per block, and the square
-    C = R_B H_m, so that F = B_m H_m = Q_B C: q_t = Q_B^T, root = C^T and
-    lift = C^-1. Otherwise they come from one thin QR per slot and agent,
-    of F when N_t <= d (tall: F = Q R) and of F^T when N_t > d (wide:
-    F^T = Q R, R d x d), with q_t = Q^T (tall) or the d x d identity
-    (wide), root = R^T (tall) or R (wide) and lift = R^-1 (tall) or
-    Q R^-T (wide). Either way root @ (q_t e_m) has the norm of F^T e_m and
-    F^+ = lift @ q_t.
+    reads slot i. The factors are those of F = B_m H_m = U S W^T, with U
+    (d x k) and W (N_t x k) orthonormal columns and S the k x k core,
+    k = min(d, N_t): the QR B_m = Q_B R_B of the actuation, once per block,
+    gives F = Q_B C with C = R_B H_m (p x N_t, p = min(d, N_r)), and S is
+    C where p = N_t (U = Q_B, W = I), R of C = Q_C R where p > N_t
+    (U = Q_B Q_C, W = I) and R^T of C^T = Q_C R where p < N_t (U = Q_B,
+    W = Q_C). Then q_t = U^T, root = S^T and lift = W S^-1, so
+    root @ (q_t e_m) has the norm of F^T e_m and F^+ = lift @ q_t.
     operator stacks, per slot and agent, q_t over -F^+ diag(pi_m) / M
-    (pi_m agent m's block of pi; formed as C^-1 (Q_B^T diag(pi_m) / -M)
-    where C is square), so operator @ e_m holds y_e = q_t e_m in its first
-    k rows and u = -(1/M) F^+ (pi o e)_m in the rest; q_t is a view of
-    those first k rows.
+    (pi_m agent m's block of pi; formed as lift @ (q_t diag(pi_m) / -M)),
+    so operator @ e_m holds y_e = q_t e_m in its first k rows and
+    u = -(1/M) F^+ (pi o e)_m in the rest; q_t is a view of those first k
+    rows.
     conditioned (one flag per slot) holds when gamma > 0, N_r >= min(d, N_t)
-    and every agent's F is finite with an invertible C or R and tr(G)
-    tr(G^-1) <= CERTIFIED_MAX_TRACE_PRODUCT, with tr G = ||C||_F^2 or
-    ||F||_F^2 and tr G^-1 = ||C^-1||_F^2 or ||R^-1||_F^2 (the sums of s_i^2
-    and s_i^-2 over F's singular values);
+    and every agent's F is finite with an invertible S and tr(G) tr(G^-1)
+    <= CERTIFIED_MAX_TRACE_PRODUCT, with tr G = ||C||_F^2 and tr G^-1
+    = ||S^-1||_F^2 (the sums of s_i^2 and s_i^-2 over F's singular values);
     a slot without it is declined and its terms are never read. The bound
     terms depend on the channels and gamma alone and are formed here once
     per block, each in the operand order of the bound it enters:
@@ -192,7 +191,7 @@ class CertifiedBlock:
     params: PolicyParams
     constants: DriftConstants
     operator: np.ndarray        # (slots, M, k + n_tx, d), k = min(d, n_tx)
-    q_t: np.ndarray             # (slots, M, k, d) Q^T, tall; I, wide
+    q_t: np.ndarray             # (slots, M, k, d) U^T
     root: np.ndarray            # (slots, M, k, k)
     lift: np.ndarray            # (slots, M, n_tx, k)
     conditioned: np.ndarray     # (slots,) bool
@@ -369,27 +368,24 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
     shape (slots, M, N_r, N_t), the drift constants (pi enters the
     operator) and the policy parameters (gamma enters the bound terms, P_on
     the second certificate), and forms the operator [q_t; -F^+ diag(pi_m)
-    / M] of every (slot, agent) pair once here. The shape picks the
-    factors. Where N_r = N_t <= d, one QR of the (M, d, N_r) actuation
-    stack (kept in a memo keyed by its bytes, so every block of a topology
-    reuses it), one batched product C = R_B H and one batched LU inverse of
-    the (slots, M, N_t, N_t) stack C cover the block, and the operator's
-    last rows are C^-1 (Q_B^T diag(pi_m) / -M). Otherwise (N_r > N_t, or wide
-    F) one batched thin QR of F or F^T, one back substitution over the
-    stack of R factors (linalg.upper_inverse) and one batched product
-    F^+ = lift @ q_t do. The QR route stays there because C would not be
-    square: an LU would have to go through the normal equations and lose
-    cond(F)^2 eps.
+    / M] of every (slot, agent) pair once here, through one factorization
+    F = U S W^T for every shape (CertifiedBlock): one QR of the (M, d, N_r)
+    actuation stack (kept in a memo keyed by its bytes, so every block of
+    a topology reuses it), one batched product C = R_B H, one batched thin
+    QR of C (p > N_t) or C^T (p < N_t) where C is not square, and one
+    batched LU inverse of the (slots, M, k, k) stack of cores S; the
+    operator's last rows are lift @ (q_t diag(pi_m) / -M). A square core
+    rather than the normal equations C^T C keeps cond(S) = cond(F), not
+    its square.
     Returns a CertifiedBlock for every input. gamma = 0 and N_r < min(d,
     N_t), where no slot can be certified (F = B_m H_m then has rank N_r,
-    below that of R), clear every slot's conditioned flag without any
+    below k), clear every slot's conditioned flag without any
     factorization. A slot whose channel is non-finite, singular or
     ill-conditioned clears its own flag, and no other slot changes: a
-    non-finite C is swapped for the identity before the inverse, and so
-    is an exactly singular one (zero LU pivot, slogdet sign 0) when the
-    stacked inverse raises, after which the stack is inverted again; on
-    the QR route a non-finite F is zeroed and an R with a zero diagonal
-    swapped for the identity before the back substitution.
+    non-finite C is swapped for the identity before the factorization,
+    and an exactly singular core (zero LU pivot, slogdet sign 0) for the
+    identity when the stacked inverse raises, after which the stack is
+    inverted again.
     """
     b = np.asarray(b_actuation, dtype=float)
     h = np.asarray(h, dtype=float)
@@ -410,52 +406,38 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
             two_tr_g=bound, gamma_tr_inv=bound, slope=bound,
             e_sq_limit=extreme, gamma_tr_inv_max=extreme, slope_max=extreme)
     operator = np.empty((n_slots, m_count, k + n_tx, d))
-    q_t = operator[..., :k, :]
     scale = constants.pi.reshape(m_count, 1, d) / -m_count
     # a declined slot's terms may overflow, divide by zero or be NaN, and
     # extreme gamma overflows or underflows the bound terms; a scalar test
     # then fails, and nothing reads a declined slot's terms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if n_rx == n_tx <= d:
-            # F = Q_B C with C = R_B H square: F^+ = C^-1 Q_B^T (Greville)
-            q_bt, r_b = _actuation_qr(b)
-            c = r_b @ h
-            tr_g = (c * c).sum(axis=(-2, -1))
-            invertible = np.isfinite(tr_g)
-            if not invertible.all():
-                c = np.where(invertible[..., None, None], c, np.eye(k))
-            try:
-                lift = np.linalg.inv(c)
-            except np.linalg.LinAlgError:       # some C is exactly singular
-                invertible &= np.linalg.slogdet(c)[0] != 0
-                c = np.where(invertible[..., None, None], c, np.eye(k))
-                lift = np.linalg.inv(c)
-            tr_inv = (lift * lift).sum(axis=(-2, -1))
-            q_t[...] = q_bt
-            root = np.swapaxes(c, -1, -2)
-            np.matmul(lift, q_bt * scale, out=operator[..., k:, :])
+        # F = Q_B C with C = R_B H (p x N_t): F^+ = C^+ Q_B^T (Greville)
+        q_bt, r_b = _actuation_qr(b)
+        p = r_b.shape[-2]
+        c = r_b @ h
+        tr_g = (c * c).sum(axis=(-2, -1))
+        invertible = np.isfinite(tr_g)
+        if not invertible.all():
+            c = np.where(invertible[..., None, None], c, np.eye(p, n_tx))
+        # C's k x k core S: C itself, R of C = Q_C R or R^T of C^T = Q_C R
+        if p == n_tx:
+            core = c
         else:
-            wide = n_tx > d
-            f = b @ h
-            tr_g = (f * f).sum(axis=(-2, -1))
-            finite = np.isfinite(tr_g)
-            if not finite.all():
-                f = np.where(finite[..., None, None], f, 0.0)
-            q, r = np.linalg.qr(np.swapaxes(f, -1, -2) if wide else f)
-            invertible = finite & (np.diagonal(r, axis1=-2, axis2=-1) != 0).all(axis=-1)
-            if not invertible.all():
-                r = np.where(invertible[..., None, None], r, np.eye(k))
-            r_inv = upper_inverse(r)
-            tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
-            if wide:
-                q_t[...] = np.eye(d)
-                root, lift = r, q @ np.swapaxes(r_inv, -1, -2)
-                pinv = lift
-            else:
-                q_t[...] = np.swapaxes(q, -1, -2)
-                root, lift = np.swapaxes(r, -1, -2), r_inv
-                pinv = lift @ q_t
-            np.multiply(pinv, scale, out=operator[..., k:, :])
+            q_c, r = np.linalg.qr(c if p > n_tx else np.swapaxes(c, -1, -2))
+            core = r if p > n_tx else np.swapaxes(r, -1, -2)
+        try:
+            s_inv = np.linalg.inv(core)
+        except np.linalg.LinAlgError:       # some core is exactly singular
+            invertible &= np.linalg.slogdet(core)[0] != 0
+            core = np.where(invertible[..., None, None], core, np.eye(k))
+            s_inv = np.linalg.inv(core)
+        tr_inv = (s_inv * s_inv).sum(axis=(-2, -1))
+        u_t = np.swapaxes(q_c, -1, -2) @ q_bt if p > n_tx else q_bt
+        lift = q_c @ s_inv if p < n_tx else s_inv
+        q_t = operator[..., :k, :]
+        q_t[...] = u_t
+        root = np.swapaxes(core, -1, -2)
+        np.matmul(lift, u_t * scale, out=operator[..., k:, :])
         conditioned = (invertible.all(axis=-1)
                        & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
         two_tr_g, gamma_tr_inv = 2.0 * tr_g, gamma * tr_inv
@@ -485,9 +467,9 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     arithmetic within the accuracy contract below.
 
     The work splits into a channel part and an error part. The channel
-    part (certify_channels) is per agent either C = R_B H_m and C^-1 from
-    the actuation's QR B_m = Q_B R_B (N_r = N_t <= d) or one thin QR and
-    R^-1 (every other certifiable shape), then the operator
+    part (certify_channels) is per agent C = R_B H_m from the actuation's
+    QR B_m = Q_B R_B, a thin QR of C or C^T where C is not square and the
+    inverse of the square core S, then the operator
     [q_t; -F^+ diag(pi_m) / M] and the bound terms of tr G, tr G^-1 and
     gamma; block_decisions runs it once per block of slots. The error part
     runs here, per slot: ||e||^2 and ||pi o e||^2, one batched product of
@@ -495,22 +477,22 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m, the scalar tests and,
     where both fail, the per-agent bound tests.
 
-    Square C (N_r = N_t <= d): F = Q_B C with C = R_B H_m N_t x N_t, so
-    range(F) = range(B_m), y_e = Q_B^T e_m, G = C^T C, F^+ = C^-1 Q_B^T
-    (reverse-order law, Greville 1966), ||F^T e_m|| = ||C^T y_e|| and F
-    has C's singular values. Tall F (N_t <= d, N_r > N_t): F = Q R,
-    y_e = Q^T e_m, G = F^T F = R^T R, F^+ = R^-1 Q^T and ||F^T e_m||
-    = ||R^T y_e||. Wide F (N_t > d, N_r >= d): F^T = Q R with R d x d, so F
-    has full row rank d, F^+ = Q R^-T, ||F^T e_m|| = ||R e_m|| and range(F)
-    is all of block m: q_t = I, y_e = e_m and the in-block residual is 0.
-    Each way y_e = q_t e_m and F^+ = lift @ q_t, and over F's k = min(d,
-    N_t) singular values s_i, tr G = ||C||_F^2 or ||F||_F^2 = sum s_i^2
-    >= s_max^2 and tr G^-1 = ||C^-1||_F^2 or ||R^-1||_F^2 = sum s_i^-2
-    >= s_min^-2.
+    One factorization for every shape: F = Q_B C with C = R_B H_m
+    (p x N_t, p = min(d, N_r) >= k), and C = V S W^T with V (p x k) and W
+    (N_t x k) orthonormal columns and S the k x k core: S = C (V and W
+    identities) where p = N_t; C = Q_C R, V = Q_C and S = R where p > N_t; C^T = Q_C R,
+    W = Q_C and S = R^T where p < N_t. So F = U S W^T with U = Q_B V,
+    range(F) = range(U), y_e = U^T e_m, G = W S^T S W^T, F^+ = W S^-1 U^T
+    (reverse-order law, Greville 1966), ||F^T e_m|| = ||S^T y_e|| and F
+    has S's singular values. Hence y_e = q_t e_m and F^+ = lift @ q_t, and
+    over F's k = min(d, N_t) singular values s_i, tr G = ||C||_F^2
+    = sum s_i^2 >= s_max^2 and tr G^-1 = ||S^-1||_F^2 = sum s_i^-2
+    >= s_min^-2. Where p < N_t, k = d and U = Q_B is square: range(F) is
+    all of block m and the in-block residual is 0 up to rounding.
 
     The restricted matrix of rank_one_terms is Q_r = D + M a a^T with
     D = diag(gamma s_i^-2, 0), ||a||^2 = ||e||^2 and a_w^2 = w^2
-    = ||e||^2 - ||y_e||^2 (||y_e|| = ||e_m|| for wide F). Its extreme
+    = ||e||^2 - ||y_e||^2 (||y_e|| = ||e_m|| where k = d). Its extreme
     eigenvalues are bounded:
 
         lambda_max <= lambda_hi = gamma tr(G^-1) + M ||e||^2,
@@ -578,11 +560,11 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     per-agent tests and gets the same answer; the per-agent tests below
     referee every slot that fails both scalar tests, so the certified
     slots and their answers are those of the per-agent tests alone. Where
-    k = d (wide F, or square F with N_t = d) Y is ||e||^2, W < 0 and only
-    the per-agent tests certify.
+    k = d (N_t >= d) U is square and Y is ||e||^2 but for rounding, which
+    _SCALAR_MARGIN exceeds: W < 0 and only the per-agent tests certify.
 
-    Full rank (M = 1 with N_t >= d: F has rank d and w = 0). Q_r = gamma
-    S^-2 + a a^T has no w direction, so by Sherman-Morrison c = t / (1 + t)
+    Full rank (M = 1 with N_t >= d: F has rank d and w = 0). Q_r = D
+    + a a^T has no w direction, so by Sherman-Morrison c = t / (1 + t)
     with t = ||F^T e||^2 / gamma = ||root y_e||^2 / gamma, theta
     = c ||pi o e||^2 and u = -c F^+ (pi o e), c times the operator's
     u (M = 1). Every eigenvalue of Q_r
@@ -597,24 +579,24 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     range(F) (N. J. Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 2002, ch. 20), with C = 4 d N_t; theta is within
     C cond(F) eps relative (theta = ||pi o e||^2 / M does not read F; at
-    full rank c does). On the QR route this is the backward stability of
-    Householder QR of F (or F^T). On the square-C route the computed
-    factors are those of a nearby F too: one Householder QR of B_m gives
-    a Q_B orthonormal to working precision with Q_B R_B = B_m + dB,
-    ||dB|| = O(eps ||B_m||) (Higham ch. 19); forming C = R_B H_m rounds as
-    forming B_m H_m does; and LU with partial pivoting inverts C with an
-    error of O(cond(C) eps ||C^-1||) (Higham ch. 9 and 14), where
-    cond C = cond F because Q_B has orthonormal columns. The same bound
-    therefore holds. This decides no transmit bit where w != 0. The spectral path forms
-    Q_r, whose diagonal spans cond(F)^2, and loses about cond(F)^2 eps.
-    The property tests hold the contract against an exact rational closed
-    form (tests/oracles.py, exact_rank_one_terms).
+    full rank c does). The computed factors are those of a nearby F: one
+    Householder QR of B_m gives a Q_B orthonormal to working precision
+    with Q_B R_B = B_m + dB, ||dB|| = O(eps ||B_m||) (Higham ch. 19);
+    forming C = R_B H_m rounds as forming B_m H_m does; where C is not
+    square, Householder QR of C (or C^T) is backward stable in the same
+    sense; and LU with partial pivoting inverts S with an error of
+    O(cond(S) eps ||S^-1||) (Higham ch. 9 and 14), where cond S = cond F
+    because Q_B and Q_C have orthonormal columns; so the bound holds for
+    every shape. This decides no transmit bit where w != 0. The spectral
+    path forms Q_r, whose diagonal spans cond(F)^2, and loses about
+    cond(F)^2 eps. The property tests hold the contract against an exact
+    rational closed form (tests/oracles.py, exact_rank_one_terms).
 
-    Orthogonal factors or a square LU rather than normal equations
-    G^-1 F^T: forming F^T b loses cond(F)^2 eps where the least-squares
-    residual is large, and the trace of a computed G^-1 can be negative
-    when G is numerically indefinite; a sum of squares cannot. C = R_B H_m
-    is not G: its condition number is F's, not F's squared.
+    Orthogonal factors and an LU of the square core rather than normal
+    equations G^-1 F^T: forming F^T b loses cond(F)^2 eps where the
+    least-squares residual is large, and the trace of a computed G^-1 can
+    be negative when G is numerically indefinite; a sum of squares cannot.
+    S is not G: its condition number is F's, not F's squared.
 
     Declined: a slot whose flag is clear (gamma = 0, N_r < min(d, N_t), a
     singular, non-finite or ill-conditioned F), and any slot where some

@@ -277,8 +277,9 @@ def run_episode(config: SimConfig,
     decide(i, e) for the block's slot i, policy.block_decisions on the
     estimated channels (the true ones when use_estimated_csi is false) or
     the baseline's triggered decide told the block's first slot. The
-    slot loop carries x and r as arrays and keeps the tracking error, the
-    decision, reception and the plant step.
+    slot loop carries x and r as arrays and keeps the tracking error
+    (swarm.tracking_error), the decision, reception
+    (channel.receive_control) and the plant step (swarm.step_swarm).
 
     Each slot writes its cost, bits and controls into the episode record,
     three arrays of 8 + M + 8 M N_t bytes per slot (272 B for M = 8,

@@ -101,11 +101,13 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     the slot's own factors, traces, bound terms of gamma and operator
     [q_t; -F^+ diag(pi_m) / M], in the operand order of certified_terms,
     so a slot's result agrees with the per-block form bit for bit; both
-    certificates (the second reads P_on). With N_r = N_t <= d the factors
-    are the QR B_m = Q_B R_B of the actuation and the inverse of the square
-    C = R_B H_m (q_t = Q_B^T, root = C^T, lift = C^-1, tr G = ||C||_F^2);
-    otherwise the slot's own thin QR of F, or of F^T when N_t > d. None
-    where certified_terms declines.
+    certificates (the second reads P_on). The factors are those of
+    F = U S W^T: the QR B_m = Q_B R_B of the actuation, C = R_B H_m
+    (p x N_t, p = min(d, N_r)) and its k x k core S, which is C itself
+    where p = N_t, the R of C = Q_C R where p > N_t (U = Q_B Q_C) and R^T
+    of C^T = Q_C R where p < N_t (W = Q_C); q_t = U^T, root = S^T,
+    lift = W S^-1, tr G = ||C||_F^2 and tr G^-1 = ||S^-1||_F^2. None where
+    certified_terms declines.
     """
     gamma = params.gamma
     b = np.asarray(b_actuation, dtype=float)
@@ -115,25 +117,21 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     k = min(d, n_tx)
     if gamma == 0 or n_rx < k:
         return None
-    square, wide = n_rx == n_tx <= d, n_tx > d
-    if square:
-        q_b, r_b = np.linalg.qr(b)
-        c = r_b @ h
-        tr_g = (c * c).sum(axis=(-2, -1))
-        if not np.isfinite(tr_g).all() or (np.linalg.slogdet(c)[0] == 0).any():
-            return None
-        lift = np.linalg.inv(c)
-        tr_inv = (lift * lift).sum(axis=(-2, -1))
+    q_b, r_b = np.linalg.qr(b)
+    p = r_b.shape[-2]
+    c = r_b @ h
+    tr_g = (c * c).sum(axis=(-2, -1))
+    if not np.isfinite(tr_g).all():
+        return None
+    if p == n_tx:
+        core = c
     else:
-        f = b @ h
-        tr_g = (f * f).sum(axis=(-2, -1))
-        if not np.isfinite(tr_g).all():
-            return None
-        q, r = np.linalg.qr(np.swapaxes(f, -1, -2) if wide else f)
-        if not (np.diagonal(r, axis1=-2, axis2=-1) != 0).all():
-            return None
-        r_inv = linalg.upper_inverse(r)
-        tr_inv = (r_inv * r_inv).sum(axis=(-2, -1))
+        q_c, r = np.linalg.qr(c if p > n_tx else np.swapaxes(c, -1, -2))
+        core = r if p > n_tx else np.swapaxes(r, -1, -2)
+    if (np.linalg.slogdet(core)[0] == 0).any():
+        return None
+    s_inv = np.linalg.inv(core)
+    tr_inv = (s_inv * s_inv).sum(axis=(-2, -1))
     if not (tr_g * tr_inv).max() <= policy.CERTIFIED_MAX_TRACE_PRODUCT:
         return None
     e = np.asarray(e, dtype=float)
@@ -145,18 +143,13 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
                                    u=np.zeros((m_count, n_tx)))
     operator = np.empty((m_count, k + n_tx, d))
     scale = constants.pi.reshape(m_count, 1, d) / -m_count
-    if square:
-        operator[:, :k] = np.swapaxes(q_b, -1, -2)
-        root = np.swapaxes(c, -1, -2)
-        operator[:, k:] = lift @ (np.swapaxes(q_b, -1, -2) * scale)
-    elif wide:
-        operator[:, :k] = np.eye(d)
-        root = r
-        operator[:, k:] = (q @ np.swapaxes(r_inv, -1, -2)) * scale
-    else:
-        operator[:, :k] = np.swapaxes(q, -1, -2)
-        root = np.swapaxes(r, -1, -2)
-        operator[:, k:] = (r_inv @ operator[:, :k]) * scale
+    u_t = np.swapaxes(q_b, -1, -2)
+    if p > n_tx:
+        u_t = np.swapaxes(q_c, -1, -2) @ u_t
+    lift = q_c @ s_inv if p < n_tx else s_inv
+    operator[:, :k] = u_t
+    root = np.swapaxes(core, -1, -2)
+    operator[:, k:] = lift @ (u_t * scale)
     pe = constants.pi * e
     z = (operator @ e.reshape(m_count, d, 1))[..., 0]
     y_e, u = z[:, :k], z[:, k:]

@@ -108,25 +108,3 @@ def test_pinv_idempotent_on_full_rank(case):
     assert np.allclose(linalg.pseudo_inverse(linalg.pseudo_inverse(m)), m,
                        atol=1e-8 * max(1.0, np.abs(m).max()))
 
-
-@pytest.mark.parametrize("k", [1, 2, 4, 9])
-def test_upper_inverse_of_a_stack_matches_the_general_inverse(k):
-    # R factors of a (slots, agents) stack, as certify_channels makes them
-    rng = np.random.default_rng(60 + k)
-    _, r = np.linalg.qr(rng.normal(size=(3, 5, 9, k)))
-    inv = linalg.upper_inverse(r)
-    assert inv.shape == r.shape
-    assert np.array_equal(inv, np.triu(inv))
-    ref = np.linalg.inv(r)
-    scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
-    assert np.max(np.abs(inv - ref) / scale) <= 1e-13
-    assert np.max(np.abs(r @ inv - np.eye(k))) <= 1e-13
-    # every matrix of the stack gets the bits it gets alone
-    assert all(linalg.upper_inverse(r[i]).tobytes() == inv[i].tobytes()
-               for i in range(len(r)))
-
-
-def test_upper_inverse_overflow_is_inf_without_a_warning():
-    r = np.array([[[1e-310, 1.0], [0.0, 1.0]]])
-    inv = linalg.upper_inverse(r)
-    assert np.isinf(inv[0, 0, 0]) and inv[0, 1, 1] == 1.0

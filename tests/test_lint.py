@@ -23,7 +23,8 @@ classes, the functions perfbench/test_smoke.py pins a call count of, and
 every swarm.*, sim.* and cli.* attribute perfbench/workloads.py reads) is
 a function or class of the package, and every keyword workloads.py passes
 to SwarmTopology(...) or SimConfig(...) is an init field; the check only
-parses those files.
+parses those files. tests/code_lines.py counts code lines by the rules
+one small source pins here.
 """
 
 import ast
@@ -37,6 +38,7 @@ from pathlib import Path
 
 import pytest
 
+import code_lines
 import episode_digest
 import swarmtrack
 
@@ -346,3 +348,27 @@ def test_perfbench_pins_name_package_functions():
     problems, calls = unknown_init_keywords(workloads)
     assert calls >= 2, "workloads.py SwarmTopology/SimConfig calls not found"
     assert not problems, problems
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings():
+    # counted: the import with its trailing comment, both defs, the class,
+    # the return and both lines of a multi-line string that is no
+    # docstring; a docstring on its def's line leaves that line counted
+    source = (
+        '"""Module docstring\n'
+        'over two lines."""\n'
+        '\n'
+        'import os  # trailing comment\n'
+        '\n'
+        '# a comment line\n'
+        'def f(x):\n'
+        '    """Docstring."""\n'
+        '    text = """a string\n'
+        'that is no docstring"""\n'
+        '    return x\n'
+        '\n'
+        'class C:\n'
+        '    """Docstring\n'
+        '    of a class."""\n'
+        '    def g(self): """Docstring on the def line."""\n')
+    assert code_lines.code_lines(source) == 7

@@ -804,15 +804,14 @@ def test_certified_path_declines_without_a_certificate():
 
 def test_fully_declined_blocks_are_not_factored(monkeypatch):
     # gamma = 0 and N_r < min(d, N_t) decline the whole block before any
-    # QR, inverse, back substitution or operator: the factor and bound
-    # fields are zero broadcast views of their shapes, and each slot still
-    # takes the spectral path
+    # QR, inverse or operator: the factor and bound fields are zero
+    # broadcast views of their shapes, and each slot still takes the
+    # spectral path
     def refuse(*args, **kwargs):
         raise AssertionError("a fully declined block was factored")
 
     monkeypatch.setattr(np.linalg, "qr", refuse)
     monkeypatch.setattr(np.linalg, "inv", refuse)
-    monkeypatch.setattr(policy, "upper_inverse", refuse)
     rng = np.random.default_rng(1306)
     for m_count, d, n_tx, n_rx, gamma in ((4, 9, 4, 4, 0.0), (4, 3, 4, 2, 1.0),
                                           (2, 3, 5, 2, 1.0), (1, 3, 3, 3, 0.0)):
@@ -833,21 +832,23 @@ def test_fully_declined_blocks_are_not_factored(monkeypatch):
         assert_block_declined(e, b, h, constants, params)
 
 
-FACTOR_ROUTES = {    # (M, d, N_t, N_r): the array certify_channels factors
+FACTOR_ROUTES = {    # (M, d, N_t, N_r); C = R_B H is p x N_t, p = min(d, N_r)
     "square": (4, 9, 4, 4), "square_full": (1, 3, 3, 3),
-    "square_singular": (4, 9, 4, 4), "tall": (3, 5, 2, 3), "wide": (2, 3, 5, 4),
+    "square_singular": (4, 9, 4, 4), "square_n_t_is_d": (2, 3, 3, 4),
+    "tall": (3, 5, 2, 3), "tall_singular": (3, 5, 2, 3),
+    "wide": (2, 3, 5, 4), "wide_singular": (2, 3, 5, 4),
 }
 
 
 @pytest.mark.parametrize("route", sorted(FACTOR_ROUTES))
 def test_certify_channels_factors_by_the_channel_shape(route, monkeypatch):
-    # N_r = N_t <= d: one QR per (M, d, N_r) actuation stack, which a
-    # second block of the same stack reuses, and one inverse of each
-    # block's (slots, M, N_t, N_t) stack C = R_B H; N_r > N_t and wide F:
-    # the thin QR of each block's (slots, M) stack of F, or of F^T, and no
-    # general inverse. An exactly singular C (agent 0 of the middle slot)
-    # makes the stacked inverse raise; that slot is swapped for the identity
-    # and declined, and the stack is inverted once more
+    # every shape: one QR per (M, d, N_r) actuation stack, which a second
+    # block of the same stack reuses; one thin QR of each block's stack of
+    # C = R_B H (p > N_t) or C^T (p < N_t) where C is not square; and one
+    # inverse of each block's (slots, M, k, k) stack of square cores. An
+    # exactly singular core (agent 0 of the middle slot) makes the stacked
+    # inverse raise; that slot is swapped for the identity and declined,
+    # and the stack is inverted once more
     monkeypatch.setattr(policy, "_ACTUATION_QR_CACHE", {})
     calls = []
 
@@ -860,28 +861,28 @@ def test_certify_channels_factors_by_the_channel_shape(route, monkeypatch):
     monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     m_count, d, n_tx, n_rx = FACTOR_ROUTES[route]
+    p, k = min(d, n_rx), min(d, n_tx)
     rng = np.random.default_rng(1395)
     e, b, _, constants, params = rank_one_instance(rng, m_count, d, n_tx,
                                                    n_rx, 1.0)
     h = rng.normal(size=(3, m_count, n_rx, n_tx))
-    singular = route == "square_singular"
+    singular = route.endswith("singular")
     if singular:
         h[1, 0] = 0.0
     block = policy.certify_channels(b, h, constants, params)
     assert block.conditioned.tolist() == [True, not singular, True]
-    inverses = [("inv", (3, m_count, n_tx, n_tx))] * (1 + singular)
-    if route.startswith("square"):
-        assert calls == [("qr", (m_count, d, n_rx))] + inverses
-        calls.clear()
-        again = policy.certify_channels(b.copy(), h, constants, params)
-        assert calls == inverses
-        assert again.operator.tobytes() == block.operator.tobytes()
-        calls.clear()
-        policy.certify_channels(2.0 * b, h, constants, params)
-        assert calls == [("qr", (m_count, d, n_rx))] + inverses
-    else:
-        f_shape = (3, m_count) + ((n_tx, d) if n_tx > d else (d, n_tx))
-        assert calls == [("qr", f_shape)]
+    per_block = [("inv", (3, m_count, k, k))] * (1 + singular)
+    if p != n_tx:
+        per_block.insert(0, ("qr", (3, m_count) + (max(p, n_tx), min(p, n_tx))))
+    actuation = [("qr", (m_count, d, n_rx))]
+    assert calls == actuation + per_block
+    calls.clear()
+    again = policy.certify_channels(b.copy(), h, constants, params)
+    assert calls == per_block
+    assert again.operator.tobytes() == block.operator.tobytes()
+    calls.clear()
+    policy.certify_channels(2.0 * b, h, constants, params)
+    assert calls == actuation + per_block
     for i in range(len(h)):
         terms = policy.certified_terms(block, i, e)
         if not block.conditioned[i]:
@@ -1149,8 +1150,9 @@ SCALAR_SHAPES = {"tall": (5, 3, 4), "square": (9, 4, 4), "wide": (3, 5, 4)}
 def test_scalar_tests_are_sufficient(shape, m_count, gamma):
     # every slot a scalar test answers, the per-agent tests answer too, with
     # the same bits; P_on at 0, at random and just under theta_0 (inside
-    # the second certificate's band). Wide F has y_e = e_m, so the summed
-    # ||y_e||^2 is ||e||^2 and only the per-agent tests certify
+    # the second certificate's band). Wide F has y_e = Q_B^T e_m with Q_B
+    # square, so the summed ||y_e||^2 is ||e||^2 but for rounding under
+    # the scalar margin, and only the per-agent tests certify
     rng = np.random.default_rng(1600 + 10 * m_count
                                 + sorted(SCALAR_SHAPES).index(shape))
     d, n_tx, n_rx = SCALAR_SHAPES[shape]
