@@ -62,21 +62,20 @@ across blocks, gives F = Q_B C with C = R_B H_m, so F^+ = C^+ Q_B^T and
 cond F = cond C (reverse-order law; T. N. E. Greville, SIAM Review 8,
 1966); S is C where C is square, else the triangle of a thin QR of C or
 C^T; and one batched inverse of every slot's and agent's S gives
-F^+ = W S^-1 U^T. Then come the bound terms of tr G, tr G^-1 and gamma
-and their extremes over each slot's agents, and per slot and agent one
+F^+ = W S^-1 U^T. Then come three extremes over each slot's agents of
+the bound terms of tr G, tr G^-1 and gamma, and per slot and agent one
 stacked operator [q_t; -F^+ diag(pi_m) / M], q_t = U^T, in a
 CertifiedBlock; only the error part runs per slot, and it reads
 y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m of every agent off one
-batched product of the operators with e's agent blocks e_m.
-Two scalar tests in ||e||^2 and sum_m ||y_e,m||^2 against the extremes
-answer most slots for every agent at once, and the per-agent tests the
-rest. Declined:
-every slot whose conditioned flag is clear, which gamma = 0 and
-N_r < min(d, N_t) (B_m H_m cannot have full rank) clear for the whole
-block, whose channels are then not factored at all, and a singular,
-non-finite or ill-conditioned B_m H_m (tr G tr G^-1 above
-CERTIFIED_MAX_TRACE_PRODUCT, which keeps its singular values clear of the
-cutoff) for its own slot; and any slot that neither certificate covers.
+batched product of the operators with e's agent blocks e_m. One test in
+||e||^2 and max_m ||y_e,m||^2 against the extremes decides both
+certificates for every agent of the slot at once. Declined: every slot
+whose conditioned flag is clear, which gamma = 0 and N_r < min(d, N_t)
+(B_m H_m cannot have full rank) clear for the whole block, whose
+channels are then not factored at all, and a singular, non-finite or
+ill-conditioned B_m H_m (tr G tr G^-1 above CERTIFIED_MAX_TRACE_PRODUCT,
+which keeps its singular values clear of the cutoff) for its own slot;
+and any slot that fails the test.
 The certified u holds a stated accuracy contract against exact arithmetic
 (certified_terms).
 
@@ -110,13 +109,6 @@ CERTIFIED_MAX_TRACE_PRODUCT = (CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL) *
 # At 1e-8 it also keeps w^2 above 2% of ||e||^2 (lambda_hi >= M ||e||^2),
 # far from the rounding of w^2 = ||e||^2 - ||y_e||^2.
 CERTIFIED_CUT_SLACK = 1e-8
-# Relative margin by which the scalar tests of certified_terms undercut
-# the per-agent bounds they stand in for. It covers the rounding of the
-# per-slot edge e_sq_limit, formed in another operand order than the
-# per-agent test (about 10 eps), and of the sum of ||y_e||^2 over agents
-# (a summation error of about M k eps), so a slot that passes a scalar
-# test passes the per-agent ones in floating point too.
-_SCALAR_MARGIN = 1e-12
 # QR (Q_B^T, R_B) of each (M, d, N_r) actuation stack certify_channels
 # has factored, keyed by its shape and bytes; emptied when it outgrows 64
 # entries.
@@ -172,20 +164,16 @@ class CertifiedBlock:
     and every agent's F is finite with an invertible S and tr(G) tr(G^-1)
     <= CERTIFIED_MAX_TRACE_PRODUCT, with tr G = ||C||_F^2 and tr G^-1
     = ||S^-1||_F^2 (the sums of s_i^2 and s_i^-2 over F's singular values);
-    a slot without it is declined and its terms are never read. The bound
-    terms depend on the channels and gamma alone and are formed here once
-    per block, each in the operand order of the bound it enters:
-    two_tr_g = 2 tr G, gamma_tr_inv = gamma tr G^-1 and slope
-    = (2 M / gamma) tr G. The scalar tests of certified_terms read three
-    extremes of them over the slot's agents, with tol = 2e-10
-    (1 + _SCALAR_MARGIN): e_sq_limit = min_m (gamma / (tol 2 tr G_m)
-    - gamma tr G^-1_m) / M, the ||e||^2 below which every agent passes the
-    first branch of the first certificate, gamma_tr_inv_max
-    = max_m gamma tr G^-1_m and slope_max = max_m (2 M / gamma) tr G_m.
-    They may be infinite or NaN at extreme gamma or on a declined slot,
-    where a scalar test then fails. Where gamma = 0 or N_r < min(d, N_t)
-    no slot can be certified: nothing is factored, and the factor and
-    bound fields are broadcast zero views of their shapes.
+    a slot without it is declined and its terms are never read. The slot
+    test of certified_terms reads three extremes over the slot's agents,
+    which depend on the channels and gamma alone, with tol = 2e-10:
+    e_sq_limit = min_m (gamma / (tol 2 tr G_m) - gamma tr G^-1_m) / M, the
+    ||e||^2 below which every agent passes the first branch of the first
+    certificate, gamma_tr_inv_max = max_m gamma tr G^-1_m and slope_max
+    = max_m (2 M / gamma) tr G_m. They may be infinite or NaN at extreme
+    gamma or on a declined slot, where the test then fails. Where gamma = 0
+    or N_r < min(d, N_t) no slot can be certified: nothing is factored, and
+    the factor and extreme fields are broadcast zero views of their shapes.
     """
 
     params: PolicyParams
@@ -195,9 +183,6 @@ class CertifiedBlock:
     root: np.ndarray            # (slots, M, k, k)
     lift: np.ndarray            # (slots, M, n_tx, k)
     conditioned: np.ndarray     # (slots,) bool
-    two_tr_g: np.ndarray        # (slots, M)
-    gamma_tr_inv: np.ndarray    # (slots, M)
-    slope: np.ndarray           # (slots, M)
     e_sq_limit: np.ndarray      # (slots,)
     gamma_tr_inv_max: np.ndarray  # (slots,)
     slope_max: np.ndarray       # (slots,)
@@ -395,7 +380,6 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
     gamma = params.gamma
     if gamma == 0 or n_rx < k:
         operator = np.broadcast_to(0.0, (n_slots, m_count, k + n_tx, d))
-        bound = np.broadcast_to(0.0, (n_slots, m_count))
         extreme = np.broadcast_to(0.0, n_slots)
         return CertifiedBlock(
             params=params, constants=constants, operator=operator,
@@ -403,12 +387,11 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
             root=np.broadcast_to(0.0, (n_slots, m_count, k, k)),
             lift=np.broadcast_to(0.0, (n_slots, m_count, n_tx, k)),
             conditioned=np.zeros(n_slots, dtype=bool),
-            two_tr_g=bound, gamma_tr_inv=bound, slope=bound,
             e_sq_limit=extreme, gamma_tr_inv_max=extreme, slope_max=extreme)
     operator = np.empty((n_slots, m_count, k + n_tx, d))
     scale = constants.pi.reshape(m_count, 1, d) / -m_count
     # a declined slot's terms may overflow, divide by zero or be NaN, and
-    # extreme gamma overflows or underflows the bound terms; a scalar test
+    # extreme gamma overflows or underflows the extremes; the slot test
     # then fails, and nothing reads a declined slot's terms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # F = Q_B C with C = R_B H (p x N_t): F^+ = C^+ Q_B^T (Greville)
@@ -440,16 +423,14 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
         np.matmul(lift, u_t * scale, out=operator[..., k:, :])
         conditioned = (invertible.all(axis=-1)
                        & ((tr_g * tr_inv).max(axis=-1) <= CERTIFIED_MAX_TRACE_PRODUCT))
-        two_tr_g, gamma_tr_inv = 2.0 * tr_g, gamma * tr_inv
-        slope = (2.0 * m_count / gamma) * tr_g
-        tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL * (1.0 + _SCALAR_MARGIN)
-        e_sq_limit = ((gamma / (tol * two_tr_g) - gamma_tr_inv) / m_count).min(axis=-1)
+        gamma_tr_inv = gamma * tr_inv
+        tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
+        e_sq_limit = ((gamma / (tol * (2.0 * tr_g)) - gamma_tr_inv) / m_count).min(axis=-1)
         return CertifiedBlock(
             params=params, constants=constants, operator=operator, q_t=q_t,
             root=root, lift=lift, conditioned=conditioned,
-            two_tr_g=two_tr_g, gamma_tr_inv=gamma_tr_inv, slope=slope,
             e_sq_limit=e_sq_limit, gamma_tr_inv_max=gamma_tr_inv.max(axis=-1),
-            slope_max=slope.max(axis=-1))
+            slope_max=((2.0 * m_count / gamma) * tr_g).max(axis=-1))
 
 
 def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
@@ -460,22 +441,25 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     from its params, and a slot whose conditioned flag is clear (gamma = 0,
     N_r < min(d, N_t), or a singular, non-finite or ill-conditioned
     channel) declines. Returns None, for the caller to take the spectral
-    path (factorize_agent + rank_one_terms), unless every agent passes one
-    of the two certificates below; the result then takes rank_one_terms'
-    transmit bits, and its values agree with rank_one_terms' up to
-    rounding (first certificate) or within delta (second), and with exact
-    arithmetic within the accuracy contract below.
+    path (factorize_agent + rank_one_terms), unless the slot test below
+    shows that every agent passes one of the two certificates; the result
+    then takes rank_one_terms' transmit bits, and its values agree with
+    rank_one_terms' up to rounding (first certificate) or within delta
+    (second), and with exact arithmetic within the accuracy contract
+    below. The bits are equal in exact arithmetic: where P_on lies within
+    the spectral path's own rounding of theta (about cond(Q_r) eps,
+    relative), that rounding decides its bit.
 
     The work splits into a channel part and an error part. The channel
     part (certify_channels) is per agent C = R_B H_m from the actuation's
     QR B_m = Q_B R_B, a thin QR of C or C^T where C is not square and the
     inverse of the square core S, then the operator
-    [q_t; -F^+ diag(pi_m) / M] and the bound terms of tr G, tr G^-1 and
-    gamma; block_decisions runs it once per block of slots. The error part
-    runs here, per slot: ||e||^2 and ||pi o e||^2, one batched product of
-    the operator with e's agent blocks e_m, which gives the coordinates
-    y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m, the scalar tests and,
-    where both fail, the per-agent bound tests.
+    [q_t; -F^+ diag(pi_m) / M] and the per-slot agent extremes of the
+    bound terms of tr G, tr G^-1 and gamma; block_decisions runs it once
+    per block of slots. The error part runs here, per slot: ||e||^2 and
+    ||pi o e||^2, one batched product of the operator with e's agent
+    blocks e_m, which gives the coordinates y_e = q_t e_m and
+    u = -(1/M) F^+ (pi o e)_m, max_m ||y_e,m||^2 and the slot test.
 
     One factorization for every shape: F = Q_B C with C = R_B H_m
     (p x N_t, p = min(d, N_r) >= k), and C = V S W^T with V (p x k) and W
@@ -510,7 +494,7 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     the margin of the 1e-10 cutoff, so the spectral path keeps all k of
     them and has the same w).
 
-    First certificate: lambda_lo > 2e-10 lambda_hi for every agent. Then
+    First certificate, for agent m: lambda_lo > 2e-10 lambda_hi. Then
     Q_r is positive definite and eigh keeps every eigenvalue, so
     c = a^T Q_r^-1 a; Q_r x = a at x = e_w / (M a_w) (D e_w = 0,
     a^T e_w = a_w), hence c = a^T x = 1/M exactly, theta = ||pi o e||^2
@@ -531,46 +515,45 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     matrix; J. R. Bunch, C. P. Nielsen and D. C. Sorensen, Numer. Math.
     1978). Since tau <= 1e-10 lambda_hi, whatever the cutoff removes, M c
     lies in [1 - delta_m, 1] with delta_m = 2e-10 lambda_hi / (M w^2); the
-    margin 2 covers eigh's eigenvalue error. Certified when every agent has
-    delta_m <= CERTIFIED_CUT_SLACK and P_on lies outside [(1 - max delta)
-    theta_0, theta_0), theta_0 = ||pi o e||^2 / M: the spectral threshold
-    c ||pi o e||^2 lies in [(1 - max delta) theta_0, theta_0], so both
-    paths transmit iff P_on < theta_0. The answer is that of the first
-    certificate, theta_0 and u = -(1/M) F^+ (pi o e)_m; the spectral
-    path's theta and u are at most delta below it, relative.
+    margin 2 covers eigh's eigenvalue error. It holds for a slot when every
+    agent has delta_m <= CERTIFIED_CUT_SLACK and P_on lies outside
+    [(1 - max delta) theta_0, theta_0), theta_0 = ||pi o e||^2 / M: the
+    spectral threshold c ||pi o e||^2 lies in [(1 - max delta) theta_0,
+    theta_0], so both paths transmit iff P_on < theta_0. The answer is that
+    of the first certificate, theta_0 and u = -(1/M) F^+ (pi o e)_m; the
+    spectral path's theta and u are at most delta below it, relative.
 
-    Scalar tests. Both certificates are first tried for all agents at
-    once, in two scalars of the error: ||e||^2 and Y = sum_m ||y_e,m||^2
-    >= every ||y_e,m||^2 (one reduction), against the block's per-slot
-    agent extremes e_sq_limit, gamma_tr_inv_max and slope_max. Every
-    agent passes the first certificate if ||e||^2 < e_sq_limit (its first
-    branch, rearranged for ||e||^2) and W - Lambda (1 + slope_max Y) > 0,
-    with W = M (||e||^2 - Y) <= M w_m^2 and Lambda = 2e-10
-    (gamma_tr_inv_max + M ||e||^2) >= lambda_hi: an agent's second branch
-    M w_m^2 - lambda_hi (1 + slope_m ||y_e,m||^2) only falls as
-    ||y_e,m||^2, gamma tr G^-1_m and slope_m rise. Every agent passes the
-    second if W > 0, Lambda <= CERTIFIED_CUT_SLACK W and P_on lies outside
-    [(1 - Lambda / W) theta_0, theta_0), since Lambda / W >= max delta
-    widens the band. Apart from e_sq_limit, each scalar test is its
-    per-agent test with the operands replaced by bounds in the same
-    operand order, and rounding is monotone, so it implies the per-agent
-    test in floating point; e_sq_limit and Y are formed in another order,
-    and _SCALAR_MARGIN lowers e_sq_limit and raises Y by more than their
-    rounding. A slot that passes a scalar test therefore passes the
-    per-agent tests and gets the same answer; the per-agent tests below
-    referee every slot that fails both scalar tests, so the certified
-    slots and their answers are those of the per-agent tests alone. Where
-    k = d (N_t >= d) U is square and Y is ||e||^2 but for rounding, which
-    _SCALAR_MARGIN exceeds: W < 0 and only the per-agent tests certify.
+    The slot test decides both certificates for every agent at once, in
+    ||e||^2 and Y = max_m ||y_e,m||^2 against the block's per-slot agent
+    extremes e_sq_limit, gamma_tr_inv_max and slope_max. With
+    W = M (||e||^2 - Y) <= M w_m^2 and Lambda = 2e-10 (gamma_tr_inv_max
+    + M ||e||^2) >= lambda_hi of every agent, each extreme bounds its
+    agents' terms in the direction the test is monotone in. Every agent
+    passes the first certificate if ||e||^2 < e_sq_limit (its first
+    branch, rearranged for ||e||^2) and W - Lambda (1 + slope_max Y) > 0:
+    an agent's second branch, M w_m^2 - lambda_hi (1 + slope_m
+    ||y_e,m||^2) > 0 with slope_m = (2 M / gamma) tr G_m, only falls as
+    ||y_e,m||^2, lambda_hi and slope_m rise and as w_m^2 falls. Every
+    agent passes the second if W > 0, Lambda <= CERTIFIED_CUT_SLACK W and
+    P_on lies outside [(1 - Lambda / W) theta_0, theta_0), since Lambda
+    / W >= max delta widens the band. This holds in exact arithmetic; the
+    factor 2 of CERTIFIED_CUTOFF_MARGIN covers the rounding of the
+    extremes and of ||e||^2 - Y, as it covers eigh's: the first test keeps
+    W above 2e-10 M ||e||^2 and the second above 0.02 M ||e||^2, so their
+    cancellation stays far inside it. A slot that fails the test is
+    declined whole, also where each agent would pass against its own
+    terms. Where k = d (N_t >= d) U is square, ||y_e,m|| = ||e_m|| and
+    W = M (||e||^2 - max_m ||e_m||^2) > 0 unless e lies in one agent's
+    block.
 
     Full rank (M = 1 with N_t >= d: F has rank d and w = 0). Q_r = D
     + a a^T has no w direction, so by Sherman-Morrison c = t / (1 + t)
     with t = ||F^T e||^2 / gamma = ||root y_e||^2 / gamma, theta
     = c ||pi o e||^2 and u = -c F^+ (pi o e), c times the operator's
-    u (M = 1). Every eigenvalue of Q_r
-    lies in [gamma / tr G, lambda_hi], so the same margin rule certifies
-    it when gamma / tr G > 2e-10 lambda_hi; the second certificate does
-    not apply.
+    u (M = 1). Every eigenvalue of Q_r lies in [gamma / tr G, lambda_hi],
+    so the same margin rule certifies it when gamma / tr G > 2e-10
+    lambda_hi, which with one agent reads slope_max Lambda < 2; the second
+    certificate does not apply.
 
     Accuracy contract. Against exact arithmetic on the same B, H, e and
     pi a certified agent's u errs by at most C cond(F) eps ||u|| when F is
@@ -599,10 +582,10 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     S is not G: its condition number is F's, not F's squared.
 
     Declined: a slot whose flag is clear (gamma = 0, N_r < min(d, N_t), a
-    singular, non-finite or ill-conditioned F), and any slot where some
-    agent fails the first certificate and the slot fails the second. e = 0
-    gives theta = 0 and u = 0 once the channels pass the conditioning test;
-    non-finite channels fail it and raise in factorize_agent.
+    singular, non-finite or ill-conditioned F), and any slot that fails the
+    slot test or, at full rank, slope_max Lambda < 2. e = 0 gives theta = 0
+    and u = 0 once the channels pass the conditioning test; non-finite
+    channels fail it and raise in factorize_agent.
     """
     e = np.asarray(e, dtype=float)
     _, m_count, rows, d = block.operator.shape
@@ -615,43 +598,30 @@ def certified_terms(block: CertifiedBlock, i: int, e) -> Optional[RankOneTerms]:
     e_sq = float(e @ e)
     if e_sq == 0.0:
         return RankOneTerms(theta=np.zeros(m_count), u=np.zeros((m_count, n_tx)))
-    gamma = block.params.gamma
-    tol = CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
     pe = block.constants.pi * e
     z = (block.operator[i] @ e.reshape(m_count, d, 1))[..., 0]
     y_e, u = z[:, :k], z[:, k:]
+    # in Python floats: no warnings where an extreme is infinite or NaN
+    lam = (CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL
+           * (float(block.gamma_tr_inv_max[i]) + m_count * e_sq))
+    slope = float(block.slope_max[i])
     if m_count == 1 and n_tx >= d:
         # full rank: gamma / tr G > tol lambda_hi
-        lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
-        if not 2.0 * gamma > float(block.two_tr_g[i, 0] * lam_hi[0]):
+        if not slope * lam < 2.0:
             return None
         fe = block.root[i, 0] @ y_e[0]
-        t = float(fe @ fe) / gamma
+        t = float(fe @ fe) / block.params.gamma
         c = t / (1.0 + t)
         return RankOneTerms(theta=np.array([c * float(pe @ pe)]), u=u * c)
     theta = float(pe @ pe) / m_count
-    # scalar tests: both certificates at once for every agent, in Python
-    # floats (no warnings where an extreme is infinite or NaN)
-    y_sq = float(np.vdot(y_e, y_e)) * (1.0 + _SCALAR_MARGIN)
+    y_sq = float((y_e[:, None, :] @ y_e[:, :, None]).max())
     w = m_count * (e_sq - y_sq)
-    lam = tol * (float(block.gamma_tr_inv_max[i]) + m_count * e_sq)
-    if (e_sq < block.e_sq_limit[i]
-            and w - lam * (1.0 + float(block.slope_max[i]) * y_sq) > 0
+    # first certificate, lambda_lo > tol lambda_hi, one branch of the min
+    # at a time; else the second, delta <= slack with P_on outside the band
+    if not (e_sq < block.e_sq_limit[i] and w - lam * (1.0 + slope * y_sq) > 0
             or w > 0 and lam <= CERTIFIED_CUT_SLACK * w
             and not (1.0 - lam / w) * theta <= block.params.p_on < theta):
-        return RankOneTerms(theta=np.full(m_count, theta), u=u)
-    lam_hi = tol * (block.gamma_tr_inv[i] + m_count * e_sq)
-    ye_sq = (y_e ** 2).sum(axis=1)
-    m_w_sq = m_count * (e_sq - ye_sq)
-    # first certificate, lambda_lo > tol lambda_hi, one branch of the min
-    # at a time; else the second, delta = lam_hi / (M w^2) <= slack with
-    # P_on outside the band [(1 - max delta) theta, theta)
-    if not (gamma > (block.two_tr_g[i] * lam_hi).max()
-            and (m_w_sq - lam_hi * (1.0 + block.slope[i] * ye_sq)).min() > 0):
-        if not (lam_hi <= CERTIFIED_CUT_SLACK * m_w_sq).all():
-            return None
-        if (1.0 - (lam_hi / m_w_sq).max()) * theta <= block.params.p_on < theta:
-            return None
+        return None
     return RankOneTerms(theta=np.full(m_count, theta), u=u)
 
 

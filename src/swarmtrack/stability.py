@@ -151,7 +151,8 @@ def stability_report(topology: SwarmTopology, constants: DriftConstants,
     channel_draws holds the (n, M, N_r, N_t) channels of n draws; all
     draws are factored by one stacked SVD and tested at once. Returns a
     JSON-ready document with alpha, the fraction of draws that satisfy the
-    condition, margin statistics and mean per-agent support.
+    condition, margin statistics and mean per-agent support; the CLI's
+    check-stability adds its config and writes it as stability.json.
     """
     n = len(channel_draws)
     if n:

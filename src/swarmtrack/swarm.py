@@ -207,8 +207,10 @@ def draw_plant_noise(topology: SwarmTopology, z) -> np.ndarray:
 def topology_to_json(topology: SwarmTopology) -> str:
     """Serialize a topology to JSON: its init fields, in declaration order.
 
-    Fields annotated np.ndarray are row-major nested lists and couplings a
-    list of {"m", "n", "block"} entries sorted by pair.
+    The four counts are JSON numbers, fields annotated np.ndarray are
+    row-major nested lists and couplings a list of {"m", "n", "block"}
+    entries sorted by pair, so a new init field of SwarmTopology is a new
+    key of the document.
     """
     doc = {f.name: getattr(topology, f.name).tolist() if f.type is np.ndarray
            else getattr(topology, f.name) for f in _DOCUMENT_FIELDS}
@@ -231,7 +233,7 @@ def topology_from_json(text: str) -> SwarmTopology:
 
     A document or coupling entry that is not a JSON object, unknown or
     missing keys in either, couplings that are not a list and a coupling
-    pair listed twice raise ValueError.
+    pair listed twice raise a ValueError that names them.
     """
     doc = json.loads(text)
     _check_keys("topology", doc, [f.name for f in _DOCUMENT_FIELDS])

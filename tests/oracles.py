@@ -98,10 +98,11 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     """policy.certified_terms of one slot with every term formed at the slot.
 
     The per-slot formula that policy.CertifiedBlock hoists out of the slot:
-    the slot's own factors, traces, bound terms of gamma and operator
-    [q_t; -F^+ diag(pi_m) / M], in the operand order of certified_terms,
-    so a slot's result agrees with the per-block form bit for bit; both
-    certificates (the second reads P_on). The factors are those of
+    the slot's own factors, traces, agent extremes of the bound terms and
+    operator [q_t; -F^+ diag(pi_m) / M], in the operand order of
+    certified_terms, so a slot's result agrees with the per-block form bit
+    for bit; one slot test for both certificates (the second reads
+    P_on). The factors are those of
     F = U S W^T: the QR B_m = Q_B R_B of the actuation, C = R_B H_m
     (p x N_t, p = min(d, N_r)) and its k x k core S, which is C itself
     where p = N_t, the R of C = Q_C R where p > N_t (U = Q_B Q_C) and R^T
@@ -135,7 +136,6 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     if not (tr_g * tr_inv).max() <= policy.CERTIFIED_MAX_TRACE_PRODUCT:
         return None
     e = np.asarray(e, dtype=float)
-    full_rank = m_count == 1 and n_tx >= d
     e_sq = float(e @ e)
     tol = policy.CERTIFIED_CUTOFF_MARGIN * linalg.DEFAULT_PINV_REL_TOL
     if e_sq == 0.0:
@@ -153,25 +153,28 @@ def slot_certified_terms(b_actuation, h, e, constants, params):
     pe = constants.pi * e
     z = (operator @ e.reshape(m_count, d, 1))[..., 0]
     y_e, u = z[:, :k], z[:, k:]
-    lam_hi = tol * (gamma * tr_inv + m_count * e_sq)
-    if full_rank:
-        if not 2.0 * gamma > float(2.0 * tr_g[0] * lam_hi[0]):
+    # the slot's agent extremes of the bound terms, which extreme gamma
+    # overflows or underflows
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        gamma_tr_inv = gamma * tr_inv
+        e_sq_limit = ((gamma / (tol * (2.0 * tr_g)) - gamma_tr_inv) / m_count).min()
+        slope = float(((2.0 * m_count / gamma) * tr_g).max())
+    lam = tol * (float(gamma_tr_inv.max()) + m_count * e_sq)
+    if m_count == 1 and n_tx >= d:
+        if not slope * lam < 2.0:
             return None
         fe = root[0] @ y_e[0]
         t = float(fe @ fe) / gamma
         c = t / (1.0 + t)
         return policy.RankOneTerms(theta=np.array([c * float(pe @ pe)]), u=u * c)
-    ye_sq = (y_e ** 2).sum(axis=1)
-    m_w_sq = m_count * (e_sq - ye_sq)
     theta = float(pe @ pe) / m_count
-    first = (gamma > (2.0 * tr_g * lam_hi).max()
-             and (m_w_sq - lam_hi * (1.0 + 2.0 * m_count / gamma * tr_g
-                                     * ye_sq)).min() > 0)
+    y_sq = float((y_e[:, None, :] @ y_e[:, :, None]).max())
+    w = m_count * (e_sq - y_sq)
+    first = e_sq < e_sq_limit and w - lam * (1.0 + slope * y_sq) > 0
     if not first:
-        if not (lam_hi <= policy.CERTIFIED_CUT_SLACK * m_w_sq).all():
+        if not (w > 0 and lam <= policy.CERTIFIED_CUT_SLACK * w):
             return None
-        delta = (lam_hi / m_w_sq).max()
-        if (1.0 - delta) * theta <= params.p_on < theta:
+        if (1.0 - lam / w) * theta <= params.p_on < theta:
             return None
     return policy.RankOneTerms(theta=np.full(m_count, theta), u=u)
 

@@ -24,16 +24,20 @@ every swarm.*, sim.* and cli.* attribute perfbench/workloads.py reads) is
 a function or class of the package, and every keyword workloads.py passes
 to SwarmTopology(...) or SimConfig(...) is an init field; the check only
 parses those files. tests/code_lines.py counts code lines by the rules
-one small source pins here.
+one small source pins here. Every constant-style name (CONSTANT_NAME) in a
+comment or docstring of src/ or in the README is bound at module level by
+some package module, so prose cannot keep naming a deleted constant.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import keyword
 import re
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -52,6 +56,10 @@ INIT = ROOT / "src" / "swarmtrack" / "__init__.py"
 MODULES = {path.stem for path in PACKAGE} - {"__init__"}
 # The package modules perfbench/workloads.py reads attributes off.
 WORKLOAD_MODULES = ("swarm", "sim", "cli")
+# A constant-style name: capitals and digits in two or more _-joined
+# segments, the first of at least three characters (so math symbols such
+# as Q_B and A_0 are not read), optionally behind one underscore.
+CONSTANT_NAME = re.compile(r"\b_?[A-Z][A-Z0-9]{2,}(?:_[A-Z0-9]+)+\b")
 
 
 def imported_names(tree):
@@ -372,3 +380,44 @@ def test_code_lines_skip_blanks_comments_and_docstrings():
         '    of a class."""\n'
         '    def g(self): """Docstring on the def line."""\n')
     assert code_lines.code_lines(source) == 7
+
+
+def prose(source):
+    """The docstrings and comments of a Python source, one text."""
+    docs = [ast.get_docstring(node, clean=False) for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef))]
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    comments = [tok.string for tok in tokens if tok.type == tokenize.COMMENT]
+    return "\n".join([doc for doc in docs if doc] + comments)
+
+
+def unbound_constants(text):
+    """The constant-style names in text that no package module binds."""
+    bound = {name for module in MODULES
+             for name in vars(importlib.import_module(f"swarmtrack.{module}"))}
+    return sorted(set(CONSTANT_NAME.findall(text)) - bound)
+
+
+def test_constant_mentions_name_package_bindings():
+    texts = {path.name: prose(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    texts[README.name] = README.read_text(encoding="utf-8")
+    assert any(CONSTANT_NAME.search(text) for text in texts.values()), \
+        "no constant-style names found"
+    problems = {name: unbound for name, text in texts.items()
+                if (unbound := unbound_constants(text))}
+    assert not problems, f"names no package module binds: {problems}"
+
+
+def test_constant_mentions_flag_a_deleted_constant():
+    # docstrings and comments are read, code and other strings are not; a
+    # two-character first segment (Q_B) is no constant name
+    source = (
+        '"""Uses CERTIFIED_CUT_SLACK and Q_B."""\n'
+        '# _SCALAR_MARGIN was deleted\n'
+        'x = "OLD_CONSTANT_NAME"\n'
+        'def f():\n'
+        '    """Reads DEFAULT_PINV_REL_TOL and GONE_TOO."""\n')
+    assert CONSTANT_NAME.findall(prose(source)) == [
+        "CERTIFIED_CUT_SLACK", "DEFAULT_PINV_REL_TOL", "GONE_TOO", "_SCALAR_MARGIN"]
+    assert unbound_constants(prose(source)) == ["GONE_TOO", "_SCALAR_MARGIN"]

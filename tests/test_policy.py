@@ -669,10 +669,10 @@ def test_operator_rows_hold_q_t_and_the_scaled_pseudo_inverse(shape, case):
 # The second certificate: where Q_r's cutoff fires (small gamma) it bounds
 # what the cutoff removes from c, against the spectral path as oracle.
 
-def cut_terms(b, h, e, gamma):
+def q_r_terms(b, h, e, gamma):
     """Per agent, from F's SVD: delta = 2e-10 lambda_hi / (M w^2), the
-    second certificate's bound on 1 - M c, and the number of eigenvalues
-    of Q_r = diag(gamma s^-2, 0) + M a a^T at or below the 1e-10 cutoff."""
+    second certificate's bound on 1 - M c, and the eigenvalues of
+    Q_r = diag(gamma s^-2, 0) + M a a^T, ascending."""
     left, s, _ = np.linalg.svd(b @ h, full_matrices=False)
     m_count, d, k = left.shape
     e_sq = float(e @ e)
@@ -684,7 +684,13 @@ def cut_terms(b, h, e, gamma):
     a = np.concatenate([alpha, np.sqrt(np.maximum(w_sq, 0.0))[:, None]], axis=1)
     q_r = m_count * a[:, :, None] * a[:, None, :]
     q_r[:, np.arange(k), np.arange(k)] += gamma / s ** 2
-    lam = np.linalg.eigvalsh(q_r)
+    return delta, np.linalg.eigvalsh(q_r)
+
+
+def cut_terms(b, h, e, gamma):
+    """q_r_terms' delta and the number of eigenvalues of Q_r at or below
+    the 1e-10 cutoff, per agent."""
+    delta, lam = q_r_terms(b, h, e, gamma)
     cut = (lam <= linalg.DEFAULT_PINV_REL_TOL * lam.max(axis=1, keepdims=True))
     return delta, cut.sum(axis=1)
 
@@ -804,7 +810,7 @@ def test_certified_path_declines_without_a_certificate():
 
 def test_fully_declined_blocks_are_not_factored(monkeypatch):
     # gamma = 0 and N_r < min(d, N_t) decline the whole block before any
-    # QR, inverse or operator: the factor and bound fields are zero
+    # QR, inverse or operator: the factor and extreme fields are zero
     # broadcast views of their shapes, and each slot still takes the
     # spectral path
     def refuse(*args, **kwargs):
@@ -822,9 +828,7 @@ def test_fully_declined_blocks_are_not_factored(monkeypatch):
         k = min(d, n_tx)
         shapes = {"operator": (3, m_count, k + n_tx, d), "q_t": (3, m_count, k, d),
                   "root": (3, m_count, k, k), "lift": (3, m_count, n_tx, k),
-                  "two_tr_g": (3, m_count), "gamma_tr_inv": (3, m_count),
-                  "slope": (3, m_count), "e_sq_limit": (3,),
-                  "gamma_tr_inv_max": (3,), "slope_max": (3,)}
+                  "e_sq_limit": (3,), "gamma_tr_inv_max": (3,), "slope_max": (3,)}
         for name, shape in shapes.items():
             field = getattr(block, name)
             assert field.shape == shape, name
@@ -1086,44 +1090,51 @@ def test_block_terms_match_per_slot_formula(route):
     assert_matches_dense(e, b, h[1], constants, params, rtol=1e-5)
 
 
-# The scalar tests of certified_terms: two tests in ||e||^2 and the summed
-# ||y_e||^2 against per-slot agent extremes, which stand in for every
-# agent's bounds; the per-agent tests referee every slot they do not answer.
+# The slot test of certified_terms: two scalars of the error, ||e||^2 and
+# max_m ||y_e,m||^2, against per-slot agent extremes decide both
+# certificates for every agent at once.
 
-class PerAgentRead(Exception):
-    """certified_terms read a per-agent bound term."""
-
-
-class PerAgentSpy(np.ndarray):
-    def __getitem__(self, index):
-        raise PerAgentRead
-
-
-def scalar_certified(block, i, e):
-    """Whether certified_terms answers slot i without reading a per-agent
-    bound term (two_tr_g, gamma_tr_inv or slope), i.e. by a scalar test."""
-    spied = dataclasses.replace(block, **{
-        name: getattr(block, name).view(PerAgentSpy)
-        for name in ("two_tr_g", "gamma_tr_inv", "slope")})
-    try:
-        return policy.certified_terms(spied, i, e) is not None
-    except PerAgentRead:
-        return False
-
-
-def assert_slot_matches_referee(block, i, e, b, h, constants, params):
+def assert_slot_matches_formula(block, i, e, b, h, constants, params):
     """certified_terms of slot i equals the per-slot formula bit for bit;
-    returns whether a scalar test answered it (then the per-slot formula,
-    which runs only the per-agent tests, certifies it too)."""
+    returns its result."""
     terms = policy.certified_terms(block, i, e)
     ref = oracles.slot_certified_terms(b, h[i], e, constants, params)
     assert (terms is None) == (ref is None)
     if ref is not None:
         assert terms.theta.tobytes() == ref.theta.tobytes()
         assert terms.u.tobytes() == ref.u.tobytes()
-    scalar = scalar_certified(block, i, e)
-    assert not scalar or ref is not None
-    return scalar
+    return terms
+
+
+def assert_slot_is_sound(block, i, e, b, h, constants, params):
+    """assert_slot_matches_formula; where slot i is answered, measured
+    from F's SVD, Q_r's cutoff fires only for agents whose delta is within
+    the slack and whose band [(1 - delta) theta_0, theta_0) leaves out
+    P_on, and theta, u and the transmit bits are the spectral path's up to
+    delta and the spectral path's own rounding, C cond(Q_r) eps over the
+    eigenvalues it keeps. Returns whether the slot was answered."""
+    terms = assert_slot_matches_formula(block, i, e, b, h, constants, params)
+    if terms is None:
+        return False
+    spectral = policy.rank_one_terms(policy.factorize_agent(b, h[i]), e,
+                                     constants, params)
+    delta, lam = q_r_terms(b, h[i], e, params.gamma)
+    kept = lam > linalg.DEFAULT_PINV_REL_TOL * lam[:, -1:]
+    cut = ~kept.all(axis=1)
+    theta_0 = terms.theta[0]
+    assert np.all(delta[cut] <= policy.CERTIFIED_CUT_SLACK)
+    assert not np.any(((1.0 - delta[cut]) * theta_0 <= params.p_on)
+                      & (params.p_on < theta_0))
+    lam_min = np.where(kept, lam, np.inf).min(axis=1)
+    rounding = 4 * lam.shape[1] * EPS * lam[:, -1] / lam_min
+    slack = np.where(cut, delta, 0.0) + rounding
+    assert np.all(np.abs(terms.theta - spectral.theta) <= slack * theta_0)
+    err = np.linalg.norm(terms.u - spectral.u, axis=1)
+    assert np.all(err <= slack * np.linalg.norm(terms.u, axis=1))
+    for m in np.flatnonzero(np.abs(spectral.theta - params.p_on) > slack * theta_0):
+        assert (policy.solve_agent(terms, m, params).delta
+                == policy.solve_agent(spectral, m, params).delta)
+    return True
 
 
 def scalar_test_errors(rng, f):
@@ -1148,11 +1159,11 @@ SCALAR_SHAPES = {"tall": (5, 3, 4), "square": (9, 4, 4), "wide": (3, 5, 4)}
 @pytest.mark.parametrize("m_count", [2, 3, 4, 8])
 @pytest.mark.parametrize("shape", sorted(SCALAR_SHAPES))
 def test_scalar_tests_are_sufficient(shape, m_count, gamma):
-    # every slot a scalar test answers, the per-agent tests answer too, with
-    # the same bits; P_on at 0, at random and just under theta_0 (inside
-    # the second certificate's band). Wide F has y_e = Q_B^T e_m with Q_B
-    # square, so the summed ||y_e||^2 is ||e||^2 but for rounding under
-    # the scalar margin, and only the per-agent tests certify
+    # every slot the slot test answers matches the per-slot formula bit for
+    # bit and is sound against the spectral path; P_on at 0, at random and
+    # just under theta_0 (inside the second certificate's band). Every
+    # shape has answered slots: wide F (k = d) has ||y_e,m|| = ||e_m||, so
+    # max_m ||y_e,m||^2 stays under ||e||^2 unless e lies in one block
     rng = np.random.default_rng(1600 + 10 * m_count
                                 + sorted(SCALAR_SHAPES).index(shape))
     d, n_tx, n_rx = SCALAR_SHAPES[shape]
@@ -1162,41 +1173,19 @@ def test_scalar_tests_are_sufficient(shape, m_count, gamma):
     constants = DriftConstants(pi=pi, alpha=2.0 * pi.max() ** 2)
     block = policy.certify_channels(b, h, constants, PolicyParams(gamma=gamma))
     assert block.conditioned.all()
-    answered = refereed = 0
+    answered = declined = 0
     for i in range(len(h)):
         for e in scalar_test_errors(rng, b @ h[i]):
             theta_0 = float((pi * e) @ (pi * e)) / m_count
             for p_on in (0.0, float(rng.uniform(0.0, 1.5)) * theta_0,
                          (1.0 - 1e-13) * theta_0):
                 params = PolicyParams(p_on=p_on, gamma=gamma)
-                scalar = assert_slot_matches_referee(
+                sound = assert_slot_is_sound(
                     dataclasses.replace(block, params=params), i, e, b, h,
                     constants, params)
-                answered += scalar
-                refereed += not scalar
-    if shape == "wide":
-        assert answered == 0
-    else:
-        assert answered > 0 and refereed > 0
-
-
-def test_scalar_tests_skip_the_per_agent_terms():
-    # on the benchmark's shape (M = 8, d = 9, N_t = N_r = 4) at gamma = 1
-    # a spread error passes a scalar test: the per-agent bound terms are
-    # never read, and the answer is the referee's. An error inside agent
-    # 1's range but for a 1e-3 part fails both scalar tests, and the
-    # per-agent tests decide it
-    rng = np.random.default_rng(1620)
-    e, b, h, constants, params = rank_one_instance(rng, 8, 9, 4, 4, 1.0)
-    block = policy.certify_channels(b, h[None], constants, params)
-    assert scalar_certified(block, 0, e)
-    assert_slot_matches_referee(block, 0, e, b, h[None], constants, params)
-    near = np.zeros_like(e)
-    near[9:18] = b[1] @ h[1] @ rng.normal(size=4)
-    near[9:18] += 1e-3 * np.linalg.norm(near) * rng.normal(size=9)
-    assert not scalar_certified(block, 0, near)
-    assert not assert_slot_matches_referee(block, 0, near, b, h[None],
-                                           constants, params)
+                answered += sound
+                declined += not sound
+    assert answered > 0 and declined > 0
 
 
 @pytest.mark.parametrize("gamma", [5e-324, 1e-300, 1e300])
@@ -1204,7 +1193,7 @@ def test_scalar_tests_skip_the_per_agent_terms():
 def test_scalar_tests_are_quiet_at_extreme_gamma(shape, gamma):
     # subnormal and huge gamma overflow or underflow the agent extremes,
     # and a singular (middle) and a non-finite (last) slot divide by zero
-    # or carry NaN: no warning, and every slot matches the referee
+    # or carry NaN: no warning, and every slot matches the per-slot formula
     rng = np.random.default_rng(1630 + sorted(SCALAR_SHAPES).index(shape))
     d, n_tx, n_rx = SCALAR_SHAPES[shape]
     e, b, _, constants, params = rank_one_instance(rng, 4, d, n_tx, n_rx, gamma)
@@ -1217,7 +1206,7 @@ def test_scalar_tests_are_quiet_at_extreme_gamma(shape, gamma):
         assert block.conditioned.tolist() == [True, False, False]
         for i in range(len(h)):
             for e_slot in (e, *scalar_test_errors(rng, b @ h[0])):
-                assert_slot_matches_referee(block, i, e_slot, b, h, constants,
+                assert_slot_matches_formula(block, i, e_slot, b, h, constants,
                                             params)
 
 
