@@ -139,6 +139,9 @@ def cmd_run(config: sim.SimConfig, args, out_dir: Path) -> int:
 
 
 def cmd_sweep(config: sim.SimConfig, args, out_dir: Path) -> int:
+    """sweep.csv and aggregate.csv of sim.run_sweep; the sweep's own checks
+    (sim.sweep_cells) run before any episode, and a failed one is a usage
+    error."""
     values = _parse_values(args.axis, args.values)
     # checked before the seed list is built, so a huge --seeds allocates
     # nothing
@@ -217,7 +220,10 @@ def _parse_values(axis: str, raw: str):
 def build_parser() -> "_Parser":
     """The swarmtrack argument parser, built once: every call in the process
     returns the same parser. Parsing leaves it unchanged (a usage error
-    too), so main shares it across calls."""
+    too), so main shares it across calls. Flags are checked while parsing,
+    a failed check being a usage error: --axis against sim.AXES, the
+    counts --seeds, --draws and --probe-seeds by _checks.count and
+    --budget-dbw by sim.budget_watts."""
     parser = _Parser(prog="swarmtrack",
                      description="Semantic communication and tracking-control "
                                  "swarm simulator")

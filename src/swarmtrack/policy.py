@@ -50,20 +50,22 @@ bounds what it can remove: every agent's delta is at most
 CERTIFIED_CUT_SLACK = 1e-8 and P_on lies outside [(1 - max delta)
 theta_0, theta_0), theta_0 = ||pi o e||^2 / M; it answers theta_0 and
 u = -(1/M) F^+ (pi o e)_m, which take the spectral path's transmit bits
-and lie within delta of its values. block_decisions routes every slot
-through certified_terms first; where it declines (returns None) the slot
-takes the spectral path above (factorize_agent + rank_one_terms), so the
-cutoff decisions stay those of the dense form. Everything the
-certificates need that does not depend on the error runs once per block
-of slots (certify_channels), through one factorization for every shape,
-F = B_m H_m = U S W^T with U and W orthonormal columns and S the k x k
-core, k = min(d, N_t): one QR B_m = Q_B R_B per actuation stack, kept
-across blocks, gives F = Q_B C with C = R_B H_m, so F^+ = C^+ Q_B^T and
-cond F = cond C (reverse-order law; T. N. E. Greville, SIAM Review 8,
-1966); S is C where C is square, else the triangle of a thin QR of C or
-C^T; and one batched inverse of every slot's and agent's S gives
-F^+ = W S^-1 U^T. Then come three extremes over each slot's agents of
-the bound terms of tr G, tr G^-1 and gamma, and per slot and agent one
+and lie within delta of its values. block_decisions, built once per
+episode, routes every slot through certified_terms first; where it
+declines (returns None) the slot takes the spectral path above
+(factorize_agent + rank_one_terms), so the cutoff decisions stay those
+of the dense form. Everything the certificates need that does not
+depend on the error runs once per block of slots (certify_channels),
+through one factorization for every shape, F = B_m H_m = U S W^T with U
+and W orthonormal columns and S the k x k core, k = min(d, N_t): one QR
+B_m = Q_B R_B of the actuation stack, which block_decisions forms once
+per episode and hands to every block, gives F = Q_B C with C = R_B H_m,
+so F^+ = C^+ Q_B^T and cond F = cond C (reverse-order law; T. N. E.
+Greville, SIAM Review 8, 1966); S is C where C is square, else the
+triangle of a thin QR of C or C^T; and one batched inverse of every
+slot's and agent's S gives F^+ = W S^-1 U^T. Then come three extremes
+over each slot's agents of the bound terms of tr G, tr G^-1 and gamma,
+and per slot and agent one
 stacked operator [q_t; -F^+ diag(pi_m) / M], q_t = U^T, in a
 CertifiedBlock; only the error part runs per slot, and it reads
 y_e = q_t e_m and u = -(1/M) F^+ (pi o e)_m of every agent off one
@@ -109,10 +111,6 @@ CERTIFIED_MAX_TRACE_PRODUCT = (CERTIFIED_CUTOFF_MARGIN * DEFAULT_PINV_REL_TOL) *
 # At 1e-8 it also keeps w^2 above 2% of ||e||^2 (lambda_hi >= M ||e||^2),
 # far from the rounding of w^2 = ||e||^2 - ||y_e||^2.
 CERTIFIED_CUT_SLACK = 1e-8
-# QR (Q_B^T, R_B) of each (M, d, N_r) actuation stack certify_channels
-# has factored, keyed by its shape and bytes; emptied when it outgrows 64
-# entries.
-_ACTUATION_QR_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -149,9 +147,9 @@ class CertifiedBlock:
     P_on for the second certificate), for every input; certified_terms
     reads slot i. The factors are those of F = B_m H_m = U S W^T, with U
     (d x k) and W (N_t x k) orthonormal columns and S the k x k core,
-    k = min(d, N_t): the QR B_m = Q_B R_B of the actuation, once per block,
-    gives F = Q_B C with C = R_B H_m (p x N_t, p = min(d, N_r)), and S is
-    C where p = N_t (U = Q_B, W = I), R of C = Q_C R where p > N_t
+    k = min(d, N_t): the QR B_m = Q_B R_B of the actuation, once per
+    episode, gives F = Q_B C with C = R_B H_m (p x N_t, p = min(d, N_r)),
+    and S is C where p = N_t (U = Q_B, W = I), R of C = Q_C R where p > N_t
     (U = Q_B Q_C, W = I) and R^T of C^T = Q_C R where p < N_t (U = Q_B,
     W = Q_C). Then q_t = U^T, root = S^T and lift = W S^-1, so
     root @ (q_t e_m) has the norm of F^T e_m and F^+ = lift @ q_t.
@@ -331,37 +329,23 @@ def rank_one_terms(factors, e, constants: DriftConstants,
     return RankOneTerms(theta=c * float(pe @ pe), u=u)
 
 
-def _actuation_qr(b):
-    """(Q_B^T, R_B) of the (M, d, N_r) actuation stack b, once per stack."""
-    key = (b.shape, b.tobytes())
-    hit = _ACTUATION_QR_CACHE.get(key)
-    if hit is None:
-        if len(_ACTUATION_QR_CACHE) > 64:
-            _ACTUATION_QR_CACHE.clear()
-        q_b, r_b = np.linalg.qr(b)
-        hit = _ACTUATION_QR_CACHE[key] = (np.swapaxes(q_b, -1, -2), r_b)
-        for factor in hit:
-            factor.flags.writeable = False
-    return hit
-
-
-def certify_channels(b_actuation, h, constants: DriftConstants,
+def certify_channels(actuation_qr, h, constants: DriftConstants,
                      params: PolicyParams) -> CertifiedBlock:
     """Per-block part of certified_terms for a block of slots.
 
-    Takes the stacked (M, d, N_r) actuation blocks, the block's channels of
-    shape (slots, M, N_r, N_t), the drift constants (pi enters the
-    operator) and the policy parameters (gamma enters the bound terms, P_on
-    the second certificate), and forms the operator [q_t; -F^+ diag(pi_m)
-    / M] of every (slot, agent) pair once here, through one factorization
-    F = U S W^T for every shape (CertifiedBlock): one QR of the (M, d, N_r)
-    actuation stack (kept in a memo keyed by its bytes, so every block of
-    a topology reuses it), one batched product C = R_B H, one batched thin
-    QR of C (p > N_t) or C^T (p < N_t) where C is not square, and one
-    batched LU inverse of the (slots, M, k, k) stack of cores S; the
-    operator's last rows are lift @ (q_t diag(pi_m) / -M). A square core
-    rather than the normal equations C^T C keeps cond(S) = cond(F), not
-    its square.
+    Takes numpy's reduced QR (Q_B, R_B) = np.linalg.qr(b) of the stacked
+    (M, d, N_r) actuation blocks b (block_decisions factors it once per
+    episode), the block's channels of shape (slots, M, N_r, N_t), the
+    drift constants (pi enters the operator) and the policy parameters
+    (gamma enters the bound terms, P_on the second certificate), and forms
+    the operator [q_t; -F^+ diag(pi_m) / M] of every (slot, agent) pair
+    once here, through one factorization F = U S W^T for every shape
+    (CertifiedBlock): one batched product C = R_B H, one batched thin QR
+    of C (p > N_t) or C^T (p < N_t) where C is not square, and one batched
+    LU inverse of the (slots, M, k, k) stack of cores S; the operator's
+    last rows are lift @ (q_t diag(pi_m) / -M). A square core rather
+    than the normal equations C^T C keeps cond(S) = cond(F), not its
+    square.
     Returns a CertifiedBlock for every input. gamma = 0 and N_r < min(d,
     N_t), where no slot can be certified (F = B_m H_m then has rank N_r,
     below k), clear every slot's conditioned flag without any
@@ -372,9 +356,10 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
     identity when the stacked inverse raises, after which the stack is
     inverted again.
     """
-    b = np.asarray(b_actuation, dtype=float)
+    q_b, r_b = actuation_qr
     h = np.asarray(h, dtype=float)
-    m_count, d, n_rx = b.shape
+    m_count, d = q_b.shape[:2]
+    n_rx = r_b.shape[-1]
     n_slots, n_tx = h.shape[0], h.shape[-1]
     k = min(d, n_tx)
     gamma = params.gamma
@@ -395,7 +380,7 @@ def certify_channels(b_actuation, h, constants: DriftConstants,
     # then fails, and nothing reads a declined slot's terms
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # F = Q_B C with C = R_B H (p x N_t): F^+ = C^+ Q_B^T (Greville)
-        q_bt, r_b = _actuation_qr(b)
+        q_bt = np.swapaxes(q_b, -1, -2)
         p = r_b.shape[-2]
         c = r_b @ h
         tr_g = (c * c).sum(axis=(-2, -1))
@@ -642,25 +627,35 @@ def control_signal(decision: ControlDecision, e) -> np.ndarray:
     return decision.u
 
 
-def block_decisions(b_actuation, h, constants: DriftConstants, params: PolicyParams):
-    """The semantic scheme over a block of (slots, M, N_r, N_t) channels h.
+def block_decisions(b_actuation, constants: DriftConstants, params: PolicyParams):
+    """The semantic scheme over the blocks of one episode.
 
-    Certifies h once and returns decide(i, e): slot i's bits (M,) and
+    Factors the (M, d, N_r) actuation stack once, (Q_B, R_B)
+    = np.linalg.qr(b_actuation), and returns start(h). start certifies a
+    block of (slots, M, N_r, N_t) channels h with that QR
+    (certify_channels) and returns decide(i, e): slot i's bits (M,) and
     controls (M, N_t) from certified_terms, or where they decline
     factorize_agent + rank_one_terms, then solve_agent and control_signal
-    per agent.
+    per agent. The QR lives as long as start, one episode in the slot
+    loop; nothing is kept between episodes.
     """
-    block = certify_channels(b_actuation, h, constants, params)
-    m_count = len(b_actuation)
+    b = np.asarray(b_actuation, dtype=float)
+    actuation_qr = np.linalg.qr(b)
+    m_count = len(b)
     agents = range(m_count)
 
-    def decide(i, e):
-        terms = certified_terms(block, i, e)
-        if terms is None:
-            terms = rank_one_terms(factorize_agent(b_actuation, h[i]), e,
-                                   constants, params)
-        decisions = [solve_agent(terms, m, params) for m in agents]
-        return (np.fromiter((dec.delta for dec in decisions), bool, m_count),
-                np.array([control_signal(dec, e) for dec in decisions]))
+    def start(h):
+        block = certify_channels(actuation_qr, h, constants, params)
 
-    return decide
+        def decide(i, e):
+            terms = certified_terms(block, i, e)
+            if terms is None:
+                terms = rank_one_terms(factorize_agent(b, h[i]), e,
+                                       constants, params)
+            decisions = [solve_agent(terms, m, params) for m in agents]
+            return (np.fromiter((dec.delta for dec in decisions), bool, m_count),
+                    np.array([control_signal(dec, e) for dec in decisions]))
+
+        return decide
+
+    return start

@@ -11,6 +11,13 @@ Each slot's cost, bits and controls go into one whole-episode record, from
 which Metrics is derived after the loop; a cost above the overflow guard,
 or not finite, ends the episode early with the diverged flag set.
 
+What depends on the swarm alone is derived once and kept no longer than
+it is needed: the baselines' k_p and the drift constants pi and alpha
+once per topology object (tuned_gains, drift_constants), for as long as
+that object lives, and the semantic scheme's actuation QR once per
+episode, by policy.block_decisions. Nothing is looked up by the contents
+of an array.
+
 Randomness is counter-based: every (seed, stream, timeslot) triple keys an
 independent Philox generator, so all schemes consume identical channel and
 noise draws for a given seed (common random numbers) and adding schemes or
@@ -21,6 +28,7 @@ once per block, with the values the slots would have drawn one by one.
 """
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -221,39 +229,35 @@ def _check_dims(config: SimConfig, topology: swarm.SwarmTopology):
             f"N_r={config.n_rx})")
 
 
-# Per-topology results (the baselines' k_p, drift constants), keyed by
-# what they depend on; emptied when it outgrows 64 entries.
-_TOPOLOGY_CACHE: dict = {}
+# Per-topology results (the baselines' k_p, the drift constants), one
+# dict per topology object, kept exactly as long as that object lives.
+_PER_TOPOLOGY = weakref.WeakKeyDictionary()
 
 
-def _per_topology(key: tuple, compute):
-    hit = _TOPOLOGY_CACHE.get(key)
-    if hit is None:
-        if len(_TOPOLOGY_CACHE) > 64:
-            _TOPOLOGY_CACHE.clear()
-        hit = _TOPOLOGY_CACHE[key] = compute()
-    return hit
+def _per_topology(topology: swarm.SwarmTopology, name: str, compute):
+    results = _PER_TOPOLOGY.setdefault(topology, {})
+    if name not in results:
+        results[name] = compute()
+    return results[name]
 
 
 def tuned_gains(topology: swarm.SwarmTopology) -> np.ndarray:
     """The baselines' (M, N_t, dM) proportional gain k_p of the plant
-    (baselines.tune_pid), computed once per topology.
+    (baselines.tune_pid), computed once per topology object.
 
     Tuning is on A itself; an actuated plant for which
     baselines.solve_dare finds no stabilising Riccati solution raises
     DareConvergenceError, also where one exists (the M = 1, d = 9,
     N_t = N_r = 16 ring of seed 2).
     """
-    return _per_topology(("pid", topology.m_agents, topology.state_dim,
-                          topology.n_rx, topology.n_tx, topology.a_global.tobytes(),
-                          topology.b_actuation.tobytes()),
-                         lambda: baselines.tune_pid(topology))
+    return _per_topology(topology, "k_p", lambda: baselines.tune_pid(topology))
 
 
 def drift_constants(topology: swarm.SwarmTopology) -> policy.DriftConstants:
-    """Pi and alpha of the topology, computed once per (A, G) pair."""
+    """Pi and alpha of the topology's A and G, computed once per topology
+    object."""
     return _per_topology(
-        ("drift", topology.a_global.tobytes(), topology.g_target.tobytes()),
+        topology, "drift",
         lambda: policy.compute_drift_constants(topology.a_global,
                                                topology.g_target))
 
@@ -274,9 +278,10 @@ def run_episode(config: SimConfig,
     (the same (seed, stream, slot) keys and draws as slot by slot), the
     pilot estimates, the plant noise and the scheme's channel work. The
     scheme is picked once, before the loop: each block start gets its
-    decide(i, e) for the block's slot i, policy.block_decisions on the
-    estimated channels (the true ones when use_estimated_csi is false) or
-    the baseline's triggered decide told the block's first slot. The
+    decide(i, e) for the block's slot i, from the episode's
+    policy.block_decisions on the estimated channels (the true ones when
+    use_estimated_csi is false) or the baseline's triggered decide told
+    the block's first slot. The
     slot loop carries x and r as arrays and keeps the tracking error
     (swarm.tracking_error), the decision, reception
     (channel.receive_control) and the plant step (swarm.step_swarm).
@@ -297,13 +302,12 @@ def run_episode(config: SimConfig,
     x = np.full(dm, float(config.x0_value))
     r = np.full(dm, float(config.r0_value))
     if config.scheme == "semantic":
-        params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
-        constants = drift_constants(topology)
+        start = policy.block_decisions(
+            topology.b_actuation, drift_constants(topology),
+            policy.PolicyParams(p_on=config.p_on, gamma=config.gamma))
 
         def start_block(t0, h, h_est):
-            return policy.block_decisions(
-                topology.b_actuation, h_est if config.use_estimated_csi else h,
-                constants, params)
+            return start(h_est if config.use_estimated_csi else h)
     else:
         triggered = baselines.triggered_decisions(config.scheme,
                                                   tuned_gains(topology))

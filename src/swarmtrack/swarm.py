@@ -20,7 +20,7 @@ import numpy as np
 from . import _checks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwarmTopology:
     """Static system matrices for one swarm instance.
 
@@ -30,6 +30,13 @@ class SwarmTopology:
     d x n_rx actuation block of agent m, w_noise[m] its d x d plant-noise
     covariance and g_target the (d*M) x (d*M) target transition. The four
     counts are integers >= 1 (a bool is not a count).
+
+    A topology holds read-only float copies of the arrays it is given,
+    coupling blocks included, and its derived a_global and noise_root are
+    read-only too, so no matrix can be written after construction.
+    Topologies compare by identity: a result computed from one
+    (sim.tuned_gains, sim.drift_constants) belongs to that object, not to
+    every topology with equal arrays.
     """
 
     m_agents: int
@@ -52,13 +59,23 @@ class SwarmTopology:
             a[m * d:(m + 1) * d, m * d:(m + 1) * d] = self.a_internal[m]
         for (m, n), block in self.couplings.items():
             a[m * d:(m + 1) * d, n * d:(n + 1) * d] = block
-        object.__setattr__(self, "a_global", a)
         # Symmetric square root of each W_m through its eigendecomposition,
-        # so singular covariances work.
-        vals, vecs = np.linalg.eigh(self.w_noise)
+        # so singular covariances work; the same eigenvalues test W_m >= 0.
+        # Every agent is tested at once and the first failing agent is
+        # reported, symmetry (np.allclose(w, w.T, atol=1e-12)) first.
+        w = self.w_noise
+        vals, vecs = np.linalg.eigh(w)
+        asymmetric = ~np.isclose(w, w.swapaxes(-1, -2), atol=1e-12).all(axis=(1, 2))
+        failing = np.flatnonzero(asymmetric | (vals.min(axis=1) < -1e-12))
+        if failing.size:
+            m = failing[0]
+            rule = "symmetric" if asymmetric[m] else "positive semidefinite"
+            raise ValueError(f"w_noise[{m}] is not {rule}")
         root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) \
             @ vecs.transpose(0, 2, 1)
-        object.__setattr__(self, "noise_root", root)
+        for name, value in (("a_global", a), ("noise_root", root)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     def _validate(self):
         for name in (f.name for f in fields(self) if f.type is int):
@@ -74,6 +91,7 @@ class SwarmTopology:
                 raise ValueError(f"{name} must be {shape}, got {np.shape(arr)}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, _read_only(arr))
         couplings = {}
         for key, block in self.couplings.items():
             if not (isinstance(key, tuple) and len(key) == 2
@@ -85,18 +103,8 @@ class SwarmTopology:
             if np.shape(block) != (d, d) or not np.all(np.isfinite(block)):
                 raise ValueError(f"coupling block {key!r} must be a finite "
                                  f"{(d, d)} matrix, got shape {np.shape(block)}")
-            couplings[(int(key[0]), int(key[1]))] = np.asarray(block, dtype=float)
+            couplings[(int(key[0]), int(key[1]))] = _read_only(block)
         object.__setattr__(self, "couplings", couplings)
-        # every agent's np.allclose(w, w.T, atol=1e-12) and eigenvalue test
-        # at once; the first failing agent is reported, symmetry first
-        w = np.asarray(self.w_noise)
-        asymmetric = ~np.isclose(w, w.swapaxes(-1, -2), atol=1e-12).all(axis=(1, 2))
-        indefinite = np.linalg.eigvalsh(w).min(axis=1) < -1e-12
-        failing = np.flatnonzero(asymmetric | indefinite)
-        if failing.size:
-            m = failing[0]
-            rule = "symmetric" if asymmetric[m] else "positive semidefinite"
-            raise ValueError(f"w_noise[{m}] is not {rule}")
 
     @property
     def global_dim(self) -> int:
@@ -104,6 +112,13 @@ class SwarmTopology:
 
     def w_global_trace(self) -> float:
         return float(sum(np.trace(self.w_noise[m]) for m in range(self.m_agents)))
+
+
+def _read_only(arr) -> np.ndarray:
+    """A read-only float copy of arr, in arr's memory order."""
+    copy = np.array(arr, dtype=float)
+    copy.flags.writeable = False
+    return copy
 
 
 # A topology document holds SwarmTopology's init fields, in declaration order.

@@ -86,8 +86,8 @@ def library_decisions(e, b_actuation, h, constants, params, spectral=False):
     spectral=True) one stacked factorization and one batched rank-one
     solve; then solve_agent per agent."""
     terms = None if spectral else policy.certified_terms(
-        policy.certify_channels(b_actuation, np.asarray(h)[None], constants,
-                                params), 0, e)
+        policy.certify_channels(np.linalg.qr(b_actuation), np.asarray(h)[None],
+                                constants, params), 0, e)
     if terms is None:
         terms = policy.rank_one_terms(policy.factorize_agent(b_actuation, h),
                                       e, constants, params)
@@ -493,15 +493,14 @@ def naive_drift_bound(e, deltas, controls, h, topology, constants):
 
 def _slot_semantic_decide(config, topology):
     """Semantic decision of one slot from that slot's own channel draw:
-    policy.block_decisions on a one-slot block."""
-    params = policy.PolicyParams(p_on=config.p_on, gamma=config.gamma)
-    constants = policy.compute_drift_constants(topology.a_global,
-                                               topology.g_target)
-    b = topology.b_actuation
+    the episode's policy.block_decisions on a one-slot block."""
+    start = policy.block_decisions(
+        topology.b_actuation,
+        policy.compute_drift_constants(topology.a_global, topology.g_target),
+        policy.PolicyParams(p_on=config.p_on, gamma=config.gamma))
 
     def decide(t, e, h, h_est):
-        h = h_est if config.use_estimated_csi else h
-        return policy.block_decisions(b, h[None], constants, params)(0, e)
+        return start((h_est if config.use_estimated_csi else h)[None])(0, e)
 
     return decide
 

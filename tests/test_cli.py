@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from swarmtrack import baselines, cli, sim, swarm
+from swarmtrack import baselines, cli, policy, sim, swarm
 
 
 def write_config(tmp_path, **overrides):
@@ -126,7 +126,6 @@ def test_run_of_a_zero_actuation_plant_sends_zero_baseline_controls(
     def no_solve(*args):
         raise AssertionError("solve_dare called on a zero-actuation plant")
 
-    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     monkeypatch.setattr(baselines, "solve_dare", no_solve)
     path = write_pinned_topology_config(tmp_path, [1.2, 1.2], [0.0, 0.0])
     out = tmp_path / "out"
@@ -134,6 +133,31 @@ def test_run_of_a_zero_actuation_plant_sends_zero_baseline_controls(
     rows = (out / "metrics.csv").read_text(encoding="utf-8").splitlines()[2:]
     power = {row.split(",")[0]: float(row.split(",")[2]) for row in rows}
     assert [power[s] for s in baselines.SCHEMES] == [0.0, 0.0, 0.0]
+
+
+def test_run_computes_per_topology_results_once_per_loaded_topology(
+        tmp_path, monkeypatch):
+    # one run loads one topology: its three baselines share one Riccati
+    # solve and its semantic episode one compute_drift_constants; a second
+    # run loads its own topology, with the same arrays, and computes again
+    solved, derived = [], []
+    solve, derive = baselines.solve_dare, policy.compute_drift_constants
+
+    def spy_solve(*args):
+        solved.append(1)
+        return solve(*args)
+
+    def spy_derive(*args):
+        derived.append(1)
+        return derive(*args)
+
+    monkeypatch.setattr(baselines, "solve_dare", spy_solve)
+    monkeypatch.setattr(policy, "compute_drift_constants", spy_derive)
+    path, _ = write_stable_topology_config(tmp_path)
+    for runs in (1, 2):
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / f"out{runs}")]) == 0
+        assert (len(solved), len(derived)) == (runs, runs)
 
 
 def test_run_of_an_actuated_plant_without_a_stabilising_gain_exits_2(
@@ -310,7 +334,7 @@ def test_check_stability_fraction_matches_recomputation(tmp_path):
                      "40", "--out", str(out)]) == 0
     report = json.loads((out / "stability.json").read_text(encoding="utf-8"))
     # independent recomputation of the coverage fraction from the same draws
-    from swarmtrack import channel, policy, stability
+    from swarmtrack import channel, stability
     cfg = sim.SimConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
     topo = sim.build_topology(cfg)
     constants = policy.compute_drift_constants(topo.a_global, topo.g_target)

@@ -27,6 +27,8 @@ parses those files. tests/code_lines.py counts code lines by the rules
 one small source pins here. Every constant-style name (CONSTANT_NAME) in a
 comment or docstring of src/ or in the README is bound at module level by
 some package module, so prose cannot keep naming a deleted constant.
+No package module calls .tobytes( or binds a dict to a *_CACHE name: no
+result is looked up by the contents of an array.
 """
 
 import ast
@@ -166,6 +168,37 @@ def test_no_scipy_import(path):
     # (solve_discrete_are, say) would pass only where scipy happens to be
     # installed
     assert "scipy" not in imported_modules(path), f"{path.name} imports scipy"
+
+
+def content_keyed_memos(source: str, namespace: dict) -> list:
+    """What a module looks up by array contents: each .tobytes( call in its
+    source and each module-level dict of its namespace bound to a *_CACHE
+    name."""
+    calls = [f".tobytes( on line {node.lineno}" for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "tobytes"]
+    return calls + sorted(name for name, value in namespace.items()
+                          if name.endswith("_CACHE") and isinstance(value, dict))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_memo_keyed_by_array_contents(path):
+    # a per-topology result lives with its topology object (sim) and a
+    # per-episode one with its episode (policy.block_decisions); hashing
+    # array bytes costs (dM)^2 per lookup and has handed one system
+    # another's result
+    module = importlib.import_module(
+        "swarmtrack" if path.stem == "__init__" else f"swarmtrack.{path.stem}")
+    found = content_keyed_memos(path.read_text(encoding="utf-8"), vars(module))
+    assert not found, f"{path.name} keys a memo by array contents: {found}"
+
+
+def test_memo_check_flags_bytes_and_cache_dicts():
+    # calls are read, prose is not; only a dict bound to a *_CACHE name is
+    source = 'key = (b.shape, b.tobytes())\n"""b.tobytes( in prose"""\n'
+    namespace = {"_QR_CACHE": {}, "_SLOT_GENERATORS": {}, "_OTHER_CACHE": (), "X": 1}
+    assert content_keyed_memos(source, namespace) == [".tobytes( on line 1",
+                                                      "_QR_CACHE"]
 
 
 def layout_references(text):

@@ -422,7 +422,7 @@ def test_rank_one_full_rank_single_agent(d, n_tx, n_rx):
     dec, = assert_matches_dense(e, b, h, constants, params)
     pe = constants.pi * e
     assert dec.theta < float(pe @ pe)
-    block = policy.certify_channels(b, h[None], constants, params)
+    block = policy.certify_channels(np.linalg.qr(b), h[None], constants, params)
     assert block.conditioned[0]
     assert certified(e, b, h, constants, params) is not None
 
@@ -611,7 +611,7 @@ def test_certified_terms_meet_accuracy_contract(shape, case, record_property):
 @pytest.mark.parametrize("case", range(8))
 @pytest.mark.parametrize("shape", sorted(CONTRACT_SHAPES))
 def test_lift_times_q_t_is_the_pseudo_inverse(shape, case):
-    # one coordinate form for every block: F^+ = lift @ q_t (q_t = I for
+    # one coordinate form for every block: F^+ = lift @ q_t (q_t = Q_B^T for
     # wide F), each column F^+ e_j within the accuracy contract of the
     # certified u (c = 1, pi o e = e_j) against exact arithmetic
     rng = np.random.default_rng(1600 + 10 * case + sorted(CONTRACT_SHAPES).index(shape))
@@ -619,7 +619,7 @@ def test_lift_times_q_t_is_the_pseudo_inverse(shape, case):
     cond = 10.0 ** (case * 4 / 7)
     _, b, h_0, constants = conditioned_instance(rng, m_count, d, n_tx, n_rx, cond)
     h = np.stack([h_0, 0.5 * h_0])
-    block = policy.certify_channels(b, h, constants, PolicyParams())
+    block = policy.certify_channels(np.linalg.qr(b), h, constants, PolicyParams())
     assert block.q_t.shape == (2, m_count, min(d, n_tx), d)
     assert block.conditioned.all()
     for i in range(2):
@@ -647,7 +647,7 @@ def test_operator_rows_hold_q_t_and_the_scaled_pseudo_inverse(shape, case):
     cond = 10.0 ** (case * 4 / 7)
     _, b, h_0, constants = conditioned_instance(rng, m_count, d, n_tx, n_rx, cond)
     h = np.stack([h_0, 0.5 * h_0])
-    block = policy.certify_channels(b, h, constants, PolicyParams())
+    block = policy.certify_channels(np.linalg.qr(b), h, constants, PolicyParams())
     assert block.operator.shape == (2, m_count, k + n_tx, d)
     assert block.conditioned.all()
     assert np.array_equal(block.operator[..., :k, :], block.q_t)
@@ -775,17 +775,17 @@ def test_cut_certificate_declines_past_its_slack():
 
 def certified(e, b, h, constants, params):
     return policy.certified_terms(
-        policy.certify_channels(b, h[None], constants, params), 0, e)
+        policy.certify_channels(np.linalg.qr(b), h[None], constants, params), 0, e)
 
 
 def assert_block_declined(e, b, h, constants, params):
     """No slot of the (slots, M, N_r, N_t) block h is flagged, certified_terms
     declines every slot, and block_decisions gives each slot the spectral
     path's bits and controls bit for bit."""
-    block = policy.certify_channels(b, h, constants, params)
+    block = policy.certify_channels(np.linalg.qr(b), h, constants, params)
     assert block.conditioned.shape == (len(h),)
     assert not block.conditioned.any()
-    decide = policy.block_decisions(b, h, constants, params)
+    decide = policy.block_decisions(b, constants, params)(h)
     for i in range(len(h)):
         assert policy.certified_terms(block, i, e) is None
         deltas, controls = decide(i, e)
@@ -812,11 +812,19 @@ def test_fully_declined_blocks_are_not_factored(monkeypatch):
     # gamma = 0 and N_r < min(d, N_t) decline the whole block before any
     # QR, inverse or operator: the factor and extreme fields are zero
     # broadcast views of their shapes, and each slot still takes the
-    # spectral path
+    # spectral path. The one QR allowed is the actuation stack's, which
+    # block_decisions forms once per episode
+    qr = np.linalg.qr
+
+    def actuation_qr_only(a, *args, **kwargs):
+        if np.shape(a) != b.shape:
+            raise AssertionError("a fully declined block was factored")
+        return qr(a, *args, **kwargs)
+
     def refuse(*args, **kwargs):
         raise AssertionError("a fully declined block was factored")
 
-    monkeypatch.setattr(np.linalg, "qr", refuse)
+    monkeypatch.setattr(np.linalg, "qr", actuation_qr_only)
     monkeypatch.setattr(np.linalg, "inv", refuse)
     rng = np.random.default_rng(1306)
     for m_count, d, n_tx, n_rx, gamma in ((4, 9, 4, 4, 0.0), (4, 3, 4, 2, 1.0),
@@ -824,7 +832,7 @@ def test_fully_declined_blocks_are_not_factored(monkeypatch):
         e, b, _, constants, params = rank_one_instance(rng, m_count, d, n_tx,
                                                        n_rx, gamma)
         h = rng.normal(size=(3, m_count, n_rx, n_tx))
-        block = policy.certify_channels(b, h, constants, params)
+        block = policy.certify_channels(np.linalg.qr(b), h, constants, params)
         k = min(d, n_tx)
         shapes = {"operator": (3, m_count, k + n_tx, d), "q_t": (3, m_count, k, d),
                   "root": (3, m_count, k, k), "lift": (3, m_count, n_tx, k),
@@ -846,14 +854,14 @@ FACTOR_ROUTES = {    # (M, d, N_t, N_r); C = R_B H is p x N_t, p = min(d, N_r)
 
 @pytest.mark.parametrize("route", sorted(FACTOR_ROUTES))
 def test_certify_channels_factors_by_the_channel_shape(route, monkeypatch):
-    # every shape: one QR per (M, d, N_r) actuation stack, which a second
-    # block of the same stack reuses; one thin QR of each block's stack of
-    # C = R_B H (p > N_t) or C^T (p < N_t) where C is not square; and one
-    # inverse of each block's (slots, M, k, k) stack of square cores. An
-    # exactly singular core (agent 0 of the middle slot) makes the stacked
-    # inverse raise; that slot is swapped for the identity and declined,
-    # and the stack is inverted once more
-    monkeypatch.setattr(policy, "_ACTUATION_QR_CACHE", {})
+    # every shape: one QR of the (M, d, N_r) actuation stack per episode,
+    # formed when block_decisions is built and reused by every block; one
+    # thin QR of each block's stack of C = R_B H (p > N_t) or C^T
+    # (p < N_t) where C is not square; and one inverse of each block's
+    # (slots, M, k, k) stack of square cores. An exactly singular core
+    # (agent 0 of the middle slot) makes the stacked inverse raise; that
+    # slot is swapped for the identity and declined, and the stack is
+    # inverted once more
     calls = []
 
     def counted(name, func):
@@ -873,20 +881,20 @@ def test_certify_channels_factors_by_the_channel_shape(route, monkeypatch):
     singular = route.endswith("singular")
     if singular:
         h[1, 0] = 0.0
-    block = policy.certify_channels(b, h, constants, params)
-    assert block.conditioned.tolist() == [True, not singular, True]
     per_block = [("inv", (3, m_count, k, k))] * (1 + singular)
     if p != n_tx:
         per_block.insert(0, ("qr", (3, m_count) + (max(p, n_tx), min(p, n_tx))))
     actuation = [("qr", (m_count, d, n_rx))]
-    assert calls == actuation + per_block
+    start = policy.block_decisions(b, constants, params)
+    assert calls == actuation
+    for _ in range(2):      # two blocks of one episode
+        calls.clear()
+        start(h)
+        assert calls == per_block
     calls.clear()
-    again = policy.certify_channels(b.copy(), h, constants, params)
-    assert calls == per_block
-    assert again.operator.tobytes() == block.operator.tobytes()
-    calls.clear()
-    policy.certify_channels(2.0 * b, h, constants, params)
+    block = policy.certify_channels(np.linalg.qr(b), h, constants, params)
     assert calls == actuation + per_block
+    assert block.conditioned.tolist() == [True, not singular, True]
     for i in range(len(h)):
         terms = policy.certified_terms(block, i, e)
         if not block.conditioned[i]:
@@ -939,7 +947,7 @@ def test_certified_path_declines_ill_conditioned_channel():
     assert certified(e, b, h, constants, params) is not None
     for s, conditioned in ((2.01e-10, True), (1.99e-10, False)):
         h[1] = np.diag([1.0, s])
-        block = policy.certify_channels(b, h[None], constants, params)
+        block = policy.certify_channels(np.linalg.qr(b), h[None], constants, params)
         assert bool(block.conditioned[0]) == conditioned
         # inside the limit the eigenvalue bounds decline it: Q_r's diagonal
         # spans cond(F)^2 = 2.5e19, far past the 1e-10 cutoff
@@ -1051,7 +1059,7 @@ def test_block_terms_match_per_slot_formula(route):
     # the per-block bound terms give every slot's result bit for bit as the
     # per-slot formula does, on each route through certified_terms
     e, b, h, constants, params = route_instance(route)
-    block = policy.certify_channels(b, h, constants, params)
+    block = policy.certify_channels(np.linalg.qr(b), h, constants, params)
     for i in range(len(h)):
         terms = policy.certified_terms(block, i, e)
         ref = oracles.slot_certified_terms(b, h[i], e, constants, params)
@@ -1171,7 +1179,8 @@ def test_scalar_tests_are_sufficient(shape, m_count, gamma):
     h = rng.normal(size=(6, m_count, n_rx, n_tx))
     pi = rng.uniform(0.1, 2.0, size=m_count * d)
     constants = DriftConstants(pi=pi, alpha=2.0 * pi.max() ** 2)
-    block = policy.certify_channels(b, h, constants, PolicyParams(gamma=gamma))
+    block = policy.certify_channels(np.linalg.qr(b), h, constants,
+                                    PolicyParams(gamma=gamma))
     assert block.conditioned.all()
     answered = declined = 0
     for i in range(len(h)):
@@ -1202,7 +1211,7 @@ def test_scalar_tests_are_quiet_at_extreme_gamma(shape, gamma):
     h[2, 2, 0, 0] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = policy.certify_channels(b, h, constants, params)
+        block = policy.certify_channels(np.linalg.qr(b), h, constants, params)
         assert block.conditioned.tolist() == [True, False, False]
         for i in range(len(h)):
             for e_slot in (e, *scalar_test_errors(rng, b @ h[0])):
@@ -1249,7 +1258,7 @@ def test_block_certificate_declines_only_the_bad_slot(bad):
         h[k, 1, :, 3] = h[k, 1, :, 0]      # two equal columns: rank 3 < N_t
     else:
         h[k, 1, 2, 2] = np.nan if bad == "nan" else np.inf
-    certs = policy.certify_channels(b, h, constants, params)
+    certs = policy.certify_channels(np.linalg.qr(b), h, constants, params)
     assert certs.conditioned.tolist() == [i != k for i in range(n_slots)]
     for i in range(n_slots):
         terms = policy.certified_terms(certs, i, e)
@@ -1285,7 +1294,7 @@ def test_block_decisions_take_each_slot_by_its_own_route(bad):
     else:
         h[k, 1, :, 3] = h[k, 1, :, 0]
     assert certified(e, b, h[k], constants, params) is None
-    decide = policy.block_decisions(b, h, constants, params)
+    decide = policy.block_decisions(b, constants, params)(h)
     for i in range(n_slots):
         deltas, controls = decide(i, e)
         want = oracles.decision_arrays(
@@ -1314,7 +1323,8 @@ def test_block_certificate_declines_wide_channels():
     h = rng.normal(size=(6, 2, 4, 5))
     e = rng.normal(size=6)
     constants = DriftConstants(pi=rng.uniform(0.5, 1.0, size=6), alpha=2.0)
-    block = policy.certify_channels(b, h, constants, PolicyParams(gamma=1.0))
+    block = policy.certify_channels(np.linalg.qr(b), h, constants,
+                                    PolicyParams(gamma=1.0))
     assert block.conditioned.all()
     for i in range(len(h)):
         terms = policy.certified_terms(block, i, e)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -845,7 +847,6 @@ def test_drift_constants_computed_once_per_topology(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(policy, "compute_drift_constants", counting)
-    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     topo = benchmark_topology(2, 3, 2, 2, 5, 0.02)
     cfg = SimConfig(m_agents=2, state_dim=3, n_tx=2, n_rx=2, horizon=3,
                     noise_scale=0.02, seed=5)
@@ -861,7 +862,8 @@ def test_drift_constants_computed_once_per_topology(monkeypatch):
 
 
 def test_per_topology_results_with_more_than_255_antennas():
-    # the memo key holds n_tx as an integer, not as one byte
+    # results are kept per topology object, so no count is squeezed into
+    # a key: n_tx = 256 gets its own (1, 256, 2) gain
     topo = swarm.build_ring_topology(1, 2, 256, 2)
     cfg = SimConfig(m_agents=1, state_dim=2, n_tx=256, n_rx=2, horizon=3,
                     scheme="baseline2")
@@ -869,10 +871,9 @@ def test_per_topology_results_with_more_than_255_antennas():
     assert sim.run_episode(cfg, topo).n_slots == 3
 
 
-def test_tuned_gains_per_agent_split(monkeypatch):
+def test_tuned_gains_per_agent_split():
     # 0.5 I plants with all-ones actuation have the same A and B bytes at
     # (M, d) = (2, 4) and (4, 2); the second used to get the first's gains
-    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     for m_count, d in ((2, 4), (4, 2)):
         topo = swarm.SwarmTopology(
             m_agents=m_count, state_dim=d, n_tx=1, n_rx=1,
@@ -895,7 +896,6 @@ def test_tuned_gains_of_a_zero_actuation_plant_are_zero_without_a_riccati_solve(
         solved.append(a)
         return solve(a, b, q, r)
 
-    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     monkeypatch.setattr(baselines, "solve_dare", spy)
     k_p = sim.tuned_gains(identity_topology(2, 2, 2, zero_actuation=True))
     assert solved == []
@@ -911,7 +911,6 @@ def test_tuned_gains_call_tune_pid_once_and_raise_its_error(monkeypatch):
         calls.append(topology)
         raise error
 
-    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     monkeypatch.setattr(baselines, "tune_pid", failing)
     topo = benchmark_topology(2, 3, 2, 2, 5, 0.02)
     with pytest.raises(baselines.DareConvergenceError) as info:
@@ -920,10 +919,9 @@ def test_tuned_gains_call_tune_pid_once_and_raise_its_error(monkeypatch):
     assert calls == [topo]
 
 
-def test_tuned_gains_of_a_nilpotent_plant_that_overflows_raise(monkeypatch):
+def test_tuned_gains_of_a_nilpotent_plant_that_overflows_raise():
     # an actuated nilpotent plant whose Riccati iterate overflows raises,
     # without a RuntimeWarning (an error under this suite's filter)
-    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", {})
     topo = swarm.SwarmTopology(
         m_agents=1, state_dim=2, n_tx=1, n_rx=1,
         a_internal=np.array([[[0.0, 1e200], [0.0, 0.0]]]), couplings={},
@@ -933,15 +931,63 @@ def test_tuned_gains_of_a_nilpotent_plant_that_overflows_raise(monkeypatch):
         sim.tuned_gains(topo)
 
 
-def test_topology_cache_empties_past_64_entries(monkeypatch):
-    cache = {}
-    monkeypatch.setattr(sim, "_TOPOLOGY_CACHE", cache)
-    for key in range(65):
-        assert sim._per_topology((key,), lambda: key) == key
-    assert len(cache) == 65
-    assert sim._per_topology((0,), lambda: "again") == 0
-    assert sim._per_topology((65,), lambda: 65) == 65
-    assert cache == {(65,): 65}
+def test_per_topology_results_live_with_their_topology(monkeypatch):
+    # k_p (one Riccati solve) and pi, alpha (one compute_drift_constants)
+    # are computed once per topology object, through calibrate_gamma's
+    # probes and the episodes after it; a second object with the same
+    # arrays computes its own, and a topology's entry goes with it
+    solved, derived = [], []
+    solve, derive = baselines.solve_dare, policy.compute_drift_constants
+
+    def spy_solve(*args):
+        solved.append(1)
+        return solve(*args)
+
+    def spy_derive(*args):
+        derived.append(1)
+        return derive(*args)
+
+    monkeypatch.setattr(baselines, "solve_dare", spy_solve)
+    monkeypatch.setattr(policy, "compute_drift_constants", spy_derive)
+    cfg = SimConfig(m_agents=2, state_dim=3, n_tx=2, n_rx=2, horizon=5,
+                    noise_scale=0.02, p_on=0.001, seed=5)
+    topo = benchmark_topology(2, 3, 2, 2, 5, 0.02)
+    gamma = sim.calibrate_gamma(cfg, topo, 8.0, n_probe_seeds=2)
+    for scheme in sim.SCHEMES:
+        sim.run_episode(replace(cfg, scheme=scheme, gamma=gamma), topo)
+    assert (len(solved), len(derived)) == (1, 1)
+    twin = benchmark_topology(2, 3, 2, 2, 5, 0.02)
+    assert twin.b_actuation.tobytes() == topo.b_actuation.tobytes()
+    for scheme in sim.SCHEMES:
+        sim.run_episode(replace(cfg, scheme=scheme), twin)
+    assert (len(solved), len(derived)) == (2, 2)
+    assert sim.tuned_gains(twin) is not sim.tuned_gains(topo)
+    assert np.array_equal(sim.tuned_gains(twin), sim.tuned_gains(topo))
+    gone, entries = weakref.ref(twin), len(sim._PER_TOPOLOGY)
+    del twin
+    gc.collect()
+    assert gone() is None and len(sim._PER_TOPOLOGY) < entries
+    assert topo in sim._PER_TOPOLOGY
+
+
+def test_semantic_episode_factors_its_actuation_once(monkeypatch):
+    # the actuation QR belongs to the episode: one per semantic episode,
+    # whatever its number of blocks, and none for a baseline episode
+    topo = benchmark_topology(2, 3, 2, 2, 5, 0.02)
+    qr, factored = np.linalg.qr, []
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == topo.b_actuation.shape:
+            factored.append(1)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    cfg = SimConfig(m_agents=2, state_dim=3, n_tx=2, n_rx=2, horizon=70,
+                    noise_scale=0.02, p_on=0.001)
+    for seed in range(2):
+        sim.run_episode(replace(cfg, seed=seed), topo)
+    sim.run_episode(replace(cfg, scheme="baseline3"), topo)
+    assert len(factored) == 2
 
 
 def certified_share(monkeypatch, configs_and_topologies):

@@ -489,6 +489,45 @@ def test_topology_names_the_first_failing_noise_block(w_noise, message):
     assert str(info.value) == message
 
 
+def test_topology_factors_its_noise_once(monkeypatch):
+    # one eigendecomposition of the W stack per construction tests W >= 0
+    # and builds noise_root
+    parts, calls = ring_parts(), []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    swarm.SwarmTopology(**parts)
+    assert calls == ["eigh"]
+
+
+def test_topology_arrays_are_read_only_copies():
+    parts = ring_parts()
+    topo = swarm.SwarmTopology(**parts)
+    arrays = {name: getattr(topo, name) for name in (
+        "a_internal", "b_actuation", "w_noise", "g_target", "a_global",
+        "noise_root")}
+    arrays.update({f"coupling {key}": block for key, block in topo.couplings.items()})
+    for name, arr in arrays.items():
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
+    for name in ("a_internal", "b_actuation", "w_noise", "g_target"):
+        assert not np.shares_memory(getattr(topo, name), parts[name]), name
+        assert getattr(topo, name).tobytes() == parts[name].tobytes(), name
+
+
+def test_topologies_compare_by_identity():
+    # equal arrays do not make two topologies one: each is its own key
+    topo, twin = (swarm.SwarmTopology(**ring_parts()) for _ in range(2))
+    assert topo == topo and topo != twin
+    assert len({topo, twin, topo}) == 2
+
+
 @pytest.mark.parametrize("name", ["m_agents", "state_dim", "n_tx", "n_rx"])
 @pytest.mark.parametrize("value", [0, -2, 2.5, 2.0, True, np.True_, "2", None])
 def test_ring_topology_rejects_a_count_that_is_not_a_positive_integer(name, value):
