@@ -236,9 +236,10 @@ def triggered_decisions(scheme: str, k_p):
     m (1-based), against the error each agent last sent. Baselines 1 and 2
     send the PID control, whose integral and derivative gains KAPPA_I * k_p
     and KAPPA_D * k_p are formed once per episode, baseline 3 k_p @ e
-    alone, evaluated once per slot over the agent axis; a slot where nobody
-    fires returns one shared read-only zero array and evaluates no control
-    law.
+    alone, evaluated once per slot over the agent axis; only baselines 1
+    and 2 accumulate the error's running sum. A slot where nobody fires
+    returns one shared read-only zero array and evaluates no control law,
+    and a silent agent's control row is exactly 0.0 in every slot.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown baseline {scheme!r}; valid: {SCHEMES}")
@@ -259,7 +260,8 @@ def triggered_decisions(scheme: str, k_p):
         if prev_e is None:
             prev_e = e
             last_sent = np.tile(e, (m_count, 1))
-        accumulator = accumulator + e
+        if pid:  # baseline 3 reads no integral
+            accumulator = accumulator + e
         if periodic:
             fired = everyone if periodic_trigger(t, period) else nobody
         else:

@@ -13,6 +13,12 @@ estimate is Hhat = Y / sqrt(pilot_power) with N(0, 1/pilot_power) errors.
 Estimation and reception take their standard normal draws as arrays, so
 the caller decides how they are drawn: one slot at a time or a block of
 slots at once, along any leading axes.
+
+receive_control is the channel equation itself. The slot loop does not
+call it: the plant sees uhat_m only through B_m uhat_m, so
+swarm.block_inputs forms each slot's B_m H_m and B_m v_m once per block
+and swarm.step_swarm applies B_m H_m to u_m, a silent agent's u_m being
+0.0, which equals B_m receive_control(...) up to rounding.
 """
 
 import numpy as np

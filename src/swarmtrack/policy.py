@@ -634,7 +634,8 @@ def block_decisions(b_actuation, constants: DriftConstants, params: PolicyParams
     = np.linalg.qr(b_actuation), and returns start(h). start certifies a
     block of (slots, M, N_r, N_t) channels h with that QR
     (certify_channels) and returns decide(i, e): slot i's bits (M,) and
-    controls (M, N_t) from certified_terms, or where they decline
+    controls (M, N_t), a silent agent's row 0.0, from certified_terms,
+    or where they decline
     factorize_agent + rank_one_terms, then solve_agent and control_signal
     per agent. The QR lives as long as start, one episode in the slot
     loop; nothing is kept between episodes.

@@ -3,8 +3,9 @@
 One episode runs the per-timeslot loop: the leader observes the plant and
 target states, every agent's channel is drawn and pilot-estimated, the
 active scheme picks per-agent communication bits and control signals,
-the signals pass through the true fading channel, and the plant and target
-step forward. Each scheme's decision lives in the module of its rule:
+and the plant and target step forward, the signals reaching the plant
+through the true fading channel and the receiver noise. Each scheme's
+decision lives in the module of its rule:
 policy.block_decisions for the semantic scheme and
 baselines.triggered_decisions for the three channel-oblivious baselines.
 Each slot's cost, bits and controls go into one whole-episode record, from
@@ -136,7 +137,9 @@ class Metrics:
     decision_log is (deltas, controls): the bits (n, M) and transmit
     vectors (n, M, N_t) of the n slots that took a decision, one row per
     entry of tx_power_trajectory; n is n_slots, or n_slots - 1 when the
-    episode diverged (its last slot has a cost and no decision).
+    episode diverged (its last slot has a cost and no decision). A
+    control row whose bit is False is exactly 0.0, the row the plant
+    step (swarm.step_swarm) was given for that silent agent.
     """
 
     scheme: str
@@ -267,24 +270,28 @@ def run_episode(config: SimConfig,
     """Run one closed-loop episode of the configured scheme.
 
     The per-slot sequence is: perfect state broadcast, channel draw, pilot
-    estimation, scheme decision, transmission through the true channel,
-    plant and target step. Stops early when the tracking cost passes the
-    overflow guard or is not finite (diverged=True, metrics keep the
-    recorded prefix; the slot that stops it has a cost but no decision or
-    power).
+    estimation, scheme decision, transmission through the true channel
+    into the plant, and the plant and target step. Stops early when the
+    tracking cost passes the overflow guard or is not finite
+    (diverged=True, metrics keep the recorded prefix; the slot that stops
+    it has a cost but no decision or power).
 
     Everything that does not depend on the state runs once per block of
     _SLOT_BLOCK slots: the four slot streams of every slot in the block
     (the same (seed, stream, slot) keys and draws as slot by slot), the
-    pilot estimates, the plant noise and the scheme's channel work. The
+    pilot estimates, the reception and plant inputs (swarm.block_inputs:
+    each slot's B_m H_m of the true channels and B v + w of its receiver
+    and plant normals) and the scheme's channel work. The
     scheme is picked once, before the loop: each block start gets its
     decide(i, e) for the block's slot i, from the episode's
     policy.block_decisions on the estimated channels (the true ones when
     use_estimated_csi is false) or the baseline's triggered decide told
     the block's first slot. The
     slot loop carries x and r as arrays and keeps the tracking error
-    (swarm.tracking_error), the decision, reception
-    (channel.receive_control) and the plant step (swarm.step_swarm).
+    (swarm.tracking_error), the decision and one plant step
+    (swarm.step_swarm), which takes the decision's controls, a silent
+    agent's row 0.0, and no bits: reception (channel.receive_control) is
+    folded into the block's inputs.
 
     Each slot writes its cost, bits and controls into the episode record,
     three arrays of 8 + M + 8 M N_t bytes per slot (272 B for M = 8,
@@ -342,7 +349,8 @@ def run_episode(config: SimConfig,
                     _draw_block(config.seed, stream, t, out[:span])
                 h_est = channel.estimate_channel(h[:span], pilot[:span],
                                                  config.pilot_power)
-                noise = swarm.draw_plant_noise(topology, plant_z[:span])
+                actuation, exo = swarm.block_inputs(topology, h[:span],
+                                                    rx_noise[:span], plant_z[:span])
                 decide = start_block(t, h[:span], h_est)
 
             e, cost = swarm.tracking_error(x, r)
@@ -355,8 +363,7 @@ def run_episode(config: SimConfig,
             sent[t] = controls
             decided = t + 1
 
-            received = channel.receive_control(deltas, h[i], controls, rx_noise[i])
-            x, r = swarm.step_swarm(topology, x, r, received, noise[i])
+            x, r = swarm.step_swarm(topology, x, r, actuation[i], controls, exo[i])
 
     n = t + 1
     # per slot, u_m . u_m per agent (silent rows are zero) summed in agent order

@@ -31,25 +31,30 @@ import math
 
 import numpy as np
 
-from . import _checks
-from .channel import receive_control
+from . import _checks, swarm
 from .policy import DriftConstants
-from .swarm import SwarmTopology, draw_plant_noise, step_swarm, tracking_error
+from .swarm import SwarmTopology
 
 DEFAULT_MASK_REL_TOL = 1e-10
 
 
+def _sent(deltas, controls) -> np.ndarray:
+    """The (M, N_t) controls with every silent agent's row 0.0, as the plant
+    step (swarm.step_swarm) takes them."""
+    return np.where(np.asarray(deltas, dtype=bool)[:, None],
+                    np.asarray(controls, dtype=float), 0.0)
+
+
 def _lifted_actions(deltas, controls, h, topology: SwarmTopology) -> np.ndarray:
-    """Khat_m e = -E_m u_m of every agent as its (M, d) block rows.
+    """Khat_m e = -E_m u_m of every agent, stacked as a (dM,) vector.
 
     Only block row m of E_m = Bhat_m H_m is non-zero, so agent m's action
-    is the d-block -B_m (H_m u_m), one batched product over the agents; a
-    silent agent's row is zero whatever its control row holds.
+    is the d-block -B_m H_m u_m: swarm.plant_input of the channels'
+    B_m H_m (swarm.channel_actuation), negated; a silent agent's block is
+    zero whatever its control row holds.
     """
-    h = np.asarray(h, dtype=float)
-    u = np.asarray(controls, dtype=float)
-    actions = topology.b_actuation @ (h @ u[..., None])
-    return np.where(np.asarray(deltas, dtype=bool)[:, None], -actions[..., 0], 0.0)
+    return -swarm.plant_input(swarm.channel_actuation(topology, h),
+                              _sent(deltas, controls))
 
 
 def drift_bound(e, deltas, controls, h, topology: SwarmTopology,
@@ -64,7 +69,7 @@ def drift_bound(e, deltas, controls, h, topology: SwarmTopology,
     form of the bound.
     """
     e = np.asarray(e, dtype=float)
-    actions = _lifted_actions(deltas, controls, h, topology).reshape(-1)
+    actions = _lifted_actions(deltas, controls, h, topology)
     total = topology.w_global_trace()
     total += sum(float(np.trace(topology.b_actuation[m] @ topology.b_actuation[m].T))
                  for m in range(topology.m_agents))
@@ -82,25 +87,26 @@ def empirical_drift(topology: SwarmTopology, x, r, deltas, controls, h,
     decisions (deltas (M,), controls (M, N_t)) and the (M, N_r, N_t)
     channels h they were taken on are held fixed; plant noise and channel
     reception noise are resampled n_draws >= 1 times, and each draw steps
-    the slot loop's own reception (receive_control), plant noise
-    (draw_plant_noise) and plant (step_swarm). Per chunk of draws the
-    generator gives the (M, n, N_r) reception normals, then the (M, n, d)
-    plant normals, agent by agent. Returns (mean, standard error). Sums
-    are compensated (math.fsum) so the result does not depend on
-    accumulation order.
+    through the slot loop's own two functions: swarm.block_inputs of h and
+    the draw's normals, then swarm.step_swarm of the controls with every
+    silent agent's row set to 0.0 (the plant step takes no bits). Per
+    chunk of draws the generator gives the (M, n, N_r) reception normals,
+    then the (M, n, d) plant normals, agent by agent. Returns (mean,
+    standard error). Sums are compensated (math.fsum) so the result does
+    not depend on accumulation order.
     """
     n_draws = _checks.count("n_draws", n_draws)
-    _, cost = tracking_error(x, r)
+    _, cost = swarm.tracking_error(x, r)
     m_count, d = topology.m_agents, topology.state_dim
+    sent = _sent(deltas, controls)
     drifts = np.empty(n_draws)
     chunk = 4096
     for done in range(0, n_draws, chunk):
         n = min(chunk, n_draws - done)
         v = rng.normal(size=(m_count, n, topology.n_rx)).transpose(1, 0, 2)
         z = rng.normal(size=(m_count, n, d)).transpose(1, 0, 2)
-        received = receive_control(deltas, h, controls, v)
-        x_next, r_next = step_swarm(topology, x, r, received,
-                                    draw_plant_noise(topology, z))
+        actuation, exo = swarm.block_inputs(topology, h, v, z)
+        x_next, r_next = swarm.step_swarm(topology, x, r, actuation, sent, exo)
         e_next = x_next - r_next
         drifts[done:done + n] = np.einsum("ij,ij->i", e_next, e_next) - cost
     mean = math.fsum(drifts) / n_draws
@@ -123,7 +129,7 @@ def compute_masks(topology: SwarmTopology, h) -> np.ndarray:
     zero channel never does. An agent's support is the sum of its
     diagonal. A non-finite channel is a ValueError.
     """
-    f = topology.b_actuation @ np.asarray(h, dtype=float)
+    f = swarm.channel_actuation(topology, h)
     if not np.all(np.isfinite(f)):
         raise ValueError("effective channel contains non-finite entries")
     spectra = np.linalg.svd(f, compute_uv=False) ** 2

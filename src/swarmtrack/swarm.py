@@ -6,7 +6,11 @@ state x stacks the per-agent states; it evolves as
     x(t+1) = A x(t) + sum_m Bhat_m uhat_m(t) + w(t)
 
 where A is assembled from per-agent internal and coupling blocks and
-Bhat_m places the agent's actuation matrix at block row m. The target
+Bhat_m places the agent's actuation matrix at block row m. With the
+received signal uhat_m = delta_m H_m u_m + v_m (channel module) this is
+A x + sum_m Bhat_m B_m H_m u_m + (B v + w): a slot's B_m H_m and B v + w
+do not depend on the state, so block_inputs forms them once per block of
+slots and step_swarm applies them to the transmit vectors u. The target
 r evolves as r(t+1) = G r(t). The tracking error e = x - r and its cost
 ||e||^2 are computed here too. States are plain arrays, and the plant
 noise is built from standard normals the caller draws.
@@ -172,27 +176,58 @@ def build_ring_topology(m_agents: int, state_dim: int = 9, n_tx: int = 4,
                          g_target=g_target)
 
 
-def step_swarm(topology: SwarmTopology, x: np.ndarray, r: np.ndarray,
-               received: np.ndarray, noise: np.ndarray):
-    """One slot of the whole system: (A x + sum_m Bhat_m uhat_m + noise, G r).
+def channel_actuation(topology: SwarmTopology, h) -> np.ndarray:
+    """B_m H_m of channels h (..., M, N_r, N_t), shape (..., M, d, N_t):
+    what agent m's transmit vector does to its d rows of the plant."""
+    return np.matmul(topology.b_actuation, np.asarray(h, dtype=float))
 
-    x and r are the (dM,) plant and target state arrays, received the
-    (M, n_rx) signals after the channel, one row per agent, and noise the
-    stacked (dM,) plant noise. received and noise may carry the same
-    leading axes (one per draw); the next plant state then carries them
-    too. The plant sums B received, then A x, then the noise; the target
-    steps through step_target.
+
+def block_inputs(topology: SwarmTopology, h, v, z):
+    """The state-independent inputs of slots, as (actuation, exo).
+
+    h holds the true channels (..., M, N_r, N_t), v the receiver normals
+    (..., M, N_r) and z the plant normals (..., M, d), with one leading
+    axis per slot or draw (v and z the same ones). actuation is
+    channel_actuation(topology, h) and exo the stacked B_m v_m plus
+    draw_plant_noise(topology, z), (..., dM): the receiver noise as the
+    plant sees it, whether the agent is sent a control or not, plus the
+    plant noise.
     """
-    lead = received.shape[:-2]
-    if received.shape != lead + (topology.m_agents, topology.n_rx):
-        raise ValueError(f"received controls must have shape (..., "
-                         f"{topology.m_agents}, {topology.n_rx}), got {received.shape}")
-    if noise.shape != lead + (topology.global_dim,):
-        raise ValueError(f"noise must have shape {lead + (topology.global_dim,)}, "
-                         f"got {noise.shape}")
-    x_next = np.matmul(topology.b_actuation, received[..., None]).reshape(noise.shape)
-    x_next += topology.a_global @ x
-    x_next += noise
+    exo = draw_plant_noise(topology, z)
+    rx = np.matmul(topology.b_actuation, np.asarray(v, dtype=float)[..., None])
+    exo += rx.reshape(exo.shape)
+    return channel_actuation(topology, h), exo
+
+
+def plant_input(actuation, u) -> np.ndarray:
+    """sum_m Bhat_m B_m H_m u_m as a (..., dM) vector: agent m's B_m H_m u_m
+    in its block rows, from actuation (..., M, d, N_t) and u (..., M, N_t)."""
+    moved = np.matmul(actuation, u[..., None])
+    return moved.reshape(moved.shape[:-3] + (-1,))
+
+
+def step_swarm(topology: SwarmTopology, x: np.ndarray, r: np.ndarray,
+               actuation: np.ndarray, u: np.ndarray, exo: np.ndarray):
+    """One slot of the whole system: (plant_input + A x + exo, G r).
+
+    x and r are the (dM,) plant and target state arrays; actuation
+    (M, d, N_t) and exo (dM,) are the slot's block_inputs, and u holds the
+    (M, N_t) transmit vectors, one row per agent. The step takes no
+    communication bits: a silent agent's row of u must be exactly 0.0, so
+    its channel adds nothing and only its receiver noise (in exo) reaches
+    the plant. This is the channel equation delta_m H_m u_m + v_m of
+    channel.receive_control folded into the plant. actuation, u and exo
+    may carry leading axes (one per draw) that broadcast; the next plant
+    state then carries them too. The target steps through step_target.
+    """
+    m, d, n_tx, dm = (topology.m_agents, topology.state_dim, topology.n_tx,
+                      topology.global_dim)
+    if (actuation.shape[-3:] != (m, d, n_tx) or u.shape[-2:] != (m, n_tx)
+            or exo.shape[-1:] != (dm,)):
+        raise ValueError(f"step_swarm needs actuation (..., {m}, {d}, {n_tx}), "
+                         f"u (..., {m}, {n_tx}) and exo (..., {dm}), got "
+                         f"{actuation.shape}, {u.shape} and {exo.shape}")
+    x_next = plant_input(actuation, u) + topology.a_global @ x + exo
     return x_next, step_target(topology, r)
 
 

@@ -464,6 +464,28 @@ def step_plant_loop(topology, x, received, noise):
     return x_next + noise
 
 
+def receiver_step(topology, x, r, deltas, h, u, v, noise):
+    """The plant step through the receiver, the paper's two equations in
+    turn: received = delta H u + v (the body of channel.receive_control),
+    then (B received + A x + noise, G r). The reference that
+    swarm.block_inputs and swarm.step_swarm, which fold reception into
+    the plant, are held to."""
+    u = np.asarray(u, dtype=float)
+    sent = np.asarray(deltas, dtype=bool)[..., None]
+    received = np.where(sent, np.matmul(h, u[..., None])[..., 0], 0.0) + v
+    lead = received.shape[:-2]
+    if received.shape != lead + (topology.m_agents, topology.n_rx):
+        raise ValueError(f"received controls must have shape (..., "
+                         f"{topology.m_agents}, {topology.n_rx}), got {received.shape}")
+    if noise.shape != lead + (topology.global_dim,):
+        raise ValueError(f"noise must have shape {lead + (topology.global_dim,)}, "
+                         f"got {noise.shape}")
+    x_next = np.matmul(topology.b_actuation, received[..., None]).reshape(noise.shape)
+    x_next += topology.a_global @ x
+    x_next += noise
+    return x_next, swarm.step_target(topology, r)
+
+
 def naive_drift_bound(e, deltas, controls, h, topology, constants):
     """Term-by-term recomputation of the drift bound with explicit loops.
 
@@ -544,10 +566,12 @@ def _slot_triggered_decide(config, topology):
     return decide
 
 
-def slot_loop_episode(config, topology=None):
+def slot_loop_episode(config, topology=None, through_receiver=False):
     """sim.run_episode slot by slot: every random stream drawn, every
     channel estimated and every decision factored inside the slot it
-    belongs to, with the single-slot library calls."""
+    belongs to, with the single-slot library calls. through_receiver
+    steps the plant by receiver_step (reception, then B received) instead
+    of swarm.block_inputs and swarm.step_swarm."""
     if topology is None:
         topology = sim.build_topology(config)
     m_count, d = topology.m_agents, topology.state_dim
@@ -577,14 +601,15 @@ def slot_loop_episode(config, topology=None):
         comm_count += int(deltas.sum())
         logged_bits.append(deltas.astype(bool))
         logged_sent.append(controls.copy())
-        received = channel.receive_control(
-            deltas, h, controls,
-            sim._slot_rng(config.seed, sim._STREAM_RX, t).normal(
-                size=(m_count, topology.n_rx)))
-        noise = swarm.draw_plant_noise(
-            topology,
-            sim._slot_rng(config.seed, sim._STREAM_PLANT, t).normal(size=(m_count, d)))
-        x, r = swarm.step_swarm(topology, x, r, received, noise)
+        v = sim._slot_rng(config.seed, sim._STREAM_RX, t).normal(
+            size=(m_count, topology.n_rx))
+        z = sim._slot_rng(config.seed, sim._STREAM_PLANT, t).normal(size=(m_count, d))
+        if through_receiver:
+            x, r = receiver_step(topology, x, r, deltas, h, controls, v,
+                                 swarm.draw_plant_noise(topology, z))
+        else:
+            actuation, exo = swarm.block_inputs(topology, h, v, z)
+            x, r = swarm.step_swarm(topology, x, r, actuation, controls, exo)
     n = len(costs)
     return sim.Metrics(
         scheme=config.scheme, seed=config.seed,

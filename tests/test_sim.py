@@ -6,6 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import episode_digest
 import oracles
 from swarmtrack import baselines, channel, policy, sim, swarm
 from swarmtrack.sim import SimConfig
@@ -333,8 +334,9 @@ def test_record_follows_the_slots_run_not_the_horizon():
 
 
 def test_run_episode_calls_each_slot_operation_by_its_public_name(monkeypatch):
-    # per block: one pilot estimate and one plant-noise map; per slot: one
-    # tracking error, one reception, one plant step and one target step
+    # per block: one pilot estimate and one block_inputs, which maps the
+    # plant noise once; per slot: one tracking error, one plant step and
+    # one target step, and no reception of its own
     calls = {}
 
     def counted(module, name):
@@ -347,8 +349,9 @@ def test_run_episode_calls_each_slot_operation_by_its_public_name(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((channel, "estimate_channel"), (channel, "receive_control"),
-                         (swarm, "draw_plant_noise"), (swarm, "step_swarm"),
-                         (swarm, "step_target"), (swarm, "tracking_error")):
+                         (swarm, "block_inputs"), (swarm, "draw_plant_noise"),
+                         (swarm, "step_swarm"), (swarm, "step_target"),
+                         (swarm, "tracking_error")):
         counted(module, name)
     topo = benchmark_topology(3, 9, 4, 4, 5, 0.02)
     cfg = SimConfig(m_agents=3, state_dim=9, n_tx=4, n_rx=4, horizon=70,
@@ -357,8 +360,8 @@ def test_run_episode_calls_each_slot_operation_by_its_public_name(monkeypatch):
         calls.clear()
         metrics = sim.run_episode(replace(cfg, scheme=scheme), topo)
         assert not metrics.diverged and metrics.n_slots == 70
-        assert calls == {"estimate_channel": 3, "draw_plant_noise": 3,
-                         "tracking_error": 70, "receive_control": 70,
+        assert calls == {"estimate_channel": 3, "block_inputs": 3,
+                         "draw_plant_noise": 3, "tracking_error": 70,
                          "step_swarm": 70, "step_target": 70}
 
 
@@ -747,6 +750,64 @@ def test_block_loop_matches_slot_oracle_through_divergence(scheme):
     want = oracles.slot_loop_episode(cfg)
     assert got.diverged and 0 < got.n_slots < sim._SLOT_BLOCK
     assert_same_episode(got, want)
+
+
+def relative_gap(a, b):
+    """||a - b|| / max(||a||, ||b||) in norm over the last axis, 0 where
+    both are zero."""
+    gap = np.linalg.norm(a - b, axis=-1)
+    top = np.maximum(np.linalg.norm(a, axis=-1), np.linalg.norm(b, axis=-1))
+    return np.divide(gap, top, out=np.zeros_like(gap), where=top > 0)
+
+
+@pytest.mark.parametrize("m_count", [1, 4, 8])
+@pytest.mark.parametrize("scheme", sim.SCHEMES)
+def test_run_episode_matches_the_receiver_route(scheme, m_count):
+    # run_episode's folded plant step against the slot loop stepped
+    # through the receiver (delta H u + v, then B received + A x + w): the
+    # same bits, divergence and slot count, costs within 1e-12 and each
+    # agent's u within 1e-10 relative per slot, over 80 slots (past a
+    # block boundary) of the stable decoupled family
+    topo = benchmark_topology(m_count, 9, 4, 4, 11, 0.02)
+    cfg = SimConfig(m_agents=m_count, state_dim=9, n_tx=4, n_rx=4, horizon=80,
+                    scheme=scheme, p_on=0.001, noise_scale=0.02, x0_value=1.0,
+                    r0_value=0.0, seed=11)
+    got = sim.run_episode(cfg, topo)
+    want = oracles.slot_loop_episode(cfg, topo, through_receiver=True)
+    assert (got.n_slots, got.diverged) == (want.n_slots, want.diverged) == (80, False)
+    (bits, sent), (bits_ref, sent_ref) = got.decision_log, want.decision_log
+    assert np.array_equal(bits, bits_ref)
+    assert bits.any()
+    costs = got.cost_trajectory[:, None], want.cost_trajectory[:, None]
+    assert relative_gap(*costs).max() <= 1e-12
+    assert relative_gap(sent, sent_ref).max() <= 1e-10
+
+
+def test_silent_agents_log_exactly_zero_controls(monkeypatch):
+    # the plant step takes no bits, so every decision_log control row
+    # whose bit is False must be exactly 0.0; the digest set's episodes
+    # cover all four schemes on divergent episodes and semantic episodes
+    # with certified and spectral slots
+    answered = []
+    real = policy.certified_terms
+
+    def counting(*args):
+        terms = real(*args)
+        answered.append(terms is not None)
+        return terms
+
+    monkeypatch.setattr(policy, "certified_terms", counting)
+    diverged, silent = set(), dict.fromkeys(sim.SCHEMES, 0)
+    for name, cfg, topology in episode_digest.episodes():
+        metrics = sim.run_episode(cfg, topology)
+        bits, sent = metrics.decision_log
+        assert np.all(sent[~bits] == 0.0), name
+        silent[cfg.scheme] += int((~bits).sum())
+        if metrics.diverged:
+            diverged.add(cfg.scheme)
+    assert diverged == set(sim.SCHEMES)
+    assert all(silent.values()), silent
+    assert True in answered and False in answered
 
 
 def late_overflow_config(scheme, x0_value):

@@ -126,6 +126,35 @@ def test_empirical_drift_samples_the_episode_plant(case):
     assert mean == pytest.approx(sum(drifts) / n, rel=1e-12, abs=1e-12)
 
 
+def test_empirical_drift_steps_the_slot_loops_functions(monkeypatch):
+    # 5000 draws run as two chunks (4096 + 904); each chunk forms its
+    # inputs with one block_inputs (one plant-noise map) and steps once,
+    # and reception is never called on its own
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((channel, "receive_control"), (swarm, "block_inputs"),
+                         (swarm, "draw_plant_noise"), (swarm, "step_swarm"),
+                         (swarm, "step_target"), (swarm, "tracking_error")):
+        counted(module, name)
+    topo = swarm.build_ring_topology(2, 2, 2, 3, noise_scale=1e-2, seed=5)
+    rng = np.random.default_rng(5)
+    stability.empirical_drift(topo, rng.normal(size=4), np.zeros(4),
+                              np.array([True, False]), rng.normal(size=(2, 2)),
+                              rng.normal(size=(2, 3, 2)), 5000,
+                              np.random.default_rng(6))
+    assert calls == {"tracking_error": 1, "block_inputs": 2, "draw_plant_noise": 2,
+                     "step_swarm": 2, "step_target": 2}
+
+
 def test_empirical_drift_deterministic_frozen_system():
     # No plant noise, no actuation (so channel noise cannot enter), A = G = I:
     # the error never moves and the drift is exactly zero.

@@ -69,14 +69,18 @@ def test_step_swarm_identity_dynamics():
         b_actuation=topo.b_actuation, w_noise=topo.w_noise,
         g_target=np.eye(4))
     x = np.array([1.0, 2.0, 3.0, 4.0])
-    x_next, _ = swarm.step_swarm(eye, x, np.zeros(4), np.zeros((2, 2)), np.zeros(4))
+    x_next, _ = swarm.step_swarm(eye, x, np.zeros(4), np.zeros((2, 2, 2)),
+                                 np.zeros((2, 2)), np.zeros(4))
     assert np.array_equal(x_next, x)
 
 
 def test_step_swarm_pure_noise():
     topo = swarm.build_ring_topology(2, state_dim=2, n_tx=2, n_rx=2, seed=3)
     w = np.array([0.5, -1.0, 2.0, 0.25])
-    x_next, _ = swarm.step_swarm(topo, np.zeros(4), np.zeros(4), np.zeros((2, 2)), w)
+    actuation = swarm.channel_actuation(
+        topo, np.random.default_rng(3).normal(size=(2, 2, 2)))
+    x_next, _ = swarm.step_swarm(topo, np.zeros(4), np.zeros(4), actuation,
+                                 np.zeros((2, 2)), w)
     assert np.array_equal(x_next, w)
 
 
@@ -84,27 +88,31 @@ def test_step_swarm_matches_dense_oracle():
     rng = np.random.default_rng(17)
     topo = swarm.build_ring_topology(3, state_dim=2, n_tx=2, n_rx=2, seed=17)
     x = rng.normal(size=6)
+    h = rng.normal(size=(3, 2, 2))
     controls = np.array([rng.normal(size=2) for _ in range(3)])
     w = rng.normal(size=6)
-    x_next, _ = swarm.step_swarm(topo, x, np.zeros(6), controls, w)
+    x_next, _ = swarm.step_swarm(topo, x, np.zeros(6),
+                                 swarm.channel_actuation(topo, h), controls, w)
     expected = dense_matvec(topo.a_global, x) + w
     for m in range(3):
-        expected += dense_matvec(oracles.bhat(topo, m), controls[m])
+        expected += dense_matvec(oracles.bhat(topo, m), dense_matvec(h[m], controls[m]))
     assert np.max(np.abs(x_next - expected)) <= 1e-12
 
 
 def test_step_swarm_rejects_dimension_mismatch():
-    topo = swarm.build_ring_topology(2, state_dim=2, n_tx=2, n_rx=2, seed=3)
-    x = r = np.zeros(4)
-    with pytest.raises(ValueError):
-        swarm.step_swarm(topo, x, r, np.zeros((1, 2)), np.zeros(4))
-    with pytest.raises(ValueError):
-        swarm.step_swarm(topo, x, r, np.zeros((2, 3)), np.zeros(4))
-    with pytest.raises(ValueError):
-        swarm.step_swarm(topo, x, r, np.zeros((2, 2)), np.zeros(3))
-    # leading draw axes must agree between the signals and the noise
-    with pytest.raises(ValueError):
-        swarm.step_swarm(topo, x, r, np.zeros((3, 2, 2)), np.zeros((2, 4)))
+    topo = swarm.build_ring_topology(2, state_dim=3, n_tx=2, n_rx=4, seed=3)
+    x = r = np.zeros(6)
+    for actuation, u, exo in (
+            ((1, 3, 2), (1, 2), (3,)),        # one agent short of M = 2
+            ((2, 3, 2), (2, 2), (5,)),        # exo not dM = 6 long
+            ((2, 3, 2), (2, 3), (6,)),        # u wider than N_t = 2
+            ((2, 3, 3), (2, 2), (6,)),        # actuation wider than N_t
+            ((2, 2, 2), (2, 2), (6,)),        # actuation of d = 2 rows, not 3
+            ((2, 3), (2, 2), (6,)),           # actuation without its agent axis
+            ((3, 2, 3, 2), (2, 2), (2, 6))):  # draw axes that do not broadcast
+        with pytest.raises(ValueError):
+            swarm.step_swarm(topo, x, r, np.zeros(actuation), np.zeros(u),
+                             np.zeros(exo))
 
 
 def random_psd_topology(rng):
@@ -145,38 +153,131 @@ def test_batched_plant_noise_matches_per_agent_loop(case):
     assert batched_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+def folded_step_loop(topology, x, actuation, u, exo):
+    """x(t+1) = A x + sum_m Bhat_m (B_m H_m) u_m + exo, one block row per agent."""
+    x_next = topology.a_global @ np.asarray(x, dtype=float)
+    d = topology.state_dim
+    for m in range(topology.m_agents):
+        x_next[m * d:(m + 1) * d] += actuation[m] @ u[m]
+    return x_next + exo
+
+
 @pytest.mark.parametrize("case", range(25))
 def test_batched_step_swarm_matches_per_agent_loop(case):
     rng = np.random.default_rng(7400 + case)
     topo = random_psd_topology(rng)
     x, r = rng.normal(size=topo.global_dim), rng.normal(size=topo.global_dim)
-    received = rng.normal(size=(topo.m_agents, topo.n_rx))
-    received[int(rng.integers(0, topo.m_agents))] = 0.0   # a silent agent's row
-    noise = rng.normal(size=topo.global_dim)
-    x_next, r_next = swarm.step_swarm(topo, x, r, received, noise)
-    want = oracles.step_plant_loop(topo, x, received, noise)
+    actuation = swarm.channel_actuation(
+        topo, rng.normal(size=(topo.m_agents, topo.n_rx, topo.n_tx)))
+    u = rng.normal(size=(topo.m_agents, topo.n_tx))
+    u[int(rng.integers(0, topo.m_agents))] = 0.0   # a silent agent's row
+    exo = rng.normal(size=topo.global_dim)
+    x_next, r_next = swarm.step_swarm(topo, x, r, actuation, u, exo)
+    want = folded_step_loop(topo, x, actuation, u, exo)
     assert np.max(np.abs(x_next - want)) <= 1e-12
     assert np.array_equal(r_next, topo.g_target @ r)
 
 
+def random_block(rng, topo, lead):
+    """Channels, receiver normals and plant normals of slots with leading
+    axes lead."""
+    m, d = topo.m_agents, topo.state_dim
+    return (rng.normal(size=lead + (m, topo.n_rx, topo.n_tx)),
+            rng.normal(size=lead + (m, topo.n_rx)), rng.normal(size=lead + (m, d)))
+
+
 @pytest.mark.parametrize("case", range(10))
 def test_step_swarm_over_draw_axes_equals_per_draw_calls(case):
-    # leading draw axes on the signals and the noise step every draw at
-    # once, bit for bit as one call per draw
+    # leading draw axes on the actuation, the controls and exo step every
+    # draw at once, bit for bit as one call per draw
     rng = np.random.default_rng(7500 + case)
     topo = random_psd_topology(rng)
     x, r = rng.normal(size=topo.global_dim), rng.normal(size=topo.global_dim)
     lead = tuple(int(n) for n in rng.integers(1, 4, size=int(rng.integers(1, 3))))
-    received = rng.normal(size=lead + (topo.m_agents, topo.n_rx))
-    noise = swarm.draw_plant_noise(
-        topo, rng.normal(size=lead + (topo.m_agents, topo.state_dim)))
-    x_next, r_next = swarm.step_swarm(topo, x, r, received, noise)
+    actuation, exo = swarm.block_inputs(topo, *random_block(rng, topo, lead))
+    u = rng.normal(size=lead + (topo.m_agents, topo.n_tx))
+    x_next, r_next = swarm.step_swarm(topo, x, r, actuation, u, exo)
     assert x_next.shape == lead + (topo.global_dim,)
     assert np.array_equal(r_next, swarm.step_target(topo, r))
     for k in np.ndindex(*lead):
-        one_x, one_r = swarm.step_swarm(topo, x, r, received[k], noise[k])
+        one_x, one_r = swarm.step_swarm(topo, x, r, actuation[k], u[k], exo[k])
         assert np.array_equal(x_next[k], one_x)
         assert np.array_equal(r_next, one_r)
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_block_inputs_over_slot_axes_equal_per_slot_calls(case):
+    # a block's inputs are those of its slots, bit for bit, so the slot
+    # loop and a block loop step the same plant
+    rng = np.random.default_rng(7600 + case)
+    topo = random_psd_topology(rng)
+    lead = tuple(int(n) for n in rng.integers(1, 5, size=int(rng.integers(1, 3))))
+    h, v, z = random_block(rng, topo, lead)
+    actuation, exo = swarm.block_inputs(topo, h, v, z)
+    assert actuation.shape == lead + (topo.m_agents, topo.state_dim, topo.n_tx)
+    assert exo.shape == lead + (topo.global_dim,)
+    for k in np.ndindex(*lead):
+        one_actuation, one_exo = swarm.block_inputs(topo, h[k], v[k], z[k])
+        assert np.array_equal(actuation[k], one_actuation)
+        assert np.array_equal(exo[k], one_exo)
+
+
+@pytest.mark.parametrize("case", range(25))
+def test_block_inputs_match_per_agent_loop(case):
+    # actuation_m = B_m H_m and exo = B_m v_m + root(W_m) z_m per agent
+    rng = np.random.default_rng(7700 + case)
+    topo = random_psd_topology(rng)
+    h, v, z = random_block(rng, topo, ())
+    actuation, exo = swarm.block_inputs(topo, h, v, z)
+    d = topo.state_dim
+    for m in range(topo.m_agents):
+        assert np.max(np.abs(actuation[m] - topo.b_actuation[m] @ h[m])) <= 1e-12
+        want = topo.b_actuation[m] @ v[m] + oracles.cov_sqrt(topo.w_noise[m]) @ z[m]
+        assert np.max(np.abs(exo[m * d:(m + 1) * d] - want)) <= 1e-12
+
+
+# (M, d, N_t, N_r): one agent, tall, wide (N_t > d) and short
+# (N_r < min(d, N_t)) channels
+FOLD_LAYOUTS = [(1, 3, 3, 3), (1, 2, 4, 3), (4, 3, 2, 3), (3, 2, 4, 2),
+                (2, 4, 3, 2), (5, 3, 4, 1)]
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("layout", FOLD_LAYOUTS)
+@pytest.mark.parametrize("case", range(3))
+def test_folded_step_matches_the_receiver_route(layout, lead, case):
+    # block_inputs + step_swarm of the controls with silent rows zeroed
+    # is the paper's plant through the receiver: received = delta H u + v,
+    # then B received + A x + w (oracles.receiver_step, the raw controls
+    # and their bits). (B H) u + (B v + w) rounds differently from
+    # B (H u + v): each route's entry i is within k eps S_i of the exact
+    # value, S = |A| |x| + sum_m |Bhat_m| (|H_m| |u_m| + |v_m|) + |w| and
+    # k = dM + N_r + N_t + 3 the longest chain of roundings, so the two
+    # differ by at most 2 k eps S_i.
+    m_count, d, n_tx, n_rx = layout
+    rng = np.random.default_rng([7800, case, *layout, len(lead)])
+    topo = swarm.SwarmTopology(
+        m_agents=m_count, state_dim=d, n_tx=n_tx, n_rx=n_rx,
+        a_internal=rng.normal(size=(m_count, d, d)), couplings={},
+        b_actuation=rng.normal(size=(m_count, d, n_rx)),
+        w_noise=np.array([0.1 * np.eye(d)] * m_count), g_target=np.eye(d * m_count))
+    x, r = rng.normal(size=topo.global_dim), rng.normal(size=topo.global_dim)
+    h, v, z = random_block(rng, topo, lead)
+    u = rng.normal(size=lead + (m_count, n_tx))
+    deltas = rng.integers(0, 2, size=m_count).astype(bool)
+    deltas[0] = False                       # at least one silent agent
+    sent = np.where(deltas[:, None], u, 0.0)
+    actuation, exo = swarm.block_inputs(topo, h, v, z)
+    x_next, r_next = swarm.step_swarm(topo, x, r, actuation, sent, exo)
+    noise = swarm.draw_plant_noise(topo, z)
+    want, r_want = oracles.receiver_step(topo, x, r, deltas, h, u, v, noise)
+    assert np.array_equal(r_next, r_want)
+    b = np.abs(topo.b_actuation)
+    reach = np.abs(h) @ np.abs(sent)[..., None] + np.abs(v)[..., None]
+    scale = (np.abs(topo.a_global) @ np.abs(x) + np.abs(noise)
+             + (b @ reach).reshape(noise.shape))
+    k = topo.global_dim + n_rx + n_tx + 3
+    assert np.all(np.abs(x_next - want) <= 2 * k * np.finfo(float).eps * scale)
 
 
 def test_step_target_identity_keeps_target():
@@ -218,7 +319,8 @@ def test_step_swarm_steps_target():
         a_internal=topo.a_internal, couplings=topo.couplings,
         b_actuation=topo.b_actuation, w_noise=topo.w_noise, g_target=g)
     x, r = rng.normal(size=4), rng.normal(size=4)
-    _, r_next = swarm.step_swarm(custom, x, r, np.zeros((2, 2)), np.zeros(4))
+    _, r_next = swarm.step_swarm(custom, x, r, np.zeros((2, 2, 2)), np.zeros((2, 2)),
+                                 np.zeros(4))
     assert np.array_equal(r_next, swarm.step_target(custom, r))
 
 
@@ -255,9 +357,10 @@ def test_step_swarm_linearity_without_noise():
     rng = np.random.default_rng(31)
     x1, x2 = rng.normal(size=6), rng.normal(size=6)
     a, b = 0.7, -1.3
+    actuation = swarm.channel_actuation(topo, rng.normal(size=(3, 2, 2)))
     zeros = np.zeros((3, 2))
     w0 = np.zeros(6)
-    step = lambda x: swarm.step_swarm(topo, x, w0, zeros, w0)[0]
+    step = lambda x: swarm.step_swarm(topo, x, w0, actuation, zeros, w0)[0]
     assert np.allclose(step(a * x1 + b * x2), a * step(x1) + b * step(x2),
                        atol=1e-10)
 
